@@ -32,8 +32,6 @@ package cellcars
 
 import (
 	"io"
-	"log/slog"
-	"net/http"
 	"time"
 
 	"cellcars/internal/analysis"
@@ -218,16 +216,10 @@ func ReadPartial(r io.Reader) (*Partial, error) { return analysis.ReadPartial(r)
 // ReadPartialFile restores partial analysis state from a snapshot file.
 func ReadPartialFile(path string) (*Partial, error) { return analysis.ReadPartialFile(path) }
 
-// ResumeStreaming restores a streaming accumulator from a checkpoint
-// written under the same context and options; the caller must skip the
-// input past the restored Watermark (SkipRecords) before adding more.
-func ResumeStreaming(ctx Context, opts AnalyzeOptions, path string) (*StreamingAnalyzer, error) {
-	return analysis.ResumeStreaming(ctx, opts, path)
-}
-
 // RestoreStreaming restores a streaming accumulator from a checkpoint
-// stream (the io.Reader form of ResumeStreaming, for state that does
-// not live in a file — embedded snapshot frames, network transfers).
+// stream written under the same context and options; the caller must
+// skip the input past the restored Watermark (SkipRecords) before
+// adding more.
 func RestoreStreaming(ctx Context, opts AnalyzeOptions, r io.Reader) (*StreamingAnalyzer, error) {
 	return analysis.RestoreStreaming(ctx, opts, r)
 }
@@ -281,42 +273,6 @@ type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
-
-// HealthRules is the named-rule readiness evaluator behind a degraded
-// /readyz: each failing rule is listed in the probe body and raises
-// cellcars_health_rule_failing{rule=...}.
-type HealthRules = obs.Health
-
-// NewHealthRules returns an empty rule set reporting into reg (nil:
-// metrics off).
-func NewHealthRules(reg *MetricsRegistry) *HealthRules { return obs.NewHealth(reg) }
-
-// HealthRuleResult is one rule's evaluation outcome.
-type HealthRuleResult = obs.RuleResult
-
-// FailingHealthRules filters an Eval result down to the failing rules.
-func FailingHealthRules(results []HealthRuleResult) []HealthRuleResult {
-	return obs.Failing(results)
-}
-
-// NewServiceLogger returns a structured JSON logger whose every record
-// carries the component name and a run id — the logging contract both
-// daemons follow.
-func NewServiceLogger(w io.Writer, component, runID string) *slog.Logger {
-	return obs.NewLogger(w, component, runID)
-}
-
-// NewRunID returns a random 64-bit hex id correlating all records of
-// one process run.
-func NewRunID() string { return obs.NewRunID() }
-
-// InstrumentHandler wraps an HTTP handler with request telemetry:
-// per-(endpoint,window) latency, status-class counters, an in-flight
-// gauge, request-id propagation, and one structured record per
-// request. endpoint maps a request to low-cardinality labels.
-func InstrumentHandler(next http.Handler, reg *MetricsRegistry, logger *slog.Logger, endpoint func(*http.Request) (string, string)) http.Handler {
-	return obs.Instrument(next, reg, logger, endpoint)
-}
 
 // ShardOfCar maps a car to one of n shards; partials over car-disjoint
 // shards merge into exactly the single-process result.

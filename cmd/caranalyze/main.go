@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -222,6 +223,16 @@ func main() {
 		return
 	}
 
+	// Flag combinations that would otherwise be silently ignored.
+	switch {
+	case *asJSON && (*md != "" || *checkpoint != "" || *resume):
+		fatal("-json prints only the JSON report; -md, -checkpoint and -resume do not apply")
+	case (*checkpoint != "" || *resume) && !(*stream && *in != ""):
+		fatal("-checkpoint and -resume need -stream mode")
+	case *resume && *checkpoint == "":
+		fatal("-resume needs -checkpoint (the file to resume from)")
+	}
+
 	if *asJSON {
 		// The byte-comparable batch twin of carqueryd: one untracked
 		// streaming pass with the daemon's options — no Obs, so the
@@ -230,13 +241,12 @@ func main() {
 		if *in == "" {
 			fatal("-json needs -in (file mode)")
 		}
-		f, err := os.Open(*in)
+		rr, closer, err := openInput(*in, ingest)
 		if err != nil {
 			fatal("open %s: %v", *in, err)
 		}
-		defer f.Close()
+		defer closer.Close()
 		s := analysis.NewStreamingWithOptions(ctx, analysis.RunOptions{Seed: *seed, RareDays: rare})
-		rr := cdr.NewResilientReader(openReader(*in, f), ingest)
 		if err := s.AddAll(rr); err != nil {
 			fatal("stream %s: %v", *in, err)
 		}
@@ -266,9 +276,6 @@ func main() {
 		fmt.Printf("streamed %d records from %s (%d quarantined, %d workers)\n\n",
 			rep.RawRecords, *in, istats.QuarantinedTotal(), max(1, *workers))
 	} else {
-		if *checkpoint != "" || *resume {
-			fatal("-checkpoint and -resume need -stream mode")
-		}
 		if *in != "" {
 			records, istats, err = readFile(*in, ingest)
 			if err != nil {
@@ -624,12 +631,11 @@ func parseShard(spec string) (shard, shards int, err error) {
 // cfg.Every records and on SIGTERM/SIGINT, and cfg.Resume restores a
 // previous checkpoint and skips past its watermark.
 func runStreaming(path string, ctx analysis.Context, opts analysis.RunOptions, ingest cdr.ResilientConfig, cfg analysis.CheckpointConfig) (*analysis.Report, cdr.IngestStats, error) {
-	f, err := os.Open(path)
+	rr, closer, err := openInput(path, ingest)
 	if err != nil {
 		return nil, cdr.IngestStats{}, err
 	}
-	defer f.Close()
-	rr := cdr.NewResilientReader(openReader(path, f), ingest)
+	defer closer.Close()
 	if cfg.Path != "" {
 		trig := make(chan struct{})
 		sigc := make(chan os.Signal, 1)
@@ -697,23 +703,24 @@ func totalRecordsHint(paths []string) int64 {
 	return total
 }
 
-// openReader picks the codec by file extension.
-func openReader(path string, f *os.File) cdr.Reader {
-	if strings.HasSuffix(path, ".csv") {
-		return cdr.NewCSVReader(f)
+// openInput opens a CDR file with the codec its extension names,
+// behind the resilient ingest layer. The closer owns the file.
+func openInput(path string, ingest cdr.ResilientConfig) (*cdr.ResilientReader, io.Closer, error) {
+	r, closer, err := cdr.OpenFile(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	return cdr.NewBinaryReader(f)
+	return cdr.NewResilientReader(r, ingest), closer, nil
 }
 
 // readFile loads a CDR file through the resilient ingest layer,
 // returning the accepted records and the ingest statistics.
 func readFile(path string, ingest cdr.ResilientConfig) ([]cdr.Record, cdr.IngestStats, error) {
-	f, err := os.Open(path)
+	rr, closer, err := openInput(path, ingest)
 	if err != nil {
 		return nil, cdr.IngestStats{}, err
 	}
-	defer f.Close()
-	rr := cdr.NewResilientReader(openReader(path, f), ingest)
+	defer closer.Close()
 	records, err := cdr.ReadAll(rr)
 	return records, rr.Stats(), err
 }

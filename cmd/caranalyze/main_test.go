@@ -243,3 +243,48 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
 }
+
+// TestSilentFlagCombinationsRefused: flag combinations that used to be
+// silently ignored — -resume without a checkpoint file re-analyzed from
+// record zero, -json dropped -md/-checkpoint/-resume on the floor — are
+// usage errors, raised before any record is read.
+func TestSilentFlagCombinationsRefused(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(in, cdrBytes(t, 2_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	md := filepath.Join(dir, "report.md")
+	ckpt := filepath.Join(dir, "ckpt.snap")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"stream resume without checkpoint", []string{"-stream", "-resume"}, "-resume needs -checkpoint"},
+		{"checkpoint without stream", []string{"-checkpoint", ckpt}, "need -stream mode"},
+		{"json with md", []string{"-json", "-md", md}, "-json prints only the JSON report"},
+		{"json with checkpoint", []string{"-json", "-stream", "-checkpoint", ckpt}, "-json prints only the JSON report"},
+		{"json with resume", []string{"-json", "-stream", "-checkpoint", ckpt, "-resume"}, "-json prints only the JSON report"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("accepted; stdout:\n%s", stdout.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Fatalf("refused run still printed a report:\n%s", stdout.String())
+			}
+			for _, path := range []string{md, ckpt} {
+				if _, err := os.Stat(path); err == nil {
+					t.Fatalf("refused run still wrote %s", path)
+				}
+			}
+		})
+	}
+}

@@ -308,22 +308,17 @@ func openInputs(paths []string) cdr.Reader {
 
 type lazyFileReader struct {
 	path string
-	f    *os.File
+	f    io.Closer
 	r    cdr.Reader
 }
 
 func (l *lazyFileReader) Read() (cdr.Record, error) {
 	if l.r == nil {
-		f, err := os.Open(l.path)
+		r, f, err := cdr.OpenFile(l.path)
 		if err != nil {
 			return cdr.Record{}, err
 		}
-		l.f = f
-		if strings.HasSuffix(l.path, ".csv") {
-			l.r = cdr.NewCSVReader(f)
-		} else {
-			l.r = cdr.NewBinaryReader(f)
-		}
+		l.r, l.f = r, f
 	}
 	rec, err := l.r.Read()
 	if errors.Is(err, io.EOF) {

@@ -616,6 +616,12 @@ func TestObservabilityContract(t *testing.T) {
 	if st.Freshness.WatermarkAgeSeconds >= stalledAge {
 		t.Fatalf("watermark age %v after replay, want below the stalled %v", st.Freshness.WatermarkAgeSeconds, stalledAge)
 	}
+	// The daemon takes its EOF cut after counting the last record, so
+	// /stats can show every record drained a moment before the cut.
+	for deadline := time.Now().Add(10 * time.Second); st.Freshness.LastCutSeq == 0 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Millisecond)
+		st = d.stats(t)
+	}
 	if st.Freshness.LastCutSeq == 0 || st.Freshness.LastCutAgeSeconds < 0 {
 		t.Fatalf("cut SLIs not populated after EOF cut: %+v", st.Freshness)
 	}

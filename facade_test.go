@@ -2,8 +2,6 @@ package cellcars_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -299,57 +297,5 @@ func TestFacadeQueryService(t *testing.T) {
 	}
 	if len(cellcars.DefaultQueryWindows()) != 3 {
 		t.Fatal("DefaultQueryWindows should offer 24h/7d/90d")
-	}
-}
-
-// TestFacadeServiceObservability exercises the service-observability
-// exports: structured logger, request instrumentation, and health
-// rules driving a degraded readiness body.
-func TestFacadeServiceObservability(t *testing.T) {
-	var logs bytes.Buffer
-	runID := cellcars.NewRunID()
-	if len(runID) != 16 {
-		t.Fatalf("run id %q is not 16 hex chars", runID)
-	}
-	logger := cellcars.NewServiceLogger(&logs, "facadetest", runID)
-
-	reg := cellcars.NewMetricsRegistry()
-	h := cellcars.InstrumentHandler(
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) }),
-		reg, logger,
-		func(r *http.Request) (string, string) { return "probe", "-" },
-	)
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/x", nil))
-	if rr.Code != 200 {
-		t.Fatalf("instrumented handler: %d", rr.Code)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal(logs.Bytes(), &rec); err != nil {
-		t.Fatalf("log line is not JSON: %q: %v", logs.String(), err)
-	}
-	if rec["component"] != "facadetest" || rec["run_id"] != runID || rec["request_id"] == "" {
-		t.Fatalf("log record missing correlation fields: %v", rec)
-	}
-	var metrics bytes.Buffer
-	reg.WritePrometheus(&metrics)
-	if !strings.Contains(metrics.String(), `cellcars_http_responses_total{class="2xx",endpoint="probe"}`) {
-		t.Fatalf("no response counter in:\n%s", metrics.String())
-	}
-
-	health := cellcars.NewHealthRules(reg)
-	stalled := true
-	health.Rule("stalled", func() (bool, string) {
-		if stalled {
-			return false, "it is stuck"
-		}
-		return true, ""
-	})
-	if failing := cellcars.FailingHealthRules(health.Eval()); len(failing) == 0 {
-		t.Fatal("failing rule not reported")
-	}
-	stalled = false
-	if failing := cellcars.FailingHealthRules(health.Eval()); len(failing) != 0 {
-		t.Fatalf("recovered rule still failing: %v", failing)
 	}
 }

@@ -340,9 +340,6 @@ type busyAcc struct {
 }
 
 func newBusyAcc(ctx Context) *busyAcc {
-	if ctx.Load == nil {
-		panic("analysis: busy-time accumulation requires a load source")
-	}
 	return &busyAcc{
 		ctx:   ctx,
 		busy:  make(map[cdr.CarID]time.Duration),
@@ -435,9 +432,6 @@ type segmentsAcc struct {
 }
 
 func newSegmentsAcc(ctx Context, rareDays []int) *segmentsAcc {
-	if ctx.Load == nil {
-		panic("analysis: segmentation requires a load source")
-	}
 	return &segmentsAcc{ctx: ctx, rareDays: rareDays, cars: make(map[cdr.CarID]*carSegState)}
 }
 

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"path/filepath"
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -14,7 +14,7 @@ import (
 // TestResumeAtSliceBoundary is the sharpest resume-at-boundary case:
 // the earlier slice is checkpointed with a session whose End lands
 // EXACTLY on the slice edge, and the later slice's first record starts
-// EXACTLY on that edge (gap zero). The snapshot → ResumeStreaming →
+// EXACTLY on that edge (gap zero). The snapshot → RestoreStreaming →
 // MergeOrdered path must stitch them into one session, matching the
 // uninterrupted run bit for bit.
 func TestResumeAtSliceBoundary(t *testing.T) {
@@ -41,11 +41,11 @@ func TestResumeAtSliceBoundary(t *testing.T) {
 	for _, r := range before {
 		s1.Add(r)
 	}
-	path := filepath.Join(t.TempDir(), "edge.snap")
-	if err := s1.WriteSnapshot(path); err != nil {
+	var snap bytes.Buffer
+	if err := s1.SnapshotTo(&snap); err != nil {
 		t.Fatal(err)
 	}
-	s1r, err := ResumeStreaming(ctx, tracked, path)
+	s1r, err := RestoreStreaming(ctx, tracked, &snap)
 	if err != nil {
 		t.Fatal(err)
 	}

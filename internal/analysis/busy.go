@@ -105,6 +105,9 @@ const (
 // Segmentation produces Table 2 for the given rare-day thresholds
 // (the paper uses 10 and 30). It panics without a load source.
 func Segmentation(records []cdr.Record, ctx Context, rareDays ...int) []Segment {
+	if ctx.Load == nil {
+		panic("analysis: segmentation requires a load source")
+	}
 	return runAccum(newSegmentsAcc(ctx, rareDays), records).Segments
 }
 

@@ -8,7 +8,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -20,20 +19,21 @@ import (
 
 // This file is the durable-state layer over the accumulator engine:
 // it frames every worker's partial stage state into a versioned
-// snapshot file (package snapshot), drives periodic checkpointing of
-// Engine and Streaming runs with atomic write-rename and a
-// record-offset watermark, and implements the map-reduce workflow —
-// per-shard partials (caranalyze -partial) merged and finalized by
-// carmerge. Because the accumulators merge by car-disjoint union, a
-// resumed or merged run finalizes to a report bit-identical with an
-// uninterrupted single-process run.
+// snapshot file (package snapshot), writes it with atomic write-rename
+// and a record-offset watermark (the engine's dispatcher in engine.go
+// decides when), restores it — restoreSets is the one resume routine,
+// behind both Engine resume and RestoreStreaming — and implements the
+// map-reduce workflow: per-shard partials (caranalyze -partial) merged
+// and finalized by carmerge. Because the accumulators merge by
+// car-disjoint union, a resumed or merged run finalizes to a report
+// bit-identical with an uninterrupted single-process run.
 //
 // Snapshot file layout (inside the snapshot container):
 //
 //	"header"  study configuration + worker count + watermark
 //	"worker"  one per worker set: index, ingest counters, stage errors
 //	"stage:X" one per live stage of the preceding worker, in
-//	          engineStageOrder, payload = the accumulator's SnapshotTo
+//	          stageTable order, payload = the accumulator's SnapshotTo
 //
 // The header pins everything that must match for two snapshots to be
 // mergeable or for a checkpoint to be resumable: study period, time
@@ -61,7 +61,7 @@ type CheckpointConfig struct {
 	// Resume restores state from Path before consuming the input and
 	// skips the watermark's worth of records. A missing file starts a
 	// fresh run, so a crash-restart loop needs no first-run special
-	// case.
+	// case; an empty Path is an error.
 	Resume bool
 }
 
@@ -112,7 +112,7 @@ func (h SnapshotHeader) sameStudy(o SnapshotHeader) error {
 	return nil
 }
 
-func headerFor(ctx Context, opts EngineOptions, workers int, watermark int64) SnapshotHeader {
+func headerFor(ctx Context, opts EngineOptions, watermark int64) SnapshotHeader {
 	return SnapshotHeader{
 		PeriodStart:     ctx.Period.Start(),
 		PeriodDays:      ctx.Period.Days(),
@@ -120,7 +120,7 @@ func headerFor(ctx Context, opts EngineOptions, workers int, watermark int64) Sn
 		Seed:            opts.Seed,
 		RareDays:        opts.RareDays,
 		BusyCells:       opts.BusyCells,
-		Workers:         workers,
+		Workers:         opts.Workers,
 		Watermark:       watermark,
 		HasLoad:         ctx.Load != nil,
 	}
@@ -187,63 +187,6 @@ func decodeHeader(payload []byte) (SnapshotHeader, error) {
 	return h, d.Err()
 }
 
-// expectedStages returns the stage set a snapshot's configuration
-// enables; restore demands a frame (or a recorded failure) for exactly
-// these.
-func expectedStages(h SnapshotHeader) map[string]bool {
-	exp := map[string]bool{
-		"presence": true, "connected": true, "days": true,
-		"durations": true, "handovers": true, "carriers": true, "usage": true,
-	}
-	if h.HasLoad {
-		exp["segments"], exp["busy"] = true, true
-		if len(h.BusyCells) >= 2 {
-			exp["clusters"] = true
-		}
-	}
-	return exp
-}
-
-func stageIndex(name string) int {
-	for i, s := range engineStageOrder {
-		if s == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// newStageForRestore constructs an empty accumulator for a stage being
-// restored. Unlike newAccumSet it does not gate the load-dependent
-// stages on ctx.Load: restore followed by Merge/Finalize never calls
-// Add, which is the only path that touches the load source — this is
-// what lets carmerge finalize partials without re-opening load data.
-func newStageForRestore(ctx Context, opts EngineOptions, name string) Accumulator {
-	switch name {
-	case "presence":
-		return newPresenceAcc(ctx.Period)
-	case "connected":
-		return newConnectedAcc(ctx.Period)
-	case "days":
-		return newDaysAcc(ctx.Period)
-	case "segments":
-		return &segmentsAcc{ctx: ctx, rareDays: opts.RareDays, cars: make(map[cdr.CarID]*carSegState)}
-	case "busy":
-		return &busyAcc{ctx: ctx, busy: make(map[cdr.CarID]time.Duration), total: make(map[cdr.CarID]time.Duration)}
-	case "durations":
-		return newDurationsAcc()
-	case "handovers":
-		return newHandoverAcc(true)
-	case "carriers":
-		return newCarriersAcc()
-	case "usage":
-		return newUsageAcc(ctx.TZOffsetSeconds)
-	case "clusters":
-		return newClustersAcc(ctx, opts.BusyCells, opts.Seed)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot writing
 
@@ -272,11 +215,11 @@ func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) erro
 			enc.String(msg)
 		}
 		sw.End()
-		for j, name := range engineStageOrder {
-			acc := set.stages[j]
+		for j, acc := range set.stages {
 			if acc == nil {
 				continue
 			}
+			name := stageTable[j].name
 			buf.Reset()
 			if err := acc.SnapshotTo(&buf); err != nil {
 				return fmt.Errorf("analysis: snapshot stage %s: %w", name, err)
@@ -415,20 +358,21 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 		return hdr, nil, err
 	}
 
-	expected := expectedStages(hdr)
+	// Restore demands a state frame or a recorded failure for exactly
+	// the stages the snapshot's configuration enables.
+	expected := func(i int) bool { return stageTable[i].enabled(hdr.HasLoad, len(hdr.BusyCells)) }
 	var sets []*accumSet
 	var cur *accumSet
-	restored := map[string]bool{}
 	finishWorker := func() error {
 		if cur == nil {
 			return nil
 		}
-		for name := range expected {
-			if !restored[name] && !cur.hasError(name) {
-				return badSnapf("worker %d missing stage %s", len(sets)-1, name)
+		for i, st := range stageTable {
+			if expected(i) && cur.stages[i] == nil && !cur.hasError(st.name) {
+				return badSnapf("worker %d missing stage %s", len(sets)-1, st.name)
 			}
 		}
-		cur.met.creditRestored(cur, restored)
+		cur.met.creditRestored(cur)
 		return nil
 	}
 	for {
@@ -444,18 +388,20 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 			if err := finishWorker(); err != nil {
 				return hdr, nil, err
 			}
-			cur = &accumSet{
-				period: ctx.Period,
-				stages: make([]Accumulator, len(engineStageOrder)),
-				batch:  make([]cdr.Record, 0, accumBatchSize),
-			}
 			d := snapshot.NewDecoder(bytes.NewReader(payload))
 			idx := d.Len(maxHeaderWorkers)
+			if d.Err() == nil && idx != len(sets) {
+				return hdr, nil, badSnapf("worker frame %d out of order (want %d)", idx, len(sets))
+			}
+			// A resumed observed run keeps instrumenting; the restored
+			// counts are credited into the shared series once the
+			// worker's stage frames are in (see finishWorker).
+			cur = emptyAccumSet(ctx, opts, idx)
 			cur.raw = d.Varint()
 			cur.ghosts = d.Varint()
 			cur.outOfPeriod = d.Varint()
 			cur.accepted = d.Varint()
-			nerrs := d.Len(len(engineStageOrder))
+			nerrs := d.Len(len(stageTable))
 			for i := 0; i < nerrs && d.Err() == nil; i++ {
 				se := StageError{Stage: d.String(), Err: d.String()}
 				if stageIndex(se.Stage) < 0 {
@@ -471,40 +417,32 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 			if d.Err() != nil {
 				return hdr, nil, d.Err()
 			}
-			if idx != len(sets) {
-				return hdr, nil, badSnapf("worker frame %d out of order (want %d)", idx, len(sets))
-			}
 			if cur.ghosts < 0 || cur.outOfPeriod < 0 || cur.accepted < 0 ||
 				cur.ghosts+cur.outOfPeriod+cur.accepted != cur.raw {
 				return hdr, nil, badSnapf("worker %d counters inconsistent (raw=%d ghosts=%d oop=%d accepted=%d)",
 					idx, cur.raw, cur.ghosts, cur.outOfPeriod, cur.accepted)
 			}
-			// A resumed observed run keeps instrumenting; the restored
-			// counts are credited into the shared series once the
-			// worker's stage frames are in (see finishWorker).
-			cur.met = newSetMetrics(opts.Obs, idx)
 			sets = append(sets, cur)
-			restored = map[string]bool{}
 		case strings.HasPrefix(name, "stage:"):
 			stage := strings.TrimPrefix(name, "stage:")
 			if cur == nil {
 				return hdr, nil, badSnapf("stage frame %q before any worker frame", stage)
 			}
-			if !expected[stage] {
+			i := stageIndex(stage)
+			if i < 0 || !expected(i) {
 				return hdr, nil, badSnapf("stage %q not enabled by the snapshot's configuration", stage)
 			}
-			if restored[stage] {
+			if cur.stages[i] != nil {
 				return hdr, nil, badSnapf("duplicate stage frame %q", stage)
 			}
 			if cur.hasError(stage) {
 				return hdr, nil, badSnapf("stage %q has both a failure record and a state frame", stage)
 			}
-			acc := newStageForRestore(ctx, opts, stage)
+			acc := stageTable[i].build(ctx, opts)
 			if err := acc.RestoreFrom(bytes.NewReader(payload)); err != nil {
 				return hdr, nil, fmt.Errorf("analysis: restore stage %s: %w", stage, err)
 			}
-			cur.stages[stageIndex(stage)] = acc
-			restored[stage] = true
+			cur.stages[i] = acc
 		default:
 			return hdr, nil, badSnapf("unknown frame %q", name)
 		}
@@ -527,6 +465,23 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 
 func badSnapf(format string, args ...any) error {
 	return fmt.Errorf("analysis: "+format+": %w", append(args, snapshot.ErrBadSnapshot)...)
+}
+
+// restoreSets is the resume routine: it restores the worker sets of a
+// snapshot a run under (ctx, opts) wrote, refusing one from a different
+// study configuration or worker count — records are sharded by worker
+// count, so the sets of another count cannot continue this run.
+func restoreSets(r io.Reader, ctx Context, opts EngineOptions) (SnapshotHeader, []*accumSet, error) {
+	want := headerFor(ctx, opts, 0)
+	return readSnapshotSets(r, func(h SnapshotHeader) (Context, EngineOptions, error) {
+		if err := want.sameStudy(h); err != nil {
+			return Context{}, EngineOptions{}, err
+		}
+		if h.Workers != opts.Workers {
+			return Context{}, EngineOptions{}, fmt.Errorf("analysis: checkpoint has %d workers, run has %d", h.Workers, opts.Workers)
+		}
+		return ctx, opts, nil
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -563,7 +518,7 @@ func ReadPartial(r io.Reader) (*Partial, error) {
 	}
 	root := sets[0]
 	for _, o := range sets[1:] {
-		root.merge(o)
+		root.merge(o, false)
 	}
 	hdr.Workers = 1
 	return &Partial{Header: hdr, ctx: pctx, opts: popts, set: root}, nil
@@ -628,7 +583,7 @@ func (p *Partial) Merge(o *Partial, allowOverlap bool) error {
 			return fmt.Errorf("analysis: partials share %d cars; shard inputs by car, or force with allow-overlap", n)
 		}
 	}
-	p.set.merge(o.set)
+	p.set.merge(o.set, false)
 	p.Header.Watermark += o.Header.Watermark
 	return nil
 }
@@ -648,18 +603,18 @@ func (p *Partial) WriteSnapshot(path string) error {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming checkpointing
+// Streaming snapshots
 
 // Watermark returns the raw record count consumed so far — the number
 // of records a resumed run must skip on the re-opened stream.
 func (s *Streaming) Watermark() int64 { return s.set.raw }
 
 func (s *Streaming) header() SnapshotHeader {
-	return headerFor(s.ctx, s.opts, 1, s.set.raw)
+	return headerFor(s.ctx, s.opts, s.set.raw)
 }
 
 // SnapshotTo serializes the accumulator's full partial state,
-// producing a stream readable by both ResumeStreaming and ReadPartial.
+// producing a stream readable by both RestoreStreaming and ReadPartial.
 func (s *Streaming) SnapshotTo(w io.Writer) error {
 	return writeSnapshotStream(w, s.header(), []*accumSet{s.set})
 }
@@ -670,254 +625,15 @@ func (s *Streaming) WriteSnapshot(path string) error {
 }
 
 // RestoreStreaming restores a streaming accumulator from a snapshot
-// stream written under the same context and options — ResumeStreaming
-// without the file handling, for callers (the query service) that keep
-// snapshots inside larger containers. The caller must advance its
-// input past the restored Watermark (cdr.Skip) before feeding more
-// records.
+// stream written under the same context and options. The caller must
+// advance its input past the restored Watermark (cdr.Skip) before
+// feeding more records.
 func RestoreStreaming(ctx Context, opts RunOptions, r io.Reader) (*Streaming, error) {
 	s := NewStreamingWithOptions(ctx, opts)
-	want := s.header()
-	_, sets, err := readSnapshotSets(r, func(h SnapshotHeader) (Context, EngineOptions, error) {
-		if err := want.sameStudy(h); err != nil {
-			return Context{}, EngineOptions{}, err
-		}
-		if h.Workers != 1 {
-			return Context{}, EngineOptions{}, fmt.Errorf("analysis: snapshot holds %d worker sets; streaming resume needs 1", h.Workers)
-		}
-		return s.ctx, s.opts, nil
-	})
+	_, sets, err := restoreSets(r, s.ctx, s.opts)
 	if err != nil {
 		return nil, err
 	}
 	s.set = sets[0]
 	return s, nil
-}
-
-// ResumeStreaming restores a streaming accumulator from a snapshot
-// file written under the same context and options. The caller must
-// advance its input past the restored Watermark (cdr.Skip) before
-// feeding more records.
-func ResumeStreaming(ctx Context, opts RunOptions, path string) (*Streaming, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := RestoreStreaming(ctx, opts, f)
-	if err != nil {
-		return nil, fmt.Errorf("resume %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// AddAllCheckpointed drains a reader like AddAll, writing a state
-// snapshot to cfg.Path every cfg.Every raw records. When cfg.Trigger
-// fires, it writes a final checkpoint and stops with ErrCheckpointStop.
-// With cfg.Resume, state is restored from cfg.Path first (when the file
-// exists) and the watermark's worth of records is skipped.
-func (s *Streaming) AddAllCheckpointed(r cdr.Reader, cfg CheckpointConfig) error {
-	if cfg.Resume && cfg.Path != "" {
-		if _, err := os.Stat(cfg.Path); err == nil {
-			resumed, err := ResumeStreaming(s.ctx, s.opts.RunOptions, cfg.Path)
-			if err != nil {
-				return err
-			}
-			s.set = resumed.set
-			if err := cdr.Skip(r, s.Watermark()); err != nil {
-				return err
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-	}
-	for {
-		if cfg.Trigger != nil && s.set.raw&1023 == 0 {
-			select {
-			case <-cfg.Trigger:
-				if cfg.Path != "" {
-					if err := s.WriteSnapshot(cfg.Path); err != nil {
-						return err
-					}
-				}
-				return ErrCheckpointStop
-			default:
-			}
-		}
-		rec, err := r.Read()
-		if err != nil {
-			s.set.flush()
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		s.set.add(rec)
-		if cfg.Every > 0 && cfg.Path != "" && s.set.raw%cfg.Every == 0 {
-			if err := s.WriteSnapshot(cfg.Path); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Engine checkpointing
-
-// workerMsg is one dispatch to an engine worker: a record batch, or a
-// barrier carrying an ack channel. After acking a barrier the worker
-// does not touch its accumulator set until the next message arrives,
-// which is what lets the dispatcher snapshot all sets race-free.
-type workerMsg struct {
-	batch []cdr.Record
-	ack   chan<- struct{}
-}
-
-// engineDispatchBatch is the per-shard batch size of the checkpointing
-// dispatcher.
-const engineDispatchBatch = 512
-
-func (e *Engine) checkpointHeader(watermark int64) SnapshotHeader {
-	return headerFor(e.ctx, e.opts, e.opts.Workers, watermark)
-}
-
-// RunReaderCheckpointed is RunReader with periodic checkpointing: the
-// dispatcher reads the stream, shards records by car across workers,
-// and at each checkpoint runs an ack barrier so every worker's set is
-// quiescent, then writes all partial state atomically to cfg.Path. On
-// cfg.Trigger it writes a final checkpoint and returns
-// ErrCheckpointStop. With cfg.Resume it restores from cfg.Path (same
-// configuration and worker count required) and skips the watermark's
-// worth of records; a resumed run's final report is bit-identical with
-// an uninterrupted one.
-func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Report, error) {
-	n := e.opts.Workers
-	var sets []*accumSet
-	var read int64
-	if cfg.Resume && cfg.Path != "" {
-		switch _, err := os.Stat(cfg.Path); {
-		case err == nil:
-			f, err := os.Open(cfg.Path)
-			if err != nil {
-				return nil, err
-			}
-			want := e.checkpointHeader(0)
-			hdr, restored, err := readSnapshotSets(f, func(h SnapshotHeader) (Context, EngineOptions, error) {
-				if err := want.sameStudy(h); err != nil {
-					return Context{}, EngineOptions{}, err
-				}
-				if h.Workers != n {
-					return Context{}, EngineOptions{}, fmt.Errorf("analysis: checkpoint has %d workers, run has %d", h.Workers, n)
-				}
-				return e.ctx, e.opts, nil
-			})
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("resume %s: %w", cfg.Path, err)
-			}
-			sets = restored
-			read = hdr.Watermark
-			if err := cdr.Skip(r, read); err != nil {
-				return nil, err
-			}
-		case errors.Is(err, os.ErrNotExist):
-			// Fresh run below.
-		default:
-			return nil, err
-		}
-	}
-	if sets == nil {
-		sets = make([]*accumSet, n)
-		for i := range sets {
-			sets[i] = newAccumSet(e.ctx, e.opts, i)
-		}
-	}
-
-	chans := make([]chan workerMsg, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		chans[i] = make(chan workerMsg, 4)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for msg := range chans[i] {
-				for _, rec := range msg.batch {
-					sets[i].add(rec)
-				}
-				if msg.ack != nil {
-					msg.ack <- struct{}{}
-				}
-			}
-		}(i)
-	}
-	stop := func() {
-		for i := range chans {
-			close(chans[i])
-		}
-		wg.Wait()
-	}
-
-	bufs := make([][]cdr.Record, n)
-	flushShard := func(i int) {
-		if len(bufs[i]) == 0 {
-			return
-		}
-		chans[i] <- workerMsg{batch: bufs[i]}
-		bufs[i] = nil
-	}
-	checkpoint := func() error {
-		ack := make(chan struct{}, n)
-		for i := 0; i < n; i++ {
-			flushShard(i)
-			chans[i] <- workerMsg{ack: ack}
-		}
-		for i := 0; i < n; i++ {
-			<-ack
-		}
-		// Workers are parked on their channels; the sets are quiescent
-		// until the next dispatch, so writing them here is race-free.
-		return writeSnapshotFile(cfg.Path, e.checkpointHeader(read), sets, e.opts.Obs)
-	}
-
-	for {
-		if cfg.Trigger != nil && read&1023 == 0 {
-			select {
-			case <-cfg.Trigger:
-				if cfg.Path != "" {
-					if err := checkpoint(); err != nil {
-						stop()
-						return nil, err
-					}
-				}
-				stop()
-				return nil, ErrCheckpointStop
-			default:
-			}
-		}
-		rec, err := r.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			stop()
-			return nil, err
-		}
-		read++
-		shard := cdr.ShardOfCar(rec.Car, n)
-		bufs[shard] = append(bufs[shard], rec)
-		if len(bufs[shard]) >= engineDispatchBatch {
-			flushShard(shard)
-		}
-		if cfg.Every > 0 && cfg.Path != "" && read%cfg.Every == 0 {
-			if err := checkpoint(); err != nil {
-				stop()
-				return nil, err
-			}
-		}
-	}
-	for i := range bufs {
-		flushShard(i)
-	}
-	stop()
-	return e.merge(sets), nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -41,12 +43,15 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 		RunOptions: RunOptions{RareDays: []int{2, 5}, Seed: 1, BusyCells: engineBusyCells()},
 		Workers:    1,
 	}
-	for i, name := range engineStageOrder {
-		i, name := i, name
+	for i, st := range stageTable {
+		i, name := i, st.name
 		t.Run(name, func(t *testing.T) {
 			a := newAccumSet(ctx, opts, 0).stages[i]
 			if a == nil {
 				t.Fatalf("stage %s not enabled by test context", name)
+			}
+			if a.Stage() != name {
+				t.Fatalf("table row %q builds the %q accumulator", name, a.Stage())
 			}
 			for _, r := range records[:half] {
 				a.Add(r)
@@ -55,7 +60,7 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 			if err := a.SnapshotTo(&buf); err != nil {
 				t.Fatalf("snapshot: %v", err)
 			}
-			b := newStageForRestore(ctx, opts, name)
+			b := stageTable[i].build(ctx, opts)
 			if err := b.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -101,27 +106,21 @@ func (f *faultReader) Read() (cdr.Record, error) {
 
 var errKilled = errors.New("simulated crash")
 
-// TestStreamingKillAndResume kills a checkpointed streaming run at
+// TestSingleWorkerKillAndResume kills a checkpointed one-worker run at
 // awkward offsets (between checkpoints), resumes from the snapshot
 // file, and demands the final report be bit-identical with an
-// uninterrupted run. Run under -race this also proves the checkpoint
-// write path is data-race free.
-func TestStreamingKillAndResume(t *testing.T) {
+// uninterrupted push-path run. Run under -race this also proves the
+// checkpoint write path is data-race free.
+func TestSingleWorkerKillAndResume(t *testing.T) {
 	records := engineWorkload(20000)
 	ctx := engineCtx()
-	opts := RunOptions{BusyCells: engineBusyCells()}
-
-	base := NewStreamingWithOptions(ctx, opts)
-	if err := base.AddAll(cdr.NewSliceReader(records)); err != nil {
-		t.Fatal(err)
-	}
-	want := base.Finalize()
+	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
+	want := pushReference(ctx, eopts.RunOptions, records)
 
 	for _, kill := range []int{1, 1500, 7777, 19999} {
 		path := filepath.Join(t.TempDir(), "stream.snap")
-		s := NewStreamingWithOptions(ctx, opts)
 		cfg := CheckpointConfig{Path: path, Every: 1500}
-		err := s.AddAllCheckpointed(
+		_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
 			&faultReader{r: cdr.NewSliceReader(records), n: kill, err: errKilled}, cfg)
 		if !errors.Is(err, errKilled) {
 			t.Fatalf("kill=%d: want simulated crash, got %v", kill, err)
@@ -130,47 +129,51 @@ func TestStreamingKillAndResume(t *testing.T) {
 		// New process: restore from the last checkpoint and replay the
 		// stream from the start; the watermark skip realigns it.
 		cfg.Resume = true
-		s2 := NewStreamingWithOptions(ctx, opts)
-		if err := s2.AddAllCheckpointed(cdr.NewSliceReader(records), cfg); err != nil {
+		got, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), cfg)
+		if err != nil {
 			t.Fatalf("kill=%d resume: %v", kill, err)
 		}
-		if got := s2.Finalize(); !reflect.DeepEqual(want, got) {
+		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("kill=%d: resumed report differs from uninterrupted run", kill)
 		}
-		if s2.Watermark() != int64(len(records)) {
-			t.Fatalf("kill=%d: watermark %d, want %d", kill, s2.Watermark(), len(records))
+		if got.RawRecords != len(records) {
+			t.Fatalf("kill=%d: consumed %d records, want %d", kill, got.RawRecords, len(records))
 		}
 	}
 }
 
-// TestStreamingTriggerCheckpoint covers the SIGTERM path: a fired
+// TestSingleWorkerTriggerCheckpoint covers the SIGTERM path: a fired
 // trigger makes the run write a final checkpoint and stop with
 // ErrCheckpointStop, and that checkpoint resumes cleanly.
-func TestStreamingTriggerCheckpoint(t *testing.T) {
+func TestSingleWorkerTriggerCheckpoint(t *testing.T) {
 	records := engineWorkload(5000)
 	ctx := engineCtx()
-	opts := RunOptions{BusyCells: engineBusyCells()}
+	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
 	path := filepath.Join(t.TempDir(), "stream.snap")
 
 	trig := make(chan struct{})
 	close(trig)
-	s := NewStreamingWithOptions(ctx, opts)
-	err := s.AddAllCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Trigger: trig})
+	_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Trigger: trig})
 	if !errors.Is(err, ErrCheckpointStop) {
 		t.Fatalf("want ErrCheckpointStop, got %v", err)
 	}
 
-	s2 := NewStreamingWithOptions(ctx, opts)
-	err = s2.AddAllCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Resume: true})
+	got, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := NewStreamingWithOptions(ctx, opts)
-	if err := base.AddAll(cdr.NewSliceReader(records)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Finalize(), s2.Finalize()) {
+	if !reflect.DeepEqual(pushReference(ctx, eopts.RunOptions, records), got) {
 		t.Fatal("trigger-checkpointed run differs from uninterrupted run")
+	}
+}
+
+// TestResumeNeedsPath: Resume without a Path used to skip the restore
+// and silently re-analyze from record zero; it is refused.
+func TestResumeNeedsPath(t *testing.T) {
+	_, err := NewEngine(engineCtx(), EngineOptions{}).
+		RunReaderCheckpointed(cdr.NewSliceReader(engineWorkload(10)), CheckpointConfig{Resume: true})
+	if err == nil {
+		t.Fatal("Resume with an empty Path accepted")
 	}
 }
 
@@ -217,6 +220,24 @@ func TestEngineKillAndResume(t *testing.T) {
 	}
 }
 
+// shardByFilter splits records into n car-disjoint shards the way
+// drive.RunWorker takes its shard: FilterFunc over ShardOfCar.
+func shardByFilter(t *testing.T, records []cdr.Record, n int) [][]cdr.Record {
+	t.Helper()
+	shards := make([][]cdr.Record, n)
+	for i := range shards {
+		i := i
+		var err error
+		shards[i], err = cdr.ReadAll(cdr.FilterFunc(cdr.NewSliceReader(records), func(r cdr.Record) bool {
+			return cdr.ShardOfCar(r.Car, n) == i
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return shards
+}
+
 // TestPartialMergeEquivalence is the map-reduce acceptance criterion:
 // for N ∈ {1, 3, 8}, per-shard partials written by independent
 // streaming runs and merged equal the single-process report.
@@ -232,7 +253,7 @@ func TestPartialMergeEquivalence(t *testing.T) {
 
 	for _, n := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			shards := cdr.ShardSlices(records, n)
+			shards := shardByFilter(t, records, n)
 			var partials []*Partial
 			for _, shard := range shards {
 				s := NewStreamingWithOptions(ctx, opts)
@@ -316,7 +337,7 @@ func TestPartialFileRoundTrip(t *testing.T) {
 	opts := RunOptions{BusyCells: engineBusyCells()}
 	dir := t.TempDir()
 
-	shards := cdr.ShardSlices(records, 2)
+	shards := shardByFilter(t, records, 2)
 	paths := make([]string, 2)
 	for i, shard := range shards {
 		s := NewStreamingWithOptions(ctx, opts)
@@ -386,6 +407,47 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(one.Bytes(), three.Bytes()) {
 		t.Fatal("restored state re-encoded differently")
+	}
+}
+
+// TestSnapshotFrameOrder pins the snapshot layout: header, then per
+// worker its frame followed by one frame per live stage in the order
+// below. The names are spelled out here, not read from stageTable, so
+// a reordered or renamed table row cannot change the format unnoticed.
+func TestSnapshotFrameOrder(t *testing.T) {
+	ctx := engineCtx()
+	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 2}
+	path := filepath.Join(t.TempDir(), "order.snap")
+	_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
+		cdr.NewSliceReader(engineWorkload(500)), CheckpointConfig{Path: path, Every: 250})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := snapshot.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		name, _, err := sr.NextFrame()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, name)
+	}
+	worker := []string{"worker",
+		"stage:presence", "stage:connected", "stage:days", "stage:segments", "stage:busy",
+		"stage:durations", "stage:handovers", "stage:carriers", "stage:usage", "stage:clusters"}
+	want := append(append([]string{"header"}, worker...), worker...)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame sequence\n got %v\nwant %v", got, want)
 	}
 }
 

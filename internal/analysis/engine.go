@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -11,6 +12,23 @@ import (
 	"cellcars/internal/clean"
 	"cellcars/internal/simtime"
 )
+
+// This file is the accumulator engine. Records reach an accumSet — one
+// worker's full set of stage accumulators — in exactly two ways:
+//
+//   - pushed into one set: Streaming.Add / AddAll (stream.go). The
+//     query service's hourly buckets and the cardrive shard workers
+//     each own a single set and feed it themselves, no goroutines.
+//   - pulled into N ≥ 1 sets: Engine.RunReaderCheckpointed below, the
+//     one dispatcher. It reads a cdr.Reader, shards records by car
+//     hash across worker goroutines and, when asked, cuts consistent
+//     checkpoints through an ack barrier. Run and RunReader are that
+//     same loop over a slice reader and with a zero CheckpointConfig;
+//     there is no separate in-memory or single-worker path.
+//
+// Both end in the same merge (car-disjoint union, in shard order) and
+// the same finalize, and every per-stage walk — build, restore,
+// snapshot, merge, finalize, metrics — goes over stageTable.
 
 // Engine executes the full §4 analysis pipeline over a CDR source by
 // sharding the stream by car hash across workers, running one complete
@@ -56,65 +74,232 @@ func NewEngine(ctx Context, opts EngineOptions) *Engine {
 
 // Run analyzes an in-memory record slice. The input is not modified.
 func (e *Engine) Run(records []cdr.Record) (*Report, error) {
-	n := e.opts.Workers
-	shards := cdr.ShardSlices(records, n)
-	sets := make([]*accumSet, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		sets[i] = newAccumSet(e.ctx, e.opts, i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sets[i].addRecords(shards[i])
-		}()
-	}
-	wg.Wait()
-	return e.merge(sets), nil
+	return e.RunReader(cdr.NewSliceReader(records))
 }
 
 // RunReader analyzes a streaming source without materializing it. A
 // source read error aborts the run.
 func (e *Engine) RunReader(r cdr.Reader) (*Report, error) {
-	n := e.opts.Workers
-	readers := cdr.ShardReaders(r, n)
-	sets := make([]*accumSet, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		sets[i] = newAccumSet(e.ctx, e.opts, i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = sets[i].addReader(readers[i])
-		}()
+	return e.RunReaderCheckpointed(r, CheckpointConfig{})
+}
+
+// workerMsg is one dispatch to an engine worker: a record batch, or a
+// barrier carrying an ack channel. After acking a barrier the worker
+// does not touch its accumulator set until the next message arrives,
+// which is what lets the dispatcher snapshot all sets race-free.
+type workerMsg struct {
+	batch []cdr.Record
+	ack   chan<- struct{}
+}
+
+// engineDispatchBatch is the dispatcher's per-shard batch size;
+// batching amortizes channel synchronization over many records.
+const engineDispatchBatch = 512
+
+// RunReaderCheckpointed is the engine's ingest loop: the dispatcher
+// reads the stream and shards records by car across the workers. With
+// a cfg.Path it also checkpoints: every cfg.Every records it runs an
+// ack barrier so every worker's set is quiescent, then writes all
+// partial state atomically to cfg.Path. On cfg.Trigger it writes a
+// final checkpoint and returns ErrCheckpointStop. With cfg.Resume it
+// restores from cfg.Path (same configuration and worker count
+// required) and skips the watermark's worth of records; a resumed
+// run's final report is bit-identical with an uninterrupted one.
+func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Report, error) {
+	sets, read, err := e.startSets(r, cfg)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	// Every shard reader observes the same source error; report one.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	n := len(sets)
+
+	chans := make([]chan workerMsg, n)
+	var wg sync.WaitGroup
+	for i := range chans {
+		// A few batches of slack: the reader runs ahead of a briefly
+		// slow worker without buffering the stream.
+		chans[i] = make(chan workerMsg, 4)
+		wg.Add(1)
+		go func(set *accumSet, ch <-chan workerMsg) {
+			defer wg.Done()
+			for msg := range ch {
+				for _, rec := range msg.batch {
+					set.add(rec)
+				}
+				if msg.ack != nil {
+					msg.ack <- struct{}{}
+				}
+			}
+		}(sets[i], chans[i])
+	}
+
+	bufs := make([][]cdr.Record, n)
+	for i := range bufs {
+		bufs[i] = make([]cdr.Record, 0, engineDispatchBatch)
+	}
+	flushShard := func(i int) {
+		if len(bufs[i]) == 0 {
+			return
+		}
+		chans[i] <- workerMsg{batch: bufs[i]}
+		// The worker owns the sent batch; the next starts at full
+		// capacity so appends never regrow it.
+		bufs[i] = make([]cdr.Record, 0, engineDispatchBatch)
+	}
+	checkpoint := func() error {
+		ack := make(chan struct{}, n)
+		for i := range chans {
+			flushShard(i)
+			chans[i] <- workerMsg{ack: ack}
+		}
+		for range chans {
+			<-ack
+		}
+		// Workers are parked on their channels; the sets are quiescent
+		// until the next dispatch, so writing them here is race-free.
+		return writeSnapshotFile(cfg.Path, headerFor(e.ctx, e.opts, read), sets, e.opts.Obs)
+	}
+	dispatch := func() error {
+		for {
+			if cfg.Trigger != nil && read&1023 == 0 {
+				select {
+				case <-cfg.Trigger:
+					if cfg.Path != "" {
+						if err := checkpoint(); err != nil {
+							return err
+						}
+					}
+					return ErrCheckpointStop
+				default:
+				}
+			}
+			rec, err := r.Read()
+			if errors.Is(err, io.EOF) {
+				for i := range bufs {
+					flushShard(i)
+				}
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			read++
+			shard := cdr.ShardOfCar(rec.Car, n)
+			bufs[shard] = append(bufs[shard], rec)
+			if len(bufs[shard]) >= engineDispatchBatch {
+				flushShard(shard)
+			}
+			if cfg.Every > 0 && cfg.Path != "" && read%cfg.Every == 0 {
+				if err := checkpoint(); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	return e.merge(sets), nil
-}
 
-// merge folds worker partials (in shard order, for determinism) and
-// finalizes the report.
-func (e *Engine) merge(sets []*accumSet) *Report {
+	err = dispatch()
+	for i := range chans {
+		close(chans[i])
+	}
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	// Fold worker partials in shard order, for determinism.
 	root := sets[0]
 	for _, s := range sets[1:] {
-		root.merge(s)
+		root.merge(s, false)
 	}
-	return root.finalize()
+	return root.finalize(), nil
 }
 
-// engineStageOrder is the canonical stage sequence; finalization and
-// FailStage naming follow it.
-var engineStageOrder = []string{
-	"presence", "connected", "days", "segments", "busy",
-	"durations", "handovers", "carriers", "usage", "clusters",
+// startSets returns the accumulator sets a run begins with and the
+// number of raw records they have already consumed: restored from
+// cfg.Path, with r advanced past the watermark, when cfg.Resume finds a
+// checkpoint there; fresh otherwise.
+func (e *Engine) startSets(r cdr.Reader, cfg CheckpointConfig) ([]*accumSet, int64, error) {
+	if cfg.Resume {
+		if cfg.Path == "" {
+			return nil, 0, errors.New("analysis: CheckpointConfig.Resume needs a Path to resume from")
+		}
+		f, err := os.Open(cfg.Path)
+		switch {
+		case err == nil:
+			defer f.Close()
+			hdr, sets, err := restoreSets(f, e.ctx, e.opts)
+			if err != nil {
+				return nil, 0, fmt.Errorf("resume %s: %w", cfg.Path, err)
+			}
+			if err := cdr.Skip(r, hdr.Watermark); err != nil {
+				return nil, 0, err
+			}
+			return sets, hdr.Watermark, nil
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, 0, err
+		}
+		// No checkpoint yet: a fresh run, so a crash-restart loop needs
+		// no first-run special case.
+	}
+	sets := make([]*accumSet, e.opts.Workers)
+	for i := range sets {
+		sets[i] = newAccumSet(e.ctx, e.opts, i)
+	}
+	return sets, 0, nil
+}
+
+// stageSpec is one row of the stage table.
+type stageSpec struct {
+	name string
+	// enabled reports whether a study configuration runs the stage:
+	// the load-dependent stages need a load source, clustering also at
+	// least two busy cells. It takes the two facts rather than a
+	// Context so that restore can ask it of a snapshot header.
+	enabled func(hasLoad bool, busyCells int) bool
+	// build returns the stage's empty accumulator. It never touches
+	// ctx.Load: restore followed by Merge/Finalize never calls Add,
+	// the only path that reads the load source — which is what lets
+	// carmerge finalize partials without re-opening load data.
+	build func(ctx Context, opts EngineOptions) Accumulator
+}
+
+func always(bool, int) bool                   { return true }
+func needsLoad(hasLoad bool, _ int) bool      { return hasLoad }
+func needsBusyCells(hasLoad bool, n int) bool { return hasLoad && n >= 2 }
+
+// stageTable is the canonical stage sequence. Accumulator sets are
+// built and restored from it, snapshots frame stages in its order,
+// merge, finalize and the metrics walk it, and FailStage names its
+// rows.
+var stageTable = []stageSpec{
+	{"presence", always, func(c Context, _ EngineOptions) Accumulator { return newPresenceAcc(c.Period) }},
+	{"connected", always, func(c Context, _ EngineOptions) Accumulator { return newConnectedAcc(c.Period) }},
+	{"days", always, func(c Context, _ EngineOptions) Accumulator { return newDaysAcc(c.Period) }},
+	{"segments", needsLoad, func(c Context, o EngineOptions) Accumulator { return newSegmentsAcc(c, o.RareDays) }},
+	{"busy", needsLoad, func(c Context, _ EngineOptions) Accumulator { return newBusyAcc(c) }},
+	{"durations", always, func(Context, EngineOptions) Accumulator { return newDurationsAcc() }},
+	{"handovers", always, func(_ Context, o EngineOptions) Accumulator {
+		h := newHandoverAcc(true)
+		h.setTrackHeads(o.TrackHeads)
+		return h
+	}},
+	{"carriers", always, func(Context, EngineOptions) Accumulator { return newCarriersAcc() }},
+	{"usage", always, func(c Context, o EngineOptions) Accumulator {
+		u := newUsageAcc(c.TZOffsetSeconds)
+		u.setTrackHeads(o.TrackHeads)
+		return u
+	}},
+	{"clusters", needsBusyCells, func(c Context, o EngineOptions) Accumulator {
+		return newClustersAcc(c, o.BusyCells, o.Seed)
+	}},
+}
+
+// stageIndex returns a stage's row in stageTable, or -1.
+func stageIndex(name string) int {
+	for i := range stageTable {
+		if stageTable[i].name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // accumSet is one worker's full set of stage accumulators plus the
@@ -130,8 +315,8 @@ type accumSet struct {
 	outOfPeriod int64
 	accepted    int64
 
-	// stages holds the live accumulators in engineStageOrder positions;
-	// a failed or disabled stage is nil.
+	// stages holds the live accumulators in stageTable positions; a
+	// failed or disabled stage is nil.
 	stages []Accumulator
 	errs   []StageError
 
@@ -147,57 +332,31 @@ type accumSet struct {
 // covers; one recover per (stage, batch) amortizes the defer cost.
 const accumBatchSize = 1024
 
-// newAccumSet builds the accumulators a context supports. Load-less
-// contexts skip the load-dependent stages, mirroring Run; FailStage
-// marks its stage failed up front. worker indexes the set for the
+// emptyAccumSet returns a set with no live stages, for newAccumSet and
+// snapshot restore to fill. worker indexes the set for the
 // shard-balance metric when opts.Obs is configured.
-func newAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
-	s := &accumSet{
+func emptyAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
+	return &accumSet{
 		period: ctx.Period,
-		stages: make([]Accumulator, len(engineStageOrder)),
+		stages: make([]Accumulator, len(stageTable)),
 		batch:  make([]cdr.Record, 0, accumBatchSize),
 		met:    newSetMetrics(opts.Obs, worker),
 	}
-	for i, name := range engineStageOrder {
-		var acc Accumulator
-		switch name {
-		case "presence":
-			acc = newPresenceAcc(ctx.Period)
-		case "connected":
-			acc = newConnectedAcc(ctx.Period)
-		case "days":
-			acc = newDaysAcc(ctx.Period)
-		case "segments":
-			if ctx.Load != nil {
-				acc = newSegmentsAcc(ctx, opts.RareDays)
-			}
-		case "busy":
-			if ctx.Load != nil {
-				acc = newBusyAcc(ctx)
-			}
-		case "durations":
-			acc = newDurationsAcc()
-		case "handovers":
-			h := newHandoverAcc(true)
-			h.setTrackHeads(opts.TrackHeads)
-			acc = h
-		case "carriers":
-			acc = newCarriersAcc()
-		case "usage":
-			u := newUsageAcc(ctx.TZOffsetSeconds)
-			u.setTrackHeads(opts.TrackHeads)
-			acc = u
-		case "clusters":
-			if ctx.Load != nil && len(opts.BusyCells) >= 2 {
-				acc = newClustersAcc(ctx, opts.BusyCells, opts.Seed)
-			}
+}
+
+// newAccumSet builds the accumulators a context supports. Load-less
+// contexts skip the load-dependent stages; FailStage marks its stage
+// failed up front.
+func newAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
+	s := emptyAccumSet(ctx, opts, worker)
+	for i, st := range stageTable {
+		switch {
+		case !st.enabled(ctx.Load != nil, len(opts.BusyCells)):
+		case st.name == opts.FailStage:
+			s.errs = append(s.errs, StageError{Stage: st.name, Err: "injected failure (FailStage)"})
+		default:
+			s.stages[i] = st.build(ctx, opts)
 		}
-		if acc != nil && name == opts.FailStage {
-			s.stages[i] = nil
-			s.errs = append(s.errs, StageError{Stage: name, Err: "injected failure (FailStage)"})
-			continue
-		}
-		s.stages[i] = acc
 	}
 	return s
 }
@@ -224,27 +383,6 @@ func (s *accumSet) add(r cdr.Record) {
 	s.batch = append(s.batch, r)
 	if len(s.batch) >= accumBatchSize {
 		s.flush()
-	}
-}
-
-func (s *accumSet) addRecords(records []cdr.Record) {
-	for _, r := range records {
-		s.add(r)
-	}
-	s.flush()
-}
-
-func (s *accumSet) addReader(r cdr.Reader) error {
-	for {
-		rec, err := r.Read()
-		if err != nil {
-			s.flush()
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		s.add(rec)
 	}
 }
 
@@ -298,13 +436,17 @@ func (s *accumSet) feedStage(acc Accumulator, batch []cdr.Record) (err error) {
 	return nil
 }
 
-// merge folds another worker's partials into s. A stage failed in
-// either worker is failed in the result (first error wins).
-func (s *accumSet) merge(o *accumSet) {
+// merge folds another set's partials into s. A stage failed in either
+// set is failed in the result (first error wins). Plain folds assume
+// car-disjoint sets; an ordered fold takes o as the time-adjacent later
+// slice of the same cars and lets the session stages stitch the
+// boundary (see ordered.go) — every other stage is order-insensitive
+// and merges the same way in both.
+func (s *accumSet) merge(o *accumSet, ordered bool) {
 	// Both sides flush: o so its partial state is complete, s so its
 	// unsynced tail reaches the metrics before rebase below swallows
-	// the delta (the checkpointed dispatcher path does not flush worker
-	// sets at end of stream).
+	// the delta (the dispatcher does not flush worker sets at end of
+	// stream).
 	s.flush()
 	o.flush()
 	s.raw += o.raw
@@ -318,17 +460,21 @@ func (s *accumSet) merge(o *accumSet) {
 	}
 	for i := range s.stages {
 		switch {
-		case s.hasError(engineStageOrder[i]):
+		case s.hasError(stageTable[i].name):
 			s.stages[i] = nil
 		case s.stages[i] == nil || o.stages[i] == nil:
-			// Stage disabled by context in both workers (or failed,
+			// Stage disabled by context on both sides (or failed,
 			// handled above).
 		default:
 			var t0 time.Time
 			if s.met != nil {
 				t0 = time.Now()
 			}
-			s.stages[i].Merge(o.stages[i])
+			if om, ok := s.stages[i].(orderedMerger); ok && ordered {
+				om.MergeOrdered(o.stages[i])
+			} else {
+				s.stages[i].Merge(o.stages[i])
+			}
 			if s.met != nil {
 				s.met.stageMerge[i].Observe(time.Since(t0))
 			}
@@ -373,7 +519,7 @@ func (s *accumSet) finalize() *Report {
 			s.met.stageFinalize[i].Observe(time.Since(t0))
 		}
 		if err != nil {
-			rep.StageErrors = append(rep.StageErrors, StageError{Stage: engineStageOrder[i], Err: err.Error()})
+			rep.StageErrors = append(rep.StageErrors, StageError{Stage: stageTable[i].name, Err: err.Error()})
 		}
 	}
 	if s.met != nil {

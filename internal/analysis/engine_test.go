@@ -1,8 +1,12 @@
 package analysis
 
 import (
+	"errors"
+	"fmt"
 	"math/rand/v2"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -111,42 +115,99 @@ func TestEngineWorkerCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesRun pins Run as a thin adapter: Run with Workers=8
-// equals the engine, equals Run sequential.
-func TestEngineMatchesRun(t *testing.T) {
-	records := engineWorkload(8000)
-	ctx := engineCtx()
+// pushReference is the independent reference the dispatcher is checked
+// against: one accumulator set fed record by record on the calling
+// goroutine (the Streaming push path) and finalized — no sharding, no
+// channels, no merge.
+func pushReference(ctx Context, opts RunOptions, records []cdr.Record) *Report {
+	s := NewStreamingWithOptions(ctx, opts)
+	for _, r := range records {
+		s.Add(r)
+	}
+	return s.set.finalize()
+}
 
-	seq, err := Run(records, ctx, RunOptions{BusyCells: engineBusyCells()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(records, ctx, RunOptions{BusyCells: engineBusyCells(), Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("Run(Workers=8) differs from sequential Run")
+// TestEngineMatchesPushReference: Run, RunReader and
+// RunReaderCheckpointed are one dispatcher, so comparing them with
+// each other proves nothing; each is compared with the push path, for
+// every worker count and checkpoint cadence (none, trigger-only, a cut
+// after every record, a cut every few batches).
+func TestEngineMatchesPushReference(t *testing.T) {
+	ctx := engineCtx()
+	opts := RunOptions{BusyCells: engineBusyCells()}
+	records := engineWorkload(9000)
+	// A cut per record is a barrier and an fsync per record: keep that
+	// case short.
+	short := records[:300]
+	want := pushReference(ctx, opts, records)
+	wantShort := pushReference(ctx, opts, short)
+
+	for _, workers := range []int{1, 2, 4, 7} {
+		e := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: workers})
+		check := func(entry string, want, got *Report, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, entry, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("workers=%d %s: report differs from the push-path reference", workers, entry)
+			}
+		}
+		got, err := e.Run(records)
+		check("Run", want, got, err)
+		got, err = e.RunReader(cdr.NewSliceReader(records))
+		check("RunReader", want, got, err)
+		got, err = Run(records, ctx, RunOptions{BusyCells: opts.BusyCells, Workers: workers})
+		check("analysis.Run", want, got, err)
+		for _, every := range []int64{0, 1, 4096} {
+			in, ref := records, want
+			if every == 1 {
+				in, ref = short, wantShort
+			}
+			cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "ckpt.snap"), Every: every}
+			got, err = e.RunReaderCheckpointed(cdr.NewSliceReader(in), cfg)
+			check(fmt.Sprintf("RunReaderCheckpointed(every=%d)", every), ref, got, err)
+		}
 	}
 }
 
-// TestEngineReaderMatchesSlices: the streaming shard-reader path must
-// produce the identical report to the in-memory path.
-func TestEngineReaderMatchesSlices(t *testing.T) {
+// TestEngineReaderErrorStopsWorkers: a source failing mid-stream is
+// the run's error, and the dispatcher has stopped and waited for every
+// worker goroutine by the time it returns it.
+func TestEngineReaderErrorStopsWorkers(t *testing.T) {
 	records := engineWorkload(8000)
-	ctx := engineCtx()
-	opts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 4}
+	before := runtime.NumGoroutine()
+	rep, err := NewEngine(engineCtx(), EngineOptions{Workers: 4}).
+		RunReader(&faultReader{r: cdr.NewSliceReader(records), n: 5000, err: errKilled})
+	if !errors.Is(err, errKilled) || rep != nil {
+		t.Fatalf("want the source error and no report, got %v, %v", rep, err)
+	}
+	// wg.Wait has seen every worker's deferred Done; give the runtime a
+	// moment to retire the goroutines themselves.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the run, %d after: workers leaked", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}
 
-	mem, err := NewEngine(ctx, opts).Run(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := NewEngine(ctx, opts).RunReader(cdr.NewSliceReader(records))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mem, str) {
-		t.Fatal("RunReader differs from Run")
+// TestEngineEmptySource: an empty source finalizes the zero report —
+// what the push path finalizes with nothing added.
+func TestEngineEmptySource(t *testing.T) {
+	ctx := engineCtx()
+	for _, workers := range []int{1, 4} {
+		got, err := NewEngine(ctx, EngineOptions{Workers: workers}).RunReader(cdr.NewSliceReader(nil))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.RawRecords != 0 || got.Presence.TotalCars != 0 {
+			t.Fatalf("workers=%d: empty source produced %+v", workers, got)
+		}
+		if !reflect.DeepEqual(pushReference(ctx, RunOptions{}, nil), got) {
+			t.Fatalf("workers=%d: empty-source report differs from the push-path reference", workers)
+		}
 	}
 }
 

@@ -48,8 +48,8 @@ func newSetMetrics(reg *obs.Registry, worker int) *setMetrics {
 		return nil
 	}
 	m := &setMetrics{}
-	for _, name := range engineStageOrder {
-		l := obs.Label{Key: "stage", Value: name}
+	for _, st := range stageTable {
+		l := obs.Label{Key: "stage", Value: st.name}
 		m.stageAdd = append(m.stageAdd, reg.Timing("cellcars_stage_add_seconds", l))
 		m.stageMerge = append(m.stageMerge, reg.Timing("cellcars_stage_merge_seconds", l))
 		m.stageFinalize = append(m.stageFinalize, reg.Timing("cellcars_stage_finalize_seconds", l))
@@ -92,12 +92,12 @@ func (m *setMetrics) rebase(s *accumSet) {
 // reconstructed — wall time in the profile is always time spent in
 // this process. sync leaves the watermarks at the restored values, so
 // later flushes emit only new work.
-func (m *setMetrics) creditRestored(s *accumSet, restoredStages map[string]bool) {
+func (m *setMetrics) creditRestored(s *accumSet) {
 	if m == nil {
 		return
 	}
-	for i, name := range engineStageOrder {
-		if restoredStages[name] {
+	for i, acc := range s.stages {
+		if acc != nil {
 			m.stageRecs[i].Add(s.accepted)
 		}
 	}
@@ -109,14 +109,14 @@ func (m *setMetrics) creditRestored(s *accumSet, restoredStages map[string]bool)
 // the whole run's profile regardless of which set builds it.
 func (m *setMetrics) profile(s *accumSet) []StageProfile {
 	var out []StageProfile
-	for i, name := range engineStageOrder {
+	for i, st := range stageTable {
 		recs := m.stageRecs[i].Value()
 		batches := m.stageAdd[i].Count()
 		if recs == 0 && batches == 0 && s.stages[i] == nil {
 			continue
 		}
 		out = append(out, StageProfile{
-			Stage:           name,
+			Stage:           st.name,
 			Records:         recs,
 			Batches:         batches,
 			AddSeconds:      m.stageAdd[i].Sum(),

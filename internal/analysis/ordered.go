@@ -27,7 +27,6 @@ package analysis
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
@@ -114,48 +113,6 @@ func (a *usageAcc) MergeOrdered(other Accumulator) {
 	a.sessions += o.sessions
 }
 
-// mergeOrdered is accumSet.merge for time-sliced folds: stages that
-// implement orderedMerger stitch the slice boundary; every other stage
-// is order-insensitive and merges plainly.
-func (s *accumSet) mergeOrdered(o *accumSet) {
-	s.flush()
-	o.flush()
-	s.raw += o.raw
-	s.ghosts += o.ghosts
-	s.outOfPeriod += o.outOfPeriod
-	s.accepted += o.accepted
-	for _, e := range o.errs {
-		if !s.hasError(e.Stage) {
-			s.errs = append(s.errs, e)
-		}
-	}
-	for i := range s.stages {
-		switch {
-		case s.hasError(engineStageOrder[i]):
-			s.stages[i] = nil
-		case s.stages[i] == nil || o.stages[i] == nil:
-			// Stage disabled by context on both sides (or failed,
-			// handled above).
-		default:
-			var t0 time.Time
-			if s.met != nil {
-				t0 = time.Now()
-			}
-			if om, ok := s.stages[i].(orderedMerger); ok {
-				om.MergeOrdered(o.stages[i])
-			} else {
-				s.stages[i].Merge(o.stages[i])
-			}
-			if s.met != nil {
-				s.met.stageMerge[i].Observe(time.Since(t0))
-			}
-		}
-	}
-	if s.met != nil {
-		s.met.rebase(s)
-	}
-}
-
 // MergeOrdered folds a later, time-adjacent slice into s, stitching
 // sessions that span the slice boundary — the composition step behind
 // rolling-window queries. later must cover records at or after every
@@ -172,7 +129,7 @@ func (s *Streaming) MergeOrdered(later *Streaming) error {
 	if !later.tracksHeads() {
 		return fmt.Errorf("analysis: MergeOrdered needs the later slice built with TrackHeads")
 	}
-	s.set.mergeOrdered(later.set)
+	s.set.merge(later.set, true)
 	return nil
 }
 

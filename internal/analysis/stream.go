@@ -1,20 +1,30 @@
 package analysis
 
 import (
+	"errors"
+	"io"
+
 	"cellcars/internal/cdr"
 	"cellcars/internal/simtime"
 )
 
-// Streaming is a single-pass, bounded-memory analyzer for data sets
-// too large to hold in memory — the paper's own scale is 1.1 billion
-// records. It is a thin adapter over the same accumulator set the
-// batch pipeline and the parallel Engine use, so every covered stage
-// (Figure 2/Table 1 presence, Figure 3 connected time, Figure 6 days
-// histogram, Table 2 segmentation, Figure 7 busy time, Figure 9
-// durations, §4.5 handovers, Table 3 carriers, fleet usage matrix)
-// is computed by exactly the code Run uses. Duration quantiles fall
-// back to a logarithmic sketch (~7% bin width) beyond the exact-sample
-// capacity; everything else is exact.
+// Streaming is the push path into the engine: one accumulator set —
+// the same one an Engine worker owns — that the caller feeds itself,
+// on its own goroutine. It is for owners of exactly one set: the query
+// service keeps one per hourly bucket and folds them with
+// MergeOrdered, a cardrive shard worker pushes its filtered shard into
+// one and snapshots it for carmerge, and the tests use it as the
+// reference the Engine's dispatcher is checked against. To analyze a
+// whole source, with workers and checkpoints, use Engine; Streaming
+// has no ingest loop beyond AddAll's drain.
+//
+// Every covered stage (Figure 2/Table 1 presence, Figure 3 connected
+// time, Figure 6 days histogram, Table 2 segmentation, Figure 7 busy
+// time, Figure 9 durations, §4.5 handovers, Table 3 carriers, fleet
+// usage matrix) is computed by exactly the code Run uses, in bounded
+// per-car/per-cell memory. Duration quantiles fall back to a
+// logarithmic sketch (~7% bin width) beyond the exact-sample capacity;
+// everything else is exact.
 //
 // Feed records in time order with Add (the erroneous one-hour ghosts
 // are filtered inline, and records outside the study period are
@@ -65,7 +75,17 @@ func (s *Streaming) Add(r cdr.Record) {
 
 // AddAll drains a reader into the accumulator.
 func (s *Streaming) AddAll(r cdr.Reader) error {
-	return s.set.addReader(r)
+	for {
+		rec, err := r.Read()
+		if err != nil {
+			s.set.flush()
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		s.set.add(rec)
+	}
 }
 
 // StreamReport is the Finalize output: the streaming-covered subset of

@@ -1,16 +1,14 @@
 package cdr
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
-// This file implements car-hash sharding: splitting a CDR stream into
-// n sub-streams such that every record of one car lands in the same
-// shard, each shard preserves the source's relative record order, and
-// the shard of a car is a pure function of its id. Car-disjoint shards
-// are what make the analysis accumulators mergeable by simple union —
-// no car's state is ever split across workers.
+// This file implements car-hash sharding: assigning every record of
+// one car to the same one of n shards, as a pure function of the car
+// id. Car-disjoint shards are what make the analysis accumulators
+// mergeable by simple union — no car's state is ever split across
+// workers. The splitting itself lives with its callers: the analysis
+// engine's dispatcher (workers in one process) and FilterFunc over
+// ShardOfCar (one cardrive worker process per shard).
 
 // shardKey keys the car hash used for shard assignment. It is fixed
 // (not configurable) so a car's shard is stable across runs, files and
@@ -27,118 +25,6 @@ func ShardOfCar(car CarID, n int) int {
 		return 0
 	}
 	return int(carHash(uint64(car), shardKey) % uint64(n))
-}
-
-// ShardSlices partitions records into n car-disjoint shards, keeping
-// the source order within each shard. The input slice is not modified;
-// records are not copied deeply.
-func ShardSlices(records []Record, n int) [][]Record {
-	if n <= 0 {
-		panic(fmt.Sprintf("cdr: shard count %d must be positive", n))
-	}
-	out := make([][]Record, n)
-	if n == 1 {
-		out[0] = records
-		return out
-	}
-	for _, r := range records {
-		s := ShardOfCar(r.Car, n)
-		out[s] = append(out[s], r)
-	}
-	return out
-}
-
-// shardBatch is the unit pushed from the demux goroutine to a shard
-// reader; batching amortizes channel synchronization over many
-// records.
-const shardBatchSize = 512
-
-// ShardReaders splits a single streaming source into n car-disjoint
-// shard readers fed by one background demultiplexer goroutine. Each
-// returned reader yields only its shard's records, in source order,
-// and returns io.EOF once the source is drained. A source read error
-// is delivered to every shard reader after its buffered records.
-//
-// All shard readers must be drained (or the process exited): the
-// demultiplexer blocks once a shard's buffer fills, so abandoning one
-// reader while consuming another can deadlock the rest.
-func ShardReaders(r Reader, n int) []Reader {
-	if n <= 0 {
-		panic(fmt.Sprintf("cdr: shard count %d must be positive", n))
-	}
-	shards := make([]*shardReader, n)
-	chans := make([]chan []Record, n)
-	errs := make([]chan error, n)
-	for i := range shards {
-		chans[i] = make(chan []Record, 8)
-		errs[i] = make(chan error, 1)
-		shards[i] = &shardReader{ch: chans[i], errc: errs[i]}
-	}
-	go func() {
-		batches := make([][]Record, n)
-		var err error
-		for {
-			rec, rerr := r.Read()
-			if rerr != nil {
-				if rerr != io.EOF {
-					err = rerr
-				}
-				break
-			}
-			s := ShardOfCar(rec.Car, n)
-			batches[s] = append(batches[s], rec)
-			if len(batches[s]) >= shardBatchSize {
-				chans[s] <- batches[s]
-				batches[s] = nil
-			}
-		}
-		for i := range chans {
-			if len(batches[i]) > 0 {
-				chans[i] <- batches[i]
-			}
-			if err != nil {
-				errs[i] <- err
-			}
-			close(chans[i])
-		}
-	}()
-	out := make([]Reader, n)
-	for i := range shards {
-		out[i] = shards[i]
-	}
-	return out
-}
-
-type shardReader struct {
-	ch   chan []Record
-	errc chan error
-	cur  []Record
-	pos  int
-	done bool
-}
-
-func (s *shardReader) Read() (Record, error) {
-	for {
-		if s.pos < len(s.cur) {
-			r := s.cur[s.pos]
-			s.pos++
-			return r, nil
-		}
-		if s.done {
-			return Record{}, io.EOF
-		}
-		batch, ok := <-s.ch
-		if !ok {
-			s.done = true
-			select {
-			case err := <-s.errc:
-				return Record{}, err
-			default:
-				return Record{}, io.EOF
-			}
-		}
-		s.cur, s.pos = batch, 0
-	}
 }
 
 // RecordHash returns a well-distributed 64-bit hash of a record's

@@ -1,8 +1,6 @@
 package cdr
 
 import (
-	"errors"
-	"io"
 	"testing"
 	"time"
 
@@ -33,16 +31,24 @@ func TestShardOfCarStableAndBounded(t *testing.T) {
 	}
 }
 
-func TestShardSlicesPartition(t *testing.T) {
+// TestShardFilterPartition: filtering a stream by ShardOfCar — how a
+// cardrive worker takes its shard — yields car-disjoint shards that
+// keep the source order and together cover every record once.
+func TestShardFilterPartition(t *testing.T) {
 	var records []Record
 	for i := 0; i < 2000; i++ {
 		records = append(records, shardRec(CarID(i%97), i))
 	}
-	shards := ShardSlices(records, 8)
 	total := 0
-	for si, shard := range shards {
+	for si := 0; si < 8; si++ {
+		si := si
+		shard, err := ReadAll(FilterFunc(NewSliceReader(records), func(r Record) bool {
+			return ShardOfCar(r.Car, 8) == si
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		total += len(shard)
-		// Car-disjointness + order preservation.
 		for i, r := range shard {
 			if ShardOfCar(r.Car, 8) != si {
 				t.Fatalf("car %d in wrong shard %d", r.Car, si)
@@ -56,85 +62,6 @@ func TestShardSlicesPartition(t *testing.T) {
 	}
 	if total != len(records) {
 		t.Fatalf("shards cover %d of %d records", total, len(records))
-	}
-}
-
-func TestShardReadersEquivalentToSlices(t *testing.T) {
-	var records []Record
-	for i := 0; i < 3000; i++ {
-		records = append(records, shardRec(CarID(i%311), i))
-	}
-	want := ShardSlices(records, 4)
-	readers := ShardReaders(NewSliceReader(records), 4)
-
-	// Drain concurrently, as the engine does.
-	got := make([][]Record, 4)
-	errc := make(chan error, 4)
-	for i, r := range readers {
-		go func(i int, r Reader) {
-			recs, err := ReadAll(r)
-			got[i] = recs
-			errc <- err
-		}(i, r)
-	}
-	for i := 0; i < 4; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("shard %d: %d vs %d records", i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("shard %d record %d differs", i, j)
-			}
-		}
-	}
-}
-
-// errAfterReader yields n records then a non-EOF error.
-type errAfterReader struct {
-	n   int
-	err error
-}
-
-func (e *errAfterReader) Read() (Record, error) {
-	if e.n <= 0 {
-		return Record{}, e.err
-	}
-	e.n--
-	return shardRec(CarID(e.n), e.n), nil
-}
-
-func TestShardReadersPropagateError(t *testing.T) {
-	boom := errors.New("boom")
-	readers := ShardReaders(&errAfterReader{n: 100, err: boom}, 3)
-	sawErr := 0
-	errc := make(chan error, 3)
-	for _, r := range readers {
-		go func(r Reader) {
-			_, err := ReadAll(r)
-			errc <- err
-		}(r)
-	}
-	for i := 0; i < 3; i++ {
-		if err := <-errc; errors.Is(err, boom) {
-			sawErr++
-		}
-	}
-	if sawErr != 3 {
-		t.Fatalf("error delivered to %d of 3 shards", sawErr)
-	}
-}
-
-func TestShardReadersEmptySource(t *testing.T) {
-	readers := ShardReaders(NewSliceReader(nil), 2)
-	for i, r := range readers {
-		if _, err := r.Read(); !errors.Is(err, io.EOF) {
-			t.Fatalf("shard %d: %v, want EOF", i, err)
-		}
 	}
 }
 
