@@ -26,11 +26,13 @@ race:
 
 # The coordinator fault-tolerance suite under the race detector:
 # workers killed mid-stream, hung until speculation or timeout,
-# bit-flipped snapshots quarantined, plus the SIGTERM-checkpoint and
-# corrupt-partial CLI paths. -count=1 defeats the test cache — chaos
-# runs must actually run.
+# bit-flipped snapshots quarantined, plus every binary with a kill
+# path: the SIGTERM-checkpoint, corrupt- and degraded-partial CLI paths,
+# the coordinator under injected crashes, and the daemon's SIGTERM cut
+# and quarantine flush. -count=1 defeats the test cache — chaos runs
+# must actually run.
 chaos:
-	$(GO) test -race -count=1 ./internal/drive/ ./cmd/caranalyze/ ./cmd/carmerge/
+	$(GO) test -race -count=1 ./internal/drive/ ./cmd/caranalyze/ ./cmd/carmerge/ ./cmd/cardrive/ ./cmd/carqueryd/
 
 # STATICCHECK pins the honnef.co/go/tools version CI installs; vet
 # runs it when the binary is on PATH and degrades to a warning when it

@@ -246,8 +246,9 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 
 // TestSilentFlagCombinationsRefused: flag combinations that used to be
 // silently ignored — -resume without a checkpoint file re-analyzed from
-// record zero, -json dropped -md/-checkpoint/-resume on the floor — are
-// usage errors, raised before any record is read.
+// record zero, -json dropped -md/-checkpoint/-resume on the floor,
+// -partial dropped every report and engine flag — are usage errors,
+// raised before any record is read.
 func TestSilentFlagCombinationsRefused(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cars.cdr")
@@ -256,6 +257,8 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 	}
 	md := filepath.Join(dir, "report.md")
 	ckpt := filepath.Join(dir, "ckpt.snap")
+	snap := filepath.Join(dir, "part.snap")
+	const partialOnly = "-partial only writes a partial snapshot"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -266,6 +269,12 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 		{"json with md", []string{"-json", "-md", md}, "-json prints only the JSON report"},
 		{"json with checkpoint", []string{"-json", "-stream", "-checkpoint", ckpt}, "-json prints only the JSON report"},
 		{"json with resume", []string{"-json", "-stream", "-checkpoint", ckpt, "-resume"}, "-json prints only the JSON report"},
+		{"partial with md", []string{"-partial", snap, "-md", md}, partialOnly},
+		{"partial with json", []string{"-partial", snap, "-json"}, partialOnly},
+		{"partial with stream", []string{"-partial", snap, "-stream"}, partialOnly},
+		{"partial with checkpoint", []string{"-partial", snap, "-checkpoint", ckpt}, partialOnly},
+		{"partial with resume", []string{"-partial", snap, "-resume"}, partialOnly},
+		{"partial with workers", []string{"-partial", snap, "-workers", "4"}, partialOnly},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...)
@@ -280,11 +289,37 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 			if stdout.Len() != 0 {
 				t.Fatalf("refused run still printed a report:\n%s", stdout.String())
 			}
-			for _, path := range []string{md, ckpt} {
+			for _, path := range []string{md, ckpt, snap} {
 				if _, err := os.Stat(path); err == nil {
 					t.Fatalf("refused run still wrote %s", path)
 				}
 			}
 		})
+	}
+}
+
+// TestPartialHonoursFailStage: -partial used to build its options
+// without -failstage, so a degraded partial could not be made from the
+// CLI; the snapshot must carry the failed stage into the reducer.
+func TestPartialHonoursFailStage(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(in, cdrBytes(t, 2_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(dir, "part.snap")
+	if out, err := caranalyze("-partial", snap, "-failstage", "days", "-days", "14", in).CombinedOutput(); err != nil {
+		t.Fatalf("caranalyze -partial: %v\n%s", err, out)
+	}
+	p, err := analysis.ReadPartialFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := p.Finalize()
+	if rep.Failed("days") == nil {
+		t.Fatalf("partial lost the failed stage; stage errors: %v", rep.StageErrors)
+	}
+	if rep.Failed("presence") != nil || rep.Presence.TotalCars == 0 {
+		t.Fatalf("the other stages must be whole: %+v", rep.StageErrors)
 	}
 }

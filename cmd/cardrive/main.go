@@ -30,17 +30,14 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/drive"
 	"cellcars/internal/obs"
-	"cellcars/internal/radio"
 	"cellcars/internal/report"
-	"cellcars/internal/simtime"
-	"cellcars/internal/textplot"
+	"cellcars/internal/studyflags"
 )
 
 func main() {
@@ -64,14 +61,10 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 		statusAddr  = flag.String("status-addr", "", "serve the live /status shard state machine (plus /metrics and pprof) on this address while running")
 		tracePath   = flag.String("trace", "", "write a JSONL span trace (plan, attempts, merge) to this file")
-
-		days   = flag.Int("days", 28, "study length in days (forwarded to workers)")
-		start  = flag.String("start", "2017-01-02", "study start date YYYY-MM-DD (forwarded to workers)")
-		seed   = flag.Uint64("seed", 1, "seed (forwarded to workers)")
-		tz     = flag.Int("tz", -5, "local-time offset from UTC in hours (forwarded to workers)")
-		budget = flag.Float64("budget", 1.0, "ingest error budget %% (forwarded to workers)")
-		strict = flag.Bool("strict", false, "abort workers on the first malformed record (forwarded)")
 	)
+	// The study flags are forwarded to the workers, which do the
+	// reading; the coordinator itself only needs the period.
+	study := studyflags.Register(flag.CommandLine, 28, false)
 	flag.Parse()
 
 	// Everything the coordinator says goes to stderr as structured
@@ -93,11 +86,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cardrive [flags] input.cdr...")
 		os.Exit(2)
 	}
-	startDay, err := time.Parse("2006-01-02", *start)
+	actx, err := study.Context()
 	if err != nil {
-		fatal("bad -start date", "err", err.Error())
+		fatal("bad study flags", "err", err.Error())
 	}
-	period := simtime.NewPeriod(startDay, *days)
 
 	worker, err := findWorker(*workerBin)
 	if err != nil {
@@ -150,21 +142,14 @@ func main() {
 		Obs:               reg,
 		Logger:            progress,
 		Trace:             trace,
-		Tag:               fmt.Sprintf("start=%s days=%d seed=%d tz=%d", *start, *days, *seed, *tz),
+		Tag:               fmt.Sprintf("start=%s days=%d seed=%d tz=%d", study.Start, study.Days, study.Seed, study.TZ),
 		Command: func(spec drive.WorkerSpec) *exec.Cmd {
 			args := []string{
 				"-partial", spec.Out,
 				"-shard", fmt.Sprintf("%d/%d", spec.Shard, spec.Shards),
 				"-force", // orphaned attempt files from a crashed run must not block retries
-				"-days", strconv.Itoa(*days),
-				"-start", *start,
-				"-seed", strconv.FormatUint(*seed, 10),
-				"-tz", strconv.Itoa(*tz),
-				"-budget", strconv.FormatFloat(*budget, 'f', -1, 64),
 			}
-			if *strict {
-				args = append(args, "-strict")
-			}
+			args = append(args, study.WorkerArgs()...)
 			args = append(args, spec.Inputs...)
 			return exec.Command(worker, args...)
 		},
@@ -217,9 +202,6 @@ func main() {
 		res.Elapsed.Seconds())
 
 	rep := res.Report
-	actx := analysis.Context{Period: res.Header.Period(), TZOffsetSeconds: res.Header.TZOffsetSeconds}
-	printReport(rep, res)
-
 	quality := &analysis.DataQuality{
 		RecordsRead:      res.Records,
 		GhostsDropped:    int64(rep.RawRecords - rep.CleanRecords),
@@ -228,20 +210,21 @@ func main() {
 		ExcludedShards:   res.Excluded,
 	}
 	if len(rep.Presence.CarsFrac) > 0 {
-		quality.Gaps = analysis.DetectCoverageGaps(rep.Presence, period, 0)
+		quality.Gaps = analysis.DetectCoverageGaps(rep.Presence, actx.Period, 0)
 	}
-	printQuality(quality)
+	// Merged partial state carries no raw records and no load model:
+	// the report is its stage-derived sections, as carmerge prints it.
+	ropts := report.Options{Quality: quality}
+	if err := report.Text(os.Stdout, rep, actx, ropts); err != nil {
+		fatal("print report failed", "err", err.Error())
+	}
 
 	if *md != "" {
-		desc := fmt.Sprintf("distributed run over %d input file(s), %d shards (%d quarantined), %d records",
+		ropts.Title = "cellcars distributed report"
+		ropts.SceneDescription = fmt.Sprintf("distributed run over %d input file(s), %d shards (%d quarantined), %d records",
 			len(inputs), res.Done+res.Quarantined, res.Quarantined, res.Records)
-		doc := report.Render(rep, actx, report.Options{
-			Title:            "cellcars distributed report",
-			SceneDescription: desc,
-			Now:              time.Now(),
-			Quality:          quality,
-		})
-		if err := os.WriteFile(*md, []byte(doc), 0o644); err != nil {
+		ropts.Now = time.Now()
+		if err := os.WriteFile(*md, []byte(report.Render(rep, actx, ropts)), 0o644); err != nil {
 			fatal("write markdown report failed", "path", *md, "err", err.Error())
 		}
 		fmt.Printf("wrote Markdown report to %s\n", *md)
@@ -268,75 +251,4 @@ func findWorker(explicit string) (string, error) {
 		return path, nil
 	}
 	return "", errors.New("cardrive: caranalyze binary not found (build it, or pass -worker)")
-}
-
-// printReport prints the record-level sections reproducible from
-// merged partial state (same coverage as carmerge).
-func printReport(r *analysis.Report, res *drive.Result) {
-	fmt.Printf("== Preprocessing (§3) ==\n")
-	fmt.Printf("raw records %d, after ghost removal %d (%d one-hour ghosts dropped, %d outside the study period)\n\n",
-		r.RawRecords, r.CleanRecords, r.RawRecords-r.CleanRecords, r.OutOfPeriod)
-
-	fmt.Println("== Figure 2 / Table 1: daily presence ==")
-	fmt.Printf("population: %d cars, %d cells touched\n", r.Presence.TotalCars, r.Presence.TotalCells)
-	fmt.Println(analysis.FormatTable1(r.WeekdayRows))
-
-	fmt.Println("== Figure 3: total time on network (fraction of study) ==")
-	fmt.Printf("means: full %.2f%%, truncated %.2f%% | p99.5: full %.1f%%, truncated %.1f%%\n\n",
-		r.Connected.FullMean*100, r.Connected.TruncMean*100,
-		r.Connected.FullP995*100, r.Connected.TruncP995*100)
-
-	fmt.Println("== Figure 6: days on network ==")
-	fmt.Println(textplot.Histogram("cars per day-count", r.DaysHist.Counts, 72, 8))
-
-	if len(r.Segments) > 0 {
-		fmt.Println("== Table 2: car segmentation ==")
-		fmt.Println(analysis.FormatTable2(r.Segments))
-	}
-
-	fmt.Println("== Figure 9: per-cell connection durations ==")
-	fmt.Printf("median %.0f s, p73 %.0f s, mean full %.0f s, mean truncated %.0f s\n\n",
-		r.Durations.Median, r.Durations.P73, r.Durations.FullMean, r.Durations.TruncMean)
-
-	fmt.Println("== §4.5: handovers per mobility session ==")
-	fmt.Printf("sessions %d | handovers median %.0f, p70 %.0f, p90 %.0f | inter-BS share %.1f%%\n",
-		r.Handovers.Sessions, r.Handovers.Median, r.Handovers.P70, r.Handovers.P90,
-		r.Handovers.InterBSShare()*100)
-	for k := 0; k < radio.NumHandoverKinds; k++ {
-		kind := radio.HandoverKind(k)
-		if count, ok := r.Handovers.ByKind[kind]; ok {
-			fmt.Printf("  %-22s %d\n", kind, count)
-		}
-	}
-	fmt.Println()
-
-	fmt.Println("== Table 3: carrier use ==")
-	fmt.Println(analysis.FormatTable3(r.Carriers))
-
-	for _, se := range r.StageErrors {
-		fmt.Printf("!! stage %s failed: %s\n", se.Stage, se.Err)
-	}
-}
-
-// printQuality renders the Data Quality summary, excluded shards
-// included — a degraded run must name the holes in its coverage.
-func printQuality(q *analysis.DataQuality) {
-	fmt.Println("== Data Quality ==")
-	fmt.Println(q.Summary())
-	for _, ex := range q.ExcludedShards {
-		approx := ""
-		if ex.Estimated {
-			approx = "~"
-		}
-		fmt.Printf("  EXCLUDED shard %d after %d attempts (%s: %s): %s%d records lost\n",
-			ex.Shard, ex.Attempts, ex.LastClass, ex.LastErr, approx, ex.Records)
-	}
-	for _, g := range q.Gaps {
-		fmt.Printf("  coverage gap day %d (%s): %.1f%% of cars vs median %.1f%%\n",
-			g.Day, g.Date.Format("2006-01-02"), g.CarsFrac*100, g.Baseline*100)
-	}
-	for _, s := range q.StageErrors {
-		fmt.Printf("  skipped stage %s: %s\n", s.Stage, s.Err)
-	}
-	fmt.Println()
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -38,13 +39,19 @@ func cardrive(args ...string) *exec.Cmd {
 
 func buildWorker(t *testing.T, dir string) string {
 	t.Helper()
+	return buildBinary(t, dir, "caranalyze")
+}
+
+// buildBinary compiles one of the sibling commands into dir.
+func buildBinary(t *testing.T, dir, name string) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available to build caranalyze workers")
+		t.Skipf("go toolchain not available to build %s", name)
 	}
-	bin := filepath.Join(dir, "caranalyze")
-	cmd := exec.Command("go", "build", "-o", bin, "cellcars/cmd/caranalyze")
+	bin := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", bin, "cellcars/cmd/"+name)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build caranalyze: %v\n%s", err, out)
+		t.Fatalf("build %s: %v\n%s", name, err, out)
 	}
 	return bin
 }
@@ -265,5 +272,78 @@ func TestStatusEndpointShowsRetriedShard(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "== Preprocessing") {
 		t.Fatalf("no report on stdout:\n%s", stdout.String())
+	}
+}
+
+// reportBody cuts a binary's stdout down to what the three must agree
+// on: everything from the first section on, without the Pipeline
+// profile block (timings; only an observed run has one) and without
+// the Data Quality block (each binary accounts its own ingest).
+func reportBody(t *testing.T, stdout []byte) string {
+	t.Helper()
+	s := string(stdout)
+	i := strings.Index(s, "== Preprocessing")
+	if i < 0 {
+		t.Fatalf("no report on stdout:\n%s", s)
+	}
+	s = s[i:]
+	if q := strings.Index(s, "== Data Quality =="); q >= 0 {
+		s = s[:q]
+	}
+	if p := strings.Index(s, "== Pipeline profile =="); p >= 0 {
+		end := strings.Index(s[p:], "\n\n")
+		if end < 0 {
+			t.Fatalf("unterminated Pipeline profile block:\n%s", s[p:])
+		}
+		s = s[:p] + s[p+end+2:]
+	}
+	return s
+}
+
+// TestOneReportOneText: the single process, the hand-run map-reduce and
+// the coordinator analyze the same file into the same Report, and since
+// all three print it through report.Text, into the same bytes — the
+// reducers used to print a hand-copied subset of the sections.
+func TestOneReportOneText(t *testing.T) {
+	dir := t.TempDir()
+	caranalyze := buildWorker(t, dir)
+	carmerge := buildBinary(t, dir, "carmerge")
+	in := filepath.Join(dir, "cars.cdr")
+	writeWorkload(t, in, 60_000)
+	run := func(cmd *exec.Cmd) []byte {
+		t.Helper()
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
+		}
+		return out
+	}
+
+	single := reportBody(t, run(exec.Command(caranalyze, "-stream", "-days", "7", in)))
+
+	var snaps []string
+	for i := 0; i < 3; i++ {
+		snap := filepath.Join(dir, fmt.Sprintf("s%d.snap", i))
+		run(exec.Command(caranalyze, "-partial", snap, "-shard", fmt.Sprintf("%d/3", i), "-days", "7", in))
+		snaps = append(snaps, snap)
+	}
+	merged := reportBody(t, run(exec.Command(carmerge, append([]string{"-q"}, snaps...)...)))
+
+	driven := reportBody(t, run(cardrive("-shards", "3", "-worker", caranalyze,
+		"-workdir", filepath.Join(dir, "work"), "-days", "7", "-q", in)))
+
+	for _, want := range []string{"== Figure 2 / Table 1", "== Figure 3", "== Figure 4", "== Fleet usage",
+		"== Figure 6", "== Figure 9", "== §4.5", "== Table 3"} {
+		if !strings.Contains(single, want) {
+			t.Errorf("report lacks %q:\n%s", want, single)
+		}
+	}
+	if merged != single {
+		t.Errorf("caranalyze -partial x3 + carmerge prints a different report than caranalyze -stream\n--- carmerge ---\n%s\n--- caranalyze -stream ---\n%s", merged, single)
+	}
+	if driven != single {
+		t.Errorf("cardrive -shards 3 prints a different report than caranalyze -stream\n--- cardrive ---\n%s\n--- caranalyze -stream ---\n%s", driven, single)
 	}
 }

@@ -24,9 +24,7 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/obs"
-	"cellcars/internal/radio"
 	"cellcars/internal/report"
-	"cellcars/internal/textplot"
 )
 
 func main() {
@@ -92,78 +90,23 @@ func main() {
 		Period:          merged.Header.Period(),
 		TZOffsetSeconds: merged.Header.TZOffsetSeconds,
 	}
-	printReport(rep, merged)
+	// Partial state carries no raw records and no load model, so the
+	// report is its stage-derived sections; Figures 1, 5, 8 and 10 are
+	// left out.
+	if err := report.Text(os.Stdout, rep, ctx, report.Options{}); err != nil {
+		fatal("print report: %v", err)
+	}
 
 	if *md != "" {
-		desc := fmt.Sprintf("merged from %d partial snapshot(s), %d records", flag.NArg(), merged.Records())
 		doc := report.Render(rep, ctx, report.Options{
 			Title:            "cellcars merged report",
-			SceneDescription: desc,
+			SceneDescription: fmt.Sprintf("merged from %d partial snapshot(s), %d records", flag.NArg(), merged.Records()),
 			Now:              time.Now(),
 		})
 		if err := os.WriteFile(*md, []byte(doc), 0o644); err != nil {
 			fatal("write %s: %v", *md, err)
 		}
 		fmt.Printf("wrote Markdown report to %s\n", *md)
-	}
-}
-
-// printReport prints the record-level sections of the merged report.
-// Sections that need the raw records or a load source (Figures 1, 5,
-// 8, 10) cannot be reproduced from partial state and are omitted.
-func printReport(r *analysis.Report, p *analysis.Partial) {
-	fmt.Printf("== Preprocessing (§3) ==\n")
-	fmt.Printf("raw records %d, after ghost removal %d (%d one-hour ghosts dropped, %d outside the study period)\n\n",
-		r.RawRecords, r.CleanRecords, r.RawRecords-r.CleanRecords, r.OutOfPeriod)
-
-	fmt.Println("== Figure 2 / Table 1: daily presence ==")
-	fmt.Printf("population: %d cars, %d cells touched\n", r.Presence.TotalCars, r.Presence.TotalCells)
-	fmt.Println(analysis.FormatTable1(r.WeekdayRows))
-
-	fmt.Println("== Figure 3: total time on network (fraction of study) ==")
-	fmt.Printf("means: full %.2f%%, truncated %.2f%% | p99.5: full %.1f%%, truncated %.1f%%\n\n",
-		r.Connected.FullMean*100, r.Connected.TruncMean*100,
-		r.Connected.FullP995*100, r.Connected.TruncP995*100)
-
-	fmt.Println("== Figure 6: days on network ==")
-	fmt.Println(textplot.Histogram("cars per day-count", r.DaysHist.Counts, 72, 8))
-
-	if len(r.Segments) > 0 {
-		fmt.Println("== Table 2: car segmentation ==")
-		fmt.Println(analysis.FormatTable2(r.Segments))
-	}
-	if p.Header.HasLoad {
-		fmt.Println("== Figure 7: time in busy cells ==")
-		fmt.Printf("cars > 50%% busy time: %.2f%%; cars ~100%%: %.2f%%\n\n",
-			r.Busy.OverHalf*100, r.Busy.AllBusy*100)
-	}
-
-	fmt.Println("== Figure 9: per-cell connection durations ==")
-	fmt.Printf("median %.0f s, p73 %.0f s, mean full %.0f s, mean truncated %.0f s\n\n",
-		r.Durations.Median, r.Durations.P73, r.Durations.FullMean, r.Durations.TruncMean)
-
-	fmt.Println("== §4.5: handovers per mobility session ==")
-	fmt.Printf("sessions %d | handovers median %.0f, p70 %.0f, p90 %.0f | inter-BS share %.1f%%\n",
-		r.Handovers.Sessions, r.Handovers.Median, r.Handovers.P70, r.Handovers.P90,
-		r.Handovers.InterBSShare()*100)
-	for k := 0; k < radio.NumHandoverKinds; k++ {
-		kind := radio.HandoverKind(k)
-		if count, ok := r.Handovers.ByKind[kind]; ok {
-			fmt.Printf("  %-22s %d\n", kind, count)
-		}
-	}
-	fmt.Println()
-
-	fmt.Println("== Table 3: carrier use ==")
-	fmt.Println(analysis.FormatTable3(r.Carriers))
-
-	if len(r.Clusters.Sizes) > 0 {
-		fmt.Println("== Figure 11: k-means clusters over busy radios ==")
-		fmt.Printf("clusters: sizes %v, centroid peak ratio %.1fx\n\n", r.Clusters.Sizes, r.Clusters.PeakRatio())
-	}
-
-	for _, se := range r.StageErrors {
-		fmt.Printf("!! stage %s failed: %s\n", se.Stage, se.Err)
 	}
 }
 

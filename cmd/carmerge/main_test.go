@@ -45,11 +45,19 @@ func carmerge(args ...string) (stdout, stderr string, code int) {
 // snapshot at path.
 func writePartial(t *testing.T, path string, cars ...cdr.CarID) {
 	t.Helper()
+	writePartialFailing(t, path, "", cars...)
+}
+
+// writePartialFailing is writePartial with one analysis stage failed
+// by the chaos hook, the way a worker's partial carries a stage that
+// panicked on its shard.
+func writePartialFailing(t *testing.T, path, failStage string, cars ...cdr.CarID) {
+	t.Helper()
 	ctx := analysis.Context{
 		Period:          simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14),
 		TZOffsetSeconds: -5 * 3600,
 	}
-	acc := analysis.NewStreamingWithOptions(ctx, analysis.RunOptions{Seed: 1})
+	acc := analysis.NewStreamingWithOptions(ctx, analysis.RunOptions{Seed: 1, FailStage: failStage})
 	start := time.Date(2017, 1, 3, 8, 0, 0, 0, time.UTC)
 	for i, car := range cars {
 		acc.Add(cdr.Record{
@@ -136,5 +144,30 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "snapshot") {
 		t.Fatalf("stderr does not mention the snapshot failure:\n%s", stderr)
+	}
+}
+
+// TestMergesDegradedPartial: a partial whose days stage failed leaves
+// the merged report without a days histogram. carmerge used to
+// dereference it (SIGSEGV, exit 2); the degraded report must come out
+// whole, with the hole named, and exit 0.
+func TestMergesDegradedPartial(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.snap")
+	b := filepath.Join(dir, "b.snap")
+	writePartial(t, a, 1, 2)
+	writePartialFailing(t, b, "days", 3, 4)
+
+	stdout, stderr, code := carmerge(a, b)
+	if code != 0 {
+		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{
+		`!! Figure 6 skipped: analysis stage "days" failed: injected failure`,
+		"== Figure 2 / Table 1", "== Fleet usage", "== Figure 9", "== Table 3",
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("merged report lacks %q:\n%s", want, stdout)
+		}
 	}
 }

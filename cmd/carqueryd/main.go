@@ -36,12 +36,11 @@ import (
 	"syscall"
 	"time"
 
-	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
 	"cellcars/internal/obs"
 	"cellcars/internal/query"
-	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
+	"cellcars/internal/studyflags"
 )
 
 // shutdownGrace bounds how long a SIGTERM waits for in-flight HTTP
@@ -51,10 +50,6 @@ const shutdownGrace = 5 * time.Second
 func main() {
 	var (
 		listen = flag.String("listen", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
-		start  = flag.String("start", "2017-01-02", "study start date (YYYY-MM-DD)")
-		days   = flag.Int("days", 90, "study length in days")
-		tz     = flag.Int("tz", -5, "local-time offset from UTC in hours")
-		seed   = flag.Uint64("seed", 1, "seed")
 
 		bucket  = flag.String("bucket", "1h", "accumulator bucket width (must divide the study period)")
 		windows = flag.String("windows", "24h,7d,90d", "comma-separated rolling windows (h/m/s suffixes or Nd days); each must be a multiple of the bucket")
@@ -63,21 +58,29 @@ func main() {
 		snapEvery = flag.Int64("snapshot-every", 1_000_000, "records between periodic cuts (0: cut only at EOF and on shutdown)")
 		keep      = flag.Int("keep", 3, "rotated cuts to retain in -snapshots")
 
-		strict     = flag.Bool("strict", false, "abort on the first malformed record")
-		quarantine = flag.String("quarantine", "", "write quarantined records to this file (TSV)")
-		budget     = flag.Float64("budget", 1.0, "error budget, max % of malformed records before aborting (0 aborts on the first, negative disables)")
-
 		tracePath  = flag.String("trace", "", "write a JSONL span trace (ingest, cuts, window composes) to this file")
 		stallAfter = flag.Duration("stall-after", 30*time.Second, "degrade /readyz when ingest is attached but no record arrived for this long (0 disables)")
 		budgetWarn = flag.Float64("budget-degraded", 0.8, "degrade /readyz when this fraction of the ingest error budget is spent (>=1 or <=0 disables)")
 	)
+	study := studyflags.Register(flag.CommandLine, 90, true)
 	flag.Parse()
 
 	runID := obs.NewRunID()
 	logger := obs.NewLogger(os.Stdout, "carqueryd", runID)
+	// Every exit is an os.Exit, so nothing deferred runs: fatal and
+	// shutdown flush the quarantine file themselves, and a lost audit
+	// trail fails the exit code.
+	closeSink := func() error { return nil }
+	exit := func(code int) {
+		if err := closeSink(); err != nil {
+			logger.Error("close quarantine file failed", "err", err.Error())
+			code = 1
+		}
+		os.Exit(code)
+	}
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
-		os.Exit(1)
+		exit(1)
 	}
 
 	inputs := flag.Args()
@@ -85,11 +88,10 @@ func main() {
 		fatal("no input files (give CDR files as positional arguments)")
 	}
 
-	startDay, err := time.Parse("2006-01-02", *start)
+	ctx, err := study.Context()
 	if err != nil {
-		fatal("bad -start date", "err", err.Error())
+		fatal("bad study flags", "err", err.Error())
 	}
-	period := simtime.NewPeriod(startDay, *days)
 	width, err := parseSpan(*bucket)
 	if err != nil {
 		fatal("bad -bucket", "err", err.Error())
@@ -110,41 +112,20 @@ func main() {
 	}
 
 	reg := obs.New()
-	// Resilient ingest, mirroring caranalyze: malformed records are
-	// quarantined within an error budget, and far-out-of-window dates
-	// are treated as corrupt.
-	ingest := cdr.ResilientConfig{
-		Strict:     *strict || *budget == 0,
-		MaxBadFrac: *budget / 100,
-		MinStart:   period.Start().AddDate(0, 0, -7),
-		MaxStart:   period.End().AddDate(0, 0, 7),
-		Obs:        reg,
+	ingest, closeIngest, err := study.Ingest(ctx.Period, reg)
+	if err != nil {
+		fatal("ingest setup failed", "err", err.Error())
 	}
-	if *quarantine != "" {
-		qf, err := os.Create(*quarantine)
-		if err != nil {
-			fatal("open quarantine file", "err", err.Error())
-		}
-		qw := cdr.NewQuarantineWriter(qf)
-		ingest.Sink = qw
-		defer func() {
-			qw.Close()
-			qf.Close()
-		}()
-	}
+	closeSink = closeIngest
 
 	var dir *snapshot.Dir
 	if *snapshots != "" {
 		dir = &snapshot.Dir{Path: *snapshots, Keep: *keep}
 	}
 
-	ctx := analysis.Context{Period: period, TZOffsetSeconds: *tz * 3600}
-	// Rare-day thresholds scale with the study length exactly as
-	// caranalyze's do, so served reports and batch reports agree.
-	rare := []int{max(1, *days/9), max(2, *days/3)}
 	store, err := query.New(query.Config{
 		Ctx:       ctx,
-		Opts:      analysis.RunOptions{Seed: *seed, RareDays: rare},
+		Opts:      study.RunOptions(),
 		Bucket:    width,
 		Windows:   wins,
 		Snapshots: dir,
@@ -184,7 +165,7 @@ func main() {
 			return true, ""
 		})
 	}
-	if *budgetWarn > 0 && *budgetWarn < 1 && *budget > 0 {
+	if *budgetWarn > 0 && *budgetWarn < 1 && study.Budget > 0 {
 		budgetGauge := reg.Gauge("cellcars_ingest_budget_used_ratio")
 		health.Rule("ingest_error_budget", func() (bool, string) {
 			if used := budgetGauge.Value(); used >= *budgetWarn {
@@ -240,7 +221,7 @@ func main() {
 		} else {
 			logger.Info("terminated", "when", when)
 		}
-		os.Exit(0)
+		exit(0)
 	}
 
 	rr := cdr.NewResilientReader(openInputs(inputs), ingest)
@@ -357,11 +338,4 @@ func parseWindows(spec string) ([]query.Window, error) {
 		return nil, errors.New("no windows")
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

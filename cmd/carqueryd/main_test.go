@@ -781,3 +781,52 @@ func firstDiff(a, b []byte) string {
 	}
 	return fmt.Sprintf("bodies diverge in length: %d vs %d lines", len(al), len(bl))
 }
+
+// TestQuarantineFileSurvivesShutdown: the -quarantine sink is
+// buffered, and every exit from the daemon is an os.Exit — a deferred
+// flush never ran, so a graceful SIGTERM left the audit file at zero
+// bytes while the log said "quarantined":2. The shutdown path must
+// flush and close it.
+func TestQuarantineFileSurvivesShutdown(t *testing.T) {
+	dir := t.TempDir()
+	var csv bytes.Buffer
+	w := cdr.NewCSVWriter(&csv)
+	recs := e2eRecords(400)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(csv.String(), "\n")
+	lines[100] = "not,a,record\n"
+	lines[300] = "7,oops," + lines[300]
+	in := filepath.Join(dir, "dirty.csv")
+	if err := os.WriteFile(in, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	q := filepath.Join(dir, "q.tsv")
+	d := startDaemon(t, "-listen", "127.0.0.1:0", "-start", "2017-03-06", "-days", "1",
+		"-windows", "24h", "-budget", "5", "-quarantine", q, in)
+	d.waitDrained(t, int64(len(recs)-2))
+	// The watermark is served a moment before the drain is logged.
+	var drained map[string]any
+	for deadline := time.Now().Add(10 * time.Second); drained == nil && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		drained = d.record(t, "drained")
+	}
+	if drained == nil || drained["quarantined"] != float64(2) {
+		t.Fatalf("drained record = %v, want quarantined 2", drained)
+	}
+	d.terminate(t)
+
+	got, err := os.ReadFile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(got), "\n"); n != 2 {
+		t.Fatalf("quarantine file holds %d lines after a graceful shutdown, want 2:\n%s", n, got)
+	}
+}

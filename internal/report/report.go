@@ -1,36 +1,178 @@
-// Package report renders a full pipeline run as a Markdown document:
-// every table as a Markdown table, every figure as a fenced text plot,
-// with the paper's reference values alongside. The caranalyze tool
-// writes these documents; they are the durable artifact of a
-// reproduction run.
+// Package report lays a pipeline run out as the paper's tables and
+// figures, once, and renders that layout in two formats: Text prints
+// it to a terminal (what caranalyze, carmerge and cardrive show) and
+// Render produces the durable Markdown document with the paper's
+// reference values alongside.
+//
+// The layout is the sections table below: which sections exist, in
+// what order, which engine stage each renders and what else it needs.
+// One walker applies it to both formats, so a section whose stage
+// failed — or whose own rendering panics — degrades to a diagnostic in
+// the same place, whichever binary and format printed it.
 package report
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
 
 	"cellcars/internal/analysis"
-	"cellcars/internal/radio"
-	"cellcars/internal/simtime"
-	"cellcars/internal/textplot"
+	"cellcars/internal/cdr"
+	"cellcars/internal/load"
 )
 
-// Options controls document assembly.
+// Options controls report assembly.
 type Options struct {
-	// Title heads the document.
+	// Title heads the Markdown document.
 	Title string
 	// SceneDescription is a one-line provenance note (fleet size, seed,
-	// window) printed under the title.
+	// window) printed under the Markdown title.
 	SceneDescription string
-	// Now stamps the document; pass a fixed time for reproducible
-	// output (library code never reads the wall clock itself).
+	// Now stamps the Markdown document; pass a fixed time for
+	// reproducible output (library code never reads the wall clock
+	// itself).
 	Now time.Time
-	// Quality, when non-nil, adds a Data Quality section: ingest and
-	// quarantine counters, detected coverage-gap days, and skipped
-	// stages.
+	// Quality, when non-nil, adds the Data Quality block: ingest and
+	// quarantine counters, detected coverage-gap days, skipped stages
+	// and excluded shards.
 	Quality *analysis.DataQuality
+	// Records are the raw records behind the report. The record-level
+	// exhibits (Figures 5, 8 and 10) are computed from them at render
+	// time and are skipped when nil — a streaming run or a reducer over
+	// partial state has no records to show.
+	Records []cdr.Record
+	// Model is the synthetic load model; Figure 1's saturation
+	// demonstration needs it and is skipped when nil.
+	Model *load.Model
+}
+
+// env is what a section renderer sees.
+type env struct {
+	r    *analysis.Report
+	ctx  analysis.Context
+	opts Options
+}
+
+// section is one row of the report layout.
+type section struct {
+	// name is how diagnostics call the section.
+	name string
+	// stage is the engine stage whose result the section renders; ""
+	// for sections computed at render time.
+	stage string
+	// has reports whether the section's own input exists, for sections
+	// that do not appear in every run: the result of a stage that only
+	// runs with a load source, the raw records, the load model. A
+	// failed stage is reported whatever has says; nil means always.
+	has func(*env) bool
+	// text and md render the section in the two formats; nil leaves it
+	// out of that format.
+	text, md func(*strings.Builder, *env)
+}
+
+func hasRecords(e *env) bool { return e.opts.Records != nil }
+
+// sections is the report, top to bottom. Every engine stage has exactly
+// one row (TestEveryStageHasOneSection), and each load-dependent row is
+// keyed on its own stage's result, never on a neighbour's.
+var sections = []section{
+	{name: "Preprocessing", text: textPreprocessing, md: mdPreprocessing},
+	{name: "Figure 1", has: func(e *env) bool { return e.opts.Model != nil }, text: textFigure1},
+	{name: "Figure 2 / Table 1", stage: "presence", text: textPresence, md: mdPresence},
+	{name: "Figure 3", stage: "connected", text: textConnected, md: mdConnected},
+	{name: "Figure 4", text: textFigure4},
+	{name: "Figure 5", has: hasRecords, text: textFigure5},
+	{name: "Fleet usage", stage: "usage", text: textUsage, md: mdUsage},
+	{name: "Figure 6", stage: "days", text: textDays, md: mdDays},
+	{name: "Table 2", stage: "segments", has: func(e *env) bool { return len(e.r.Segments) > 0 },
+		text: textSegments, md: mdSegments},
+	{name: "Figure 7", stage: "busy", has: func(e *env) bool { return e.r.Busy.FracByCar != nil },
+		text: textBusy, md: mdBusy},
+	{name: "Figure 8", has: hasRecords, text: textFigure8},
+	{name: "Figure 9", stage: "durations", text: textDurations, md: mdDurations},
+	{name: "Figures 10/11", stage: "clusters", has: func(e *env) bool { return len(e.r.Clusters.Cells) > 0 },
+		text: textClusters, md: mdClusters},
+	{name: "§4.5", stage: "handovers", text: textHandovers, md: mdHandovers},
+	{name: "Table 3", stage: "carriers", text: textCarriers, md: mdCarriers},
+	{name: "Pipeline profile", has: func(e *env) bool { return len(e.r.Profile) > 0 },
+		text: textProfile, md: mdProfile},
+}
+
+// walk renders every section of one format into b and returns the
+// sections whose rendering panicked. A section whose stage failed
+// becomes a diagnostic naming the stage; a section that panics is
+// dropped whole and becomes a diagnostic too; every other section still
+// appears.
+func walk(b *strings.Builder, e *env, markdown bool) (panicked []string) {
+	for i := range sections {
+		s := &sections[i]
+		render := s.text
+		if markdown {
+			render = s.md
+		}
+		if render == nil {
+			continue
+		}
+		if f := e.r.Failed(s.stage); f != nil {
+			if markdown {
+				fmt.Fprintf(b, "## %s — stage skipped\n\n> Analysis stage `%s` failed and was skipped: %s\n\n", f.Stage, f.Stage, f.Err)
+			} else {
+				fmt.Fprintf(b, "!! %s skipped: analysis stage %q failed: %s\n\n", s.name, f.Stage, f.Err)
+			}
+			continue
+		}
+		if s.has != nil && !s.has(e) {
+			continue
+		}
+		var out strings.Builder
+		if p := isolate(func() { render(&out, e) }); p != nil {
+			if markdown {
+				fmt.Fprintf(b, "## %s — section skipped\n\n> Rendering failed: %v\n\n", s.name, p)
+			} else {
+				fmt.Fprintf(b, "!! %s skipped: %v\n\n", s.name, p)
+			}
+			panicked = append(panicked, fmt.Sprintf("%s: panic: %v", s.name, p))
+			continue
+		}
+		b.WriteString(out.String())
+	}
+	return panicked
+}
+
+// isolate runs fn and returns what it panicked with, if anything.
+func isolate(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+// quality returns the Data Quality block to print: the caller's, plus
+// one "render" entry per section that panicked in this rendering.
+func quality(q *analysis.DataQuality, panicked []string) *analysis.DataQuality {
+	if q == nil || len(panicked) == 0 {
+		return q
+	}
+	c := *q
+	c.StageErrors = append([]analysis.StageError(nil), q.StageErrors...)
+	for _, p := range panicked {
+		c.StageErrors = append(c.StageErrors, analysis.StageError{Stage: "render", Err: p})
+	}
+	return &c
+}
+
+// Text prints the report to a terminal: every section of the layout,
+// then the Data Quality block when opts.Quality is set. It returns the
+// writer's error.
+func Text(w io.Writer, r *analysis.Report, ctx analysis.Context, opts Options) error {
+	var b strings.Builder
+	e := &env{r: r, ctx: ctx, opts: opts}
+	if q := quality(opts.Quality, walk(&b, e, false)); q != nil {
+		textQuality(&b, q)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Render produces the Markdown document for a report.
@@ -47,265 +189,29 @@ func Render(r *analysis.Report, ctx analysis.Context, opts Options) string {
 	if !opts.Now.IsZero() {
 		fmt.Fprintf(&b, "Generated %s.\n\n", opts.Now.UTC().Format(time.RFC3339))
 	}
-
-	fmt.Fprintf(&b, "## Preprocessing (§3)\n\n")
-	fmt.Fprintf(&b, "| metric | value |\n|---|---|\n")
-	fmt.Fprintf(&b, "| raw records | %d |\n", r.RawRecords)
-	fmt.Fprintf(&b, "| after ghost removal | %d |\n", r.CleanRecords)
-	fmt.Fprintf(&b, "| one-hour ghosts dropped | %d |\n\n", r.RawRecords-r.CleanRecords)
-
-	section(&b, r, "presence", renderTable1)
-	section(&b, r, "connected", renderConnected)
-	section(&b, r, "days", func(b *strings.Builder, r *analysis.Report) {
-		renderDaysHistogram(b, r, ctx)
-	})
-	if r.Failed("segments") != nil || len(r.Segments) > 0 {
-		section(&b, r, "segments", renderSegmentation)
+	e := &env{r: r, ctx: ctx, opts: opts}
+	if q := quality(opts.Quality, walk(&b, e, true)); q != nil {
+		mdQuality(&b, q)
 	}
-	if r.Failed("busy") != nil || len(r.Segments) > 0 {
-		section(&b, r, "busy", renderBusyTime)
-	}
-	section(&b, r, "durations", renderDurations)
-	section(&b, r, "handovers", renderHandovers)
-	section(&b, r, "carriers", renderCarriers)
-	if r.Failed("clusters") != nil || len(r.Clusters.Cells) > 0 {
-		section(&b, r, "clusters", renderClusters)
-	}
-	renderQuality(&b, r, opts.Quality)
-	renderProfile(&b, r)
 	return b.String()
 }
 
-// section renders one report section unless its analysis stage was
-// skipped, in which case it emits the diagnostic instead — a degraded
-// report still documents every section it could not produce.
-func section(b *strings.Builder, r *analysis.Report, stage string, render func(*strings.Builder, *analysis.Report)) {
-	if fail := r.Failed(stage); fail != nil {
-		fmt.Fprintf(b, "## %s — stage skipped\n\n", stage)
-		fmt.Fprintf(b, "> Analysis stage `%s` failed and was skipped: %s\n\n", fail.Stage, fail.Err)
-		return
+// sortedClasses returns the quarantine failure classes in name order.
+func sortedClasses(q *analysis.DataQuality) []string {
+	classes := make([]string, 0, len(q.Quarantined))
+	for class := range q.Quarantined {
+		classes = append(classes, class)
 	}
-	render(b, r)
+	sort.Strings(classes)
+	return classes
 }
 
-// renderQuality writes the Data Quality section: how dirty the input
-// was and what the pipeline did about it.
-func renderQuality(b *strings.Builder, r *analysis.Report, q *analysis.DataQuality) {
-	if q == nil {
-		return
+// hoursAxis returns the x axis of a 96-bin day: hours, in 15-minute
+// steps.
+func hoursAxis(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i) / 4
 	}
-	fmt.Fprintf(b, "## Data Quality\n\n")
-	fmt.Fprintf(b, "| metric | value |\n|---|---|\n")
-	fmt.Fprintf(b, "| records read | %d |\n", q.RecordsRead)
-	fmt.Fprintf(b, "| one-hour ghosts dropped | %d |\n", q.GhostsDropped)
-	fmt.Fprintf(b, "| quarantined | %d |\n", q.QuarantinedTotal)
-	fmt.Fprintf(b, "| transient retries | %d |\n", q.Retries)
-	fmt.Fprintf(b, "| coverage-gap days | %d |\n\n", len(q.Gaps))
-	if len(q.Quarantined) > 0 {
-		fmt.Fprintf(b, "Quarantine breakdown:\n\n| class | records |\n|---|---|\n")
-		classes := make([]string, 0, len(q.Quarantined))
-		for class := range q.Quarantined {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			fmt.Fprintf(b, "| %s | %d |\n", class, q.Quarantined[class])
-		}
-		b.WriteString("\n")
-	}
-	if len(q.Gaps) > 0 {
-		fmt.Fprintf(b, "Detected coverage gaps (paper §3 reports a 3-day partial data-loss window, visible as the Figure 2 dip):\n\n")
-		fmt.Fprintf(b, "| day | date | %%cars seen | period median |\n|---|---|---|---|\n")
-		for _, g := range q.Gaps {
-			fmt.Fprintf(b, "| %d | %s | %.1f%% | %.1f%% |\n",
-				g.Day, g.Date.Format("2006-01-02"), g.CarsFrac*100, g.Baseline*100)
-		}
-		b.WriteString("\n")
-	}
-	if len(q.StageErrors) > 0 {
-		fmt.Fprintf(b, "Skipped analysis stages:\n\n| stage | error |\n|---|---|\n")
-		for _, s := range q.StageErrors {
-			fmt.Fprintf(b, "| %s | %s |\n", s.Stage, s.Err)
-		}
-		b.WriteString("\n")
-	}
-	if len(q.ExcludedShards) > 0 {
-		fmt.Fprintf(b, "**Excluded shards.** The coordinator quarantined %d shard(s) after exhausting their attempt budget; their cars are absent from every figure above.\n\n", len(q.ExcludedShards))
-		fmt.Fprintf(b, "| shard | attempts | last failure | records lost |\n|---|---|---|---|\n")
-		for _, x := range q.ExcludedShards {
-			records := fmt.Sprintf("%d", x.Records)
-			if x.Estimated {
-				records = "~" + records + " (estimated)"
-			}
-			failure := x.LastClass
-			if x.LastErr != "" {
-				failure += ": " + x.LastErr
-			}
-			fmt.Fprintf(b, "| %d | %d | %s | %s |\n", x.Shard, x.Attempts, failure, records)
-		}
-		b.WriteString("\n")
-	}
-}
-
-// renderProfile writes the Pipeline profile section: the per-stage
-// cost table an observed run carries (analysis.RunOptions.Obs). The
-// record counts reconcile with the Preprocessing/Data Quality totals:
-// every live stage sees exactly the accepted records, i.e. clean
-// records minus the out-of-period exclusions.
-func renderProfile(b *strings.Builder, r *analysis.Report) {
-	if len(r.Profile) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "## Pipeline profile\n\n")
-	fmt.Fprintf(b, "Per-stage wall time summed across workers; records are the accepted records offered to each stage's Add path (clean records %d − out-of-period %d = %d).\n\n",
-		r.CleanRecords, r.OutOfPeriod, int64(r.CleanRecords)-r.OutOfPeriod)
-	fmt.Fprintf(b, "| stage | records | batches | add s | merge s | finalize s | total s | records/s |\n|---|---|---|---|---|---|---|---|\n")
-	var recs, batches int64
-	var add, merge, fin float64
-	for _, p := range r.Profile {
-		rate := "—"
-		if total := p.TotalSeconds(); total > 0 && p.Records > 0 {
-			rate = fmt.Sprintf("%.0f", float64(p.Records)/total)
-		}
-		fmt.Fprintf(b, "| %s | %d | %d | %.4f | %.4f | %.4f | %.4f | %s |\n",
-			p.Stage, p.Records, p.Batches, p.AddSeconds, p.MergeSeconds,
-			p.FinalizeSeconds, p.TotalSeconds(), rate)
-		recs += p.Records
-		batches += p.Batches
-		add += p.AddSeconds
-		merge += p.MergeSeconds
-		fin += p.FinalizeSeconds
-	}
-	fmt.Fprintf(b, "| **total** | %d | %d | %.4f | %.4f | %.4f | %.4f | — |\n\n",
-		recs, batches, add, merge, fin, add+merge+fin)
-}
-
-func renderTable1(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Table 1 — daily presence by weekday (Figure 2)\n\n")
-	fmt.Fprintf(b, "Paper: Mon–Thu 78–80%% cars, Sat 70.3%%, Sun 67.4%%, overall 76.0%%.\n\n")
-	fmt.Fprintf(b, "| day | %%cells mean | %%cells std | %%cars mean | %%cars std |\n|---|---|---|---|---|\n")
-	for _, row := range r.WeekdayRows {
-		fmt.Fprintf(b, "| %s | %.1f%% | %.1f%% | %.1f%% | %.1f%% |\n",
-			row.Label, row.CellsMean*100, row.CellsStd*100, row.CarsMean*100, row.CarsStd*100)
-	}
-	fmt.Fprintf(b, "\nTrend lines: cars %.5f %+.6f/day (R²=%.3f); cells %.5f %+.6f/day (R²=%.3f).\n\n",
-		r.Presence.CarsTrend.Intercept, r.Presence.CarsTrend.Slope, r.Presence.CarsTrend.R2,
-		r.Presence.CellsTrend.Intercept, r.Presence.CellsTrend.Slope, r.Presence.CellsTrend.R2)
-}
-
-func renderConnected(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Figure 3 — total time on network\n\n")
-	fmt.Fprintf(b, "Paper: mean 8%% full / 4%% truncated; p99.5 27%% / 15%%.\n\n")
-	fmt.Fprintf(b, "| variant | mean | p99.5 |\n|---|---|---|\n")
-	fmt.Fprintf(b, "| full | %.2f%% | %.1f%% |\n", r.Connected.FullMean*100, r.Connected.FullP995*100)
-	fmt.Fprintf(b, "| truncated 600 s | %.2f%% | %.1f%% |\n\n", r.Connected.TruncMean*100, r.Connected.TruncP995*100)
-	if r.Connected.Truncated != nil && r.Connected.Truncated.N() > 1 {
-		xs, ps := r.Connected.Truncated.Points(64)
-		fmt.Fprintf(b, "```\n%s```\n\n", textplot.Chart("CDF of per-car connected share (truncated)", xs, ps, 64, 8))
-	}
-}
-
-func renderDaysHistogram(b *strings.Builder, r *analysis.Report, ctx analysis.Context) {
-	if r.DaysHist == nil {
-		return
-	}
-	fmt.Fprintf(b, "## Figure 6 — days on network\n\n")
-	fmt.Fprintf(b, "Paper: sharp drop below 10 days, rising trend past 30.\n\n")
-	fmt.Fprintf(b, "```\n%s```\n\n",
-		textplot.Histogram(fmt.Sprintf("cars per day count (1..%d)", ctx.Period.Days()),
-			r.DaysHist.Counts, 64, 8))
-}
-
-func renderSegmentation(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Table 2 — car segmentation\n\n")
-	fmt.Fprintf(b, "Paper: rare ≤10 d 2.2%%, ≤30 d 9.9%%; busy column 0.4–1.3%%.\n\n")
-	fmt.Fprintf(b, "| segment | busy | non-busy | both | total |\n|---|---|---|---|---|\n")
-	for _, s := range r.Segments {
-		fmt.Fprintf(b, "| rare (≤ %d days) | %.1f%% | %.1f%% | %.1f%% | %.1f%% |\n",
-			s.RareDays, s.RareBusy*100, s.RareNonBusy*100, s.RareBoth*100, s.RareTotal()*100)
-		fmt.Fprintf(b, "| common (%d+ days) | %.1f%% | %.1f%% | %.1f%% | %.1f%% |\n",
-			s.RareDays, s.CommonBusy*100, s.CommonNonBusy*100, s.CommonBoth*100, s.CommonTotal()*100)
-	}
-	b.WriteString("\n")
-}
-
-func renderBusyTime(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Figure 7 — time in busy cells\n\n")
-	fmt.Fprintf(b, "Paper: ~2.4%% of cars over 50%%; ~1%% at ~100%%. Measured: %.2f%% over 50%%, %.2f%% at ~100%%.\n\n",
-		r.Busy.OverHalf*100, r.Busy.AllBusy*100)
-	h := r.Busy.Histogram7a()
-	fmt.Fprintf(b, "| busy-time decile | share of cars |\n|---|---|\n")
-	for i, v := range h {
-		fmt.Fprintf(b, "| %d–%d%% | %.2f%% |\n", i*10, (i+1)*10, v*100)
-	}
-	b.WriteString("\n")
-}
-
-func renderDurations(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Figure 9 — per-cell connection durations\n\n")
-	fmt.Fprintf(b, "Paper: median 105 s, p73 600 s, mean 625 s full / 238 s truncated.\n\n")
-	fmt.Fprintf(b, "| metric | measured |\n|---|---|\n")
-	fmt.Fprintf(b, "| median | %.0f s |\n| p73 | %.0f s |\n| mean full | %.0f s |\n| mean truncated | %.0f s |\n\n",
-		r.Durations.Median, r.Durations.P73, r.Durations.FullMean, r.Durations.TruncMean)
-}
-
-func renderHandovers(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## §4.5 — handovers per mobility session\n\n")
-	fmt.Fprintf(b, "Paper: median 2, p70 4, p90 9; inter-base-station dominant.\n\n")
-	fmt.Fprintf(b, "| metric | measured |\n|---|---|\n")
-	fmt.Fprintf(b, "| sessions | %d |\n| median | %.0f |\n| p70 | %.0f |\n| p90 | %.0f |\n| inter-BS share | %.1f%% |\n\n",
-		r.Handovers.Sessions, r.Handovers.Median, r.Handovers.P70, r.Handovers.P90,
-		r.Handovers.InterBSShare()*100)
-	fmt.Fprintf(b, "| kind | count |\n|---|---|\n")
-	for kind := radio.HandoverKind(0); kind < radio.NumHandoverKinds; kind++ {
-		if kind == radio.HandoverNone {
-			continue
-		}
-		fmt.Fprintf(b, "| %s | %d |\n", kind, r.Handovers.ByKind[kind])
-	}
-	b.WriteString("\n")
-}
-
-func renderCarriers(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Table 3 — carrier use\n\n")
-	fmt.Fprintf(b, "Paper: cars %% = 98.7/89.2/98.7/80.8/0.006; time %% = 18.6/7.4/51.9/22.1/0.0.\n\n")
-	fmt.Fprintf(b, "| carrier | C1 | C2 | C3 | C4 | C5 |\n|---|---|---|---|---|---|\n")
-	fmt.Fprintf(b, "| cars %% |")
-	for c := radio.C1; c <= radio.C5; c++ {
-		fmt.Fprintf(b, " %.3f |", r.Carriers.CarsFrac[c]*100)
-	}
-	fmt.Fprintf(b, "\n| time %% |")
-	for c := radio.C1; c <= radio.C5; c++ {
-		fmt.Fprintf(b, " %.3f |", r.Carriers.TimeFrac[c]*100)
-	}
-	b.WriteString("\n\n")
-}
-
-func renderClusters(b *strings.Builder, r *analysis.Report) {
-	fmt.Fprintf(b, "## Figure 11 — busy-radio clusters\n\n")
-	fmt.Fprintf(b, "Paper: two clusters; the hot one ~5× the concurrency, the quiet one ~4× the cells.\n\n")
-	fmt.Fprintf(b, "| cluster | cells | centroid peak (cars) |\n|---|---|---|\n")
-	for i := range r.Clusters.Sizes {
-		fmt.Fprintf(b, "| %d | %d | %.1f |\n", i+1, r.Clusters.Sizes[i], peakOf(r.Clusters.Centroids[i]))
-	}
-	fmt.Fprintf(b, "\nPeak ratio %.1f×.\n\n", r.Clusters.PeakRatio())
-	for i, c := range r.Clusters.Centroids {
-		xs := make([]float64, simtime.BinsPerDay)
-		for j := range xs {
-			xs[j] = float64(j) / 4
-		}
-		fmt.Fprintf(b, "```\n%s```\n\n", textplot.Chart(
-			fmt.Sprintf("cluster %d centroid (mean concurrent cars by hour of day)", i+1),
-			xs, c, 64, 6))
-	}
-}
-
-func peakOf(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return xs
 }

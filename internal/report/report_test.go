@@ -7,6 +7,7 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 )
@@ -27,6 +28,14 @@ func (f *fixedLoad) BusyThreshold() float64 { return 0.8 }
 
 func buildReport(t *testing.T) (*analysis.Report, analysis.Context) {
 	t.Helper()
+	return buildReportFailing(t, "")
+}
+
+// buildReportFailing runs the full pipeline — load source, busy cells
+// and metrics registry, so all ten stages run and leave a profile —
+// with the named stage failed by the chaos hook.
+func buildReportFailing(t *testing.T, failStage string) (*analysis.Report, analysis.Context) {
+	t.Helper()
 	busy := cell(9)
 	ctx := analysis.Context{
 		Period: simtime.NewPeriod(t0, 14),
@@ -44,6 +53,8 @@ func buildReport(t *testing.T) (*analysis.Report, analysis.Context) {
 	r, err := analysis.Run(records, ctx, analysis.RunOptions{
 		RareDays:  []int{2, 5},
 		BusyCells: []radio.CellKey{busy, cell(1)},
+		FailStage: failStage,
+		Obs:       obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)

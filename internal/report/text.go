@@ -1,0 +1,281 @@
+package report
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"time"
+
+	"cellcars/internal/analysis"
+	"cellcars/internal/cdr"
+	"cellcars/internal/load"
+	"cellcars/internal/radio"
+	"cellcars/internal/textplot"
+)
+
+// The terminal renderers, one per row of sections.
+
+func textPreprocessing(b *strings.Builder, e *env) {
+	r := e.r
+	fmt.Fprintf(b, "== Preprocessing (§3) ==\n")
+	fmt.Fprintf(b, "raw records %d, after ghost removal %d (%d one-hour ghosts dropped, %d outside the study period)\n\n",
+		r.RawRecords, r.CleanRecords, r.RawRecords-r.CleanRecords, r.OutOfPeriod)
+}
+
+// textFigure1 renders the load-model saturation demonstration.
+func textFigure1(b *strings.Builder, e *env) {
+	model := e.opts.Model
+	fmt.Fprintln(b, "== Figure 1: single greedy download saturates a cell ==")
+	cells := model.VeryBusyCells()
+	if len(cells) < 2 {
+		// Any two cells will do for the demonstration.
+		cells = firstCells(e.opts.Records, 2)
+	}
+	if len(cells) >= 2 {
+		sat := load.Saturate(model, cells[:2], e.ctx.Period.Days()/2,
+			20*time.Hour+45*time.Minute, 4*time.Hour, 0.97)
+		for i := range sat.Cells {
+			fmt.Fprintln(b, textplot.Chart(
+				fmt.Sprintf("cell %v: test day (download from 20:45)", sat.Cells[i]),
+				hoursAxis(96), sat.Test[i][:], 72, 8))
+		}
+	}
+	fmt.Fprintln(b)
+}
+
+// firstCells returns the first n distinct cells of the stream.
+func firstCells(records []cdr.Record, n int) []radio.CellKey {
+	seen := map[radio.CellKey]struct{}{}
+	var out []radio.CellKey
+	for _, r := range records {
+		if _, ok := seen[r.Cell]; !ok {
+			seen[r.Cell] = struct{}{}
+			if out = append(out, r.Cell); len(out) == n {
+				break
+			}
+		}
+	}
+	return out
+}
+
+func textPresence(b *strings.Builder, e *env) {
+	p := e.r.Presence
+	fmt.Fprintln(b, "== Figure 2 / Table 1: daily presence ==")
+	fmt.Fprintf(b, "population: %d cars, %d cells touched\n", p.TotalCars, p.TotalCells)
+	fmt.Fprintf(b, "cars trend:  %.5f + %.6f/day (R² = %.3f)\n",
+		p.CarsTrend.Intercept, p.CarsTrend.Slope, p.CarsTrend.R2)
+	fmt.Fprintf(b, "cells trend: %.5f + %.6f/day (R² = %.3f)\n",
+		p.CellsTrend.Intercept, p.CellsTrend.Slope, p.CellsTrend.R2)
+	days := make([]float64, len(p.CarsFrac))
+	for i := range days {
+		days[i] = float64(i)
+	}
+	fmt.Fprintln(b, textplot.Chart("% cars on network per day", days, p.CarsFrac, 72, 8))
+	fmt.Fprintln(b, analysis.FormatTable1(e.r.WeekdayRows))
+}
+
+func textConnected(b *strings.Builder, e *env) {
+	c := e.r.Connected
+	fmt.Fprintln(b, "== Figure 3: total time on network (fraction of study) ==")
+	fmt.Fprintf(b, "means: full %.2f%%, truncated %.2f%% | p99.5: full %.1f%%, truncated %.1f%%\n",
+		c.FullMean*100, c.TruncMean*100, c.FullP995*100, c.TruncP995*100)
+	xs, ps := c.Truncated.Points(72)
+	fmt.Fprintln(b, textplot.Chart("CDF, truncated at 600 s/conn", xs, ps, 72, 8))
+}
+
+func textFigure4(b *strings.Builder, _ *env) {
+	fmt.Fprintln(b, "== Figure 4: reference 24×7 matrices ==")
+	commute, peak, weekend := analysis.ReferenceMatrices()
+	fmt.Fprintln(b, textplot.Matrix("commute peaks", &commute))
+	fmt.Fprintln(b, textplot.Matrix("network peaks", &peak))
+	fmt.Fprintln(b, textplot.Matrix("weekend", &weekend))
+}
+
+func textFigure5(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Figure 5: usage matrices of 3 sample cars ==")
+	for i, car := range sampleCars(e.opts.Records, 3) {
+		m := analysis.UsageMatrix(analysis.RecordsOfCar(e.opts.Records, car), e.ctx)
+		fmt.Fprintln(b, textplot.Matrix(fmt.Sprintf("car %d (%d)", i+1, car), &m))
+	}
+}
+
+// sampleCars picks n distinct car ids, deterministically: lowest ids
+// first, preferring cars with more than 50 records so the matrices
+// show texture.
+func sampleCars(records []cdr.Record, n int) []cdr.CarID {
+	seen := map[cdr.CarID]int{}
+	for _, r := range records {
+		seen[r.Car]++
+	}
+	ids := make([]cdr.CarID, 0, len(seen))
+	for car := range seen {
+		ids = append(ids, car)
+	}
+	// Stable on the predicate: busy cars in id order, then the rest.
+	sort.Slice(ids, func(i, j int) bool {
+		if bi, bj := seen[ids[i]] > 50, seen[ids[j]] > 50; bi != bj {
+			return bi
+		}
+		return ids[i] < ids[j]
+	})
+	return ids[:min(n, len(ids))]
+}
+
+func textUsage(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Fleet usage: 24×7 matrix over all cars ==")
+	fmt.Fprintln(b, textplot.Matrix(
+		fmt.Sprintf("aggregate sessions touching each hour of the week (%d sessions)", e.r.UsageSessions),
+		&e.r.FleetUsage))
+}
+
+func textDays(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Figure 6: days on network ==")
+	fmt.Fprintln(b, textplot.Histogram("cars per day-count", e.r.DaysHist.Counts, 72, 8))
+}
+
+func textSegments(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Table 2: car segmentation ==")
+	fmt.Fprintln(b, analysis.FormatTable2(e.r.Segments))
+}
+
+func textBusy(b *strings.Builder, e *env) {
+	busy := e.r.Busy
+	fmt.Fprintln(b, "== Figure 7: time in busy cells ==")
+	fmt.Fprintf(b, "cars > 50%% busy time: %.2f%%; cars ~100%%: %.2f%%\n", busy.OverHalf*100, busy.AllBusy*100)
+	h := busy.Histogram7a()
+	labels := make([]string, len(h))
+	for i := range h {
+		labels[i] = fmt.Sprintf("%d-%d%%", i*10, (i+1)*10)
+	}
+	fmt.Fprintln(b, textplot.Bars("proportion of cars by busy-time decile", labels, h[:], 40))
+}
+
+func textFigure8(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Figure 8: one cell, 24 hours ==")
+	cell, day := analysis.BusiestCellDay(e.opts.Records, e.ctx)
+	if cell.IsZero() {
+		return
+	}
+	cd := analysis.CellDay(e.opts.Records, e.ctx, cell, day)
+	fmt.Fprintf(b, "cell %v day %d: %d cars, peak 15-min concurrency %d\n",
+		cell, day, cd.UniqueCars, cd.PeakCars)
+	// One timeline row per car, in first-seen order.
+	row := map[cdr.CarID]int{}
+	var spans [][][2]float64
+	dayStart := e.ctx.Period.DayStart(day)
+	for _, sp := range cd.Spans {
+		i, ok := row[sp.Car]
+		if !ok {
+			i = len(spans)
+			row[sp.Car] = i
+			spans = append(spans, nil)
+		}
+		spans[i] = append(spans[i], [2]float64{
+			sp.Start.Sub(dayStart).Hours() / 24,
+			sp.End.Sub(dayStart).Hours() / 24,
+		})
+	}
+	fmt.Fprintln(b, textplot.Timeline("connections", spans, 72, 40))
+}
+
+func textDurations(b *strings.Builder, e *env) {
+	d := e.r.Durations
+	fmt.Fprintln(b, "== Figure 9: per-cell connection durations ==")
+	fmt.Fprintf(b, "median %.0f s, p73 %.0f s, mean full %.0f s, mean truncated %.0f s\n",
+		d.Median, d.P73, d.FullMean, d.TruncMean)
+	xs, ps := d.Truncated.Points(72)
+	fmt.Fprintln(b, textplot.Chart("CDF of durations (truncated)", xs, ps, 72, 8))
+}
+
+// textClusters renders Figure 11 from the clusters stage and, when the
+// raw records and the load source are at hand, Figure 10's two sample
+// radios above it.
+func textClusters(b *strings.Builder, e *env) {
+	cl := e.r.Clusters
+	if e.opts.Records != nil && e.ctx.Load != nil {
+		fmt.Fprintln(b, "== Figure 10: two sample busy radios over a week ==")
+		for i := 0; i < 2 && i < len(cl.Cells); i++ {
+			cw := analysis.CellWeek(e.opts.Records, e.ctx, cl.Cells[i], 0)
+			fmt.Fprintln(b, textplot.WeekSeries(fmt.Sprintf("cell %v", cw.Cell),
+				cw.Concurrency[:], cw.Utilization[:], 96, 6))
+		}
+	}
+	fmt.Fprintln(b, "== Figure 11: k-means clusters over busy radios ==")
+	fmt.Fprintf(b, "clusters: sizes %v, centroid peak ratio %.1fx\n", cl.Sizes, cl.PeakRatio())
+	for c, centroid := range cl.Centroids {
+		fmt.Fprintln(b, textplot.Chart(fmt.Sprintf("cluster %d centroid (cars by time of day)", c+1),
+			hoursAxis(96), centroid, 72, 6))
+	}
+}
+
+func textHandovers(b *strings.Builder, e *env) {
+	h := e.r.Handovers
+	fmt.Fprintln(b, "== §4.5: handovers per mobility session ==")
+	fmt.Fprintf(b, "sessions %d | handovers median %.0f, p70 %.0f, p90 %.0f | inter-BS share %.1f%%\n",
+		h.Sessions, h.Median, h.P70, h.P90, h.InterBSShare()*100)
+	for kind := radio.HandoverKind(0); kind < radio.NumHandoverKinds; kind++ {
+		if count, ok := h.ByKind[kind]; ok {
+			fmt.Fprintf(b, "  %-22s %d\n", kind, count)
+		}
+	}
+	fmt.Fprintln(b)
+}
+
+func textCarriers(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Table 3: carrier use ==")
+	fmt.Fprintln(b, analysis.FormatTable3(e.r.Carriers))
+}
+
+// textProfile renders the per-stage cost table of an observed run:
+// where the wall time went, stage by stage, summed across workers.
+func textProfile(b *strings.Builder, e *env) {
+	fmt.Fprintln(b, "== Pipeline profile ==")
+	fmt.Fprintf(b, "%-10s %12s %8s %10s %10s %10s %12s\n",
+		"stage", "records", "batches", "add s", "merge s", "final s", "rec/s")
+	var add, merge, fin float64
+	for _, p := range e.r.Profile {
+		fmt.Fprintf(b, "%-10s %12d %8d %10.4f %10.4f %10.4f %12s\n",
+			p.Stage, p.Records, p.Batches, p.AddSeconds, p.MergeSeconds, p.FinalizeSeconds, stageRate(p, "-"))
+		add += p.AddSeconds
+		merge += p.MergeSeconds
+		fin += p.FinalizeSeconds
+	}
+	fmt.Fprintf(b, "%-10s %12s %8s %10.4f %10.4f %10.4f\n\n", "total", "", "", add, merge, fin)
+}
+
+// stageRate formats a stage's records per second of total stage time,
+// or none when the stage saw no records or took no measurable time.
+func stageRate(p analysis.StageProfile, none string) string {
+	if total := p.TotalSeconds(); total > 0 && p.Records > 0 {
+		return fmt.Sprintf("%.0f", float64(p.Records)/total)
+	}
+	return none
+}
+
+// textQuality renders the Data Quality block: how dirty the input was,
+// which shards a distributed run had to leave out, which days look
+// like collection loss and which stages were skipped — a degraded run
+// must name the holes in its coverage.
+func textQuality(b *strings.Builder, q *analysis.DataQuality) {
+	fmt.Fprintln(b, "== Data Quality ==")
+	fmt.Fprintln(b, q.Summary())
+	for _, class := range sortedClasses(q) {
+		fmt.Fprintf(b, "  quarantined %-12s %d\n", class, q.Quarantined[class])
+	}
+	for _, ex := range q.ExcludedShards {
+		approx := ""
+		if ex.Estimated {
+			approx = "~"
+		}
+		fmt.Fprintf(b, "  EXCLUDED shard %d after %d attempts (%s: %s): %s%d records lost\n",
+			ex.Shard, ex.Attempts, ex.LastClass, ex.LastErr, approx, ex.Records)
+	}
+	for _, g := range q.Gaps {
+		fmt.Fprintf(b, "  coverage gap day %d (%s): %.1f%% of cars vs median %.1f%%\n",
+			g.Day, g.Date.Format("2006-01-02"), g.CarsFrac*100, g.Baseline*100)
+	}
+	for _, s := range q.StageErrors {
+		fmt.Fprintf(b, "  skipped stage %s: %s\n", s.Stage, s.Err)
+	}
+	fmt.Fprintln(b)
+}
