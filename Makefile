@@ -61,12 +61,14 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= m+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; }
 
-# Short fuzz runs over the codec entry points; go test accepts one
-# -fuzz pattern per invocation, hence one run per target.
+# Short fuzz runs over the codec entry points and the ordered fold's
+# grouping property; go test accepts one -fuzz pattern per invocation,
+# hence one run per target.
 fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzMergeOrderedGrouping -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race chaos bench-check fuzz-smoke

@@ -48,12 +48,19 @@ func carqueryd(args ...string) *exec.Cmd {
 // non-overlapping chain, and the stream is sorted by start time. Gap
 // choices straddle both sessionizer thresholds, and a sprinkle of
 // ghost-length records exercises the drop path.
-func e2eRecords(n int) []cdr.Record {
+func e2eRecords(n int) []cdr.Record { return e2eRecordsOver(n, 1) }
+
+// e2eRecordsOver spreads the e2eRecords chains over several days, by
+// way of an occasional long silence.
+func e2eRecordsOver(n, days int) []cdr.Record {
 	start := time.Date(2017, 3, 6, 0, 0, 0, 0, time.UTC)
-	end := start.Add(24 * time.Hour)
+	end := start.Add(time.Duration(days) * 24 * time.Hour)
 	rng := rand.New(rand.NewPCG(11, 23))
 	gaps := []time.Duration{5 * time.Second, 15 * time.Second, 30 * time.Second, 2 * time.Minute,
 		5 * time.Minute, 10 * time.Minute, 20 * time.Minute, 2 * time.Hour}
+	if days > 1 {
+		gaps = append(gaps, time.Duration(days-1)*6*time.Hour)
+	}
 	next := make(map[cdr.CarID]time.Time)
 	var recs []cdr.Record
 	for attempts := 0; len(recs) < n && attempts < 20*n; attempts++ {
@@ -271,8 +278,12 @@ func (d *daemon) get(t *testing.T, path string) (int, []byte) {
 
 // statsBody mirrors the /stats JSON shape the tests care about.
 type statsBody struct {
-	Records   int64 `json:"records"`
-	Freshness struct {
+	Records      int64            `json:"records"`
+	Buckets      int              `json:"buckets"`
+	LiveBuckets  int              `json:"live_buckets"`
+	Rollups      int              `json:"rollups"`
+	FoldOverlaps map[string]int64 `json:"fold_overlaps"`
+	Freshness    struct {
 		WatermarkAgeSeconds float64 `json:"watermark_age_seconds"`
 		RestoredWatermark   int64   `json:"restored_watermark"`
 		TailReplayRecords   int64   `json:"tail_replay_records"`
@@ -315,15 +326,30 @@ func (d *daemon) waitDrained(t *testing.T, want int64) statsBody {
 }
 
 // TestServedReportBitIdenticalToBatch is the tentpole acceptance test:
-// a 24h-window report served over HTTP must be byte-identical to a
+// a window report served over HTTP must be byte-identical to a
 // caranalyze batch run over the same records — before AND after a
 // SIGTERM kill plus warm restart from the snapshot directory with a
-// tail of new input replayed on top.
+// tail of new input replayed on top. The 24h case folds hourly buckets
+// alone; the 7d case crosses days the live index has passed, so its
+// window is folded from sealed buckets and day roll-ups, which the
+// restarted daemon has to rebuild.
 func TestServedReportBitIdenticalToBatch(t *testing.T) {
+	for _, tc := range []struct {
+		window string
+		days   int
+	}{{"24h", 1}, {"7d", 7}} {
+		t.Run(tc.window, func(t *testing.T) { servedVsBatch(t, tc.window, tc.days) })
+	}
+}
+
+func servedVsBatch(t *testing.T, window string, days int) {
 	dir := t.TempDir()
-	recs := e2eRecords(5000)
+	recs := e2eRecordsOver(5000, days)
 	if len(recs) < 4000 {
 		t.Fatalf("workload generator produced only %d records", len(recs))
+	}
+	if span := recs[len(recs)-1].Start.Sub(recs[0].Start); span < time.Duration(days)*20*time.Hour {
+		t.Fatalf("workload spans %v of a %d-day study", span, days)
 	}
 	cut := 2 * len(recs) / 3
 	all := filepath.Join(dir, "all.cdr")
@@ -333,7 +359,7 @@ func TestServedReportBitIdenticalToBatch(t *testing.T) {
 	writeCDR(t, part1, recs[:cut])
 	writeCDR(t, part2, recs[cut:])
 
-	study := []string{"-start", "2017-03-06", "-days", "1", "-tz", "-5", "-seed", "1"}
+	study := []string{"-start", "2017-03-06", "-days", strconv.Itoa(days), "-tz", "-5", "-seed", "1"}
 	bin := buildCaranalyze(t, dir)
 	batch := func(in string) []byte {
 		cmd := exec.Command(bin, append([]string{"-json", "-in", in}, study...)...)
@@ -349,9 +375,22 @@ func TestServedReportBitIdenticalToBatch(t *testing.T) {
 
 	snaps := filepath.Join(dir, "snaps")
 	daemonArgs := func(inputs ...string) []string {
-		args := append([]string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h",
+		args := append([]string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", window,
 			"-snapshots", snaps, "-snapshot-every", "1500"}, study...)
 		return append(args, inputs...)
+	}
+	report := "/report/full?window=" + window
+	// checkShape: the window was folded inside the exact regime, and
+	// over a multi-day feed from a store that is mostly bytes.
+	checkShape := func(d *daemon, when string) {
+		st := d.stats(t)
+		if n := st.FoldOverlaps[window]; n != 0 {
+			t.Fatalf("%s: %d overlap witnesses on a conforming feed", when, n)
+		}
+		if days > 1 && (st.Rollups == 0 || st.LiveBuckets > st.Buckets/4) {
+			t.Fatalf("%s: %d roll-ups, %d of %d buckets live; the %s window should cross sealed, rolled-up days",
+				when, st.Rollups, st.LiveBuckets, st.Buckets, window)
+		}
 	}
 
 	// Run 1: ingest the first two thirds, check the served report
@@ -364,12 +403,13 @@ func TestServedReportBitIdenticalToBatch(t *testing.T) {
 	if code, body := d.get(t, "/readyz"); code != http.StatusOK {
 		t.Fatalf("/readyz after drain: %d %q", code, body)
 	}
-	if code, got := d.get(t, "/report/full?window=24h"); code != http.StatusOK {
-		t.Fatalf("/report/full: %d", code)
+	if code, got := d.get(t, report); code != http.StatusOK {
+		t.Fatalf("%s: %d", report, code)
 	} else if !bytes.Equal(got, wantPart) {
 		t.Fatalf("served partial report differs from caranalyze -json over part1\nserved %d bytes, batch %d bytes\n%s",
 			len(got), len(wantPart), firstDiff(got, wantPart))
 	}
+	checkShape(d, "before the restart")
 	d.terminate(t)
 
 	cuts, err := filepath.Glob(filepath.Join(snaps, "cut-*.snap"))
@@ -389,14 +429,18 @@ func TestServedReportBitIdenticalToBatch(t *testing.T) {
 		t.Fatalf("warm restart watermark %v, want %d", warm["watermark"], cut)
 	}
 	d.waitDrained(t, int64(len(recs)))
-	code, got := d.get(t, "/report/full?window=24h")
+	if st := d.stats(t); st.Rollups != 0 {
+		t.Fatalf("restarted daemon holds %d roll-ups before any query; they are not in a cut", st.Rollups)
+	}
+	code, got := d.get(t, report)
 	if code != http.StatusOK {
-		t.Fatalf("/report/full after restart: %d", code)
+		t.Fatalf("%s after restart: %d", report, code)
 	}
 	if !bytes.Equal(got, wantFull) {
 		t.Fatalf("served report after warm restart differs from caranalyze -json over all records\nserved %d bytes, batch %d bytes\n%s",
 			len(got), len(wantFull), firstDiff(got, wantFull))
 	}
+	checkShape(d, "after the restart")
 
 	// The obs surface rides along on the same listener.
 	if code, body := d.get(t, "/metrics"); code != http.StatusOK ||
@@ -482,6 +526,13 @@ func TestObservabilityContract(t *testing.T) {
 		`cellcars_query_cache_hits_total 1`,
 		`cellcars_query_watermark_age_seconds`,
 		`cellcars_query_tail_replay_records`,
+		`cellcars_query_live_buckets`,
+		`cellcars_query_sealed_bytes`,
+		`cellcars_query_rollups 0`,
+		`cellcars_query_rollup_builds_total 0`,
+		`cellcars_query_rollup_invalidations_total 0`,
+		`cellcars_query_thaws_total 0`,
+		`cellcars_query_fold_overlaps{window="24h"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)

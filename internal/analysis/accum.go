@@ -614,6 +614,9 @@ type handoverAcc struct {
 	// ordered.go). Nil heads means tracking is off.
 	trackHeads bool
 	heads      map[cdr.CarID]*clean.Session
+	// overlaps is the transient (unsnapshotted) count of ordered-merge
+	// stitches that fell outside the exactness precondition.
+	overlaps int64
 }
 
 func newHandoverAcc(truncate bool) *handoverAcc {
@@ -632,6 +635,8 @@ func (a *handoverAcc) setTrackHeads(on bool) {
 }
 
 func (a *handoverAcc) Stage() string { return "handovers" }
+
+func (a *handoverAcc) orderedOverlaps() int64 { return a.overlaps }
 
 func (a *handoverAcc) Add(r cdr.Record) {
 	if a.truncate && r.Duration > clean.TruncateLimit {
@@ -814,6 +819,7 @@ type usageAcc struct {
 	// into the matrix immediately.
 	trackHeads bool
 	heads      map[cdr.CarID]*clean.Session
+	overlaps   int64 // see handoverAcc.overlaps
 }
 
 func newUsageAcc(tzOffsetSeconds int) *usageAcc {
@@ -828,6 +834,8 @@ func (a *usageAcc) setTrackHeads(on bool) {
 }
 
 func (a *usageAcc) Stage() string { return "usage" }
+
+func (a *usageAcc) orderedOverlaps() int64 { return a.overlaps }
 
 func (a *usageAcc) Add(r cdr.Record) {
 	if s := a.z.Add(r); s != nil {

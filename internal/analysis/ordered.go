@@ -17,11 +17,24 @@
 // Exactness precondition: the concatenated stream must satisfy the
 // Sessionizer contract (per-car non-decreasing start order across the
 // slice boundary), and each car's records must be non-overlapping in
-// time so span ends are monotone. Real CDRs are; a pathological
-// overlap (an earlier slice's open tail ending *after* the later
-// slice's records) would stitch differently from a single pass. All
-// non-session stages are order-insensitive and merge exactly with
-// their plain Merge under any time split.
+// time so span ends are monotone. Under it the fold is also
+// associative: any grouping of consecutive slices, each group taken
+// through a snapshot, finalizes to the single pass's bytes
+// (FuzzMergeOrderedGrouping).
+//
+// The precondition is a property of the feed, not of time
+// partitioning. A record that outlives the next record's start — the
+// synthetic fleet's stuck-modem teardowns (§3) do, for about half of
+// its records — leaves an earlier slice's open tail ending *after* a
+// later slice's fragment starts. The later slice, not knowing of that
+// tail, has by then split sessions a single pass would have kept
+// whole, so the fold differs from the single pass and different
+// groupings can disagree by a session. Nothing is refused or
+// reordered: stitchOrdered counts each such join as a witness, and
+// Streaming.OrderedOverlaps reports the total so a server can say when
+// its fold was outside the exact regime. All non-session stages are
+// order-insensitive and merge exactly with their plain Merge under any
+// time split.
 package analysis
 
 import (
@@ -40,20 +53,28 @@ type orderedMerger interface {
 	// MergeOrdered folds a later, time-adjacent slice into the
 	// receiver. The later slice must have been built with TrackHeads.
 	MergeOrdered(other Accumulator)
+	// orderedOverlaps counts the precondition witnesses this
+	// accumulator's ordered merges have seen; see stitchOrdered.
+	orderedOverlaps() int64
 }
 
 // stitchOrdered folds a later slice's session fragments into the
 // receiver's sessionizer: per car (ascending, for determinism), the
 // later head joins or closes the earlier open tail and is then closed
 // itself; the later open tail joins or replaces it and stays open.
-// closeFn receives every session the stitch proves closed.
-func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map[cdr.CarID]*clean.Session, later *clean.Sessionizer) {
+// closeFn receives every session the stitch proves closed. The return
+// value counts the witnesses that the exactness precondition does not
+// hold: later fragments starting before the earlier open tail's end.
+func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map[cdr.CarID]*clean.Session, later *clean.Sessionizer) (overlaps int64) {
 	// join applies the sessionizer's gap rule at the boundary: a
 	// fragment starting within gap of the earlier open tail's end
 	// continues that session; otherwise the tail is closed and the
 	// fragment becomes the car's open session.
 	join := func(frag *clean.Session) {
 		cur := z.Open(frag.Car)
+		if cur != nil && frag.Start.Before(cur.End) {
+			overlaps++
+		}
 		if cur != nil && frag.Start.Sub(cur.End) > z.Gap() {
 			z.Take(frag.Car)
 			closeFn(cur)
@@ -84,6 +105,7 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 			join(tail) // stays open: the next slice may continue it
 		}
 	}
+	return overlaps
 }
 
 // MergeOrdered folds a later, time-adjacent handover slice into a.
@@ -94,7 +116,7 @@ func (a *handoverAcc) MergeOrdered(other Accumulator) {
 	if !o.trackHeads {
 		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
 	}
-	stitchOrdered(a.z, a.closeSession, o.heads, o.z)
+	a.overlaps += o.overlaps + stitchOrdered(a.z, a.closeSession, o.heads, o.z)
 	for kind, c := range o.byKind {
 		a.byKind[kind] += c
 	}
@@ -108,7 +130,7 @@ func (a *usageAcc) MergeOrdered(other Accumulator) {
 	if !o.trackHeads {
 		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
 	}
-	stitchOrdered(a.z, a.closeSession, o.heads, o.z)
+	a.overlaps += o.overlaps + stitchOrdered(a.z, a.closeSession, o.heads, o.z)
 	a.matrix.Merge(&o.matrix)
 	a.sessions += o.sessions
 }
@@ -131,6 +153,23 @@ func (s *Streaming) MergeOrdered(later *Streaming) error {
 	}
 	s.set.merge(later.set, true)
 	return nil
+}
+
+// OrderedOverlaps counts the witnesses, summed over the session stages
+// (handovers, usage), that the MergeOrdered calls folded into s fell
+// outside the exactness precondition: boundary stitches where the
+// later fragment started before the earlier open tail had ended. Zero
+// means every stitch so far was one a single pass would have made. The
+// count is transient — a snapshot does not carry it — so an owner that
+// folds through snapshots adds the counts up itself.
+func (s *Streaming) OrderedOverlaps() int64 {
+	var n int64
+	for _, acc := range s.set.stages {
+		if om, ok := acc.(orderedMerger); ok {
+			n += om.orderedOverlaps()
+		}
+	}
+	return n
 }
 
 // tracksHeads reports whether the live session stages carry the

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -20,11 +21,16 @@ import (
 // AggregateGap and MobilityGap boundaries; ghosts and out-of-period
 // records ride along to exercise the ingest filters.
 func orderedWorkload(n int) []cdr.Record {
-	rng := rand.New(rand.NewPCG(2024, 7))
+	return orderedFleet(rand.New(rand.NewPCG(2024, 7)), n, 300)
+}
+
+// orderedFleet is orderedWorkload over a caller-seeded generator and
+// fleet size.
+func orderedFleet(rng *rand.Rand, n int, cars uint64) []cdr.Record {
 	records := make([]cdr.Record, 0, n)
 	next := make(map[cdr.CarID]time.Time)
 	for len(records) < n {
-		car := cdr.CarID(rng.Uint64N(300))
+		car := cdr.CarID(rng.Uint64N(cars))
 		start, ok := next[car]
 		if !ok {
 			start = t0.Add(time.Duration(rng.Uint64N(24*3600)) * time.Second)
@@ -57,13 +63,13 @@ func orderedWorkload(n int) []cdr.Record {
 	// them, so they need not respect the per-car chains.
 	for i := 0; i < n/100; i++ {
 		records = append(records, cdr.Record{
-			Car:      cdr.CarID(rng.Uint64N(300)),
+			Car:      cdr.CarID(rng.Uint64N(cars)),
 			Cell:     radio.MakeCellKey(radio.BSID(rng.Uint64N(60)), 0, radio.C1),
 			Start:    t0.Add(time.Duration(rng.Uint64N(14*24*3600)) * time.Second),
 			Duration: clean.GhostDuration,
 		})
 		records = append(records, cdr.Record{
-			Car:      cdr.CarID(rng.Uint64N(300)),
+			Car:      cdr.CarID(rng.Uint64N(cars)),
 			Cell:     radio.MakeCellKey(radio.BSID(rng.Uint64N(60)), 0, radio.C2),
 			Start:    t0.Add(-time.Duration(1+rng.Uint64N(48*3600)) * time.Second),
 			Duration: 60 * time.Second,
@@ -190,5 +196,159 @@ func TestMergeOrderedRequiresTrackHeads(t *testing.T) {
 	b := NewStreamingWithOptions(ctx, RunOptions{})
 	if err := a.MergeOrdered(b); err == nil {
 		t.Fatal("MergeOrdered accepted a slice built without TrackHeads")
+	}
+}
+
+// FuzzMergeOrderedGrouping pins the associativity the query store's
+// day roll-ups rest on: over a random fleet meeting the precondition,
+// cut at random points into 3–6 slices, every parenthesisation of the
+// ordered fold — each intermediate taken through SnapshotTo and
+// RestoreStreaming, as a memoised roll-up is — finalizes to the bytes
+// of the left fold and of the single pass, and sees no overlap witness.
+func FuzzMergeOrderedGrouping(f *testing.F) {
+	for seed := uint64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	ctx := engineCtx()
+	opts := RunOptions{RareDays: []int{2, 5}, Seed: 1, BusyCells: engineBusyCells(), TrackHeads: true}
+	// The bytes /report/full serves: query.MarshalReport, which this
+	// package cannot import.
+	render := func(s *Streaming) []byte {
+		rep := s.Finalize()
+		body, err := json.MarshalIndent(&rep, "", "  ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		return body
+	}
+
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		records := orderedFleet(rng, 200+int(rng.Uint64N(400)), 5+rng.Uint64N(40))
+		slices := 3 + int(rng.Uint64N(4))
+		bounds := []int{0, len(records)}
+		for len(bounds) < slices+1 {
+			bounds = append(bounds, int(rng.Uint64N(uint64(len(records)+1))))
+		}
+		sort.Ints(bounds)
+
+		encode := func(s *Streaming) []byte {
+			var buf bytes.Buffer
+			if err := s.SnapshotTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		restore := func(enc []byte) *Streaming {
+			s, err := RestoreStreaming(ctx, opts, bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		single := NewStreamingWithOptions(ctx, opts)
+		encs := make([][]byte, slices)
+		for i := range encs {
+			s := NewStreamingWithOptions(ctx, opts)
+			for _, r := range records[bounds[i]:bounds[i+1]] {
+				s.Add(r)
+				single.Add(r)
+			}
+			encs[i] = encode(s)
+		}
+		want := render(single)
+
+		left := restore(encs[0])
+		for _, enc := range encs[1:] {
+			if err := left.MergeOrdered(restore(enc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := render(left); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d, bounds %v: left fold differs from the single pass", seed, bounds)
+		}
+
+		// groupings returns the encoded result of every parenthesisation
+		// of slices [lo, hi), in a fixed order.
+		memo := map[[2]int][][]byte{}
+		var groupings func(lo, hi int) [][]byte
+		groupings = func(lo, hi int) [][]byte {
+			if hi-lo == 1 {
+				return [][]byte{encs[lo]}
+			}
+			if out, ok := memo[[2]int{lo, hi}]; ok {
+				return out
+			}
+			var out [][]byte
+			for mid := lo + 1; mid < hi; mid++ {
+				ls, rs := groupings(lo, mid), groupings(mid, hi)
+				for _, l := range ls {
+					for _, r := range rs {
+						acc := restore(l)
+						if err := acc.MergeOrdered(restore(r)); err != nil {
+							t.Fatal(err)
+						}
+						if n := acc.OrderedOverlaps(); n != 0 {
+							t.Fatalf("seed %d: %d overlap witnesses on a conforming fleet", seed, n)
+						}
+						out = append(out, encode(acc))
+					}
+				}
+			}
+			memo[[2]int{lo, hi}] = out
+			return out
+		}
+		all := groupings(0, slices)
+		if catalan := []int{2, 5, 14, 42}[slices-3]; len(all) != catalan {
+			t.Fatalf("%d groupings of %d slices, want %d", len(all), slices, catalan)
+		}
+		for i, enc := range all {
+			if got := render(restore(enc)); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, bounds %v: grouping %d of %d differs from the single pass:\n%s\nvs\n%s",
+					seed, bounds, i, len(all), got, want)
+			}
+		}
+	})
+}
+
+// TestMergeOrderedOverlapWitness pins the case the precondition
+// excludes: a stuck record whose end bridges two hourly boundaries.
+// The slices after it split what a single pass keeps whole, the fold
+// disagrees with the single pass by a usage session, and the witness
+// counter says so.
+func TestMergeOrderedOverlapWitness(t *testing.T) {
+	ctx := engineCtx()
+	opts := RunOptions{TrackHeads: true}
+	rec := func(offset, dur time.Duration) cdr.Record {
+		return cdr.Record{Car: 1, Cell: radio.MakeCellKey(1, 0, radio.C1), Start: t0.Add(offset), Duration: dur}
+	}
+	hours := [][]cdr.Record{
+		{rec(50*time.Minute, 150*time.Minute)}, // stuck until 03:20
+		{rec(70*time.Minute, time.Minute)},
+		{rec(130*time.Minute, time.Minute), rec(132*time.Minute, time.Minute)},
+	}
+
+	single := NewStreamingWithOptions(ctx, opts)
+	var fold *Streaming
+	for _, hour := range hours {
+		s := NewStreamingWithOptions(ctx, opts)
+		for _, r := range hour {
+			s.Add(r)
+			single.Add(r)
+		}
+		if fold == nil {
+			fold = s
+		} else if err := fold.MergeOrdered(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := single.OrderedOverlaps(); n != 0 {
+		t.Fatalf("a single pass reports %d overlap witnesses", n)
+	}
+	if n := fold.OrderedOverlaps(); n == 0 {
+		t.Fatal("fold across a stuck record reports no overlap witness")
+	}
+	if one, folded := single.Finalize().UsageSessions, fold.Finalize().UsageSessions; one != 1 || folded != 2 {
+		t.Fatalf("usage sessions: single pass %d, fold %d; want 1 and 2", one, folded)
 	}
 }

@@ -7,6 +7,7 @@
 package clean
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"slices"
@@ -258,19 +259,14 @@ func Sessions(r cdr.Reader, gap time.Duration) ([]Session, error) {
 	}
 }
 
+// sortSessions orders by (car, start). Its callers hand it one session
+// per car in map iteration order, so the keys are unique and the input
+// is a random permutation.
 func sortSessions(s []Session) {
-	// Insertion sort by (car, start): flush batches are small relative
-	// to total work and usually nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && lessSession(&s[j], &s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	slices.SortFunc(s, func(a, b Session) int {
+		if c := cmp.Compare(a.Car, b.Car); c != 0 {
+			return c
 		}
-	}
-}
-
-func lessSession(a, b *Session) bool {
-	if a.Car != b.Car {
-		return a.Car < b.Car
-	}
-	return a.Start.Before(b.Start)
+		return a.Start.Compare(b.Start)
+	})
 }

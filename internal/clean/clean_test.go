@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -280,5 +281,52 @@ func TestSessionizerGapInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortSessionsMatchesInsertionOrder pins sortSessions against the
+// insertion sort it replaced, on the shuffled input its callers really
+// feed it (map iteration order, one session per car).
+func TestSortSessionsMatchesInsertionOrder(t *testing.T) {
+	insertion := func(s []Session) {
+		less := func(a, b *Session) bool {
+			if a.Car != b.Car {
+				return a.Car < b.Car
+			}
+			return a.Start.Before(b.Start)
+		}
+		for i := 1; i < len(s); i++ {
+			for j := i; j > 0 && less(&s[j], &s[j-1]); j-- {
+				s[j], s[j-1] = s[j-1], s[j]
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, n := range []int{0, 1, 2, 17, 500} {
+		got := make([]Session, n)
+		for i := range got {
+			got[i] = Session{Car: cdr.CarID(rng.Uint64()), Start: t0.Add(time.Duration(rng.Uint64N(1e6)) * time.Second)}
+		}
+		rng.Shuffle(n, func(i, j int) { got[i], got[j] = got[j], got[i] })
+		want := append([]Session(nil), got...)
+		insertion(want)
+		sortSessions(got)
+		for i := range got {
+			if got[i].Car != want[i].Car || !got[i].Start.Equal(want[i].Start) {
+				t.Fatalf("n=%d: position %d is car %d, insertion sort put car %d there", n, i, got[i].Car, want[i].Car)
+			}
+		}
+	}
+
+	// The real path: Flush over a map-ordered sessionizer.
+	z := NewSessionizer(AggregateGap)
+	for car := 300; car > 0; car-- {
+		z.Add(rec(cdr.CarID(car*7919%1000), 1, time.Duration(car)*time.Minute, time.Second))
+	}
+	snap, flushed := z.Snapshot(), z.Flush()
+	for i := 1; i < len(flushed); i++ {
+		if flushed[i-1].Car >= flushed[i].Car || snap[i-1].Car >= snap[i].Car {
+			t.Fatalf("Flush/Snapshot not ascending by car at %d", i)
+		}
 	}
 }

@@ -22,7 +22,9 @@ import (
 // Consistency comes from the encode step: every bucket's encoding is
 // refreshed under the store mutex in one critical section, so the
 // frames written afterwards describe a single instant of the ingest
-// even while records keep arriving.
+// even while records keep arriving. The same step seals every bucket
+// the live index has passed, and a sealed bucket's frame is the bytes
+// it already is. Roll-ups are not in a cut.
 const (
 	cutHeaderFrame = "queryheader"
 	cutBucketPfx   = "bucket:"
@@ -48,9 +50,9 @@ func (s *Store) cutLocked() (cutState, error) {
 	}
 	sort.Ints(st.idxs)
 	for _, idx := range st.idxs {
-		enc, err := s.buckets[idx].encodeLocked()
+		enc, err := s.encodeLocked(idx, s.buckets[idx])
 		if err != nil {
-			return cutState{}, fmt.Errorf("query: encode bucket %d: %w", idx, err)
+			return cutState{}, err
 		}
 		st.encs = append(st.encs, enc)
 	}
@@ -179,8 +181,14 @@ func (s *Store) readCut(r io.Reader) (*restoredCut, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: restore cut bucket %d: %w", idx, err)
 		}
-		out.buckets[idx] = &bucket{stream: stream, encoded: payload}
 		sum += stream.Watermark()
+		if idx < live {
+			// Passed buckets come back sealed: restored to prove the
+			// payload, kept as the payload.
+			stream = nil
+		}
+		// The frame reader's buffer grew to fit; keep an exact-size copy.
+		out.buckets[idx] = &bucket{stream: stream, encoded: bytes.Clone(payload)}
 	}
 	if _, _, err := sr.NextFrame(); err != io.EOF {
 		return nil, fmt.Errorf("query: trailing cut frames: %v", err)

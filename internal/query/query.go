@@ -4,12 +4,23 @@
 // rolling windows.
 //
 // The store slices the study period into fixed-width buckets (an hour
-// by default). Each bucket is a full analysis.Streaming accumulator
-// built with TrackHeads, fed only the records whose start falls in its
-// slice. A window query restores the covered buckets from their cached
-// snapshot encodings and left-folds them with MergeOrdered, so a
-// served 24h report is bit-identical to a batch run over the same
-// records (the TestMergeOrderedEquivalence property).
+// by default). Each bucket starts as a full analysis.Streaming
+// accumulator built with TrackHeads, fed only the records whose start
+// falls in its slice. Two facts keep the store small and its misses
+// short. A bucket the live index has passed no longer changes, so once
+// it has a snapshot encoding — from the cut or the miss that needed
+// one anyway — it is sealed: the accumulator is dropped and the bytes
+// are the bucket. A day whose buckets have all passed no longer
+// changes either, so a window is folded from operands: the hourly
+// encodings of its ragged first day and of the current day, and one
+// memoised day roll-up for every whole passed day between them
+// (window.go). Operands are restored and left-folded with
+// MergeOrdered, so a served report is bit-identical to a batch run
+// over the same records wherever the MergeOrdered precondition holds
+// (TestMergeOrderedEquivalence, FuzzMergeOrderedGrouping); where the
+// feed breaks it the store says so (Stats.FoldOverlaps). A late record
+// into a sealed bucket is still accepted: it thaws the bucket from its
+// bytes and drops its day's roll-up.
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
 // snapshot-encoding, and the response cache; the expensive
@@ -22,14 +33,15 @@
 // Durability rides on snapshot.Dir: Checkpoint writes one consistent
 // cut holding every bucket's snapshot, Restore warm-starts from the
 // newest valid cut, and the daemon replays only the post-watermark
-// tail of its input.
+// tail of its input. Roll-ups are derived state: never written, and
+// rebuilt by the first miss that needs them.
 package query
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 	"sync"
 	"time"
 
@@ -90,12 +102,30 @@ type Store struct {
 	maxIdx  int
 	windows []Window
 	snaps   *snapshot.Dir
+	// perDay is the number of buckets in a roll-up day; 0 when the
+	// bucket width does not divide 24 h or is not below it, and the
+	// store then has no roll-ups.
+	perDay int
+
+	// buildMu serializes roll-up builds, so misses arriving together
+	// after a restart build each day once between them.
+	buildMu sync.Mutex
 
 	mu        sync.Mutex
 	buckets   map[int]*bucket
+	days      map[int]*dayState
 	live      int // highest bucket index fed so far; -1 cold
 	watermark int64
 	reports   map[string]cachedReport
+	// overlaps is the MergeOrdered precondition witness count of the
+	// last fold of each window, by window name.
+	overlaps map[string]int64
+	scratch  bytes.Buffer // encodeLocked's reusable encode target
+
+	// Roll-up and thaw traffic, for Stats; the metrics mirror them.
+	rollupBuilds  int64
+	rollupInvalid int64
+	thaws         int64
 
 	// Freshness SLI state. lastAdd is the wall time of the newest
 	// ingested record (startedAt before any); restored is the watermark
@@ -115,6 +145,8 @@ type Store struct {
 }
 
 type bucket struct {
+	// stream is the live accumulator; nil once the bucket is sealed,
+	// when encoded alone is the bucket.
 	stream *analysis.Streaming
 	// dirty marks records added since encoded was produced.
 	dirty   bool
@@ -138,6 +170,10 @@ type storeMetrics struct {
 	cutSeconds  *obs.Timing
 	cutFailures *obs.Counter
 	restores    *obs.Counter
+
+	rollupBuilds  *obs.Counter
+	rollupInvalid *obs.Counter
+	thaws         *obs.Counter
 }
 
 func newStoreMetrics(reg *obs.Registry) *storeMetrics {
@@ -156,6 +192,10 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		cutSeconds:  reg.Timing("cellcars_query_cut_seconds"),
 		cutFailures: reg.Counter("cellcars_query_cut_failures_total"),
 		restores:    reg.Counter("cellcars_query_restores_total"),
+
+		rollupBuilds:  reg.Counter("cellcars_query_rollup_builds_total"),
+		rollupInvalid: reg.Counter("cellcars_query_rollup_invalidations_total"),
+		thaws:         reg.Counter("cellcars_query_thaws_total"),
 	}
 }
 
@@ -204,13 +244,18 @@ func New(cfg Config) (*Store, error) {
 		windows:   windows,
 		snaps:     cfg.Snapshots,
 		buckets:   make(map[int]*bucket),
+		days:      make(map[int]*dayState),
 		live:      -1,
 		reports:   make(map[string]cachedReport),
+		overlaps:  make(map[string]int64),
 		startedAt: now,
 		lastAdd:   now,
 		restored:  -1,
 		met:       newStoreMetrics(cfg.Obs),
 		trace:     cfg.Trace,
+	}
+	if width < rollupSpan && rollupSpan%width == 0 {
+		s.perDay = int(rollupSpan / width)
 	}
 	if cfg.Obs != nil {
 		// Freshness SLIs as callback gauges: ages advance between
@@ -226,6 +271,15 @@ func New(cfg Config) (*Store, error) {
 		cfg.Obs.GaugeFunc("cellcars_query_tail_replay_records", func() float64 {
 			return float64(s.TailReplay())
 		})
+		// The store's shape, the same way: what to size memory from.
+		cfg.Obs.GaugeFunc("cellcars_query_live_buckets", func() float64 { return float64(s.SnapshotStats().LiveBuckets) })
+		cfg.Obs.GaugeFunc("cellcars_query_sealed_bytes", func() float64 { return float64(s.SnapshotStats().SealedBytes) })
+		cfg.Obs.GaugeFunc("cellcars_query_rollups", func() float64 { return float64(s.SnapshotStats().Rollups) })
+		for _, w := range windows {
+			name := w.Name
+			cfg.Obs.GaugeFunc("cellcars_query_fold_overlaps", func() float64 { return float64(s.SnapshotStats().FoldOverlaps[name]) },
+				obs.Label{Key: "window", Value: name})
+		}
 	}
 	return s, nil
 }
@@ -253,18 +307,22 @@ func (s *Store) bucketIndex(t time.Time) int {
 
 // Add ingests one record into its time bucket. Records must arrive in
 // the stream's start order (the Sessionizer contract each bucket
-// inherits); a late record into an already-passed bucket is accepted
-// and invalidates that bucket's cached encoding.
+// inherits); a late record into an already-passed bucket is accepted:
+// it invalidates that bucket's cached encoding, thaws the bucket first
+// if it was sealed, and drops the roll-up of its day.
 func (s *Store) Add(r cdr.Record) {
 	idx := s.bucketIndex(r.Start)
 	s.mu.Lock()
 	b := s.buckets[idx]
-	if b == nil {
+	switch {
+	case b == nil:
 		b = &bucket{stream: analysis.NewStreamingWithOptions(s.ctx, s.opts)}
 		s.buckets[idx] = b
 		if s.met != nil {
 			s.met.buckets.Set(float64(len(s.buckets)))
 		}
+	case b.stream == nil:
+		s.thawLocked(idx, b)
 	}
 	b.stream.Add(r)
 	b.dirty = true
@@ -275,10 +333,28 @@ func (s *Store) Add(r cdr.Record) {
 		if s.met != nil {
 			s.met.epoch.Set(float64(idx))
 		}
+	} else if idx < s.live {
+		s.invalidateDayLocked(idx)
 	}
 	s.mu.Unlock()
 	if s.met != nil {
 		s.met.records.Inc()
+	}
+}
+
+// thawLocked turns a sealed bucket back into an accumulator, for a
+// late record. The bytes are the store's own encoding (or a cut's,
+// validated on the way in), so a failed restore is a bug, not an input
+// condition.
+func (s *Store) thawLocked(idx int, b *bucket) {
+	stream, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(b.encoded))
+	if err != nil {
+		panic(fmt.Sprintf("query: thaw sealed bucket %d: %v", idx, err))
+	}
+	b.stream, b.encoded = stream, nil
+	s.thaws++
+	if s.met != nil {
+		s.met.thaws.Inc()
 	}
 }
 
@@ -307,80 +383,26 @@ func (s *Store) window(name string) (Window, bool) {
 	return Window{}, false
 }
 
-// encodeLocked refreshes one bucket's snapshot encoding. Callers hold
-// the store mutex; the returned bytes are immutable thereafter.
-func (b *bucket) encodeLocked() ([]byte, error) {
-	if !b.dirty && b.encoded != nil {
-		return b.encoded, nil
+// encodeLocked returns bucket idx's snapshot encoding, refreshed if
+// records arrived since the last one, and seals the bucket if the live
+// index has passed it: sealing rides on the encodes cuts and misses
+// need anyway and never causes one. Callers hold the store mutex; the
+// returned bytes are immutable thereafter.
+func (s *Store) encodeLocked(idx int, b *bucket) ([]byte, error) {
+	if b.dirty || b.encoded == nil {
+		s.scratch.Reset()
+		if err := b.stream.SnapshotTo(&s.scratch); err != nil {
+			return nil, fmt.Errorf("query: encode bucket %d: %w", idx, err)
+		}
+		// An exact-size copy: sealed bytes are held for the store's
+		// lifetime, a growing buffer's spare capacity would be too.
+		b.encoded = bytes.Clone(s.scratch.Bytes())
+		b.dirty = false
 	}
-	var buf bytes.Buffer
-	if err := b.stream.SnapshotTo(&buf); err != nil {
-		return nil, err
+	if idx < s.live {
+		b.stream = nil
 	}
-	b.encoded = buf.Bytes()
-	b.dirty = false
 	return b.encoded, nil
-}
-
-// windowSlices collects the encoded buckets a window covers, ascending
-// by bucket index, refreshing stale encodings under the lock.
-func (s *Store) windowSlices(w Window) (encs [][]byte, epoch int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	epoch = s.live
-	if s.live < 0 {
-		return nil, epoch, nil
-	}
-	lo := s.live - int(w.Span/s.width) + 1
-	if lo < 0 {
-		lo = 0
-	}
-	idxs := make([]int, 0, len(s.buckets))
-	for idx := range s.buckets {
-		if idx >= lo && idx <= s.live {
-			idxs = append(idxs, idx)
-		}
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		enc, err := s.buckets[idx].encodeLocked()
-		if err != nil {
-			return nil, epoch, fmt.Errorf("query: encode bucket %d: %w", idx, err)
-		}
-		encs = append(encs, enc)
-	}
-	return encs, epoch, nil
-}
-
-// fold restores each encoded bucket and left-folds them in time order,
-// returning the finalized window report. An empty window finalizes a
-// fresh accumulator: the zero report. windowName labels the compose
-// span in the run trace.
-func (s *Store) fold(windowName string, encs [][]byte) (*analysis.StreamReport, error) {
-	t0 := time.Now()
-	var acc *analysis.Streaming
-	for i, enc := range encs {
-		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(enc))
-		if err != nil {
-			return nil, fmt.Errorf("query: restore window bucket %d: %w", i, err)
-		}
-		if acc == nil {
-			acc = restored
-			continue
-		}
-		if err := acc.MergeOrdered(restored); err != nil {
-			return nil, fmt.Errorf("query: fold window bucket %d: %w", i, err)
-		}
-	}
-	if acc == nil {
-		acc = analysis.NewStreamingWithOptions(s.ctx, s.opts)
-	}
-	rep := acc.Finalize()
-	if s.met != nil {
-		s.met.foldSeconds.Observe(time.Since(t0))
-	}
-	s.trace.Emit("compose:"+windowName, time.Since(t0), rep.Records)
-	return &rep, nil
 }
 
 // ErrUnknownWindow and ErrUnknownEndpoint classify bad queries for the
@@ -420,11 +442,7 @@ func (s *Store) Report(endpoint, windowName string) ([]byte, error) {
 		s.met.cacheMisses.Inc()
 	}
 
-	encs, epoch, err := s.windowSlices(w)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := s.fold(endpoint+"/"+w.Name, encs)
+	rep, epoch, err := s.compose(endpoint, w)
 	if err != nil {
 		return nil, err
 	}
@@ -450,11 +468,8 @@ func (s *Store) WindowReport(windowName string) (*analysis.StreamReport, error) 
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
 	}
-	encs, _, err := s.windowSlices(w)
-	if err != nil {
-		return nil, err
-	}
-	return s.fold("full/"+w.Name, encs)
+	rep, _, err := s.compose("full", w)
+	return rep, err
 }
 
 // WatermarkAge returns how long ago the newest record was ingested —
@@ -536,7 +551,25 @@ type Stats struct {
 	Epoch       int           `json:"epoch"`
 	BucketWidth time.Duration `json:"bucket_width_ns"`
 	Windows     []string      `json:"windows"`
-	Freshness   Freshness     `json:"freshness"`
+	// LiveBuckets of the Buckets still hold an accumulator; the rest are
+	// sealed. SealedBytes is what is held in their place: the sealed
+	// buckets' encodings plus the Rollups memoised day roll-ups.
+	LiveBuckets int   `json:"live_buckets"`
+	SealedBytes int64 `json:"sealed_bytes"`
+	Rollups     int   `json:"rollups"`
+	// RollupBuilds, RollupInvalidations and Thaws count roll-ups folded,
+	// roll-ups dropped (or refused) for a late record into their day,
+	// and sealed buckets restored for one.
+	RollupBuilds        int64 `json:"rollup_builds"`
+	RollupInvalidations int64 `json:"rollup_invalidations"`
+	Thaws               int64 `json:"thaws"`
+	// FoldOverlaps is, per window folded so far, how many boundary
+	// stitches of its last fold fell outside the MergeOrdered
+	// precondition (analysis.Streaming.OrderedOverlaps). Zero: the
+	// served report is the batch report; non-zero: the session-stage
+	// fields may differ from a batch run by a few sessions.
+	FoldOverlaps map[string]int64 `json:"fold_overlaps"`
+	Freshness    Freshness        `json:"freshness"`
 }
 
 // Snapshot returns the store's ingest counters and freshness SLIs.
@@ -547,12 +580,36 @@ func (s *Store) SnapshotStats() Stats {
 	for _, w := range s.windows {
 		names = append(names, w.Name)
 	}
+	// The shape is counted, not kept: a walk of a few thousand entries
+	// per /stats or scrape, against bookkeeping at every seal and thaw.
+	var live, rollups int
+	var sealedBytes int64
+	for _, b := range s.buckets {
+		if b.stream != nil {
+			live++
+		} else {
+			sealedBytes += int64(len(b.encoded))
+		}
+	}
+	for _, d := range s.days {
+		if d.rollup != nil {
+			rollups++
+			sealedBytes += int64(len(d.rollup))
+		}
+	}
 	return Stats{
-		Records:     s.watermark,
-		Buckets:     len(s.buckets),
-		Epoch:       s.live,
-		BucketWidth: s.width,
-		Windows:     names,
-		Freshness:   s.freshnessLocked(),
+		Records:             s.watermark,
+		Buckets:             len(s.buckets),
+		Epoch:               s.live,
+		BucketWidth:         s.width,
+		Windows:             names,
+		LiveBuckets:         live,
+		SealedBytes:         sealedBytes,
+		Rollups:             rollups,
+		RollupBuilds:        s.rollupBuilds,
+		RollupInvalidations: s.rollupInvalid,
+		Thaws:               s.thaws,
+		FoldOverlaps:        maps.Clone(s.overlaps),
+		Freshness:           s.freshnessLocked(),
 	}
 }
