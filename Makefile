@@ -65,7 +65,8 @@ cover:
 # grouping property; go test accepts one -fuzz pattern per invocation,
 # hence one run per target.
 fuzz-smoke:
-	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReader -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cdr -run='^$$' -fuzz='^FuzzCSVReader$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReaderMatchesEncodingCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)

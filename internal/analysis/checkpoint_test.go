@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +13,9 @@ import (
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
+	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
+	"cellcars/internal/synth"
 )
 
 // cleanAccepted filters a raw workload the way accumSet.add does:
@@ -471,4 +474,59 @@ func TestAnalysisSnapshotTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d/%d: got %v", cut, len(data), err)
 		}
 	}
+}
+
+// TestCheckpointCutGolden pins the bytes of a cut: the SHA-256 below
+// was recorded from the commit before the duration sample's canonical
+// order came from a radix sort, so a cut written today is the file that
+// commit wrote. A deliberate format change bumps snapshot.Version and
+// this hash together; anything else that moves it is a bug.
+func TestCheckpointCutGolden(t *testing.T) {
+	const want = "f1cfc7e3f804795d5a0a63087314f0b8d52599a6f57dbdfbc549f0c643758ebd"
+	ctx := engineCtx()
+	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
+	path := filepath.Join(t.TempDir(), "golden.snap")
+	// 60 000 records overflow the 32 768-item sample, so the cut holds a
+	// full bottom-k set, not the whole population.
+	_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
+		cdr.NewSliceReader(engineWorkload(60000)), CheckpointConfig{Path: path, Every: 25000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Fatalf("cut of the fixed fleet hashes to %s (%d bytes), want %s", got, len(data), want)
+	}
+}
+
+// BenchmarkSnapshotEncode times one full-state Streaming.SnapshotTo at
+// the state the benchmark's checkpoint workload cuts: a generated
+// 1 600-car, 14-day fleet (≈ 320 k records) fully ingested, the
+// duration sample at its 32 768-item cap. Profile it with
+// `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
+func BenchmarkSnapshotEncode(b *testing.B) {
+	cfg := synth.DefaultConfig(1600)
+	cfg.Period = simtime.NewPeriod(t0, 14)
+	records, _, err := synth.NewWorld(cfg).GenerateAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewStreaming(cfg.Period)
+	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
+		b.Fatal(err)
+	}
+	cw := countingWriter{w: io.Discard}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cw.n = 0
+		if err := s.SnapshotTo(&cw); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/encode")
+	b.ReportMetric(float64(cw.n), "bytes/encode")
 }

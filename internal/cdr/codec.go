@@ -54,7 +54,8 @@ func isHeaderRow(row []string) bool {
 
 // CSVWriter streams records as CSV.
 type CSVWriter struct {
-	w      *csv.Writer
+	w      *bufio.Writer
+	line   []byte // one row, rebuilt in place per Write
 	header bool
 	closed bool
 }
@@ -62,27 +63,33 @@ type CSVWriter struct {
 // NewCSVWriter returns a writer emitting the standard CDR CSV format
 // to w. The header is written with the first record.
 func NewCSVWriter(w io.Writer) *CSVWriter {
-	return &CSVWriter{w: csv.NewWriter(w)}
+	return &CSVWriter{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Write emits one record.
+// Write emits one record. Every field is a decimal integer, which CSV
+// never quotes, so the row is appended digit by digit and is
+// byte-for-byte what encoding/csv would write.
 func (c *CSVWriter) Write(r Record) error {
 	if c.closed {
 		return ErrClosed
 	}
+	b := c.line[:0]
 	if !c.header {
-		if err := c.w.Write(csvHeader); err != nil {
-			return err
-		}
+		b = append(b, strings.Join(csvHeader, ",")...)
+		b = append(b, '\n')
 		c.header = true
 	}
-	row := []string{
-		strconv.FormatUint(uint64(r.Car), 10),
-		strconv.FormatUint(uint64(r.Cell), 10),
-		strconv.FormatInt(r.Start.Unix(), 10),
-		strconv.FormatInt(int64(r.Duration/time.Second), 10),
-	}
-	return c.w.Write(row)
+	b = strconv.AppendUint(b, uint64(r.Car), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(r.Cell), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, r.Start.Unix(), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(r.Duration/time.Second), 10)
+	b = append(b, '\n')
+	c.line = b
+	_, err := c.w.Write(b)
+	return err
 }
 
 // Close flushes buffered rows. The writer is unusable afterwards.
@@ -91,22 +98,40 @@ func (c *CSVWriter) Close() error {
 		return ErrClosed
 	}
 	c.closed = true
-	c.w.Flush()
-	return c.w.Error()
+	return c.w.Flush()
 }
 
 // CSVReader streams records from the standard CDR CSV format.
+//
+// The dialect is encoding/csv's (RFC 4180 quoting, \r\n or \n line
+// ends, blank lines skipped, exactly four columns), and encoding/csv
+// stays its arbiter: Read recognises only the row real exports consist
+// of — four comma-separated runs of 1 to 19 ASCII digits, an optional
+// \r, then \n — and parses that in place from the buffered bytes.
+// Every other row, and every row that straddles the end of the
+// buffered bytes, is handed unconsumed to a csv.Reader on the same
+// buffer. FuzzCSVReaderMatchesEncodingCSV holds the two paths to the
+// results of the csv.Reader alone on any byte stream.
 type CSVReader struct {
-	r      *csv.Reader
-	header bool
+	br     *bufio.Reader
+	slow   *csv.Reader // consumes from br, whole lines at a time
+	lines  int         // lines readDigitsRow consumed, which slow never counted
+	header bool        // a first row has parsed, so none later is a header
 }
 
 // NewCSVReader returns a reader over the standard CDR CSV format.
 func NewCSVReader(r io.Reader) *CSVReader {
-	cr := csv.NewReader(r)
+	// csv.NewReader wraps its source in bufio.NewReader, which returns a
+	// *bufio.Reader whose buffer is at least the default size as it is.
+	// The csv.Reader therefore has no buffer of its own: it takes whole
+	// lines from br and leaves br at the start of the next row. (Were
+	// that to change, rows would vanish into a second buffer and every
+	// differential test in csv_diff_test.go would fail.)
+	br := bufio.NewReaderSize(r, 1<<16)
+	cr := csv.NewReader(br)
 	cr.FieldsPerRecord = len(csvHeader)
 	cr.ReuseRecord = true
-	return &CSVReader{r: cr}
+	return &CSVReader{br: br, slow: cr}
 }
 
 // Read returns the next record or io.EOF. Malformed rows (wrong
@@ -114,11 +139,75 @@ func NewCSVReader(r io.Reader) *CSVReader {
 // as errors wrapping ErrBadRecord; the reader stays usable and the
 // next Read resumes on the following row.
 func (c *CSVReader) Read() (Record, error) {
+	if rec, ok := c.readDigitsRow(); ok {
+		return rec, nil
+	}
+	return c.readCSVRow()
+}
+
+// readDigitsRow decodes the next row if it is wholly buffered, is four
+// runs of 1 to 19 digits, and is a valid record; otherwise it consumes
+// nothing. It allocates nothing and never reads from the source, so
+// errors, refills, end of input and over-long lines are readCSVRow's.
+func (c *CSVReader) readDigitsRow() (Record, bool) {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	var f [4]uint64
+	i := 0
+	for k := range f {
+		if k > 0 {
+			if i == len(buf) || buf[i] != ',' {
+				return Record{}, false
+			}
+			i++
+		}
+		first := i
+		var v uint64
+		for i < len(buf) && buf[i]-'0' <= 9 {
+			v = v*10 + uint64(buf[i]-'0')
+			i++
+		}
+		// 19 digits cannot overflow a uint64; longer runs are left to
+		// strconv's range check.
+		if n := i - first; n == 0 || n > 19 {
+			return Record{}, false
+		}
+		f[k] = v
+	}
+	if i < len(buf) && buf[i] == '\r' {
+		i++
+	}
+	if i == len(buf) || buf[i] != '\n' {
+		return Record{}, false
+	}
+	if f[2] > math.MaxInt64 || f[3] > math.MaxInt64/uint64(time.Second) {
+		return Record{}, false
+	}
+	rec := Record{
+		Car:      CarID(f[0]),
+		Cell:     radio.CellKey(f[1]),
+		Start:    time.Unix(int64(f[2]), 0).UTC(),
+		Duration: time.Duration(f[3]) * time.Second,
+	}
+	if rec.Validate() != nil {
+		return Record{}, false
+	}
+	c.br.Discard(i + 1) // cannot fail: the row is buffered
+	c.lines++
+	c.header = true
+	return rec, true
+}
+
+// readCSVRow decodes the next row with encoding/csv and strconv.
+func (c *CSVReader) readCSVRow() (Record, error) {
 	for {
-		row, err := c.r.Read()
+		row, err := c.slow.Read()
 		if err != nil {
 			var pe *csv.ParseError
 			if errors.As(err, &pe) {
+				// The message names the line in the file, not among
+				// the lines slow happened to read.
+				pe.StartLine += c.lines
+				pe.Line += c.lines
 				return Record{}, fmt.Errorf("cdr: bad csv row: %v: %w", err, ErrBadRecord)
 			}
 			return Record{}, err

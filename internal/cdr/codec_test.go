@@ -10,7 +10,7 @@ import (
 )
 
 // encodeBinary writes records to an in-memory binary stream.
-func encodeBinary(t *testing.T, records []Record) []byte {
+func encodeBinary(t testing.TB, records []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
@@ -24,7 +24,7 @@ func encodeBinary(t *testing.T, records []Record) []byte {
 }
 
 // encodeCSV writes records to an in-memory CSV stream.
-func encodeCSV(t *testing.T, records []Record) []byte {
+func encodeCSV(t testing.TB, records []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewCSVWriter(&buf)

@@ -1,7 +1,9 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"cellcars/internal/snapshot"
 )
@@ -155,13 +157,72 @@ func (h *LogHist) Restore(d *snapshot.Decoder) {
 func (s *Sample) Snapshot(e *snapshot.Encoder) {
 	e.Uvarint(uint64(s.k))
 	e.Varint(s.n)
-	items := append([]sampleItem(nil), s.items...)
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
-	e.Uvarint(uint64(len(items)))
-	for _, it := range items {
-		e.Uvarint(it.key)
-		e.F64(it.val)
+	e.Uvarint(uint64(len(s.items)))
+	sc := orderPool.Get().(*orderScratch)
+	for _, i := range s.canonicalOrder(sc) {
+		e.Uvarint(s.items[i].key)
+		e.F64(s.items[i].val)
 	}
+	orderPool.Put(sc)
+}
+
+// orderScratch is the pair of index arrays canonicalOrder sorts
+// between. Pooled, not kept on the Sample: a full duration sample's
+// pair is 256 KiB, and a query store holds one sample per hourly
+// bucket.
+type orderScratch struct{ a, b []uint32 }
+
+var orderPool = sync.Pool{New: func() any { return new(orderScratch) }}
+
+// canonicalOrder returns the indexes of s.items in ascending (key,
+// value) order, leaving the heap untouched: an LSD radix sort of the
+// indexes on the eight key bytes, then each run of equal keys ordered by
+// value. The result aliases sc.
+func (s *Sample) canonicalOrder(sc *orderScratch) []uint32 {
+	items, n := s.items, len(s.items)
+	if n == 0 {
+		return nil
+	}
+	if cap(sc.a) < n {
+		sc.a, sc.b = make([]uint32, n), make([]uint32, n)
+	}
+	src, dst := sc.a[:n], sc.b[:n]
+	var count [8][256]uint32
+	for i, it := range items {
+		src[i] = uint32(i)
+		for d := range count {
+			count[d][byte(it.key>>(8*d))]++
+		}
+	}
+	for d := range count {
+		c, shift := &count[d], 8*d
+		if c[byte(items[0].key>>shift)] == uint32(n) {
+			continue // every key has the same byte here
+		}
+		var sum uint32
+		for b, cnt := range c {
+			c[b], sum = sum, sum+cnt
+		}
+		for _, i := range src {
+			b := byte(items[i].key >> shift)
+			dst[c[b]] = i
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && items[src[hi]].key == items[src[lo]].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(src[lo:hi], func(a, b uint32) int {
+				return cmp.Compare(items[a].val, items[b].val)
+			})
+		}
+		lo = hi
+	}
+	return src
 }
 
 // Restore replaces s with state written by Snapshot. The stored

@@ -2,9 +2,11 @@ package stats
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cellcars/internal/snapshot"
@@ -164,5 +166,74 @@ func TestSampleSnapshotDeterministic(t *testing.T) {
 	b.Snapshot(snapshot.NewEncoder(&bb))
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
 		t.Fatal("same sample content encoded differently")
+	}
+}
+
+// referenceSampleSnapshot is Sample.Snapshot with its canonical order
+// taken from a comparison sort on (key, value): what the radix order
+// must reproduce byte for byte.
+func referenceSampleSnapshot(s *Sample, e *snapshot.Encoder) {
+	e.Uvarint(uint64(s.k))
+	e.Varint(s.n)
+	items := slices.Clone(s.items)
+	slices.SortFunc(items, func(a, b sampleItem) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.val, b.val)
+	})
+	e.Uvarint(uint64(len(items)))
+	for _, it := range items {
+		e.Uvarint(it.key)
+		e.F64(it.val)
+	}
+}
+
+// TestSampleSnapshotMatchesComparisonSort: on random samples — empty,
+// k = 1, fewer items than k, far more than k, keys confined to one
+// byte, keys forced equal under different values — Snapshot writes the
+// reference's bytes, and the bytes survive Restore → Snapshot.
+func TestSampleSnapshotMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 12))
+	wide := func() uint64 { return rng.Uint64() }
+	cases := []struct {
+		name string
+		k, n int
+		key  func() uint64
+	}{
+		{"empty", 64, 0, wide},
+		{"k=1", 1, 50, wide},
+		{"one item", 64, 1, wide},
+		{"n<k", 512, 200, wide},
+		{"n>>k", 300, 20000, wide},
+		{"full duration-sized sample", 32768, 100000, wide},
+		{"one-byte keys", 400, 3000, func() uint64 { return rng.Uint64N(256) << 24 }},
+		{"four distinct keys", 256, 1000, func() uint64 { return rng.Uint64N(4) * 0x0101010101010101 }},
+		{"all keys equal", 200, 1000, func() uint64 { return 7 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSample(tc.k)
+			for i := 0; i < tc.n; i++ {
+				s.Add(tc.key(), float64(rng.IntN(50))-25+rng.Float64())
+			}
+			var got, want bytes.Buffer
+			s.Snapshot(snapshot.NewEncoder(&got))
+			referenceSampleSnapshot(s, snapshot.NewEncoder(&want))
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("radix order wrote %d bytes that differ from the comparison sort's %d", got.Len(), want.Len())
+			}
+			restored := NewSample(tc.k)
+			d := snapshot.NewDecoder(bytes.NewReader(got.Bytes()))
+			restored.Restore(d)
+			if d.Err() != nil {
+				t.Fatalf("restore: %v", d.Err())
+			}
+			var again bytes.Buffer
+			restored.Snapshot(snapshot.NewEncoder(&again))
+			if !bytes.Equal(again.Bytes(), got.Bytes()) {
+				t.Fatal("restored sample re-encodes differently")
+			}
+		})
 	}
 }
