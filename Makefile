@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 # cover fails when total statement coverage drops below this.
 COVER_MIN ?= 70
 
-.PHONY: all build test race vet fmt fuzz-smoke bench-check chaos cover ci
+.PHONY: all build test race vet fmt fuzz-smoke bench-check bench-micro chaos cover ci
 
 all: build
 
@@ -17,6 +17,16 @@ build:
 # and `carbench -compare`; see bench/README.md.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The engine's two numbers without carbench: ns and allocations per
+# record of one Engine.Run and of the sessionizer alone, and a
+# full-state snapshot encode, all on the benchmark's generated
+# 1 600-car fleet. For working on the hot path, not for claims: a gain
+# is claimed from paired `bash bench/run.sh` runs. The allocation
+# guards themselves are plain tests, so `make ci` enforces them.
+bench-micro:
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkSnapshotEncode)$$' -benchmem -count=5 ./internal/analysis
+	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 
 test:
 	$(GO) test ./...

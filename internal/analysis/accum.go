@@ -223,45 +223,52 @@ func (a *presenceAcc) Finalize(rep *Report) error {
 // ---------------------------------------------------------------------------
 // connected — Figure 3
 
+// connSec is one car's connected seconds, as recorded and with each
+// record truncated to 600 s.
+type connSec struct{ full, trunc int64 }
+
 type connectedAcc struct {
-	period   simtime.Period
-	fullSec  map[cdr.CarID]int64
-	truncSec map[cdr.CarID]int64
+	period simtime.Period
+	// cars holds pointers so that Add is one hash lookup per record.
+	cars map[cdr.CarID]*connSec
 }
 
 func newConnectedAcc(period simtime.Period) *connectedAcc {
-	return &connectedAcc{
-		period:   period,
-		fullSec:  make(map[cdr.CarID]int64),
-		truncSec: make(map[cdr.CarID]int64),
-	}
+	return &connectedAcc{period: period, cars: make(map[cdr.CarID]*connSec)}
 }
 
 func (a *connectedAcc) Stage() string { return "connected" }
 
 func (a *connectedAcc) Add(r cdr.Record) {
 	sec := int64(r.Duration / time.Second)
-	a.fullSec[r.Car] += sec
-	a.truncSec[r.Car] += truncDur(sec, 600)
+	c := a.cars[r.Car]
+	if c == nil {
+		c = &connSec{}
+		a.cars[r.Car] = c
+	}
+	c.full += sec
+	c.trunc += truncDur(sec, 600)
 }
 
 func (a *connectedAcc) Merge(other Accumulator) {
 	o := mergeAs[*connectedAcc](other)
-	for car, sec := range o.fullSec {
-		a.fullSec[car] += sec
-	}
-	for car, sec := range o.truncSec {
-		a.truncSec[car] += sec
+	for car, oc := range o.cars {
+		if c := a.cars[car]; c != nil {
+			c.full += oc.full
+			c.trunc += oc.trunc
+		} else {
+			a.cars[car] = oc
+		}
 	}
 }
 
 func (a *connectedAcc) Finalize(rep *Report) error {
 	total := float64(a.period.Seconds())
-	full := make([]float64, 0, len(a.fullSec))
-	trunc := make([]float64, 0, len(a.truncSec))
-	for car, sec := range a.fullSec {
-		full = append(full, float64(sec)/total)
-		trunc = append(trunc, float64(a.truncSec[car])/total)
+	full := make([]float64, 0, len(a.cars))
+	trunc := make([]float64, 0, len(a.cars))
+	for _, c := range a.cars {
+		full = append(full, float64(c.full)/total)
+		trunc = append(trunc, float64(c.trunc)/total)
 	}
 	ct := ConnectedTime{Full: stats.NewCDF(full), Truncated: stats.NewCDF(trunc)}
 	if len(full) > 0 {
@@ -661,13 +668,25 @@ func (a *handoverAcc) closeSession(s *clean.Session) {
 	a.account(s)
 }
 
+// account counts a closed session and hands it back to the
+// sessionizer: nothing references an accounted session again.
 func (a *handoverAcc) account(s *clean.Session) {
+	a.counts = append(a.counts, float64(addHandovers(a.byKind, s)))
+	a.z.Release(s)
+}
+
+// addHandovers adds a session's handovers to byKind and returns how
+// many there were. Only kinds that occurred get an entry: the snapshot
+// stores len(byKind) entries.
+func addHandovers(byKind map[radio.HandoverKind]int64, s *clean.Session) int {
 	n := 0
-	for kind, c := range s.Handovers() {
-		a.byKind[kind] += int64(c)
-		n += c
+	for kind, c := range s.HandoversByKind() {
+		if c != 0 {
+			byKind[radio.HandoverKind(kind)] += int64(c)
+			n += c
+		}
 	}
-	a.counts = append(a.counts, float64(n))
+	return n
 }
 
 func (a *handoverAcc) Merge(other Accumulator) {
@@ -698,28 +717,19 @@ func (a *handoverAcc) Merge(other Accumulator) {
 }
 
 func (a *handoverAcc) Finalize(rep *Report) error {
-	// Work on copies so unaccounted sessions (stashed heads, still-open
-	// tails) are counted without being closed — Finalize must stay
-	// repeatable.
+	// Work on copies of the aggregates so unaccounted sessions (stashed
+	// heads, still-open tails) are counted where they are, without being
+	// closed — Finalize must stay repeatable.
 	byKind := make(map[radio.HandoverKind]int64, len(a.byKind))
 	for k, v := range a.byKind {
 		byKind[k] = v
 	}
 	counts := append([]float64(nil), a.counts...)
-	countInto := func(s *clean.Session) {
-		n := 0
-		for kind, c := range s.Handovers() {
-			byKind[kind] += int64(c)
-			n += c
-		}
-		counts = append(counts, float64(n))
-	}
 	for _, car := range sortedKeys(a.heads) {
-		countInto(a.heads[car])
+		counts = append(counts, float64(addHandovers(byKind, a.heads[car])))
 	}
-	open := a.z.Snapshot()
-	for i := range open {
-		countInto(&open[i])
+	for _, car := range a.z.OpenCars() {
+		counts = append(counts, float64(addHandovers(byKind, a.z.Open(car))))
 	}
 
 	hs := HandoverStats{ByKind: byKind, Sessions: len(counts)}
@@ -737,68 +747,67 @@ func (a *handoverAcc) Finalize(rep *Report) error {
 // carriers — Table 3
 
 type carriersAcc struct {
-	carsOn  map[radio.CarrierID]map[cdr.CarID]struct{}
-	timeOn  map[radio.CarrierID]time.Duration
-	allCars map[cdr.CarID]struct{}
-	total   time.Duration
+	// cars maps every car seen to its carrier membership mask: bit c-1
+	// set once the car has connected on carrier c. One hash per record
+	// where five car sets and an all-cars set took three.
+	cars   map[cdr.CarID]uint8
+	timeOn [radio.NumCarriers]time.Duration
+	// total also counts time on an invalid carrier id, which no codec
+	// lets through (cdr.Record.Validate) and no snapshot can carry; such
+	// a record's car is counted with an empty mask.
+	total time.Duration
 }
 
 func newCarriersAcc() *carriersAcc {
-	return &carriersAcc{
-		carsOn:  make(map[radio.CarrierID]map[cdr.CarID]struct{}),
-		timeOn:  make(map[radio.CarrierID]time.Duration),
-		allCars: make(map[cdr.CarID]struct{}),
-	}
+	return &carriersAcc{cars: make(map[cdr.CarID]uint8)}
 }
 
 func (a *carriersAcc) Stage() string { return "carriers" }
 
 func (a *carriersAcc) Add(r cdr.Record) {
-	c := r.Cell.Carrier()
-	set, ok := a.carsOn[c]
-	if !ok {
-		set = make(map[cdr.CarID]struct{})
-		a.carsOn[c] = set
+	var bit uint8
+	if c := r.Cell.Carrier(); c.Valid() {
+		bit = 1 << (c - radio.C1)
+		a.timeOn[c-radio.C1] += r.Duration
 	}
-	set[r.Car] = struct{}{}
-	a.allCars[r.Car] = struct{}{}
-	a.timeOn[c] += r.Duration
+	a.cars[r.Car] |= bit
 	a.total += r.Duration
 }
 
 func (a *carriersAcc) Merge(other Accumulator) {
 	o := mergeAs[*carriersAcc](other)
-	for c, set := range o.carsOn {
-		own, ok := a.carsOn[c]
-		if !ok {
-			a.carsOn[c] = set
-			continue
-		}
-		for car := range set {
-			own[car] = struct{}{}
-		}
+	for car, mask := range o.cars {
+		a.cars[car] |= mask
 	}
-	for car := range o.allCars {
-		a.allCars[car] = struct{}{}
-	}
-	for c, d := range o.timeOn {
-		a.timeOn[c] += d
+	for i, d := range o.timeOn {
+		a.timeOn[i] += d
 	}
 	a.total += o.total
+}
+
+// carsOn counts the cars seen on each carrier.
+func (a *carriersAcc) carsOn() (n [radio.NumCarriers]int) {
+	for _, mask := range a.cars {
+		for ; mask != 0; mask &= mask - 1 {
+			n[bits.TrailingZeros8(mask)]++
+		}
+	}
+	return n
 }
 
 func (a *carriersAcc) Finalize(rep *Report) error {
 	u := CarrierUsage{
 		CarsFrac:  make(map[radio.CarrierID]float64, radio.NumCarriers),
 		TimeFrac:  make(map[radio.CarrierID]float64, radio.NumCarriers),
-		TotalCars: len(a.allCars),
+		TotalCars: len(a.cars),
 	}
+	carsOn := a.carsOn()
 	for c := radio.C1; c <= radio.C5; c++ {
-		if len(a.allCars) > 0 {
-			u.CarsFrac[c] = float64(len(a.carsOn[c])) / float64(len(a.allCars))
+		if len(a.cars) > 0 {
+			u.CarsFrac[c] = float64(carsOn[c-radio.C1]) / float64(len(a.cars))
 		}
 		if a.total > 0 {
-			u.TimeFrac[c] = float64(a.timeOn[c]) / float64(a.total)
+			u.TimeFrac[c] = float64(a.timeOn[c-radio.C1]) / float64(a.total)
 		}
 	}
 	rep.Carriers = u
@@ -856,9 +865,12 @@ func (a *usageAcc) closeSession(s *clean.Session) {
 	a.account(s)
 }
 
+// account marks a closed session into the matrix and hands it back to
+// the sessionizer, like handoverAcc.account.
 func (a *usageAcc) account(s *clean.Session) {
 	markSessionHours(&a.matrix, s, a.tzOffset)
 	a.sessions++
+	a.z.Release(s)
 }
 
 // markSessionHours marks every local hour-of-week a session touches,
@@ -872,11 +884,11 @@ func markSessionHours(m *simtime.WeekMatrix, s *clean.Session, tzOffsetSeconds i
 	// Walk hour boundaries so each touched hour is marked exactly
 	// once per session; the truncated first step guarantees the
 	// starting hour is included even for sub-hour sessions.
-	seen := make(map[int]struct{}, 4)
+	var seen [(7*simtime.HoursPerDay + 63) / 64]uint64
 	for t := start.Truncate(time.Hour); t.Before(end); t = t.Add(time.Hour) {
 		how := simtime.HourOfWeek(t, tzOffsetSeconds)
-		if _, ok := seen[how]; !ok {
-			seen[how] = struct{}{}
+		if w, bit := how/64, uint64(1)<<(how%64); seen[w]&bit == 0 {
+			seen[w] |= bit
 			m.AddHourOfWeek(how, 1)
 		}
 	}
@@ -913,9 +925,8 @@ func (a *usageAcc) Finalize(rep *Report) error {
 		markSessionHours(&m, a.heads[car], a.tzOffset)
 		sessions++
 	}
-	open := a.z.Snapshot()
-	for i := range open {
-		markSessionHours(&m, &open[i], a.tzOffset)
+	for _, car := range a.z.OpenCars() {
+		markSessionHours(&m, a.z.Open(car), a.tzOffset)
 		sessions++
 	}
 	rep.FleetUsage = m

@@ -162,14 +162,13 @@ func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 // connected
 
 func (a *connectedAcc) SnapshotTo(w io.Writer) error {
-	// Every Add writes both maps, so they share a key set and one
-	// sorted pass covers both.
 	e := snapshot.NewEncoder(w)
-	e.Uvarint(uint64(len(a.fullSec)))
-	for _, car := range sortedKeys(a.fullSec) {
+	e.Uvarint(uint64(len(a.cars)))
+	for _, car := range sortedKeys(a.cars) {
+		c := a.cars[car]
 		e.Uvarint(uint64(car))
-		e.Varint(a.fullSec[car])
-		e.Varint(a.truncSec[car])
+		e.Varint(c.full)
+		e.Varint(c.trunc)
 	}
 	return e.Err()
 }
@@ -180,8 +179,7 @@ func (a *connectedAcc) RestoreFrom(r io.Reader) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	full := make(map[cdr.CarID]int64, preallocN(n))
-	trunc := make(map[cdr.CarID]int64, preallocN(n))
+	cars := make(map[cdr.CarID]*connSec, preallocN(n))
 	for i := 0; i < n; i++ {
 		car := cdr.CarID(d.Uvarint())
 		f, t := d.Varint(), d.Varint()
@@ -193,13 +191,13 @@ func (a *connectedAcc) RestoreFrom(r io.Reader) error {
 			d.Failf("car %d connected seconds full=%d trunc=%d inconsistent", car, f, t)
 			return d.Err()
 		}
-		if _, dup := full[car]; dup {
+		if _, dup := cars[car]; dup {
 			d.Failf("duplicate car %d in connected map", car)
 			return d.Err()
 		}
-		full[car], trunc[car] = f, t
+		cars[car] = &connSec{full: f, trunc: t}
 	}
-	a.fullSec, a.truncSec = full, trunc
+	a.cars = cars
 	return nil
 }
 
@@ -351,21 +349,27 @@ func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 // ---------------------------------------------------------------------------
 // open sessions (shared by handovers and usage)
 
-// encodeSessions writes still-open sessions as their span lists;
-// Start/End/Connected are derived on decode, so the stored form cannot
-// contradict the sessionizer's invariants. Sessions must be the output
-// of Sessionizer.Snapshot: at most one per car, ascending car order.
-func encodeSessions(e *snapshot.Encoder, sessions []clean.Session) {
-	e.Uvarint(uint64(len(sessions)))
-	for i := range sessions {
-		s := &sessions[i]
-		e.Uvarint(uint64(s.Car))
-		e.Uvarint(uint64(len(s.Spans)))
-		for _, sp := range s.Spans {
-			e.Uvarint(uint64(sp.Cell))
-			e.Varint(sp.Start.UnixNano())
-			e.Varint(int64(sp.Duration))
-		}
+// encodeSession writes one unclosed session — open, or a stashed head —
+// as its car and span list; Start/End/Connected are derived on decode,
+// so the stored form cannot contradict the sessionizer's invariants.
+func encodeSession(e *snapshot.Encoder, s *clean.Session) {
+	e.Uvarint(uint64(s.Car))
+	e.Uvarint(uint64(len(s.Spans)))
+	for i := range s.Spans {
+		sp := &s.Spans[i]
+		e.Uvarint(uint64(sp.Cell))
+		e.Varint(sp.Start.UnixNano())
+		e.Varint(int64(sp.Duration))
+	}
+}
+
+// encodeOpenSessions writes a sessionizer's open sessions, one per car
+// in ascending car order, from where they live: no copy is taken.
+func encodeOpenSessions(e *snapshot.Encoder, z *clean.Sessionizer) {
+	cars := z.OpenCars()
+	e.Uvarint(uint64(len(cars)))
+	for _, car := range cars {
+		encodeSession(e, z.Open(car))
 	}
 }
 
@@ -443,11 +447,10 @@ func encodeHeads(e *snapshot.Encoder, trackHeads bool, heads map[cdr.CarID]*clea
 	if !trackHeads {
 		return
 	}
-	out := make([]clean.Session, 0, len(heads))
+	e.Uvarint(uint64(len(heads)))
 	for _, car := range sortedKeys(heads) {
-		out = append(out, *heads[car])
+		encodeSession(e, heads[car])
 	}
-	encodeSessions(e, out)
 }
 
 // decodeHeads reads what encodeHeads wrote, returning the tracking
@@ -472,7 +475,7 @@ func decodeHeads(d *snapshot.Decoder) (bool, map[cdr.CarID]*clean.Session) {
 
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeSessions(e, a.z.Snapshot())
+	encodeOpenSessions(e, a.z)
 	encodeHeads(e, a.trackHeads, a.heads)
 	e.Uvarint(uint64(len(a.byKind)))
 	for _, kind := range sortedKeys(a.byKind) {
@@ -532,18 +535,35 @@ func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 // carriers
 
 func (a *carriersAcc) SnapshotTo(w io.Writer) error {
-	// carsOn and timeOn share a key set (Add writes both); allCars is
-	// the union of the per-carrier sets and total the sum of timeOn,
-	// so neither needs to be stored.
+	// The wire form is per carrier: its time, then the ascending list of
+	// cars seen on it, re-derived here from the masks in car order. The
+	// all-cars set is the lists' union and total the sum of the times, so
+	// neither is stored.
 	e := snapshot.NewEncoder(w)
-	e.Uvarint(uint64(len(a.carsOn)))
-	for _, carrier := range sortedKeys(a.carsOn) {
-		e.Uvarint(uint64(carrier))
-		e.Varint(int64(a.timeOn[carrier]))
-		set := a.carsOn[carrier]
-		e.Uvarint(uint64(len(set)))
-		for _, car := range sortedKeys(set) {
-			e.Uvarint(uint64(car))
+	cars := sortedKeys(a.cars)
+	masks := make([]uint8, len(cars))
+	for j, car := range cars {
+		masks[j] = a.cars[car]
+	}
+	carsOn := a.carsOn()
+	present := 0
+	for _, n := range carsOn {
+		if n > 0 {
+			present++
+		}
+	}
+	e.Uvarint(uint64(present))
+	for i, n := range carsOn {
+		if n == 0 {
+			continue
+		}
+		e.Uvarint(uint64(radio.C1) + uint64(i))
+		e.Varint(int64(a.timeOn[i]))
+		e.Uvarint(uint64(n))
+		for j, car := range cars {
+			if masks[j]&(1<<i) != 0 {
+				e.Uvarint(uint64(car))
+			}
 		}
 	}
 	return e.Err()
@@ -555,10 +575,10 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	carsOn := make(map[radio.CarrierID]map[cdr.CarID]struct{}, n)
-	timeOn := make(map[radio.CarrierID]time.Duration, n)
-	allCars := make(map[cdr.CarID]struct{})
+	cars := make(map[cdr.CarID]uint8)
+	var timeOn [radio.NumCarriers]time.Duration
 	var total time.Duration
+	var seen uint8
 	for i := 0; i < n; i++ {
 		carrier := radio.CarrierID(d.Uvarint())
 		dur := d.Varint()
@@ -574,28 +594,33 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 			d.Failf("carrier %d time %d negative", carrier, dur)
 			return d.Err()
 		}
-		if _, dup := carsOn[carrier]; dup {
+		bit := uint8(1) << (carrier - radio.C1)
+		if seen&bit != 0 {
 			d.Failf("duplicate carrier %d", carrier)
 			return d.Err()
 		}
-		set := make(map[cdr.CarID]struct{}, preallocN(nc))
+		seen |= bit
+		if nc < 1 {
+			// A carrier is stored because a car connected on it; one
+			// without cars could not be written back.
+			d.Failf("carrier %d has no cars", carrier)
+			return d.Err()
+		}
 		for j := 0; j < nc; j++ {
 			car := cdr.CarID(d.Uvarint())
 			if d.Err() != nil {
 				return d.Err()
 			}
-			set[car] = struct{}{}
-			allCars[car] = struct{}{}
+			if cars[car]&bit != 0 {
+				d.Failf("carrier %d car set has duplicates", carrier)
+				return d.Err()
+			}
+			cars[car] |= bit
 		}
-		if len(set) != nc {
-			d.Failf("carrier %d car set has duplicates", carrier)
-			return d.Err()
-		}
-		carsOn[carrier] = set
-		timeOn[carrier] = time.Duration(dur)
+		timeOn[carrier-radio.C1] = time.Duration(dur)
 		total += time.Duration(dur)
 	}
-	a.carsOn, a.timeOn, a.allCars, a.total = carsOn, timeOn, allCars, total
+	a.cars, a.timeOn, a.total = cars, timeOn, total
 	return nil
 }
 
@@ -604,7 +629,7 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeSessions(e, a.z.Snapshot())
+	encodeOpenSessions(e, a.z)
 	encodeHeads(e, a.trackHeads, a.heads)
 	for hour := 0; hour < simtime.HoursPerDay; hour++ {
 		for day := 0; day < 7; day++ {

@@ -196,9 +196,17 @@ func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) erro
 	enc := sw.Begin("header")
 	encodeHeader(enc, hdr)
 	sw.End()
-	var buf bytes.Buffer
 	for i, set := range sets {
 		set.flush()
+		// One payload buffer per set and cut, allocated at the size the
+		// set's largest stage payload had last time plus an eighth: a
+		// buffer grown from nothing doubles its way to that size every
+		// cut (≈ 2 MB of garbage and 1 MB of copying per cut of a
+		// 1 600-car fleet), and one kept alive between cuts is a
+		// megabyte the collector counts live when it sets the heap goal
+		// (DESIGN §2.1 has both measurements).
+		var buf bytes.Buffer
+		buf.Grow(set.payloadHint + set.payloadHint/8)
 		enc := sw.Begin("worker")
 		enc.Uvarint(uint64(i))
 		enc.Varint(set.raw)
@@ -224,6 +232,7 @@ func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) erro
 			if err := acc.SnapshotTo(&buf); err != nil {
 				return fmt.Errorf("analysis: snapshot stage %s: %w", name, err)
 			}
+			set.payloadHint = max(set.payloadHint, buf.Len())
 			sw.RawFrame("stage:"+name, buf.Bytes())
 		}
 	}
@@ -544,12 +553,12 @@ func (p *Partial) Records() int64 { return p.set.raw }
 // cars returns the partial's connected-time car map, the exact car set
 // every accepted record contributes to — nil when the connected stage
 // failed.
-func (p *Partial) cars() map[cdr.CarID]int64 {
+func (p *Partial) cars() map[cdr.CarID]*connSec {
 	acc, _ := p.set.stages[stageIndex("connected")].(*connectedAcc)
 	if acc == nil {
 		return nil
 	}
-	return acc.fullSec
+	return acc.cars
 }
 
 // SharedCars counts cars present in both partials. ok is false when

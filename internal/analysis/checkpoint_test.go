@@ -13,9 +13,7 @@ import (
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
-	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
-	"cellcars/internal/synth"
 )
 
 // cleanAccepted filters a raw workload the way accumSet.add does:
@@ -502,19 +500,34 @@ func TestCheckpointCutGolden(t *testing.T) {
 	}
 }
 
+// TestTrackHeadsCutGolden is TestCheckpointCutGolden for the form a
+// carqueryd bucket is sealed in: one TrackHeads set, whose stashed head
+// sessions are written beside the open ones. The SHA-256 was recorded
+// by running this test at the commit before sessions were recycled and
+// heads and open sessions encoded in place.
+func TestTrackHeadsCutGolden(t *testing.T) {
+	const want = "dd7e1cedac8608fb422726ed55fd041d62d7789b3ac2c3b501aaa7dbf2b5aeaa"
+	s := NewStreamingWithOptions(engineCtx(), RunOptions{BusyCells: engineBusyCells(), TrackHeads: true})
+	if err := s.AddAll(cdr.NewSliceReader(engineWorkload(60000))); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("TrackHeads cut of the fixed fleet hashes to %s (%d bytes), want %s", got, buf.Len(), want)
+	}
+}
+
 // BenchmarkSnapshotEncode times one full-state Streaming.SnapshotTo at
 // the state the benchmark's checkpoint workload cuts: a generated
 // 1 600-car, 14-day fleet (≈ 320 k records) fully ingested, the
 // duration sample at its 32 768-item cap. Profile it with
 // `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
 func BenchmarkSnapshotEncode(b *testing.B) {
-	cfg := synth.DefaultConfig(1600)
-	cfg.Period = simtime.NewPeriod(t0, 14)
-	records, _, err := synth.NewWorld(cfg).GenerateAll()
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := NewStreaming(cfg.Period)
+	period, records := benchFleet(b)
+	s := NewStreaming(period)
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		b.Fatal(err)
 	}

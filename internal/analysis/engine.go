@@ -94,7 +94,11 @@ type workerMsg struct {
 
 // engineDispatchBatch is the dispatcher's per-shard batch size;
 // batching amortizes channel synchronization over many records.
-const engineDispatchBatch = 512
+// engineWorkerQueue is how many batches may wait on one worker.
+const (
+	engineDispatchBatch = 512
+	engineWorkerQueue   = 4
+)
 
 // RunReaderCheckpointed is the engine's ingest loop: the dispatcher
 // reads the stream and shards records by car across the workers. With
@@ -113,17 +117,29 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 	n := len(sets)
 
 	chans := make([]chan workerMsg, n)
+	// Consumed batches come back to the dispatcher here rather than going
+	// to the garbage collector, 28 KB every 512 records. Sized to every
+	// batch that can exist at once — per worker the four queued, the one
+	// being read and the one being filled — so a worker's return never
+	// blocks; the dispatcher allocates only while the channel is empty,
+	// which is what keeps the population at that bound.
+	recycled := make(chan []cdr.Record, n*(engineWorkerQueue+2))
 	var wg sync.WaitGroup
 	for i := range chans {
 		// A few batches of slack: the reader runs ahead of a briefly
 		// slow worker without buffering the stream.
-		chans[i] = make(chan workerMsg, 4)
+		chans[i] = make(chan workerMsg, engineWorkerQueue)
 		wg.Add(1)
 		go func(set *accumSet, ch <-chan workerMsg) {
 			defer wg.Done()
 			for msg := range ch {
 				for _, rec := range msg.batch {
 					set.add(rec)
+				}
+				if msg.batch != nil {
+					// set.add copied every record out: nothing here
+					// reads the batch again.
+					recycled <- msg.batch[:0]
 				}
 				if msg.ack != nil {
 					msg.ack <- struct{}{}
@@ -132,18 +148,26 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		}(sets[i], chans[i])
 	}
 
+	newBatch := func() []cdr.Record {
+		select {
+		case b := <-recycled:
+			return b
+		default:
+			return make([]cdr.Record, 0, engineDispatchBatch)
+		}
+	}
 	bufs := make([][]cdr.Record, n)
 	for i := range bufs {
-		bufs[i] = make([]cdr.Record, 0, engineDispatchBatch)
+		bufs[i] = newBatch()
 	}
 	flushShard := func(i int) {
 		if len(bufs[i]) == 0 {
 			return
 		}
 		chans[i] <- workerMsg{batch: bufs[i]}
-		// The worker owns the sent batch; the next starts at full
-		// capacity so appends never regrow it.
-		bufs[i] = make([]cdr.Record, 0, engineDispatchBatch)
+		// The worker owns the sent batch until it hands it back; the
+		// next starts empty at full capacity so appends never regrow it.
+		bufs[i] = newBatch()
 	}
 	checkpoint := func() error {
 		ack := make(chan struct{}, n)
@@ -321,6 +345,10 @@ type accumSet struct {
 	errs   []StageError
 
 	batch []cdr.Record
+
+	// payloadHint is the largest stage payload the set has written to a
+	// snapshot, the size its next cut's buffer starts at.
+	payloadHint int
 
 	// met is the observability hook (nil when no registry was
 	// configured): per-stage wall time and record counts, ingest

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"io"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -93,18 +94,16 @@ type Session struct {
 // Duration returns the session's wall-clock extent.
 func (s *Session) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// Handovers counts the transitions between consecutive spans by kind.
-// Consecutive spans on the same cell count as HandoverNone and are not
-// reported.
-func (s *Session) Handovers() map[radio.HandoverKind]int {
-	out := make(map[radio.HandoverKind]int)
+// HandoversByKind counts the transitions between consecutive spans,
+// indexed by kind. Consecutive spans on the same cell are not handovers;
+// the HandoverNone entry stays zero.
+func (s *Session) HandoversByKind() (byKind [radio.NumHandoverKinds]int) {
 	for i := 1; i < len(s.Spans); i++ {
-		k := radio.ClassifyHandover(s.Spans[i-1].Cell, s.Spans[i].Cell)
-		if k != radio.HandoverNone {
-			out[k]++
+		if k := radio.ClassifyHandover(s.Spans[i-1].Cell, s.Spans[i].Cell); k != radio.HandoverNone {
+			byKind[k]++
 		}
 	}
-	return out
+	return byKind
 }
 
 // NumHandovers returns the total handover count in the session.
@@ -122,9 +121,41 @@ func (s *Session) NumHandovers() int {
 // it records in global or per-car time order; each Add returns any
 // sessions that the new record proves closed, and Flush returns the
 // remainder. The zero value is unusable; construct with NewSessionizer.
+//
+// A session Add returns belongs to the caller. A caller that is done
+// with one may hand it back with Release, and a sessionizer whose
+// caller always does allocates nothing in steady state: closed structs
+// and their span arrays are reused for the sessions that open next. A
+// caller that never releases gets what it always got, garbage-collected
+// sessions.
 type Sessionizer struct {
 	gap  time.Duration
 	open map[cdr.CarID]*Session
+	// freeSessions holds released structs, Spans nil.
+	freeSessions []*Session
+	// freeSpans[k] holds released span arrays of capacity exactly 1<<k.
+	freeSpans [spanClasses][][]CellSpan
+}
+
+// spanClasses is how many power-of-two capacities (1, 2, … 16 spans)
+// are recycled. An open session grows through them exactly as append
+// would have grown it, so pooling never leaves a session holding more
+// than append gave it; past the last class growth is append's, and the
+// array goes to the garbage collector when its session does. Every
+// class retains its own high-water count of arrays, which is why the
+// classes stop somewhere: on the 1 600-car fleet one more class (32
+// spans) turns 2.87 MB of engine state into 3.71 MB for 0.04 fewer
+// allocations per record, one fewer leaves 0.23 per record where this
+// leaves 0.10 (DESIGN §2.1 has the table).
+const spanClasses = 5
+
+// spanClass returns the class holding arrays of capacity c, or -1 when
+// c is not a pooled capacity.
+func spanClass(c int) int {
+	if c == 0 || c&(c-1) != 0 || c > 1<<(spanClasses-1) {
+		return -1
+	}
+	return bits.TrailingZeros(uint(c))
 }
 
 // NewSessionizer returns a sessionizer with the given maximum
@@ -137,16 +168,28 @@ func NewSessionizer(gap time.Duration) *Sessionizer {
 }
 
 // Add feeds one record and returns the session it closed, if any.
-// Records for one car must arrive in non-decreasing start order.
+// Records for one car must arrive in non-decreasing start order. The
+// returned session is the caller's: the sessionizer keeps no reference
+// to it or its spans (see Release).
 func (z *Sessionizer) Add(rec cdr.Record) *Session {
 	cur := z.open[rec.Car]
-	if cur != nil && rec.Start.Sub(cur.End) > z.gap {
-		z.open[rec.Car] = newSession(rec)
-		return cur
-	}
 	if cur == nil {
-		z.open[rec.Car] = newSession(rec)
+		cur = z.takeSession()
+		z.begin(cur, rec)
+		z.open[rec.Car] = cur
 		return nil
+	}
+	if rec.Start.Sub(cur.End) > z.gap {
+		// The finished session moves out to a spare struct and the
+		// map's entry starts the next one in place: one map operation
+		// per record, closing or not.
+		closed := z.takeSession()
+		*closed = *cur
+		z.begin(cur, rec)
+		return closed
+	}
+	if len(cur.Spans) == cap(cur.Spans) {
+		cur.Spans = z.grow(cur.Spans)
 	}
 	cur.Spans = append(cur.Spans, CellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration})
 	cur.Connected += rec.Duration
@@ -156,25 +199,76 @@ func (z *Sessionizer) Add(rec cdr.Record) *Session {
 	return nil
 }
 
-// Snapshot returns a copy of every still-open session, ordered by
-// (car, start) for determinism, without closing them: unlike Flush it
-// leaves the sessionizer's state untouched, so accumulators can
-// finalize repeatedly while records keep arriving.
-func (z *Sessionizer) Snapshot() []Session {
-	out := make([]Session, 0, len(z.open))
-	for _, s := range z.open {
-		c := *s
-		c.Spans = append([]CellSpan(nil), s.Spans...)
-		out = append(out, c)
+// Release takes back a session the caller owns outright and is done
+// with — one returned by Add or Take, or a Flush element whose address
+// the caller took — for reuse by the sessions that open next. Nothing
+// else may still reference the session or its Spans: both are
+// overwritten. Releasing is optional, and a session from another
+// sessionizer is as good as one of z's own.
+func (z *Sessionizer) Release(s *Session) {
+	z.push(s.Spans)
+	*s = Session{}
+	z.freeSessions = append(z.freeSessions, s)
+}
+
+func (z *Sessionizer) takeSession() *Session {
+	if n := len(z.freeSessions); n > 0 {
+		s := z.freeSessions[n-1]
+		z.freeSessions = z.freeSessions[:n-1]
+		return s
 	}
-	sortSessions(out)
-	return out
+	return new(Session)
+}
+
+// takeSpans returns an empty span array of capacity 1<<class.
+func (z *Sessionizer) takeSpans(class int) []CellSpan {
+	free := z.freeSpans[class]
+	if n := len(free); n > 0 {
+		z.freeSpans[class] = free[:n-1]
+		return free[n-1]
+	}
+	return make([]CellSpan, 0, 1<<class)
+}
+
+// push files a span array nobody references any more under its
+// capacity class. Arrays of any other capacity — a restored or stitched
+// session's, or one grown past the last class — are left to the garbage
+// collector.
+func (z *Sessionizer) push(spans []CellSpan) {
+	if class := spanClass(cap(spans)); class >= 0 {
+		z.freeSpans[class] = append(z.freeSpans[class], spans[:0])
+	}
+}
+
+// grow moves a full span array into the next capacity class. A full
+// array outside the pooled classes is returned as it is, for append to
+// grow.
+func (z *Sessionizer) grow(spans []CellSpan) []CellSpan {
+	class := spanClass(cap(spans))
+	if class < 0 || class+1 == spanClasses {
+		return spans
+	}
+	bigger := z.takeSpans(class + 1)[:len(spans)]
+	copy(bigger, spans)
+	z.push(spans)
+	return bigger
+}
+
+// begin makes s the one-record session rec opens.
+func (z *Sessionizer) begin(s *Session, rec cdr.Record) {
+	*s = Session{
+		Car:       rec.Car,
+		Start:     rec.Start,
+		End:       rec.End(),
+		Connected: rec.Duration,
+		Spans:     append(z.takeSpans(0), CellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration}),
+	}
 }
 
 // RestoreOpen replaces the sessionizer's open-session state with the
-// given sessions (at most one per car, as produced by Snapshot) — the
-// restore half of checkpointing. Sessions are copied in; a later
-// session for the same car replaces an earlier one.
+// given sessions (at most one per car) — the restore half of
+// checkpointing. Sessions are copied in; a later session for the same
+// car replaces an earlier one.
 func (z *Sessionizer) RestoreOpen(sessions []Session) {
 	z.open = make(map[cdr.CarID]*Session, len(sessions))
 	for i := range sessions {
@@ -229,16 +323,6 @@ func (z *Sessionizer) Flush() []Session {
 	return out
 }
 
-func newSession(rec cdr.Record) *Session {
-	return &Session{
-		Car:       rec.Car,
-		Start:     rec.Start,
-		End:       rec.End(),
-		Connected: rec.Duration,
-		Spans:     []CellSpan{{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration}},
-	}
-}
-
 // Sessions drains the reader through a sessionizer and returns every
 // session, in closing order with the flush tail sorted by car.
 func Sessions(r cdr.Reader, gap time.Duration) ([]Session, error) {
@@ -259,9 +343,9 @@ func Sessions(r cdr.Reader, gap time.Duration) ([]Session, error) {
 	}
 }
 
-// sortSessions orders by (car, start). Its callers hand it one session
-// per car in map iteration order, so the keys are unique and the input
-// is a random permutation.
+// sortSessions orders by (car, start). Flush hands it one session per
+// car in map iteration order, so the keys are unique and the input is a
+// random permutation.
 func sortSessions(s []Session) {
 	slices.SortFunc(s, func(a, b Session) int {
 		if c := cmp.Compare(a.Car, b.Car); c != 0 {

@@ -188,9 +188,10 @@ func TestSessionHandovers(t *testing.T) {
 			{Cell: radio.MakeCellKey(2, 1, radio.C2)}, // same cell: none
 		},
 	}
-	h := s.Handovers()
+	h := s.HandoversByKind()
 	if h[radio.HandoverInterBS] != 1 || h[radio.HandoverInterSector] != 1 ||
-		h[radio.HandoverInterCarrier] != 1 || h[radio.HandoverInterTech] != 1 {
+		h[radio.HandoverInterCarrier] != 1 || h[radio.HandoverInterTech] != 1 ||
+		h[radio.HandoverNone] != 0 {
 		t.Fatalf("handover counts: %v", h)
 	}
 	if s.NumHandovers() != 4 {
@@ -323,10 +324,13 @@ func TestSortSessionsMatchesInsertionOrder(t *testing.T) {
 	for car := 300; car > 0; car-- {
 		z.Add(rec(cdr.CarID(car*7919%1000), 1, time.Duration(car)*time.Minute, time.Second))
 	}
-	snap, flushed := z.Snapshot(), z.Flush()
-	for i := 1; i < len(flushed); i++ {
-		if flushed[i-1].Car >= flushed[i].Car || snap[i-1].Car >= snap[i].Car {
-			t.Fatalf("Flush/Snapshot not ascending by car at %d", i)
+	cars, flushed := z.OpenCars(), z.Flush()
+	if len(cars) != len(flushed) {
+		t.Fatalf("OpenCars lists %d cars, Flush returned %d sessions", len(cars), len(flushed))
+	}
+	for i := range flushed {
+		if flushed[i].Car != cars[i] || (i > 0 && cars[i-1] >= cars[i]) {
+			t.Fatalf("Flush/OpenCars not ascending by car at %d", i)
 		}
 	}
 }

@@ -66,13 +66,17 @@ func DefaultPeriod() Period {
 func (p Period) Start() time.Time { return p.start }
 
 // End returns the first instant after the period.
-func (p Period) End() time.Time { return p.start.AddDate(0, 0, p.days) }
+func (p Period) End() time.Time { return p.start.Add(p.Duration()) }
 
 // Days returns the number of whole days in the period.
 func (p Period) Days() int { return p.days }
 
-// Duration returns the total length of the period.
-func (p Period) Duration() time.Duration { return p.End().Sub(p.start) }
+// Duration returns the total length of the period. The period starts
+// at UTC midnight and UTC has no clock changes, so it is exactly Days
+// 24-hour days: Contains and DayIndex run per record, and calendar
+// arithmetic (AddDate) does not belong there. Periods are far below
+// time.Duration's ~292-year range.
+func (p Period) Duration() time.Duration { return time.Duration(p.days) * 24 * time.Hour }
 
 // Seconds returns the total length of the period in seconds.
 func (p Period) Seconds() int64 { return int64(p.Duration() / time.Second) }
@@ -80,7 +84,10 @@ func (p Period) Seconds() int64 { return int64(p.Duration() / time.Second) }
 // Contains reports whether t falls inside the period (start inclusive,
 // end exclusive).
 func (p Period) Contains(t time.Time) bool {
-	return !t.Before(p.start) && t.Before(p.End())
+	// Sub saturates for instants more than ~292 years away, which keeps
+	// them on the correct side of both comparisons.
+	d := t.Sub(p.start)
+	return d >= 0 && d < p.Duration()
 }
 
 // Clamp trims the interval [t, t+d) to the period and returns the
@@ -106,10 +113,11 @@ func (p Period) Clamp(t time.Time, d time.Duration) (time.Time, time.Duration) {
 // DayIndex returns the zero-based day of the period containing t, or
 // -1 when t is outside the period.
 func (p Period) DayIndex(t time.Time) int {
-	if !p.Contains(t) {
+	d := t.Sub(p.start)
+	if d < 0 || d >= p.Duration() {
 		return -1
 	}
-	return int(t.Sub(p.start) / (24 * time.Hour))
+	return int(d / (24 * time.Hour))
 }
 
 // DayStart returns the first instant of the zero-based day index. It

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
@@ -54,6 +55,56 @@ func TestContains(t *testing.T) {
 		if got := p.Contains(c.t); got != c.want {
 			t.Errorf("Contains(%v) = %v, want %v", c.t, got, c.want)
 		}
+	}
+}
+
+// TestPeriodArithmeticMatchesCalendarDefinition holds the per-record
+// forms of End, Contains and DayIndex (a multiply, one saturating Sub)
+// to the calendar definitions they replaced (AddDate and Before), on
+// random instants, on both edges to the nanosecond, and on instants far
+// enough away that Sub saturates.
+func TestPeriodArithmeticMatchesCalendarDefinition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 1))
+	for _, p := range []Period{
+		DefaultPeriod(),
+		NewPeriod(time.Date(2017, 3, 15, 13, 45, 0, 0, time.UTC), 1),
+		NewPeriod(time.Date(2016, 2, 20, 0, 0, 0, 0, time.FixedZone("x", -5*3600)), 400), // across a leap day
+		NewPeriod(time.Date(1969, 12, 30, 0, 0, 0, 0, time.UTC), 14),                     // across the Unix epoch
+	} {
+		end := p.Start().AddDate(0, 0, p.Days())
+		if !p.End().Equal(end) || p.Duration() != end.Sub(p.Start()) {
+			t.Fatalf("%v+%dd: End %v Duration %v, calendar says %v", p.Start(), p.Days(), p.End(), p.Duration(), end)
+		}
+		check := func(at time.Time) {
+			t.Helper()
+			contains := !at.Before(p.Start()) && at.Before(end)
+			day := -1
+			if contains {
+				day = int(at.Sub(p.Start()) / (24 * time.Hour))
+			}
+			if p.Contains(at) != contains || p.DayIndex(at) != day {
+				t.Fatalf("%v+%dd at %v: Contains %v DayIndex %d, calendar says %v %d",
+					p.Start(), p.Days(), at, p.Contains(at), p.DayIndex(at), contains, day)
+			}
+		}
+		for _, edge := range []time.Time{p.Start(), end} {
+			for _, off := range []time.Duration{-time.Nanosecond, 0, time.Nanosecond} {
+				check(edge.Add(off))
+			}
+		}
+		for day := 1; day < p.Days(); day++ {
+			check(p.DayStart(day).Add(-time.Nanosecond))
+			check(p.DayStart(day))
+		}
+		span := int64(p.Duration())
+		for i := 0; i < 20000; i++ {
+			check(p.Start().Add(time.Duration(rng.Int64N(3*span) - span)))
+		}
+		// More than ~292 years either side: Sub saturates.
+		for _, years := range []int{-2000, -400, -293, 293, 400, 5000} {
+			check(p.Start().AddDate(years, 0, 0))
+		}
+		check(time.Time{})
 	}
 }
 
