@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 # cover fails when total statement coverage drops below this.
 COVER_MIN ?= 70
 
-.PHONY: all build test race vet fmt fuzz-smoke bench-check bench-micro chaos cover ci
+.PHONY: all build test race vet fmt fuzz-smoke bench-check bench-micro chaos cover loc ci
 
 all: build
 
@@ -70,6 +70,13 @@ cover:
 	echo "total statement coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= m+0) }' || \
 		{ echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; }
+
+# The size ROADMAP aim 2 is judged by: lines of tracked Go outside
+# bench/, split non-test / _test.go, and bench/ beside them.
+loc:
+	@echo "non-test Go lines outside bench/: $$(git ls-files -- '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l)"
+	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
+	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
 # Short fuzz runs over the codec entry points and the ordered fold's
 # grouping property; go test accepts one -fuzz pattern per invocation,

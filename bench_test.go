@@ -24,6 +24,7 @@ import (
 	"cellcars/internal/predict"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
+	"cellcars/internal/stats"
 )
 
 const benchCars = 1200
@@ -290,7 +291,7 @@ func BenchmarkFigure10CellWeek(b *testing.B) {
 	b.StopTimer()
 	reportOnce("Figure 10",
 		fmt.Sprintf("cell %v: peak concurrency %.0f cars, mean UPRB %.0f%% (paper: diurnal impulses tracking the load curve)",
-			cw.Cell, cw.Concurrency.Max(), cw.Utilization.Mean()*100))
+			cw.Cell, cw.Concurrency.Max(), stats.Mean(cw.Utilization[:])*100))
 }
 
 // BenchmarkFigure11Clustering regenerates Figure 11: k-means (k=2)
@@ -322,11 +323,12 @@ func BenchmarkFigure11Clustering(b *testing.B) {
 // p90 9 handovers per mobility session; inter-BS dominant.
 func BenchmarkSec45Handovers(b *testing.B) {
 	_, _, cleaned, _ := benchScene(b)
-	truncated, err := cdr.ReadAll(clean.Truncate(cdr.NewSliceReader(cleaned), clean.TruncateLimit))
-	if err != nil {
-		b.Fatal(err)
+	truncated := append([]cdr.Record(nil), cleaned...)
+	for i := range truncated {
+		truncated[i].Duration = min(truncated[i].Duration, clean.TruncateLimit)
 	}
 	var hs analysis.HandoverStats
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hs, err = analysis.HandoversOf(truncated)
@@ -634,35 +636,6 @@ func BenchmarkCarClustering(b *testing.B) {
 	}
 	reportOnce("Car clustering (extension)",
 		fmt.Sprintf("k=4 behavioural clusters %v; one cluster is weekend-dominated (share %.0f%%)", sizes, maxWeekend*100))
-}
-
-// BenchmarkExternalSort measures the disk-backed sorter on the bench
-// stream with forced spilling.
-func BenchmarkExternalSort(b *testing.B) {
-	_, _, cleaned, _ := benchScene(b)
-	sample := cleaned
-	if len(sample) > 300000 {
-		sample = sample[:300000]
-	}
-	// Shuffle a copy so the sorter has real work.
-	shuffled := make([]cdr.Record, len(sample))
-	copy(shuffled, sample)
-	rng := rand.New(rand.NewPCG(1, 2))
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	dir := b.TempDir()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out cdr.SliceWriter
-		err := cdr.ExternalSort(cdr.NewSliceReader(shuffled), &out,
-			cdr.ExternalSortConfig{ChunkRecords: 64 << 10, TempDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !cdr.Sorted(out.Records) {
-			b.Fatal("not sorted")
-		}
-	}
-	b.SetBytes(int64(len(shuffled)) * 28)
 }
 
 // BenchmarkGenerateParallel compares parallel generation throughput

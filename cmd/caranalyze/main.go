@@ -30,7 +30,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -208,13 +207,13 @@ func main() {
 		// call below: Streaming.Finalize's StreamReport and
 		// MarshalReport are functions the benchmark pins, and the JSON
 		// is defined as their output.
-		rr, closer, err := openInput(*in, ingest)
+		file, closer, err := cdr.OpenFiles(*in)
 		if err != nil {
 			fatal("open %s: %v", *in, err)
 		}
 		defer closer.Close()
 		s := analysis.NewStreamingWithOptions(ctx, opts)
-		if err := s.AddAll(rr); err != nil {
+		if err := s.AddAll(cdr.NewResilientReader(file, ingest)); err != nil {
 			fatal("stream %s: %v", *in, err)
 		}
 		srep := s.Finalize()
@@ -259,12 +258,12 @@ func main() {
 		fmt.Printf("generated %d records (%d cars, %d stations, %d cells)\n\n",
 			stats.Records, *cars, w.Net.NumStations(), w.Net.NumCells())
 	} else {
-		var closer io.Closer
-		rr, closer, err = openInput(*in, ingest)
+		file, closer, err := cdr.OpenFiles(*in)
 		if err != nil {
 			fatal("open %s: %v", *in, err)
 		}
 		defer closer.Close()
+		rr = cdr.NewResilientReader(file, ingest)
 		src = rr
 		if !*stream {
 			// Sized up front when the input says how many records it
@@ -438,16 +437,6 @@ func totalRecordsHint(paths []string) int64 {
 		total += cdr.BinaryRecordCount(fi.Size())
 	}
 	return total
-}
-
-// openInput opens a CDR file with the codec its extension names,
-// behind the resilient ingest layer. The closer owns the file.
-func openInput(path string, ingest cdr.ResilientConfig) (*cdr.ResilientReader, io.Closer, error) {
-	r, closer, err := cdr.OpenFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cdr.NewResilientReader(r, ingest), closer, nil
 }
 
 func fatal(format string, args ...any) {

@@ -224,7 +224,14 @@ func main() {
 		exit(0)
 	}
 
-	rr := cdr.NewResilientReader(openInputs(inputs), ingest)
+	// The inputs in argument order, one descriptor at a time; the reader
+	// closes each file as it drains and every exit is an os.Exit, so the
+	// closer has nothing left to do.
+	files, _, err := cdr.OpenFiles(inputs...)
+	if err != nil {
+		fatal("open inputs failed", "err", err.Error())
+	}
+	rr := cdr.NewResilientReader(files, ingest)
 	if watermark > 0 {
 		if err := cdr.Skip(rr, watermark); err != nil {
 			fatal("tail replay skip failed", "skip", watermark, "err", err.Error())
@@ -274,38 +281,6 @@ func main() {
 
 	<-sigc
 	shutdown("terminated")
-}
-
-// openInputs concatenates the input files in argument order, picking
-// each codec by extension. Files are opened lazily so a long replay
-// does not hold every descriptor at once.
-func openInputs(paths []string) cdr.Reader {
-	readers := make([]cdr.Reader, len(paths))
-	for i, path := range paths {
-		readers[i] = &lazyFileReader{path: path}
-	}
-	return cdr.Concat(readers...)
-}
-
-type lazyFileReader struct {
-	path string
-	f    io.Closer
-	r    cdr.Reader
-}
-
-func (l *lazyFileReader) Read() (cdr.Record, error) {
-	if l.r == nil {
-		r, f, err := cdr.OpenFile(l.path)
-		if err != nil {
-			return cdr.Record{}, err
-		}
-		l.r, l.f = r, f
-	}
-	rec, err := l.r.Read()
-	if errors.Is(err, io.EOF) {
-		l.f.Close()
-	}
-	return rec, err
 }
 
 // parseSpan parses a duration with the usual h/m/s suffixes plus an

@@ -606,19 +606,32 @@ func minF(a, b float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// handovers — §4.5
+// session stages — what handovers and usage share
 
-type handoverAcc struct {
-	// truncate applies the paper's 600 s cap before sessionizing, as
-	// the full pipeline does; the standalone HandoversOf keeps the
-	// caller's durations.
-	truncate bool
-	z        *clean.Sessionizer
-	byKind   map[radio.HandoverKind]int64
-	counts   []float64
+// sessionStage is the part of a session stage that does not depend on
+// what the stage counts. A session stage (handovers, usage) feeds
+// every record to a sessionizer and accounts each session once, when it
+// is known to be closed; sessionStage owns the sessionizer, the
+// sessions that are not accounted yet — the open one per car inside
+// the sessionizer and, under TrackHeads, each car's stashed first
+// closed session — and every operation that moves a session between
+// those states: the close-or-stash routing, the car-disjoint and the
+// ordered merge, the walk Finalize counts unaccounted sessions with,
+// and their part of the snapshot payload.
+//
+// The embedding stage supplies count, keeps its aggregates, merges
+// them, and writes its report fields and the rest of its payload. Its
+// Add calls z.Add itself: a record costs the sessionizer call and a nil
+// check, and the one indirect call, count, is paid per closed session.
+type sessionStage struct {
+	z *clean.Sessionizer
+	// count adds one closed session to the embedding stage's
+	// aggregates. The session goes back to the sessionizer as soon as
+	// count returns, so count keeps no reference to it.
+	count func(*clean.Session)
 	// trackHeads defers accounting of each car's first closed session
-	// into heads, keeping it stitchable by MergeOrdered (see
-	// ordered.go). Nil heads means tracking is off.
+	// into heads, keeping it stitchable by mergeOrdered (ordered.go has
+	// why). Nil heads means tracking is off.
 	trackHeads bool
 	heads      map[cdr.CarID]*clean.Session
 	// overlaps is the transient (unsnapshotted) count of ordered-merge
@@ -626,53 +639,105 @@ type handoverAcc struct {
 	overlaps int64
 }
 
-func newHandoverAcc(truncate bool) *handoverAcc {
-	return &handoverAcc{
-		truncate: truncate,
-		z:        clean.NewSessionizer(clean.MobilityGap),
-		byKind:   make(map[radio.HandoverKind]int64),
+func (s *sessionStage) setTrackHeads(on bool) {
+	s.trackHeads = on
+	if on && s.heads == nil {
+		s.heads = make(map[cdr.CarID]*clean.Session)
 	}
 }
 
-func (a *handoverAcc) setTrackHeads(on bool) {
-	a.trackHeads = on
-	if on && a.heads == nil {
-		a.heads = make(map[cdr.CarID]*clean.Session)
+func (s *sessionStage) tracksHeads() bool { return s.trackHeads }
+
+func (s *sessionStage) orderedOverlaps() int64 { return s.overlaps }
+
+// closed routes a closed session: with head tracking on, each car's
+// first closed session is stashed unaccounted (it may still join the
+// open tail of an earlier time slice); everything else is counted and
+// handed back to the sessionizer, since nothing references an
+// accounted session again.
+func (s *sessionStage) closed(sess *clean.Session) {
+	if s.trackHeads {
+		if _, seen := s.heads[sess.Car]; !seen {
+			s.heads[sess.Car] = sess
+			return
+		}
 	}
+	s.count(sess)
+	s.z.Release(sess)
+}
+
+// merge folds in the unaccounted sessions of a car-disjoint shard. Its
+// heads stay heads where this side tracks them (they are still the
+// first session of cars this side has never seen), and its open
+// sessions are closed, as the Merge contract's "stream complete"
+// demands — both through closed, so a car whose only session was open
+// keeps a stitchable head.
+func (s *sessionStage) merge(o *sessionStage) {
+	for _, car := range sortedKeys(o.heads) {
+		s.closed(o.heads[car])
+	}
+	for _, sess := range o.z.Flush() {
+		sess := sess
+		s.closed(&sess)
+	}
+}
+
+// mergeOrdered folds in the unaccounted sessions of a later,
+// time-adjacent slice, which must have been built with TrackHeads:
+// only the boundary sessions need stitching, the later slice's
+// aggregates are interior to it and fold as they are.
+func (s *sessionStage) mergeOrdered(o *sessionStage) {
+	if !o.trackHeads {
+		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
+	}
+	s.overlaps += o.overlaps + stitchOrdered(s.z, s.closed, o.heads, o.z)
+}
+
+// unaccounted calls fn for every session not accounted yet — stashed
+// heads, then still-open tails, each in car order — leaving them where
+// they are: a Finalize that counts them on a copy of its aggregates
+// stays repeatable as records keep arriving.
+func (s *sessionStage) unaccounted(fn func(*clean.Session)) {
+	for _, car := range sortedKeys(s.heads) {
+		fn(s.heads[car])
+	}
+	for _, car := range s.z.OpenCars() {
+		fn(s.z.Open(car))
+	}
+}
+
+// ---------------------------------------------------------------------------
+// handovers — §4.5
+
+type handoverAcc struct {
+	sessionStage
+	// truncate applies the paper's 600 s cap before sessionizing, as
+	// the full pipeline does; the standalone HandoversOf keeps the
+	// caller's durations.
+	truncate bool
+	byKind   map[radio.HandoverKind]int64
+	counts   []float64
+}
+
+func newHandoverAcc(truncate bool) *handoverAcc {
+	a := &handoverAcc{truncate: truncate, byKind: make(map[radio.HandoverKind]int64)}
+	a.sessionStage = sessionStage{z: clean.NewSessionizer(clean.MobilityGap), count: a.countSession}
+	return a
 }
 
 func (a *handoverAcc) Stage() string { return "handovers" }
-
-func (a *handoverAcc) orderedOverlaps() int64 { return a.overlaps }
 
 func (a *handoverAcc) Add(r cdr.Record) {
 	if a.truncate && r.Duration > clean.TruncateLimit {
 		r.Duration = clean.TruncateLimit
 	}
 	if s := a.z.Add(r); s != nil {
-		a.closeSession(s)
+		a.closed(s)
 	}
 }
 
-// closeSession routes a closed session: with head tracking on, each
-// car's first closed session is stashed unaccounted (it may still join
-// the open tail of an earlier time slice); everything else is
-// accounted immediately.
-func (a *handoverAcc) closeSession(s *clean.Session) {
-	if a.trackHeads {
-		if _, seen := a.heads[s.Car]; !seen {
-			a.heads[s.Car] = s
-			return
-		}
-	}
-	a.account(s)
-}
-
-// account counts a closed session and hands it back to the
-// sessionizer: nothing references an accounted session again.
-func (a *handoverAcc) account(s *clean.Session) {
+func (a *handoverAcc) countSession(s *clean.Session) {
 	a.counts = append(a.counts, float64(addHandovers(a.byKind, s)))
-	a.z.Release(s)
 }
 
 // addHandovers adds a session's handovers to byKind and returns how
@@ -691,25 +756,17 @@ func addHandovers(byKind map[radio.HandoverKind]int64, s *clean.Session) int {
 
 func (a *handoverAcc) Merge(other Accumulator) {
 	o := mergeAs[*handoverAcc](other)
-	// Car-disjoint merge: the other shard's heads stay heads (still the
-	// first session of cars this side has never seen), and its open
-	// sessions are closed as the contract's "stream complete" demands —
-	// routed through closeSession so a car whose only session was open
-	// keeps a stitchable head.
-	for _, car := range sortedKeys(o.heads) {
-		h := o.heads[car]
-		if a.trackHeads {
-			if _, seen := a.heads[car]; !seen {
-				a.heads[car] = h
-				continue
-			}
-		}
-		a.account(h)
-	}
-	for _, s := range o.z.Flush() {
-		s := s
-		a.closeSession(&s)
-	}
+	a.merge(&o.sessionStage)
+	a.mergeCounts(o)
+}
+
+func (a *handoverAcc) MergeOrdered(other Accumulator) {
+	o := mergeAs[*handoverAcc](other)
+	a.mergeOrdered(&o.sessionStage)
+	a.mergeCounts(o)
+}
+
+func (a *handoverAcc) mergeCounts(o *handoverAcc) {
 	for kind, c := range o.byKind {
 		a.byKind[kind] += c
 	}
@@ -717,20 +774,14 @@ func (a *handoverAcc) Merge(other Accumulator) {
 }
 
 func (a *handoverAcc) Finalize(rep *Report) error {
-	// Work on copies of the aggregates so unaccounted sessions (stashed
-	// heads, still-open tails) are counted where they are, without being
-	// closed — Finalize must stay repeatable.
 	byKind := make(map[radio.HandoverKind]int64, len(a.byKind))
 	for k, v := range a.byKind {
 		byKind[k] = v
 	}
 	counts := append([]float64(nil), a.counts...)
-	for _, car := range sortedKeys(a.heads) {
-		counts = append(counts, float64(addHandovers(byKind, a.heads[car])))
-	}
-	for _, car := range a.z.OpenCars() {
-		counts = append(counts, float64(addHandovers(byKind, a.z.Open(car))))
-	}
+	a.unaccounted(func(s *clean.Session) {
+		counts = append(counts, float64(addHandovers(byKind, s)))
+	})
 
 	hs := HandoverStats{ByKind: byKind, Sessions: len(counts)}
 	hs.PerSession = stats.NewCDF(counts)
@@ -819,58 +870,29 @@ func (a *carriersAcc) Finalize(rep *Report) error {
 // the whole population)
 
 type usageAcc struct {
+	sessionStage
 	tzOffset int
-	z        *clean.Sessionizer
 	matrix   simtime.WeekMatrix
 	sessions int64
-	// trackHeads mirrors handoverAcc: each car's first closed session
-	// is stashed for ordered-merge stitching instead of being marked
-	// into the matrix immediately.
-	trackHeads bool
-	heads      map[cdr.CarID]*clean.Session
-	overlaps   int64 // see handoverAcc.overlaps
 }
 
 func newUsageAcc(tzOffsetSeconds int) *usageAcc {
-	return &usageAcc{tzOffset: tzOffsetSeconds, z: clean.NewSessionizer(clean.AggregateGap)}
-}
-
-func (a *usageAcc) setTrackHeads(on bool) {
-	a.trackHeads = on
-	if on && a.heads == nil {
-		a.heads = make(map[cdr.CarID]*clean.Session)
-	}
+	a := &usageAcc{tzOffset: tzOffsetSeconds}
+	a.sessionStage = sessionStage{z: clean.NewSessionizer(clean.AggregateGap), count: a.countSession}
+	return a
 }
 
 func (a *usageAcc) Stage() string { return "usage" }
 
-func (a *usageAcc) orderedOverlaps() int64 { return a.overlaps }
-
 func (a *usageAcc) Add(r cdr.Record) {
 	if s := a.z.Add(r); s != nil {
-		a.closeSession(s)
+		a.closed(s)
 	}
 }
 
-// closeSession mirrors handoverAcc.closeSession: first closed session
-// per car becomes the stitchable head under tracking, the rest are
-// accounted.
-func (a *usageAcc) closeSession(s *clean.Session) {
-	if a.trackHeads {
-		if _, seen := a.heads[s.Car]; !seen {
-			a.heads[s.Car] = s
-			return
-		}
-	}
-	a.account(s)
-}
-
-// account marks a closed session into the matrix and hands it back to
-// the sessionizer, like handoverAcc.account.
-func (a *usageAcc) account(s *clean.Session) {
+func (a *usageAcc) countSession(s *clean.Session) {
 	markSessionHours(&a.matrix, s, a.tzOffset)
 	a.sessions++
-	a.z.Release(s)
 }
 
 // markSessionHours marks every local hour-of-week a session touches,
@@ -896,39 +918,27 @@ func markSessionHours(m *simtime.WeekMatrix, s *clean.Session, tzOffsetSeconds i
 
 func (a *usageAcc) Merge(other Accumulator) {
 	o := mergeAs[*usageAcc](other)
-	// Car-disjoint merge; see handoverAcc.Merge for the head routing.
-	for _, car := range sortedKeys(o.heads) {
-		h := o.heads[car]
-		if a.trackHeads {
-			if _, seen := a.heads[car]; !seen {
-				a.heads[car] = h
-				continue
-			}
-		}
-		a.account(h)
-	}
-	// The other shard's stream is complete: close its open sessions.
-	for _, s := range o.z.Flush() {
-		s := s
-		a.closeSession(&s)
-	}
+	a.merge(&o.sessionStage)
+	a.mergeCounts(o)
+}
+
+func (a *usageAcc) MergeOrdered(other Accumulator) {
+	o := mergeAs[*usageAcc](other)
+	a.mergeOrdered(&o.sessionStage)
+	a.mergeCounts(o)
+}
+
+func (a *usageAcc) mergeCounts(o *usageAcc) {
 	a.matrix.Merge(&o.matrix)
 	a.sessions += o.sessions
 }
 
 func (a *usageAcc) Finalize(rep *Report) error {
-	// Count stashed heads and still-open sessions on a matrix copy so
-	// Finalize stays repeatable as records keep arriving.
-	m := a.matrix
-	sessions := a.sessions
-	for _, car := range sortedKeys(a.heads) {
-		markSessionHours(&m, a.heads[car], a.tzOffset)
+	m, sessions := a.matrix, a.sessions
+	a.unaccounted(func(s *clean.Session) {
+		markSessionHours(&m, s, a.tzOffset)
 		sessions++
-	}
-	for _, car := range a.z.OpenCars() {
-		markSessionHours(&m, a.z.Open(car), a.tzOffset)
-		sessions++
-	}
+	})
 	rep.FleetUsage = m
 	rep.UsageSessions = sessions
 	return nil

@@ -347,7 +347,7 @@ func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 }
 
 // ---------------------------------------------------------------------------
-// open sessions (shared by handovers and usage)
+// unaccounted sessions (the sessionStage part of handovers and usage)
 
 // encodeSession writes one unclosed session — open, or a stashed head —
 // as its car and span list; Start/End/Connected are derived on decode,
@@ -470,13 +470,30 @@ func decodeHeads(d *snapshot.Decoder) (bool, map[cdr.CarID]*clean.Session) {
 	return true, heads
 }
 
+// encode writes the stage's unaccounted sessions, the prefix of both
+// session stages' payloads: open sessions, then heads.
+func (s *sessionStage) encode(e *snapshot.Encoder) {
+	encodeOpenSessions(e, s.z)
+	encodeHeads(e, s.trackHeads, s.heads)
+}
+
+// decode reads what encode wrote and returns the step that installs it,
+// for the caller to run once the rest of its payload has validated.
+func (s *sessionStage) decode(d *snapshot.Decoder) (install func()) {
+	sessions := decodeSessions(d)
+	trackHeads, heads := decodeHeads(d)
+	return func() {
+		s.z.RestoreOpen(sessions)
+		s.trackHeads, s.heads = trackHeads, heads
+	}
+}
+
 // ---------------------------------------------------------------------------
 // handovers
 
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeOpenSessions(e, a.z)
-	encodeHeads(e, a.trackHeads, a.heads)
+	a.encode(e)
 	e.Uvarint(uint64(len(a.byKind)))
 	for _, kind := range sortedKeys(a.byKind) {
 		e.Uvarint(uint64(kind))
@@ -491,8 +508,7 @@ func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 
 func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	sessions := decodeSessions(d)
-	trackHeads, heads := decodeHeads(d)
+	install := a.decode(d)
 	nk := d.Len(radio.NumHandoverKinds)
 	if d.Err() != nil {
 		return d.Err()
@@ -525,8 +541,7 @@ func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	a.z.RestoreOpen(sessions)
-	a.trackHeads, a.heads = trackHeads, heads
+	install()
 	a.byKind, a.counts = byKind, counts
 	return nil
 }
@@ -629,8 +644,7 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeOpenSessions(e, a.z)
-	encodeHeads(e, a.trackHeads, a.heads)
+	a.encode(e)
 	for hour := 0; hour < simtime.HoursPerDay; hour++ {
 		for day := 0; day < 7; day++ {
 			e.F64(a.matrix.At(hour, day))
@@ -642,8 +656,7 @@ func (a *usageAcc) SnapshotTo(w io.Writer) error {
 
 func (a *usageAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	sessions := decodeSessions(d)
-	trackHeads, heads := decodeHeads(d)
+	install := a.decode(d)
 	var m simtime.WeekMatrix
 	for hour := 0; hour < simtime.HoursPerDay; hour++ {
 		for day := 0; day < 7; day++ {
@@ -658,8 +671,7 @@ func (a *usageAcc) RestoreFrom(r io.Reader) error {
 		d.Failf("closed session count %d negative", count)
 		return d.Err()
 	}
-	a.z.RestoreOpen(sessions)
-	a.trackHeads, a.heads = trackHeads, heads
+	install()
 	a.matrix = m
 	a.sessions = count
 	return nil

@@ -1,20 +1,27 @@
 // Package analysis implements the paper's measurement pipeline — the
-// primary contribution being reproduced. Every analysis of §4 is a
-// function over a CDR record stream plus side context (study period,
-// per-cell PRB load source, local-time offset):
+// primary contribution being reproduced. Every analysis of §4 is an
+// accumulator stage over a CDR record stream plus side context (study
+// period, per-cell PRB load source, local-time offset), and every stage
+// runs in each of:
 //
-//	Figure 2 / Table 1  → DailyPresence, Table1
-//	Figure 3            → ConnectedTime
+//	Run, NewEngine                 a whole source, with workers and checkpoints
+//	NewStreamingWithOptions        one accumulator set the caller feeds itself
+//	RestoreStreaming, ReadPartial  state restored from a snapshot, to resume or merge
+//
+// Each analysis is also a function over a record slice:
+//
+//	Figure 2 / Table 1  → DailyPresenceOf, Table1
+//	Figure 3            → ConnectedTimeOf
 //	Figure 4            → ReferenceMatrices
 //	Figure 5            → UsageMatrix
-//	Figure 6 / Table 2  → DaysHistogram, Segmentation
-//	Figure 7            → BusyTime
-//	Figure 8            → CellDay
-//	Figure 9            → CellDurations
+//	Figure 6 / Table 2  → DaysOnNetwork, DaysHistogram, Segmentation
+//	Figure 7            → BusyTimeOf
+//	Figure 8            → CellDay, BusiestCellDay
+//	Figure 9            → CellDurationsOf
 //	Figure 10           → CellWeek
 //	Figure 11           → ClusterBusyCells
-//	§4.5                → Handovers
-//	Table 3             → CarrierUsage
+//	§4.5                → HandoversOf
+//	Table 3             → CarrierUsageOf
 //
 // (Figure 1 is the load-model saturation experiment; see
 // internal/load.Saturate.)
@@ -37,7 +44,7 @@ type Context struct {
 	// Period is the study window.
 	Period simtime.Period
 	// Load is the per-cell PRB utilization source used for busy-cell
-	// classification. Required by BusyTime, Segmentation, CellWeek and
+	// classification. Required by BusyTimeOf, Segmentation, CellWeek and
 	// ClusterBusyCells; other analyses ignore it.
 	Load load.Source
 	// TZOffsetSeconds converts record timestamps to local time for the

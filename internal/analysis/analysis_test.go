@@ -228,14 +228,6 @@ func TestBusyTime(t *testing.T) {
 	if h[0] == 0 || h[9] == 0 {
 		t.Fatalf("7a histogram: %v", h)
 	}
-	hb := bt.Histogram7b()
-	var sum float64
-	for _, v := range hb {
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("7b not normalized: %v", hb)
-	}
 }
 
 func TestBusyTimePanicsWithoutLoad(t *testing.T) {

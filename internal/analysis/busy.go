@@ -54,30 +54,6 @@ func (bt BusyTime) Histogram7a() [10]float64 {
 	return out
 }
 
-// Histogram7b buckets cars with at least 50% busy time by decade
-// (50-60 … 90-100), as proportions of that subpopulation (Fig 7b).
-func (bt BusyTime) Histogram7b() [5]float64 {
-	var out [5]float64
-	n := 0.0
-	for _, f := range bt.FracByCar {
-		if f < 0.5 {
-			continue
-		}
-		b := int((f - 0.5) * 10)
-		if b >= 5 {
-			b = 4
-		}
-		out[b]++
-		n++
-	}
-	if n > 0 {
-		for i := range out {
-			out[i] /= n
-		}
-	}
-	return out
-}
-
 // Segment is a Table 2 row bucket: how much of the car population is
 // rare vs common, split by whether their connected time concentrates
 // in busy hours, non-busy hours, or both.

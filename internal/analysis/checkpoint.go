@@ -239,38 +239,34 @@ func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) erro
 	return sw.Close()
 }
 
-// Checkpoint writes retry transient failures with the same policy the
-// ExternalSort spill path uses: a bounded number of attempts with
-// exponential backoff. A checkpoint landing on flaky storage (NFS
-// hiccup, throttled volume) should cost a retry, not the run.
+// A checkpoint write that fails with a transient error
+// (cdr.IsTransient) is repeated up to checkpointRetryAttempts more
+// times, sleeping checkpointRetryBackoff, doubled each time, in
+// between; any other error, and the last transient one, fails the
+// write. A checkpoint landing on flaky storage (NFS hiccup, throttled
+// volume) should cost a retry, not the run.
 const (
 	checkpointRetryAttempts = 3
 	checkpointRetryBackoff  = 5 * time.Millisecond
 )
 
-// createSnapshotFile, renameSnapshotFile and checkpointSleep are
-// stubbed by tests to inject checkpoint I/O faults and skip the
-// wall-clock backoff.
-var (
-	createSnapshotFile = os.Create
-	renameSnapshotFile = os.Rename
-	checkpointSleep    = time.Sleep
-)
+// checkpointSleep is stubbed by tests to skip the wall-clock backoff.
+var checkpointSleep = time.Sleep
 
-// writeSnapshotFile writes a snapshot atomically: the bytes land in
-// path+".tmp", are fsynced, and replace path with a rename, so a crash
-// mid-checkpoint leaves the previous checkpoint intact. Transient
-// failures (cdr.IsTransient) of any step — create, write, sync, rename
-// — are retried with exponential backoff; each failed attempt removes
-// its own temp file, so retries never leak. A non-nil registry records
-// the write count, byte size, wall duration and retries under the
-// checkpoint metrics (cellcars_checkpoint_writes_total and kin).
+// writeSnapshotFile writes a snapshot atomically through
+// snapshot.WriteFile, so a crash mid-checkpoint leaves the previous
+// checkpoint intact, under the retry policy above; each failed attempt
+// removes its own temp file, so retries never leak. A non-nil registry
+// records the write count, byte size, wall duration and retries under
+// the checkpoint metrics (cellcars_checkpoint_writes_total and kin).
 func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *obs.Registry) error {
 	t0 := time.Now()
 	var n int64
 	var err error
 	for attempt := 0; ; attempt++ {
-		n, err = writeSnapshotAttempt(path, hdr, sets)
+		n, err = snapshot.WriteFile(path, func(w io.Writer) error {
+			return writeSnapshotStream(w, hdr, sets)
+		})
 		if err == nil || !cdr.IsTransient(err) || attempt >= checkpointRetryAttempts {
 			break
 		}
@@ -288,51 +284,6 @@ func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *o
 		reg.Timing("cellcars_checkpoint_write_seconds").Observe(time.Since(t0))
 	}
 	return nil
-}
-
-// writeSnapshotAttempt performs one full write-fsync-rename cycle,
-// returning the byte count on success and cleaning up its temp file on
-// failure.
-func writeSnapshotAttempt(path string, hdr SnapshotHeader, sets []*accumSet) (n int64, err error) {
-	tmp := path + ".tmp"
-	f, err := createSnapshotFile(tmp)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	cw := &countingWriter{w: f}
-	if err = writeSnapshotStream(cw, hdr, sets); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err = f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err = f.Close(); err != nil {
-		return 0, err
-	}
-	if err = renameSnapshotFile(tmp, path); err != nil {
-		return 0, err
-	}
-	return cw.n, nil
-}
-
-// countingWriter counts bytes on their way to the underlying writer,
-// for the checkpoint size metric.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // ---------------------------------------------------------------------------
@@ -517,7 +468,7 @@ func ReadPartial(r io.Reader) (*Partial, error) {
 	hdr, sets, err := readSnapshotSets(r, func(h SnapshotHeader) (Context, EngineOptions, error) {
 		pctx = Context{Period: h.Period(), TZOffsetSeconds: h.TZOffsetSeconds}
 		popts = EngineOptions{
-			RunOptions: RunOptions{RareDays: h.RareDays, BusyCells: h.BusyCells, Seed: h.Seed},
+			RunOptions: RunOptions{RareDays: h.RareDays, BusyCells: h.BusyCells, Seed: h.Seed}.withDefaults(),
 			Workers:    h.Workers,
 		}
 		return pctx, popts, nil

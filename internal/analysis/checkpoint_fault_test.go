@@ -11,29 +11,29 @@ import (
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
+	"cellcars/internal/snapshot"
 )
 
-// stubCheckpointIO replaces the checkpoint I/O hooks for one test and
-// restores them on cleanup. Tests using it must not run in parallel.
-func stubCheckpointIO(t *testing.T, create func(string) (*os.File, error), rename func(string, string) error) {
+// stubCheckpointIO replaces the filesystem the checkpoint write goes
+// through, and the backoff sleep, for one test and restores them on
+// cleanup. Tests using it must not run in parallel.
+func stubCheckpointIO(t *testing.T, create func(string) (snapshot.File, error), rename func(string, string) error) {
 	t.Helper()
-	origCreate, origRename, origSleep := createSnapshotFile, renameSnapshotFile, checkpointSleep
+	origFS, origSleep := snapshot.FS, checkpointSleep
 	if create != nil {
-		createSnapshotFile = create
+		snapshot.FS.Create = create
 	}
 	if rename != nil {
-		renameSnapshotFile = rename
+		snapshot.FS.Rename = rename
 	}
 	checkpointSleep = func(time.Duration) {}
-	t.Cleanup(func() {
-		createSnapshotFile, renameSnapshotFile, checkpointSleep = origCreate, origRename, origSleep
-	})
+	t.Cleanup(func() { snapshot.FS, checkpointSleep = origFS, origSleep })
 }
 
 func faultTestStreaming(t *testing.T) *Streaming {
 	t.Helper()
 	period := simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 7)
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	for i := 0; i < 100; i++ {
 		s.Add(cdr.Record{
 			Car:      cdr.CarID(i % 7),
@@ -50,7 +50,7 @@ func faultTestStreaming(t *testing.T) *Streaming {
 // the retries counted in the registry.
 func TestCheckpointWriteRetriesTransientCreate(t *testing.T) {
 	fails := 2
-	stubCheckpointIO(t, func(name string) (*os.File, error) {
+	stubCheckpointIO(t, func(name string) (snapshot.File, error) {
 		if fails > 0 {
 			fails--
 			return nil, fmt.Errorf("injected create fault: %w", cdr.ErrTransient)
@@ -111,7 +111,7 @@ func TestCheckpointWriteRetriesTransientRename(t *testing.T) {
 // expects the transient error to surface, not an infinite loop.
 func TestCheckpointWriteGivesUpAfterBudget(t *testing.T) {
 	calls := 0
-	stubCheckpointIO(t, func(string) (*os.File, error) {
+	stubCheckpointIO(t, func(string) (snapshot.File, error) {
 		calls++
 		return nil, fmt.Errorf("injected persistent fault: %w", cdr.ErrTransient)
 	}, nil)
@@ -131,7 +131,7 @@ func TestCheckpointWriteGivesUpAfterBudget(t *testing.T) {
 func TestCheckpointWriteNonTransientFailsFast(t *testing.T) {
 	calls := 0
 	permanent := errors.New("disk on fire")
-	stubCheckpointIO(t, func(string) (*os.File, error) {
+	stubCheckpointIO(t, func(string) (snapshot.File, error) {
 		calls++
 		return nil, permanent
 	}, nil)

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
+	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
 )
 
@@ -520,6 +522,65 @@ func TestTrackHeadsCutGolden(t *testing.T) {
 	}
 }
 
+// TestZeroOptionsWriteOneHeader: the three ways of building an
+// accumulator set fill the zero RunOptions through one helper, so what
+// an Engine checkpoints, what a Streaming snapshots and what a Partial
+// restored from either writes back carry the same header — the
+// precondition for merging them with each other.
+func TestZeroOptionsWriteOneHeader(t *testing.T) {
+	ctx := Context{Period: simtime.NewPeriod(t0, 7)}
+	records := []cdr.Record{rec(1, cell(1), time.Hour, time.Minute)}
+
+	path := filepath.Join(t.TempDir(), "engine.snap")
+	cfg := CheckpointConfig{Path: path, Every: 1}
+	if _, err := NewEngine(ctx, EngineOptions{}).RunReaderCheckpointed(cdr.NewSliceReader(records), cfg); err != nil {
+		t.Fatal(err)
+	}
+	fromEngine, err := ReadPartialFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewStreamingWithOptions(ctx, RunOptions{})
+	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
+		t.Fatal(err)
+	}
+	var streamed, again bytes.Buffer
+	if err := s.SnapshotTo(&streamed); err != nil {
+		t.Fatal(err)
+	}
+	fromStreaming, err := ReadPartial(bytes.NewReader(streamed.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fromStreaming.SnapshotTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed.Bytes(), again.Bytes()) {
+		t.Fatal("a restored Partial re-encodes to different bytes than it was restored from")
+	}
+	rewritten, err := ReadPartial(&again)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := SnapshotHeader{
+		PeriodStart: t0, PeriodDays: 7,
+		Seed: 1, RareDays: []int{10, 30},
+		Workers: 1, Watermark: 1,
+	}
+	for name, got := range map[string]SnapshotHeader{
+		"Engine": fromEngine.Header, "Streaming": fromStreaming.Header, "Partial": rewritten.Header,
+	} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s wrote header %+v, want %+v", name, got, want)
+		}
+	}
+	if got := fromEngine.opts.RunOptions; !reflect.DeepEqual(got, s.opts.RunOptions) {
+		t.Errorf("restored Partial runs under %+v, the Streaming it came from under %+v", got, s.opts.RunOptions)
+	}
+}
+
 // BenchmarkSnapshotEncode times one full-state Streaming.SnapshotTo at
 // the state the benchmark's checkpoint workload cuts: a generated
 // 1 600-car, 14-day fleet (≈ 320 k records) fully ingested, the
@@ -527,19 +588,21 @@ func TestTrackHeadsCutGolden(t *testing.T) {
 // `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	period, records := benchFleet(b)
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		b.Fatal(err)
 	}
-	cw := countingWriter{w: io.Discard}
+	var sized bytes.Buffer
+	if err := s.SnapshotTo(&sized); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cw.n = 0
-		if err := s.SnapshotTo(&cw); err != nil {
+		if err := s.SnapshotTo(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/encode")
-	b.ReportMetric(float64(cw.n), "bytes/encode")
+	b.ReportMetric(float64(sized.Len()), "bytes/encode")
 }

@@ -57,15 +57,10 @@ type EngineOptions struct {
 	Workers int
 }
 
-// NewEngine returns an engine over the context. Defaults mirror Run:
-// RareDays {10, 30}, Seed 1, Workers 1.
+// NewEngine returns an engine over the context. Zero-value options
+// take RunOptions' defaults; Workers below 1 means 1.
 func NewEngine(ctx Context, opts EngineOptions) *Engine {
-	if opts.RareDays == nil {
-		opts.RareDays = []int{10, 30}
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
+	opts.RunOptions = opts.RunOptions.withDefaults()
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}

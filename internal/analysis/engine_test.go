@@ -309,7 +309,7 @@ func TestEngineOutOfPeriodPolicy(t *testing.T) {
 	}
 
 	// Streaming applies the identical policy.
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	s.Add(before)
 	s.Add(in)
 	s.Add(after)
@@ -326,7 +326,7 @@ func TestStreamingWithContextCoversLoadStages(t *testing.T) {
 	records := engineWorkload(4000)
 	ctx := engineCtx()
 
-	s := NewStreamingWithContext(ctx)
+	s := NewStreamingWithOptions(ctx, RunOptions{})
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		t.Fatal(err)
 	}

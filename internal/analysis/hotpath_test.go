@@ -53,7 +53,7 @@ func TestWarmAddPathAllocatesLittle(t *testing.T) {
 	if len(measured) < 5000 {
 		t.Fatalf("last day holds %d records; the fleet changed shape", len(measured))
 	}
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	for _, r := range records[:from(last-1)] {
 		s.Add(r)
 	}

@@ -53,6 +53,9 @@ type orderedMerger interface {
 	// MergeOrdered folds a later, time-adjacent slice into the
 	// receiver. The later slice must have been built with TrackHeads.
 	MergeOrdered(other Accumulator)
+	// tracksHeads reports whether the accumulator stashes head sessions,
+	// which a later slice must for MergeOrdered to stitch it.
+	tracksHeads() bool
 	// orderedOverlaps counts the precondition witnesses this
 	// accumulator's ordered merges have seen; see stitchOrdered.
 	orderedOverlaps() int64
@@ -108,33 +111,6 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 	return overlaps
 }
 
-// MergeOrdered folds a later, time-adjacent handover slice into a.
-// The later slice's accounted aggregates are interior to its slice and
-// fold as-is; only the boundary sessions need stitching.
-func (a *handoverAcc) MergeOrdered(other Accumulator) {
-	o := mergeAs[*handoverAcc](other)
-	if !o.trackHeads {
-		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
-	}
-	a.overlaps += o.overlaps + stitchOrdered(a.z, a.closeSession, o.heads, o.z)
-	for kind, c := range o.byKind {
-		a.byKind[kind] += c
-	}
-	a.counts = append(a.counts, o.counts...)
-}
-
-// MergeOrdered folds a later, time-adjacent usage slice into a; see
-// handoverAcc.MergeOrdered.
-func (a *usageAcc) MergeOrdered(other Accumulator) {
-	o := mergeAs[*usageAcc](other)
-	if !o.trackHeads {
-		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
-	}
-	a.overlaps += o.overlaps + stitchOrdered(a.z, a.closeSession, o.heads, o.z)
-	a.matrix.Merge(&o.matrix)
-	a.sessions += o.sessions
-}
-
 // MergeOrdered folds a later, time-adjacent slice into s, stitching
 // sessions that span the slice boundary — the composition step behind
 // rolling-window queries. later must cover records at or after every
@@ -177,16 +153,9 @@ func (s *Streaming) OrderedOverlaps() int64 {
 // the accumulators, not the options: a restored slice's tracking state
 // comes from its snapshot payload.
 func (s *Streaming) tracksHeads() bool {
-	for _, name := range []string{"handovers", "usage"} {
-		switch t := s.set.stages[stageIndex(name)].(type) {
-		case *handoverAcc:
-			if !t.trackHeads {
-				return false
-			}
-		case *usageAcc:
-			if !t.trackHeads {
-				return false
-			}
+	for _, acc := range s.set.stages {
+		if om, ok := acc.(orderedMerger); ok && !om.tracksHeads() {
+			return false
 		}
 	}
 	return true

@@ -72,7 +72,7 @@ func TestSynthLossWindowDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		t.Fatal(err)
 	}

@@ -134,6 +134,20 @@ type RunOptions struct {
 	TrackHeads bool
 }
 
+// withDefaults fills the options every way of building an accumulator
+// set — NewEngine, NewStreamingWithOptions, ReadPartial — defaults the
+// same way, so all three write the same SnapshotHeader for the same
+// options.
+func (o RunOptions) withDefaults() RunOptions {
+	if o.RareDays == nil {
+		o.RareDays = []int{10, 30}
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	return o
+}
+
 // Run executes the complete measurement pipeline over a raw record
 // stream: ghost removal (§3), then every analysis in §4. The input
 // slice is not modified. Run is a thin adapter over Engine — one

@@ -52,7 +52,7 @@ func relDiff(a, b float64) float64 {
 func TestStreamingSurvivesChaos(t *testing.T) {
 	records, period := genWorkload(t)
 
-	clean := NewStreaming(period)
+	clean := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := clean.AddAll(cdr.NewSliceReader(records)); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestStreamingSurvivesChaos(t *testing.T) {
 		CorruptProb: 0.01,
 	})
 	rr := cdr.NewResilientReader(chaos, cdr.ResilientConfig{MaxBadFrac: 0.05})
-	dirty := NewStreaming(period)
+	dirty := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := dirty.AddAll(rr); err != nil {
 		t.Fatalf("streaming pipeline died under 1%% corruption: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestStreamingBeyondBudgetFailsFast(t *testing.T) {
 		CorruptProb: 0.30,
 	})
 	rr := cdr.NewResilientReader(chaos, cdr.ResilientConfig{MaxBadFrac: 0.05, MinRecords: 100})
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	err := s.AddAll(rr)
 	var be *cdr.BudgetError
 	if !errors.As(err, &be) {

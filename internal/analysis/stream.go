@@ -30,40 +30,21 @@ import (
 // are filtered inline, and records outside the study period are
 // excluded and counted — see Engine for the policy), then call
 // Finalize. The load-dependent stages (Table 2, Figure 7) run only
-// when constructed with a load source via NewStreamingWithContext.
+// when the Context passed to NewStreamingWithOptions has a load source.
 type Streaming struct {
 	ctx  Context
 	opts EngineOptions
 	set  *accumSet
 }
 
-// NewStreaming returns an empty accumulator over the period. The
-// load-dependent stages (segments, busy, clusters) are disabled;
-// use NewStreamingWithContext to enable them.
-func NewStreaming(period simtime.Period) *Streaming {
-	return NewStreamingWithContext(Context{Period: period})
-}
-
-// NewStreamingWithContext returns an empty accumulator with full
-// context: a load source enables the Table 2 and Figure 7 stages.
-// Options take their defaults (RareDays {10, 30}, Seed 1); use
-// NewStreamingWithOptions to override them.
-func NewStreamingWithContext(ctx Context) *Streaming {
-	return NewStreamingWithOptions(ctx, RunOptions{})
-}
-
-// NewStreamingWithOptions returns an empty accumulator with explicit
-// run options — rare-day thresholds, clustering cells and seed, the
-// FailStage chaos hook. Zero-value options default as in NewEngine.
-// Workers is ignored: a Streaming accumulator is one worker's set.
+// NewStreamingWithOptions returns an empty accumulator over the
+// context — a load source enables the segments, busy and clusters
+// stages — with explicit run options: rare-day thresholds, clustering
+// cells and seed, the FailStage chaos hook. Zero-value options default
+// as in NewEngine. Workers is ignored: a Streaming accumulator is one
+// worker's set.
 func NewStreamingWithOptions(ctx Context, opts RunOptions) *Streaming {
-	if opts.RareDays == nil {
-		opts.RareDays = []int{10, 30}
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	eo := EngineOptions{RunOptions: opts, Workers: 1}
+	eo := EngineOptions{RunOptions: opts.withDefaults(), Workers: 1}
 	return &Streaming{ctx: ctx, opts: eo, set: newAccumSet(ctx, eo, 0)}
 }
 

@@ -24,7 +24,7 @@ func TestStreamingMatchesBatchOnBasics(t *testing.T) {
 	// Plus a ghost that must be dropped.
 	records = append(records, rec(1, cell(1), time.Hour, time.Hour))
 
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestStreamingMatchesBatchOnBasics(t *testing.T) {
 }
 
 func TestStreamingEmpty(t *testing.T) {
-	s := NewStreaming(simtime.NewPeriod(t0, 7))
+	s := NewStreamingWithOptions(Context{Period: simtime.NewPeriod(t0, 7)}, RunOptions{})
 	rep := s.Finalize()
 	if rep.Records != 0 || rep.Presence.TotalCars != 0 {
 		t.Fatalf("empty report: %+v", rep)
@@ -117,7 +117,7 @@ func TestStreamingEmpty(t *testing.T) {
 
 func TestStreamingReFinalize(t *testing.T) {
 	period := simtime.NewPeriod(t0, 7)
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	s.Add(rec(1, cell(1), time.Hour, time.Minute))
 	a := s.Finalize()
 	s.Add(rec(2, cell(2), 2*time.Hour, time.Minute))
@@ -155,7 +155,7 @@ func TestStreamingLargeEquivalence(t *testing.T) {
 		dur := time.Duration(30+i%900) * time.Second
 		records = append(records, rec(car, cell(bs), start, dur))
 	}
-	s := NewStreaming(period)
+	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	for _, r := range records {
 		s.Add(r)
 	}

@@ -1,7 +1,7 @@
 // Package cdr defines the Call Detail Record substrate: the radio-level
 // connection record schema used throughout the pipeline, streaming
-// readers and writers in CSV and binary formats, k-way merging of
-// time-sorted streams, and keyed anonymization of car identifiers.
+// readers and writers in CSV and binary formats, the resilient ingest
+// layer every binary reads through, and car-hash sharding.
 //
 // A record describes one radio-level connection: which car, which cell
 // (base station/sector/carrier), when it started, and how long it
@@ -122,33 +122,6 @@ func ReadAll(r Reader) ([]Record, error) {
 	}
 }
 
-// Concat returns a reader that drains each source in order, as if the
-// streams were one file — the multi-input side of a sharded map run,
-// where every worker scans the same file list. A source error ends the
-// concatenated stream with that error.
-func Concat(readers ...Reader) Reader {
-	return &concatReader{readers: readers}
-}
-
-type concatReader struct {
-	readers []Reader
-	pos     int
-}
-
-func (c *concatReader) Read() (Record, error) {
-	for c.pos < len(c.readers) {
-		rec, err := c.readers[c.pos].Read()
-		if err == nil {
-			return rec, nil
-		}
-		if !errors.Is(err, io.EOF) {
-			return Record{}, err
-		}
-		c.pos++
-	}
-	return Record{}, io.EOF
-}
-
 // Skip consumes and discards n records from r — the replay fast-path
 // a checkpoint resume uses to advance a freshly opened stream to its
 // watermark. A stream that ends before n records is reported as an
@@ -179,92 +152,6 @@ func WriteAll(w Writer, records []Record) error {
 // Sort orders records in place by (start, car, cell).
 func Sort(records []Record) {
 	sort.Slice(records, func(i, j int) bool { return records[i].Before(records[j]) })
-}
-
-// Sorted reports whether records are ordered by (start, car, cell).
-func Sorted(records []Record) bool {
-	return sort.SliceIsSorted(records, func(i, j int) bool { return records[i].Before(records[j]) })
-}
-
-// Merge returns a Reader yielding the union of the given time-sorted
-// readers in global (start, car, cell) order, using a k-way heap merge
-// with O(k) memory. Input readers must each be sorted; Merge returns
-// records as-is otherwise, with no guarantee of global order.
-func Merge(readers ...Reader) Reader {
-	m := &mergeReader{}
-	for _, r := range readers {
-		rec, err := r.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				continue
-			}
-			m.err = err
-			continue
-		}
-		m.heap = append(m.heap, mergeItem{rec: rec, src: r})
-	}
-	m.init()
-	return m
-}
-
-type mergeItem struct {
-	rec Record
-	src Reader
-}
-
-type mergeReader struct {
-	heap []mergeItem
-	err  error
-}
-
-func (m *mergeReader) init() {
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
-	}
-}
-
-func (m *mergeReader) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.heap) && m.heap[l].rec.Before(m.heap[smallest].rec) {
-			smallest = l
-		}
-		if r < len(m.heap) && m.heap[r].rec.Before(m.heap[smallest].rec) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.heap[i], m.heap[smallest] = m.heap[smallest], m.heap[i]
-		i = smallest
-	}
-}
-
-// Read returns the next record in global order.
-func (m *mergeReader) Read() (Record, error) {
-	if m.err != nil {
-		err := m.err
-		m.err = nil
-		return Record{}, err
-	}
-	if len(m.heap) == 0 {
-		return Record{}, io.EOF
-	}
-	top := m.heap[0]
-	next, err := top.src.Read()
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			m.err = err
-		}
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
-	} else {
-		m.heap[0].rec = next
-	}
-	m.down(0)
-	return top.rec, nil
 }
 
 // FilterFunc adapts a reader to drop records for which keep returns

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -21,6 +22,22 @@ func rec(car CarID, bs radio.BSID, start time.Duration, dur time.Duration) Recor
 		Start:    t0.Add(start),
 		Duration: dur,
 	}
+}
+
+// randomRecords draws n valid records over 500 cars and 90 days, in no
+// particular order.
+func randomRecords(n int, seed uint64) []Record {
+	rng := rand.New(rand.NewPCG(seed, 77))
+	out := make([]Record, n)
+	for i := range out {
+		out[i] = Record{
+			Car:      CarID(rng.Uint64N(500)),
+			Cell:     radio.MakeCellKey(radio.BSID(rng.Uint32N(100)), radio.SectorID(rng.UintN(3)), radio.CarrierID(rng.UintN(5)+1)),
+			Start:    t0.Add(time.Duration(rng.Uint64N(90*24*3600)) * time.Second),
+			Duration: time.Duration(rng.Uint64N(600)) * time.Second,
+		}
+	}
+	return out
 }
 
 func TestRecordEnd(t *testing.T) {
@@ -98,12 +115,9 @@ func TestSortAndSorted(t *testing.T) {
 		rec(1, 1, 0, time.Minute),
 		rec(2, 1, time.Hour, time.Minute),
 	}
-	if Sorted(records) {
-		t.Fatal("unsorted records reported sorted")
-	}
 	Sort(records)
-	if !Sorted(records) {
-		t.Fatal("sorted records reported unsorted")
+	if !sort.SliceIsSorted(records, func(i, j int) bool { return records[i].Before(records[j]) }) {
+		t.Fatal("sorted records are not in Before order")
 	}
 	if records[0].Car != 1 || records[2].Car != 3 {
 		t.Fatalf("wrong order: %v", records)
@@ -276,57 +290,6 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := []Record{rec(1, 1, 0, time.Minute), rec(1, 1, 2*time.Hour, time.Minute)}
-	b := []Record{rec(2, 1, time.Hour, time.Minute), rec(2, 1, 3*time.Hour, time.Minute)}
-	c := []Record{rec(3, 1, 30*time.Minute, time.Minute)}
-	out, err := ReadAll(Merge(NewSliceReader(a), NewSliceReader(b), NewSliceReader(c)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("merged %d records", len(out))
-	}
-	if !Sorted(out) {
-		t.Fatalf("merge output not sorted: %v", out)
-	}
-}
-
-func TestMergeEmptyInputs(t *testing.T) {
-	out, err := ReadAll(Merge())
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty merge: %v %v", out, err)
-	}
-	out, err = ReadAll(Merge(NewSliceReader(nil), NewSliceReader(nil)))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("merge of empties: %v %v", out, err)
-	}
-}
-
-func TestMergeProperty(t *testing.T) {
-	f := func(seed uint64, sizes [4]uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, 17))
-		var readers []Reader
-		total := 0
-		for _, sz := range sizes {
-			n := int(sz % 50)
-			total += n
-			records := make([]Record, n)
-			for i := range records {
-				records[i] = rec(CarID(rng.Uint64N(100)), radio.BSID(rng.Uint32N(50)),
-					time.Duration(rng.Uint64N(3600))*time.Second, time.Minute)
-			}
-			Sort(records)
-			readers = append(readers, NewSliceReader(records))
-		}
-		out, err := ReadAll(Merge(readers...))
-		return err == nil && len(out) == total && Sorted(out)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFilterFunc(t *testing.T) {
 	in := []Record{rec(1, 1, 0, time.Minute), rec(2, 1, time.Hour, time.Minute), rec(3, 1, 2*time.Hour, time.Minute)}
 	out, err := ReadAll(FilterFunc(NewSliceReader(in), func(r Record) bool { return r.Car != 2 }))
@@ -335,47 +298,6 @@ func TestFilterFunc(t *testing.T) {
 	}
 	if len(out) != 2 || out[0].Car != 1 || out[1].Car != 3 {
 		t.Fatalf("filter output: %v", out)
-	}
-}
-
-func TestAnonymizerStableAndKeyed(t *testing.T) {
-	a := NewAnonymizer(42)
-	if a.Anonymize(7) != a.Anonymize(7) {
-		t.Fatal("anonymization not stable")
-	}
-	if a.Anonymize(7) == a.Anonymize(8) {
-		t.Fatal("adjacent ids collide")
-	}
-	b := NewAnonymizer(43)
-	if a.Anonymize(7) == b.Anonymize(7) {
-		t.Fatal("different keys must give different ids")
-	}
-}
-
-func TestAnonymizerNoSmallCollisions(t *testing.T) {
-	a := NewAnonymizer(1)
-	seen := make(map[CarID]bool, 100000)
-	for i := uint64(0); i < 100000; i++ {
-		id := a.Anonymize(i)
-		if seen[id] {
-			t.Fatalf("collision at %d", i)
-		}
-		seen[id] = true
-	}
-}
-
-func TestAnonymizeReader(t *testing.T) {
-	a := NewAnonymizer(9)
-	in := []Record{rec(100, 1, 0, time.Minute)}
-	out, err := ReadAll(AnonymizeReader(NewSliceReader(in), a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Car != a.Anonymize(100) {
-		t.Fatal("reader did not anonymize")
-	}
-	if out[0].Cell != in[0].Cell || !out[0].Start.Equal(in[0].Start) {
-		t.Fatal("reader corrupted other fields")
 	}
 }
 
@@ -403,33 +325,4 @@ func TestCSVRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestMergeWithFailingReader verifies the k-way merge surfaces reader
-// errors instead of swallowing them.
-func TestMergeWithFailingReader(t *testing.T) {
-	good := NewSliceReader([]Record{rec(1, 1, 0, time.Minute), rec(1, 1, time.Hour, time.Minute)})
-	bad := &failAfter{records: []Record{rec(2, 2, time.Minute, time.Minute)}, failAt: 1}
-	_, err := ReadAll(Merge(good, bad))
-	if err == nil {
-		t.Fatal("merge swallowed a reader error")
-	}
-}
-
-type failAfter struct {
-	records []Record
-	pos     int
-	failAt  int
-}
-
-func (f *failAfter) Read() (Record, error) {
-	if f.pos == f.failAt {
-		return Record{}, errors.New("reader exploded")
-	}
-	if f.pos >= len(f.records) {
-		return Record{}, io.EOF
-	}
-	r := f.records[f.pos]
-	f.pos++
-	return r, nil
 }

@@ -192,8 +192,8 @@ func (f *FaultReader) Read(p []byte) (int, error) {
 
 // FlakyReader wraps a Reader and fails every period-th Read with a
 // transient error before succeeding on retry — the record-level
-// analogue of a lossy RPC transport. Used to exercise retry paths in
-// ExternalSort and ResilientReader.
+// analogue of a lossy RPC transport. Used to exercise
+// ResilientReader's retry path.
 type FlakyReader struct {
 	r      Reader
 	period int

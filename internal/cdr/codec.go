@@ -275,6 +275,70 @@ func OpenFile(path string) (Reader, io.Closer, error) {
 	return NewBinaryReader(f), f, nil
 }
 
+// OpenFiles returns the files' records as one stream, in argument
+// order, each file decoded as OpenFile would. Every path is checked up
+// front, so a run with a missing input fails before it reads a record;
+// after that at most one file is open at a time: a file is opened when
+// the one before it is drained, and closed at its end or at the first
+// error that is not a skippable ErrBadRecord, which also ends the
+// stream. The closer closes the file that is open, if any, and ends
+// the stream; calling it again is harmless.
+func OpenFiles(paths ...string) (Reader, io.Closer, error) {
+	for _, path := range paths {
+		if _, err := os.Stat(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	fr := &filesReader{paths: paths}
+	return fr, fr, nil
+}
+
+type filesReader struct {
+	paths []string // files not opened yet
+	cur   Reader   // the open file's codec; nil between files
+	file  io.Closer
+	err   error // what ended the stream, returned from then on
+}
+
+func (fr *filesReader) Read() (Record, error) {
+	for fr.err == nil {
+		if fr.cur == nil {
+			if len(fr.paths) == 0 {
+				fr.err = io.EOF
+				break
+			}
+			fr.cur, fr.file, fr.err = OpenFile(fr.paths[0])
+			fr.paths = fr.paths[1:]
+			continue
+		}
+		rec, err := fr.cur.Read()
+		if err == nil || errors.Is(err, ErrBadRecord) {
+			return rec, err
+		}
+		fr.closeFile()
+		if !errors.Is(err, io.EOF) {
+			fr.err = err
+		}
+	}
+	return Record{}, fr.err
+}
+
+func (fr *filesReader) closeFile() error {
+	if fr.file == nil {
+		return nil
+	}
+	err := fr.file.Close()
+	fr.cur, fr.file = nil, nil
+	return err
+}
+
+func (fr *filesReader) Close() error {
+	if fr.err == nil {
+		fr.err = ErrClosed
+	}
+	return fr.closeFile()
+}
+
 // BinaryRecordCount returns the number of records a well-formed binary
 // CDR file of the given size holds — a cheap total for progress
 // estimation. Returns 0 for sizes smaller than the magic header.

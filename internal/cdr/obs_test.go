@@ -62,34 +62,3 @@ func TestIngestRetryMetric(t *testing.T) {
 		t.Fatalf("retry counter = %d, stats say %d", got, want)
 	}
 }
-
-// TestExternalSortSpillMetrics forces spills and checks the spill
-// counters and timing match the chunk arithmetic.
-func TestExternalSortSpillMetrics(t *testing.T) {
-	in := randomRecords(1000, 3)
-	reg := obs.New()
-	var out SliceWriter
-	cfg := ExternalSortConfig{ChunkRecords: 300, TempDir: t.TempDir(), Obs: reg}
-	if err := ExternalSort(NewSliceReader(in), &out, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !Sorted(out.Records) || len(out.Records) != len(in) {
-		t.Fatalf("sort broken: %d records, sorted=%v", len(out.Records), Sorted(out.Records))
-	}
-
-	// 1000 records at 300 per chunk: three full chunks spill, the
-	// 100-record tail stays resident.
-	if got := reg.Counter("cellcars_extsort_spills_total").Value(); got != 3 {
-		t.Errorf("spills counter = %d, want 3", got)
-	}
-	if got := reg.Counter("cellcars_extsort_spill_records_total").Value(); got != 900 {
-		t.Errorf("spilled records counter = %d, want 900", got)
-	}
-	tm := reg.Timing("cellcars_extsort_spill_seconds")
-	if got := tm.Count(); got != 3 {
-		t.Errorf("spill timing count = %d, want 3", got)
-	}
-	if got := reg.Counter("cellcars_extsort_retries_total").Value(); got != 0 {
-		t.Errorf("retries counter = %d, want 0 on a healthy run", got)
-	}
-}

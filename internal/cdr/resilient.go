@@ -68,8 +68,10 @@ func (c FailureClass) String() string {
 }
 
 // ErrTransient marks a retryable failure: wrapping an error with it
-// (see Transient) tells retry loops — ResilientReader and
-// ExternalSort — that the operation may succeed if repeated.
+// (see Transient) tells a retry loop that the operation may succeed if
+// repeated. ResilientReader repeats such a read up to
+// ResilientConfig.TransientRetries times, and a checkpoint write
+// repeats a failed attempt under its own bounded policy.
 var ErrTransient = errors.New("transient")
 
 // Transient wraps err as retryable.

@@ -27,6 +27,17 @@ func ShardOfCar(car CarID, n int) int {
 	return int(carHash(uint64(car), shardKey) % uint64(n))
 }
 
+// carHash is a SplitMix64-style keyed hash.
+func carHash(id, key uint64) uint64 {
+	x := id*0x9E3779B97F4A7C15 ^ key
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
+}
+
 // RecordHash returns a well-distributed 64-bit hash of a record's
 // content, usable as a deterministic sampling key: the same record
 // hashes identically regardless of stream position, shard, or worker

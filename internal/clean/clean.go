@@ -1,9 +1,10 @@
 // Package clean implements the paper's §3 preprocessing over raw CDR
-// streams: removal of erroneous exactly-one-hour records, truncation
-// of implausibly long per-cell connections to 600 seconds, and
-// concatenation of nearby connections into sessions — aggregate
-// sessions (gap ≤ 30 s) for usage analyses and mobility sessions
-// (gap ≤ 10 min) for handover analyses (§4.5).
+// streams: removal of erroneous exactly-one-hour records, the
+// 600-second limit that implausibly long per-cell connections are
+// truncated to (TruncateLimit; the analysis stages apply it where the
+// paper does), and concatenation of nearby connections into sessions —
+// aggregate sessions (gap ≤ 30 s) for usage analyses and mobility
+// sessions (gap ≤ 10 min) for handover analyses (§4.5).
 package clean
 
 import (
@@ -43,33 +44,6 @@ func RemoveGhosts(r cdr.Reader) cdr.Reader {
 	})
 }
 
-// Truncate caps every record's duration at limit.
-func Truncate(r cdr.Reader, limit time.Duration) cdr.Reader {
-	return &truncateReader{r: r, limit: limit}
-}
-
-type truncateReader struct {
-	r     cdr.Reader
-	limit time.Duration
-}
-
-func (t *truncateReader) Read() (cdr.Record, error) {
-	rec, err := t.r.Read()
-	if err != nil {
-		return cdr.Record{}, err
-	}
-	if rec.Duration > t.limit {
-		rec.Duration = t.limit
-	}
-	return rec, nil
-}
-
-// Standard returns the paper's standard cleaning chain: ghost removal
-// followed by 600-second truncation.
-func Standard(r cdr.Reader) cdr.Reader {
-	return Truncate(RemoveGhosts(r), TruncateLimit)
-}
-
 // CellSpan is one cell connection within a session.
 type CellSpan struct {
 	Cell     radio.CellKey
@@ -91,9 +65,6 @@ type Session struct {
 	Spans []CellSpan
 }
 
-// Duration returns the session's wall-clock extent.
-func (s *Session) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // HandoversByKind counts the transitions between consecutive spans,
 // indexed by kind. Consecutive spans on the same cell are not handovers;
 // the HandoverNone entry stays zero.
@@ -104,17 +75,6 @@ func (s *Session) HandoversByKind() (byKind [radio.NumHandoverKinds]int) {
 		}
 	}
 	return byKind
-}
-
-// NumHandovers returns the total handover count in the session.
-func (s *Session) NumHandovers() int {
-	n := 0
-	for i := 1; i < len(s.Spans); i++ {
-		if radio.ClassifyHandover(s.Spans[i-1].Cell, s.Spans[i].Cell) != radio.HandoverNone {
-			n++
-		}
-	}
-	return n
 }
 
 // Sessionizer concatenates a record stream into per-car sessions. Feed

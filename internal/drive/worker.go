@@ -81,8 +81,8 @@ func parseWorkerStats(out []byte) (WorkerStats, bool) {
 	return st, found
 }
 
-// RunWorker executes one shard attempt: open and concatenate the
-// inputs, filter to the shard's cars through the resilient ingest
+// RunWorker executes one shard attempt: read the inputs as one
+// stream, filter to the shard's cars through the resilient ingest
 // layer, accumulate, and write the partial snapshot atomically. It is
 // the single implementation behind caranalyze -partial, so a
 // coordinator-spawned worker and a hand-run one behave identically.
@@ -100,23 +100,13 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 		return WorkerStats{}, fmt.Errorf("drive: no output path")
 	}
 
-	readers := make([]cdr.Reader, 0, len(cfg.Inputs))
-	closers := make([]io.Closer, 0, len(cfg.Inputs))
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	for _, path := range cfg.Inputs {
-		r, cl, err := cdr.OpenFile(path)
-		if err != nil {
-			return WorkerStats{}, fmt.Errorf("drive: open input: %w", err)
-		}
-		readers = append(readers, r)
-		closers = append(closers, cl)
+	files, closer, err := cdr.OpenFiles(cfg.Inputs...)
+	if err != nil {
+		return WorkerStats{}, fmt.Errorf("drive: open input: %w", err)
 	}
+	defer closer.Close()
 
-	rr := cdr.NewResilientReader(cdr.Concat(readers...), cfg.Ingest)
+	rr := cdr.NewResilientReader(files, cfg.Ingest)
 	var stream cdr.Reader = rr
 	if cfg.Shards > 1 {
 		shard, shards := cfg.Shard, cfg.Shards

@@ -93,9 +93,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the Y extent of the rectangle.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area in square kilometres.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the midpoint of the rectangle.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -149,17 +146,6 @@ func (w *World) DensityAt(p Point) Density {
 		}
 	}
 	return Rural
-}
-
-// RegionAt returns the region containing p, or nil when p is outside
-// every region.
-func (w *World) RegionAt(p Point) *Region {
-	for i := range w.Regions {
-		if w.Regions[i].Bounds.Contains(p) {
-			return &w.Regions[i]
-		}
-	}
-	return nil
 }
 
 // DefaultWorld returns the standard synthetic metro used across the

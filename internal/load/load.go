@@ -40,9 +40,6 @@ const (
 	Chronic
 )
 
-// NumArchetypes is the number of archetype classes.
-const NumArchetypes = 5
-
 // String returns the lowercase archetype name.
 func (a Archetype) String() string {
 	switch a {
@@ -127,9 +124,6 @@ func New(net *radio.Network, period simtime.Period, cfg Config) *Model {
 	}
 	return &Model{net: net, period: period, cfg: cfg}
 }
-
-// Period returns the study period the model is defined over.
-func (m *Model) Period() simtime.Period { return m.period }
 
 // BusyThreshold returns the busy classification threshold.
 func (m *Model) BusyThreshold() float64 { return m.cfg.BusyThreshold }
@@ -247,32 +241,6 @@ func (m *Model) Utilization(cell radio.CellKey, bin int) float64 {
 	noise := (float64(nh%1000)/1000 - 0.5) * 2 * m.cfg.NoiseAmp
 
 	return clamp((base+amp*shape)*dayFactor+noise, 0.01, 0.995)
-}
-
-// IsBusy reports whether the cell exceeds the busy threshold in the
-// given study bin (the paper's UPRB > 80% test).
-func (m *Model) IsBusy(cell radio.CellKey, bin int) bool {
-	return m.Utilization(cell, bin) > m.cfg.BusyThreshold
-}
-
-// WeekCurve returns the cell's average utilization for each of the 672
-// bins of the week, averaged over all study days.
-func (m *Model) WeekCurve(cell radio.CellKey) simtime.WeekVector {
-	var sum simtime.WeekVector
-	var count [simtime.BinsPerWeek]int
-	for bin := 0; bin < m.period.NumBins(); bin++ {
-		day := bin / simtime.BinsPerDay
-		weekday := (int(m.period.Weekday(day)) + 6) % 7
-		wb := weekday*simtime.BinsPerDay + bin%simtime.BinsPerDay
-		sum[wb] += m.Utilization(cell, bin)
-		count[wb]++
-	}
-	for i := range sum {
-		if count[i] > 0 {
-			sum[i] /= float64(count[i])
-		}
-	}
-	return sum
 }
 
 // AvgUtilization returns the cell's mean utilization over the whole

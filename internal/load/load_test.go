@@ -21,7 +21,7 @@ func TestUtilizationInRange(t *testing.T) {
 	m, net := testModel(t)
 	cells := net.AllCells()
 	for _, cell := range cells[:10] {
-		for bin := 0; bin < m.Period().NumBins(); bin += 13 {
+		for bin := 0; bin < m.period.NumBins(); bin += 13 {
 			u := m.Utilization(cell, bin)
 			if u < 0.01 || u > 0.995 {
 				t.Fatalf("utilization %v out of range for %v bin %d", u, cell, bin)
@@ -38,13 +38,13 @@ func TestUtilizationDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("nondeterministic utilization: %v vs %v", a, b)
 	}
-	m2 := New(net, m.Period(), DefaultConfig())
+	m2 := New(net, m.period, DefaultConfig())
 	if m2.Utilization(cell, 100) != a {
 		t.Fatal("same config must give same utilization")
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = 999
-	m3 := New(net, m.Period(), cfg)
+	m3 := New(net, m.period, cfg)
 	diff := false
 	for bin := 0; bin < 50; bin++ {
 		if m3.Utilization(cell, bin) != m.Utilization(cell, bin) {
@@ -64,7 +64,7 @@ func TestUtilizationPanicsOutsidePeriod(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Utilization(net.AllCells()[0], m.Period().NumBins())
+	m.Utilization(net.AllCells()[0], m.period.NumBins())
 }
 
 func TestArchetypeAssignment(t *testing.T) {
@@ -189,35 +189,6 @@ func TestVeryBusyCellsMostlyChronic(t *testing.T) {
 	}
 }
 
-func TestIsBusyMatchesThreshold(t *testing.T) {
-	m, net := testModel(t)
-	cell := net.AllCells()[0]
-	busyCount := 0
-	for bin := 0; bin < m.Period().NumBins(); bin++ {
-		if m.IsBusy(cell, bin) != (m.Utilization(cell, bin) > m.BusyThreshold()) {
-			t.Fatal("IsBusy inconsistent with threshold")
-		}
-		if m.IsBusy(cell, bin) {
-			busyCount++
-		}
-	}
-	_ = busyCount
-}
-
-func TestWeekCurveAveragesDays(t *testing.T) {
-	m, net := testModel(t)
-	cell := net.AllCells()[5]
-	wc := m.WeekCurve(cell)
-	if wc.Max() <= 0 {
-		t.Fatal("week curve empty")
-	}
-	for i, v := range wc {
-		if v < 0 || v > 1 {
-			t.Fatalf("week curve bin %d = %v out of range", i, v)
-		}
-	}
-}
-
 func TestBusinessCellWeekdayOverWeekend(t *testing.T) {
 	m, net := testModel(t)
 	var cell radio.CellKey
@@ -231,10 +202,17 @@ func TestBusinessCellWeekdayOverWeekend(t *testing.T) {
 	if !found {
 		t.Skip("no business cell")
 	}
-	wc := m.WeekCurve(cell)
-	// Wednesday 13:00 vs Sunday 13:00.
-	wed := wc[2*simtime.BinsPerDay+13*simtime.BinsPerHour]
-	sun := wc[6*simtime.BinsPerDay+13*simtime.BinsPerHour]
+	// Wednesday 13:00 vs Sunday 13:00, summed over the period's weeks.
+	var wed, sun float64
+	for day := 0; day < m.period.Days(); day++ {
+		u := m.Utilization(cell, day*simtime.BinsPerDay+13*simtime.BinsPerHour)
+		switch m.period.Weekday(day) {
+		case time.Wednesday:
+			wed += u
+		case time.Sunday:
+			sun += u
+		}
+	}
 	if wed <= sun {
 		t.Fatalf("business cell: Wednesday 13:00 (%v) not above Sunday (%v)", wed, sun)
 	}

@@ -36,9 +36,6 @@ type Visit struct {
 	Pos geo.Point
 }
 
-// Duration returns the time spent in the visit.
-func (v Visit) Duration() time.Duration { return v.Exit - v.Enter }
-
 // Trip is one driving leg.
 type Trip struct {
 	// Start is the (UTC) instant the engine starts.

@@ -13,7 +13,7 @@ func TestValidName(t *testing.T) {
 		"cellcars_ingest_records_total",
 		"cellcars_stage_add_seconds",
 		"cellcars_engine_shard_records_total",
-		"cellcars_extsort_spills_total",
+		"cellcars_checkpoint_bytes_total",
 	}
 	for _, n := range valid {
 		if !ValidName(n) {

@@ -572,7 +572,7 @@ type Stats struct {
 	Freshness    Freshness        `json:"freshness"`
 }
 
-// Snapshot returns the store's ingest counters and freshness SLIs.
+// SnapshotStats returns the store's ingest counters and freshness SLIs.
 func (s *Store) SnapshotStats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

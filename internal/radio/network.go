@@ -58,14 +58,12 @@ func (b *BaseStation) SectorToward(p geo.Point) SectorID {
 }
 
 // Network is the full radio topology: base stations with a spatial
-// index for nearest-site queries and a neighbour graph for routing
-// trips and handovers.
+// index for nearest-site queries.
 type Network struct {
 	World    *geo.World
 	Stations []BaseStation
 
-	neighbors [][]BSID // k nearest other stations, sorted by distance
-	grid      spatialGrid
+	grid spatialGrid
 }
 
 // NumStations returns the number of base stations.
@@ -98,16 +96,6 @@ func (n *Network) AllCells() []CellKey {
 	return out
 }
 
-// Neighbors returns the ids of the k nearest other base stations of
-// id, nearest first. The slice is owned by the network; callers must
-// not modify it.
-func (n *Network) Neighbors(id BSID) []BSID {
-	if int(id) >= len(n.neighbors) {
-		panic(fmt.Sprintf("radio: unknown base station %d", id))
-	}
-	return n.neighbors[id]
-}
-
 // NearestStation returns the id of the base station closest to p.
 // It panics on an empty network.
 func (n *Network) NearestStation(p geo.Point) BSID {
@@ -123,9 +111,6 @@ type Config struct {
 	World *geo.World
 	// SectorsPerSite is the number of sectors at each site. Default 3.
 	SectorsPerSite int
-	// NeighborCount is how many nearest neighbours to precompute per
-	// site. Default 8.
-	NeighborCount int
 	// CarrierAvailability maps each carrier to the probability that a
 	// given site deploys it. Defaults to DefaultCarrierAvailability.
 	CarrierAvailability map[CarrierID]float64
@@ -160,9 +145,6 @@ func Build(cfg Config, rng *rand.Rand) *Network {
 	}
 	if cfg.SectorsPerSite <= 0 {
 		cfg.SectorsPerSite = 3
-	}
-	if cfg.NeighborCount <= 0 {
-		cfg.NeighborCount = 8
 	}
 	if cfg.CarrierAvailability == nil {
 		cfg.CarrierAvailability = DefaultCarrierAvailability()
@@ -241,28 +223,7 @@ func Build(cfg Config, rng *rand.Rand) *Network {
 	}
 
 	n.grid.build(n.Stations, fine*2)
-	n.buildNeighbors(cfg.NeighborCount)
 	return n
-}
-
-// buildNeighbors computes, for every station, the k nearest other
-// stations sorted by distance, using the spatial grid to bound the
-// search.
-func (n *Network) buildNeighbors(k int) {
-	n.neighbors = make([][]BSID, len(n.Stations))
-	for i := range n.Stations {
-		cand := n.grid.nearestK(n.Stations, n.Stations[i].Loc, k+1)
-		nbrs := make([]BSID, 0, k)
-		for _, id := range cand {
-			if id != n.Stations[i].ID {
-				nbrs = append(nbrs, id)
-			}
-			if len(nbrs) == k {
-				break
-			}
-		}
-		n.neighbors[i] = nbrs
-	}
 }
 
 // spatialGrid is a uniform hash grid over station locations for

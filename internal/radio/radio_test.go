@@ -219,27 +219,6 @@ func TestNearestStation(t *testing.T) {
 	}
 }
 
-func TestNeighborsSortedAndExcludeSelf(t *testing.T) {
-	n := testNetwork(t)
-	for _, id := range []BSID{0, BSID(n.NumStations() / 2), BSID(n.NumStations() - 1)} {
-		nbrs := n.Neighbors(id)
-		if len(nbrs) == 0 {
-			t.Fatalf("station %d has no neighbours", id)
-		}
-		prev := -1.0
-		for _, nb := range nbrs {
-			if nb == id {
-				t.Fatalf("station %d lists itself as neighbour", id)
-			}
-			d := n.Stations[nb].Loc.Dist(n.Stations[id].Loc)
-			if d < prev-1e-9 {
-				t.Fatalf("station %d neighbours not sorted by distance", id)
-			}
-			prev = d
-		}
-	}
-}
-
 func TestSectorToward(t *testing.T) {
 	bs := BaseStation{Loc: geo.Point{X: 0, Y: 0}, Sectors: 3}
 	seen := map[SectorID]bool{}

@@ -100,27 +100,6 @@ func (m *WeekMatrix) Sum() float64 {
 	return s
 }
 
-// Normalized returns a copy scaled so the largest cell is 1. An empty
-// matrix normalizes to itself.
-func (m *WeekMatrix) Normalized() WeekMatrix {
-	out := *m
-	max := m.Max()
-	if max == 0 {
-		return out
-	}
-	for i := range out.cells {
-		out.cells[i] /= max
-	}
-	return out
-}
-
-// Scale multiplies every cell by f in place.
-func (m *WeekMatrix) Scale(f float64) {
-	for i := range m.cells {
-		m.cells[i] *= f
-	}
-}
-
 // Merge adds every cell of other into m.
 func (m *WeekMatrix) Merge(other *WeekMatrix) {
 	for i := range m.cells {
@@ -146,23 +125,8 @@ func (m *WeekMatrix) ActiveCells(threshold float64) int {
 type DayVector [BinsPerDay]float64
 
 // WeekVector is an accumulation over the BinsPerWeek 15-minute bins of
-// a week (Monday-start). Figure 11's clustering runs over 96-bin
-// day-of-week-folded vectors; FoldToDay produces those.
+// a week (Monday-start).
 type WeekVector [BinsPerWeek]float64
-
-// FoldToDay sums the week vector into a 96-bin day vector, averaging
-// over the 7 days. This matches the paper's "96-sized vector" per radio
-// used as k-means input.
-func (w *WeekVector) FoldToDay() DayVector {
-	var d DayVector
-	for i, v := range w {
-		d[i%BinsPerDay] += v
-	}
-	for i := range d {
-		d[i] /= 7
-	}
-	return d
-}
 
 // Max returns the largest bin value.
 func (w *WeekVector) Max() float64 {
@@ -173,13 +137,4 @@ func (w *WeekVector) Max() float64 {
 		}
 	}
 	return max
-}
-
-// Mean returns the average bin value.
-func (w *WeekVector) Mean() float64 {
-	var s float64
-	for _, v := range w {
-		s += v
-	}
-	return s / float64(len(w))
 }

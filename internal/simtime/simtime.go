@@ -25,7 +25,6 @@ const (
 	BinsPerDay  = 24 * BinsPerHour          // 96
 	BinsPerWeek = 7 * BinsPerDay            // 672
 	HoursPerDay = 24                        //
-	DaySeconds  = int64(24 * time.Hour / time.Second)
 )
 
 // DefaultStudyDays is the length of the paper's measurement window.
@@ -189,17 +188,6 @@ func (p Period) OverlapWithBin(bin int, t time.Time, d time.Duration) time.Durat
 		return 0
 	}
 	return e.Sub(s)
-}
-
-// WeekBin maps an instant to its bin-of-week in [0, BinsPerWeek), with
-// week starting on Monday to match the paper's 24×7 matrices (columns
-// M T W T F S S). The mapping uses the supplied fixed offset from UTC
-// in seconds so that a car's local time of day is honoured.
-func WeekBin(t time.Time, utcOffsetSeconds int) int {
-	lt := t.Add(time.Duration(utcOffsetSeconds) * time.Second)
-	wd := (int(lt.Weekday()) + 6) % 7 // Monday=0 ... Sunday=6
-	secOfDay := lt.Hour()*3600 + lt.Minute()*60 + lt.Second()
-	return wd*BinsPerDay + secOfDay/int(BinWidth/time.Second)
 }
 
 // HourOfWeek maps an instant to its hour-of-week in [0, 168) with the

@@ -12,6 +12,69 @@ import (
 	"strings"
 )
 
+// File is what WriteFile needs of the file it creates.
+type File interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// FS is the filesystem WriteFile goes through: the two calls that
+// bring a name into existence. It is assigned only by tests, which
+// fail one step of a durable write — a Create that errors or returns a
+// File whose Write, Sync or Close does, a Rename that errors — and put
+// the field back when done.
+var FS = struct {
+	Create func(name string) (File, error)
+	Rename func(oldpath, newpath string) error
+}{
+	Create: func(name string) (File, error) { return os.Create(name) },
+	Rename: os.Rename,
+}
+
+// WriteFile makes path durably hold what write produces, or leaves it
+// as it was. It is one attempt at: create path+".tmp", write, fsync,
+// close, rename over path. A failure at any step removes the temp file
+// and comes back unwrapped, so a caller with a retry policy can
+// classify it; until the rename succeeds path is untouched, and after
+// it path is the complete new file. The parent directory is not
+// fsynced (DESIGN §2.2). Returns the number of bytes written.
+func WriteFile(path string, write func(io.Writer) error) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := FS.Create(tmp)
+	if err != nil {
+		return 0, err
+	}
+	cw := written{w: f}
+	err = write(&cw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = FS.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	return cw.n, nil
+}
+
+// written counts the bytes that reached the file.
+type written struct {
+	w io.Writer
+	n int64
+}
+
+func (c *written) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
 // Dir manages a directory of rotated snapshot cuts for a long-running
 // process: each cut is written atomically under a monotonically
 // numbered name, old cuts are pruned down to Keep, and restart picks
@@ -80,10 +143,12 @@ func (d *Dir) CutPath(seq uint64) string {
 	return filepath.Join(d.Path, cutName(seq))
 }
 
-// WriteCut writes the next cut atomically — tmp file, fsync, rename —
-// and prunes old cuts down to Keep. write receives the destination
-// stream; any error it returns aborts the cut and leaves the directory
-// unchanged. The new cut's sequence number is returned.
+// WriteCut writes the next cut with WriteFile and prunes old cuts down
+// to Keep. write receives the destination stream; any error it returns
+// — or any failed step of the write — aborts the cut and leaves the
+// directory unchanged, so the next cut takes the same sequence number.
+// There is no retry here: the caller's next periodic cut is the retry.
+// The new cut's sequence number is returned.
 func (d *Dir) WriteCut(write func(w io.Writer) error) (uint64, error) {
 	if err := os.MkdirAll(d.Path, 0o755); err != nil {
 		return 0, err
@@ -96,24 +161,7 @@ func (d *Dir) WriteCut(write func(w io.Writer) error) (uint64, error) {
 	if len(seqs) > 0 {
 		seq = seqs[len(seqs)-1] + 1
 	}
-	final := d.CutPath(seq)
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if _, err := WriteFile(d.CutPath(seq), write); err != nil {
 		return 0, err
 	}
 	d.prune(append(seqs, seq))

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -124,5 +125,127 @@ func TestDirIgnoresForeignFiles(t *testing.T) {
 	}
 	if seq := writeTestCut(t, d, "first"); seq != 1 {
 		t.Fatalf("first cut in dirty dir got sequence %d", seq)
+	}
+}
+
+// faultyFile is a real file whose named step fails.
+type faultyFile struct {
+	*os.File
+	failAt string
+}
+
+var errInjected = errors.New("injected fault")
+
+func (f faultyFile) Write(p []byte) (int, error) {
+	if f.failAt == "write" {
+		return 0, errInjected
+	}
+	return f.File.Write(p)
+}
+
+func (f faultyFile) Sync() error {
+	if f.failAt == "fsync" {
+		return errInjected
+	}
+	return f.File.Sync()
+}
+
+func (f faultyFile) Close() error {
+	err := f.File.Close()
+	if f.failAt == "close" {
+		return errInjected
+	}
+	return err
+}
+
+// failStep makes FS fail one step of every WriteFile until the
+// returned func puts the real one back. Tests using it must not run in
+// parallel.
+func failStep(step string) (restore func()) {
+	orig := FS
+	switch step {
+	case "create":
+		FS.Create = func(string) (File, error) { return nil, errInjected }
+	case "rename":
+		FS.Rename = func(string, string) error { return errInjected }
+	default:
+		FS.Create = func(name string) (File, error) {
+			f, err := os.Create(name)
+			return faultyFile{f, step}, err
+		}
+	}
+	return func() { FS = orig }
+}
+
+func TestWriteFileFaultAtEveryStep(t *testing.T) {
+	for _, step := range []string{"create", "write", "fsync", "close", "rename"} {
+		t.Run(step, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "state.snap")
+			if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer failStep(step)()
+			n, err := WriteFile(path, func(w io.Writer) error {
+				_, err := w.Write([]byte("replacement"))
+				return err
+			})
+			if !errors.Is(err, errInjected) || n != 0 {
+				t.Fatalf("WriteFile = %d, %v; want 0 and the injected fault", n, err)
+			}
+			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("temp file left behind (stat err %v)", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+				t.Fatalf("previous file now reads %q, %v", got, err)
+			}
+		})
+	}
+}
+
+func TestWriteFileReturnsTheFileSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	n, err := WriteFile(path, func(w io.Writer) error {
+		for i := 0; i < 3; i++ {
+			if _, err := w.Write([]byte("twelve bytes")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != n || n != 36 {
+		t.Fatalf("WriteFile returned %d, file is %v bytes (%v), want 36", n, fi.Size(), err)
+	}
+}
+
+// A cut whose rename fails never becomes visible: the directory is
+// what it was, and the next cut takes the sequence number again.
+func TestDirFailedRenameLeavesDirectoryUnchanged(t *testing.T) {
+	d := &Dir{Path: filepath.Join(t.TempDir(), "snaps"), Keep: 3}
+	writeTestCut(t, d, "good")
+	before, err := os.ReadDir(d.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := failStep("rename")
+	_, err = d.WriteCut(func(w io.Writer) error { _, err := w.Write([]byte("lost")); return err })
+	restore()
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("WriteCut under a failing rename: %v", err)
+	}
+	after, err := os.ReadDir(d.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) || after[0].Name() != before[0].Name() {
+		t.Fatalf("directory changed by a failed cut: %v -> %v", before, after)
+	}
+	if seq, res, ok, _ := d.LatestValid(readTestCut); !ok || seq != 1 || res.(string) != "good" {
+		t.Fatalf("after the failed cut: seq=%d ok=%v payload=%v", seq, ok, res)
+	}
+	if seq := writeTestCut(t, d, "retried"); seq != 2 {
+		t.Fatalf("cut after a failed one got sequence %d, want 2 again", seq)
 	}
 }

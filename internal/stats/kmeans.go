@@ -175,12 +175,3 @@ func sqDist(a, b []float64) float64 {
 	}
 	return s
 }
-
-// SqDist returns the squared Euclidean distance between two equal-length
-// vectors. It panics on a length mismatch.
-func SqDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: SqDist length mismatch %d vs %d", len(a), len(b)))
-	}
-	return sqDist(a, b)
-}

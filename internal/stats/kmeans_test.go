@@ -111,7 +111,7 @@ func TestKMeansAssignmentOptimality(t *testing.T) {
 		res := KMeans(points, k, 200, r)
 		for i, p := range points {
 			for c := range res.Centroids {
-				if SqDist(p, res.Centroids[c]) < SqDist(p, res.Centroids[res.Assignments[i]])-1e-9 {
+				if sqDist(p, res.Centroids[c]) < sqDist(p, res.Centroids[res.Assignments[i]])-1e-9 {
 					return false
 				}
 			}
@@ -166,13 +166,4 @@ func TestKMeansDeterministicForFixedSeed(t *testing.T) {
 	if a.Inertia != b.Inertia {
 		t.Fatalf("nondeterministic inertia %v vs %v", a.Inertia, b.Inertia)
 	}
-}
-
-func TestSqDistPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SqDist([]float64{1}, []float64{1, 2})
 }

@@ -45,9 +45,6 @@ func (h *LogHist) Add(x float64) {
 	h.counts[bin]++
 }
 
-// Total returns the number of observations.
-func (h *LogHist) Total() int64 { return h.total }
-
 // Merge adds another histogram's counts into h.
 func (h *LogHist) Merge(o *LogHist) {
 	h.total += o.total
@@ -207,9 +204,6 @@ func (s *Sample) Merge(o *Sample) {
 		}
 	}
 }
-
-// N returns the number of items offered (the population size).
-func (s *Sample) N() int64 { return s.n }
 
 // Complete reports whether the sample holds the entire population, in
 // which case statistics over Values are exact.

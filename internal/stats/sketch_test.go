@@ -78,8 +78,8 @@ func TestLogHistMergeEquivalence(t *testing.T) {
 		}
 	}
 	a.Merge(&b)
-	if a.Total() != whole.Total() {
-		t.Fatalf("merged total %d vs %d", a.Total(), whole.Total())
+	if a.total != whole.total {
+		t.Fatalf("merged total %d vs %d", a.total, whole.total)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.73, 0.9, 1} {
 		if a.Quantile(q) != whole.Quantile(q) {
@@ -143,8 +143,8 @@ func TestSampleMergeOrderIndependent(t *testing.T) {
 			t.Fatalf("item %d differs: %v %v %v", i, a[i], b[i], c[i])
 		}
 	}
-	if one.N() != fwd.N() || fwd.N() != rev.N() {
-		t.Fatalf("counts differ: %d %d %d", one.N(), fwd.N(), rev.N())
+	if one.n != fwd.n || fwd.n != rev.n {
+		t.Fatalf("counts differ: %d %d %d", one.n, fwd.n, rev.n)
 	}
 }
 

@@ -8,96 +8,13 @@ import (
 	"cellcars/internal/snapshot"
 )
 
-// This file gives every mergeable statistics structure a snapshot
-// codec, so analysis accumulators can persist their partial state and
-// resume it bit-identically. Encoding is deterministic (sparse layouts
+// This file gives the two statistics structures a snapshot contains —
+// LogHist and Sample, the duration stage's sketch and bottom-k sample —
+// a codec, so that stage can persist its partial state and resume it
+// bit-identically. Encoding is deterministic (sparse layouts
 // are emitted in ascending key order) and every Restore validates the
 // decoded shape, reporting corruption through the decoder's sticky
 // ErrBadSnapshot instead of panicking.
-
-// Snapshot serializes the accumulated moments.
-func (m *Moments) Snapshot(e *snapshot.Encoder) {
-	e.Varint(m.n)
-	e.F64(m.mean)
-	e.F64(m.m2)
-	e.F64(m.min)
-	e.F64(m.max)
-}
-
-// Restore replaces m with state written by Snapshot.
-func (m *Moments) Restore(d *snapshot.Decoder) {
-	n := d.Varint()
-	mean, m2, min, max := d.F64(), d.F64(), d.F64(), d.F64()
-	if d.Err() != nil {
-		return
-	}
-	if n < 0 {
-		d.Failf("moments count %d negative", n)
-		return
-	}
-	m.n, m.mean, m.m2, m.min, m.max = n, mean, m2, min, max
-}
-
-// Snapshot serializes the histogram, including its layout, as a
-// sparse (bin, count) list.
-func (h *Histogram) Snapshot(e *snapshot.Encoder) {
-	e.F64(h.Lo)
-	e.F64(h.Width)
-	e.Uvarint(uint64(len(h.Counts)))
-	nonzero := 0
-	for _, c := range h.Counts {
-		if c != 0 {
-			nonzero++
-		}
-	}
-	e.Uvarint(uint64(nonzero))
-	for bin, c := range h.Counts {
-		if c != 0 {
-			e.Uvarint(uint64(bin))
-			e.Varint(c)
-		}
-	}
-	e.Varint(h.Under)
-	e.Varint(h.Over)
-}
-
-// Restore replaces h with state written by Snapshot. The stored layout
-// must match h's (same origin, width, and bin count).
-func (h *Histogram) Restore(d *snapshot.Decoder) {
-	lo, width := d.F64(), d.F64()
-	nbins := d.Len(1 << 24)
-	if d.Err() != nil {
-		return
-	}
-	if lo != h.Lo || width != h.Width || nbins != len(h.Counts) {
-		d.Failf("histogram layout [%v,%v)×%d does not match [%v,%v)×%d",
-			lo, width, nbins, h.Lo, h.Width, len(h.Counts))
-		return
-	}
-	counts := make([]int64, nbins)
-	n := d.Len(nbins)
-	for i := 0; i < n; i++ {
-		bin := d.Len(nbins - 1)
-		c := d.Varint()
-		if d.Err() != nil {
-			return
-		}
-		if c < 0 {
-			d.Failf("histogram bin %d count %d negative", bin, c)
-			return
-		}
-		counts[bin] = c
-	}
-	under, over := d.Varint(), d.Varint()
-	if d.Err() != nil {
-		return
-	}
-	if under < 0 || over < 0 {
-		d.Failf("histogram under/over counts negative")
-		return
-	}
-	h.Counts, h.Under, h.Over = counts, under, over
-}
 
 // Snapshot serializes the log histogram as a sparse (bin, count) list.
 func (h *LogHist) Snapshot(e *snapshot.Encoder) {

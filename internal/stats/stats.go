@@ -21,42 +21,18 @@ type Moments struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add accumulates one observation.
 func (m *Moments) Add(x float64) {
 	m.n++
-	if m.n == 1 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
 	d := x - m.mean
 	m.mean += d / float64(m.n)
 	m.m2 += d * (x - m.mean)
 }
 
-// N returns the number of observations.
-func (m *Moments) N() int64 { return m.n }
-
 // Mean returns the running mean, or 0 with no observations.
 func (m *Moments) Mean() float64 { return m.mean }
-
-// Var returns the population variance, or 0 with fewer than two
-// observations.
-func (m *Moments) Var() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
 
 // SampleVar returns the sample (Bessel-corrected) variance.
 func (m *Moments) SampleVar() float64 {
@@ -66,18 +42,9 @@ func (m *Moments) SampleVar() float64 {
 	return m.m2 / float64(m.n-1)
 }
 
-// StdDev returns the population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Var()) }
-
 // SampleStdDev returns the sample standard deviation, which is what the
 // paper's Table 1 reports for day-of-week variability.
 func (m *Moments) SampleStdDev() float64 { return math.Sqrt(m.SampleVar()) }
-
-// Min returns the smallest observation, or 0 with no observations.
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (m *Moments) Max() float64 { return m.max }
 
 // Merge combines another accumulator into m (parallel Welford merge).
 func (m *Moments) Merge(o *Moments) {
@@ -92,12 +59,6 @@ func (m *Moments) Merge(o *Moments) {
 	d := o.mean - m.mean
 	m.m2 += o.m2 + d*d*float64(m.n)*float64(o.n)/float64(n)
 	m.mean += d * float64(o.n) / float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
 	m.n = n
 }
 
@@ -289,22 +250,6 @@ func (h *Histogram) Total() int64 {
 	return t
 }
 
-// MaxCount returns the largest bin count.
-func (h *Histogram) MaxCount() int64 {
-	var m int64
-	for _, c := range h.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + h.Width*(float64(i)+0.5)
-}
-
 // LinReg holds an ordinary-least-squares fit y = Intercept + Slope·x,
 // with the coefficient of determination R². Figure 2's trend lines are
 // this fit over day index vs daily percentage.
@@ -344,6 +289,3 @@ func Fit(xs, ys []float64) LinReg {
 	}
 	return LinReg{Slope: slope, Intercept: my - slope*mx, R2: r2, N: n}
 }
-
-// Predict evaluates the fitted line at x.
-func (l LinReg) Predict(x float64) float64 { return l.Intercept + l.Slope*x }

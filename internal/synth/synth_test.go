@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"time"
 
@@ -79,7 +80,7 @@ func TestGenerateBasicShape(t *testing.T) {
 	if perCarDay < 3 || perCarDay > 80 {
 		t.Fatalf("records per car-day = %.1f, implausible", perCarDay)
 	}
-	if !cdr.Sorted(records) {
+	if !sort.SliceIsSorted(records, func(i, j int) bool { return records[i].Before(records[j]) }) {
 		t.Fatal("GenerateAll output not sorted")
 	}
 	for i, r := range records {

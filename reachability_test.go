@@ -1,0 +1,150 @@
+package cellcars_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachabilityAllow lists what may stay, and keep what it mentions,
+// although no binary, example or facade export reaches it, each entry
+// with its reason. A key is a directory, a file or "<directory>.<Name>".
+var reachabilityAllow = map[string]string{
+	"internal/cdr/chaos.go":    "fault-injection harness imported by the tests of analysis and drive",
+	"internal/drive/chaos.go":  "fault-injection harness imported by cmd/cardrive's tests",
+	"internal/fota":            "parked by ROADMAP; decided with items 2-4",
+	"internal/predict":         "parked by ROADMAP; decided with items 2-4",
+	"internal/query.NewServer": "observation seam: cmd/carqueryd's tests read the store through it",
+
+	"internal/analysis.DailyPresenceOf": sliceHelper, "internal/analysis.DaysHistogram": sliceHelper,
+	"internal/analysis.ConnectedTimeOf": sliceHelper, "internal/analysis.Segmentation": sliceHelper,
+	"internal/analysis.HandoversOf": sliceHelper, "internal/analysis.CarrierUsageOf": sliceHelper,
+	"internal/analysis.CellDurationsOf": sliceHelper, "internal/analysis.ClusterBusyCells": sliceHelper,
+}
+
+const sliceHelper = "three-line wrapper over an accumulator that analysis_test.go, stream_test.go and the root " +
+	"bench_test.go drive; ROADMAP item 2 (1) decides with the oracle whether it moves to the test side or goes"
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestNothingUnreachable keeps ROADMAP aim 2 true: every package-level
+// func, type, var and const outside _test.go files is reached from main
+// or init of a binary under cmd/ or examples/, or from an exported name
+// of package cellcars, an edge being any identifier a declaration
+// mentions. Methods are not reported — whether one is needed to satisfy
+// an interface takes a pointer analysis the standard library does not
+// have — and what a method mentions, its receiver's type mentions.
+func TestNothingUnreachable(t *testing.T) {
+	fset := token.NewFileSet()
+	dirs := map[string][]*ast.File{} // module-relative directory -> its non-test files
+	if err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		switch p = filepath.ToSlash(p); {
+		case err != nil:
+			return err
+		case d.IsDir() && (p == "bench" || p != "." && strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir // bench/ is a module of its own
+		case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		dirs[path.Dir(p)] = append(dirs[path.Dir(p)], f)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Module packages are checked from the parsed files, so an object used
+	// in one package is the object another defines; the rest is the standard
+	// library's source, found through build.Default: cgo off, no C toolchain.
+	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	std, pkgs := importer.ForCompiler(fset, "source", nil), map[string]*types.Package{}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	var load importerFunc
+	load = func(ipath string) (pkg *types.Package, err error) {
+		dir, inModule := strings.CutPrefix(ipath, "cellcars")
+		if !inModule || dir != "" && dir[0] != '/' {
+			return std.Import(ipath)
+		}
+		if pkg = pkgs[ipath]; pkg == nil {
+			pkg, err = (&types.Config{Importer: load}).Check(ipath, fset, dirs[path.Join(".", dir)], info)
+			pkgs[ipath] = pkg
+		}
+		return pkg, err
+	}
+	for dir := range dirs {
+		if _, err := load(path.Join("cellcars", dir)); err != nil {
+			t.Fatalf("type-check %s: %v", dir, err)
+		}
+	}
+	mentions, declared, roots := map[types.Object][]types.Object{}, map[types.Object]bool{}, []types.Object{}
+	for dir, files := range dirs {
+		binary := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
+		declare := func(o types.Object, node ast.Node) { // node is (part of) o's declaration
+			ast.Inspect(node, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+					mentions[o] = append(mentions[o], info.Uses[id])
+				}
+				return true
+			})
+			if binary && (o.Name() == "main" || o.Name() == "init") || dir == "." && o.Exported() || reachabilityAllow[dir] != "" ||
+				reachabilityAllow[fset.Position(node.Pos()).Filename] != "" || reachabilityAllow[dir+"."+o.Name()] != "" {
+				roots = append(roots, o)
+			}
+			declared[o] = true
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					o := info.Defs[d.Name]
+					if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+						rt := recv.Type()
+						if p, ok := rt.(*types.Pointer); ok {
+							rt = p.Elem()
+						}
+						o = rt.(*types.Named).Obj()
+					}
+					declare(o, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if s, ok := spec.(*ast.TypeSpec); ok {
+							declare(info.Defs[s.Name], s)
+						} else if s, ok := spec.(*ast.ValueSpec); ok {
+							for _, name := range s.Names {
+								declare(info.Defs[name], s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	reached := map[types.Object]bool{}
+	for i := 0; i < len(roots); i++ {
+		if o := roots[i]; !reached[o] {
+			reached[o] = true
+			roots = append(roots, mentions[o]...)
+		}
+	}
+	var dead []string
+	for o := range declared {
+		if !reached[o] && o.Name() != "_" {
+			dead = append(dead, fset.Position(o.Pos()).String()+": "+o.Name())
+		}
+	}
+	if sort.Strings(dead); len(dead) > 0 {
+		t.Errorf("%d package-level declarations that no binary, example or facade export reaches "+
+			"(delete each, or allow it in reachabilityAllow with its reason):\n  %s", len(dead), strings.Join(dead, "\n  "))
+	}
+}
