@@ -78,9 +78,10 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Short fuzz runs over the codec entry points and the ordered fold's
-# grouping property; go test accepts one -fuzz pattern per invocation,
-# hence one run per target.
+# Short fuzz runs over seven targets: the codec entry points, the
+# ordered fold's grouping property and the coordinator's journal
+# replay; go test accepts one -fuzz pattern per invocation, hence one
+# run per target.
 fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz='^FuzzCSVReader$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReaderMatchesEncodingCSV -fuzztime=$(FUZZTIME)
@@ -88,5 +89,6 @@ fuzz-smoke:
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzMergeOrderedGrouping -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/drive -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race chaos bench-check fuzz-smoke

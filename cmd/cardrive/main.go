@@ -15,9 +15,9 @@
 //	cardrive -resume -workdir run1 day*.cdr       # after a crash/^C
 //	cardrive -chaos kill=0.2,hang=0.1,seed=7 day*.cdr
 //
-// The work directory holds the shard snapshots, merge intermediates
-// and the journal; a journal from an earlier run is refused unless
-// -resume re-plans only its incomplete shards.
+// The work directory holds the shard snapshots and the journal; a
+// journal from an earlier run is refused unless -resume re-plans only
+// its incomplete shards.
 package main
 
 import (
@@ -50,8 +50,7 @@ func main() {
 		maxBackoff  = flag.Duration("max-backoff", 30*time.Second, "retry backoff cap")
 		speculate   = flag.Float64("speculate", 1.5, "duplicate a shard's attempt once it exceeds this multiple of the p95 completed-attempt duration (0: off)")
 		specMin     = flag.Int("speculate-min", 3, "completed attempts required before speculation starts")
-		fanIn       = flag.Int("fan-in", 8, "partials merged per tree-merge step (bounds merge memory)")
-		workdir     = flag.String("workdir", "cardrive.work", "directory for shard snapshots, merge intermediates and the journal")
+		workdir     = flag.String("workdir", "cardrive.work", "directory for shard snapshots and the journal")
 		resume      = flag.Bool("resume", false, "resume from the journal in -workdir, re-planning only incomplete shards")
 		keep        = flag.Bool("keep-partials", false, "keep per-shard snapshots in -workdir after the merge")
 		chaosSpec   = flag.String("chaos", "", "inject worker faults, e.g. kill=0.2,hang=0.1,flip=0.1,seed=7,poison=3 (testing)")
@@ -134,7 +133,6 @@ func main() {
 		MaxBackoff:        *maxBackoff,
 		SpeculativeFactor: *speculate,
 		SpeculativeMin:    *specMin,
-		MergeFanIn:        *fanIn,
 		WorkDir:           *workdir,
 		Resume:            *resume,
 		KeepPartials:      *keep,

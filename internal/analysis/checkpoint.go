@@ -90,9 +90,9 @@ func (h SnapshotHeader) Period() simtime.Period {
 	return simtime.NewPeriod(h.PeriodStart, h.PeriodDays)
 }
 
-// sameStudy reports whether two snapshots were produced under the same
+// SameStudy reports whether two snapshots were produced under the same
 // study configuration — the precondition for merging them.
-func (h SnapshotHeader) sameStudy(o SnapshotHeader) error {
+func (h SnapshotHeader) SameStudy(o SnapshotHeader) error {
 	switch {
 	case !h.PeriodStart.Equal(o.PeriodStart) || h.PeriodDays != o.PeriodDays:
 		return fmt.Errorf("analysis: study periods differ (%s+%dd vs %s+%dd)",
@@ -434,7 +434,7 @@ func badSnapf(format string, args ...any) error {
 func restoreSets(r io.Reader, ctx Context, opts EngineOptions) (SnapshotHeader, []*accumSet, error) {
 	want := headerFor(ctx, opts, 0)
 	return readSnapshotSets(r, func(h SnapshotHeader) (Context, EngineOptions, error) {
-		if err := want.sameStudy(h); err != nil {
+		if err := want.SameStudy(h); err != nil {
 			return Context{}, EngineOptions{}, err
 		}
 		if h.Workers != opts.Workers {
@@ -535,7 +535,7 @@ func (p *Partial) SharedCars(o *Partial) (n int, ok bool) {
 // whose car sets intersect, since the mergeable-accumulator contract
 // requires car-disjoint shards for exact results.
 func (p *Partial) Merge(o *Partial, allowOverlap bool) error {
-	if err := p.Header.sameStudy(o.Header); err != nil {
+	if err := p.Header.SameStudy(o.Header); err != nil {
 		return err
 	}
 	if !allowOverlap {

@@ -121,7 +121,7 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 // consecutive time slices finalizes bit-identically to one pass over
 // the concatenated stream (see package comment for the precondition).
 func (s *Streaming) MergeOrdered(later *Streaming) error {
-	if err := s.header().sameStudy(later.header()); err != nil {
+	if err := s.header().SameStudy(later.header()); err != nil {
 		return err
 	}
 	if !later.tracksHeads() {

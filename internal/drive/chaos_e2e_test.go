@@ -57,7 +57,7 @@ func helperMain() {
 		Attempt: attempt,
 		Out:     os.Getenv("DRIVE_OUT"),
 		Ctx:     chaosTestCtx(),
-		Opts:    chaosTestOpts(),
+		Opts:    helperOpts(),
 		Ingest:  cdr.ResilientConfig{MaxBadFrac: -1},
 		Chaos:   chaos,
 	})
@@ -66,6 +66,19 @@ func helperMain() {
 		os.Exit(1)
 	}
 	PrintStats(os.Stdout, st)
+}
+
+// helperOpts is chaosTestOpts unless DRIVE_ODD_STUDY asks this attempt
+// to run under another study configuration.
+func helperOpts() analysis.RunOptions {
+	opts := chaosTestOpts()
+	switch os.Getenv("DRIVE_ODD_STUDY") {
+	case "rare":
+		opts.RareDays = []int{5, 20}
+	case "busy":
+		opts.BusyCells = []radio.CellKey{radio.MakeCellKey(1, 0, radio.C1)}
+	}
+	return opts
 }
 
 func chaosTestPeriod() simtime.Period {
@@ -207,8 +220,62 @@ func TestCoordinatorCleanRun(t *testing.T) {
 	if got := reg.Counter("cellcars_drive_attempts_total", obs.Label{Key: "outcome", Value: "ok"}).Value(); got != 6 {
 		t.Fatalf("ok attempts metric = %d, want 6", got)
 	}
+	if got := reg.Counter("cellcars_drive_merge_inputs_total").Value(); got != 6 {
+		t.Fatalf("merge inputs metric = %d, want 6", got)
+	}
 	if got := res.Records; got != int64(want.RawRecords) {
 		t.Fatalf("result records %d, want %d", got, want.RawRecords)
+	}
+	// Neither attempt files nor anything merge-shaped may survive.
+	for _, pat := range []string{"merge-*.snap", "shard*.a*.snap"} {
+		if leftovers, _ := filepath.Glob(filepath.Join(cfg.WorkDir, pat)); len(leftovers) != 0 {
+			t.Fatalf("left behind in the work directory: %v", leftovers)
+		}
+	}
+}
+
+// TestCoordinatorRejectsOddStudySnapshot: shard 1's first attempt
+// writes a well-formed partial of another study — other rare-day
+// thresholds, or another busy-cell set. Parallel is 1, so shard 0's
+// header is the reference by then: the attempt must fail as
+// bad-snapshot and be retried, not be journaled done and sink the whole
+// run in the final merge.
+func TestCoordinatorRejectsOddStudySnapshot(t *testing.T) {
+	inputs := writeChaosInputs(t, t.TempDir(), 30_000)
+	want := baselineReport(t, inputs)
+	for _, odd := range []string{"rare", "busy"} {
+		t.Run(odd, func(t *testing.T) {
+			cfg := chaosTestConfig(t, inputs, 6)
+			cfg.Parallel = 1
+			cfg.Command = helperCommand(func(spec WorkerSpec) []string {
+				if spec.Shard == 1 && spec.Attempt == 0 {
+					return []string{"DRIVE_ODD_STUDY=" + odd}
+				}
+				return nil
+			})
+			reg := obs.New()
+			cfg.Obs = reg
+			coord, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := coord.Run(context.Background())
+			if err != nil {
+				t.Fatalf("run with one odd-study attempt: %v", err)
+			}
+			if res.Done != 6 || res.Quarantined != 0 || res.Attempts != 7 || res.Retries != 1 {
+				t.Fatalf("outcome: %+v", res)
+			}
+			if got := reg.Counter("cellcars_drive_attempts_total", obs.Label{Key: "outcome", Value: ClassBadSnapshot}).Value(); got != 1 {
+				t.Fatalf("bad-snapshot attempts metric = %d, want 1", got)
+			}
+			if first := coord.Status().Shards[1].Attempts[0]; first.Outcome != ClassBadSnapshot || !strings.Contains(first.Err, "differ") {
+				t.Fatalf("odd attempt settled as %+v", first)
+			}
+			if !reflect.DeepEqual(want, res.Report) {
+				t.Fatal("report differs from single-process report")
+			}
+		})
 	}
 }
 
@@ -464,40 +531,5 @@ func TestCoordinatorRefusesStaleJournal(t *testing.T) {
 	}
 	if _, err := coord2.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Fatalf("second run without Resume: want journal-exists error, got %v", err)
-	}
-}
-
-// TestCoordinatorTreeMergeFanIn: a fan-in smaller than the shard count
-// forces a multi-level tree merge; the result must still be
-// bit-identical to the single-process run.
-func TestCoordinatorTreeMergeFanIn(t *testing.T) {
-	inputs := writeChaosInputs(t, t.TempDir(), 30_000)
-	want := baselineReport(t, inputs)
-
-	cfg := chaosTestConfig(t, inputs, 8)
-	cfg.MergeFanIn = 2 // 8 -> 4 -> 2 -> 1: three spill levels
-	cfg.Command = helperCommand(nil)
-	reg := obs.New()
-	cfg.Obs = reg
-	coord, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.Run(context.Background())
-	if err != nil {
-		t.Fatalf("tree-merge run: %v", err)
-	}
-	if !reflect.DeepEqual(want, res.Report) {
-		t.Fatal("tree-merged report differs from single-process report")
-	}
-	if got := reg.Counter("cellcars_drive_merge_inputs_total").Value(); got != 8 {
-		t.Fatalf("merge inputs metric = %d, want 8", got)
-	}
-	if got := reg.Counter("cellcars_drive_merge_levels_total").Value(); got < 3 {
-		t.Fatalf("merge levels metric = %d, want >= 3", got)
-	}
-	// No merge intermediates may survive the run.
-	if leftovers, _ := filepath.Glob(filepath.Join(cfg.WorkDir, "merge-*.snap")); len(leftovers) != 0 {
-		t.Fatalf("merge intermediates left behind: %v", leftovers)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,12 +81,7 @@ type Config struct {
 	// loser is killed. <= 0 disables speculation.
 	SpeculativeFactor float64
 	SpeculativeMin    int
-	// MergeFanIn bounds how many partials are open per merge step; the
-	// coordinator tree-merges with intermediate snapshots spilled to
-	// WorkDir, so memory stays bounded by one fan-in group. Default 8.
-	MergeFanIn int
-	// WorkDir holds shard snapshots, merge intermediates and the
-	// journal.
+	// WorkDir holds shard snapshots and the journal.
 	WorkDir string
 	// JournalPath overrides the journal location. Default
 	// WorkDir/journal.jsonl.
@@ -95,7 +91,7 @@ type Config struct {
 	// to silently clobber a previous run is part of the fault model.
 	Resume bool
 	// KeepPartials leaves per-shard snapshots in WorkDir after the
-	// merge (merge intermediates are always removed).
+	// merge.
 	KeepPartials bool
 	// Tag names the study configuration in the journal plan event;
 	// resume refuses a journal whose tag differs.
@@ -107,7 +103,7 @@ type Config struct {
 	// Chaos, when non-nil, is forwarded to workers via ChaosEnv.
 	Chaos *Chaos
 	// Obs receives coordinator metrics (attempts, retries, speculative
-	// wins, quarantined shards, merge fan-in). Nil disables.
+	// wins, quarantined shards, merge inputs). Nil disables.
 	Obs *obs.Registry
 	// Logger receives structured progress records (shard launches,
 	// failures, quarantines, merge). Nil discards.
@@ -173,6 +169,10 @@ type attempt struct {
 	stderr      bytes.Buffer
 	start       time.Time
 	timer       *time.Timer
+	// waitErr and dur are set by the goroutine that waits for the
+	// process, before it hands the attempt back on Coordinator.results.
+	waitErr error
+	dur     time.Duration
 	// timedOut is set from the deadline timer's goroutine and read by
 	// the coordinator loop after Wait returns, hence atomic.
 	timedOut atomic.Bool
@@ -186,17 +186,13 @@ func (a *attempt) kill() {
 	}
 }
 
-type attemptResult struct {
-	a       *attempt
-	waitErr error
-	dur     time.Duration
-}
-
-// shardRun is the coordinator's per-shard state machine.
+// shardRun is the one record of a shard: the schedule loop plans from
+// it, Status renders it, finishResult counts it and -resume rebuilds
+// it by replaying the journal through apply.
 type shardRun struct {
 	id       int
 	state    shardState
-	attempts int // attempts launched (attempt ordinals)
+	attempts int // next attempt ordinal: above every journaled one
 	failures int
 	nextTry  time.Time
 	inflight map[*attempt]bool
@@ -207,21 +203,63 @@ type shardRun struct {
 	lastClass, lastErr string
 	// stats of the winning attempt; for quarantined shards, the best
 	// observation from any failed attempt.
-	stats    WorkerStats
-	hasStats bool
-	final    string // promoted snapshot path
+	stats WorkerStats
+	final string // promoted snapshot path
+	// timeline holds the attempts this process launched, in launch
+	// order; a resumed run starts it empty.
+	timeline []AttemptStatus
+}
+
+// apply is the ledger's one transition function: what a journal event
+// does to its shard, whether the event was just appended by one of the
+// Coordinator's event methods or is being replayed on -resume.
+func (s *shardRun) apply(ev journalEvent) {
+	switch ev.Event {
+	case evAttempt, evDone, evFail:
+		// Ordinals only grow, so a new attempt's output path never
+		// collides with an orphan's — a launch without a recorded
+		// outcome, or a speculative loser numbered above the winner.
+		s.attempts = max(s.attempts, ev.Attempt+1)
+	}
+	switch ev.Event {
+	case evDone:
+		s.state = shardDone
+		s.stats = WorkerStats{Records: ev.Records, Quarantined: ev.Quarantined}
+	case evFail:
+		s.failures++
+		s.lastClass, s.lastErr = ev.Class, ev.Err
+		// A failed attempt may still have reported how far it got; keep
+		// the best observation for the excluded-shard accounting.
+		s.stats.Records = max(s.stats.Records, ev.Records)
+	case evQuarantine:
+		s.state = shardQuarantined
+	}
+}
+
+// settle records how a ended on the shard's timeline.
+func (s *shardRun) settle(a *attempt, outcome, errMsg string) {
+	for i := range s.timeline {
+		if t := &s.timeline[i]; t.Attempt == a.n {
+			t.Outcome, t.Err, t.Seconds = outcome, errMsg, a.dur.Seconds()
+			return
+		}
+	}
 }
 
 // Coordinator runs the fault-tolerant shard schedule. Use New, then
 // Run once.
 type Coordinator struct {
-	cfg     Config
-	log     *slog.Logger
-	board   *statusBoard
-	met     driveMetrics
-	jr      *journal
+	cfg Config
+	log *slog.Logger
+	met driveMetrics
+	jr  *journal
+	// mu orders the schedule loop's writes to phase and shards with
+	// Status on other goroutines; the loop is the only writer, so its
+	// own reads take no lock.
+	mu      sync.Mutex
+	phase   string // planning | running | merging | done
 	shards  []*shardRun
-	results chan attemptResult
+	results chan *attempt
 	rng     *rand.Rand
 	// durations of completed (successful) attempts, seconds — the
 	// speculation baseline.
@@ -231,35 +269,15 @@ type Coordinator struct {
 	res       Result
 }
 
+// driveMetrics are nil handles, hence no-ops, without a registry.
 type driveMetrics struct {
-	attempts    func(outcome string) *obs.Counter
 	retries     *obs.Counter
 	specLaunch  *obs.Counter
 	specWins    *obs.Counter
 	quarantined *obs.Counter
 	attemptSec  *obs.Timing
 	mergeInputs *obs.Counter
-	mergeLevels *obs.Counter
 	shardsDone  *obs.Gauge
-}
-
-func newDriveMetrics(reg *obs.Registry) driveMetrics {
-	if reg == nil {
-		return driveMetrics{}
-	}
-	return driveMetrics{
-		attempts: func(outcome string) *obs.Counter {
-			return reg.Counter("cellcars_drive_attempts_total", obs.Label{Key: "outcome", Value: outcome})
-		},
-		retries:     reg.Counter("cellcars_drive_retries_total"),
-		specLaunch:  reg.Counter("cellcars_drive_speculative_launches_total"),
-		specWins:    reg.Counter("cellcars_drive_speculative_wins_total"),
-		quarantined: reg.Counter("cellcars_drive_quarantined_shards_total"),
-		attemptSec:  reg.Timing("cellcars_drive_attempt_seconds"),
-		mergeInputs: reg.Counter("cellcars_drive_merge_inputs_total"),
-		mergeLevels: reg.Counter("cellcars_drive_merge_levels_total"),
-		shardsDone:  reg.Gauge("cellcars_drive_shards_done"),
-	}
 }
 
 // New validates the config and builds a Coordinator.
@@ -291,9 +309,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.SpeculativeMin <= 0 {
 		cfg.SpeculativeMin = 3
 	}
-	if cfg.MergeFanIn < 2 {
-		cfg.MergeFanIn = 8
-	}
 	if cfg.JournalPath == "" {
 		cfg.JournalPath = filepath.Join(cfg.WorkDir, "journal.jsonl")
 	}
@@ -305,12 +320,20 @@ func New(cfg Config) (*Coordinator, error) {
 		seed = uint64(time.Now().UnixNano())
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		board:   newStatusBoard(cfg.Shards),
-		met:     newDriveMetrics(cfg.Obs),
+		cfg:   cfg,
+		log:   cfg.Logger,
+		phase: "planning",
+		met: driveMetrics{
+			retries:     cfg.Obs.Counter("cellcars_drive_retries_total"),
+			specLaunch:  cfg.Obs.Counter("cellcars_drive_speculative_launches_total"),
+			specWins:    cfg.Obs.Counter("cellcars_drive_speculative_wins_total"),
+			quarantined: cfg.Obs.Counter("cellcars_drive_quarantined_shards_total"),
+			attemptSec:  cfg.Obs.Timing("cellcars_drive_attempt_seconds"),
+			mergeInputs: cfg.Obs.Counter("cellcars_drive_merge_inputs_total"),
+			shardsDone:  cfg.Obs.Gauge("cellcars_drive_shards_done"),
+		},
 		rng:     rand.New(rand.NewPCG(seed, 0xD21FE)),
-		results: make(chan attemptResult, cfg.Parallel*2+4),
+		results: make(chan *attempt, cfg.Parallel*2+4),
 	}
 	c.shards = make([]*shardRun, cfg.Shards)
 	for i := range c.shards {
@@ -324,7 +347,7 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Run executes the schedule until every shard is done or quarantined,
-// then tree-merges the completed partials. Cancelling ctx kills all
+// then merges the completed partials. Cancelling ctx kills all
 // inflight workers and returns ctx.Err(); the journal allows a later
 // Resume run to pick up where this one stopped.
 func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
@@ -335,30 +358,35 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if err := c.openOrResume(); err != nil {
 		return nil, err
 	}
-	defer c.jr.Close()
+	defer c.jr.f.Close()
 	c.cfg.Trace.Emit("plan", time.Since(t0), int64(c.cfg.Shards))
 
-	c.board.setPhase("running")
+	c.setPhase("running")
 	if err := c.schedule(ctx); err != nil {
 		return nil, err
 	}
 
-	done := c.doneShards()
-	if len(done) == 0 {
+	if c.count(shardDone) == 0 {
 		return nil, errors.New("drive: every shard was quarantined; nothing to merge")
 	}
-	c.board.setPhase("merging")
-	partial, err := c.mergeDone(done)
+	c.setPhase("merging")
+	partial, err := c.mergeDone()
 	if err != nil {
 		return nil, err
 	}
-	if err := c.jr.emit(journalEvent{Event: evMerged, Shards: len(done)}); err != nil {
+	if err := c.jr.emit(journalEvent{Event: evMerged, Shards: c.count(shardDone)}); err != nil {
 		return nil, err
 	}
 	c.finishResult(partial, t0)
-	c.cleanup(done)
-	c.board.setPhase("done")
+	c.cleanup()
+	c.setPhase("done")
 	return &c.res, nil
+}
+
+func (c *Coordinator) setPhase(p string) {
+	c.mu.Lock()
+	c.phase = p
+	c.mu.Unlock()
 }
 
 // openOrResume opens the journal, enforcing the fresh-run/resume
@@ -390,10 +418,10 @@ func (c *Coordinator) openOrResume() error {
 	return nil
 }
 
-// replay folds journal events into shard state: done shards keep their
-// promoted snapshots (revalidated), failed attempts keep their failure
-// counts, quarantined shards get one more attempt budget only if the
-// snapshot situation changed (they stay quarantined otherwise).
+// replay rebuilds the ledger from the journal of the run being
+// resumed: every shard event goes through apply, then done shards are
+// revalidated (and re-planned if their snapshot is gone or bad).
+// Failure counts carry over and quarantined shards stay quarantined.
 func (c *Coordinator) replay() error {
 	events, err := readJournal(c.cfg.JournalPath)
 	if err != nil {
@@ -417,34 +445,10 @@ func (c *Coordinator) replay() error {
 			return fmt.Errorf("drive: journal input %d is %q, run configured %q", i, in, c.cfg.Inputs[i])
 		}
 	}
-	for _, ev := range events[1:] {
-		if ev.Shard < 0 || ev.Shard >= len(c.shards) {
-			continue
-		}
-		s := c.shards[ev.Shard]
-		switch ev.Event {
-		case evAttempt:
-			// Count launched attempts even without a recorded outcome
-			// (coordinator died mid-attempt), so new attempt ordinals
-			// — and their output paths — never collide with orphans.
-			s.attempts = max(s.attempts, ev.Attempt+1)
-		case evDone:
-			s.state = shardDone
-			s.attempts = ev.Attempt + 1
-			s.stats = WorkerStats{Records: ev.Records, Quarantined: ev.Quarantined}
-			s.hasStats = true
-		case evFail:
-			s.failures++
-			s.attempts = max(s.attempts, ev.Attempt+1)
-			s.lastClass, s.lastErr = ev.Class, ev.Err
-			if ev.Records > 0 {
-				s.stats.Records = max(s.stats.Records, ev.Records)
-			}
-		case evQuarantine:
-			s.state = shardQuarantined
-		}
-	}
-	resumedDone, replanned := 0, 0
+	c.mu.Lock()
+	applyEvents(c.shards, events[1:])
+	c.mu.Unlock()
+	replanned := 0
 	for _, s := range c.shards {
 		if s.state != shardDone {
 			continue
@@ -452,24 +456,31 @@ func (c *Coordinator) replay() error {
 		// Trust but verify: the snapshot must still exist and parse.
 		if _, err := c.validateSnapshot(s.final); err != nil {
 			c.log.Warn("resume: shard snapshot invalid; re-planning", "shard", s.id, "err", err.Error())
+			c.mu.Lock()
 			s.state = shardPending
-			s.hasStats = false
+			c.mu.Unlock()
 			replanned++
-			continue
 		}
-		resumedDone++
 	}
-	for _, s := range c.shards {
-		c.board.noteShard(s.id, s.state, s.failures, time.Time{})
-	}
-	c.log.Info("resume", "done", resumedDone, "replanned", replanned, "quarantined", c.quarantinedCount())
+	c.log.Info("resume", "done", c.count(shardDone), "replanned", replanned, "quarantined", c.count(shardQuarantined))
 	return nil
 }
 
-func (c *Coordinator) quarantinedCount() int {
+// applyEvents replays journaled shard events into a ledger. An event
+// naming a shard outside the plan changes nothing.
+func applyEvents(shards []*shardRun, events []journalEvent) {
+	for _, ev := range events {
+		if ev.Shard >= 0 && ev.Shard < len(shards) {
+			shards[ev.Shard].apply(ev)
+		}
+	}
+}
+
+// count returns how many shards are in the given state.
+func (c *Coordinator) count(state shardState) int {
 	n := 0
 	for _, s := range c.shards {
-		if s.state == shardQuarantined {
+		if s.state == state {
 			n++
 		}
 	}
@@ -493,8 +504,8 @@ func (c *Coordinator) schedule(ctx context.Context) error {
 			return nil
 		}
 		select {
-		case res := <-c.results:
-			if err := c.handleResult(res); err != nil {
+		case a := <-c.results:
+			if err := c.handleResult(a); err != nil {
 				c.abort()
 				return err
 			}
@@ -510,44 +521,20 @@ func (c *Coordinator) schedule(ctx context.Context) error {
 // settled reports whether every shard reached a terminal state and all
 // worker processes have been reaped.
 func (c *Coordinator) settled() bool {
-	if c.inflight > 0 {
-		return false
-	}
-	for _, s := range c.shards {
-		if s.state != shardDone && s.state != shardQuarantined {
-			return false
-		}
-	}
-	return true
+	return c.inflight == 0 && c.count(shardPending)+c.count(shardRunning) == 0
 }
 
-// abort kills everything inflight and drains their results.
+// abort kills everything inflight and drains their results, which
+// handleResult settles as canceled.
 func (c *Coordinator) abort() {
 	for _, s := range c.shards {
 		for a := range s.inflight {
 			a.canceled = true
-			if a.timer != nil {
-				a.timer.Stop()
-			}
 			a.kill()
 		}
 	}
 	for c.inflight > 0 {
-		res := <-c.results
-		c.reap(res.a)
-		os.Remove(res.a.out)
-	}
-}
-
-// reap removes an attempt from its shard's inflight set.
-func (c *Coordinator) reap(a *attempt) {
-	s := c.shards[a.shard]
-	if s.inflight[a] {
-		delete(s.inflight, a)
-		c.inflight--
-	}
-	if a.timer != nil {
-		a.timer.Stop()
+		c.handleResult(<-c.results)
 	}
 }
 
@@ -571,16 +558,14 @@ func (c *Coordinator) launchEligible() error {
 
 // launch starts one worker attempt for a shard.
 func (c *Coordinator) launch(s *shardRun, speculative bool) error {
-	n := s.attempts
-	s.attempts++
 	a := &attempt{
 		shard:       s.id,
-		n:           n,
+		n:           s.attempts,
 		speculative: speculative,
-		out:         filepath.Join(c.cfg.WorkDir, fmt.Sprintf("shard%04d.a%02d.snap", s.id, n)),
+		out:         filepath.Join(c.cfg.WorkDir, fmt.Sprintf("shard%04d.a%02d.snap", s.id, s.attempts)),
 		start:       time.Now(),
 	}
-	spec := WorkerSpec{Shard: s.id, Shards: c.cfg.Shards, Attempt: n, Inputs: c.cfg.Inputs, Out: a.out}
+	spec := WorkerSpec{Shard: s.id, Shards: c.cfg.Shards, Attempt: a.n, Inputs: c.cfg.Inputs, Out: a.out}
 	cmd := c.cfg.Command(spec)
 	if cmd == nil {
 		return fmt.Errorf("drive: command factory returned nil for shard %d", s.id)
@@ -588,7 +573,7 @@ func (c *Coordinator) launch(s *shardRun, speculative bool) error {
 	if cmd.Env == nil {
 		cmd.Env = os.Environ()
 	}
-	cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", AttemptEnv, n))
+	cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", AttemptEnv, a.n))
 	if c.cfg.Chaos != nil {
 		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%s", ChaosEnv, c.cfg.Chaos))
 	}
@@ -600,29 +585,17 @@ func (c *Coordinator) launch(s *shardRun, speculative bool) error {
 	}
 	a.cmd = cmd
 
-	if err := c.jr.emit(journalEvent{Event: evAttempt, Shard: s.id, Attempt: n, Speculative: speculative}); err != nil {
+	if err := c.attempt(s, a); err != nil {
 		return err
 	}
-	c.board.noteLaunch(s.id, n, speculative, a.start)
 	if err := cmd.Start(); err != nil {
 		// Spawn failure is a crash-class failure of this attempt, not
 		// a coordinator error: the retry/quarantine machinery owns it.
-		c.log.Error("worker failed to start", "shard", s.id, "attempt", n, "err", err.Error())
-		return c.failAttempt(s, a, 0, ClassCrash, fmt.Sprintf("start worker: %v", err))
+		c.log.Error("worker failed to start", "shard", s.id, "attempt", a.n, "err", err.Error())
+		return c.fail(s, a, ClassCrash, fmt.Sprintf("start worker: %v", err))
 	}
-	s.state = shardRunning
 	s.inflight[a] = true
 	c.inflight++
-	c.res.Attempts++
-	if n > 0 && !speculative {
-		c.res.Retries++
-		inc(c.met.retries)
-	}
-	if speculative {
-		c.res.SpeculativeLaunches++
-		inc(c.met.specLaunch)
-		c.log.Info("speculative attempt launched", "shard", s.id, "attempt", n)
-	}
 	if c.cfg.AttemptTimeout > 0 {
 		a.timer = time.AfterFunc(c.cfg.AttemptTimeout, func() {
 			a.timedOut.Store(true)
@@ -630,154 +603,186 @@ func (c *Coordinator) launch(s *shardRun, speculative bool) error {
 		})
 	}
 	go func() {
-		err := a.cmd.Wait()
-		c.results <- attemptResult{a: a, waitErr: err, dur: time.Since(a.start)}
+		a.waitErr = a.cmd.Wait()
+		a.dur = time.Since(a.start)
+		c.results <- a
 	}()
 	return nil
 }
 
-// handleResult classifies a finished attempt and advances its shard's
-// state machine.
-func (c *Coordinator) handleResult(res attemptResult) error {
-	a := res.a
+// handleResult classifies a finished attempt and hands it to the event
+// method for its outcome.
+func (c *Coordinator) handleResult(a *attempt) error {
 	s := c.shards[a.shard]
-	c.reap(a)
+	delete(s.inflight, a)
+	c.inflight--
+	if a.timer != nil {
+		a.timer.Stop()
+	}
 
 	if a.canceled {
-		os.Remove(a.out)
-		c.met.attempt("canceled")
-		c.board.noteOutcome(a.shard, a.n, "canceled", "", res.dur)
+		c.drop(a)
 		return nil
 	}
 	if a.timedOut.Load() {
-		os.Remove(a.out)
-		return c.failAttempt(s, a, res.dur, ClassTimeout, fmt.Sprintf("attempt exceeded %s", c.cfg.AttemptTimeout))
+		return c.fail(s, a, ClassTimeout, fmt.Sprintf("attempt exceeded %s", c.cfg.AttemptTimeout))
 	}
-	if res.waitErr != nil {
-		os.Remove(a.out)
-		msg := res.waitErr.Error()
+	if a.waitErr != nil {
+		msg := a.waitErr.Error()
 		if tail := lastLines(a.stderr.Bytes(), 3); tail != "" {
 			msg += ": " + tail
 		}
-		return c.failAttempt(s, a, res.dur, ClassCrash, msg)
+		return c.fail(s, a, ClassCrash, msg)
 	}
 
 	p, err := c.validateSnapshot(a.out)
 	if err != nil {
-		os.Remove(a.out)
-		return c.failAttempt(s, a, res.dur, ClassBadSnapshot, err.Error())
+		return c.fail(s, a, ClassBadSnapshot, err.Error())
 	}
-
 	if s.state == shardDone {
 		// A speculative sibling already won; this valid result is
 		// redundant.
-		os.Remove(a.out)
-		c.met.attempt("canceled")
-		c.board.noteOutcome(a.shard, a.n, "canceled", "", res.dur)
+		c.drop(a)
 		return nil
 	}
-	return c.promote(s, a, res, p)
-}
-
-// promote renames the validated attempt snapshot to the shard's final
-// path — the atomic first-writer-wins step — and settles the shard.
-func (c *Coordinator) promote(s *shardRun, a *attempt, res attemptResult, p *analysis.Partial) error {
+	// Promote: renaming the validated attempt snapshot to the shard's
+	// final path is the atomic first-writer-wins step.
 	if err := os.Rename(a.out, s.final); err != nil {
 		return fmt.Errorf("drive: promote shard %d: %w", s.id, err)
 	}
-	s.state = shardDone
 	st, ok := parseWorkerStats(a.stdout.Bytes())
 	if !ok {
 		st = WorkerStats{Records: p.Records()}
-	}
-	s.stats, s.hasStats = st, true
-	c.durations = append(c.durations, res.dur.Seconds())
-	c.met.attempt("ok")
-	c.met.observeAttempt(res.dur)
-	c.met.setDone(c.doneCount())
-	c.board.noteOutcome(a.shard, a.n, "ok", "", res.dur)
-	c.board.noteShard(s.id, shardDone, s.failures, time.Time{})
-	c.cfg.Trace.Emit(fmt.Sprintf("attempt:%d.%d", a.shard, a.n), res.dur, st.Records)
-	if a.speculative {
-		c.res.SpeculativeWins++
-		inc(c.met.specWins)
-		c.log.Info("speculative attempt won", "shard", s.id, "attempt", a.n, "seconds", res.dur.Seconds())
-	} else {
-		c.log.Info("shard done", "shard", s.id, "attempt", a.n, "seconds", res.dur.Seconds(), "records", st.Records)
 	}
 	// Kill the losing siblings; their results are reaped as canceled.
 	for sib := range s.inflight {
 		sib.canceled = true
 		sib.kill()
 	}
-	return c.jr.emit(journalEvent{
-		Event:       evDone,
-		Shard:       s.id,
-		Attempt:     a.n,
-		Speculative: a.speculative,
-		Records:     st.Records,
-		Quarantined: st.Quarantined,
-		Seconds:     res.dur.Seconds(),
-	})
+	return c.done(s, a, st)
 }
 
-// failAttempt settles a failed attempt on the status board and run
-// trace, then hands off to fail for the retry/quarantine decision.
-func (c *Coordinator) failAttempt(s *shardRun, a *attempt, dur time.Duration, class, msg string) error {
-	c.board.noteOutcome(a.shard, a.n, class, msg, dur)
-	c.cfg.Trace.Emit(fmt.Sprintf("attempt:%d.%d", a.shard, a.n), dur, 0)
-	return c.fail(s, a, class, msg)
-}
+// The event methods below are the ledger's only writers while a run is
+// live, one per journal event: each appends the fsynced journal line,
+// applies it to the shard, and does that event's metric, log and trace.
+// drop settles the one outcome the journal does not record.
 
-// fail records a failed attempt, schedules the retry or quarantines
-// the shard once its budget is spent.
-func (c *Coordinator) fail(s *shardRun, a *attempt, class, msg string) error {
-	c.met.attempt(class)
-	if s.state == shardDone {
-		return nil // a speculative loser failing after the win is noise
-	}
-	s.failures++
-	s.lastClass, s.lastErr = class, msg
-	// A failed attempt may still have reported how far it got; keep
-	// the best observation for the excluded-shard accounting.
-	if st, ok := parseWorkerStats(a.stdout.Bytes()); ok && st.Records > s.stats.Records {
-		s.stats.Records = st.Records
-	}
-	c.log.Warn("attempt failed", "shard", s.id, "attempt", a.n, "class", class, "err", msg)
-	if err := c.jr.emit(journalEvent{
-		Event: evFail, Shard: s.id, Attempt: a.n, Class: class, Err: msg,
-		Records: s.stats.Records, Failures: s.failures,
-	}); err != nil {
+// attempt journals the launch of a and puts it on s's timeline.
+func (c *Coordinator) attempt(s *shardRun, a *attempt) error {
+	ev := journalEvent{Event: evAttempt, Shard: s.id, Attempt: a.n, Speculative: a.speculative}
+	if err := c.jr.emit(ev); err != nil {
 		return err
 	}
-
-	if s.failures >= c.cfg.MaxAttempts {
-		if len(s.inflight) > 0 {
-			// A sibling attempt is still running and may yet succeed;
-			// quarantine only if it also fails.
-			return nil
-		}
-		return c.quarantine(s)
+	c.mu.Lock()
+	s.apply(ev)
+	s.state, s.nextTry = shardRunning, time.Time{}
+	s.timeline = append(s.timeline, AttemptStatus{Attempt: a.n, Speculative: a.speculative, Started: a.start})
+	c.mu.Unlock()
+	switch {
+	case a.speculative:
+		c.met.specLaunch.Inc()
+		c.log.Info("speculative attempt launched", "shard", s.id, "attempt", a.n)
+	case a.n > 0:
+		c.met.retries.Inc()
 	}
-	if len(s.inflight) == 0 {
-		s.state = shardPending
-		s.speculated = false
-		s.nextTry = time.Now().Add(c.backoff(s.failures))
-		c.board.noteShard(s.id, shardPending, s.failures, s.nextTry)
+	return nil
+}
+
+// done settles s on a's promoted snapshot.
+func (c *Coordinator) done(s *shardRun, a *attempt, st WorkerStats) error {
+	ev := journalEvent{
+		Event: evDone, Shard: s.id, Attempt: a.n, Speculative: a.speculative,
+		Records: st.Records, Quarantined: st.Quarantined, Seconds: a.dur.Seconds(),
+	}
+	if err := c.jr.emit(ev); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	s.apply(ev)
+	s.settle(a, "ok", "")
+	c.mu.Unlock()
+	c.durations = append(c.durations, ev.Seconds)
+	c.countAttempt("ok")
+	c.met.attemptSec.Observe(a.dur)
+	c.met.shardsDone.Set(float64(c.count(shardDone)))
+	c.cfg.Trace.Emit(fmt.Sprintf("attempt:%d.%d", s.id, a.n), a.dur, st.Records)
+	if a.speculative {
+		c.met.specWins.Inc()
+		c.log.Info("speculative attempt won", "shard", s.id, "attempt", a.n, "seconds", ev.Seconds)
 	} else {
-		c.board.noteShard(s.id, s.state, s.failures, time.Time{})
+		c.log.Info("shard done", "shard", s.id, "attempt", a.n, "seconds", ev.Seconds, "records", st.Records)
+	}
+	return nil
+}
+
+// fail records a failed attempt, then schedules the retry or, once the
+// shard's budget is spent, quarantines it.
+func (c *Coordinator) fail(s *shardRun, a *attempt, class, msg string) error {
+	os.Remove(a.out)
+	c.countAttempt(class)
+	c.cfg.Trace.Emit(fmt.Sprintf("attempt:%d.%d", s.id, a.n), a.dur, 0)
+	if s.state == shardDone {
+		// A speculative loser failing after the win is noise: it keeps
+		// its outcome on the timeline and costs the shard nothing.
+		c.mu.Lock()
+		s.settle(a, class, msg)
+		c.mu.Unlock()
+		return nil
+	}
+	st, _ := parseWorkerStats(a.stdout.Bytes())
+	ev := journalEvent{
+		Event: evFail, Shard: s.id, Attempt: a.n, Class: class, Err: msg,
+		Records: max(s.stats.Records, st.Records), Failures: s.failures + 1,
+	}
+	c.log.Warn("attempt failed", "shard", s.id, "attempt", a.n, "class", class, "err", msg)
+	if err := c.jr.emit(ev); err != nil {
+		return err
+	}
+	// A sibling attempt still running may yet succeed: the shard is
+	// retried, or quarantined, only when its last attempt has failed.
+	last := len(s.inflight) == 0
+	retry := last && s.failures+1 < c.cfg.MaxAttempts
+	c.mu.Lock()
+	s.apply(ev)
+	s.settle(a, class, msg)
+	if retry {
+		s.state, s.speculated = shardPending, false
+		s.nextTry = time.Now().Add(c.backoff(s.failures))
+	}
+	c.mu.Unlock()
+	if last && !retry {
+		return c.quarantine(s)
 	}
 	return nil
 }
 
 // quarantine retires a shard whose attempt budget is spent.
 func (c *Coordinator) quarantine(s *shardRun) error {
-	s.state = shardQuarantined
-	inc(c.met.quarantined)
-	c.board.noteShard(s.id, shardQuarantined, s.failures, time.Time{})
+	ev := journalEvent{Event: evQuarantine, Shard: s.id, Failures: s.failures}
+	if err := c.jr.emit(ev); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	s.apply(ev)
+	c.mu.Unlock()
+	c.met.quarantined.Inc()
 	c.log.Error("shard quarantined", "shard", s.id, "failures", s.failures,
 		"last_class", s.lastClass, "last_err", s.lastErr)
-	return c.jr.emit(journalEvent{Event: evQuarantine, Shard: s.id, Failures: s.failures})
+	return nil
+}
+
+// drop settles an attempt whose result no longer matters — killed for
+// a sibling's win or an aborted run, or valid but second.
+func (c *Coordinator) drop(a *attempt) {
+	os.Remove(a.out)
+	c.countAttempt("canceled")
+	c.mu.Lock()
+	c.shards[a.shard].settle(a, "canceled", "")
+	c.mu.Unlock()
+}
+
+func (c *Coordinator) countAttempt(outcome string) {
+	c.cfg.Obs.Counter("cellcars_drive_attempts_total", obs.Label{Key: "outcome", Value: outcome}).Inc()
 }
 
 // backoff computes the jittered exponential delay after the given
@@ -848,38 +853,13 @@ func (c *Coordinator) validateSnapshot(path string) (*analysis.Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := p.Header
 	if c.hdr == nil {
+		h := p.Header // a copy: a pointer into p would keep the whole partial alive
 		c.hdr = &h
-		return p, nil
-	}
-	if !h.PeriodStart.Equal(c.hdr.PeriodStart) || h.PeriodDays != c.hdr.PeriodDays ||
-		h.TZOffsetSeconds != c.hdr.TZOffsetSeconds || h.Seed != c.hdr.Seed || h.HasLoad != c.hdr.HasLoad {
-		return nil, fmt.Errorf("snapshot %s: study configuration differs from earlier shards", filepath.Base(path))
+	} else if err := c.hdr.SameStudy(p.Header); err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", filepath.Base(path), err)
 	}
 	return p, nil
-}
-
-func (c *Coordinator) doneCount() int {
-	n := 0
-	for _, s := range c.shards {
-		if s.state == shardDone {
-			n++
-		}
-	}
-	return n
-}
-
-// doneShards returns completed shards in shard order — merge order is
-// deterministic, which keeps degraded-run reports reproducible.
-func (c *Coordinator) doneShards() []*shardRun {
-	var done []*shardRun
-	for _, s := range c.shards {
-		if s.state == shardDone {
-			done = append(done, s)
-		}
-	}
-	return done
 }
 
 // finishResult assembles the Result from the merged partial and the
@@ -890,6 +870,18 @@ func (c *Coordinator) finishResult(p *analysis.Partial, t0 time.Time) {
 	c.res.Elapsed = time.Since(t0)
 	estimate := c.estimateShardRecords()
 	for _, s := range c.shards {
+		for _, a := range s.timeline {
+			c.res.Attempts++
+			switch {
+			case a.Speculative:
+				c.res.SpeculativeLaunches++
+				if a.Outcome == "ok" {
+					c.res.SpeculativeWins++
+				}
+			case a.Attempt > 0:
+				c.res.Retries++
+			}
+		}
 		switch s.state {
 		case shardDone:
 			c.res.Done++
@@ -933,14 +925,14 @@ func (c *Coordinator) estimateShardRecords() int64 {
 
 // cleanup removes attempt leftovers and, unless KeepPartials, the
 // promoted shard snapshots.
-func (c *Coordinator) cleanup(done []*shardRun) {
+func (c *Coordinator) cleanup() {
 	if leftovers, err := filepath.Glob(filepath.Join(c.cfg.WorkDir, "shard*.a*.snap")); err == nil {
 		for _, f := range leftovers {
 			os.Remove(f)
 		}
 	}
-	if !c.cfg.KeepPartials {
-		for _, s := range done {
+	for _, s := range c.shards {
+		if s.state == shardDone && !c.cfg.KeepPartials {
 			os.Remove(s.final)
 		}
 	}
@@ -959,37 +951,4 @@ func lastLines(b []byte, n int) string {
 		lines = lines[len(lines)-n:]
 	}
 	return strings.Join(lines, "; ")
-}
-
-// nil-safe metric methods: a Coordinator without a registry skips all
-// instrumentation.
-
-func (m driveMetrics) attempt(outcome string) {
-	if m.attempts != nil {
-		m.attempts(outcome).Inc()
-	}
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (m driveMetrics) observeAttempt(d time.Duration) {
-	if m.attemptSec != nil {
-		m.attemptSec.Observe(d)
-	}
-}
-
-func (m driveMetrics) setDone(n int) {
-	if m.shardsDone != nil {
-		m.shardsDone.Set(float64(n))
-	}
-}
-
-func (m driveMetrics) addMergeInputs(n int) {
-	if m.mergeInputs != nil {
-		m.mergeInputs.Add(int64(n))
-	}
 }

@@ -85,13 +85,6 @@ func (j *journal) emit(ev journalEvent) error {
 	return nil
 }
 
-func (j *journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.f.Close()
-}
-
 // readJournal loads all events from a journal file. A torn final line
 // (coordinator died mid-append) is tolerated and dropped; any other
 // malformed line is an error, since it means the log cannot be

@@ -2,82 +2,36 @@ package drive
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
 	"cellcars/internal/analysis"
 )
 
-// mergeDone tree-merges the completed shards' snapshots with bounded
-// fan-in: partials are folded in groups of MergeFanIn, each group's
-// merged state is spilled back to disk as an intermediate snapshot,
-// and the next level merges the intermediates. Memory is bounded by
-// one group's merged state instead of the whole run, which is what
-// lets a small coordinator box merge a fleet-scale shard set.
-func (c *Coordinator) mergeDone(done []*shardRun) (*analysis.Partial, error) {
+// mergeDone folds the completed shards' snapshots in shard order (so a
+// degraded run's report is reproducible), holding at most the
+// accumulating state plus one incoming partial in memory. Overlap is
+// never allowed: car-disjoint shards are the exactness contract, and a
+// violation here means a coordinator bug, not dirty data.
+func (c *Coordinator) mergeDone() (*analysis.Partial, error) {
 	t0 := time.Now()
-	paths := make([]string, len(done))
-	for i, s := range done {
-		paths[i] = s.final
-	}
-	c.met.addMergeInputs(len(paths))
-
-	var intermediates []string
-	defer func() {
-		for _, f := range intermediates {
-			os.Remove(f)
-		}
-	}()
-
-	level := 0
-	for len(paths) > c.cfg.MergeFanIn {
-		inc(c.met.mergeLevels)
-		var next []string
-		for i := 0; i < len(paths); i += c.cfg.MergeFanIn {
-			group := paths[i:min(i+c.cfg.MergeFanIn, len(paths))]
-			p, err := mergePaths(group)
-			if err != nil {
-				return nil, err
-			}
-			out := filepath.Join(c.cfg.WorkDir, fmt.Sprintf("merge-l%d-%03d.snap", level, i/c.cfg.MergeFanIn))
-			if err := p.WriteSnapshot(out); err != nil {
-				return nil, fmt.Errorf("drive: spill merge intermediate: %w", err)
-			}
-			intermediates = append(intermediates, out)
-			next = append(next, out)
-		}
-		paths = next
-		level++
-	}
-	inc(c.met.mergeLevels)
-	p, err := mergePaths(paths)
-	if err != nil {
-		return nil, err
-	}
-	c.cfg.Trace.Emit("merge", time.Since(t0), p.Records())
-	c.log.Info("merged", "shards", len(done), "levels", level+1, "seconds", time.Since(t0).Seconds())
-	return p, nil
-}
-
-// mergePaths folds a group of snapshots sequentially, holding at most
-// the accumulating state plus one incoming partial in memory. Overlap
-// is never allowed: car-disjoint shards are the exactness contract,
-// and a violation here means a coordinator bug, not dirty data.
-func mergePaths(paths []string) (*analysis.Partial, error) {
+	c.met.mergeInputs.Add(int64(c.count(shardDone)))
 	var merged *analysis.Partial
-	for _, path := range paths {
-		p, err := analysis.ReadPartialFile(path)
+	for _, s := range c.shards {
+		if s.state != shardDone {
+			continue
+		}
+		p, err := analysis.ReadPartialFile(s.final)
 		if err != nil {
-			return nil, fmt.Errorf("drive: merge read %s: %w", filepath.Base(path), err)
+			return nil, fmt.Errorf("drive: merge read %s: %w", filepath.Base(s.final), err)
 		}
 		if merged == nil {
 			merged = p
-			continue
-		}
-		if err := merged.Merge(p, false); err != nil {
-			return nil, fmt.Errorf("drive: merge %s: %w", filepath.Base(path), err)
+		} else if err := merged.Merge(p, false); err != nil {
+			return nil, fmt.Errorf("drive: merge %s: %w", filepath.Base(s.final), err)
 		}
 	}
+	c.cfg.Trace.Emit("merge", time.Since(t0), merged.Records())
+	c.log.Info("merged", "shards", c.count(shardDone), "seconds", time.Since(t0).Seconds())
 	return merged, nil
 }

@@ -3,7 +3,6 @@ package drive
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 )
 
@@ -42,113 +41,36 @@ type Status struct {
 	UpdatedAt   time.Time     `json:"updated_at"`
 }
 
-// statusBoard is an event-sourced copy of the schedule-loop state,
-// updated at coordinator event points under its own mutex so HTTP
-// readers never contend with (or race against) the schedule loop.
-type statusBoard struct {
-	mu     sync.Mutex
-	phase  string
-	shards []ShardStatus
-	total  int // attempts launched
-}
+// stateNames are the shard states as ShardStatus.State spells them.
+var stateNames = [...]string{shardPending: "pending", shardRunning: "running", shardDone: "done", shardQuarantined: "quarantined"}
 
-func newStatusBoard(shards int) *statusBoard {
-	b := &statusBoard{phase: "planning", shards: make([]ShardStatus, shards)}
-	for i := range b.shards {
-		b.shards[i] = ShardStatus{Shard: i, State: "pending"}
-	}
-	return b
-}
-
-func (b *statusBoard) setPhase(p string) {
-	b.mu.Lock()
-	b.phase = p
-	b.mu.Unlock()
-}
-
-func stateName(s shardState) string {
-	switch s {
-	case shardRunning:
-		return "running"
-	case shardDone:
-		return "done"
-	case shardQuarantined:
-		return "quarantined"
-	default:
-		return "pending"
-	}
-}
-
-// noteLaunch appends a running attempt to the shard's timeline.
-func (b *statusBoard) noteLaunch(shard, attempt int, speculative bool, start time.Time) {
-	b.mu.Lock()
-	s := &b.shards[shard]
-	s.State = "running"
-	s.NextTry = nil
-	s.Attempts = append(s.Attempts, AttemptStatus{
-		Attempt:     attempt,
-		Speculative: speculative,
-		Started:     start,
-	})
-	b.total++
-	b.mu.Unlock()
-}
-
-// noteOutcome settles one attempt on the timeline.
-func (b *statusBoard) noteOutcome(shard, attempt int, outcome, errMsg string, dur time.Duration) {
-	b.mu.Lock()
-	s := &b.shards[shard]
-	for i := range s.Attempts {
-		if s.Attempts[i].Attempt == attempt {
-			s.Attempts[i].Outcome = outcome
-			s.Attempts[i].Err = errMsg
-			s.Attempts[i].Seconds = dur.Seconds()
-			break
-		}
-	}
-	b.mu.Unlock()
-}
-
-// noteShard updates a shard's state-machine fields.
-func (b *statusBoard) noteShard(shard int, state shardState, failures int, nextTry time.Time) {
-	b.mu.Lock()
-	s := &b.shards[shard]
-	s.State = stateName(state)
-	s.Failures = failures
-	if state == shardPending && !nextTry.IsZero() {
-		t := nextTry
-		s.NextTry = &t
-	} else {
-		s.NextTry = nil
-	}
-	b.mu.Unlock()
-}
-
-// snapshot returns a deep copy of the board.
-func (b *statusBoard) snapshot() Status {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// Status returns a point-in-time copy of the shard ledger: per-shard
+// state machines with the attempt timelines of this process. Safe to
+// call from any goroutine while Run is in flight.
+func (c *Coordinator) Status() Status {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := Status{
-		Phase:     b.phase,
-		Shards:    make([]ShardStatus, len(b.shards)),
-		Attempts:  b.total,
-		UpdatedAt: time.Now(),
+		Phase:       c.phase,
+		Shards:      make([]ShardStatus, len(c.shards)),
+		Done:        c.count(shardDone),
+		Quarantined: c.count(shardQuarantined),
+		UpdatedAt:   time.Now(),
 	}
-	for i, s := range b.shards {
-		cp := s
-		cp.Attempts = append([]AttemptStatus(nil), s.Attempts...)
-		if s.NextTry != nil {
-			t := *s.NextTry
-			cp.NextTry = &t
+	for i, s := range c.shards {
+		sh := ShardStatus{
+			Shard:    s.id,
+			State:    stateNames[s.state],
+			Failures: s.failures,
+			Attempts: append([]AttemptStatus(nil), s.timeline...),
 		}
-		st.Shards[i] = cp
-		switch s.State {
-		case "done":
-			st.Done++
-		case "quarantined":
-			st.Quarantined++
+		if s.state == shardPending && !s.nextTry.IsZero() {
+			t := s.nextTry
+			sh.NextTry = &t
 		}
-		for _, a := range cp.Attempts {
+		st.Shards[i] = sh
+		st.Attempts += len(sh.Attempts)
+		for _, a := range sh.Attempts {
 			if a.Outcome == "" {
 				st.Inflight++
 			}
@@ -156,11 +78,6 @@ func (b *statusBoard) snapshot() Status {
 	}
 	return st
 }
-
-// Status returns a point-in-time snapshot of the run: per-shard state
-// machines with full attempt timelines. Safe to call from any
-// goroutine while Run is in flight.
-func (c *Coordinator) Status() Status { return c.board.snapshot() }
 
 // StatusHandler serves the coordinator's live Status as JSON — the
 // body behind cardrive's -status-addr /status endpoint.

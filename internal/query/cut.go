@@ -95,10 +95,8 @@ func (s *Store) Checkpoint() (uint64, error) {
 		return 0, s.noteCutFailure(err)
 	}
 	dur := time.Since(t0)
-	if s.met != nil {
-		s.met.cuts.Inc()
-		s.met.cutSeconds.Observe(dur)
-	}
+	s.met.cuts.Inc()
+	s.met.cutSeconds.Observe(dur)
 	s.trace.Emit("cut", dur, st.watermark)
 	s.mu.Lock()
 	s.lastCutAt = time.Now()
@@ -112,9 +110,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 // noteCutFailure records a failed cut in the freshness SLIs and passes
 // the error through.
 func (s *Store) noteCutFailure(err error) error {
-	if s.met != nil {
-		s.met.cutFailures.Inc()
-	}
+	s.met.cutFailures.Inc()
 	s.mu.Lock()
 	s.lastCutErr = err.Error()
 	s.mu.Unlock()
@@ -221,13 +217,9 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	s.watermark = cut.watermark
 	s.restored = cut.watermark
 	s.reports = make(map[string]cachedReport)
-	if s.met != nil {
-		s.met.buckets.Set(float64(len(s.buckets)))
-		s.met.epoch.Set(float64(s.live))
-	}
+	s.met.buckets.Set(float64(len(s.buckets)))
+	s.met.epoch.Set(float64(s.live))
 	s.mu.Unlock()
-	if s.met != nil {
-		s.met.restores.Inc()
-	}
+	s.met.restores.Inc()
 	return cut.watermark, true, nil
 }

@@ -140,7 +140,7 @@ type Store struct {
 	lastCutDur time.Duration
 	lastCutErr string
 
-	met   *storeMetrics
+	met   storeMetrics
 	trace *obs.Trace
 }
 
@@ -176,11 +176,10 @@ type storeMetrics struct {
 	thaws         *obs.Counter
 }
 
-func newStoreMetrics(reg *obs.Registry) *storeMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &storeMetrics{
+// newStoreMetrics registers the store's handles; without a registry
+// they are nil, and nil handles are no-ops.
+func newStoreMetrics(reg *obs.Registry) storeMetrics {
+	return storeMetrics{
 		records:     reg.Counter("cellcars_query_records_total"),
 		requests:    reg.Counter("cellcars_query_requests_total"),
 		cacheHits:   reg.Counter("cellcars_query_cache_hits_total"),
@@ -318,9 +317,7 @@ func (s *Store) Add(r cdr.Record) {
 	case b == nil:
 		b = &bucket{stream: analysis.NewStreamingWithOptions(s.ctx, s.opts)}
 		s.buckets[idx] = b
-		if s.met != nil {
-			s.met.buckets.Set(float64(len(s.buckets)))
-		}
+		s.met.buckets.Set(float64(len(s.buckets)))
 	case b.stream == nil:
 		s.thawLocked(idx, b)
 	}
@@ -330,16 +327,12 @@ func (s *Store) Add(r cdr.Record) {
 	s.lastAdd = time.Now()
 	if idx > s.live {
 		s.live = idx
-		if s.met != nil {
-			s.met.epoch.Set(float64(idx))
-		}
+		s.met.epoch.Set(float64(idx))
 	} else if idx < s.live {
 		s.invalidateDayLocked(idx)
 	}
 	s.mu.Unlock()
-	if s.met != nil {
-		s.met.records.Inc()
-	}
+	s.met.records.Inc()
 }
 
 // thawLocked turns a sealed bucket back into an accumulator, for a
@@ -353,9 +346,7 @@ func (s *Store) thawLocked(idx int, b *bucket) {
 	}
 	b.stream, b.encoded = stream, nil
 	s.thaws++
-	if s.met != nil {
-		s.met.thaws.Inc()
-	}
+	s.met.thaws.Inc()
 }
 
 // Watermark returns the records ingested so far — the count a warm
@@ -424,23 +415,17 @@ func (s *Store) Report(endpoint, windowName string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
 	}
-	if s.met != nil {
-		s.met.requests.Inc()
-	}
+	s.met.requests.Inc()
 	key := endpoint + "|" + w.Name
 
 	s.mu.Lock()
 	if c, ok := s.reports[key]; ok && c.epoch == s.live {
 		s.mu.Unlock()
-		if s.met != nil {
-			s.met.cacheHits.Inc()
-		}
+		s.met.cacheHits.Inc()
 		return c.body, nil
 	}
 	s.mu.Unlock()
-	if s.met != nil {
-		s.met.cacheMisses.Inc()
-	}
+	s.met.cacheMisses.Inc()
 
 	rep, epoch, err := s.compose(endpoint, w)
 	if err != nil {

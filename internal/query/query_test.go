@@ -195,7 +195,7 @@ func TestReportCacheInvalidation(t *testing.T) {
 
 // TestCheckpointRestore: a cut written mid-stream restores into a
 // fresh store that, after replaying only the post-watermark tail,
-// serves byte-identical reports.
+// serves byte-identical reports. The stores have no obs.Registry.
 func TestCheckpointRestore(t *testing.T) {
 	ctx := queryCtx(2)
 	records := queryWorkload(6000, 2)
@@ -215,6 +215,12 @@ func TestCheckpointRestore(t *testing.T) {
 	want, err := s.Report("full", "48h")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// cfg.Obs is nil: Add, the window miss with its roll-up build, the
+	// cut and the restore below all run on nil metric handles, and the
+	// store's own counters still feed /stats.
+	if st := s.SnapshotStats(); st.Records != int64(len(records)) || st.RollupBuilds == 0 {
+		t.Fatalf("stats without a registry: %+v", st)
 	}
 
 	restored, err := New(cfg)

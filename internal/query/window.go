@@ -79,9 +79,7 @@ func (s *Store) dayLocked(day int) *dayState {
 
 func (s *Store) noteInvalidLocked() {
 	s.rollupInvalid++
-	if s.met != nil {
-		s.met.rollupInvalid.Inc()
-	}
+	s.met.rollupInvalid.Inc()
 }
 
 // windowOperands lists a window's operands at one instant of the
@@ -170,9 +168,7 @@ func (s *Store) buildRollup(op operand) (enc []byte, overlaps int64, err error) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rollupBuilds++
-	if s.met != nil {
-		s.met.rollupBuilds.Inc()
-	}
+	s.met.rollupBuilds.Inc()
 	if d := s.dayLocked(op.day); d.gen == op.gen {
 		d.rollup, d.overlaps = enc, overlaps
 	} else {
@@ -232,9 +228,7 @@ func (s *Store) compose(endpoint string, w Window) (*analysis.StreamReport, int,
 	}
 	overlaps += acc.OrderedOverlaps()
 	rep := acc.Finalize()
-	if s.met != nil {
-		s.met.foldSeconds.Observe(time.Since(t0))
-	}
+	s.met.foldSeconds.Observe(time.Since(t0))
 	s.trace.Emit("compose:"+endpoint+"/"+w.Name, time.Since(t0), rep.Records)
 	s.mu.Lock()
 	s.overlaps[w.Name] = overlaps
