@@ -450,6 +450,74 @@ func servedVsBatch(t *testing.T, window string, days int) {
 	d.terminate(t)
 }
 
+// TestDrainedDaemonCutsItsLastStateOnce: when the input's last record
+// lands on a -snapshot-every boundary, the periodic cut, the cut at EOF
+// and the cut on SIGTERM are one state. It is written once, /stats and
+// the shutdown line name that cut, and a restart warms from it to the
+// byte-identical full report.
+func TestDrainedDaemonCutsItsLastStateOnce(t *testing.T) {
+	dir := t.TempDir()
+	recs := e2eRecords(4500)
+	const every = 1500
+	recs = recs[:len(recs)/every*every]
+	if len(recs) < 2*every {
+		t.Fatalf("workload generator produced only %d records", len(recs))
+	}
+	in := filepath.Join(dir, "all.cdr")
+	writeCDR(t, in, recs)
+	snaps := filepath.Join(dir, "snaps")
+	args := []string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h", "-keep", "8",
+		"-snapshots", snaps, "-snapshot-every", strconv.Itoa(every),
+		"-start", "2017-03-06", "-days", "1", "-tz", "-5", "-seed", "1", in}
+	const report = "/report/full?window=24h"
+	lastCut := uint64(len(recs) / every)
+	cutFiles := func() []string {
+		cuts, err := filepath.Glob(filepath.Join(snaps, "cut-*.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cuts
+	}
+
+	d := startDaemon(t, args...)
+	d.waitDrained(t, int64(len(recs)))
+	for d.record(t, "drained") == nil { // the cut at EOF has been asked for
+		time.Sleep(10 * time.Millisecond)
+	}
+	code, want := d.get(t, report)
+	if code != http.StatusOK {
+		t.Fatalf("%s: %d", report, code)
+	}
+	if st := d.stats(t); st.Freshness.LastCutSeq != lastCut || st.Freshness.LastCutAgeSeconds < 0 {
+		t.Fatalf("after the drain: freshness %+v, want cut %d", st.Freshness, lastCut)
+	}
+	d.terminate(t)
+	if cuts := cutFiles(); uint64(len(cuts)) != lastCut {
+		t.Fatalf("drain and SIGTERM left %d cuts, want %d: one per %d records and none twice\n%s",
+			len(cuts), lastCut, every, strings.Join(cuts, "\n"))
+	}
+	term := d.record(t, "terminated")
+	if seq, _ := term["cut_seq"].(float64); term == nil || uint64(seq) != lastCut {
+		t.Fatalf("shutdown line %v, want cut_seq %d", term, lastCut)
+	}
+
+	d = startDaemon(t, args...)
+	warm := d.record(t, "warm restart")
+	if wm, _ := warm["watermark"].(float64); warm == nil || int64(wm) != int64(len(recs)) {
+		t.Fatalf("restart: %v, want a warm restart at watermark %d", warm, len(recs))
+	}
+	d.waitDrained(t, int64(len(recs)))
+	if code, got := d.get(t, report); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("%s after the restart: %d, %d bytes; before it %d bytes\n%s", report, code, len(got), len(want), firstDiff(got, want))
+	}
+	// A restored store has written no cut of its own: it cuts once, at
+	// EOF, and not again on SIGTERM.
+	d.terminate(t)
+	if cuts := cutFiles(); uint64(len(cuts)) != lastCut+1 {
+		t.Fatalf("restart, drain and SIGTERM left %d cuts, want %d", len(cuts), lastCut+1)
+	}
+}
+
 // TestObservabilityContract drives the full observability story over a
 // FIFO with chaos-injected ingest: request telemetry and cache
 // counters on /metrics, freshness SLIs on /stats, a named health rule

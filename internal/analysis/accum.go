@@ -650,20 +650,32 @@ func (s *sessionStage) tracksHeads() bool { return s.trackHeads }
 
 func (s *sessionStage) orderedOverlaps() int64 { return s.overlaps }
 
-// closed routes a closed session: with head tracking on, each car's
+// settle routes a closed session: with head tracking on, each car's
 // first closed session is stashed unaccounted (it may still join the
-// open tail of an earlier time slice); everything else is counted and
-// handed back to the sessionizer, since nothing references an
-// accounted session again.
-func (s *sessionStage) closed(sess *clean.Session) {
+// open tail of an earlier time slice); everything else is counted, and
+// nothing references an accounted session again, which is what settle
+// reports.
+func (s *sessionStage) settle(sess *clean.Session) (accounted bool) {
 	if s.trackHeads {
 		if _, seen := s.heads[sess.Car]; !seen {
 			s.heads[sess.Car] = sess
-			return
+			return false
 		}
 	}
 	s.count(sess)
-	s.z.Release(sess)
+	return true
+}
+
+// closed settles a session the stage's own sessionizer just closed and,
+// once accounted, hands it back for the sessions that open next. The
+// merges settle without handing back: what they fold in came out of
+// another accumulator's restore, nothing they do takes from the free
+// lists, and a session parked there keeps the chunk it was decoded into
+// reachable.
+func (s *sessionStage) closed(sess *clean.Session) {
+	if s.settle(sess) {
+		s.z.Release(sess)
+	}
 }
 
 // merge folds in the unaccounted sessions of a car-disjoint shard. Its
@@ -674,11 +686,11 @@ func (s *sessionStage) closed(sess *clean.Session) {
 // keeps a stitchable head.
 func (s *sessionStage) merge(o *sessionStage) {
 	for _, car := range sortedKeys(o.heads) {
-		s.closed(o.heads[car])
+		s.settle(o.heads[car])
 	}
 	for _, sess := range o.z.Flush() {
 		sess := sess
-		s.closed(&sess)
+		s.settle(&sess)
 	}
 }
 
@@ -690,7 +702,7 @@ func (s *sessionStage) mergeOrdered(o *sessionStage) {
 	if !o.trackHeads {
 		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
 	}
-	s.overlaps += o.overlaps + stitchOrdered(s.z, s.closed, o.heads, o.z)
+	s.overlaps += o.overlaps + stitchOrdered(s.z, func(sess *clean.Session) { s.settle(sess) }, o.heads, o.z)
 }
 
 // unaccounted calls fn for every session not accounted yet — stashed

@@ -373,12 +373,32 @@ func encodeOpenSessions(e *snapshot.Encoder, z *clean.Sessionizer) {
 	}
 }
 
-func decodeSessions(d *snapshot.Decoder) []clean.Session {
+// Restored sessions and their span arrays are cut from chunks this long
+// rather than allocated one by one. The chunks are small on purpose: a
+// session that stays open keeps its whole chunk reachable, and the
+// accumulator of a window fold adopts fragments from every operand it
+// is handed (stitchOrdered) — cut from one slab per payload, a 14 d
+// fold kept every operand's slab alive to its end (DESIGN §2.2 has the
+// measurement).
+const (
+	sessionChunk = 16
+	spanChunk    = 64
+)
+
+// decodeSessions reads sessions written by encodeSession, each
+// allocated once, in chunks: whoever takes the result (RestoreOpen, the
+// heads stash) adopts the pointers and copies nothing. A session with
+// more spans than a chunk gets an array of its own, grown by append as
+// its spans arrive, so a forged count cannot allocate ahead of the
+// data.
+func decodeSessions(d *snapshot.Decoder) []*clean.Session {
 	n := d.Len(maxSnapEntries)
 	if n < 0 {
 		return nil
 	}
-	out := make([]clean.Session, 0, preallocN(n))
+	out := make([]*clean.Session, 0, preallocN(n))
+	var structs []clean.Session // the unused tails of the current chunks
+	var slab []clean.CellSpan
 	var lastCar cdr.CarID
 	for i := 0; i < n; i++ {
 		car := cdr.CarID(d.Uvarint())
@@ -395,7 +415,15 @@ func decodeSessions(d *snapshot.Decoder) []clean.Session {
 			return nil
 		}
 		lastCar = car
-		spans := make([]clean.CellSpan, 0, preallocN(nspans))
+		var spans []clean.CellSpan
+		if nspans > spanChunk {
+			spans = make([]clean.CellSpan, 0, preallocN(nspans))
+		} else {
+			if nspans > len(slab) {
+				slab = make([]clean.CellSpan, spanChunk)
+			}
+			spans, slab = slab[:0:nspans], slab[nspans:]
+		}
 		var connected time.Duration
 		var end time.Time
 		for j := 0; j < nspans; j++ {
@@ -427,13 +455,19 @@ func decodeSessions(d *snapshot.Decoder) []clean.Session {
 				end = spEnd
 			}
 		}
-		out = append(out, clean.Session{
+		if len(structs) == 0 {
+			structs = make([]clean.Session, min(sessionChunk, n-i))
+		}
+		s := &structs[0]
+		structs = structs[1:]
+		*s = clean.Session{
 			Car:       car,
 			Start:     spans[0].Start,
 			End:       end,
 			Connected: connected,
 			Spans:     spans,
-		})
+		}
+		out = append(out, s)
 	}
 	return out
 }
@@ -464,8 +498,8 @@ func decodeHeads(d *snapshot.Decoder) (bool, map[cdr.CarID]*clean.Session) {
 		return false, nil
 	}
 	heads := make(map[cdr.CarID]*clean.Session, len(sessions))
-	for i := range sessions {
-		heads[sessions[i].Car] = &sessions[i]
+	for _, s := range sessions {
+		heads[s.Car] = s
 	}
 	return true, heads
 }

@@ -155,7 +155,7 @@ func encodeHeader(e *snapshot.Encoder, h SnapshotHeader) {
 }
 
 func decodeHeader(payload []byte) (SnapshotHeader, error) {
-	d := snapshot.NewDecoder(bytes.NewReader(payload))
+	d := snapshot.NewDecoderBytes(payload)
 	var h SnapshotHeader
 	h.PeriodStart = time.Unix(d.Varint(), 0).UTC()
 	h.PeriodDays = d.Len(maxHeaderDays)
@@ -348,7 +348,7 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 			if err := finishWorker(); err != nil {
 				return hdr, nil, err
 			}
-			d := snapshot.NewDecoder(bytes.NewReader(payload))
+			d := snapshot.NewDecoderBytes(payload)
 			idx := d.Len(maxHeaderWorkers)
 			if d.Err() == nil && idx != len(sets) {
 				return hdr, nil, badSnapf("worker frame %d out of order (want %d)", idx, len(sets))
@@ -399,7 +399,7 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 				return hdr, nil, badSnapf("stage %q has both a failure record and a state frame", stage)
 			}
 			acc := stageTable[i].build(ctx, opts)
-			if err := acc.RestoreFrom(bytes.NewReader(payload)); err != nil {
+			if err := acc.RestoreFrom(bytes.NewBuffer(payload)); err != nil {
 				return hdr, nil, fmt.Errorf("analysis: restore stage %s: %w", stage, err)
 			}
 			cur.stages[i] = acc

@@ -606,3 +606,55 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/encode")
 	b.ReportMetric(float64(sized.Len()), "bytes/encode")
 }
+
+// fullStateSnapshot is the main fleet fully ingested and encoded: what
+// BenchmarkSnapshotEncode writes and the restore tests read back.
+func fullStateSnapshot(tb testing.TB) (Context, []byte, int) {
+	period, records := benchFleet(tb)
+	ctx := Context{Period: period}
+	s := NewStreamingWithOptions(ctx, RunOptions{})
+	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SnapshotTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return ctx, buf.Bytes(), len(s.set.stages[stageIndex("connected")].(*connectedAcc).cars)
+}
+
+// BenchmarkSnapshotRestore is the mirror of BenchmarkSnapshotEncode:
+// one RestoreStreaming of that full state from memory, the call a
+// window miss makes per operand and -resume makes once.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	ctx, snap, _ := fullStateSnapshot(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreStreaming(ctx, RunOptions{}, bytes.NewBuffer(snap)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/restore")
+}
+
+// TestRestoreAllocatesLittlePerCar bounds what restoring the full state
+// allocates per car in it: 6.8 objects, the per-car stages' pointers,
+// bitmaps and map buckets. Sessions add a fraction of one because their
+// structs and spans are cut from chunks and RestoreOpen adopts them; a
+// RestoreOpen that copies each session again reads 10.8 (two
+// sessionizers, a struct and a span array each), and the decoder that
+// read fixed-width values through io.ReadFull read 57.6.
+func TestRestoreAllocatesLittlePerCar(t *testing.T) {
+	ctx, snap, cars := fullStateSnapshot(t)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := RestoreStreaming(ctx, RunOptions{}, bytes.NewBuffer(snap)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(cars)
+	t.Logf("%.2f allocations per restored car over %d cars", per, cars)
+	if per > 8 {
+		t.Fatalf("restore allocates %.2f objects per car over %d cars, want ≤ 8", per, cars)
+	}
+}

@@ -2,9 +2,11 @@ package analysis
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"cellcars/internal/cdr"
+	"cellcars/internal/snapshot"
 )
 
 // fuzzSnapshotSeed builds one small but fully populated analysis
@@ -24,7 +26,8 @@ func fuzzSnapshotSeed() []byte {
 // FuzzReadPartial hammers the full snapshot restore path — container
 // parsing, header validation, every accumulator's RestoreFrom — with
 // arbitrary bytes. The invariant: ReadPartial either returns an error
-// or a partial whose Finalize succeeds; it never panics.
+// wrapping snapshot.ErrBadSnapshot or a partial whose Finalize
+// succeeds; it never panics.
 func FuzzReadPartial(f *testing.F) {
 	seed := fuzzSnapshotSeed()
 	f.Add(seed)
@@ -38,6 +41,9 @@ func FuzzReadPartial(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPartial(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, snapshot.ErrBadSnapshot) {
+				t.Fatalf("ReadPartial error %v does not wrap ErrBadSnapshot", err)
+			}
 			return
 		}
 		rep := p.Finalize()

@@ -226,15 +226,14 @@ func (z *Sessionizer) begin(s *Session, rec cdr.Record) {
 }
 
 // RestoreOpen replaces the sessionizer's open-session state with the
-// given sessions (at most one per car) — the restore half of
-// checkpointing. Sessions are copied in; a later session for the same
-// car replaces an earlier one.
-func (z *Sessionizer) RestoreOpen(sessions []Session) {
+// given sessions (at most one per car; a later session for the same
+// car replaces an earlier one) — the restore half of checkpointing.
+// Like Put it adopts: the sessions become the open sessions, span
+// arrays and all, and the caller keeps no reference to either.
+func (z *Sessionizer) RestoreOpen(sessions []*Session) {
 	z.open = make(map[cdr.CarID]*Session, len(sessions))
-	for i := range sessions {
-		s := sessions[i]
-		s.Spans = append([]CellSpan(nil), sessions[i].Spans...)
-		z.open[s.Car] = &s
+	for _, s := range sessions {
+		z.open[s.Car] = s
 	}
 }
 

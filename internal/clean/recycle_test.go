@@ -135,7 +135,11 @@ func TestOddCapacitySpansAreNotPooled(t *testing.T) {
 	z.Put(odd(1, 3, 3))   // full, capacity not a power of two
 	z.Put(odd(2, 5, 7))   // room left, capacity not a power of two
 	z.Put(odd(3, 40, 40)) // past the last class
-	z.RestoreOpen(append(z.Flush(), *odd(4, 6, 6), *odd(5, 64, 64)))
+	restored := []*Session{odd(4, 6, 6), odd(5, 64, 64)}
+	for _, s := range z.Flush() {
+		restored = append(restored, &s)
+	}
+	z.RestoreOpen(restored)
 	for car := cdr.CarID(1); car <= 5; car++ {
 		before, end := len(z.Open(car).Spans), z.Open(car).End.Sub(t0)
 		for i := 0; i < 3; i++ { // within the gap: grows each session

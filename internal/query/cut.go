@@ -77,12 +77,24 @@ func (s *Store) writeCut(w io.Writer, st cutState) error {
 // snapshot directory and prunes old cuts. It returns the new cut's
 // sequence number. Success and failure both update the freshness SLIs
 // (last-cut age/duration, last cut error, cut-failure counter).
+//
+// A store no record has reached since the last cut it wrote would write
+// the same bytes again — a periodic cut on the input's last record, the
+// cut at EOF and the cut on SIGTERM are one state — so Checkpoint then
+// returns that cut's sequence number and writes nothing. Every Add
+// moves the watermark, late records included, and a failed cut or a
+// Restore leaves no cut of this store's to stand for the next one.
 func (s *Store) Checkpoint() (uint64, error) {
 	if s.snaps == nil {
 		return 0, ErrNoSnapshots
 	}
 	t0 := time.Now()
 	s.mu.Lock()
+	if s.cutAt == s.watermark {
+		seq := s.lastCutSeq
+		s.mu.Unlock()
+		return seq, nil
+	}
 	st, err := s.cutLocked()
 	s.mu.Unlock()
 	if err != nil {
@@ -103,6 +115,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 	s.lastCutSeq = seq
 	s.lastCutDur = dur
 	s.lastCutErr = ""
+	s.cutAt = st.watermark
 	s.mu.Unlock()
 	return seq, nil
 }
@@ -173,7 +186,7 @@ func (s *Store) readCut(r io.Reader) (*restoredCut, error) {
 		if _, dup := out.buckets[idx]; dup {
 			return nil, fmt.Errorf("query: duplicate cut bucket %d", idx)
 		}
-		stream, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(payload))
+		stream, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(payload))
 		if err != nil {
 			return nil, fmt.Errorf("query: restore cut bucket %d: %w", idx, err)
 		}
@@ -183,8 +196,8 @@ func (s *Store) readCut(r io.Reader) (*restoredCut, error) {
 			// payload, kept as the payload.
 			stream = nil
 		}
-		// The frame reader's buffer grew to fit; keep an exact-size copy.
-		out.buckets[idx] = &bucket{stream: stream, encoded: bytes.Clone(payload)}
+		// NextFrame hands over an exact-size payload, ours to keep.
+		out.buckets[idx] = &bucket{stream: stream, encoded: payload}
 	}
 	if _, _, err := sr.NextFrame(); err != io.EOF {
 		return nil, fmt.Errorf("query: trailing cut frames: %v", err)
@@ -216,6 +229,7 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	s.live = cut.live
 	s.watermark = cut.watermark
 	s.restored = cut.watermark
+	s.cutAt = -1
 	s.reports = make(map[string]cachedReport)
 	s.met.buckets.Set(float64(len(s.buckets)))
 	s.met.epoch.Set(float64(s.live))

@@ -139,6 +139,9 @@ type Store struct {
 	lastCutSeq uint64
 	lastCutDur time.Duration
 	lastCutErr string
+	// cutAt is the watermark of the last cut this store wrote, -1
+	// before one; a cut asked for at that watermark is that cut.
+	cutAt int64
 
 	met   storeMetrics
 	trace *obs.Trace
@@ -250,6 +253,7 @@ func New(cfg Config) (*Store, error) {
 		startedAt: now,
 		lastAdd:   now,
 		restored:  -1,
+		cutAt:     -1,
 		met:       newStoreMetrics(cfg.Obs),
 		trace:     cfg.Trace,
 	}
@@ -340,7 +344,7 @@ func (s *Store) Add(r cdr.Record) {
 // validated on the way in), so a failed restore is a bug, not an input
 // condition.
 func (s *Store) thawLocked(idx int, b *bucket) {
-	stream, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(b.encoded))
+	stream, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(b.encoded))
 	if err != nil {
 		panic(fmt.Sprintf("query: thaw sealed bucket %d: %v", idx, err))
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"errors"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
+	"cellcars/internal/synth"
 )
 
 var qt0 = time.Date(2017, 3, 6, 0, 0, 0, 0, time.UTC) // a Monday
@@ -244,6 +246,75 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestCheckpointWritesAStateOnce: a cut asked for at the watermark of
+// the last cut this store wrote is that cut — nothing is written and
+// the freshness SLIs keep describing the file that exists. Any Add, a
+// late record included, a failed cut and a Restore each force the next
+// one.
+func TestCheckpointWritesAStateOnce(t *testing.T) {
+	records := queryWorkload(3000, 2)
+	dir := &snapshot.Dir{Path: filepath.Join(t.TempDir(), "cuts"), Keep: 8}
+	cfg := Config{Ctx: queryCtx(2), Snapshots: dir, Windows: []Window{{Name: "48h", Span: 48 * time.Hour}}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(when string, wantSeq uint64, wantCuts int) {
+		t.Helper()
+		seq, err := s.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		cuts, err := dir.Cuts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := s.Freshness()
+		if seq != wantSeq || len(cuts) != wantCuts || f.LastCutSeq != wantSeq || f.LastCutError != "" {
+			t.Fatalf("%s: cut %d, %d cut files, freshness %+v; want cut %d, %d files", when, seq, len(cuts), f, wantSeq, wantCuts)
+		}
+	}
+	feed(t, s, records[:2000])
+	cut("first cut", 1, 1)
+	age := s.Freshness().LastCutAgeSeconds
+	time.Sleep(5 * time.Millisecond)
+	cut("same state again", 1, 1)
+	cut("and again", 1, 1)
+	if got := s.Freshness().LastCutAgeSeconds; got <= age {
+		t.Fatalf("last cut age went from %v to %v across skipped cuts: it is the written cut's age", age, got)
+	}
+	feed(t, s, records[2000:])
+	cut("after more records", 2, 2)
+	s.Add(records[0]) // late: an hour the live index passed long ago
+	cut("after a late record", 3, 3)
+
+	// A cut that fails leaves nothing to stand for the next one, even
+	// though no record arrives in between.
+	s.Add(records[1])
+	orig := snapshot.FS
+	snapshot.FS.Rename = func(string, string) error { return errors.New("injected rename fault") }
+	_, err = s.Checkpoint()
+	snapshot.FS = orig
+	if err == nil {
+		t.Fatal("cut under a failing rename succeeded")
+	}
+	if f := s.Freshness(); f.LastCutSeq != 3 || f.LastCutError == "" {
+		t.Fatalf("after the failed cut: freshness %+v, want cut 3 and its error", f)
+	}
+	cut("retry of the failed cut", 4, 4)
+
+	// So does a restore: the restored store wrote no cut of its own.
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Restore(); err != nil || !ok {
+		t.Fatalf("restore: ok=%v err=%v", ok, err)
+	}
+	cut("first cut of a restored store", 5, 5)
+	cut("same state again", 5, 5)
+}
+
 // TestRestoreSkipsTornCut: a truncated newest cut falls back to the
 // previous valid one.
 func TestRestoreSkipsTornCut(t *testing.T) {
@@ -358,4 +429,52 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Ctx: ctx}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
+}
+
+// BenchmarkWindowFold is what a full-window miss spends after its
+// operands are listed: the 14 d operand list of the benchmark's serve
+// fleet (400 generated cars over 14 days, drained; 13 day roll-ups and
+// the last day's hours) restored and left-folded by foldEncoded, then
+// finalized. Profile it with
+// `go test -run '^$' -bench WindowFold -cpuprofile cpu.out ./internal/query`.
+func BenchmarkWindowFold(b *testing.B) {
+	cfg := synth.DefaultConfig(400)
+	cfg.Period = simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14)
+	records, _, err := synth.NewWorld(cfg).GenerateAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := Window{Name: "14d", Span: 14 * 24 * time.Hour}
+	s, err := New(Config{Ctx: analysis.Context{Period: cfg.Period}, Windows: []Window{w}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range records {
+		s.Add(r)
+	}
+	ops, _, err := s.windowOperands(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	encs := make([][]byte, len(ops))
+	for i, op := range ops {
+		if op.enc == nil {
+			if op.enc, _, err = s.buildRollup(op); err != nil {
+				b.Fatal(err)
+			}
+		}
+		encs[i] = op.enc
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc, err := s.foldEncoded(encs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep := acc.Finalize(); rep.Records == 0 {
+			b.Fatal("empty fold")
+		}
+	}
+	b.ReportMetric(float64(len(encs)), "operands")
 }

@@ -182,7 +182,7 @@ func (s *Store) buildRollup(op operand) (enc []byte, overlaps int64, err error) 
 func (s *Store) foldEncoded(encs [][]byte) (*analysis.Streaming, error) {
 	var acc *analysis.Streaming
 	for i, enc := range encs {
-		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewReader(enc))
+		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(enc))
 		if err != nil {
 			return nil, fmt.Errorf("query: restore operand %d: %w", i, err)
 		}

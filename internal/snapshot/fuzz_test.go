@@ -9,7 +9,9 @@ import (
 
 // FuzzReader: arbitrary input must either parse as a frame stream or
 // return an error wrapping ErrBadSnapshot — never panic, never report
-// a frame whose CRC did not validate.
+// a frame whose CRC did not validate — and whatever the primitive
+// decoders make of a frame's payload is no error or one wrapping
+// ErrBadSnapshot too.
 func FuzzReader(f *testing.F) {
 	// Seed with a valid stream and a few near-valid mutations.
 	var buf bytes.Buffer
@@ -57,7 +59,10 @@ func FuzzReader(f *testing.F) {
 			_ = d.F64()
 			_ = d.String()
 			_ = d.Len(1 << 20)
-			_ = d.Err()
+			_ = d.Bool()
+			if err := d.Err(); err != nil && !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("decoder error %v does not wrap ErrBadSnapshot", err)
+			}
 		}
 	})
 }

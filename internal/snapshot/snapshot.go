@@ -19,7 +19,8 @@
 // silently corrupt report.
 //
 // Every malformed-input condition — bad magic, unsupported version,
-// truncated stream, CRC mismatch, over-limit lengths, or a primitive
+// truncated stream, CRC mismatch, over-limit lengths, a varint that
+// overflows 64 bits, a boolean that is neither 0 nor 1, or a primitive
 // read past the end of a frame — is reported as an error wrapping
 // ErrBadSnapshot and never as a panic.
 package snapshot
@@ -33,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 )
 
 // ErrBadSnapshot marks a snapshot stream that is malformed or corrupt:
@@ -120,26 +122,50 @@ func (e *Encoder) String(s string) {
 // ---------------------------------------------------------------------------
 // Primitive decoder
 
-// Decoder reads primitive values with a sticky error: the first
-// failure latches, subsequent reads return zero values, and decoding
-// code checks Err once at the end. Any read past the end of input is
-// an ErrBadSnapshot, never a panic.
+// Decoder reads primitive values out of a byte slice it walks in
+// place, with a sticky error: the first failure latches, subsequent
+// reads return zero values, and decoding code checks Err once at the
+// end. A read past the end of the input, a varint that overflows 64
+// bits and a boolean byte other than 0 or 1 are all ErrBadSnapshot,
+// never a panic. Nothing a Decoder returns aliases its input (String
+// copies), so the input may be a sub-slice of a longer-lived buffer.
 type Decoder struct {
-	r   io.ByteReader
-	rd  io.Reader
+	b   []byte
+	off int
 	err error
 }
 
-// NewDecoder returns a decoder over r.
+// NewDecoder returns a decoder over everything r has left. A source
+// already in memory is decoded there (see inMemory: a *bytes.Buffer,
+// how a frame payload travels behind an io.Reader, without a copy);
+// any other reader is drained first, and a failure to read it is the
+// decoder's error.
 func NewDecoder(r io.Reader) *Decoder {
-	if br, ok := r.(interface {
-		io.ByteReader
-		io.Reader
-	}); ok {
-		return &Decoder{r: br, rd: br}
+	if b, ok := inMemory(r); ok {
+		return &Decoder{b: b}
 	}
-	br := bufio.NewReader(r)
-	return &Decoder{r: br, rd: br}
+	b, err := io.ReadAll(r)
+	return &Decoder{b: b, err: err}
+}
+
+// NewDecoderBytes returns a decoder over b, which it reads in place.
+func NewDecoderBytes(b []byte) *Decoder { return &Decoder{b: b} }
+
+// inMemory consumes and returns what is left of a source that is
+// already in memory: a *bytes.Buffer's unread bytes themselves (the
+// buffer must not be written to while they are in use), or one
+// exact-size copy of a *bytes.Reader's, which does not give its slice
+// away. ok is false for a source that has to be streamed.
+func inMemory(src io.Reader) (b []byte, ok bool) {
+	switch s := src.(type) {
+	case *bytes.Buffer:
+		return s.Next(s.Len()), true
+	case *bytes.Reader:
+		b = make([]byte, s.Len())
+		n, _ := s.Read(b)
+		return b[:n], true
+	}
+	return nil, false
 }
 
 // Err returns the first decode error, or nil.
@@ -153,15 +179,35 @@ func (d *Decoder) Failf(format string, args ...any) {
 	}
 }
 
-func (d *Decoder) fail(err error) {
+// next returns the next n bytes and steps past them, or nil after
+// latching a failure when fewer are left.
+func (d *Decoder) next(n int) []byte {
 	if d.err != nil {
-		return
+		return nil
 	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if n > len(d.b)-d.off {
 		d.err = badf("unexpected end of snapshot data")
-		return
+		return nil
 	}
-	d.err = err
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+// skipVarint steps past the varint binary.Uvarint or binary.Varint
+// just parsed at the cursor, latching a failure when n, their second
+// result, says they found none.
+func (d *Decoder) skipVarint(n int) bool {
+	switch {
+	case n > 0:
+		d.off += n
+		return true
+	case n == 0:
+		d.err = badf("unexpected end of snapshot data")
+	default:
+		d.err = badf("varint overflows 64 bits")
+	}
+	return false
 }
 
 // Uvarint reads an unsigned varint.
@@ -169,9 +215,8 @@ func (d *Decoder) Uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	x, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.fail(err)
+	x, n := binary.Uvarint(d.b[d.off:])
+	if !d.skipVarint(n) {
 		return 0
 	}
 	return x
@@ -182,9 +227,8 @@ func (d *Decoder) Varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	x, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.fail(err)
+	x, n := binary.Varint(d.b[d.off:])
+	if !d.skipVarint(n) {
 		return 0
 	}
 	return x
@@ -192,33 +236,25 @@ func (d *Decoder) Varint() int64 {
 
 // F64 reads a fixed 8-byte little-endian float64.
 func (d *Decoder) F64() float64 {
-	if d.err != nil {
+	b := d.next(8)
+	if b == nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.rd, b[:]); err != nil {
-		d.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // Bool reads a one-byte boolean; any value other than 0 or 1 is a
 // decode failure.
 func (d *Decoder) Bool() bool {
-	if d.err != nil {
+	b := d.next(1)
+	if b == nil {
 		return false
 	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.fail(err)
+	if b[0] > 1 {
+		d.Failf("bad boolean byte %d", b[0])
 		return false
 	}
-	if b > 1 {
-		d.Failf("bad boolean byte %d", b)
-		return false
-	}
-	return b == 1
+	return b[0] == 1
 }
 
 // String reads a length-prefixed string of at most maxNameLen bytes.
@@ -231,12 +267,7 @@ func (d *Decoder) String() string {
 		d.Failf("string length %d exceeds limit %d", n, maxNameLen)
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.rd, b); err != nil {
-		d.fail(err)
-		return ""
-	}
-	return string(b)
+	return string(d.next(int(n)))
 }
 
 // Len reads a collection length and validates it against max,
@@ -373,31 +404,125 @@ func (w *Writer) Close() error {
 // Frame container reader
 
 // Reader consumes a snapshot frame stream written by Writer.
+//
+// A source that is already in memory (see inMemory) is walked in place
+// and its frame payloads are sub-slices of it. Any other source is
+// streamed through a buffer and each payload is one allocation of its
+// exact size. Either way a forged length never allocates ahead of bytes
+// that are provably there: in memory the bytes are counted, a regular
+// file vouches for its size less what was read, and a source nothing
+// vouches for (a pipe) has a long payload grown as its bytes arrive.
 type Reader struct {
-	br      *bufio.Reader
+	mem     []byte        // what is left of an in-memory source
+	br      *bufio.Reader // a streamed source; nil for an in-memory one
+	left    int64         // bytes a streamed source still vouches for, -1 for none
 	version int
 	done    bool
 }
 
+// unvouchedChunk is the most a streamed source of unknown size gets
+// allocated on a length prefix's word alone.
+const unvouchedChunk = 1 << 16
+
 // NewReader validates the magic and version of the stream and returns
 // a frame reader. A bad header is reported as ErrBadSnapshot.
 func NewReader(src io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(src, 1<<16)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	r := &Reader{left: -1}
+	if b, ok := inMemory(src); ok {
+		r.mem = b
+	} else {
+		r.br = bufio.NewReaderSize(src, 1<<16)
+		if f, ok := src.(*os.File); ok {
+			r.left = fileRemaining(f)
+		}
+	}
+	m, ok := r.read(len(magic))
+	if !ok {
 		return nil, badf("header truncated")
 	}
-	if m != magic {
+	if !bytes.Equal(m, magic[:]) {
 		return nil, badf("bad magic %q", m)
 	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
+	v, ok := r.uvarint()
+	if !ok {
 		return nil, badf("version truncated")
 	}
 	if v != Version {
 		return nil, badf("unsupported snapshot version %d (want %d)", v, Version)
 	}
-	return &Reader{br: br, version: int(v)}, nil
+	r.version = int(v)
+	return r, nil
+}
+
+// fileRemaining returns how many bytes a regular file holds past its
+// read offset, or -1 when it cannot say.
+func fileRemaining(f *os.File) int64 {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return -1
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil || pos > fi.Size() {
+		return -1
+	}
+	return fi.Size() - pos
+}
+
+// uvarint reads one unsigned varint; ok is false when the source ends
+// inside it or it overflows 64 bits.
+func (r *Reader) uvarint() (x uint64, ok bool) {
+	b := r.mem
+	if r.br != nil {
+		// A short peek is a source about to end; Uvarint says whether
+		// the varint still fits.
+		b, _ = r.br.Peek(binary.MaxVarintLen64)
+	}
+	x, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, false
+	}
+	if r.br == nil {
+		r.mem = r.mem[n:]
+		return x, true
+	}
+	r.br.Discard(n)
+	if r.left >= 0 {
+		r.left -= int64(n)
+	}
+	return x, true
+}
+
+// read returns the next n bytes, with no spare capacity; ok is false
+// when the source ends first. They are cut from an in-memory source
+// and one allocation of exactly n bytes from a streamed one that
+// vouches for them.
+func (r *Reader) read(n int) (b []byte, ok bool) {
+	if r.br == nil {
+		if n > len(r.mem) {
+			return nil, false
+		}
+		b, r.mem = r.mem[:n:n], r.mem[n:]
+		return b, true
+	}
+	switch {
+	case r.left >= 0:
+		if int64(n) > r.left {
+			return nil, false
+		}
+		r.left -= int64(n)
+	case n > unvouchedChunk:
+		// CopyN grows the buffer as bytes actually arrive.
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, r.br, int64(n)); err != nil {
+			return nil, false
+		}
+		return buf.Bytes()[:n:n], true
+	}
+	b = make([]byte, n)
+	if _, err := io.ReadFull(r.br, b); err != nil {
+		return nil, false
+	}
+	return b, true
 }
 
 // SchemaVersion returns the stream's schema version.
@@ -411,18 +536,20 @@ func (r *Reader) Next() (string, *Decoder, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return name, NewDecoder(bytes.NewReader(payload)), nil
+	return name, NewDecoderBytes(payload), nil
 }
 
 // NextFrame is Next returning the raw validated payload instead of a
 // decoder — the path for frames whose payload is itself a nested
-// encoding (accumulator snapshots).
+// encoding (accumulator snapshots). The payload is exactly sized and
+// the caller's to keep; read from an in-memory source it shares that
+// source's bytes.
 func (r *Reader) NextFrame() (string, []byte, error) {
 	if r.done {
 		return "", nil, io.EOF
 	}
-	nameLen, err := binary.ReadUvarint(r.br)
-	if err != nil {
+	nameLen, ok := r.uvarint()
+	if !ok {
 		return "", nil, badf("frame header truncated")
 	}
 	if nameLen == 0 {
@@ -432,31 +559,29 @@ func (r *Reader) NextFrame() (string, []byte, error) {
 	if nameLen > maxNameLen {
 		return "", nil, badf("frame name length %d exceeds limit", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.br, name); err != nil {
+	name, ok := r.read(int(nameLen))
+	if !ok {
 		return "", nil, badf("frame name truncated")
 	}
-	payLen, err := binary.ReadUvarint(r.br)
-	if err != nil {
+	payLen, ok := r.uvarint()
+	if !ok {
 		return "", nil, badf("frame %q length truncated", name)
 	}
 	if payLen > maxFrameLen {
 		return "", nil, badf("frame %q payload %d bytes exceeds limit", name, payLen)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r.br, crc[:]); err != nil {
+	crc, ok := r.read(4)
+	if !ok {
 		return "", nil, badf("frame %q checksum truncated", name)
 	}
-	// CopyN grows the buffer as bytes actually arrive, so a forged
-	// length cannot allocate ahead of the data.
-	var payload bytes.Buffer
-	if _, err := io.CopyN(&payload, r.br, int64(payLen)); err != nil {
+	payload, ok := r.read(int(payLen))
+	if !ok {
 		return "", nil, badf("frame %q payload truncated", name)
 	}
 	sum := crc32.ChecksumIEEE(name)
-	sum = crc32.Update(sum, crc32.IEEETable, payload.Bytes())
-	if sum != binary.LittleEndian.Uint32(crc[:]) {
+	sum = crc32.Update(sum, crc32.IEEETable, payload)
+	if sum != binary.LittleEndian.Uint32(crc) {
 		return "", nil, badf("frame %q checksum mismatch", name)
 	}
-	return string(name), payload.Bytes(), nil
+	return string(name), payload, nil
 }

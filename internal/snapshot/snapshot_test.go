@@ -5,7 +5,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // buildStream writes a two-frame snapshot exercising every primitive.
@@ -162,6 +166,53 @@ func TestDecoderLimits(t *testing.T) {
 	}
 }
 
+// TestDecoderFailuresAreBadSnapshot: everything a payload can do wrong
+// to a primitive read is ErrBadSnapshot, from every way of building a
+// decoder. A varint overflowing 64 bits used to come back as
+// encoding/binary's own error, which wraps nothing.
+func TestDecoderFailuresAreBadSnapshot(t *testing.T) {
+	overflow := bytes.Repeat([]byte{0xff}, 11)
+	reads := map[string]func(*Decoder){
+		"Uvarint": func(d *Decoder) { d.Uvarint() },
+		"Varint":  func(d *Decoder) { d.Varint() },
+		"Len":     func(d *Decoder) { d.Len(-1) },
+		"String":  func(d *Decoder) { _ = d.String() },
+	}
+	for name, read := range reads {
+		for how, d := range map[string]*Decoder{
+			"bytes":  NewDecoderBytes(overflow),
+			"buffer": NewDecoder(bytes.NewBuffer(overflow)),
+			"reader": NewDecoder(bytes.NewReader(overflow)),
+			"stream": NewDecoder(iotest.OneByteReader(bytes.NewReader(overflow))),
+		} {
+			if read(d); !errors.Is(d.Err(), ErrBadSnapshot) {
+				t.Errorf("%s of an overflowing varint (%s): error %v does not wrap ErrBadSnapshot", name, how, d.Err())
+			}
+		}
+	}
+	for name, tc := range map[string]struct {
+		in   []byte
+		read func(*Decoder)
+	}{
+		"short F64":    {make([]byte, 7), func(d *Decoder) { d.F64() }},
+		"short string": {[]byte{5, 'a', 'b'}, func(d *Decoder) { _ = d.String() }},
+		"short varint": {[]byte{0x80, 0x80}, func(d *Decoder) { d.Varint() }},
+		"empty bool":   {nil, func(d *Decoder) { d.Bool() }},
+	} {
+		d := NewDecoderBytes(tc.in)
+		if tc.read(d); !errors.Is(d.Err(), ErrBadSnapshot) {
+			t.Errorf("%s: error %v does not wrap ErrBadSnapshot", name, d.Err())
+		}
+	}
+	// A source that fails to read is the caller's I/O error, not a
+	// malformed snapshot.
+	ioErr := errors.New("disk on fire")
+	d := NewDecoder(iotest.ErrReader(ioErr))
+	if d.Uvarint(); !errors.Is(d.Err(), ioErr) || errors.Is(d.Err(), ErrBadSnapshot) {
+		t.Errorf("failing source: error %v, want the source's own", d.Err())
+	}
+}
+
 func TestDecoderStickyError(t *testing.T) {
 	d := NewDecoder(bytes.NewReader(nil))
 	_ = d.Uvarint()
@@ -173,5 +224,107 @@ func TestDecoderStickyError(t *testing.T) {
 	_ = d.F64()
 	if d.Err() != first {
 		t.Fatal("error not sticky")
+	}
+}
+
+// TestReaderSources: the same stream read from memory without a copy,
+// from memory with one, from a file and from a pipe yields the same
+// frames; payloads are exactly sized everywhere, and only the
+// *bytes.Buffer source shares its bytes with them.
+func TestReaderSources(t *testing.T) {
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	big := bytes.Repeat([]byte{0xC5}, 3*unvouchedChunk+17) // past the pipe path's one-shot allocation
+	w.RawFrame("stage:big", big)
+	w.RawFrame("stage:small", []byte{1, 2, 3})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := stream.Bytes()
+	path := filepath.Join(t.TempDir(), "s.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for name, src := range map[string]io.Reader{
+		"buffer": bytes.NewBuffer(data),
+		"reader": bytes.NewReader(data),
+		"file":   file,
+		"pipe":   iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		r, err := NewReader(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range []struct {
+			name    string
+			payload []byte
+		}{{"stage:big", big}, {"stage:small", []byte{1, 2, 3}}} {
+			got, payload, err := r.NextFrame()
+			if err != nil || got != want.name || !bytes.Equal(payload, want.payload) {
+				t.Fatalf("%s: frame %q (%d bytes), %v; want %q (%d bytes)", name, got, len(payload), err, want.name, len(want.payload))
+			}
+			if cap(payload) != len(payload) {
+				t.Errorf("%s: frame %q payload has capacity %d for %d bytes", name, got, cap(payload), len(payload))
+			}
+			shares := &payload[0] == &data[bytes.Index(data, want.payload)]
+			if shares != (name == "buffer") {
+				t.Errorf("%s: frame %q payload shares the source's bytes: %v", name, got, shares)
+			}
+		}
+		if _, _, err := r.NextFrame(); err != io.EOF {
+			t.Fatalf("%s: want io.EOF at the end marker, got %v", name, err)
+		}
+	}
+}
+
+// TestForgedLengthDoesNotAllocate: a frame header claiming the largest
+// payload the format allows, with a few bytes behind it, is refused
+// from every kind of source without that payload ever being allocated.
+func TestForgedLengthDoesNotAllocate(t *testing.T) {
+	var stream bytes.Buffer
+	stream.Write(magic[:])
+	e := NewEncoder(&stream)
+	e.Uvarint(Version)
+	e.String("stage:forged")
+	e.Uvarint(maxFrameLen)
+	stream.Write([]byte{0, 0, 0, 0, 'x', 'y'})
+	data := stream.Bytes()
+	path := filepath.Join(t.TempDir(), "forged.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() io.Reader{
+		"buffer": func() io.Reader { return bytes.NewBuffer(data) },
+		"reader": func() io.Reader { return bytes.NewReader(data) },
+		"pipe":   func() io.Reader { return iotest.HalfReader(bytes.NewReader(data)) },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	}
+	for name, open := range sources {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewReader(open())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, _, err = r.NextFrame()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: forged frame: error %v does not wrap ErrBadSnapshot", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: refusing a forged %d-byte frame allocated %d bytes", name, maxFrameLen, grew)
+		}
 	}
 }

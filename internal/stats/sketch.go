@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -107,10 +108,19 @@ func (h *LogHist) Quantile(q float64) float64 {
 // results regardless of worker count. When the population is no
 // larger than k the sample is the complete population and statistics
 // over it are exact.
+//
+// The kept items live in one of two forms. A sample that is being
+// added to holds them as a max-heap, so the item to evict is at the
+// root. A restored sample holds them as the ascending run its snapshot
+// stored: two runs merge in place without a sift and a run snapshots
+// without sorting, which is all a sample restored to be folded or
+// finalized is ever asked for. The heap is built — the run reversed,
+// which a max-heap already is — only when an Add arrives.
 type Sample struct {
 	k     int
 	n     int64
-	items []sampleItem // max-heap by (key, value)
+	run   bool         // items is an ascending run, not a heap
+	items []sampleItem // ascending by (key, value) if run, else a max-heap
 }
 
 type sampleItem struct {
@@ -131,12 +141,25 @@ func NewSample(k int) *Sample {
 	return &Sample{k: k, items: make([]sampleItem, 0, preallocate)}
 }
 
+// heapify turns a run into the heap Add and a mixed-form Merge work on.
+func (s *Sample) heapify() {
+	if s.run {
+		slices.Reverse(s.items)
+		s.run = false
+	}
+}
+
 // Add offers one (key, value) item. Keys should be well-distributed
 // hashes of item identity; ties on key are broken by value so the
 // result stays deterministic under collisions.
 func (s *Sample) Add(key uint64, v float64) {
+	s.heapify()
 	s.n++
-	it := sampleItem{key: key, val: v}
+	s.offer(sampleItem{key: key, val: v})
+}
+
+// offer keeps it if it is among the k smallest seen. s is a heap.
+func (s *Sample) offer(it sampleItem) {
 	if len(s.items) < s.k {
 		s.items = append(s.items, it)
 		s.up(len(s.items) - 1)
@@ -186,23 +209,72 @@ func (s *Sample) down(i int) {
 	}
 }
 
-// Merge folds another sample into s. Both must have the same k.
+// Merge folds another sample into s, leaving o as it was. Both must
+// have the same k. Two runs merge into a run (mergeRun); any other
+// pairing offers o's items to s's heap one by one.
 func (s *Sample) Merge(o *Sample) {
 	if s.k != o.k {
 		panic(fmt.Sprintf("stats: merging samples of size %d and %d", s.k, o.k))
 	}
 	s.n += o.n
+	if s.run && o.run {
+		s.mergeRun(o.items)
+		return
+	}
+	s.heapify()
 	for _, it := range o.items {
-		if len(s.items) < s.k {
-			s.items = append(s.items, it)
-			s.up(len(s.items) - 1)
-			continue
-		}
-		if itemLess(it, s.items[0]) {
-			s.items[0] = it
-			s.down(0)
+		s.offer(it)
+	}
+}
+
+// mergeRun replaces s's run with the k smallest of it and b, another
+// run, in place and from the back: once the two runs' tops are trimmed
+// to k items between them, each item of b goes to its final slot and
+// the block of s's items above it moves up as one. Nothing is allocated
+// beyond growing s to the merged size, and the work is the items of b
+// that stay plus one move of the part of s they land in — a full run
+// folding in an hour's few hundred items does not rewrite its 32 768.
+func (s *Sample) mergeRun(b []sampleItem) {
+	a := s.items
+	i, j := len(a), len(b)
+	for i+j > s.k {
+		if j == 0 || (i > 0 && itemLess(b[j-1], a[i-1])) {
+			i--
+		} else {
+			j--
 		}
 	}
+	t := i + j // a[:t] is where the i + j items still to place end up
+	a = slices.Grow(a, t-len(a))[:t]
+	for ; j > 0; j-- {
+		lo := above(a[:i], b[j-1])
+		t -= i - lo
+		copy(a[t:], a[lo:i])
+		i = lo
+		t--
+		a[t] = b[j-1]
+	}
+	s.items = a
+}
+
+// above returns how many items of the ascending run a are not greater
+// than x: the index x's successors start at. It gallops down from the
+// top, where a merge from the back expects the answer.
+func above(a []sampleItem, x sampleItem) int {
+	hi, step := len(a), 1 // every item of a[hi:] is greater than x
+	for hi >= step && itemLess(x, a[hi-step]) {
+		hi -= step
+		step *= 2
+	}
+	lo := max(hi-step, -1) // a[lo] is not greater than x, or lo is -1
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; itemLess(x, a[mid]) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }
 
 // Complete reports whether the sample holds the entire population, in

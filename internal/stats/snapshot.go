@@ -70,11 +70,19 @@ func (h *LogHist) Restore(d *snapshot.Decoder) {
 
 // Snapshot serializes the bottom-k sample. Items are emitted in
 // ascending (key, value) order so equal samples encode identically
-// regardless of internal heap layout.
+// regardless of internal form or heap layout: a run is that order
+// already, a heap gets it from canonicalOrder.
 func (s *Sample) Snapshot(e *snapshot.Encoder) {
 	e.Uvarint(uint64(s.k))
 	e.Varint(s.n)
 	e.Uvarint(uint64(len(s.items)))
+	if s.run {
+		for _, it := range s.items {
+			e.Uvarint(it.key)
+			e.F64(it.val)
+		}
+		return
+	}
 	sc := orderPool.Get().(*orderScratch)
 	for _, i := range s.canonicalOrder(sc) {
 		e.Uvarint(s.items[i].key)
@@ -142,8 +150,11 @@ func (s *Sample) canonicalOrder(sc *orderScratch) []uint32 {
 	return src
 }
 
-// Restore replaces s with state written by Snapshot. The stored
-// capacity must match s's.
+// Restore replaces s with state written by Snapshot, kept as the
+// ascending run it was written as: a linear decode. The stored
+// capacity must match s's, the kept count must be min(n, k) — what any
+// sequence of Adds and Merges leaves — and the items must be in
+// (key, value) order.
 func (s *Sample) Restore(d *snapshot.Decoder) {
 	k := d.Len(1 << 30)
 	n := d.Varint()
@@ -158,23 +169,20 @@ func (s *Sample) Restore(d *snapshot.Decoder) {
 	if d.Err() != nil {
 		return
 	}
-	if n < int64(count) {
-		d.Failf("sample population %d below kept size %d", n, count)
+	if n < int64(count) || (count < k && n != int64(count)) {
+		d.Failf("sample of capacity %d keeps %d of a population of %d", k, count, n)
 		return
 	}
-	items := make([]sampleItem, 0, count)
-	for i := 0; i < count; i++ {
-		key := d.Uvarint()
-		val := d.F64()
+	items := make([]sampleItem, count)
+	for i := range items {
+		items[i] = sampleItem{key: d.Uvarint(), val: d.F64()}
 		if d.Err() != nil {
 			return
 		}
-		items = append(items, sampleItem{key: key, val: val})
+		if i > 0 && itemLess(items[i], items[i-1]) {
+			d.Failf("sample item %d out of (key, value) order", i)
+			return
+		}
 	}
-	s.n = 0
-	s.items = s.items[:0]
-	for _, it := range items {
-		s.Add(it.key, it.val)
-	}
-	s.n = n
+	s.n, s.items, s.run = n, items, true
 }

@@ -190,3 +190,153 @@ func TestSampleSnapshotMatchesComparisonSort(t *testing.T) {
 		})
 	}
 }
+
+// sampleBytes is a sample's snapshot.
+func sampleBytes(s *Sample) []byte {
+	var buf bytes.Buffer
+	s.Snapshot(snapshot.NewEncoder(&buf))
+	return buf.Bytes()
+}
+
+// restoredSample is s through Snapshot and Restore: the same sample in
+// run form.
+func restoredSample(t *testing.T, s *Sample) *Sample {
+	t.Helper()
+	out := NewSample(s.k)
+	d := snapshot.NewDecoderBytes(sampleBytes(s))
+	out.Restore(d)
+	if d.Err() != nil {
+		t.Fatalf("restore of a sample's own snapshot: %v", d.Err())
+	}
+	if !out.run {
+		t.Fatal("restored sample is not in run form")
+	}
+	return out
+}
+
+// buildSample absorbs items into one sample through a random mix of
+// everything a sample can be asked: Add, a Snapshot→Restore round trip
+// (heap form to run form), and Merge — either way round — with a
+// sub-sample built the same way from a random share of what is left.
+func buildSample(t *testing.T, rng *rand.Rand, k int, items []sampleItem) *Sample {
+	s := NewSample(k)
+	for len(items) > 0 {
+		switch rng.IntN(4) {
+		case 0, 1:
+			n := 1 + rng.IntN(min(len(items), 2*k))
+			for _, it := range items[:n] {
+				s.Add(it.key, it.val)
+			}
+			items = items[n:]
+		case 2:
+			s = restoredSample(t, s)
+		case 3:
+			n := 1 + rng.IntN(len(items))
+			sub := buildSample(t, rng, k, items[:n])
+			items = items[n:]
+			before := sampleBytes(sub)
+			if rng.IntN(2) == 0 {
+				s.Merge(sub)
+				if !bytes.Equal(sampleBytes(sub), before) {
+					t.Fatal("Merge changed its argument")
+				}
+			} else {
+				sub.Merge(s)
+				s = sub
+			}
+		}
+	}
+	return s
+}
+
+// TestSampleFormsMatchHeapOnly: whatever interleaving of Add,
+// Snapshot→Restore and Merge, in whatever order and grouping, absorbed
+// a set of items — equal keys under different values and exact
+// duplicates among them — the result has the Values, Complete, n and
+// Snapshot bytes of one sample that was only ever added to, which never
+// leaves heap form.
+func TestSampleFormsMatchHeapOnly(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 25))
+	for round := 0; round < 300; round++ {
+		k := 1 + rng.IntN(40)
+		if round%10 == 0 {
+			k = 100 + rng.IntN(400) // runs long enough for the merge to gallop
+		}
+		n := rng.IntN(6 * k)
+		keys := uint64(1 + rng.IntN(3*k)) // few enough that keys collide
+		items := make([]sampleItem, n)
+		for i := range items {
+			if i > 0 && rng.IntN(8) == 0 {
+				items[i] = items[rng.IntN(i)] // an exact duplicate
+				continue
+			}
+			items[i] = sampleItem{key: rng.Uint64N(keys) << 40, val: float64(rng.IntN(5))}
+		}
+		want := NewSample(k)
+		for _, it := range items {
+			want.Add(it.key, it.val)
+		}
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		got := buildSample(t, rng, k, items)
+		if got.n != want.n || got.Complete() != want.Complete() {
+			t.Fatalf("round %d (k=%d, %d items): n=%d complete=%v, heap-only n=%d complete=%v",
+				round, k, n, got.n, got.Complete(), want.n, want.Complete())
+		}
+		if !reflect.DeepEqual(got.Values(), want.Values()) {
+			t.Fatalf("round %d (k=%d, %d items): values %v, heap-only %v", round, k, n, got.Values(), want.Values())
+		}
+		if !bytes.Equal(sampleBytes(got), sampleBytes(want)) {
+			t.Fatalf("round %d (k=%d, %d items): snapshot differs from the heap-only sample's", round, k, n)
+		}
+	}
+}
+
+// TestSampleRestoreRefuses: a stream that is not what Snapshot writes —
+// items out of (key, value) order, a kept count that is not min(n, k),
+// another capacity — is ErrBadSnapshot and leaves the sample as it was.
+func TestSampleRestoreRefuses(t *testing.T) {
+	encode := func(k int, n int64, items ...sampleItem) []byte {
+		var buf bytes.Buffer
+		e := snapshot.NewEncoder(&buf)
+		e.Uvarint(uint64(k))
+		e.Varint(n)
+		e.Uvarint(uint64(len(items)))
+		for _, it := range items {
+			e.Uvarint(it.key)
+			e.F64(it.val)
+		}
+		return buf.Bytes()
+	}
+	a, b, c := sampleItem{1, 5}, sampleItem{2, 1}, sampleItem{2, 3}
+	for name, tc := range map[string]struct {
+		stream []byte
+		ok     bool
+	}{
+		"in order":                   {encode(4, 3, a, b, c), true},
+		"exact duplicates":           {encode(4, 3, a, a, b), true},
+		"full":                       {encode(4, 9, a, b, c, c), true},
+		"empty":                      {encode(4, 0), true},
+		"keys out of order":          {encode(4, 3, b, a, c), false},
+		"values out of order":        {encode(4, 3, a, c, b), false},
+		"fewer kept than population": {encode(4, 4, a, b, c), false},
+		"more kept than population":  {encode(4, 2, a, b, c), false},
+		"more kept than capacity":    {encode(4, 9, a, a, b, c, c), false},
+		"another capacity":           {encode(8, 3, a, b, c), false},
+		"cut short":                  {encode(4, 3, a, b, c)[:12], false},
+	} {
+		s := NewSample(4)
+		s.Add(9, 9)
+		d := snapshot.NewDecoderBytes(tc.stream)
+		s.Restore(d)
+		switch {
+		case tc.ok && d.Err() != nil:
+			t.Errorf("%s: refused: %v", name, d.Err())
+		case tc.ok && !bytes.Equal(sampleBytes(s), tc.stream):
+			t.Errorf("%s: restored sample re-encodes differently", name)
+		case !tc.ok && !errors.Is(d.Err(), snapshot.ErrBadSnapshot):
+			t.Errorf("%s: error %v does not wrap ErrBadSnapshot", name, d.Err())
+		case !tc.ok && (s.n != 1 || !reflect.DeepEqual(s.Values(), []float64{9})):
+			t.Errorf("%s: refused stream changed the sample", name)
+		}
+	}
+}
