@@ -22,13 +22,16 @@ bench-check:
 # of one Engine.Run and of the sessionizer alone, a full-state snapshot
 # encode and its restore, all on the benchmark's generated 1 600-car
 # fleet, and the restore-and-fold of a full-window miss on its 400-car
-# serve fleet. For working on the hot path, not for claims: a gain is
-# claimed from paired `bash bench/run.sh` runs. The allocation guards
-# themselves are plain tests, so `make ci` enforces them.
+# serve fleet; and what one foreign row costs a shard worker, skipped
+# below the parse against the FilterFunc pipeline it replaced, per codec.
+# For working on the hot path, not for claims: a gain is claimed from
+# paired `bash bench/run.sh` runs. The allocation guards themselves are
+# plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
 	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 	$(GO) test -run='^$$' -bench='^BenchmarkWindowFold$$' -benchmem -count=5 ./internal/query
+	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
 
 test:
 	$(GO) test ./...
@@ -80,14 +83,16 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Short fuzz runs over eight targets: the codec entry points, the
-# snapshot decoder against the one it replaced, the ordered fold's
-# grouping property and the coordinator's journal replay; go test
-# accepts one -fuzz pattern per invocation, hence one run per target.
+# Short fuzz runs over nine targets: the codec entry points, the shard
+# readers' partition of what the unsharded reader returns, the snapshot
+# decoder against the one it replaced, the ordered fold's grouping
+# property and the coordinator's journal replay; go test accepts one
+# -fuzz pattern per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz='^FuzzCSVReader$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReaderMatchesEncodingCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzShardReadersPartitionInput -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)

@@ -18,12 +18,13 @@
 //	caranalyze -in big.csv -stream -checkpoint run.snap -resume
 //
 // -partial accumulates a car-hash shard without finalizing and writes
-// a snapshot mergeable by carmerge; it scans every listed input and
-// keeps the records whose car falls in -shard s/S (all of them by
-// default). cardrive drives fleets of such workers with retries,
-// speculation and quarantine. -checkpoint makes a streaming run
-// durable: state is saved every -checkpoint-every records and on
-// SIGTERM/SIGINT, and -resume picks up from the saved watermark.
+// a snapshot mergeable by carmerge; it reads every listed input and
+// parses, checks and keeps the rows shard s of -shard s/S owns (all of
+// them by default), so -strict and -budget judge those rows only, and
+// it exits 4 when they refuse the input. cardrive drives fleets of such
+// workers with retries, speculation and quarantine. -checkpoint makes a
+// streaming run durable: state is saved every -checkpoint-every records
+// and on SIGTERM/SIGINT, and -resume picks up from the saved watermark.
 package main
 
 import (
@@ -74,8 +75,8 @@ func main() {
 	study := studyflags.Register(flag.CommandLine, 28, true)
 	flag.Parse()
 	// Input files may also be given positionally. -partial mode
-	// accepts many (a worker scans all of them, keeping its car-hash
-	// shard); every other mode takes exactly one.
+	// accepts many (a worker reads all of them, keeping its car-hash
+	// shard's rows); every other mode takes exactly one.
 	inputs := flag.Args()
 	if *in != "" {
 		inputs = append([]string{*in}, inputs...)
@@ -188,13 +189,17 @@ func main() {
 			Ingest:  ingest,
 			Chaos:   chaos,
 		})
+		if errors.Is(err, cdr.ErrRefused) {
+			// Not a crash: a coordinator must not run the attempt again.
+			exit(drive.ExitInputRefused, "partial: %v", err)
+		}
 		if err != nil {
 			fatal("partial: %v", err)
 		}
 		// The machine-readable line a cardrive coordinator parses.
 		drive.PrintStats(os.Stdout, st)
-		fmt.Printf("wrote partial state of %d records (%d quarantined) to %s; merge with carmerge or run under cardrive\n",
-			st.Records, st.Quarantined, *partial)
+		fmt.Printf("wrote partial state of %d records (%d quarantined; %d of %d rows skipped as other shards') to %s; merge with carmerge or run under cardrive\n",
+			st.Records, st.Quarantined, st.Skipped, st.Rows, *partial)
 		return
 	}
 
@@ -390,14 +395,15 @@ func parseShard(spec string) (shard, shards int, err error) {
 
 // progressCurrent returns the progress position source: the further
 // along of the resilient-ingest attempt counter (delivered plus
-// quarantined — leads in file modes) and the engine's raw-record
-// counter (the only one advancing in generate mode, where no resilient
-// reader runs). Quarantined records must count as progress: the ETA
-// total is estimated from the input size, which includes the records
-// ingest will reject, so a degraded run that excluded bad records
-// would otherwise stall short of 100% forever.
+// quarantined plus, under -shard, skipped as another shard's — leads in
+// file modes) and the engine's raw-record counter (the only one
+// advancing in generate mode, where no resilient reader runs). Quarantined and skipped rows must count as progress: the
+// ETA total is estimated from the input size, which includes the rows
+// ingest will reject or leave to other shards, so a degraded or sharded
+// run would otherwise stall short of 100% forever.
 func progressCurrent(reg *obs.Registry) func() int64 {
 	ingested := reg.Counter("cellcars_ingest_records_total")
+	skipped := reg.Counter("cellcars_ingest_rows_skipped_total")
 	quarantined := make([]*obs.Counter, cdr.NumFailureClasses)
 	for c := range quarantined {
 		quarantined[c] = reg.Counter("cellcars_ingest_quarantined_total",
@@ -407,7 +413,7 @@ func progressCurrent(reg *obs.Registry) func() int64 {
 	ghosts := reg.Counter("cellcars_engine_records_total", obs.Label{Key: "outcome", Value: "ghost"})
 	oop := reg.Counter("cellcars_engine_records_total", obs.Label{Key: "outcome", Value: "out_of_period"})
 	return func() int64 {
-		attempted := ingested.Value()
+		attempted := ingested.Value() + skipped.Value()
 		for _, q := range quarantined {
 			attempted += q.Value()
 		}
@@ -439,12 +445,16 @@ func totalRecordsHint(paths []string) int64 {
 	return total
 }
 
-func fatal(format string, args ...any) {
+func fatal(format string, args ...any) { exit(1, format, args...) }
+
+// exit prints the message, runs the cleanup hook and ends the process
+// with the given non-zero code.
+func exit(code int, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "caranalyze: "+format+"\n", args...)
 	if err := runAtExit(); err != nil {
 		// The hook is already cleared, so reporting its failure here
-		// cannot recurse; the exit code is 1 either way.
+		// cannot recurse; the exit code says failure either way.
 		fmt.Fprintf(os.Stderr, "caranalyze: cleanup: %v\n", err)
 	}
-	os.Exit(1)
+	os.Exit(code)
 }

@@ -204,6 +204,7 @@ func main() {
 		RecordsRead:      res.Records,
 		GhostsDropped:    int64(rep.RawRecords - rep.CleanRecords),
 		QuarantinedTotal: res.IngestQuarantined,
+		Quarantined:      res.IngestByClass,
 		StageErrors:      rep.StageErrors,
 		ExcludedShards:   res.Excluded,
 	}

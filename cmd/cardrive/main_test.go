@@ -347,3 +347,170 @@ func TestOneReportOneText(t *testing.T) {
 		t.Errorf("cardrive -shards 3 prints a different report than caranalyze -stream\n--- cardrive ---\n%s\n--- caranalyze -stream ---\n%s", driven, single)
 	}
 }
+
+// writeCSVWorkload writes writeWorkload's records as CSV and returns
+// the file's lines, header first, for a test to plant faults in.
+func writeCSVWorkload(t *testing.T, dir string, n int) [][]byte {
+	t.Helper()
+	bin := filepath.Join(dir, "cars.cdr")
+	writeWorkload(t, bin, n)
+	r, closer, err := cdr.OpenFiles(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	records, err := cdr.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := cdr.NewCSVWriter(&buf)
+	if err := cdr.WriteAll(w, records); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+}
+
+// journalEvents decodes a work directory's journal.
+func journalEvents(t *testing.T, workdir string) []map[string]any {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(workdir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var ev map[string]any
+		if err := json.Unmarshal(line, &ev); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		events = append(events, ev)
+	}
+	return events
+}
+
+// TestStrictRefusalAbortsTheRun: -strict means abort on the first
+// malformed record. The shard that owns the row refuses it once — no
+// retry, no backoff, no quarantined shard and degraded report — and the
+// run fails naming the shard, the class and the line in the file.
+func TestStrictRefusalAbortsTheRun(t *testing.T) {
+	dir := t.TempDir()
+	worker := buildWorker(t, dir)
+	lines := writeCSVWorkload(t, dir, 4000)
+	const badLine = 2501 // 1-based, the header being line 1
+	car := lines[badLine-1][:bytes.IndexByte(lines[badLine-1], ',')]
+	lines[badLine-1] = bytes.Replace(lines[badLine-1], []byte(","), []byte(",x"), 1)
+	in := filepath.Join(dir, "cars.csv")
+	if err := os.WriteFile(in, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var id uint64
+	fmt.Sscan(string(car), &id)
+	owner := cdr.ShardOfCar(cdr.CarID(id), 4)
+
+	work := filepath.Join(dir, "work")
+	cmd := cardrive("-shards", "4", "-parallel", "1", "-worker", worker, "-workdir", work,
+		"-days", "7", "-q", "-strict", "-backoff", "10s", in)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	start := time.Now()
+	err := cmd.Run()
+	exit, ok := err.(*exec.ExitError)
+	if !ok || exit.ExitCode() != 1 {
+		t.Fatalf("cardrive -strict over a bad row: %v, want exit 1\nstderr:\n%s", err, stderr.String())
+	}
+	if time.Since(start) > 8*time.Second {
+		t.Fatalf("the run took %s: it waited out a retry backoff", time.Since(start))
+	}
+	if strings.Contains(stdout.String(), "== Preprocessing") {
+		t.Fatalf("a refused input still printed a report:\n%s", stdout.String())
+	}
+	for _, want := range []string{fmt.Sprintf("shard %d ", owner), "input", fmt.Sprintf("cars.csv: line %d:", badLine)} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Fatalf("stderr does not name %q:\n%s", want, stderr.String())
+		}
+	}
+	attempts, fails := 0, 0
+	for _, ev := range journalEvents(t, work) {
+		switch ev["event"] {
+		case "attempt":
+			if int(ev["shard"].(float64)) == owner {
+				attempts++
+			}
+		case "fail":
+			fails++
+			if ev["class"] != "input" || int(ev["shard"].(float64)) != owner ||
+				!strings.Contains(ev["error"].(string), fmt.Sprintf("line %d", badLine)) {
+				t.Fatalf("journaled failure %v, want class input on shard %d naming line %d", ev, owner, badLine)
+			}
+		case "quarantine", "merged":
+			t.Fatalf("journal records %v after an input refusal", ev)
+		}
+	}
+	if attempts != 1 || fails != 1 {
+		t.Fatalf("shard %d: %d attempts, %d failures journaled; want one of each", owner, attempts, fails)
+	}
+}
+
+// TestBudgetJudgedByOwningShards: within the budget the same kind of
+// input passes, each bad row counted once by the shard that owns it, and
+// the coordinator's Data Quality block breaks the total down by class
+// in the lines a single caranalyze prints — as does -resume, from the
+// journal.
+func TestBudgetJudgedByOwningShards(t *testing.T) {
+	dir := t.TempDir()
+	worker := buildWorker(t, dir)
+	lines := writeCSVWorkload(t, dir, 4000)
+	for i := 100; i < len(lines)-1; i += 100 {
+		switch (i / 100) % 3 {
+		case 0:
+			lines[i] = bytes.Replace(lines[i], []byte(","), []byte(",x"), 1)
+		case 1:
+			lines[i] = append(bytes.Clone(lines[i][:bytes.LastIndexByte(lines[i], ',')]), '\n')
+		default:
+			f := bytes.Split(lines[i], []byte(","))
+			f[2] = []byte("2114035200")
+			lines[i] = bytes.Join(f, []byte(","))
+		}
+	}
+	in := filepath.Join(dir, "cars.csv")
+	if err := os.WriteFile(in, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(cmd *exec.Cmd) string {
+		t.Helper()
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
+		}
+		return string(out)
+	}
+	quality := func(stdout string) string {
+		t.Helper()
+		i := strings.Index(stdout, "== Data Quality ==")
+		if i < 0 {
+			t.Fatalf("no Data Quality block:\n%s", stdout)
+		}
+		return stdout[i:]
+	}
+	single := quality(run(exec.Command(worker, "-stream", "-days", "7", "-budget", "5", in)))
+	for _, want := range []string{"quarantined 40,", "quarantined bad-field", "quarantined time-range"} {
+		if !strings.Contains(single, want) {
+			t.Fatalf("the single run's Data Quality lacks %q:\n%s", want, single)
+		}
+	}
+	work := filepath.Join(dir, "work")
+	args := []string{"-shards", "4", "-worker", worker, "-workdir", work, "-days", "7", "-q", "-budget", "5", "-keep-partials"}
+	driven := quality(run(cardrive(append(args, in)...)))
+	if driven != single {
+		t.Fatalf("cardrive's Data Quality differs from the single run's\n--- cardrive ---\n%s\n--- caranalyze -stream ---\n%s", driven, single)
+	}
+	if resumed := quality(run(cardrive(append(args, "-resume", in)...))); resumed != single {
+		t.Fatalf("-resume's Data Quality differs from the single run's\n--- cardrive -resume ---\n%s\n--- caranalyze -stream ---\n%s", resumed, single)
+	}
+}

@@ -131,7 +131,8 @@ func (s *IngestStats) ByClass() map[string]int64 {
 // Quarantined describes one rejected record.
 type Quarantined struct {
 	// Index is the zero-based position in the input stream, counting
-	// both delivered and quarantined records.
+	// both delivered and quarantined records — over an OpenShard stream,
+	// those of the shard's own rows.
 	Index int64
 	// Class labels the failure.
 	Class FailureClass
@@ -174,6 +175,31 @@ func (q *QuarantineWriter) Quarantine(rec Quarantined) error {
 // Close flushes buffered lines.
 func (q *QuarantineWriter) Close() error { return q.w.Flush() }
 
+// ErrRefused marks an ingest that stopped because the input broke the
+// run's own policy, not because reading failed: the first malformed
+// record under Strict, or the error budget exceeded (*BudgetError).
+// Reading the same input again under the same policy refuses it again,
+// so a supervisor must not retry it as it would a crash.
+var ErrRefused = errors.New("input refused")
+
+// strictError is the refusal of the first malformed record under
+// ResilientConfig.Strict.
+type strictError struct {
+	at    string // where the record sits in the input; "" when the source cannot say
+	cause error
+}
+
+func (e *strictError) Error() string {
+	if e.at == "" {
+		return "cdr: strict mode: " + e.cause.Error()
+	}
+	return "cdr: strict mode: " + e.at + ": " + e.cause.Error()
+}
+
+func (e *strictError) Unwrap() error { return e.cause }
+
+func (e *strictError) Is(target error) bool { return target == ErrRefused }
+
 // BudgetError reports that the malformed-record fraction exceeded the
 // configured error budget. The ingest stops at the first record that
 // tips the budget; Stats describes the stream up to that point.
@@ -193,6 +219,9 @@ func (e *BudgetError) Error() string {
 		e.Stats.QuarantinedTotal(), e.Stats.Attempted(), e.Budget*100, class, n)
 }
 
+// Is makes a *BudgetError an ErrRefused.
+func (e *BudgetError) Is(target error) bool { return target == ErrRefused }
+
 // ResilientConfig tunes a ResilientReader. The zero value quarantines
 // silently with a 1% error budget and no duplicate/regression/time
 // checks.
@@ -210,7 +239,9 @@ type ResilientConfig struct {
 	// abort on a 100% instantaneous rate. Default 1000.
 	MinRecords int
 	// Strict aborts on the first malformed record, regardless of
-	// budget — the paper-faithful mode for curated inputs.
+	// budget — the paper-faithful mode for curated inputs. The error
+	// wraps ErrRefused and names where the record sits when the wrapped
+	// reader can say (OpenFiles' and OpenShard's can).
 	Strict bool
 	// MinStart and MaxStart, when non-zero, quarantine records whose
 	// start falls outside [MinStart, MaxStart) as ClassTimeRange.
@@ -231,8 +262,9 @@ type ResilientConfig struct {
 	// retries without wall-clock cost.
 	RetryBackoff time.Duration
 	// Obs, when non-nil, receives live ingest metrics: delivered and
-	// per-class quarantined record counts, transient retries, and the
-	// error-budget consumption gauge. Nil (the default) costs nothing.
+	// per-class quarantined record counts, rows a sharded source skipped,
+	// transient retries, and the error-budget consumption gauge. Nil (the
+	// default) costs nothing.
 	Obs *obs.Registry
 }
 
@@ -263,9 +295,10 @@ func (cfg *ResilientConfig) fill() {
 // transport layers between the codec and this wrapper cannot smuggle
 // structurally invalid records downstream.
 type ResilientReader struct {
-	r    Reader
-	cfg  ResilientConfig
-	stat IngestStats
+	r     Reader
+	files *FilesReader // r again, when it is one: it can say where a row sits
+	cfg   ResilientConfig
+	stat  IngestStats
 
 	index int64 // records attempted so far (delivered + quarantined)
 	prev  Record
@@ -279,6 +312,9 @@ type ResilientReader struct {
 // path never touches the registry maps. All handles are nil-safe.
 type ingestMetrics struct {
 	read        *obs.Counter
+	skipped     *obs.Counter
+	skips       *FilesReader // the sharded source whose skips skipped follows; nil without one
+	skippedSeen int64        // skips already added to skipped
 	quarantined [NumFailureClasses]*obs.Counter
 	retries     *obs.Counter
 	budgetUsed  *obs.Gauge
@@ -290,6 +326,7 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 	}
 	m := &ingestMetrics{
 		read:       reg.Counter("cellcars_ingest_records_total"),
+		skipped:    reg.Counter("cellcars_ingest_rows_skipped_total"),
 		retries:    reg.Counter("cellcars_ingest_retries_total"),
 		budgetUsed: reg.Gauge("cellcars_ingest_budget_used_ratio"),
 	}
@@ -303,7 +340,12 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 // NewResilientReader wraps r with the given config.
 func NewResilientReader(r Reader, cfg ResilientConfig) *ResilientReader {
 	cfg.fill()
-	return &ResilientReader{r: r, cfg: cfg, met: newIngestMetrics(cfg.Obs)}
+	rr := &ResilientReader{r: r, cfg: cfg, met: newIngestMetrics(cfg.Obs)}
+	rr.files, _ = r.(*FilesReader)
+	if rr.met != nil && rr.files != nil && rr.files.own.sharded() {
+		rr.met.skips = rr.files
+	}
+	return rr
 }
 
 // Stats returns a snapshot of the ingest counters. Valid at any
@@ -322,6 +364,7 @@ func (r *ResilientReader) Read() (Record, error) {
 	retries := 0
 	for {
 		rec, err := r.r.Read()
+		r.met.Skipped()
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return r.finish(io.EOF)
@@ -414,7 +457,11 @@ func (r *ResilientReader) quarantine(class FailureClass, cause error, rec Record
 		}
 	}
 	if r.cfg.Strict {
-		return fmt.Errorf("cdr: strict mode: %w", cause)
+		e := &strictError{cause: cause}
+		if r.files != nil {
+			e.at = r.files.Pos()
+		}
+		return e
 	}
 	if r.cfg.MaxBadFrac < 0 {
 		return nil
@@ -435,6 +482,18 @@ func (m *ingestMetrics) Read() {
 		return
 	}
 	m.read.Inc()
+}
+
+// Skipped brings the skipped-rows counter up to what a sharded source
+// has dropped so far.
+func (m *ingestMetrics) Skipped() {
+	if m == nil || m.skips == nil {
+		return
+	}
+	if n := m.skips.Scan().Skipped; n != m.skippedSeen {
+		m.skipped.Add(n - m.skippedSeen)
+		m.skippedSeen = n
+	}
 }
 
 // Retries records one transient-retry attempt.

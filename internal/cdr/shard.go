@@ -7,8 +7,9 @@ import "fmt"
 // id. Car-disjoint shards are what make the analysis accumulators
 // mergeable by simple union — no car's state is ever split across
 // workers. The splitting itself lives with its callers: the analysis
-// engine's dispatcher (workers in one process) and FilterFunc over
-// ShardOfCar (one cardrive worker process per shard).
+// engine's dispatcher (workers in one process) and OpenShard's readers
+// (one cardrive worker process per shard), which also say who owns a
+// row that names no car.
 
 // shardKey keys the car hash used for shard assignment. It is fixed
 // (not configurable) so a car's shard is stable across runs, files and

@@ -32,8 +32,9 @@ func TestShardOfCarStableAndBounded(t *testing.T) {
 }
 
 // TestShardFilterPartition: filtering a stream by ShardOfCar — how a
-// cardrive worker takes its shard — yields car-disjoint shards that
-// keep the source order and together cover every record once.
+// cardrive worker took its shard before OpenShard, and still the
+// reference for it — yields car-disjoint shards that keep the source
+// order and together cover every record once.
 func TestShardFilterPartition(t *testing.T) {
 	var records []Record
 	for i := 0; i < 2000; i++ {

@@ -46,14 +46,20 @@ const (
 	// failed snapshot validation (ErrBadSnapshot) or belongs to a
 	// different study configuration.
 	ClassBadSnapshot = "bad-snapshot"
+	// ClassInput: the worker's ingest refused the input (it exited
+	// ExitInputRefused). Another attempt would read the same rows under
+	// the same policy, so there is none: the run aborts, naming the
+	// shard and what its worker said of the row.
+	ClassInput = "input"
 )
 
 // Config tunes a Coordinator. Inputs, WorkDir and Command are
 // required; zero values elsewhere select the documented defaults.
 type Config struct {
-	// Inputs are the CDR files the run covers. Every worker scans all
-	// of them, keeping only its car-hash shard, so files may
-	// interleave cars freely.
+	// Inputs are the CDR files the run covers. Every worker reads the
+	// bytes of all of them and parses, judges and keeps only the rows
+	// its car-hash shard owns (cdr.OpenShard), so files may interleave
+	// cars freely.
 	Inputs []string
 	// Shards is the car-hash shard count. Default 2×GOMAXPROCS.
 	Shards int
@@ -138,13 +144,14 @@ type Result struct {
 	Attempts, Retries   int
 	SpeculativeLaunches int
 	SpeculativeWins     int
-	// Records sums completed shards' accepted records.
-	// IngestQuarantined is the quarantine count of one full input
-	// scan (the max across shards — every worker scans every input,
-	// so per-shard counts are parallel observations of the same bad
-	// records, not additive).
+	// Records sums completed shards' accepted records, and
+	// IngestQuarantined and IngestByClass the rows their ingest
+	// rejected, in total and by failure class: each input row is judged
+	// once, by the shard that owns it, so the shards' counts add up to
+	// what one reader of the whole input counts.
 	Records           int64
 	IngestQuarantined int64
+	IngestByClass     map[string]int64
 	// Elapsed is the wall time of the whole run including the merge.
 	Elapsed time.Duration
 }
@@ -224,7 +231,7 @@ func (s *shardRun) apply(ev journalEvent) {
 	switch ev.Event {
 	case evDone:
 		s.state = shardDone
-		s.stats = WorkerStats{Records: ev.Records, Quarantined: ev.Quarantined}
+		s.stats = WorkerStats{Records: ev.Records, Quarantined: ev.Quarantined, ByClass: ev.ByClass}
 	case evFail:
 		s.failures++
 		s.lastClass, s.lastErr = ev.Class, ev.Err
@@ -632,7 +639,12 @@ func (c *Coordinator) handleResult(a *attempt) error {
 		if tail := lastLines(a.stderr.Bytes(), 3); tail != "" {
 			msg += ": " + tail
 		}
-		return c.fail(s, a, ClassCrash, msg)
+		class := ClassCrash
+		var exit *exec.ExitError
+		if errors.As(a.waitErr, &exit) && exit.ExitCode() == ExitInputRefused {
+			class = ClassInput
+		}
+		return c.fail(s, a, class, msg)
 	}
 
 	p, err := c.validateSnapshot(a.out)
@@ -692,7 +704,7 @@ func (c *Coordinator) attempt(s *shardRun, a *attempt) error {
 func (c *Coordinator) done(s *shardRun, a *attempt, st WorkerStats) error {
 	ev := journalEvent{
 		Event: evDone, Shard: s.id, Attempt: a.n, Speculative: a.speculative,
-		Records: st.Records, Quarantined: st.Quarantined, Seconds: a.dur.Seconds(),
+		Records: st.Records, Quarantined: st.Quarantined, ByClass: st.ByClass, Seconds: a.dur.Seconds(),
 	}
 	if err := c.jr.emit(ev); err != nil {
 		return err
@@ -710,13 +722,15 @@ func (c *Coordinator) done(s *shardRun, a *attempt, st WorkerStats) error {
 		c.met.specWins.Inc()
 		c.log.Info("speculative attempt won", "shard", s.id, "attempt", a.n, "seconds", ev.Seconds)
 	} else {
-		c.log.Info("shard done", "shard", s.id, "attempt", a.n, "seconds", ev.Seconds, "records", st.Records)
+		c.log.Info("shard done", "shard", s.id, "attempt", a.n, "seconds", ev.Seconds,
+			"records", st.Records, "rows", st.Rows, "skipped", st.Skipped)
 	}
 	return nil
 }
 
 // fail records a failed attempt, then schedules the retry or, once the
-// shard's budget is spent, quarantines it.
+// shard's budget is spent, quarantines it. An input refusal is recorded
+// like any failure and then ends the run.
 func (c *Coordinator) fail(s *shardRun, a *attempt, class, msg string) error {
 	os.Remove(a.out)
 	c.countAttempt(class)
@@ -741,7 +755,7 @@ func (c *Coordinator) fail(s *shardRun, a *attempt, class, msg string) error {
 	// A sibling attempt still running may yet succeed: the shard is
 	// retried, or quarantined, only when its last attempt has failed.
 	last := len(s.inflight) == 0
-	retry := last && s.failures+1 < c.cfg.MaxAttempts
+	retry := last && s.failures+1 < c.cfg.MaxAttempts && class != ClassInput
 	c.mu.Lock()
 	s.apply(ev)
 	s.settle(a, class, msg)
@@ -750,6 +764,9 @@ func (c *Coordinator) fail(s *shardRun, a *attempt, class, msg string) error {
 		s.nextTry = time.Now().Add(c.backoff(s.failures))
 	}
 	c.mu.Unlock()
+	if class == ClassInput {
+		return fmt.Errorf("drive: shard %d attempt %d: %s: %s", s.id, a.n, class, msg)
+	}
 	if last && !retry {
 		return c.quarantine(s)
 	}
@@ -869,6 +886,7 @@ func (c *Coordinator) finishResult(p *analysis.Partial, t0 time.Time) {
 	c.res.Header = p.Header
 	c.res.Elapsed = time.Since(t0)
 	estimate := c.estimateShardRecords()
+	var whole int64 // the input's count as a pre-ownership worker journaled it
 	for _, s := range c.shards {
 		for _, a := range s.timeline {
 			c.res.Attempts++
@@ -886,8 +904,15 @@ func (c *Coordinator) finishResult(p *analysis.Partial, t0 time.Time) {
 		case shardDone:
 			c.res.Done++
 			c.res.Records += s.stats.Records
-			if s.stats.Quarantined > c.res.IngestQuarantined {
-				c.res.IngestQuarantined = s.stats.Quarantined
+			c.res.IngestQuarantined += s.stats.Quarantined
+			for class, n := range s.stats.ByClass {
+				if c.res.IngestByClass == nil {
+					c.res.IngestByClass = make(map[string]int64)
+				}
+				c.res.IngestByClass[class] += n
+			}
+			if s.stats.Quarantined > 0 && len(s.stats.ByClass) == 0 {
+				whole = max(whole, s.stats.Quarantined)
 			}
 		case shardQuarantined:
 			c.res.Quarantined++
@@ -903,6 +928,12 @@ func (c *Coordinator) finishResult(p *analysis.Partial, t0 time.Time) {
 			}
 			c.res.Excluded = append(c.res.Excluded, ex)
 		}
+	}
+	if whole > 0 {
+		// A resumed work directory whose done events predate row
+		// ownership: such a worker judged every row of the input, so its
+		// count without classes is the whole input's, not a share to add.
+		c.res.IngestQuarantined, c.res.IngestByClass = whole, nil
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 //	plan        — shard count, inputs and study tag of the run
 //	attempt     — an attempt was launched (speculative flag set for
 //	              duplicates)
-//	done        — a shard's snapshot was validated and promoted
+//	done        — a shard's snapshot was validated and promoted; carries
+//	              the shard's record and quarantine counts, the latter
+//	              also by failure class
 //	fail        — an attempt failed, with its classification
 //	quarantine  — a shard exhausted its attempt budget
 //	merged      — the final merge completed
@@ -30,15 +32,16 @@ type journalEvent struct {
 	Tag    string   `json:"tag,omitempty"`
 
 	// attempt / done / fail / quarantine
-	Shard       int     `json:"shard"`
-	Attempt     int     `json:"attempt,omitempty"`
-	Speculative bool    `json:"speculative,omitempty"`
-	Class       string  `json:"class,omitempty"`
-	Err         string  `json:"error,omitempty"`
-	Records     int64   `json:"records,omitempty"`
-	Quarantined int64   `json:"quarantined,omitempty"`
-	Seconds     float64 `json:"seconds,omitempty"`
-	Failures    int     `json:"failures,omitempty"`
+	Shard       int              `json:"shard"`
+	Attempt     int              `json:"attempt,omitempty"`
+	Speculative bool             `json:"speculative,omitempty"`
+	Class       string           `json:"class,omitempty"`
+	Err         string           `json:"error,omitempty"`
+	Records     int64            `json:"records,omitempty"`
+	Quarantined int64            `json:"quarantined,omitempty"`
+	ByClass     map[string]int64 `json:"by_class,omitempty"`
+	Seconds     float64          `json:"seconds,omitempty"`
+	Failures    int              `json:"failures,omitempty"`
 }
 
 // Journal event names.

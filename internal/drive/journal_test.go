@@ -40,6 +40,12 @@ func FuzzJournalReplay(f *testing.F) {
 {"event":"done","shard":1,"records":5,"quarantined":2}
 {"event":"fail","shard":7,"attempt":3,"class":"crash"}
 `))
+	// Quarantine counts by class on a done event, and an input refusal.
+	f.Add([]byte(`{"event":"attempt","shard":0}
+{"event":"done","shard":0,"records":7,"quarantined":3,"by_class":{"bad-field":2,"time-range":1}}
+{"event":"attempt","shard":3}
+{"event":"fail","shard":3,"class":"input","error":"exit status 4: cdr: strict mode: in.csv: line 9: cdr: bad cell \"x\"","failures":1}
+`))
 	f.Add([]byte("{\"event\":\"attempt\",\"shard\":2}\n{\"event\":\n{\"event\":\"quarantine\",\"shard\":2}\n"))
 
 	// One file for all executions: a directory per input would be most
@@ -118,8 +124,8 @@ func FuzzJournalReplay(f *testing.F) {
 			if d == nil {
 				t.Fatalf("shard %d is done without a done event", i)
 			}
-			if s.stats.Quarantined != d.Quarantined || s.stats.Records < d.Records {
-				t.Fatalf("shard %d done with stats %+v, journaled %d records, %d quarantined", i, s.stats, d.Records, d.Quarantined)
+			if s.stats.Quarantined != d.Quarantined || s.stats.Records < d.Records || !reflect.DeepEqual(s.stats.ByClass, d.ByClass) {
+				t.Fatalf("shard %d done with stats %+v, journaled %d records, %d quarantined %v", i, s.stats, d.Records, d.Quarantined, d.ByClass)
 			}
 		}
 		// Events naming a shard outside the plan changed nothing.

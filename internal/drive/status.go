@@ -12,7 +12,7 @@ type AttemptStatus struct {
 	Speculative bool      `json:"speculative,omitempty"`
 	Started     time.Time `json:"started"`
 	// Outcome is empty while the attempt is running, then one of
-	// "ok", "crash", "timeout", "bad-snapshot" or "canceled".
+	// "ok", "crash", "timeout", "bad-snapshot", "input" or "canceled".
 	Outcome string  `json:"outcome,omitempty"`
 	Err     string  `json:"err,omitempty"`
 	Seconds float64 `json:"seconds,omitempty"`

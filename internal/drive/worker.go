@@ -13,15 +13,16 @@ import (
 
 // WorkerConfig describes one shard attempt as run inside a worker
 // process (caranalyze -partial, or a test helper binary). Every worker
-// scans ALL inputs and keeps only the records whose car hashes into
-// its shard: input files may interleave cars freely, and car-disjoint
-// shards are what make the partials merge bit-identically.
+// reads the bytes of ALL inputs and keeps only the rows its shard owns
+// (cdr.OpenShard): input files may interleave cars freely, and
+// car-disjoint shards are what make the partials merge bit-identically.
 type WorkerConfig struct {
 	// Inputs are the CDR files to scan (binary or .csv).
 	Inputs []string
-	// Shard/Shards select the car-hash slice: records with
-	// cdr.ShardOfCar(car, Shards) == Shard are kept. Shards <= 1 keeps
-	// everything.
+	// Shard/Shards select the car-hash slice: the rows cdr.OpenShard
+	// gives shard Shard of Shards — records with cdr.ShardOfCar(car,
+	// Shards) == Shard, and this shard's share of the rows that do not
+	// parse. Shards <= 1 keeps everything.
 	Shard, Shards int
 	// Attempt is the coordinator's attempt ordinal, used only as the
 	// chaos draw key.
@@ -40,16 +41,30 @@ type WorkerConfig struct {
 }
 
 // WorkerStats is what a worker reports back to the coordinator on
-// stdout: how many records its shard absorbed and how many the full
-// input scan quarantined.
+// stdout: how many records its shard absorbed, how many of its rows the
+// ingest quarantined, and what the scan for them cost.
 type WorkerStats struct {
 	// Records counts records accepted into the shard's accumulators.
 	Records int64 `json:"records"`
-	// Quarantined counts records the resilient ingest rejected across
-	// the worker's full scan of all inputs (not shard-scoped: every
-	// worker sees every malformed record).
-	Quarantined int64 `json:"quarantined"`
+	// Quarantined counts the rows the resilient ingest rejected among
+	// those this shard owns, and ByClass splits it by failure class.
+	// Every input row is judged by exactly one worker (cdr.OpenShard), so
+	// both add up across the shards of a run to what one reader of the
+	// whole input counts.
+	Quarantined int64            `json:"quarantined"`
+	ByClass     map[string]int64 `json:"by_class,omitempty"`
+	// Rows counts every row and frame of the inputs, Skipped the ones
+	// dropped unjudged because another shard owns them: Rows == Skipped +
+	// records read + Quarantined, and Rows over records read is the
+	// worker's decode amplification.
+	Rows    int64 `json:"rows"`
+	Skipped int64 `json:"skipped"`
 }
+
+// ExitInputRefused is the exit code of a worker whose ingest refused
+// the input (cdr.ErrRefused: -strict met a malformed record, or the
+// error budget ran out). The coordinator does not retry it.
+const ExitInputRefused = 4
 
 // statsPrefix marks the machine-readable stats line a worker prints on
 // stdout for the coordinator to parse.
@@ -81,9 +96,9 @@ func parseWorkerStats(out []byte) (WorkerStats, bool) {
 	return st, found
 }
 
-// RunWorker executes one shard attempt: read the inputs as one
-// stream, filter to the shard's cars through the resilient ingest
-// layer, accumulate, and write the partial snapshot atomically. It is
+// RunWorker executes one shard attempt: read the shard's rows of the
+// inputs as one stream through the resilient ingest layer, accumulate,
+// and write the partial snapshot atomically. It is
 // the single implementation behind caranalyze -partial, so a
 // coordinator-spawned worker and a hand-run one behave identically.
 func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
@@ -100,31 +115,28 @@ func RunWorker(cfg WorkerConfig) (WorkerStats, error) {
 		return WorkerStats{}, fmt.Errorf("drive: no output path")
 	}
 
-	files, closer, err := cdr.OpenFiles(cfg.Inputs...)
+	files, err := cdr.OpenShard(cfg.Shard, cfg.Shards, cfg.Inputs...)
 	if err != nil {
 		return WorkerStats{}, fmt.Errorf("drive: open input: %w", err)
 	}
-	defer closer.Close()
+	defer files.Close()
 
 	rr := cdr.NewResilientReader(files, cfg.Ingest)
-	var stream cdr.Reader = rr
-	if cfg.Shards > 1 {
-		shard, shards := cfg.Shard, cfg.Shards
-		stream = cdr.FilterFunc(rr, func(rec cdr.Record) bool {
-			return cdr.ShardOfCar(rec.Car, shards) == shard
-		})
-	}
 	plan := cfg.Chaos.plan(cfg.Shard, cfg.Attempt)
-	stream = plan.wrap(stream)
 
 	acc := analysis.NewStreamingWithOptions(cfg.Ctx, cfg.Opts)
-	if err := acc.AddAll(stream); err != nil {
-		ist := rr.Stats()
-		return WorkerStats{Records: acc.Watermark(), Quarantined: ist.QuarantinedTotal()},
-			fmt.Errorf("drive: shard %d/%d ingest: %w", cfg.Shard, cfg.Shards, err)
+	err = acc.AddAll(plan.wrap(rr))
+	ist, scan := rr.Stats(), files.Scan()
+	st := WorkerStats{
+		Records:     acc.Watermark(),
+		Quarantined: ist.QuarantinedTotal(),
+		ByClass:     ist.ByClass(),
+		Rows:        scan.Rows,
+		Skipped:     scan.Skipped,
 	}
-	ist := rr.Stats()
-	st := WorkerStats{Records: acc.Watermark(), Quarantined: ist.QuarantinedTotal()}
+	if err != nil {
+		return st, fmt.Errorf("drive: shard %d/%d ingest: %w", cfg.Shard, cfg.Shards, err)
+	}
 	if err := acc.WriteSnapshot(cfg.Out); err != nil {
 		return st, fmt.Errorf("drive: shard %d/%d snapshot: %w", cfg.Shard, cfg.Shards, err)
 	}
