@@ -19,16 +19,20 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The engine's numbers without carbench: ns and allocations per record
-# of one Engine.Run and of the sessionizer alone, a full-state snapshot
-# encode and its restore, all on the benchmark's generated 1 600-car
-# fleet, and the restore-and-fold of a full-window miss on its 400-car
-# serve fleet; and what one foreign row costs a shard worker, skipped
-# below the parse against the FilterFunc pipeline it replaced, per codec.
+# of one Engine.Run (one worker, two, and the machine's count) and of the
+# sessionizer alone, a full-state snapshot encode and its restore, a run
+# that cuts 16 checkpoints (ms per cut, one worker and two), all on the
+# benchmark's generated 1 600-car fleet; one full duration sample merged
+# into another, which each worker past the first costs the serial tail;
+# the restore-and-fold of a full-window miss on the 400-car serve fleet;
+# and what one foreign row costs a shard worker, skipped below the parse
+# against the FilterFunc pipeline it replaced, per codec.
 # For working on the hot path, not for claims: a gain is claimed from
 # paired `bash bench/run.sh` runs. The allocation guards themselves are
 # plain tests, so `make ci` enforces them.
 bench-micro:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
+	$(GO) test -run='^$$' -bench='^BenchmarkSampleMerge$$' -benchmem -count=5 ./internal/stats
 	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 	$(GO) test -run='^$$' -bench='^BenchmarkWindowFold$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
@@ -36,8 +40,13 @@ bench-micro:
 test:
 	$(GO) test ./...
 
+# The second line runs the engine's dispatcher tests again at one proc,
+# where an engine left to size itself starts one worker (the path every
+# run took before -workers defaulted to the machine), and at four, more
+# than the CI box has.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis
 
 # The coordinator fault-tolerance suite under the race detector:
 # workers killed mid-stream, hung until speculation or timeout,

@@ -104,8 +104,10 @@ func AnalysisContext(s *Scene) Context {
 
 // Analyze runs the complete measurement pipeline (§3 cleaning plus
 // every §4 analysis) over a raw record stream. It is a thin adapter
-// over the sharded accumulator engine: set AnalyzeOptions.Workers to
-// parallelize (the report is bit-identical for any worker count).
+// over the sharded accumulator engine, parallel by default:
+// AnalyzeOptions.Workers 0 is one worker per CPU, at most 8, and any
+// other count is taken as given (the report is bit-identical for any
+// worker count).
 func Analyze(records []Record, ctx Context, opts AnalyzeOptions) (*Report, error) {
 	return analysis.Run(records, ctx, opts)
 }
@@ -120,8 +122,10 @@ type (
 	EngineOptions = analysis.EngineOptions
 )
 
-// NewEngine builds a sharded analysis engine. Workers <= 1 runs
-// sequentially; any worker count yields a bit-identical Report.
+// NewEngine builds a sharded analysis engine. Workers 0 is auto — one
+// worker per CPU, at most 8, and on resume the count the checkpoint was
+// cut with; Workers 1 runs one shard; any worker count yields a
+// bit-identical Report.
 func NewEngine(ctx Context, opts EngineOptions) *Engine {
 	return analysis.NewEngine(ctx, opts)
 }

@@ -56,7 +56,7 @@ func main() {
 		md      = flag.String("md", "", "also write a Markdown report to this file")
 		asJSON  = flag.Bool("json", false, "with -in: print the full report as JSON (the exact bytes carqueryd's /report/full serves) instead of tables")
 		stream  = flag.Bool("stream", false, "with -in: single-pass bounded-memory analysis")
-		workers = flag.Int("workers", 1, "parallel analysis workers (records sharded by car)")
+		workers = flag.Int("workers", 0, "parallel analysis workers, records sharded by car (0: one per CPU, at most 8; with -resume, the checkpoint's)")
 
 		failStage = flag.String("failstage", "", "chaos hook: artificially fail the named analysis stage")
 
@@ -91,9 +91,15 @@ func main() {
 	}
 
 	// Flag combinations that would otherwise be silently ignored, refused
-	// before anything is opened or read.
+	// before anything is opened or read. -workers is refused under
+	// -partial when it was given, whatever its value: its default is the
+	// machine's, and every cardrive worker is a -partial run.
+	workersGiven := false
+	flag.Visit(func(f *flag.Flag) { workersGiven = workersGiven || f.Name == "workers" })
 	switch {
-	case *partial != "" && (*md != "" || *asJSON || *stream || *checkpoint != "" || *resume || *workers != 1):
+	case *workers < 0:
+		fatal("-workers %d: want a positive count, or 0 for one per CPU", *workers)
+	case *partial != "" && (*md != "" || *asJSON || *stream || *checkpoint != "" || *resume || workersGiven):
 		fatal("-partial only writes a partial snapshot; -md, -json, -stream, -checkpoint, -resume and -workers do not apply")
 	case *partial != "" && len(inputs) == 0:
 		fatal("-partial needs input files (-in or positional arguments)")
@@ -313,7 +319,7 @@ func main() {
 				len(records), *in, istats.QuarantinedTotal())
 		} else {
 			fmt.Printf("streamed %d records from %s (%d quarantined, %d workers)\n\n",
-				rep.RawRecords, *in, istats.QuarantinedTotal(), max(1, *workers))
+				rep.RawRecords, *in, istats.QuarantinedTotal(), rep.ProfileWorkers)
 		}
 	}
 
@@ -370,11 +376,14 @@ func runAtExit() error {
 }
 
 // emitRunTrace writes the analyze span plus one span per profiled
-// stage, converting the report's cost table into the JSONL trace.
+// stage, converting the report's cost table into the JSONL trace. A
+// stage span is the stage's share of the elapsed time — Add's
+// worker-seconds counted once per worker — so the stage spans fit
+// inside the analyze span whatever the worker count.
 func emitRunTrace(t *obs.Trace, rep *analysis.Report, elapsed time.Duration) {
 	t.Emit("analyze", elapsed, int64(rep.RawRecords))
 	for _, p := range rep.Profile {
-		t.Emit("stage:"+p.Stage, time.Duration(p.TotalSeconds()*float64(time.Second)), p.Records)
+		t.Emit("stage:"+p.Stage, time.Duration(p.WallSeconds(rep.ProfileWorkers)*float64(time.Second)), p.Records)
 	}
 }
 

@@ -93,6 +93,21 @@ func reportSection(t *testing.T, out []byte) string {
 // saves a checkpoint and exits 0; a -resume run over the full file
 // then produces a report bit-identical to an uninterrupted run.
 func TestSIGTERMCheckpointResume(t *testing.T) {
+	sigtermCheckpointResume(t, nil, "")
+}
+
+// TestResumeAdoptsCheckpointWorkers: a checkpoint cut under -workers 3
+// resumes under no -workers at all — the default is the machine's CPU
+// count, which must not decide whether a checkpoint is usable — with the
+// three sets it holds, and says so.
+func TestResumeAdoptsCheckpointWorkers(t *testing.T) {
+	sigtermCheckpointResume(t, []string{"-workers", "3"}, "3 workers)")
+}
+
+// sigtermCheckpointResume is the body of the two tests above: cutArgs
+// are extra flags of the interrupted run only, and resumedSays, when
+// set, must appear in the resumed run's status line.
+func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string) {
 	dir := t.TempDir()
 	data := cdrBytes(t, 30_000)
 	full := filepath.Join(dir, "full.cdr")
@@ -114,7 +129,7 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 		t.Skipf("mkfifo: %v", err)
 	}
 	ckpt := filepath.Join(dir, "ckpt.snap")
-	cmd := caranalyze(append([]string{"-in", fifo, "-checkpoint", ckpt}, common...)...)
+	cmd := caranalyze(append(append([]string{"-in", fifo, "-checkpoint", ckpt}, common...), cutArgs...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Start(); err != nil {
@@ -172,6 +187,9 @@ func TestSIGTERMCheckpointResume(t *testing.T) {
 	}
 	if got, want := reportSection(t, res), reportSection(t, ref); got != want {
 		t.Errorf("resumed report differs from uninterrupted run\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
+	}
+	if status, _, _ := strings.Cut(string(res), "\n"); !strings.Contains(status, resumedSays) {
+		t.Errorf("resumed run's status line %q does not say %q", status, resumedSays)
 	}
 }
 
@@ -248,7 +266,9 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 // silently ignored — -resume without a checkpoint file re-analyzed from
 // record zero, -json dropped -md/-checkpoint/-resume on the floor,
 // -partial dropped every report and engine flag — are usage errors,
-// raised before any record is read.
+// raised before any record is read. -partial refuses -workers for having
+// been given, whatever its value: with none it runs
+// (TestPartialHonoursFailStage), as every cardrive worker does.
 func TestSilentFlagCombinationsRefused(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cars.cdr")
@@ -275,6 +295,8 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 		{"partial with checkpoint", []string{"-partial", snap, "-checkpoint", ckpt}, partialOnly},
 		{"partial with resume", []string{"-partial", snap, "-resume"}, partialOnly},
 		{"partial with workers", []string{"-partial", snap, "-workers", "4"}, partialOnly},
+		{"partial with the default workers spelled out", []string{"-partial", snap, "-workers", "0"}, partialOnly},
+		{"negative workers", []string{"-stream", "-workers", "-2"}, "-workers -2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...)
@@ -321,5 +343,47 @@ func TestPartialHonoursFailStage(t *testing.T) {
 	}
 	if rep.Failed("presence") != nil || rep.Presence.TotalCars == 0 {
 		t.Fatalf("the other stages must be whole: %+v", rep.StageErrors)
+	}
+}
+
+// TestTraceStageSpansFitInsideAnalyze: the profile's Add time is summed
+// over the workers, so the stage:* spans -trace writes from it are
+// scaled to the elapsed time they account for: at any worker count they
+// add up to no more than the analyze span that contains them.
+func TestTraceStageSpansFitInsideAnalyze(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(in, cdrBytes(t, 30_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []string{"1", "4"} {
+		trace := filepath.Join(dir, "trace-"+workers+".jsonl")
+		if out, err := caranalyze("-in", in, "-stream", "-days", "14", "-start", "2017-01-02",
+			"-workers", workers, "-trace", trace).CombinedOutput(); err != nil {
+			t.Fatalf("workers=%s: %v\n%s", workers, err, out)
+		}
+		data, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var analyze, stages float64
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var span struct {
+				Span  string  `json:"span"`
+				DurMS float64 `json:"dur_ms"`
+			}
+			if err := json.Unmarshal([]byte(line), &span); err != nil {
+				t.Fatalf("workers=%s: trace line %q: %v", workers, line, err)
+			}
+			switch {
+			case span.Span == "analyze":
+				analyze = span.DurMS
+			case strings.HasPrefix(span.Span, "stage:"):
+				stages += span.DurMS
+			}
+		}
+		if analyze == 0 || stages == 0 || stages > analyze {
+			t.Errorf("workers=%s: stage spans add up to %.3f ms inside an analyze span of %.3f ms", workers, stages, analyze)
+		}
 	}
 }

@@ -430,15 +430,17 @@ func badSnapf(format string, args ...any) error {
 // restoreSets is the resume routine: it restores the worker sets of a
 // snapshot a run under (ctx, opts) wrote, refusing one from a different
 // study configuration or worker count — records are sharded by worker
-// count, so the sets of another count cannot continue this run.
+// count, so the sets of another count cannot continue this run. A zero
+// opts.Workers (an auto engine) names no count and takes the snapshot's.
 func restoreSets(r io.Reader, ctx Context, opts EngineOptions) (SnapshotHeader, []*accumSet, error) {
 	want := headerFor(ctx, opts, 0)
 	return readSnapshotSets(r, func(h SnapshotHeader) (Context, EngineOptions, error) {
 		if err := want.SameStudy(h); err != nil {
 			return Context{}, EngineOptions{}, err
 		}
-		if h.Workers != opts.Workers {
-			return Context{}, EngineOptions{}, fmt.Errorf("analysis: checkpoint has %d workers, run has %d", h.Workers, opts.Workers)
+		if opts.Workers != 0 && h.Workers != opts.Workers {
+			return Context{}, EngineOptions{}, fmt.Errorf("analysis: checkpoint has %d workers, run has %d (resume with -workers %d, or with none to take the checkpoint's)",
+				h.Workers, opts.Workers, h.Workers)
 		}
 		return ctx, opts, nil
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -53,17 +54,31 @@ type Engine struct {
 // EngineOptions configures an Engine run.
 type EngineOptions struct {
 	RunOptions
-	// Workers is the shard/goroutine count. Values below 1 mean 1.
+	// Workers is the shard/goroutine count. Zero (or less) is auto: one
+	// per CPU the process may use, at most maxAutoWorkers, and on resume
+	// whatever count the checkpoint was cut with.
 	Workers int
 }
 
+// maxAutoWorkers caps the automatic worker count. One dispatcher feeds
+// every worker: decode, the resilient checks and the car hash cost it
+// ≈ 100 ns a record, a worker's Add ≈ 650 ns (BenchmarkEngineRun), so
+// past 650 ÷ 100 ≈ 6–8 workers the dispatcher is the critical path and
+// another worker only waits on its queue. An explicit count may exceed
+// the cap.
+const maxAutoWorkers = 8
+
+// autoWorkers is the worker count of a fresh run that did not name one.
+func autoWorkers() int {
+	return min(runtime.GOMAXPROCS(0), maxAutoWorkers)
+}
+
 // NewEngine returns an engine over the context. Zero-value options
-// take RunOptions' defaults; Workers below 1 means 1.
+// take RunOptions' defaults; Workers below 1 means auto (see
+// EngineOptions).
 func NewEngine(ctx Context, opts EngineOptions) *Engine {
 	opts.RunOptions = opts.RunOptions.withDefaults()
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
+	opts.Workers = max(opts.Workers, 0)
 	return &Engine{ctx: ctx, opts: opts}
 }
 
@@ -109,7 +124,11 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 	if err != nil {
 		return nil, err
 	}
+	// The run's worker count is the sets it starts with: the one asked
+	// for, the machine's, or the one a resumed checkpoint was cut with.
 	n := len(sets)
+	opts := e.opts
+	opts.Workers = n
 
 	chans := make([]chan workerMsg, n)
 	// Consumed batches come back to the dispatcher here rather than going
@@ -175,7 +194,7 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		}
 		// Workers are parked on their channels; the sets are quiescent
 		// until the next dispatch, so writing them here is race-free.
-		return writeSnapshotFile(cfg.Path, headerFor(e.ctx, e.opts, read), sets, e.opts.Obs)
+		return writeSnapshotFile(cfg.Path, headerFor(e.ctx, opts, read), sets, opts.Obs)
 	}
 	dispatch := func() error {
 		for {
@@ -228,13 +247,21 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 	for _, s := range sets[1:] {
 		root.merge(s, false)
 	}
-	return root.finalize(), nil
+	rep := root.finalize()
+	if root.met != nil {
+		rep.ProfileWorkers = n
+	}
+	return rep, nil
 }
 
-// startSets returns the accumulator sets a run begins with and the
-// number of raw records they have already consumed: restored from
-// cfg.Path, with r advanced past the watermark, when cfg.Resume finds a
-// checkpoint there; fresh otherwise.
+// startSets returns the accumulator sets a run begins with — one per
+// worker — and the number of raw records they have already consumed:
+// restored from cfg.Path, with r advanced past the watermark, when
+// cfg.Resume finds a checkpoint there; fresh otherwise. Records are
+// sharded by ShardOfCar(car, workers), so restored sets continue only
+// under the count they were cut with: an auto engine takes it from the
+// checkpoint's header, whatever the machine, and an explicit count that
+// differs is refused (restoreSets).
 func (e *Engine) startSets(r cdr.Reader, cfg CheckpointConfig) ([]*accumSet, int64, error) {
 	if cfg.Resume {
 		if cfg.Path == "" {
@@ -258,7 +285,11 @@ func (e *Engine) startSets(r cdr.Reader, cfg CheckpointConfig) ([]*accumSet, int
 		// No checkpoint yet: a fresh run, so a crash-restart loop needs
 		// no first-run special case.
 	}
-	sets := make([]*accumSet, e.opts.Workers)
+	workers := e.opts.Workers
+	if workers == 0 {
+		workers = autoWorkers()
+	}
+	sets := make([]*accumSet, workers)
 	for i := range sets {
 		sets[i] = newAccumSet(e.ctx, e.opts, i)
 	}
@@ -547,6 +578,7 @@ func (s *accumSet) finalize() *Report {
 	}
 	if s.met != nil {
 		rep.Profile = s.met.profile(s)
+		rep.ProfileWorkers = 1
 	}
 	return rep
 }

@@ -1,13 +1,16 @@
 package analysis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,8 +133,11 @@ func pushReference(ctx Context, opts RunOptions, records []cdr.Record) *Report {
 // TestEngineMatchesPushReference: Run, RunReader and
 // RunReaderCheckpointed are one dispatcher, so comparing them with
 // each other proves nothing; each is compared with the push path, for
-// every worker count and checkpoint cadence (none, trigger-only, a cut
-// after every record, a cut every few batches).
+// every worker count — named, or left to the machine under one, two and
+// five procs — and checkpoint cadence (none, trigger-only, a cut after
+// every record, a cut every few batches). On one proc an auto engine is
+// the one-worker engine: its last cut is the one-worker run's, byte for
+// byte.
 func TestEngineMatchesPushReference(t *testing.T) {
 	ctx := engineCtx()
 	opts := RunOptions{BusyCells: engineBusyCells()}
@@ -142,32 +148,117 @@ func TestEngineMatchesPushReference(t *testing.T) {
 	want := pushReference(ctx, opts, records)
 	wantShort := pushReference(ctx, opts, short)
 
-	for _, workers := range []int{1, 2, 4, 7} {
-		e := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: workers})
-		check := func(entry string, want, got *Report, err error) {
-			t.Helper()
+	oneWorkerCut := map[int64][]byte{} // by cadence
+	for _, row := range []struct{ workers, procs int }{
+		{workers: 1}, {workers: 2}, {workers: 4}, {workers: 7},
+		{procs: 1}, {procs: 2}, {procs: 5},
+	} {
+		func() {
+			workers, name := row.workers, fmt.Sprintf("workers=%d", row.workers)
+			if row.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(row.procs))
+				name = fmt.Sprintf("workers=auto procs=%d", row.procs)
+			}
+			e := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: workers})
+			check := func(entry string, want, got *Report, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, entry, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s %s: report differs from the push-path reference", name, entry)
+				}
+			}
+			got, err := e.Run(records)
+			check("Run", want, got, err)
+			got, err = e.RunReader(cdr.NewSliceReader(records))
+			check("RunReader", want, got, err)
+			got, err = Run(records, ctx, RunOptions{BusyCells: opts.BusyCells, Workers: workers})
+			check("analysis.Run", want, got, err)
+			for _, every := range []int64{0, 1, 4096} {
+				in, ref := records, want
+				if every == 1 {
+					in, ref = short, wantShort
+				}
+				cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "ckpt.snap"), Every: every}
+				got, err = e.RunReaderCheckpointed(cdr.NewSliceReader(in), cfg)
+				check(fmt.Sprintf("RunReaderCheckpointed(every=%d)", every), ref, got, err)
+				if every == 0 {
+					continue // no trigger, no cut
+				}
+				cut, err := os.ReadFile(cfg.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case row.workers == 1:
+					oneWorkerCut[every] = cut
+				case row.procs == 1 && !bytes.Equal(cut, oneWorkerCut[every]):
+					t.Errorf("%s every=%d: the cut differs from the one-worker run's", name, every)
+				}
+			}
+		}()
+	}
+}
+
+// TestResumeAdoptsCheckpointWorkers: records are sharded by worker
+// count, so a checkpoint continues only under the count it was cut with.
+// An auto engine takes that count from the checkpoint, whatever the
+// machine it resumes on — the final report is the uninterrupted run's
+// and the file still says three workers — and an explicit count that
+// differs is refused, naming both.
+func TestResumeAdoptsCheckpointWorkers(t *testing.T) {
+	records := engineWorkload(20000)
+	ctx := engineCtx()
+	opts := RunOptions{BusyCells: engineBusyCells()}
+	want := pushReference(ctx, opts, records)
+
+	cut := filepath.Join(t.TempDir(), "three.snap")
+	_, err := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: 3}).RunReaderCheckpointed(
+		&faultReader{r: cdr.NewSliceReader(records), n: 7777, err: errKilled}, CheckpointConfig{Path: cut, Every: 2500})
+	if !errors.Is(err, errKilled) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	midStream, err := os.ReadFile(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, procs := range []int{1, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			path := filepath.Join(t.TempDir(), "resumed.snap")
+			if err := os.WriteFile(path, midStream, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewEngine(ctx, EngineOptions{RunOptions: opts}).RunReaderCheckpointed(
+				cdr.NewSliceReader(records), CheckpointConfig{Path: path, Every: 2500, Resume: true})
 			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, entry, err)
+				t.Fatalf("procs=%d: resume: %v", procs, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("workers=%d %s: report differs from the push-path reference", workers, entry)
+				t.Errorf("procs=%d: resumed report differs from the uninterrupted run's", procs)
 			}
-		}
-		got, err := e.Run(records)
-		check("Run", want, got, err)
-		got, err = e.RunReader(cdr.NewSliceReader(records))
-		check("RunReader", want, got, err)
-		got, err = Run(records, ctx, RunOptions{BusyCells: opts.BusyCells, Workers: workers})
-		check("analysis.Run", want, got, err)
-		for _, every := range []int64{0, 1, 4096} {
-			in, ref := records, want
-			if every == 1 {
-				in, ref = short, wantShort
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "ckpt.snap"), Every: every}
-			got, err = e.RunReaderCheckpointed(cdr.NewSliceReader(in), cfg)
-			check(fmt.Sprintf("RunReaderCheckpointed(every=%d)", every), ref, got, err)
-		}
+			defer f.Close()
+			hdr, sets, err := restoreSets(f, ctx, EngineOptions{RunOptions: opts.withDefaults()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr.Workers != 3 || len(sets) != 3 || hdr.Watermark != int64(len(records)) {
+				t.Errorf("procs=%d: the resumed run's last cut holds %d sets (header says %d) at watermark %d, want 3 at %d",
+					procs, len(sets), hdr.Workers, hdr.Watermark, len(records))
+			}
+		}()
+	}
+
+	_, err = NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: 2}).RunReaderCheckpointed(
+		cdr.NewSliceReader(records), CheckpointConfig{Path: cut, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint has 3 workers, run has 2") {
+		t.Fatalf("resume under an explicit other worker count: %v", err)
 	}
 }
 

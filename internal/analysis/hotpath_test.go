@@ -3,6 +3,8 @@ package analysis
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -285,19 +287,67 @@ func TestStashedHeadSurvivesRecycling(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRun is one Engine.Run over the benchmark's main fleet
-// with one worker — the loop that is over 95 % of the batch workload.
-// Profile it with `go test -run '^$' -bench EngineRun -cpuprofile
-// cpu.out ./internal/analysis`.
+// BenchmarkEngineRun is one Engine.Run over the benchmark's main fleet —
+// the loop that is over 95 % of the batch workload — with one worker,
+// with two, and with the count left to the machine (run it under
+// `-cpu 1,2`: on one proc auto is the one-worker run). Profile it with
+// `go test -run '^$' -bench EngineRun/workers=1 -cpuprofile cpu.out
+// ./internal/analysis`.
 func BenchmarkEngineRun(b *testing.B) {
 	period, records := benchFleet(b)
-	e := NewEngine(Context{Period: period}, EngineOptions{Workers: 1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(records); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=2", 2}, {"workers=auto", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEngine(Context{Period: period}, EngineOptions{Workers: bc.workers})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(records); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(records)), "ns/rec")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(records)), "ns/rec")
+}
+
+// BenchmarkCheckpointedRun is the checkpoint workload's loop: the same
+// fleet through one engine run that cuts 16 times into a file. ms/cut
+// is what the cuts add to the plain run timed beside it, a sixteenth
+// each — per worker count, because a cut writes every worker's set and
+// each set carries its own 32 768-item duration sample (bottom-k is
+// kept per shard to stay exact), so a two-worker cut is the larger file.
+func BenchmarkCheckpointedRun(b *testing.B) {
+	period, records := benchFleet(b)
+	const cuts = 16
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			e := NewEngine(Context{Period: period}, EngineOptions{Workers: workers})
+			cfg := CheckpointConfig{Path: filepath.Join(b.TempDir(), "cut.snap"), Every: int64(len(records) / cuts)}
+			var plain, cut time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer() // ns/op is the run that cuts
+				t0 := time.Now()
+				if _, err := e.Run(records); err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				b.StartTimer()
+				if _, err := e.RunReaderCheckpointed(cdr.NewSliceReader(records), cfg); err != nil {
+					b.Fatal(err)
+				}
+				plain += t1.Sub(t0)
+				cut += time.Since(t1)
+			}
+			fi, err := os.Stat(cfg.Path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(cut-plain)/1e6/float64(b.N)/cuts, "ms/cut")
+			b.ReportMetric(float64(fi.Size()), "bytes/cut")
+		})
+	}
 }

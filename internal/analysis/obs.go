@@ -10,10 +10,11 @@ import (
 // (internal/obs). One setMetrics per worker accumulator set
 // pre-resolves every series it touches, so the hot path costs one
 // pointer check when metrics are off and a few atomic adds per batch
-// when they are on. Counter series are shared across workers (same
-// name and labels resolve to the same metric), which is what makes
-// Report.Profile an aggregate over the whole run; only the
-// shard-balance counter is labeled per worker.
+// when they are on. Counter and timing series are shared across
+// workers (same name and labels resolve to the same metric), which is
+// what makes Report.Profile an aggregate over the whole run — and its
+// Add timings worker-seconds, to be read beside Report.ProfileWorkers;
+// only the shard-balance counter is labeled per worker.
 //
 // Engine metric names (see DESIGN.md for the full table):
 //

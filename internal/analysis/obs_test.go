@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/obs"
@@ -19,12 +20,15 @@ func TestEngineProfileConsistency(t *testing.T) {
 	records := engineWorkload(20000)
 	ctx := engineCtx()
 
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		reg := obs.New()
 		opts := RunOptions{BusyCells: engineBusyCells(), Obs: reg, Workers: workers}
 		rep, err := Run(records, ctx, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if rep.ProfileWorkers != workers {
+			t.Errorf("workers=%d: report says its profile sums %d workers", workers, rep.ProfileWorkers)
 		}
 
 		accepted := int64(rep.CleanRecords) - rep.OutOfPeriod
@@ -47,9 +51,6 @@ func TestEngineProfileConsistency(t *testing.T) {
 			}
 			if p.AddSeconds < 0 || p.MergeSeconds < 0 || p.FinalizeSeconds < 0 {
 				t.Errorf("workers=%d: stage %s has negative timing: %+v", workers, p.Stage, p)
-			}
-			if p.TotalSeconds() < p.AddSeconds {
-				t.Errorf("workers=%d: stage %s TotalSeconds < AddSeconds", workers, p.Stage)
 			}
 		}
 
@@ -87,6 +88,52 @@ func TestEngineProfileConsistency(t *testing.T) {
 				t.Errorf("workers=%d: stage %s counter %d != profile %d",
 					workers, p.Stage, c, p.Records)
 			}
+		}
+	}
+}
+
+// TestProfileStaysTrueAcrossWorkers: the stage Add series is shared by
+// the workers, so the profile's AddSeconds are worker-seconds. They must
+// be read as such: summed over every stage they fit inside workers × the
+// run's elapsed time — each worker times disjoint stretches of it — and
+// the rate derived from them (records per WallSeconds, the table's
+// rec/s) must not fall because a worker was added, which it did, by
+// half, while the sum was read as wall time. The rate is the best of
+// three runs per worker count and is held to three quarters of the
+// single worker's: a shared box can slow a run, it cannot halve the
+// rate at every worker count three times over.
+func TestProfileStaysTrueAcrossWorkers(t *testing.T) {
+	records := engineWorkload(20000)
+	ctx := engineCtx()
+	var single float64
+	for _, workers := range []int{1, 2, 4} {
+		var best float64
+		for run := 0; run < 3; run++ {
+			opts := RunOptions{BusyCells: engineBusyCells(), Obs: obs.New(), Workers: workers}
+			start := time.Now()
+			rep, err := Run(records, ctx, opts)
+			wall := time.Since(start).Seconds()
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			var add, share float64
+			for _, p := range rep.Profile {
+				add += p.AddSeconds
+				share += p.WallSeconds(rep.ProfileWorkers)
+			}
+			if add > float64(workers)*wall {
+				t.Errorf("workers=%d: stages sum %.4f s of Add inside %d × %.4f s of run", workers, add, workers, wall)
+			}
+			if share > wall {
+				t.Errorf("workers=%d: stages account for %.4f s of a %.4f s run", workers, share, wall)
+			}
+			accepted := float64(int64(rep.CleanRecords) - rep.OutOfPeriod)
+			best = max(best, accepted/share)
+		}
+		if workers == 1 {
+			single = best
+		} else if best < 0.75*single {
+			t.Errorf("workers=%d: %.0f rec/s by the profile against %.0f with one worker", workers, best, single)
 		}
 	}
 }
@@ -156,7 +203,7 @@ func TestEngineObsDoesNotChangeResults(t *testing.T) {
 	if len(inst.Profile) == 0 {
 		t.Fatal("instrumented run produced no profile")
 	}
-	inst.Profile = nil
+	inst.Profile, inst.ProfileWorkers = nil, 0
 	if !reflect.DeepEqual(base, inst) {
 		t.Fatal("instrumentation changed the analysis results")
 	}

@@ -55,6 +55,11 @@ type Report struct {
 	// observed (RunOptions.Obs non-nil); timings make it
 	// non-deterministic, so bit-identity checks must ignore it.
 	Profile []StageProfile
+	// ProfileWorkers is the number of worker sets whose Add time
+	// Profile sums — the worker count the run actually had, which on a
+	// resume is the checkpoint's. Set with Profile, zero without it, so
+	// reports of unobserved runs stay equal across worker counts.
+	ProfileWorkers int
 }
 
 // StageProfile is one row of the pipeline cost table (the "Pipeline
@@ -69,16 +74,20 @@ type StageProfile struct {
 	Records int64
 	// Batches counts timed Add batches.
 	Batches int64
-	// AddSeconds, MergeSeconds and FinalizeSeconds are the wall time
-	// spent in the stage's three accumulator operations, summed across
-	// workers (concurrent stage work can sum past the run's elapsed
-	// wall time).
+	// AddSeconds is the time spent in the stage's Add summed across
+	// workers — worker-seconds, which under W concurrent workers sum to
+	// up to W times the run's elapsed wall time. MergeSeconds and
+	// FinalizeSeconds are wall time: both run after the workers stop,
+	// on one goroutine.
 	AddSeconds, MergeSeconds, FinalizeSeconds float64
 }
 
-// TotalSeconds returns the stage's summed wall cost.
-func (p StageProfile) TotalSeconds() float64 {
-	return p.AddSeconds + p.MergeSeconds + p.FinalizeSeconds
+// WallSeconds returns the stage's share of the run's elapsed time when
+// its Add ran on the given number of concurrent workers (Report's
+// ProfileWorkers; below 1 counts as 1): Add's worker-seconds divided
+// among them, plus the serial merge and finalize.
+func (p StageProfile) WallSeconds(workers int) float64 {
+	return p.AddSeconds/float64(max(workers, 1)) + p.MergeSeconds + p.FinalizeSeconds
 }
 
 // StageError records one skipped analysis stage.
@@ -116,8 +125,9 @@ type RunOptions struct {
 	// names: presence, connected, days, segments, busy, durations,
 	// handovers, carriers, usage, clusters.
 	FailStage string
-	// Workers is the parallel shard count; values below 1 mean 1. The
-	// report is identical for any worker count on the exact stages.
+	// Workers is the parallel shard count; zero (or less) is auto, one
+	// per CPU up to a cap (see EngineOptions). The report is identical
+	// for any worker count on the exact stages.
 	Workers int
 	// Obs, when non-nil, receives pipeline metrics — per-stage wall
 	// time and record counts, ingest outcome counters, shard balance,

@@ -158,23 +158,25 @@ func mdCarriers(b *strings.Builder, e *env) {
 func mdProfile(b *strings.Builder, e *env) {
 	r := e.r
 	fmt.Fprintf(b, "## Pipeline profile\n\n")
-	fmt.Fprintf(b, "Per-stage wall time summed across workers; records are the accepted records offered to each stage's Add path (clean records %d − out-of-period %d = %d).\n\n",
-		r.CleanRecords, r.OutOfPeriod, int64(r.CleanRecords)-r.OutOfPeriod)
-	fmt.Fprintf(b, "| stage | records | batches | add s | merge s | finalize s | total s | records/s |\n|---|---|---|---|---|---|---|---|\n")
+	workers := r.ProfileWorkers
+	fmt.Fprintf(b, "Workers: %d. Add ran on that many concurrent workers and `add cpu-s` sums their seconds; merge and finalize ran once, after them; `wall s` and `records/s` count Add once per worker (add cpu-s ÷ %d + merge s + finalize s). Records are the accepted records offered to each stage's Add path (clean records %d − out-of-period %d = %d).\n\n",
+		workers, workers, r.CleanRecords, r.OutOfPeriod, int64(r.CleanRecords)-r.OutOfPeriod)
+	fmt.Fprintf(b, "| stage | records | batches | add cpu-s | merge s | finalize s | wall s | records/s |\n|---|---|---|---|---|---|---|---|\n")
 	var recs, batches int64
-	var add, merge, fin float64
+	var add, merge, fin, wall float64
 	for _, p := range r.Profile {
 		fmt.Fprintf(b, "| %s | %d | %d | %.4f | %.4f | %.4f | %.4f | %s |\n",
 			p.Stage, p.Records, p.Batches, p.AddSeconds, p.MergeSeconds,
-			p.FinalizeSeconds, p.TotalSeconds(), stageRate(p, "—"))
+			p.FinalizeSeconds, p.WallSeconds(workers), stageRate(p, workers, "—"))
 		recs += p.Records
 		batches += p.Batches
 		add += p.AddSeconds
 		merge += p.MergeSeconds
 		fin += p.FinalizeSeconds
+		wall += p.WallSeconds(workers)
 	}
 	fmt.Fprintf(b, "| **total** | %d | %d | %.4f | %.4f | %.4f | %.4f | — |\n\n",
-		recs, batches, add, merge, fin, add+merge+fin)
+		recs, batches, add, merge, fin, wall)
 }
 
 // mdQuality writes the Data Quality section: how dirty the input was

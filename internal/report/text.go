@@ -227,15 +227,20 @@ func textCarriers(b *strings.Builder, e *env) {
 }
 
 // textProfile renders the per-stage cost table of an observed run:
-// where the wall time went, stage by stage, summed across workers.
+// where the time went, stage by stage. Add ran on ProfileWorkers
+// concurrent workers and its column sums their seconds; merge and
+// finalize ran once, after them. The title line stays as it is — tools
+// that cut the timing-bearing block out of a report anchor on it — so
+// the worker count ends the column line.
 func textProfile(b *strings.Builder, e *env) {
+	workers := e.r.ProfileWorkers
 	fmt.Fprintln(b, "== Pipeline profile ==")
-	fmt.Fprintf(b, "%-10s %12s %8s %10s %10s %10s %12s\n",
-		"stage", "records", "batches", "add s", "merge s", "final s", "rec/s")
+	fmt.Fprintf(b, "%-10s %12s %8s %10s %10s %10s %12s   (workers %d)\n",
+		"stage", "records", "batches", "add cpu-s", "merge s", "final s", "rec/s", workers)
 	var add, merge, fin float64
 	for _, p := range e.r.Profile {
 		fmt.Fprintf(b, "%-10s %12d %8d %10.4f %10.4f %10.4f %12s\n",
-			p.Stage, p.Records, p.Batches, p.AddSeconds, p.MergeSeconds, p.FinalizeSeconds, stageRate(p, "-"))
+			p.Stage, p.Records, p.Batches, p.AddSeconds, p.MergeSeconds, p.FinalizeSeconds, stageRate(p, workers, "-"))
 		add += p.AddSeconds
 		merge += p.MergeSeconds
 		fin += p.FinalizeSeconds
@@ -243,11 +248,13 @@ func textProfile(b *strings.Builder, e *env) {
 	fmt.Fprintf(b, "%-10s %12s %8s %10.4f %10.4f %10.4f\n\n", "total", "", "", add, merge, fin)
 }
 
-// stageRate formats a stage's records per second of total stage time,
-// or none when the stage saw no records or took no measurable time.
-func stageRate(p analysis.StageProfile, none string) string {
-	if total := p.TotalSeconds(); total > 0 && p.Records > 0 {
-		return fmt.Sprintf("%.0f", float64(p.Records)/total)
+// stageRate formats a stage's records per second of the elapsed time
+// it accounts for — Add's worker-seconds divided among the workers,
+// plus merge and finalize — or none when the stage saw no records or
+// took no measurable time.
+func stageRate(p analysis.StageProfile, workers int, none string) string {
+	if wall := p.WallSeconds(workers); wall > 0 && p.Records > 0 {
+		return fmt.Sprintf("%.0f", float64(p.Records)/wall)
 	}
 	return none
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -141,7 +142,7 @@ func NewSample(k int) *Sample {
 	return &Sample{k: k, items: make([]sampleItem, 0, preallocate)}
 }
 
-// heapify turns a run into the heap Add and a mixed-form Merge work on.
+// heapify turns a run into the heap Add works on.
 func (s *Sample) heapify() {
 	if s.run {
 		slices.Reverse(s.items)
@@ -161,6 +162,12 @@ func (s *Sample) Add(key uint64, v float64) {
 // offer keeps it if it is among the k smallest seen. s is a heap.
 func (s *Sample) offer(it sampleItem) {
 	if len(s.items) < s.k {
+		if n := len(s.items); n == cap(s.items) {
+			// Double, but never past k: append's own growth ends a full
+			// 32 768-item sample on 37 376 slots, and every worker set of
+			// an engine holds one.
+			s.items = append(make([]sampleItem, 0, min(max(2*n, 16), s.k)), s.items...)
+		}
 		s.items = append(s.items, it)
 		s.up(len(s.items) - 1)
 		return
@@ -211,7 +218,8 @@ func (s *Sample) down(i int) {
 
 // Merge folds another sample into s, leaving o as it was. Both must
 // have the same k. Two runs merge into a run (mergeRun); any other
-// pairing offers o's items to s's heap one by one.
+// pairing leaves s a heap of the k smallest of both item sets
+// (mergeSelect).
 func (s *Sample) Merge(o *Sample) {
 	if s.k != o.k {
 		panic(fmt.Sprintf("stats: merging samples of size %d and %d", s.k, o.k))
@@ -221,9 +229,74 @@ func (s *Sample) Merge(o *Sample) {
 		s.mergeRun(o.items)
 		return
 	}
-	s.heapify()
-	for _, it := range o.items {
-		s.offer(it)
+	s.mergeSelect(o.items)
+}
+
+// selectBits sizes the key histogram mergeSelect finds its cut with:
+// 4 096 counters, 16 KiB of stack.
+const selectBits = 12
+
+// mergeSelect replaces s's items with the k smallest of them and b, as
+// a heap, in time linear in the two and in place. Keys are hashes, so
+// their leading bits spread the items evenly: a histogram of the top
+// selectBits below the largest key finds the bucket the k-th smallest
+// item falls in; every item of a lower bucket stays, none of a higher
+// one, and of that one bucket's few items — all of them, should an
+// adversary make every key equal, which costs time, not correctness —
+// the smallest by (key, value) fill what is left of k. s's survivors
+// are compacted where they are, b's are copied in behind them, and the
+// whole is heapified bottom-up. Offering b's items to s's heap one by
+// one leaves the same set at a sift each — 12 ms of an engine's serial
+// tail when two workers' full 32 768-item duration samples meet — and a
+// selection over a joined copy of both pays as much again to allocate
+// it. Which layout of the set s ends up in shows nowhere: Snapshot and
+// Values sort, and Add needs only the heap property.
+func (s *Sample) mergeSelect(b []sampleItem) {
+	a := s.items
+	if len(a)+len(b) <= s.k {
+		a = append(a, b...)
+	} else {
+		both := [2][]sampleItem{a, b}
+		var maxKey uint64
+		for _, items := range both {
+			for _, it := range items {
+				maxKey = max(maxKey, it.key)
+			}
+		}
+		shift := max(bits.Len64(maxKey)-selectBits, 0)
+		var hist [1 << selectBits]int32
+		for _, items := range both {
+			for _, it := range items {
+				hist[it.key>>shift]++
+			}
+		}
+		// below items sit in buckets under edge, and edge's make it k or
+		// more.
+		edge, below := uint64(0), 0
+		for below+int(hist[edge]) < s.k {
+			below += int(hist[edge])
+			edge++
+		}
+		// What stays is appended to a's own front: a write never passes
+		// the item being read while a is walked, and b's follow on.
+		onEdge := make([]sampleItem, 0, hist[edge])
+		a = a[:0]
+		for _, items := range both {
+			for _, it := range items {
+				switch bucket := it.key >> shift; {
+				case bucket < edge:
+					a = append(a, it)
+				case bucket == edge:
+					onEdge = append(onEdge, it)
+				}
+			}
+		}
+		sort.Slice(onEdge, func(i, j int) bool { return itemLess(onEdge[i], onEdge[j]) })
+		a = append(a, onEdge[:s.k-below]...)
+	}
+	s.items, s.run = a, false
+	for i := len(a)/2 - 1; i >= 0; i-- {
+		s.down(i)
 	}
 }
 

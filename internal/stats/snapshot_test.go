@@ -340,3 +340,150 @@ func TestSampleRestoreRefuses(t *testing.T) {
 		}
 	}
 }
+
+// offerLoopMerge is Sample.Merge as it was before mergeSelect — two
+// runs merged as runs, any other pairing offered to s's heap item by
+// item — kept verbatim as the arbiter of what set a merge must leave.
+func offerLoopMerge(s, o *Sample) {
+	s.n += o.n
+	if s.run && o.run {
+		s.mergeRun(o.items)
+		return
+	}
+	s.heapify()
+	for _, it := range o.items {
+		s.offer(it)
+	}
+}
+
+// TestSampleMergeHeapsMatchesOffer: for random k and operand sizes
+// whose sum falls under, exactly on and over k — with keys that are
+// hashes, keys that collide under differing values, keys below the
+// histogram's size and one key for every item, exact duplicates among
+// them — a merge of heap × heap, heap × run and run × heap leaves the n,
+// Complete, Values and Snapshot bytes the offer loop leaves, leaves its
+// argument alone, and leaves a heap: items added afterwards are kept or
+// dropped as the arbiter keeps or drops them.
+func TestSampleMergeHeapsMatchesOffer(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 27))
+	forms := []struct {
+		name       string
+		sRun, oRun bool
+	}{{"heap×heap", false, false}, {"heap×run", false, true}, {"run×heap", true, false}}
+	for round := 0; round < 400; round++ {
+		k := 1 + rng.IntN(60)
+		if round%8 == 0 {
+			k = 200 + rng.IntN(2000) // more items than the histogram has buckets
+		}
+		keys := uint64(1 + rng.IntN(3*k)) // few enough that keys collide
+		key := []func() uint64{
+			func() uint64 { return rng.Uint64N(keys) << 40 },
+			rng.Uint64,
+			func() uint64 { return rng.Uint64N(keys) },
+			func() uint64 { return 7 << 50 },
+		}[round/6%4]
+		draw := func(n int) []sampleItem {
+			items := make([]sampleItem, n)
+			for i := range items {
+				if i > 0 && rng.IntN(8) == 0 {
+					items[i] = items[rng.IntN(i)] // an exact duplicate
+					continue
+				}
+				items[i] = sampleItem{key: key(), val: float64(rng.IntN(5))}
+			}
+			return items
+		}
+		// Operand sizes: the sum under k, exactly k, just over, far over,
+		// and either side alone already past k.
+		var na, nb int
+		switch round % 6 {
+		case 0:
+			na = rng.IntN(k/2 + 1)
+			nb = rng.IntN(k/2 + 1)
+		case 1:
+			na = rng.IntN(k + 1)
+			nb = k - na
+		case 2:
+			na = rng.IntN(k + 1)
+			nb = k - na + 1 + rng.IntN(3)
+		case 3:
+			na, nb = k+rng.IntN(3*k), k+rng.IntN(3*k)
+		case 4:
+			na, nb = 3*k, rng.IntN(4)
+		case 5:
+			na, nb = rng.IntN(4), 3*k
+		}
+		itemsA, itemsB, later := draw(na), draw(nb), draw(1+rng.IntN(2*k))
+		for _, form := range forms {
+			build := func(items []sampleItem, run bool) *Sample {
+				s := NewSample(k)
+				for _, it := range items {
+					s.Add(it.key, it.val)
+				}
+				if run {
+					s = restoredSample(t, s)
+				}
+				return s
+			}
+			got, want := build(itemsA, form.sRun), build(itemsA, form.sRun)
+			o := build(itemsB, form.oRun)
+			before := sampleBytes(o)
+			got.Merge(o)
+			if !bytes.Equal(sampleBytes(o), before) {
+				t.Fatalf("round %d %s (k=%d, %d+%d items): Merge changed its argument", round, form.name, k, na, nb)
+			}
+			offerLoopMerge(want, o)
+			for step := 0; step < 2; step++ {
+				if got.n != want.n || got.Complete() != want.Complete() {
+					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: n=%d complete=%v, offer loop n=%d complete=%v",
+						round, form.name, k, na, nb, step, got.n, got.Complete(), want.n, want.Complete())
+				}
+				if !reflect.DeepEqual(got.Values(), want.Values()) {
+					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: values differ from the offer loop's", round, form.name, k, na, nb, step)
+				}
+				if !bytes.Equal(sampleBytes(got), sampleBytes(want)) {
+					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: snapshot differs from the offer loop's", round, form.name, k, na, nb, step)
+				}
+				for _, it := range later {
+					got.Add(it.key, it.val)
+					want.Add(it.key, it.val)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleMerge folds one full duration-sized sample (k = 32 768,
+// three times that offered) into another: what an engine's merge pays
+// per extra worker once the fleet's records outnumber the sample.
+// heap×heap is Sample.Merge; offer-loop is the item-by-item merge it
+// replaced, on the same operands.
+func BenchmarkSampleMerge(b *testing.B) {
+	const k = 1 << 15
+	rng := rand.New(rand.NewPCG(28, 28))
+	full := func() *Sample {
+		s := NewSample(k)
+		for i := 0; i < 3*k; i++ {
+			s.Add(rng.Uint64(), float64(rng.IntN(600)))
+		}
+		return s
+	}
+	s, o := full(), full()
+	for _, bc := range []struct {
+		name  string
+		merge func(s, o *Sample)
+	}{
+		{"heap×heap", func(s, o *Sample) { s.Merge(o) }},
+		{"offer-loop", offerLoopMerge},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			// The receiver starts each merge as the same full heap; the
+			// copy is 512 KiB, a few percent of either merge.
+			dst := &Sample{k: k, items: make([]sampleItem, 0, 2*k)}
+			for i := 0; i < b.N; i++ {
+				dst.n, dst.run, dst.items = s.n, false, append(dst.items[:0], s.items...)
+				bc.merge(dst, o)
+			}
+		})
+	}
+}
