@@ -21,9 +21,11 @@ bench-check:
 # The engine's numbers without carbench: ns and allocations per record
 # of one Engine.Run (one worker, two, and the machine's count) and of the
 # sessionizer alone, a full-state snapshot encode and its restore, a run
-# that cuts 16 checkpoints (ms per cut, one worker and two), all on the
-# benchmark's generated 1 600-car fleet; one full duration sample merged
-# into another, which each worker past the first costs the serial tail;
+# that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
+# at one worker, two and four), all on the benchmark's generated
+# 1 600-car fleet; one full duration sample merged into another, which
+# each worker past the first costs the serial tail, and one encoded from
+# heap form, which every set costs every cut;
 # the restore-and-fold of a full-window miss on the 400-car serve fleet;
 # and what one foreign row costs a shard worker, skipped below the parse
 # against the FilterFunc pipeline it replaced, per codec.
@@ -32,7 +34,7 @@ bench-check:
 # plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
-	$(GO) test -run='^$$' -bench='^BenchmarkSampleMerge$$' -benchmem -count=5 ./internal/stats
+	$(GO) test -run='^$$' -bench='^(BenchmarkSampleMerge|BenchmarkSampleSnapshot)$$' -benchmem -count=5 ./internal/stats
 	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 	$(GO) test -run='^$$' -bench='^BenchmarkWindowFold$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
@@ -92,11 +94,12 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Short fuzz runs over nine targets: the codec entry points, the shard
+# Short fuzz runs over ten targets: the codec entry points, the shard
 # readers' partition of what the unsharded reader returns, the snapshot
-# decoder against the one it replaced, the ordered fold's grouping
-# property and the coordinator's journal replay; go test accepts one
-# -fuzz pattern per invocation, hence one run per target.
+# decoder against the one it replaced, the duration sample's in-place
+# order against a comparison sort, the ordered fold's grouping property
+# and the coordinator's journal replay; go test accepts one -fuzz pattern
+# per invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz='^FuzzCSVReader$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReaderMatchesEncodingCSV -fuzztime=$(FUZZTIME)
@@ -104,6 +107,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzShardReadersPartitionInput -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSampleOrder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzMergeOrderedGrouping -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/drive -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)

@@ -90,15 +90,22 @@ func main() {
 		}
 	}
 
-	// Flag combinations that would otherwise be silently ignored, refused
-	// before anything is opened or read. -workers is refused under
+	// Flag combinations and values that would otherwise be silently
+	// ignored, refused before anything is opened or read. -workers is refused under
 	// -partial when it was given, whatever its value: its default is the
 	// machine's, and every cardrive worker is a -partial run.
-	workersGiven := false
-	flag.Visit(func(f *flag.Flag) { workersGiven = workersGiven || f.Name == "workers" })
+	workersGiven, everyGiven := false, false
+	flag.Visit(func(f *flag.Flag) {
+		workersGiven = workersGiven || f.Name == "workers"
+		everyGiven = everyGiven || f.Name == "checkpoint-every"
+	})
 	switch {
 	case *workers < 0:
 		fatal("-workers %d: want a positive count, or 0 for one per CPU", *workers)
+	case *ckptEvery < 0:
+		fatal("-checkpoint-every %d: want a positive record count, or 0 for checkpoints on a signal only", *ckptEvery)
+	case everyGiven && *checkpoint == "":
+		fatal("-checkpoint-every needs -checkpoint (the file to write)")
 	case *partial != "" && (*md != "" || *asJSON || *stream || *checkpoint != "" || *resume || workersGiven):
 		fatal("-partial only writes a partial snapshot; -md, -json, -stream, -checkpoint, -resume and -workers do not apply")
 	case *partial != "" && len(inputs) == 0:
@@ -379,9 +386,14 @@ func runAtExit() error {
 // stage, converting the report's cost table into the JSONL trace. A
 // stage span is the stage's share of the elapsed time — Add's
 // worker-seconds counted once per worker — so the stage spans fit
-// inside the analyze span whatever the worker count.
+// inside the analyze span whatever the worker count; so does the
+// checkpoint span of a run that cut, the time its cuts (the count) kept
+// ingest waiting.
 func emitRunTrace(t *obs.Trace, rep *analysis.Report, elapsed time.Duration) {
 	t.Emit("analyze", elapsed, int64(rep.RawRecords))
+	if ck := rep.ProfileCheckpoints; ck.Cuts > 0 {
+		t.Emit("checkpoint", time.Duration(ck.StallSeconds*float64(time.Second)), ck.Cuts)
+	}
 	for _, p := range rep.Profile {
 		t.Emit("stage:"+p.Stage, time.Duration(p.WallSeconds(rep.ProfileWorkers)*float64(time.Second)), p.Records)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -265,7 +266,8 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 // TestSilentFlagCombinationsRefused: flag combinations that used to be
 // silently ignored — -resume without a checkpoint file re-analyzed from
 // record zero, -json dropped -md/-checkpoint/-resume on the floor,
-// -partial dropped every report and engine flag — are usage errors,
+// -partial dropped every report and engine flag, -checkpoint-every
+// without -checkpoint or below zero never cut — are usage errors,
 // raised before any record is read. -partial refuses -workers for having
 // been given, whatever its value: with none it runs
 // (TestPartialHonoursFailStage), as every cardrive worker does.
@@ -297,6 +299,9 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 		{"partial with workers", []string{"-partial", snap, "-workers", "4"}, partialOnly},
 		{"partial with the default workers spelled out", []string{"-partial", snap, "-workers", "0"}, partialOnly},
 		{"negative workers", []string{"-stream", "-workers", "-2"}, "-workers -2"},
+		{"checkpoint-every without checkpoint", []string{"-stream", "-checkpoint-every", "500"}, "-checkpoint-every needs -checkpoint"},
+		{"signal-only cadence without checkpoint", []string{"-stream", "-checkpoint-every", "0"}, "-checkpoint-every needs -checkpoint"},
+		{"negative checkpoint-every", []string{"-stream", "-checkpoint", ckpt, "-checkpoint-every", "-5"}, "-checkpoint-every -5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...)
@@ -385,5 +390,67 @@ func TestTraceStageSpansFitInsideAnalyze(t *testing.T) {
 		if analyze == 0 || stages == 0 || stages > analyze {
 			t.Errorf("workers=%s: stage spans add up to %.3f ms inside an analyze span of %.3f ms", workers, stages, analyze)
 		}
+	}
+}
+
+// TestCheckpointedRunSaysWhatItsCutsCost: a -checkpoint run's trace
+// carries one checkpoint span — as many records as cuts, no longer than
+// the analyze span it sits in — and its Pipeline profile a checkpoints
+// line, inside the block: what strips the block from a report (up to
+// its first blank line) strips the line with it, so a checkpointed
+// report still digests to the plain run's.
+func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(in, cdrBytes(t, 30_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", "2"}
+	plain, err := caranalyze(base...).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "trace.jsonl")
+	cut, err := caranalyze(append(base, "-trace", trace,
+		"-checkpoint", filepath.Join(dir, "run.snap"), "-checkpoint-every", "5000")...).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !regexp.MustCompile(`(?m)^checkpoints 6, stalled \d+\.\d+ s, written \d+\.\d+ MB$`).Match(cut) {
+		t.Fatalf("no checkpoints line for the six cuts in:\n%s", cut)
+	}
+	if bytes.Contains(plain, []byte("checkpoints ")) {
+		t.Fatal("a run without -checkpoint prints a checkpoints line")
+	}
+	block := regexp.MustCompile(`(?s)== Pipeline profile ==\n.*?\n\n`)
+	if got, want := block.ReplaceAll(cut, nil), block.ReplaceAll(plain, nil); !bytes.Equal(got, want) {
+		t.Fatalf("outside the profile block a checkpointed report differs from the plain one:\n%s\nvs\n%s", got, want)
+	}
+
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var analyze, stall float64
+	var cuts int64
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var span struct {
+			Span    string  `json:"span"`
+			DurMS   float64 `json:"dur_ms"`
+			Records int64   `json:"records"`
+		}
+		if err := json.Unmarshal([]byte(line), &span); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		switch span.Span {
+		case "analyze":
+			analyze = span.DurMS
+		case "checkpoint":
+			stall, cuts = span.DurMS, span.Records
+		}
+	}
+	if cuts != 6 || stall <= 0 || stall > analyze {
+		t.Fatalf("checkpoint span: %d cuts, %.3f ms inside an analyze span of %.3f ms; want 6 cuts", cuts, stall, analyze)
 	}
 }

@@ -134,6 +134,9 @@ const (
 	// maxStageErrLen truncates stored stage-error messages to fit the
 	// codec's string limit.
 	maxStageErrLen = 200
+	// frameOverhead is at most what a frame adds to its name and payload:
+	// two length prefixes and the checksum.
+	frameOverhead = 16
 )
 
 func encodeHeader(e *snapshot.Encoder, h SnapshotHeader) {
@@ -192,51 +195,95 @@ func decodeHeader(payload []byte) (SnapshotHeader, error) {
 
 // writeSnapshotStream frames the header and every worker set into w.
 func writeSnapshotStream(w io.Writer, hdr SnapshotHeader, sets []*accumSet) error {
+	return writeSnapshotCut(w, hdr, sets, nil)
+}
+
+// writeSnapshotCut is writeSnapshotStream for a cut some of whose sets
+// their workers have encoded already: frames(i) returns set i's frames,
+// or nil for a set to encode here, one frame at a time, as every set is
+// without it.
+func writeSnapshotCut(w io.Writer, hdr SnapshotHeader, sets []*accumSet, frames func(i int) (*snapshot.Frames, error)) error {
 	sw := snapshot.NewWriter(w)
 	enc := sw.Begin("header")
 	encodeHeader(enc, hdr)
 	sw.End()
 	for i, set := range sets {
-		set.flush()
-		// One payload buffer per set and cut, allocated at the size the
-		// set's largest stage payload had last time plus an eighth: a
-		// buffer grown from nothing doubles its way to that size every
-		// cut (≈ 2 MB of garbage and 1 MB of copying per cut of a
-		// 1 600-car fleet), and one kept alive between cuts is a
-		// megabyte the collector counts live when it sets the heap goal
-		// (DESIGN §2.1 has both measurements).
-		var buf bytes.Buffer
-		buf.Grow(set.payloadHint + set.payloadHint/8)
-		enc := sw.Begin("worker")
-		enc.Uvarint(uint64(i))
-		enc.Varint(set.raw)
-		enc.Varint(set.ghosts)
-		enc.Varint(set.outOfPeriod)
-		enc.Varint(set.accepted)
-		enc.Uvarint(uint64(len(set.errs)))
-		for _, se := range set.errs {
-			msg := se.Err
-			if len(msg) > maxStageErrLen {
-				msg = msg[:maxStageErrLen]
+		var encoded *snapshot.Frames
+		if frames != nil {
+			var err error
+			if encoded, err = frames(i); err != nil {
+				return err
 			}
-			enc.String(se.Stage)
-			enc.String(msg)
 		}
-		sw.End()
-		for j, acc := range set.stages {
-			if acc == nil {
-				continue
-			}
-			name := stageTable[j].name
-			buf.Reset()
-			if err := acc.SnapshotTo(&buf); err != nil {
-				return fmt.Errorf("analysis: snapshot stage %s: %w", name, err)
-			}
-			set.payloadHint = max(set.payloadHint, buf.Len())
-			sw.RawFrame("stage:"+name, buf.Bytes())
+		if encoded != nil {
+			sw.Append(encoded)
+			continue
+		}
+		// One buffer per set and cut, dropped with the cut: one kept alive
+		// between cuts is a megabyte the collector counts live when it sets
+		// the heap goal (DESIGN §2.1 has the measurement).
+		var fb snapshot.Frames
+		if err := encodeSet(&fb, i, set, sw); err != nil {
+			return err
 		}
 	}
 	return sw.Close()
+}
+
+// encodeSet appends set i's frames — "worker", then one "stage:X" per
+// live stage — to fb, each payload encoded in place. It is the one walk
+// of a set's frames, for both of a cut's sinks: with a stream, every
+// finished frame moves on to sw and fb holds one frame at a time (the
+// dispatcher's set, a Streaming, a Partial); without, fb ends up holding
+// the whole set, for the stream to take later (a worker encoding its own
+// set at a barrier). Either way fb starts at the size the set filled it
+// to last time plus an eighth: a buffer grown from nothing doubles its
+// way there every cut (≈ 2 MB of garbage and 1 MB of copying per cut of
+// a 1 600-car fleet).
+func encodeSet(fb *snapshot.Frames, i int, set *accumSet, sw *snapshot.Writer) error {
+	set.flush()
+	hint := &set.framesHint
+	if sw != nil {
+		hint = &set.frameHint
+	}
+	fb.Grow(*hint + *hint/8)
+	// done closes the open frame and, streaming, hands it on.
+	done := func() {
+		fb.End()
+		*hint = max(*hint, fb.Len())
+		if sw != nil {
+			sw.Append(fb)
+			fb.Reset()
+		}
+	}
+	enc := fb.Begin("worker")
+	enc.Uvarint(uint64(i))
+	enc.Varint(set.raw)
+	enc.Varint(set.ghosts)
+	enc.Varint(set.outOfPeriod)
+	enc.Varint(set.accepted)
+	enc.Uvarint(uint64(len(set.errs)))
+	for _, se := range set.errs {
+		msg := se.Err
+		if len(msg) > maxStageErrLen {
+			msg = msg[:maxStageErrLen]
+		}
+		enc.String(se.Stage)
+		enc.String(msg)
+	}
+	done()
+	for j, acc := range set.stages {
+		if acc == nil {
+			continue
+		}
+		name := stageTable[j].name
+		fb.Begin("stage:" + name)
+		if err := acc.SnapshotTo(fb); err != nil {
+			return fmt.Errorf("analysis: snapshot stage %s: %w", name, err)
+		}
+		done()
+	}
+	return fb.Err()
 }
 
 // A checkpoint write that fails with a transient error
@@ -253,37 +300,256 @@ const (
 // checkpointSleep is stubbed by tests to skip the wall-clock backoff.
 var checkpointSleep = time.Sleep
 
-// writeSnapshotFile writes a snapshot atomically through
-// snapshot.WriteFile, so a crash mid-checkpoint leaves the previous
-// checkpoint intact, under the retry policy above; each failed attempt
-// removes its own temp file, so retries never leak. A non-nil registry
-// records the write count, byte size, wall duration and retries under
-// the checkpoint metrics (cellcars_checkpoint_writes_total and kin).
-func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *obs.Registry) error {
-	t0 := time.Now()
-	var n int64
-	var err error
-	for attempt := 0; ; attempt++ {
-		n, err = snapshot.WriteFile(path, func(w io.Writer) error {
-			return writeSnapshotStream(w, hdr, sets)
-		})
-		if err == nil || !cdr.IsTransient(err) || attempt >= checkpointRetryAttempts {
-			break
+// retryTransient runs attempt under the policy above, counting each
+// retry in cellcars_checkpoint_retries_total of a non-nil registry.
+func retryTransient(reg *obs.Registry, attempt func() error) error {
+	for n := 0; ; n++ {
+		err := attempt()
+		if err == nil || !cdr.IsTransient(err) || n >= checkpointRetryAttempts {
+			return err
 		}
-		if reg != nil {
-			reg.Counter("cellcars_checkpoint_retries_total").Inc()
-		}
-		checkpointSleep(checkpointRetryBackoff << attempt)
+		countCheckpointRetry(reg)
+		checkpointSleep(checkpointRetryBackoff << n)
 	}
-	if err != nil {
-		return err
+}
+
+func countCheckpointRetry(reg *obs.Registry) {
+	if reg != nil {
+		reg.Counter("cellcars_checkpoint_retries_total").Inc()
 	}
+}
+
+// observeCheckpointWrite records one durable write that landed: its
+// count, byte size and the wall time it took from creating the temp
+// file to the rename, under the checkpoint metrics
+// (cellcars_checkpoint_writes_total and kin) of a non-nil registry.
+func observeCheckpointWrite(reg *obs.Registry, n int64, took time.Duration) {
 	if reg != nil {
 		reg.Counter("cellcars_checkpoint_writes_total").Inc()
 		reg.Counter("cellcars_checkpoint_bytes_total").Add(n)
-		reg.Timing("cellcars_checkpoint_write_seconds").Observe(time.Since(t0))
+		reg.Timing("cellcars_checkpoint_write_seconds").Observe(took)
 	}
+}
+
+// writeSnapshotFile writes a snapshot atomically through
+// snapshot.WriteFile — both halves of the durable write, back to back —
+// so a crash mid-checkpoint leaves the previous checkpoint intact,
+// under the retry policy above; each failed attempt removes its own
+// temp file, so retries never leak. Returns the file's size.
+func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *obs.Registry) (int64, error) {
+	t0 := time.Now()
+	var n int64
+	err := retryTransient(reg, func() (err error) {
+		n, err = snapshot.WriteFile(path, func(w io.Writer) error {
+			return writeSnapshotStream(w, hdr, sets)
+		})
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	observeCheckpointWrite(reg, n, time.Since(t0))
+	return n, nil
+}
+
+// ---------------------------------------------------------------------------
+// The engine's cuts
+
+// cutter takes an engine run's checkpoints. A cut costs ingest the
+// encoding of its slowest set and no more:
+//
+//   - Sets are encoded by their owners. The barrier has every worker
+//     flush its set, and every worker past the first encode its own into
+//     one buffer (encodeSet) while the dispatcher streams the header and
+//     set 0 to the temp file; the other sets' buffers follow in set order
+//     and are dropped. One worker: the dispatcher's stream is all there is.
+//   - The durable half leaves the critical path. Once the temp file is
+//     written (snapshot.WriteTemp) the sets may move again, so dispatch
+//     resumes while a goroutine fsyncs, closes and renames
+//     (Temp.Commit). That commit is joined before the next cut creates
+//     its temp file, before a trigger stop returns and after the workers
+//     stop at end of input: path is always a complete fsynced cut, no
+//     goroutine or temp file outlives the run, and after a crash the
+//     recovery point is the last committed cut, at most one interval
+//     older than the last one taken.
+//
+// A transient failure of the write half repeats the attempt under
+// retryTransient (the workers' buffers are still held: they are sent
+// again, not encoded again). A commit that failed is seen at its join,
+// where the sets are quiescent again: transient, it is counted as a
+// retry and the cut now due is the retry — at a trigger or at end of
+// input, one synchronous writeSnapshotFile — and more than
+// checkpointRetryAttempts in a row fail the run; any other error fails
+// it at the join, with path still the last committed cut.
+type cutter struct {
+	path string
+	sets []*accumSet
+	reg  *obs.Registry
+	// send queues msg for worker i behind the records dispatched so far.
+	send func(i int, msg workerMsg)
+
+	// acks[i] is worker i's, buffered so that a worker never waits on
+	// it; frames[i], once acked[i], holds worker i's encoded set for the
+	// cut being taken (none for worker 0, whose set the dispatcher
+	// streams).
+	acks   []chan struct{}
+	acked  []bool
+	frames []setFrames
+
+	// commit delivers the result of the commit in flight; nil when there
+	// is none. failed counts commits that failed transiently in a row.
+	commit chan commitResult
+	failed int
+
+	profile CheckpointProfile
+}
+
+// commitResult is how a background Temp.Commit ended: the bytes it made
+// durable and how long the write took, temp file created to renamed.
+type commitResult struct {
+	n    int64
+	took time.Duration
+	err  error
+}
+
+func newCutter(path string, sets []*accumSet, reg *obs.Registry, send func(int, workerMsg)) *cutter {
+	c := &cutter{
+		path: path, sets: sets, reg: reg, send: send,
+		acks:   make([]chan struct{}, len(sets)),
+		acked:  make([]bool, len(sets)),
+		frames: make([]setFrames, len(sets)),
+	}
+	for i := range c.acks {
+		c.acks[i] = make(chan struct{}, 1)
+	}
+	return c
+}
+
+// barrier asks every worker to flush its set and ack, and — encode —
+// every worker past the first to encode its set before it does.
+func (c *cutter) barrier(encode bool) {
+	for i := range c.sets {
+		msg := workerMsg{ack: c.acks[i]}
+		if encode && i > 0 {
+			msg.encode = &c.frames[i]
+		}
+		c.send(i, msg)
+	}
+}
+
+// encoded returns the frames worker i encoded for the cut being taken,
+// waiting for them the first time; nil for set 0.
+func (c *cutter) encoded(i int) (*snapshot.Frames, error) {
+	if i == 0 {
+		return nil, nil
+	}
+	if !c.acked[i] {
+		<-c.acks[i]
+		c.acked[i] = true
+	}
+	return c.frames[i].fb, c.frames[i].err
+}
+
+// periodic takes one cut at hdr's watermark and returns once its temp
+// file is written; the commit is left running.
+func (c *cutter) periodic(hdr SnapshotHeader) error {
+	t0 := time.Now()
+	c.barrier(true)
+	if _, err := c.join(); err != nil {
+		return err
+	}
+	<-c.acks[0]
+	created := time.Now()
+	var tmp *snapshot.Temp
+	err := retryTransient(c.reg, func() (err error) {
+		tmp, err = snapshot.WriteTemp(c.path, func(w io.Writer) error {
+			return writeSnapshotCut(w, hdr, c.sets, c.encoded)
+		})
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	clear(c.acked)
+	clear(c.frames)
+	commit := make(chan commitResult, 1)
+	go func() {
+		n, err := tmp.Commit()
+		commit <- commitResult{n: n, took: time.Since(created), err: err}
+	}()
+	c.commit = commit
+	c.stalled(t0)
 	return nil
+}
+
+// final takes the cut a trigger stop leaves behind: committed when it
+// returns.
+func (c *cutter) final(hdr SnapshotHeader) error {
+	t0 := time.Now()
+	c.barrier(false)
+	for _, ack := range c.acks {
+		<-ack
+	}
+	if _, err := c.join(); err != nil {
+		return err
+	}
+	if err := c.writeNow(hdr); err != nil {
+		return err
+	}
+	c.stalled(t0)
+	return nil
+}
+
+// finish joins the last commit once the workers have stopped. If it
+// failed transiently and the run itself is sound, the state at end of
+// input is written in its place.
+func (c *cutter) finish(hdr SnapshotHeader, sound bool) error {
+	retry, err := c.join()
+	if err != nil || !retry || !sound {
+		return err
+	}
+	return c.writeNow(hdr)
+}
+
+// writeNow is one synchronous durable write of the quiescent sets.
+func (c *cutter) writeNow(hdr SnapshotHeader) error {
+	n, err := writeSnapshotFile(c.path, hdr, c.sets, c.reg)
+	c.profile.Bytes += n
+	return err
+}
+
+// join waits for the commit in flight, if there is one, and accounts
+// for it. retry reports a transient failure within the budget: the
+// caller's next durable write makes up for it.
+func (c *cutter) join() (retry bool, err error) {
+	if c.commit == nil {
+		return false, nil
+	}
+	res := <-c.commit
+	c.commit = nil
+	switch {
+	case res.err == nil:
+		c.failed = 0
+		c.profile.Bytes += res.n
+		observeCheckpointWrite(c.reg, res.n, res.took)
+		return false, nil
+	case cdr.IsTransient(res.err) && c.failed < checkpointRetryAttempts:
+		c.failed++
+		countCheckpointRetry(c.reg)
+		return true, nil
+	}
+	return false, res.err
+}
+
+// stalled records what one cut cost ingest: from the barrier going out
+// at t0 to dispatch resuming now.
+func (c *cutter) stalled(t0 time.Time) {
+	d := time.Since(t0)
+	c.profile.Cuts++
+	c.profile.StallSeconds += d.Seconds()
+	if c.reg != nil {
+		c.reg.Timing("cellcars_checkpoint_stall_seconds").Observe(d)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -398,6 +664,11 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 			if cur.hasError(stage) {
 				return hdr, nil, badSnapf("stage %q has both a failure record and a state frame", stage)
 			}
+			// The set's first cut sizes its buffer from what was read, as
+			// every later one does from the cut before (see encodeSet).
+			frame := len(name) + len(payload) + frameOverhead
+			cur.frameHint = max(cur.frameHint, frame)
+			cur.framesHint += frame
 			acc := stageTable[i].build(ctx, opts)
 			if err := acc.RestoreFrom(bytes.NewBuffer(payload)); err != nil {
 				return hdr, nil, fmt.Errorf("analysis: restore stage %s: %w", stage, err)
@@ -561,7 +832,8 @@ func (p *Partial) SnapshotTo(w io.Writer) error {
 
 // WriteSnapshot writes the partial to a file atomically.
 func (p *Partial) WriteSnapshot(path string) error {
-	return writeSnapshotFile(path, p.Header, []*accumSet{p.set}, p.opts.Obs)
+	_, err := writeSnapshotFile(path, p.Header, []*accumSet{p.set}, p.opts.Obs)
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +855,8 @@ func (s *Streaming) SnapshotTo(w io.Writer) error {
 
 // WriteSnapshot writes the state to a file atomically.
 func (s *Streaming) WriteSnapshot(path string) error {
-	return writeSnapshotFile(path, s.header(), []*accumSet{s.set}, s.opts.Obs)
+	_, err := writeSnapshotFile(path, s.header(), []*accumSet{s.set}, s.opts.Obs)
+	return err
 }
 
 // RestoreStreaming restores a streaming accumulator from a snapshot

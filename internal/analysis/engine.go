@@ -12,6 +12,7 @@ import (
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
 	"cellcars/internal/simtime"
+	"cellcars/internal/snapshot"
 )
 
 // This file is the accumulator engine. Records reach an accumSet — one
@@ -94,12 +95,22 @@ func (e *Engine) RunReader(r cdr.Reader) (*Report, error) {
 }
 
 // workerMsg is one dispatch to an engine worker: a record batch, or a
-// barrier carrying an ack channel. After acking a barrier the worker
-// does not touch its accumulator set until the next message arrives,
-// which is what lets the dispatcher snapshot all sets race-free.
+// barrier carrying an ack channel. At a barrier the worker flushes its
+// set — and, asked to, encodes it — before it acks, and after acking
+// does not touch the set until the next message arrives, which is what
+// lets the dispatcher snapshot all sets race-free.
 type workerMsg struct {
 	batch []cdr.Record
 	ack   chan<- struct{}
+	// encode, on a barrier, has the worker encode its set's frames
+	// before it acks.
+	encode *setFrames
+}
+
+// setFrames is where a worker leaves its set, encoded, at a barrier.
+type setFrames struct {
+	fb  *snapshot.Frames
+	err error
 }
 
 // engineDispatchBatch is the dispatcher's per-shard batch size;
@@ -114,11 +125,13 @@ const (
 // reads the stream and shards records by car across the workers. With
 // a cfg.Path it also checkpoints: every cfg.Every records it runs an
 // ack barrier so every worker's set is quiescent, then writes all
-// partial state atomically to cfg.Path. On cfg.Trigger it writes a
-// final checkpoint and returns ErrCheckpointStop. With cfg.Resume it
-// restores from cfg.Path (same configuration and worker count
-// required) and skips the watermark's worth of records; a resumed
-// run's final report is bit-identical with an uninterrupted one.
+// partial state atomically to cfg.Path (see cutter: a cut is durable
+// before the next one starts and before the call returns). On
+// cfg.Trigger it writes a final checkpoint and returns
+// ErrCheckpointStop. With cfg.Resume it restores from cfg.Path (same
+// configuration and worker count required) and skips the watermark's
+// worth of records; a resumed run's final report is bit-identical with
+// an uninterrupted one.
 func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Report, error) {
 	sets, read, err := e.startSets(r, cfg)
 	if err != nil {
@@ -144,7 +157,7 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		// slow worker without buffering the stream.
 		chans[i] = make(chan workerMsg, engineWorkerQueue)
 		wg.Add(1)
-		go func(set *accumSet, ch <-chan workerMsg) {
+		go func(i int, set *accumSet, ch <-chan workerMsg) {
 			defer wg.Done()
 			for msg := range ch {
 				for _, rec := range msg.batch {
@@ -156,10 +169,15 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 					recycled <- msg.batch[:0]
 				}
 				if msg.ack != nil {
+					set.flush()
+					if enc := msg.encode; enc != nil {
+						enc.fb = new(snapshot.Frames)
+						enc.err = encodeSet(enc.fb, i, set, nil)
+					}
 					msg.ack <- struct{}{}
 				}
 			}
-		}(sets[i], chans[i])
+		}(i, sets[i], chans[i])
 	}
 
 	newBatch := func() []cdr.Record {
@@ -183,26 +201,17 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		// next starts empty at full capacity so appends never regrow it.
 		bufs[i] = newBatch()
 	}
-	checkpoint := func() error {
-		ack := make(chan struct{}, n)
-		for i := range chans {
-			flushShard(i)
-			chans[i] <- workerMsg{ack: ack}
-		}
-		for range chans {
-			<-ack
-		}
-		// Workers are parked on their channels; the sets are quiescent
-		// until the next dispatch, so writing them here is race-free.
-		return writeSnapshotFile(cfg.Path, headerFor(e.ctx, opts, read), sets, opts.Obs)
-	}
+	cut := newCutter(cfg.Path, sets, opts.Obs, func(i int, msg workerMsg) {
+		flushShard(i)
+		chans[i] <- msg
+	})
 	dispatch := func() error {
 		for {
 			if cfg.Trigger != nil && read&1023 == 0 {
 				select {
 				case <-cfg.Trigger:
 					if cfg.Path != "" {
-						if err := checkpoint(); err != nil {
+						if err := cut.final(headerFor(e.ctx, opts, read)); err != nil {
 							return err
 						}
 					}
@@ -227,7 +236,7 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 				flushShard(shard)
 			}
 			if cfg.Every > 0 && cfg.Path != "" && read%cfg.Every == 0 {
-				if err := checkpoint(); err != nil {
+				if err := cut.periodic(headerFor(e.ctx, opts, read)); err != nil {
 					return err
 				}
 			}
@@ -239,6 +248,11 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		close(chans[i])
 	}
 	wg.Wait()
+	// The last periodic cut may still be committing; the sets are
+	// quiescent for good now, so a commit that failed can be made up for.
+	if jerr := cut.finish(headerFor(e.ctx, opts, read), err == nil); err == nil {
+		err = jerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +264,7 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 	rep := root.finalize()
 	if root.met != nil {
 		rep.ProfileWorkers = n
+		rep.ProfileCheckpoints = cut.profile
 	}
 	return rep, nil
 }
@@ -372,9 +387,11 @@ type accumSet struct {
 
 	batch []cdr.Record
 
-	// payloadHint is the largest stage payload the set has written to a
-	// snapshot, the size its next cut's buffer starts at.
-	payloadHint int
+	// frameHint is the longest frame the set has written to a snapshot,
+	// framesHint the most all its frames came to together: what its next
+	// cut's buffer starts at, by whether that holds one frame at a time or
+	// the whole set (encodeSet).
+	frameHint, framesHint int
 
 	// met is the observability hook (nil when no registry was
 	// configured): per-stage wall time and record counts, ingest

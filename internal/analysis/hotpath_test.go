@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
+	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
@@ -316,37 +318,59 @@ func BenchmarkEngineRun(b *testing.B) {
 // BenchmarkCheckpointedRun is the checkpoint workload's loop: the same
 // fleet through one engine run that cuts 16 times into a file. ms/cut
 // is what the cuts add to the plain run timed beside it, a sixteenth
-// each — per worker count, because a cut writes every worker's set and
-// each set carries its own 32 768-item duration sample (bottom-k is
-// kept per shard to stay exact), so a two-worker cut is the larger file.
+// each, and B/cut what they add to its allocation; stall-ms/cut is the
+// part of a cut that keeps ingest waiting, from the barrier going out to
+// dispatch resuming (the run's own cellcars_checkpoint_stall_seconds,
+// so both runs are observed) — the fsync and rename behind it overlap
+// the next records. Per worker count, because a cut writes every
+// worker's set and each set carries its own 32 768-item duration sample
+// (bottom-k is kept per shard to stay exact), so a two-worker cut is the
+// larger file; past the first, each worker encodes its own.
 func BenchmarkCheckpointedRun(b *testing.B) {
 	period, records := benchFleet(b)
 	const cuts = 16
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e := NewEngine(Context{Period: period}, EngineOptions{Workers: workers})
+			e := NewEngine(Context{Period: period}, EngineOptions{RunOptions: RunOptions{Obs: obs.New()}, Workers: workers})
 			cfg := CheckpointConfig{Path: filepath.Join(b.TempDir(), "cut.snap"), Every: int64(len(records) / cuts)}
 			var plain, cut time.Duration
+			var plainBytes, cutBytes uint64
+			var stall float64
+			var ms runtime.MemStats
+			allocated := func() uint64 {
+				runtime.ReadMemStats(&ms)
+				return ms.TotalAlloc
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer() // ns/op is the run that cuts
-				t0 := time.Now()
+				a0, t0 := allocated(), time.Now()
 				if _, err := e.Run(records); err != nil {
 					b.Fatal(err)
 				}
+				plain += time.Since(t0)
+				a1 := allocated()
 				t1 := time.Now()
 				b.StartTimer()
-				if _, err := e.RunReaderCheckpointed(cdr.NewSliceReader(records), cfg); err != nil {
+				rep, err := e.RunReaderCheckpointed(cdr.NewSliceReader(records), cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
-				plain += t1.Sub(t0)
+				b.StopTimer()
 				cut += time.Since(t1)
+				plainBytes += a1 - a0
+				cutBytes += allocated() - a1
+				stall += rep.ProfileCheckpoints.StallSeconds
+				b.StartTimer()
 			}
 			fi, err := os.Stat(cfg.Path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(cut-plain)/1e6/float64(b.N)/cuts, "ms/cut")
+			perCut := float64(b.N) * cuts
+			b.ReportMetric(float64(cut-plain)/1e6/perCut, "ms/cut")
+			b.ReportMetric(stall*1e3/perCut, "stall-ms/cut")
+			b.ReportMetric((float64(cutBytes)-float64(plainBytes))/perCut, "B/cut")
 			b.ReportMetric(float64(fi.Size()), "bytes/cut")
 		})
 	}

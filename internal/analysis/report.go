@@ -60,6 +60,19 @@ type Report struct {
 	// resume is the checkpoint's. Set with Profile, zero without it, so
 	// reports of unobserved runs stay equal across worker counts.
 	ProfileWorkers int
+	// ProfileCheckpoints is what the run's checkpoints cost it. Set
+	// with Profile, zero without it and for a run that took none.
+	ProfileCheckpoints CheckpointProfile
+}
+
+// CheckpointProfile sums a run's checkpoint cuts: how many it took,
+// how long they kept ingest waiting — per cut, from the barrier going
+// out to dispatch resuming; the fsync and rename behind it are not in
+// it — and the bytes they made durable.
+type CheckpointProfile struct {
+	Cuts         int64
+	StallSeconds float64
+	Bytes        int64
 }
 
 // StageProfile is one row of the pipeline cost table (the "Pipeline

@@ -177,6 +177,10 @@ func mdProfile(b *strings.Builder, e *env) {
 	}
 	fmt.Fprintf(b, "| **total** | %d | %d | %.4f | %.4f | %.4f | %.4f | — |\n\n",
 		recs, batches, add, merge, fin, wall)
+	if ck := r.ProfileCheckpoints; ck.Cuts > 0 {
+		fmt.Fprintf(b, "Checkpoints: %d cuts kept ingest waiting %.4f s in all and wrote %.2f MB.\n\n",
+			ck.Cuts, ck.StallSeconds, float64(ck.Bytes)/1e6)
+	}
 }
 
 // mdQuality writes the Data Quality section: how dirty the input was

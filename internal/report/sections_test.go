@@ -151,3 +151,26 @@ func TestMarkdownPreprocessingCountsOutOfPeriod(t *testing.T) {
 		t.Errorf("Preprocessing table lacks the out-of-period row:\n%s", doc)
 	}
 }
+
+// TestProfileCheckpointsLine: a report of a run that checkpointed says
+// what the cuts cost in both formats — in the text form on the line
+// before the profile block's blank line — and one that did not says
+// nothing.
+func TestProfileCheckpointsLine(t *testing.T) {
+	r, ctx := buildReport(t)
+	plain := text(t, "", Options{})
+	if strings.Contains(plain, "checkpoints ") || strings.Contains(Render(r, ctx, Options{}), "Checkpoints:") {
+		t.Fatal("a run without cuts renders a checkpoints line")
+	}
+	r.ProfileCheckpoints = analysis.CheckpointProfile{Cuts: 16, StallSeconds: 0.0731, Bytes: 25_420_000}
+	var b strings.Builder
+	if err := Text(&b, r, ctx, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\ncheckpoints 16, stalled 0.0731 s, written 25.42 MB\n\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("text report lacks %q:\n%s", want, b.String())
+	}
+	if want := "Checkpoints: 16 cuts kept ingest waiting 0.0731 s in all and wrote 25.42 MB.\n"; !strings.Contains(Render(r, ctx, Options{}), want) {
+		t.Errorf("markdown report lacks %q", want)
+	}
+}

@@ -231,7 +231,9 @@ func textCarriers(b *strings.Builder, e *env) {
 // concurrent workers and its column sums their seconds; merge and
 // finalize ran once, after them. The title line stays as it is — tools
 // that cut the timing-bearing block out of a report anchor on it — so
-// the worker count ends the column line.
+// the worker count ends the column line. A run that checkpointed says
+// below the table what its cuts cost: how long they kept ingest waiting
+// and what they wrote.
 func textProfile(b *strings.Builder, e *env) {
 	workers := e.r.ProfileWorkers
 	fmt.Fprintln(b, "== Pipeline profile ==")
@@ -245,7 +247,12 @@ func textProfile(b *strings.Builder, e *env) {
 		merge += p.MergeSeconds
 		fin += p.FinalizeSeconds
 	}
-	fmt.Fprintf(b, "%-10s %12s %8s %10.4f %10.4f %10.4f\n\n", "total", "", "", add, merge, fin)
+	fmt.Fprintf(b, "%-10s %12s %8s %10.4f %10.4f %10.4f\n", "total", "", "", add, merge, fin)
+	// Inside the block, before its blank line: the tools cut to there.
+	if ck := e.r.ProfileCheckpoints; ck.Cuts > 0 {
+		fmt.Fprintf(b, "checkpoints %d, stalled %.4f s, written %.2f MB\n", ck.Cuts, ck.StallSeconds, float64(ck.Bytes)/1e6)
+	}
+	fmt.Fprintln(b)
 }
 
 // stageRate formats a stage's records per second of the elapsed time

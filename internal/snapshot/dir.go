@@ -34,33 +34,64 @@ var FS = struct {
 
 // WriteFile makes path durably hold what write produces, or leaves it
 // as it was. It is one attempt at: create path+".tmp", write, fsync,
-// close, rename over path. A failure at any step removes the temp file
-// and comes back unwrapped, so a caller with a retry policy can
-// classify it; until the rename succeeds path is untouched, and after
-// it path is the complete new file. The parent directory is not
-// fsynced (DESIGN §2.2). Returns the number of bytes written.
+// close, rename over path — WriteTemp, then Commit. A failure at any
+// step removes the temp file and comes back unwrapped, so a caller with
+// a retry policy can classify it; until the rename succeeds path is
+// untouched, and after it path is the complete new file. The parent
+// directory is not fsynced (DESIGN §2.2). Returns the number of bytes
+// written.
 func WriteFile(path string, write func(io.Writer) error) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := FS.Create(tmp)
+	t, err := WriteTemp(path, write)
 	if err != nil {
 		return 0, err
 	}
-	cw := written{w: f}
-	err = write(&cw)
-	if err == nil {
-		err = f.Sync()
+	return t.Commit()
+}
+
+// Temp is the first half of a durable write: path+".tmp", written and
+// still open. Commit is the second half. Between the two path is
+// untouched, so a writer whose state must stand still only while it is
+// being written can let go of it after WriteTemp and Commit elsewhere;
+// every Temp must be committed.
+type Temp struct {
+	f    File
+	path string
+	n    int64
+}
+
+// WriteTemp creates path+".tmp" and writes it. A failure of either step
+// removes the temp file.
+func WriteTemp(path string, write func(io.Writer) error) (*Temp, error) {
+	f, err := FS.Create(path + ".tmp")
+	if err != nil {
+		return nil, err
 	}
-	if cerr := f.Close(); err == nil {
+	cw := written{w: f}
+	if err := write(&cw); err != nil {
+		f.Close()
+		os.Remove(path + ".tmp")
+		return nil, err
+	}
+	return &Temp{f: f, path: path, n: cw.n}, nil
+}
+
+// Commit makes the temp file the file: fsync, close, rename over the
+// path. A failure of any step removes the temp file and leaves the path
+// as it was. Returns the number of bytes written.
+func (t *Temp) Commit() (int64, error) {
+	tmp := t.path + ".tmp"
+	err := t.f.Sync()
+	if cerr := t.f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		err = FS.Rename(tmp, path)
+		err = FS.Rename(tmp, t.path)
 	}
 	if err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}
-	return cw.n, nil
+	return t.n, nil
 }
 
 // written counts the bytes that reached the file.

@@ -177,28 +177,74 @@ func failStep(step string) (restore func()) {
 	return func() { FS = orig }
 }
 
+// TestWriteFileFaultAtEveryStep fails each step of a durable write in
+// turn, under both of its spellings — WriteFile, and WriteTemp followed
+// by Commit, as a writer that lets go of its state in between calls
+// them: the error comes back, no temp file is left and the previous
+// file stands.
 func TestWriteFileFaultAtEveryStep(t *testing.T) {
+	halves := func(path string, write func(io.Writer) error) (int64, error) {
+		tmp, err := WriteTemp(path, write)
+		if err != nil {
+			return 0, err
+		}
+		return tmp.Commit()
+	}
 	for _, step := range []string{"create", "write", "fsync", "close", "rename"} {
 		t.Run(step, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "state.snap")
-			if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			defer failStep(step)()
-			n, err := WriteFile(path, func(w io.Writer) error {
-				_, err := w.Write([]byte("replacement"))
-				return err
-			})
-			if !errors.Is(err, errInjected) || n != 0 {
-				t.Fatalf("WriteFile = %d, %v; want 0 and the injected fault", n, err)
-			}
-			if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("temp file left behind (stat err %v)", err)
-			}
-			if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
-				t.Fatalf("previous file now reads %q, %v", got, err)
+			for name, write := range map[string]func(string, func(io.Writer) error) (int64, error){
+				"whole": WriteFile, "halves": halves,
+			} {
+				t.Run(name, func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "state.snap")
+					if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					defer failStep(step)()
+					n, err := write(path, func(w io.Writer) error {
+						_, err := w.Write([]byte("replacement"))
+						return err
+					})
+					if !errors.Is(err, errInjected) || n != 0 {
+						t.Fatalf("write = %d, %v; want 0 and the injected fault", n, err)
+					}
+					if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+						t.Fatalf("temp file left behind (stat err %v)", err)
+					}
+					if got, err := os.ReadFile(path); err != nil || string(got) != "previous" {
+						t.Fatalf("previous file now reads %q, %v", got, err)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestWriteTempLeavesThePathAlone: between the halves the path is what
+// it was and the temp file is complete; Commit swaps them.
+func TestWriteTempLeavesThePathAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	if err := os.WriteFile(path, []byte("previous"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := WriteTemp(path, func(w io.Writer) error { _, err := w.Write([]byte("replacement")); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "previous" {
+		t.Fatalf("path reads %q before Commit", got)
+	}
+	if got, _ := os.ReadFile(path + ".tmp"); string(got) != "replacement" {
+		t.Fatalf("temp file reads %q before Commit", got)
+	}
+	if n, err := tmp.Commit(); err != nil || n != int64(len("replacement")) {
+		t.Fatalf("Commit = %d, %v", n, err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "replacement" {
+		t.Fatalf("path reads %q after Commit", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file outlived Commit (stat err %v)", err)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // ErrBadSnapshot marks a snapshot stream that is malformed or corrupt:
@@ -292,14 +293,13 @@ func (d *Decoder) Len(max int) int {
 // ---------------------------------------------------------------------------
 // Frame container writer
 
-// Writer emits a snapshot frame stream. Frames buffer in memory until
-// End so each carries an exact length prefix and CRC. Like the
-// encoders, Writer latches the first error; Close reports it.
+// Writer emits a snapshot frame stream. A frame opened with Begin
+// buffers in memory until End so it carries an exact length prefix and
+// CRC. Like the encoders, Writer latches the first error; Close reports
+// it.
 type Writer struct {
 	dst    io.Writer
-	frame  bytes.Buffer
-	enc    *Encoder
-	name   string
+	frame  Frames // the frame Begin opened
 	closed bool
 	err    error
 }
@@ -308,7 +308,6 @@ type Writer struct {
 // version immediately.
 func NewWriter(dst io.Writer) *Writer {
 	w := &Writer{dst: dst}
-	w.enc = NewEncoder(&w.frame)
 	if _, err := dst.Write(magic[:]); err != nil {
 		w.err = err
 		return w
@@ -324,36 +323,20 @@ func NewWriter(dst io.Writer) *Writer {
 // Begin opens a named frame and returns the encoder for its payload.
 // Frames do not nest; Begin before End of the previous frame panics
 // (a programming bug, not a data condition).
-func (w *Writer) Begin(name string) *Encoder {
-	if w.name != "" {
-		panic(fmt.Sprintf("snapshot: Begin(%q) inside open frame %q", name, w.name))
-	}
-	if name == "" || len(name) > maxNameLen {
-		panic(fmt.Sprintf("snapshot: bad frame name %q", name))
-	}
-	w.name = name
-	w.frame.Reset()
-	return w.enc
-}
+func (w *Writer) Begin(name string) *Encoder { return w.frame.Begin(name) }
 
 // End closes the open frame and writes it to the stream.
 func (w *Writer) End() {
-	if w.name == "" {
-		panic("snapshot: End without Begin")
-	}
-	name := w.name
-	w.name = ""
-	if w.err == nil {
-		w.err = w.enc.Err()
-	}
-	w.writeFrame(name, w.frame.Bytes())
+	w.frame.End()
+	w.Append(&w.frame)
+	w.frame.Reset()
 }
 
 // RawFrame writes a frame with an externally encoded payload — the
 // path the analysis layer uses for accumulator SnapshotTo output.
 func (w *Writer) RawFrame(name string, payload []byte) {
-	if w.name != "" {
-		panic(fmt.Sprintf("snapshot: RawFrame(%q) inside open frame %q", name, w.name))
+	if w.frame.name != "" {
+		panic(fmt.Sprintf("snapshot: RawFrame(%q) inside open frame %q", name, w.frame.name))
 	}
 	if name == "" || len(name) > maxNameLen {
 		panic(fmt.Sprintf("snapshot: bad frame name %q", name))
@@ -365,8 +348,7 @@ func (w *Writer) writeFrame(name string, payload []byte) {
 	if w.err != nil {
 		return
 	}
-	if len(payload) > maxFrameLen {
-		w.err = fmt.Errorf("snapshot: frame %q payload %d bytes exceeds limit", name, len(payload))
+	if w.err = checkFrameLen(name, len(payload)); w.err != nil {
 		return
 	}
 	e := NewEncoder(w.dst)
@@ -384,20 +366,133 @@ func (w *Writer) writeFrame(name string, payload []byte) {
 	w.err = e.Err()
 }
 
+// checkFrameLen refuses a payload longer than a reader would accept.
+func checkFrameLen(name string, n int) error {
+	if n > maxFrameLen {
+		return fmt.Errorf("snapshot: frame %q payload %d bytes exceeds limit", name, n)
+	}
+	return nil
+}
+
+// Append writes frames that were encoded elsewhere, a Frames buffer's
+// contents, to the stream as they are; the buffer's error becomes the
+// writer's.
+func (w *Writer) Append(f *Frames) {
+	if w.frame.name != "" {
+		panic(fmt.Sprintf("snapshot: Append inside open frame %q", w.frame.name))
+	}
+	if w.err == nil {
+		w.err = f.Err()
+	}
+	if w.err == nil {
+		_, w.err = w.dst.Write(f.buf)
+	}
+}
+
 // Close writes the end marker and returns the first error seen. The
 // writer is unusable afterwards.
 func (w *Writer) Close() error {
 	if w.closed {
 		return errors.New("snapshot: writer already closed")
 	}
-	if w.name != "" {
-		panic(fmt.Sprintf("snapshot: Close inside open frame %q", w.name))
+	if w.frame.name != "" {
+		panic(fmt.Sprintf("snapshot: Close inside open frame %q", w.frame.name))
 	}
 	w.closed = true
 	if w.err == nil {
 		_, w.err = w.dst.Write([]byte{0})
 	}
 	return w.err
+}
+
+// ---------------------------------------------------------------------------
+// Frames encoded in memory
+
+// Frames is a buffer of complete frames, byte for byte what a Writer
+// puts on its stream for them, built without a second buffer: Begin
+// lays the frame header down with room for the longest length prefix a
+// payload may have, the payload is written in place behind it (Frames
+// is the io.Writer, or use the Encoder Begin returns), and End, once
+// length and checksum are known, closes the gap with one copy. It is
+// how a set of accumulators is encoded away from the stream it will
+// join (Writer.Append), by whoever owns it. The zero value is ready to
+// use; like Writer it latches its first error.
+type Frames struct {
+	buf     []byte
+	enc     Encoder
+	name    string
+	header  int // where the open frame's length prefix starts
+	payload int // where its payload starts
+	err     error
+}
+
+// maxLenPrefix is the width of the longest payload length prefix.
+const maxLenPrefix = (31 + 6) / 7 // uvarint(maxFrameLen), which has 31 bits
+
+// Grow makes room for n more bytes.
+func (f *Frames) Grow(n int) { f.buf = slices.Grow(f.buf, n) }
+
+// Len returns the number of bytes buffered.
+func (f *Frames) Len() int { return len(f.buf) }
+
+// Reset empties the buffer, keeping its memory and its error.
+func (f *Frames) Reset() { f.buf = f.buf[:0] }
+
+// Err returns the first error seen, or nil.
+func (f *Frames) Err() error { return f.err }
+
+// Write appends to the open frame's payload. A full buffer doubles, as
+// a bytes.Buffer does: append's own growth, a quarter at a time once a
+// slice is large, would copy a payload that outgrew Grow's estimate
+// several times over.
+func (f *Frames) Write(p []byte) (int, error) {
+	n := len(f.buf)
+	if len(p) > cap(f.buf)-n {
+		f.Grow(max(len(p), cap(f.buf)))
+	}
+	f.buf = f.buf[:n+len(p)]
+	copy(f.buf[n:], p)
+	return len(p), nil
+}
+
+// Begin opens a named frame behind the ones already buffered and
+// returns an encoder for its payload. Frames do not nest.
+func (f *Frames) Begin(name string) *Encoder {
+	if f.name != "" {
+		panic(fmt.Sprintf("snapshot: Begin(%q) inside open frame %q", name, f.name))
+	}
+	if name == "" || len(name) > maxNameLen {
+		panic(fmt.Sprintf("snapshot: bad frame name %q", name))
+	}
+	f.name = name
+	f.buf = binary.AppendUvarint(f.buf, uint64(len(name)))
+	f.buf = append(f.buf, name...)
+	f.header = len(f.buf)
+	f.buf = append(f.buf, make([]byte, maxLenPrefix+crc32.Size)...)
+	f.payload = len(f.buf)
+	f.enc = Encoder{w: f}
+	return &f.enc
+}
+
+// End closes the open frame: the length prefix at its real width, the
+// checksum, and the payload moved up against them.
+func (f *Frames) End() {
+	if f.name == "" {
+		panic("snapshot: End without Begin")
+	}
+	name := f.name
+	f.name = ""
+	payload := f.buf[f.payload:]
+	if err := checkFrameLen(name, len(payload)); err != nil {
+		if f.err == nil {
+			f.err = err
+		}
+		return
+	}
+	sum := crc32.Update(crc32.ChecksumIEEE([]byte(name)), crc32.IEEETable, payload)
+	head := binary.AppendUvarint(f.buf[:f.header], uint64(len(payload)))
+	head = binary.LittleEndian.AppendUint32(head, sum)
+	f.buf = head[:len(head)+copy(f.buf[len(head):], payload)]
 }
 
 // ---------------------------------------------------------------------------

@@ -328,3 +328,92 @@ func TestForgedLengthDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestFramesMatchRawFrame: a payload written in place behind its header
+// comes out as the bytes RawFrame writes for it, at every width its
+// length prefix can take — the gap Begin leaves for the longest one is
+// closed whatever is left of it — alone, behind other frames, written
+// whole or through the frame's encoder in pieces; and the buffer joins
+// a stream through Append as if the frames had been written there.
+func TestFramesMatchRawFrame(t *testing.T) {
+	var all Frames
+	var want bytes.Buffer
+	ww := NewWriter(&want)
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + n)
+		}
+		name := "stage:" + string(rune('a'+n%26))
+		var one bytes.Buffer
+		w := NewWriter(&one)
+		w.RawFrame(name, payload)
+		if w.err != nil {
+			t.Fatal(w.err)
+		}
+		frame := one.Bytes()[len(magic)+1:] // past the magic and the version
+
+		var f Frames
+		f.Begin(name)
+		f.Write(payload)
+		f.End()
+		if f.Err() != nil || !bytes.Equal(f.buf, frame) {
+			t.Fatalf("payload of %d bytes: in-place frame (%d bytes, err %v) differs from RawFrame's (%d bytes)", n, f.Len(), f.Err(), len(frame))
+		}
+
+		// Behind the frames before it, a byte at a time through the encoder.
+		before := all.Len()
+		e := all.Begin(name)
+		for _, b := range payload {
+			e.write([]byte{b})
+		}
+		all.End()
+		if !bytes.Equal(all.buf[before:], frame) {
+			t.Fatalf("payload of %d bytes: frame appended behind %d bytes differs from RawFrame's", n, before)
+		}
+		ww.RawFrame(name, payload)
+	}
+	var got bytes.Buffer
+	gw := NewWriter(&got)
+	gw.Append(&all)
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ww.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a stream of appended frames differs from the stream RawFrame wrote")
+	}
+
+	// Reset empties the buffer for the next frame and keeps its memory.
+	all.Reset()
+	if all.Len() != 0 || cap(all.buf) == 0 {
+		t.Fatalf("after Reset: %d bytes buffered, capacity %d", all.Len(), cap(all.buf))
+	}
+}
+
+// TestFrameLengthLimit: both ways of writing a frame refuse a payload
+// over the limit a reader accepts through one check, and a Frames
+// buffer that has refused one poisons the stream it is appended to. The
+// limit is a gibibyte, so the payload is not built: the check is asked.
+func TestFrameLengthLimit(t *testing.T) {
+	if err := checkFrameLen("stage:x", maxFrameLen); err != nil {
+		t.Fatalf("payload at the limit refused: %v", err)
+	}
+	over := checkFrameLen("stage:x", maxFrameLen+1)
+	if over == nil {
+		t.Fatal("payload over the limit accepted")
+	}
+	f := Frames{err: over}
+	var out bytes.Buffer
+	w := NewWriter(&out)
+	headerLen := out.Len()
+	w.Append(&f)
+	if err := w.Close(); !errors.Is(err, over) {
+		t.Fatalf("Close after appending a refused buffer: %v", err)
+	}
+	if out.Len() != headerLen {
+		t.Fatal("a refused buffer still reached the stream")
+	}
+}

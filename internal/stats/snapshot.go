@@ -2,8 +2,8 @@ package stats
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sync"
 
 	"cellcars/internal/snapshot"
 )
@@ -71,7 +71,8 @@ func (h *LogHist) Restore(d *snapshot.Decoder) {
 // Snapshot serializes the bottom-k sample. Items are emitted in
 // ascending (key, value) order so equal samples encode identically
 // regardless of internal form or heap layout: a run is that order
-// already, a heap gets it from canonicalOrder.
+// already, and a heap is put into the reverse of it where it lies
+// (sortHeapDescending) and written from the back.
 func (s *Sample) Snapshot(e *snapshot.Encoder) {
 	e.Uvarint(uint64(s.k))
 	e.Varint(s.n)
@@ -83,71 +84,92 @@ func (s *Sample) Snapshot(e *snapshot.Encoder) {
 		}
 		return
 	}
-	sc := orderPool.Get().(*orderScratch)
-	for _, i := range s.canonicalOrder(sc) {
+	sortHeapDescending(s.items)
+	for i := len(s.items) - 1; i >= 0; i-- {
 		e.Uvarint(s.items[i].key)
 		e.F64(s.items[i].val)
 	}
-	orderPool.Put(sc)
 }
 
-// orderScratch is the pair of index arrays canonicalOrder sorts
-// between. Pooled, not kept on the Sample: a full duration sample's
-// pair is 256 KiB, and a query store holds one sample per hourly
-// bucket.
-type orderScratch struct{ a, b []uint32 }
+// insertionSortMax is the most items sortHeapDescending orders by
+// insertion: a whole sample that short, or one radix bucket of a longer
+// one — keys that are hashes leave eight items in a bucket.
+const insertionSortMax = 48
 
-var orderPool = sync.Pool{New: func() any { return new(orderScratch) }}
-
-// canonicalOrder returns the indexes of s.items in ascending (key,
-// value) order, leaving the heap untouched: an LSD radix sort of the
-// indexes on the eight key bytes, then each run of equal keys ordered by
-// value. The result aliases sc.
-func (s *Sample) canonicalOrder(sc *orderScratch) []uint32 {
-	items, n := s.items, len(s.items)
-	if n == 0 {
-		return nil
+// sortHeapDescending orders a max-heap's items by (key, value), largest
+// first, in place and without scratch. A descending array is a max-heap
+// — every parent precedes its children — so the sorted sample is still
+// the heap Add needs, and its snapshot order is the array read
+// backwards; an index sort beside the heap would leave it alone at the
+// price of two index arrays, 256 KiB for a full duration sample, live
+// at the moment every worker of an engine encodes its set. One MSD
+// radix pass (American flag: count, then cycle each item into its
+// bucket) over the bits just below the largest key — for a full sample
+// selectBits of them, the histogram mergeSelect cuts with — leaves
+// buckets of a few items each, which an insertion sort finishes; a bucket an adversary filled with equal keys
+// goes to a comparison sort, which costs time, not correctness. A heap
+// sorted at the last cut that has taken few Adds since is mostly in
+// place already, and both passes then run at their best.
+func sortHeapDescending(items []sampleItem) {
+	if len(items) <= insertionSortMax {
+		insertionSortDescending(items)
+		return
 	}
-	if cap(sc.a) < n {
-		sc.a, sc.b = make([]uint32, n), make([]uint32, n)
+	// As many radix bits as leave about eight items a bucket, selectBits
+	// at most: the hourly samples a query store encodes hold a few hundred
+	// items, and walking 4 096 buckets for them would cost more than the
+	// sort. The root holds the largest key.
+	radix := min(bits.Len(uint(len(items)))-3, selectBits)
+	shift := max(bits.Len64(items[0].key)-radix, 0)
+	// next[b] is where bucket b's next item goes, end[b] where the
+	// bucket stops; the largest keys come first.
+	var nextAll, endAll [1 << selectBits]int32
+	next, end := nextAll[:1<<radix], endAll[:1<<radix]
+	for _, it := range items {
+		end[it.key>>shift]++
 	}
-	src, dst := sc.a[:n], sc.b[:n]
-	var count [8][256]uint32
-	for i, it := range items {
-		src[i] = uint32(i)
-		for d := range count {
-			count[d][byte(it.key>>(8*d))]++
+	var sum int32
+	for b := len(end) - 1; b >= 0; b-- {
+		next[b] = sum
+		sum += end[b]
+		end[b] = sum
+	}
+	for b := len(end) - 1; b >= 0; b-- {
+		for i := next[b]; i < end[b]; i = next[b] {
+			it := items[i]
+			for d := it.key >> shift; d != uint64(b); d = it.key >> shift {
+				items[next[d]], it = it, items[next[d]]
+				next[d]++
+			}
+			items[i] = it
+			next[b]++
 		}
 	}
-	for d := range count {
-		c, shift := &count[d], 8*d
-		if c[byte(items[0].key>>shift)] == uint32(n) {
-			continue // every key has the same byte here
-		}
-		var sum uint32
-		for b, cnt := range c {
-			c[b], sum = sum, sum+cnt
-		}
-		for _, i := range src {
-			b := byte(items[i].key >> shift)
-			dst[c[b]] = i
-			c[b]++
-		}
-		src, dst = dst, src
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && items[src[hi]].key == items[src[lo]].key {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortFunc(src[lo:hi], func(a, b uint32) int {
-				return cmp.Compare(items[a].val, items[b].val)
+	lo := 0
+	for b := len(end) - 1; b >= 0; b-- {
+		bucket := items[lo:end[b]]
+		lo = int(end[b])
+		if len(bucket) > insertionSortMax {
+			slices.SortFunc(bucket, func(a, b sampleItem) int {
+				if c := cmp.Compare(b.key, a.key); c != 0 {
+					return c
+				}
+				return cmp.Compare(b.val, a.val)
 			})
+			continue
 		}
-		lo = hi
+		insertionSortDescending(bucket)
 	}
-	return src
+}
+
+func insertionSortDescending(items []sampleItem) {
+	for i := 1; i < len(items); i++ {
+		it, j := items[i], i
+		for ; j > 0 && itemLess(items[j-1], it); j-- {
+			items[j] = items[j-1]
+		}
+		items[j] = it
+	}
 }
 
 // Restore replaces s with state written by Snapshot, kept as the

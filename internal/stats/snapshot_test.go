@@ -3,7 +3,10 @@ package stats
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -186,6 +189,138 @@ func TestSampleSnapshotMatchesComparisonSort(t *testing.T) {
 			restored.Snapshot(snapshot.NewEncoder(&again))
 			if !bytes.Equal(again.Bytes(), got.Bytes()) {
 				t.Fatal("restored sample re-encodes differently")
+			}
+		})
+	}
+}
+
+// isMaxHeap reports whether every item is no smaller than its children.
+func isMaxHeap(items []sampleItem) bool {
+	for i := 1; i < len(items); i++ {
+		if itemLess(items[(i-1)/2], items[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSampleSnapshotSortsInPlace: a heap's Snapshot orders the items
+// where they lie. For keys that are hashes, keys that collide under
+// differing values, one key for every item, keys below the radix
+// histogram's size and keys that share their leading bits (one radix
+// bucket, the comparison sort's case), at 0, 1, k − 1 and k items and
+// past k, the bytes are the comparison sort's — and the sample is still
+// a heap: it takes further Adds as a twin that was never snapshotted
+// does, to the same n, Values and later Snapshot bytes.
+func TestSampleSnapshotSortsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 29))
+	keys := []struct {
+		name string
+		key  func() uint64
+	}{
+		{"hashed", rng.Uint64},
+		{"colliding", func() uint64 { return rng.Uint64N(40) << 40 }},
+		{"all equal", func() uint64 { return 7 << 50 }},
+		{"below 4096", func() uint64 { return rng.Uint64N(1 << selectBits) }},
+		{"single bucket", func() uint64 { return 0xABC<<52 | rng.Uint64N(1<<20) }},
+	}
+	const k = 300
+	for _, kc := range keys {
+		for _, n := range []int{0, 1, k - 1, k, 5 * k} {
+			t.Run(fmt.Sprintf("%s/n=%d", kc.name, n), func(t *testing.T) {
+				s, twin := NewSample(k), NewSample(k)
+				add := func(count int) {
+					for i := 0; i < count; i++ {
+						key, v := kc.key(), float64(rng.IntN(7))
+						s.Add(key, v)
+						twin.Add(key, v)
+					}
+				}
+				add(n)
+				for round := 0; round < 3; round++ {
+					var got, want bytes.Buffer
+					s.Snapshot(snapshot.NewEncoder(&got))
+					referenceSampleSnapshot(twin, snapshot.NewEncoder(&want))
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Fatalf("round %d: in-place order differs from the comparison sort's", round)
+					}
+					if s.run || !isMaxHeap(s.items) {
+						t.Fatalf("round %d: Snapshot left the sample something other than a heap", round)
+					}
+					add(1 + rng.IntN(2*k))
+					if s.n != twin.n || !reflect.DeepEqual(s.Values(), twin.Values()) {
+						t.Fatalf("round %d: adds after a Snapshot diverge from a sample never snapshotted", round)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzSampleOrder: for any items — 16 input bytes each, key then value —
+// offered to a sample of k in 1..64, the in-place order is the
+// comparison sort's and leaves a heap. Values that are NaN or a signed
+// zero are skipped: (key, value) does not order them, so no two sorts
+// need agree on their bytes.
+func FuzzSampleOrder(f *testing.F) {
+	f.Add(uint8(3), []byte("0123456789abcdef0123456789abcdeg0123456789abcdef"))
+	f.Add(uint8(63), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 7, 0x40, 0x59, 0, 0, 0, 0, 0, 0}, 80))
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		s := NewSample(1 + int(k)%64)
+		for ; len(data) >= 16; data = data[16:] {
+			v := math.Float64frombits(binary.BigEndian.Uint64(data[8:]))
+			if v != v || v == 0 {
+				continue
+			}
+			s.Add(binary.BigEndian.Uint64(data), v)
+		}
+		var got, want bytes.Buffer
+		referenceSampleSnapshot(s, snapshot.NewEncoder(&want))
+		s.Snapshot(snapshot.NewEncoder(&got))
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("in-place order of %d items differs from the comparison sort's", len(s.items))
+		}
+		if !isMaxHeap(s.items) {
+			t.Fatal("sorted sample is not a heap")
+		}
+	})
+}
+
+// BenchmarkSampleSnapshot encodes one full duration-sized sample (k =
+// 32 768, three times that offered) in heap form, as every cut of a
+// long run does per worker set: fresh is a heap no Snapshot has sorted
+// yet, re-sorted one that was sorted at the last cut and has taken
+// 2 000 Adds since.
+func BenchmarkSampleSnapshot(b *testing.B) {
+	const k = 1 << 15
+	rng := rand.New(rand.NewPCG(30, 30))
+	full := NewSample(k)
+	for i := 0; i < 3*k; i++ {
+		full.Add(rng.Uint64(), float64(rng.IntN(600)))
+	}
+	var sink bytes.Buffer
+	sink.Grow(20 * k)
+	s := &Sample{k: k, items: make([]sampleItem, 0, k)}
+	for _, bc := range []struct {
+		name  string
+		reset func()
+	}{
+		{"heap/fresh", func() { s.n, s.items = full.n, append(s.items[:0], full.items...) }},
+		{"heap/re-sorted", func() {
+			for i := 0; i < 2000; i++ {
+				s.Add(rng.Uint64()>>2, float64(rng.IntN(600)))
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e := snapshot.NewEncoder(&sink)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bc.reset()
+				sink.Reset()
+				b.StartTimer()
+				s.Snapshot(e)
 			}
 		})
 	}
