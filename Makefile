@@ -26,7 +26,9 @@ bench-check:
 # 1 600-car fleet; one full duration sample merged into another, which
 # each worker past the first costs the serial tail, and one encoded from
 # heap form, which every set costs every cut;
-# the restore-and-fold of a full-window miss on the 400-car serve fleet;
+# the restore-and-fold of a full-window miss on the 400-car serve fleet,
+# and that fleet's cold drain through the query store as carqueryd runs
+# it (ns per record, the store mutex each cut holds, bytes allocated);
 # and what one foreign row costs a shard worker, skipped below the parse
 # against the FilterFunc pipeline it replaced, per codec.
 # For working on the hot path, not for claims: a gain is claimed from
@@ -36,7 +38,7 @@ bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
 	$(GO) test -run='^$$' -bench='^(BenchmarkSampleMerge|BenchmarkSampleSnapshot)$$' -benchmem -count=5 ./internal/stats
 	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
-	$(GO) test -run='^$$' -bench='^BenchmarkWindowFold$$' -benchmem -count=5 ./internal/query
+	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
 
 test:
@@ -45,10 +47,13 @@ test:
 # The second line runs the engine's dispatcher tests again at one proc,
 # where an engine left to size itself starts one worker (the path every
 # run took before -workers defaulted to the machine), and at four, more
-# than the CI box has.
+# than the CI box has. The third does the same for the query store's
+# cuts: one proc takes the inline encode, four runs more encoders than
+# the box has CPUs.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis
+	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed' ./internal/query
 
 # The coordinator fault-tolerance suite under the race detector:
 # workers killed mid-stream, hung until speculation or timeout,

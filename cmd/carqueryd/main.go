@@ -9,9 +9,9 @@
 //	curl localhost:8080/report/handovers?window=24h
 //
 // Durability: with -snapshots, the daemon writes consistent cuts of
-// every live bucket periodically and on SIGTERM, and a restart warm
-// starts from the newest valid cut, replaying only the post-watermark
-// tail of its inputs. A SIGTERM exit is graceful: in-flight requests
+// every live bucket periodically (written behind ingest), at EOF and
+// on SIGTERM, and a restart warm starts from the newest valid cut,
+// replaying only the post-watermark tail of its inputs. A SIGTERM exit is graceful: in-flight requests
 // drain, then a final cut, then exit 0.
 //
 // Observability: every stdout line is one structured JSON log record
@@ -260,10 +260,13 @@ func main() {
 		ingestSpan.AddRecords(1)
 		sinceCut++
 		if dir != nil && *snapEvery > 0 && sinceCut >= *snapEvery {
-			// A periodic cut failure is survivable — serving continues
+			// Ingest waits for the encode only; the file is written
+			// behind it, and joined by the next cut, EOF or SIGTERM. A
+			// periodic cut failure is survivable — serving continues
 			// from memory — so it degrades /readyz (snapshot_cuts rule)
-			// instead of killing the daemon.
-			if _, err := store.Checkpoint(); err != nil {
+			// as it lands, and is logged here one cut later, instead of
+			// killing the daemon.
+			if err := store.CheckpointBehind(); err != nil {
 				logger.Error("periodic cut failed", "err", err.Error())
 			}
 			sinceCut = 0

@@ -255,10 +255,12 @@ func (d *daemon) terminate(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// All stdout read into d.out first: Wait closes the pipe, and a
+	// read still pending then loses the last lines.
+	<-d.eof
 	if err := d.cmd.Wait(); err != nil {
 		t.Fatalf("carqueryd did not exit cleanly on SIGTERM: %v", err)
 	}
-	<-d.eof // all stdout flushed into d.out
 }
 
 func (d *daemon) get(t *testing.T, path string) (int, []byte) {

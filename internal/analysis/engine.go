@@ -385,6 +385,8 @@ type accumSet struct {
 	stages []Accumulator
 	errs   []StageError
 
+	// batch is allocated by the first add: a set restored only to be
+	// merged or validated never takes a record.
 	batch []cdr.Record
 
 	// frameHint is the longest frame the set has written to a snapshot,
@@ -410,7 +412,6 @@ func emptyAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
 	return &accumSet{
 		period: ctx.Period,
 		stages: make([]Accumulator, len(stageTable)),
-		batch:  make([]cdr.Record, 0, accumBatchSize),
 		met:    newSetMetrics(opts.Obs, worker),
 	}
 }
@@ -451,6 +452,9 @@ func (s *accumSet) add(r cdr.Record) {
 		return
 	}
 	s.accepted++
+	if s.batch == nil {
+		s.batch = make([]cdr.Record, 0, accumBatchSize)
+	}
 	s.batch = append(s.batch, r)
 	if len(s.batch) >= accumBatchSize {
 		s.flush()

@@ -20,11 +20,15 @@ import (
 //	"bucket:<i>"   bucket i's full Streaming snapshot stream, embedded
 //
 // Consistency comes from the encode step: every bucket's encoding is
-// refreshed under the store mutex in one critical section, so the
-// frames written afterwards describe a single instant of the ingest
-// even while records keep arriving. The same step seals every bucket
-// the live index has passed, and a sealed bucket's frame is the bytes
-// it already is. Roll-ups are not in a cut.
+// refreshed under the store mutex in one critical section (the dirty
+// ones on every core, refreshLocked), so the frames written afterwards
+// describe a single instant of the ingest even while records keep
+// arriving. The same step seals every bucket the live index has
+// passed, and a sealed bucket's frame is the bytes it already is. The
+// write streams those immutable encodings straight into the file: no
+// cut buffer is built, so it can run behind ingest (CheckpointBehind)
+// at the cost of no more memory than the store already holds.
+// Roll-ups are not in a cut.
 const (
 	cutHeaderFrame = "queryheader"
 	cutBucketPfx   = "bucket:"
@@ -35,31 +39,32 @@ const (
 var ErrNoSnapshots = errors.New("query: no snapshot directory configured")
 
 // cutState is one consistent encoding of the store, taken under the
-// lock and written outside it.
+// lock at start and written outside it.
 type cutState struct {
+	start     time.Time
 	watermark int64
 	live      int
 	idxs      []int
 	encs      [][]byte
 }
 
-func (s *Store) cutLocked() (cutState, error) {
-	st := cutState{watermark: s.watermark, live: s.live}
+func (s *Store) cutLocked() (*cutState, error) {
+	st := &cutState{watermark: s.watermark, live: s.live}
 	for idx := range s.buckets {
 		st.idxs = append(st.idxs, idx)
 	}
 	sort.Ints(st.idxs)
-	for _, idx := range st.idxs {
-		enc, err := s.encodeLocked(idx, s.buckets[idx])
-		if err != nil {
-			return cutState{}, err
-		}
-		st.encs = append(st.encs, enc)
+	if err := s.refreshLocked(st.idxs); err != nil {
+		return nil, err
+	}
+	st.encs = make([][]byte, len(st.idxs))
+	for i, idx := range st.idxs {
+		st.encs[i] = s.buckets[idx].encoded
 	}
 	return st, nil
 }
 
-func (s *Store) writeCut(w io.Writer, st cutState) error {
+func (s *Store) writeCut(w io.Writer, st *cutState) error {
 	sw := snapshot.NewWriter(w)
 	e := sw.Begin(cutHeaderFrame)
 	e.Varint(int64(s.width))
@@ -75,8 +80,11 @@ func (s *Store) writeCut(w io.Writer, st cutState) error {
 
 // Checkpoint writes one consistent cut of every live bucket to the
 // snapshot directory and prunes old cuts. It returns the new cut's
-// sequence number. Success and failure both update the freshness SLIs
-// (last-cut age/duration, last cut error, cut-failure counter).
+// sequence number once the cut is renamed into place. Success and
+// failure both update the freshness SLIs (last-cut age/duration, last
+// cut error, cut-failure counter). A write CheckpointBehind left in
+// flight is joined first; its outcome is in the SLIs already, and this
+// cut supersedes it.
 //
 // A store no record has reached since the last cut it wrote would write
 // the same bytes again — a periodic cut on the input's last record, the
@@ -88,25 +96,92 @@ func (s *Store) Checkpoint() (uint64, error) {
 	if s.snaps == nil {
 		return 0, ErrNoSnapshots
 	}
-	t0 := time.Now()
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	s.joinCut()
+	st, seq, err := s.encodeCut()
+	if st == nil {
+		return seq, err
+	}
+	return s.commitCut(st)
+}
+
+// CheckpointBehind is Checkpoint for an ingest loop: it returns once
+// the cut is encoded, and the cut's write, fsync and rename run on a
+// goroutine behind the caller's next records. At most one such write
+// is in flight — every Checkpoint, CheckpointBehind and Restore joins
+// it first — so a crash costs at most one cut interval more replay
+// than with Checkpoint. The SLIs, cut metrics and trace span are
+// updated when the write lands, and only a landed rename makes a state
+// "cut". It returns the joined write's error, so a failed periodic
+// cut is reported one cut later, together with any error of its own
+// encode.
+func (s *Store) CheckpointBehind() error {
+	if s.snaps == nil {
+		return ErrNoSnapshots
+	}
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	prev := s.joinCut()
+	st, _, err := s.encodeCut()
+	if st == nil {
+		return errors.Join(prev, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.commitCut(st)
+		done <- err
+	}()
+	s.pending = done
+	return prev
+}
+
+// joinCut waits for the cut write in flight, if there is one, and
+// returns its error. Callers hold cutMu, which the write never takes,
+// so the wait keeps the other cut-takers out without deadlocking.
+func (s *Store) joinCut() error {
+	if s.pending == nil {
+		return nil
+	}
+	err := <-s.pending
+	s.pending = nil
+	return err
+}
+
+// encodeCut encodes the store for a cut, holding the store mutex for
+// the encode alone — the time it observes as the cut's stall, and the
+// start of the cut. When the last cut this store wrote is of this very
+// state it encodes nothing and returns a nil state and that cut's
+// sequence number.
+func (s *Store) encodeCut() (*cutState, uint64, error) {
 	s.mu.Lock()
 	if s.cutAt == s.watermark {
 		seq := s.lastCutSeq
 		s.mu.Unlock()
-		return seq, nil
+		return nil, seq, nil
 	}
+	start := time.Now()
 	st, err := s.cutLocked()
 	s.mu.Unlock()
+	s.met.cutStall.Observe(time.Since(start))
 	if err != nil {
-		return 0, s.noteCutFailure(err)
+		return nil, 0, s.noteCutFailure(err)
 	}
+	st.start = start
+	return st, 0, nil
+}
+
+// commitCut writes an encoded cut through the snapshot directory and
+// records the outcome in the freshness SLIs: the cut's duration is
+// start → rename.
+func (s *Store) commitCut(st *cutState) (uint64, error) {
 	seq, err := s.snaps.WriteCut(func(w io.Writer) error {
 		return s.writeCut(w, st)
 	})
 	if err != nil {
 		return 0, s.noteCutFailure(err)
 	}
-	dur := time.Since(t0)
+	dur := time.Since(st.start)
 	s.met.cuts.Inc()
 	s.met.cutSeconds.Observe(dur)
 	s.trace.Emit("cut", dur, st.watermark)
@@ -217,6 +292,9 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	if s.snaps == nil {
 		return 0, false, ErrNoSnapshots
 	}
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	s.joinCut()
 	_, res, ok, err := s.snaps.LatestValid(func(_ uint64, r io.Reader) (any, error) {
 		return s.readCut(r)
 	})

@@ -431,6 +431,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// serveFleet is the benchmark's serve fleet: 400 generated cars over
+// 14 days, in start order.
+func serveFleet(b *testing.B) (analysis.Context, []cdr.Record) {
+	cfg := synth.DefaultConfig(400)
+	cfg.Period = simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14)
+	records, _, err := synth.NewWorld(cfg).GenerateAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return analysis.Context{Period: cfg.Period}, records
+}
+
 // BenchmarkWindowFold is what a full-window miss spends after its
 // operands are listed: the 14 d operand list of the benchmark's serve
 // fleet (400 generated cars over 14 days, drained; 13 day roll-ups and
@@ -438,14 +450,9 @@ func TestConfigValidation(t *testing.T) {
 // finalized. Profile it with
 // `go test -run '^$' -bench WindowFold -cpuprofile cpu.out ./internal/query`.
 func BenchmarkWindowFold(b *testing.B) {
-	cfg := synth.DefaultConfig(400)
-	cfg.Period = simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14)
-	records, _, err := synth.NewWorld(cfg).GenerateAll()
-	if err != nil {
-		b.Fatal(err)
-	}
+	ctx, records := serveFleet(b)
 	w := Window{Name: "14d", Span: 14 * 24 * time.Hour}
-	s, err := New(Config{Ctx: analysis.Context{Period: cfg.Period}, Windows: []Window{w}})
+	s, err := New(Config{Ctx: ctx, Windows: []Window{w}})
 	if err != nil {
 		b.Fatal(err)
 	}

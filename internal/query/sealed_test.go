@@ -197,9 +197,10 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 }
 
 // TestSealedStoreConcurrentAddAndReport is the -race half: in-order
-// and late Adds and cuts run against wide-window misses, roll-up
-// builds racing the invalidations, and the store still ends where the
-// reference does.
+// and late Adds and cuts — Checkpoint and CheckpointBehind in turn,
+// whose encodes run on every core — race wide-window misses, which
+// encode too, and roll-up builds race the invalidations; the store
+// still ends where the reference does.
 func TestSealedStoreConcurrentAddAndReport(t *testing.T) {
 	dir := &snapshot.Dir{Path: filepath.Join(t.TempDir(), "cuts"), Keep: 2}
 	s, err := New(Config{Ctx: queryCtx(4), Snapshots: dir,
@@ -242,11 +243,19 @@ func TestSealedStoreConcurrentAddAndReport(t *testing.T) {
 			s.Add(late)
 			ref.add(late)
 		}
-		if i%700 == 699 {
+		switch i % 1400 {
+		case 699:
+			if err := s.CheckpointBehind(); err != nil {
+				t.Fatal(err)
+			}
+		case 1399:
 			if _, err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	close(done)
 	readers.Wait()

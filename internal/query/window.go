@@ -83,30 +83,34 @@ func (s *Store) noteInvalidLocked() {
 }
 
 // windowOperands lists a window's operands at one instant of the
-// ingest, refreshing stale bucket encodings (and sealing passed
-// buckets) under the lock.
+// ingest, under the lock: it first refreshes every stale bucket
+// encoding of the window together (and seals the passed buckets) —
+// the buckets of memoised days are clean and sealed already, so they
+// cost a look — then lists the encodings and memoised roll-ups.
 func (s *Store) windowOperands(w Window) (ops []operand, epoch int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	epoch = s.live
-	for idx := max(0, s.live-int(w.Span/s.width)+1); idx <= s.live; {
+	first := max(0, s.live-int(w.Span/s.width)+1)
+	var idxs []int
+	for idx := first; idx <= s.live; idx++ {
+		if s.buckets[idx] != nil {
+			idxs = append(idxs, idx)
+		}
+	}
+	if err := s.refreshLocked(idxs); err != nil {
+		return nil, epoch, err
+	}
+	for idx := first; idx <= s.live; {
 		if s.perDay > 0 && idx%s.perDay == 0 && idx+s.perDay <= s.live {
-			op, err := s.dayOperandLocked(idx / s.perDay)
-			if err != nil {
-				return nil, epoch, err
-			}
-			if op.enc != nil || op.hours != nil {
+			if op := s.dayOperandLocked(idx / s.perDay); op.enc != nil || op.hours != nil {
 				ops = append(ops, op)
 			}
 			idx += s.perDay
 			continue
 		}
 		if b := s.buckets[idx]; b != nil {
-			enc, err := s.encodeLocked(idx, b)
-			if err != nil {
-				return nil, epoch, err
-			}
-			ops = append(ops, operand{enc: enc})
+			ops = append(ops, operand{enc: b.encoded})
 		}
 		idx++
 	}
@@ -114,26 +118,22 @@ func (s *Store) windowOperands(w Window) (ops []operand, epoch int, err error) {
 }
 
 // dayOperandLocked returns a whole passed day as one operand: its
-// memoised roll-up, or the encodings to build one from. A day without
-// buckets is the zero operand.
-func (s *Store) dayOperandLocked(day int) (operand, error) {
+// memoised roll-up, or the refreshed encodings to build one from. A
+// day without buckets is the zero operand.
+func (s *Store) dayOperandLocked(day int) operand {
 	op := operand{day: day}
 	if d := s.days[day]; d != nil {
 		if d.rollup != nil {
-			return operand{enc: d.rollup, overlaps: d.overlaps}, nil
+			return operand{enc: d.rollup, overlaps: d.overlaps}
 		}
 		op.gen = d.gen
 	}
 	for idx := day * s.perDay; idx < (day+1)*s.perDay; idx++ {
 		if b := s.buckets[idx]; b != nil {
-			enc, err := s.encodeLocked(idx, b)
-			if err != nil {
-				return operand{}, err
-			}
-			op.hours = append(op.hours, enc)
+			op.hours = append(op.hours, b.encoded)
 		}
 	}
-	return op, nil
+	return op
 }
 
 // buildRollup folds one day's hours into its roll-up, outside the
