@@ -50,6 +50,9 @@ func main() {
 	if err != nil {
 		fatal("bad -start date: %v", err)
 	}
+	if err := simtime.CheckPeriod(startDay, *days); err != nil {
+		fatal("bad study period: %v", err)
+	}
 	cfg := synth.DefaultConfig(*cars)
 	cfg.Seed = *seed
 	cfg.WorldSizeKm = *world

@@ -908,10 +908,12 @@ func (a *usageAcc) countSession(s *clean.Session) {
 }
 
 // markSessionHours marks every local hour-of-week a session touches,
-// once per session — the Figure 5 encoding.
+// once per session — the Figure 5 encoding. It is where a session's
+// clock first needs wall-clock time: once per closed session, not per
+// record.
 func markSessionHours(m *simtime.WeekMatrix, s *clean.Session, tzOffsetSeconds int) {
-	start := s.Start
-	end := s.End
+	start := time.Unix(0, s.Start).UTC()
+	end := time.Unix(0, s.End).UTC()
 	if end.Sub(start) > 7*24*time.Hour {
 		end = start.Add(7 * 24 * time.Hour) // cap runaway stuck sessions
 	}

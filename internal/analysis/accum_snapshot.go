@@ -3,6 +3,7 @@ package analysis
 import (
 	"cmp"
 	"io"
+	"math"
 	"slices"
 	"time"
 
@@ -358,7 +359,7 @@ func encodeSession(e *snapshot.Encoder, s *clean.Session) {
 	for i := range s.Spans {
 		sp := &s.Spans[i]
 		e.Uvarint(uint64(sp.Cell))
-		e.Varint(sp.Start.UnixNano())
+		e.Varint(sp.Start)
 		e.Varint(int64(sp.Duration))
 	}
 }
@@ -425,7 +426,7 @@ func decodeSessions(d *snapshot.Decoder) []*clean.Session {
 			spans, slab = slab[:0:nspans], slab[nspans:]
 		}
 		var connected time.Duration
-		var end time.Time
+		end := int64(math.MinInt64)
 		for j := 0; j < nspans; j++ {
 			cell := radio.CellKey(d.Uvarint())
 			startNano := d.Varint()
@@ -441,19 +442,10 @@ func decodeSessions(d *snapshot.Decoder) []*clean.Session {
 				d.Failf("open session span duration %d negative", dur)
 				return nil
 			}
-			// All pipeline timestamps are UTC; UnixNano round-trips
-			// them exactly, and .UTC() keeps local-time-dependent
-			// arithmetic (hour-of-week) identical after restore.
-			sp := clean.CellSpan{
-				Cell:     cell,
-				Start:    time.Unix(0, startNano).UTC(),
-				Duration: time.Duration(dur),
-			}
+			sp := clean.CellSpan{Cell: cell, Start: startNano, Duration: time.Duration(dur)}
 			spans = append(spans, sp)
 			connected += sp.Duration
-			if spEnd := sp.Start.Add(sp.Duration); spEnd.After(end) {
-				end = spEnd
-			}
+			end = max(end, sp.End())
 		}
 		if len(structs) == 0 {
 			structs = make([]clean.Session, min(sessionChunk, n-i))

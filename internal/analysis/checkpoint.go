@@ -178,8 +178,8 @@ func decodeHeader(payload []byte) (SnapshotHeader, error) {
 	if d.Err() != nil {
 		return h, d.Err()
 	}
-	if h.PeriodDays < 1 {
-		d.Failf("header period of %d days", h.PeriodDays)
+	if err := simtime.CheckPeriod(h.PeriodStart, h.PeriodDays); err != nil {
+		d.Failf("header period: %v", err)
 	}
 	if h.Workers < 1 {
 		d.Failf("header worker count %d", h.Workers)

@@ -75,10 +75,10 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 	// fragment becomes the car's open session.
 	join := func(frag *clean.Session) {
 		cur := z.Open(frag.Car)
-		if cur != nil && frag.Start.Before(cur.End) {
+		if cur != nil && frag.Start < cur.End {
 			overlaps++
 		}
-		if cur != nil && frag.Start.Sub(cur.End) > z.Gap() {
+		if cur != nil && z.Splits(cur.End, frag.Start) {
 			z.Take(frag.Car)
 			closeFn(cur)
 			cur = nil
@@ -89,9 +89,7 @@ func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map
 		}
 		cur.Spans = append(cur.Spans, frag.Spans...)
 		cur.Connected += frag.Connected
-		if frag.End.After(cur.End) {
-			cur.End = frag.End
-		}
+		cur.End = max(cur.End, frag.End)
 	}
 	cars := sortedKeys(heads)
 	cars = append(cars, later.OpenCars()...)

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"errors"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -44,11 +45,30 @@ func RemoveGhosts(r cdr.Reader) cdr.Reader {
 	})
 }
 
-// CellSpan is one cell connection within a session.
+// CellSpan is one cell connection within a session. Start is in Unix
+// nanoseconds, the clock a snapshot stores: a span holds no pointer, so
+// span arrays cost the garbage collector no scan and a copy no write
+// barrier. Convert with time.Unix(0, Start) where wall-clock time is
+// needed.
 type CellSpan struct {
 	Cell     radio.CellKey
-	Start    time.Time
+	Start    int64
 	Duration time.Duration
+}
+
+// End returns the instant the connection ended, in Unix nanoseconds. It
+// saturates at the ends of the int64 range: a connection lasting past
+// 2262 ends there, which every gap decision treats as it treats the
+// true end.
+func (sp CellSpan) End() int64 {
+	end := sp.Start + int64(sp.Duration)
+	if (end < sp.Start) != (sp.Duration < 0) {
+		if sp.Duration < 0 {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return end
 }
 
 // Session is a concatenation of one car's connections whose gaps never
@@ -56,10 +76,11 @@ type CellSpan struct {
 type Session struct {
 	Car cdr.CarID
 	// Start is the first connection's start; End is the latest
-	// connection end seen (connections may overlap).
-	Start, End time.Time
+	// connection end seen (connections may overlap). Both are Unix
+	// nanoseconds, as CellSpan.Start is.
+	Start, End int64
 	// Connected is the sum of connection durations, which can exceed
-	// End.Sub(Start) when connections overlap.
+	// End − Start when connections overlap.
 	Connected time.Duration
 	// Spans are the individual cell connections in arrival order.
 	Spans []CellSpan
@@ -128,35 +149,48 @@ func NewSessionizer(gap time.Duration) *Sessionizer {
 }
 
 // Add feeds one record and returns the session it closed, if any.
-// Records for one car must arrive in non-decreasing start order. The
-// returned session is the caller's: the sessionizer keeps no reference
-// to it or its spans (see Release).
+// Records for one car must arrive in non-decreasing start order, and
+// their starts must lie where UnixNano is defined (1677-09-21 to
+// 2262-04-11; every record a study period admits does, see
+// simtime.CheckPeriod). The returned session is the caller's: the
+// sessionizer keeps no reference to it or its spans (see Release).
 func (z *Sessionizer) Add(rec cdr.Record) *Session {
+	// The record's clock is converted once; everything after is integer
+	// arithmetic.
+	sp := CellSpan{Cell: rec.Cell, Start: rec.Start.UnixNano(), Duration: rec.Duration}
+	end := sp.End()
 	cur := z.open[rec.Car]
 	if cur == nil {
 		cur = z.takeSession()
-		z.begin(cur, rec)
+		z.begin(cur, rec.Car, sp, end)
 		z.open[rec.Car] = cur
 		return nil
 	}
-	if rec.Start.Sub(cur.End) > z.gap {
+	if z.Splits(cur.End, sp.Start) {
 		// The finished session moves out to a spare struct and the
 		// map's entry starts the next one in place: one map operation
 		// per record, closing or not.
 		closed := z.takeSession()
 		*closed = *cur
-		z.begin(cur, rec)
+		z.begin(cur, rec.Car, sp, end)
 		return closed
 	}
 	if len(cur.Spans) == cap(cur.Spans) {
 		cur.Spans = z.grow(cur.Spans)
 	}
-	cur.Spans = append(cur.Spans, CellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration})
-	cur.Connected += rec.Duration
-	if rec.End().After(cur.End) {
-		cur.End = rec.End()
-	}
+	cur.Spans = append(cur.Spans, sp)
+	cur.Connected += sp.Duration
+	cur.End = max(cur.End, end)
 	return nil
+}
+
+// Splits reports whether a connection starting at start lies more than
+// the gap after a session ending at end — the rule that closes the
+// session. Both are Unix nanoseconds; the difference is taken unsigned,
+// so it is exact, as time.Time.Sub's saturation was, across the whole
+// int64 range.
+func (z *Sessionizer) Splits(end, start int64) bool {
+	return start > end && uint64(start)-uint64(end) > uint64(z.gap)
 }
 
 // Release takes back a session the caller owns outright and is done
@@ -214,14 +248,14 @@ func (z *Sessionizer) grow(spans []CellSpan) []CellSpan {
 	return bigger
 }
 
-// begin makes s the one-record session rec opens.
-func (z *Sessionizer) begin(s *Session, rec cdr.Record) {
+// begin makes s the one-span session a record of car opens.
+func (z *Sessionizer) begin(s *Session, car cdr.CarID, sp CellSpan, end int64) {
 	*s = Session{
-		Car:       rec.Car,
-		Start:     rec.Start,
-		End:       rec.End(),
-		Connected: rec.Duration,
-		Spans:     append(z.takeSpans(0), CellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration}),
+		Car:       car,
+		Start:     sp.Start,
+		End:       end,
+		Connected: sp.Duration,
+		Spans:     append(z.takeSpans(0), sp),
 	}
 }
 
@@ -236,10 +270,6 @@ func (z *Sessionizer) RestoreOpen(sessions []*Session) {
 		z.open[s.Car] = s
 	}
 }
-
-// Gap returns the maximum concatenation gap the sessionizer was
-// constructed with.
-func (z *Sessionizer) Gap() time.Duration { return z.gap }
 
 // Open returns the live open session for one car, or nil. The caller
 // may mutate it in place; the session stays open.
@@ -310,6 +340,6 @@ func sortSessions(s []Session) {
 		if c := cmp.Compare(a.Car, b.Car); c != 0 {
 			return c
 		}
-		return a.Start.Compare(b.Start)
+		return cmp.Compare(a.Start, b.Start)
 	})
 }

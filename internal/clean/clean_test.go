@@ -65,7 +65,7 @@ func TestSessionizerConcatenatesWithinGap(t *testing.T) {
 	if s.Connected != 160*time.Second {
 		t.Fatalf("connected = %v", s.Connected)
 	}
-	if d := s.End.Sub(s.Start); d != 200*time.Second {
+	if d := time.Duration(s.End - s.Start); d != 200*time.Second {
 		t.Fatalf("duration = %v", d)
 	}
 }
@@ -196,7 +196,7 @@ func TestSessionizerConservesRecordsProperty(t *testing.T) {
 		for _, s := range sessions {
 			gotRecords += len(s.Spans)
 			gotDur += s.Connected
-			if s.End.Before(s.Start) {
+			if s.End < s.Start {
 				return false
 			}
 		}
@@ -226,14 +226,12 @@ func TestSessionizerGapInvariantProperty(t *testing.T) {
 			return false
 		}
 		for _, s := range sessions {
-			end := s.Spans[0].Start.Add(s.Spans[0].Duration)
+			end := s.Spans[0].End()
 			for _, sp := range s.Spans[1:] {
-				if sp.Start.Sub(end) > AggregateGap {
+				if time.Duration(sp.Start-end) > AggregateGap {
 					return false
 				}
-				if e := sp.Start.Add(sp.Duration); e.After(end) {
-					end = e
-				}
+				end = max(end, sp.End())
 			}
 		}
 		return true
@@ -252,7 +250,7 @@ func TestSortSessionsMatchesInsertionOrder(t *testing.T) {
 			if a.Car != b.Car {
 				return a.Car < b.Car
 			}
-			return a.Start.Before(b.Start)
+			return a.Start < b.Start
 		}
 		for i := 1; i < len(s); i++ {
 			for j := i; j > 0 && less(&s[j], &s[j-1]); j-- {
@@ -264,14 +262,14 @@ func TestSortSessionsMatchesInsertionOrder(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 17, 500} {
 		got := make([]Session, n)
 		for i := range got {
-			got[i] = Session{Car: cdr.CarID(rng.Uint64()), Start: t0.Add(time.Duration(rng.Uint64N(1e6)) * time.Second)}
+			got[i] = Session{Car: cdr.CarID(rng.Uint64()), Start: t0.Add(time.Duration(rng.Uint64N(1e6)) * time.Second).UnixNano()}
 		}
 		rng.Shuffle(n, func(i, j int) { got[i], got[j] = got[j], got[i] })
 		want := append([]Session(nil), got...)
 		insertion(want)
 		sortSessions(got)
 		for i := range got {
-			if got[i].Car != want[i].Car || !got[i].Start.Equal(want[i].Start) {
+			if got[i].Car != want[i].Car || got[i].Start != want[i].Start {
 				t.Fatalf("n=%d: position %d is car %d, insertion sort put car %d there", n, i, got[i].Car, want[i].Car)
 			}
 		}

@@ -39,7 +39,7 @@ func cloneSession(s *Session) Session {
 }
 
 func sameSession(a, b *Session) bool {
-	return a.Car == b.Car && a.Start.Equal(b.Start) && a.End.Equal(b.End) &&
+	return a.Car == b.Car && a.Start == b.Start && a.End == b.End &&
 		a.Connected == b.Connected && slices.Equal(a.Spans, b.Spans)
 }
 
@@ -49,7 +49,7 @@ func sameSession(a, b *Session) bool {
 // Release the closed session's whole span array is scribbled over, so an
 // open session still sharing memory with it would come out different.
 func TestReleaseChangesNothing(t *testing.T) {
-	junk := CellSpan{Cell: radio.MakeCellKey(999, 2, radio.C1), Start: t0.Add(-time.Hour), Duration: -1}
+	junk := CellSpan{Cell: radio.MakeCellKey(999, 2, radio.C1), Start: t0.Add(-time.Hour).UnixNano(), Duration: -1}
 	for seed := uint64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 21))
 		keep, recycle := NewSessionizer(AggregateGap), NewSessionizer(AggregateGap)
@@ -122,12 +122,12 @@ func TestSessionizerSteadyStateAllocatesNothing(t *testing.T) {
 // under a class whose capacity it does not have.
 func TestOddCapacitySpansAreNotPooled(t *testing.T) {
 	odd := func(car cdr.CarID, n, capacity int) *Session {
-		s := &Session{Car: car, Start: t0, Spans: make([]CellSpan, 0, capacity)}
+		s := &Session{Car: car, Start: t0.UnixNano(), Spans: make([]CellSpan, 0, capacity)}
 		for i := 0; i < n; i++ {
 			r := rec(car, radio.BSID(i), time.Duration(i)*time.Second, time.Second)
-			s.Spans = append(s.Spans, CellSpan{Cell: r.Cell, Start: r.Start, Duration: r.Duration})
+			s.Spans = append(s.Spans, CellSpan{Cell: r.Cell, Start: r.Start.UnixNano(), Duration: r.Duration})
 			s.Connected += r.Duration
-			s.End = r.End()
+			s.End = r.End().UnixNano()
 		}
 		return s
 	}
@@ -141,7 +141,7 @@ func TestOddCapacitySpansAreNotPooled(t *testing.T) {
 	}
 	z.RestoreOpen(restored)
 	for car := cdr.CarID(1); car <= 5; car++ {
-		before, end := len(z.Open(car).Spans), z.Open(car).End.Sub(t0)
+		before, end := len(z.Open(car).Spans), time.Duration(z.Open(car).End-t0.UnixNano())
 		for i := 0; i < 3; i++ { // within the gap: grows each session
 			if s := z.Add(rec(car, 7, end+time.Duration(i)*time.Second, time.Second)); s != nil {
 				t.Fatalf("car %d: in-gap record closed a session", car)

@@ -77,11 +77,11 @@ func hourSetsByWeek(records []cdr.Record, period simtime.Period, tzOffset int, f
 		return sets // slice reader cannot fail
 	}
 	for _, s := range sessions {
-		end := s.End
-		if end.Sub(s.Start) > 7*24*time.Hour {
-			end = s.Start.Add(7 * 24 * time.Hour)
+		start, end := time.Unix(0, s.Start).UTC(), time.Unix(0, s.End).UTC()
+		if end.Sub(start) > 7*24*time.Hour {
+			end = start.Add(7 * 24 * time.Hour)
 		}
-		for t := s.Start.Truncate(time.Hour); t.Before(end); t = t.Add(time.Hour) {
+		for t := start.Truncate(time.Hour); t.Before(end); t = t.Add(time.Hour) {
 			day := period.DayIndex(t)
 			if day < 0 {
 				continue

@@ -12,6 +12,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -35,21 +36,61 @@ const DefaultStudyDays = 90
 // with NewPeriod.
 type Period struct {
 	start time.Time
-	days  int
+	// startSec is start in Unix seconds, what DayIndex compares against.
+	startSec int64
+	days     int
+}
+
+const secondsPerDay = 24 * 60 * 60
+
+// The instants time.Time.UnixNano is defined for. The engine holds
+// session clocks and writes snapshots in Unix nanoseconds, so a study
+// period must lie between them.
+var (
+	minNano = time.Unix(0, math.MinInt64).UTC()
+	maxNano = time.Unix(0, math.MaxInt64).UTC()
+)
+
+// CheckPeriod reports why NewPeriod(start, days) would panic: a
+// non-positive length, a period longer than a time.Duration holds, or
+// one reaching outside the instants Unix nanoseconds can hold
+// (1677-09-21 to 2262-04-11), where every session clock and snapshot
+// timestamp would wrap. A binary checks a user-supplied study with it
+// before building the period.
+func CheckPeriod(start time.Time, days int) error {
+	if days <= 0 {
+		return fmt.Errorf("simtime: non-positive study length %d", days)
+	}
+	if int64(days) > math.MaxInt64/int64(24*time.Hour) {
+		return fmt.Errorf("simtime: study length %d days exceeds time.Duration's range", days)
+	}
+	// The period's last instant, a nanosecond before its end, must not
+	// pass maxNano: in whole seconds, the end must not pass maxNano's.
+	mid := midnight(start)
+	if mid.Before(minNano) || int64(days) > (maxNano.Unix()-mid.Unix())/secondsPerDay {
+		return fmt.Errorf("simtime: study %s+%dd reaches outside %s..%s, the instants Unix nanoseconds hold",
+			mid.Format("2006-01-02"), days, minNano.Format(time.RFC3339), maxNano.Format(time.RFC3339))
+	}
+	return nil
+}
+
+func midnight(t time.Time) time.Time {
+	u := t.UTC()
+	return time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
 }
 
 // NewPeriod returns a study period of the given number of days starting
-// at midnight UTC on the day containing start. It panics if days is not
-// positive, mirroring the contract of time.Duration arithmetic rather
-// than returning an error: a non-positive study window is a programming
-// error, never a data condition.
+// at midnight UTC on the day containing start. It panics where
+// CheckPeriod fails — a non-positive length or a period outside
+// 1677–2262 — mirroring the contract of time.Duration arithmetic rather
+// than returning an error: a program hands it a checked study window,
+// never data.
 func NewPeriod(start time.Time, days int) Period {
-	if days <= 0 {
-		panic(fmt.Sprintf("simtime: non-positive study length %d", days))
+	if err := CheckPeriod(start, days); err != nil {
+		panic(err.Error())
 	}
-	u := start.UTC()
-	mid := time.Date(u.Year(), u.Month(), u.Day(), 0, 0, 0, 0, time.UTC)
-	return Period{start: mid, days: days}
+	mid := midnight(start)
+	return Period{start: mid, startSec: mid.Unix(), days: days}
 }
 
 // DefaultPeriod returns the 90-day study window used throughout the
@@ -73,8 +114,8 @@ func (p Period) Days() int { return p.days }
 // Duration returns the total length of the period. The period starts
 // at UTC midnight and UTC has no clock changes, so it is exactly Days
 // 24-hour days: Contains and DayIndex run per record, and calendar
-// arithmetic (AddDate) does not belong there. Periods are far below
-// time.Duration's ~292-year range.
+// arithmetic (AddDate) does not belong there. CheckPeriod keeps the
+// length within time.Duration's ~292-year range.
 func (p Period) Duration() time.Duration { return time.Duration(p.days) * 24 * time.Hour }
 
 // Seconds returns the total length of the period in seconds.
@@ -110,13 +151,19 @@ func (p Period) Clamp(t time.Time, d time.Duration) (time.Time, time.Duration) {
 }
 
 // DayIndex returns the zero-based day of the period containing t, or
-// -1 when t is outside the period.
+// -1 when t is outside the period. It runs for every record several
+// times over, so it is integer seconds: t.Unix() is t's second rounded
+// down, also before 1970, and the period's edges are whole seconds, so
+// comparing and dividing seconds is exact for any sub-second t. The
+// bounds are compared before anything is subtracted, so no t overflows
+// it, without the Add and Equal time.Time.Sub checks its own overflow
+// with.
 func (p Period) DayIndex(t time.Time) int {
-	d := t.Sub(p.start)
-	if d < 0 || d >= p.Duration() {
+	sec := t.Unix()
+	if sec < p.startSec || sec >= p.startSec+int64(p.days)*secondsPerDay {
 		return -1
 	}
-	return int(d / (24 * time.Hour))
+	return int((sec - p.startSec) / secondsPerDay)
 }
 
 // DayStart returns the first instant of the zero-based day index. It

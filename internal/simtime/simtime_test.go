@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -59,10 +60,12 @@ func TestContains(t *testing.T) {
 }
 
 // TestPeriodArithmeticMatchesCalendarDefinition holds the per-record
-// forms of End, Contains and DayIndex (a multiply, one saturating Sub)
-// to the calendar definitions they replaced (AddDate and Before), on
-// random instants, on both edges to the nanosecond, and on instants far
-// enough away that Sub saturates.
+// forms of End, Contains (a multiply, one saturating Sub) and DayIndex
+// (integer seconds) to the calendar definitions they replaced (AddDate
+// and Before), on random instants — sub-second ones before 1970 among
+// them — on both edges to the nanosecond, on instants far enough away
+// that Sub saturates, and on instants at the ends of what Unix seconds
+// hold, where a subtraction would overflow.
 func TestPeriodArithmeticMatchesCalendarDefinition(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 1))
 	for _, p := range []Period{
@@ -70,6 +73,8 @@ func TestPeriodArithmeticMatchesCalendarDefinition(t *testing.T) {
 		NewPeriod(time.Date(2017, 3, 15, 13, 45, 0, 0, time.UTC), 1),
 		NewPeriod(time.Date(2016, 2, 20, 0, 0, 0, 0, time.FixedZone("x", -5*3600)), 400), // across a leap day
 		NewPeriod(time.Date(1969, 12, 30, 0, 0, 0, 0, time.UTC), 14),                     // across the Unix epoch
+		NewPeriod(time.Date(1677, 9, 22, 0, 0, 0, 0, time.UTC), 3),                       // the first whole day UnixNano holds
+		NewPeriod(time.Date(2262, 4, 8, 0, 0, 0, 0, time.UTC), 3),                        // the last
 	} {
 		end := p.Start().AddDate(0, 0, p.Days())
 		if !p.End().Equal(end) || p.Duration() != end.Sub(p.Start()) {
@@ -105,6 +110,55 @@ func TestPeriodArithmeticMatchesCalendarDefinition(t *testing.T) {
 			check(p.Start().AddDate(years, 0, 0))
 		}
 		check(time.Time{})
+		for _, sec := range []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 62135596800, math.MaxInt64} {
+			check(time.Unix(sec, 999_999_999))
+			check(time.Unix(sec, 0))
+		}
+	}
+}
+
+// TestCheckPeriodBounds: a period is refused exactly when some instant
+// of it has no Unix-nanosecond clock, or its length is not positive or
+// not a time.Duration — and NewPeriod panics exactly then.
+func TestCheckPeriodBounds(t *testing.T) {
+	day := func(y int, m time.Month, d int) time.Time { return time.Date(y, m, d, 12, 0, 0, 0, time.UTC) }
+	for _, c := range []struct {
+		start time.Time
+		days  int
+		ok    bool
+	}{
+		{day(2017, 1, 2), 90, true},
+		{day(2017, 1, 2), 0, false},
+		{day(2017, 1, 2), -3, false},
+		{day(1677, 9, 22), 1, true},
+		{day(1677, 9, 21), 1, false}, // midnight precedes 00:12:43.145224192
+		{day(2262, 4, 10), 1, true},  // ends at 2262-04-11T00:00
+		{day(2262, 4, 10), 2, false}, // its last day passes 23:47:16.854775807
+		{day(2262, 4, 11), 1, false},
+		{day(2263, 1, 1), 14, false},
+		{day(1500, 1, 1), 14, false},
+		{day(1700, 1, 1), 106751, true},
+		{day(1700, 1, 1), 106752, false}, // longer than a time.Duration
+	} {
+		err := CheckPeriod(c.start, c.days)
+		if (err == nil) != c.ok {
+			t.Errorf("CheckPeriod(%s, %d) = %v, want ok=%v", c.start.Format("2006-01-02"), c.days, err, c.ok)
+			continue
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewPeriod(c.start, c.days)
+			return false
+		}()
+		if panicked == c.ok {
+			t.Errorf("NewPeriod(%s, %d) panicked=%v, CheckPeriod says ok=%v", c.start.Format("2006-01-02"), c.days, panicked, c.ok)
+		}
+		if c.ok {
+			p := NewPeriod(c.start, c.days)
+			if p.Start().UnixNano() != p.Start().Unix()*1e9 || p.End().Add(-time.Nanosecond).After(time.Unix(0, math.MaxInt64)) {
+				t.Errorf("%s+%dd: an accepted period leaves UnixNano's range", c.start.Format("2006-01-02"), c.days)
+			}
+		}
 	}
 }
 

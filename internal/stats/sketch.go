@@ -40,12 +40,39 @@ func (h *LogHist) Add(x float64) {
 		h.zero++
 		return
 	}
+	if x < logTableLen {
+		if i := int(x); float64(i) == x {
+			h.counts[logBins[i]]++
+			return
+		}
+	}
+	h.counts[logBin(x)]++
+}
+
+// logBin returns the bin of an observation x ≥ 1.
+func logBin(x float64) int {
 	bin := int(math.Log(x) / math.Log(LogHistBase))
 	if bin >= LogHistBins {
 		bin = LogHistBins - 1
 	}
-	h.counts[bin]++
+	return bin
 }
+
+// logTableLen bounds the integral observations whose bin Add looks up
+// rather than computes: the durations the engine counts are whole
+// seconds, at most 600 once truncated, and a logarithm per record was
+// ≈ 7 % of its work.
+const logTableLen = 4096
+
+// logBins[x] is logBin(x) for every integral x in [1, logTableLen),
+// computed once by the very expression Add evaluates for every other x,
+// so a lookup and a logarithm cannot disagree.
+var logBins = func() (t [logTableLen]uint8) {
+	for x := 1; x < logTableLen; x++ {
+		t[x] = uint8(logBin(float64(x)))
+	}
+	return t
+}()
 
 // Merge adds another histogram's counts into h.
 func (h *LogHist) Merge(o *LogHist) {
@@ -110,18 +137,27 @@ func (h *LogHist) Quantile(q float64) float64 {
 // larger than k the sample is the complete population and statistics
 // over it are exact.
 //
-// The kept items live in one of two forms. A sample that is being
-// added to holds them as a max-heap, so the item to evict is at the
-// root. A restored sample holds them as the ascending run its snapshot
-// stored: two runs merge in place without a sift and a run snapshots
-// without sorting, which is all a sample restored to be folded or
-// finalized is ever asked for. The heap is built — the run reversed,
-// which a max-heap already is — only when an Add arrives.
+// The kept items live in a pool: an array in no particular order that
+// holds the k smallest items seen, and possibly more. Add appends an
+// item below the bound — the largest item the last trim kept — and,
+// once the pool holds k + k/8 items, trims it: an in-place histogram
+// selection keeps the k smallest and the largest of them becomes the
+// bound. Appending and trimming in batches costs less than half of
+// sifting every item through a max-heap of k. Snapshot, Values and
+// Merge trim first. A restored sample holds the ascending run its
+// snapshot stored, and Snapshot leaves a sample as one: a run is a pool
+// too, which Add appends to as it is, and two runs merge in place
+// without a selection (mergeRun) — all a sample restored to be folded
+// or finalized is ever asked for.
 type Sample struct {
 	k     int
 	n     int64
-	run   bool         // items is an ascending run, not a heap
-	items []sampleItem // ascending by (key, value) if run, else a max-heap
+	run   bool         // items is an ascending run of at most k
+	items []sampleItem // holds the k smallest items seen, ascending if run
+	// bound is the largest item a trim kept, set once full: no item
+	// that is not below it can be among the k smallest any more.
+	bound sampleItem
+	full  bool
 }
 
 type sampleItem struct {
@@ -142,42 +178,36 @@ func NewSample(k int) *Sample {
 	return &Sample{k: k, items: make([]sampleItem, 0, preallocate)}
 }
 
-// heapify turns a run into the heap Add works on.
-func (s *Sample) heapify() {
-	if s.run {
-		slices.Reverse(s.items)
-		s.run = false
-	}
-}
-
 // Add offers one (key, value) item. Keys should be well-distributed
 // hashes of item identity; ties on key are broken by value so the
 // result stays deterministic under collisions.
 func (s *Sample) Add(key uint64, v float64) {
-	s.heapify()
 	s.n++
-	s.offer(sampleItem{key: key, val: v})
+	it := sampleItem{key: key, val: v}
+	if s.full && !itemLess(it, s.bound) {
+		return
+	}
+	if n, limit := len(s.items), s.poolLimit(); n >= limit {
+		s.trim()
+	} else if n == cap(s.items) {
+		// Double, and once that reaches k go straight to the pool's
+		// limit: append's own growth would end a full 32 768-item sample
+		// far beyond it, a step to k and another to k + k/8 would leave
+		// 512 KiB more garbage, and every worker set of an engine holds
+		// one.
+		c := max(2*n, 16)
+		if c >= s.k {
+			c = limit
+		}
+		s.items = append(make([]sampleItem, 0, c), s.items...)
+	}
+	s.items = append(s.items, it)
+	s.run = false
 }
 
-// offer keeps it if it is among the k smallest seen. s is a heap.
-func (s *Sample) offer(it sampleItem) {
-	if len(s.items) < s.k {
-		if n := len(s.items); n == cap(s.items) {
-			// Double, but never past k: append's own growth ends a full
-			// 32 768-item sample on 37 376 slots, and every worker set of
-			// an engine holds one.
-			s.items = append(make([]sampleItem, 0, min(max(2*n, 16), s.k)), s.items...)
-		}
-		s.items = append(s.items, it)
-		s.up(len(s.items) - 1)
-		return
-	}
-	if !itemLess(it, s.items[0]) {
-		return
-	}
-	s.items[0] = it
-	s.down(0)
-}
+// poolLimit is how many items the pool holds before a trim: k + k/8,
+// 64 KiB beyond the k items of a full duration sample.
+func (s *Sample) poolLimit() int { return s.k + max(s.k/8, 1) }
 
 // itemLess orders items by (key, value) ascending.
 func itemLess(a, b sampleItem) bool {
@@ -187,39 +217,29 @@ func itemLess(a, b sampleItem) bool {
 	return a.val < b.val
 }
 
-func (s *Sample) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !itemLess(s.items[p], s.items[i]) {
-			return
-		}
-		s.items[p], s.items[i] = s.items[i], s.items[p]
-		i = p
+// compareItems is itemLess as a three-way comparison, for the sorts.
+func compareItems(a, b sampleItem) int {
+	switch {
+	case itemLess(a, b):
+		return -1
+	case itemLess(b, a):
+		return 1
 	}
+	return 0
 }
 
-func (s *Sample) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < len(s.items) && itemLess(s.items[largest], s.items[l]) {
-			largest = l
-		}
-		if r < len(s.items) && itemLess(s.items[largest], s.items[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s.items[i], s.items[largest] = s.items[largest], s.items[i]
-		i = largest
+// trim leaves the pool holding exactly its k smallest items, when it
+// holds more.
+func (s *Sample) trim() {
+	if len(s.items) > s.k {
+		s.mergeSelect(nil)
 	}
 }
 
 // Merge folds another sample into s, leaving o as it was. Both must
 // have the same k. Two runs merge into a run (mergeRun); any other
-// pairing leaves s a heap of the k smallest of both item sets
-// (mergeSelect).
+// pairing leaves s a pool of the k smallest of both item sets
+// (mergeSelect), which trims both pools in one selection.
 func (s *Sample) Merge(o *Sample) {
 	if s.k != o.k {
 		panic(fmt.Sprintf("stats: merging samples of size %d and %d", s.k, o.k))
@@ -236,67 +256,75 @@ func (s *Sample) Merge(o *Sample) {
 // 4 096 counters, 16 KiB of stack.
 const selectBits = 12
 
-// mergeSelect replaces s's items with the k smallest of them and b, as
-// a heap, in time linear in the two and in place. Keys are hashes, so
-// their leading bits spread the items evenly: a histogram of the top
+// mergeSelect replaces s's items with the k smallest of them and b, in
+// no particular order, in time linear in the two and in place; it is
+// also how a full pool is trimmed (b empty). Keys are hashes, so their
+// leading bits spread the items evenly: a histogram of the top
 // selectBits below the largest key finds the bucket the k-th smallest
 // item falls in; every item of a lower bucket stays, none of a higher
 // one, and of that one bucket's few items — all of them, should an
 // adversary make every key equal, which costs time, not correctness —
-// the smallest by (key, value) fill what is left of k. s's survivors
-// are compacted where they are, b's are copied in behind them, and the
-// whole is heapified bottom-up. Offering b's items to s's heap one by
-// one leaves the same set at a sift each — 12 ms of an engine's serial
-// tail when two workers' full 32 768-item duration samples meet — and a
-// selection over a joined copy of both pays as much again to allocate
-// it. Which layout of the set s ends up in shows nowhere: Snapshot and
-// Values sort, and Add needs only the heap property.
+// the smallest by (key, value) fill what is left of k, the last of them
+// becoming the bound. s's survivors are compacted where they are and
+// b's are copied in behind them. Offering b's items one by one to a
+// heap of s's leaves the same set at a sift each — 12 ms of an engine's
+// serial tail when two workers' full 32 768-item duration samples meet
+// — and a selection over a joined copy of both pays as much again to
+// allocate it.
 func (s *Sample) mergeSelect(b []sampleItem) {
 	a := s.items
+	s.run = false
 	if len(a)+len(b) <= s.k {
-		a = append(a, b...)
-	} else {
-		both := [2][]sampleItem{a, b}
-		var maxKey uint64
-		for _, items := range both {
-			for _, it := range items {
-				maxKey = max(maxKey, it.key)
-			}
-		}
-		shift := max(bits.Len64(maxKey)-selectBits, 0)
-		var hist [1 << selectBits]int32
-		for _, items := range both {
-			for _, it := range items {
-				hist[it.key>>shift]++
-			}
-		}
-		// below items sit in buckets under edge, and edge's make it k or
-		// more.
-		edge, below := uint64(0), 0
-		for below+int(hist[edge]) < s.k {
-			below += int(hist[edge])
-			edge++
-		}
-		// What stays is appended to a's own front: a write never passes
-		// the item being read while a is walked, and b's follow on.
-		onEdge := make([]sampleItem, 0, hist[edge])
-		a = a[:0]
-		for _, items := range both {
-			for _, it := range items {
-				switch bucket := it.key >> shift; {
-				case bucket < edge:
-					a = append(a, it)
-				case bucket == edge:
-					onEdge = append(onEdge, it)
-				}
-			}
-		}
-		sort.Slice(onEdge, func(i, j int) bool { return itemLess(onEdge[i], onEdge[j]) })
-		a = append(a, onEdge[:s.k-below]...)
+		s.items = append(a, b...)
+		return
 	}
-	s.items, s.run = a, false
-	for i := len(a)/2 - 1; i >= 0; i-- {
-		s.down(i)
+	both := [2][]sampleItem{a, b}
+	var maxKey uint64
+	for _, items := range both {
+		for _, it := range items {
+			maxKey = max(maxKey, it.key)
+		}
+	}
+	shift := max(bits.Len64(maxKey)-selectBits, 0)
+	var hist [1 << selectBits]int32
+	for _, items := range both {
+		for _, it := range items {
+			hist[it.key>>shift]++
+		}
+	}
+	// below items sit in buckets under edge, and edge's make it k or
+	// more.
+	edge, below := uint64(0), 0
+	for below+int(hist[edge]) < s.k {
+		below += int(hist[edge])
+		edge++
+	}
+	// What stays is appended to a's own front: a write never passes
+	// the item being read while a is walked, and b's follow on.
+	onEdge := make([]sampleItem, 0, hist[edge])
+	a = a[:0]
+	for _, items := range both {
+		for _, it := range items {
+			switch bucket := it.key >> shift; {
+			case bucket < edge:
+				a = append(a, it)
+			case bucket == edge:
+				onEdge = append(onEdge, it)
+			}
+		}
+	}
+	slices.SortFunc(onEdge, compareItems)
+	kept := onEdge[:s.k-below]
+	s.items = append(a, kept...)
+	s.bound, s.full = kept[len(kept)-1], true
+}
+
+// adoptRun makes an ascending run of at most k items s's pool; a run of
+// k has its bound at the top.
+func (s *Sample) adoptRun(run []sampleItem) {
+	s.items, s.run = run, true
+	if s.full = len(run) == s.k; s.full {
+		s.bound = run[s.k-1]
 	}
 }
 
@@ -327,7 +355,7 @@ func (s *Sample) mergeRun(b []sampleItem) {
 		t--
 		a[t] = b[j-1]
 	}
-	s.items = a
+	s.adoptRun(a)
 }
 
 // above returns how many items of the ascending run a are not greater
@@ -352,10 +380,12 @@ func above(a []sampleItem, x sampleItem) int {
 
 // Complete reports whether the sample holds the entire population, in
 // which case statistics over Values are exact.
-func (s *Sample) Complete() bool { return s.n == int64(len(s.items)) }
+func (s *Sample) Complete() bool { return s.n <= int64(s.k) }
 
-// Values returns the sampled values in ascending order.
+// Values returns the sampled values in ascending order. It trims the
+// pool, so it needs the same exclusion as Add.
 func (s *Sample) Values() []float64 {
+	s.trim()
 	out := make([]float64, len(s.items))
 	for i, it := range s.items {
 		out[i] = it.val

@@ -167,3 +167,65 @@ func TestHistogramMerge(t *testing.T) {
 	}()
 	a.Merge(NewHistogram(0, 2, 10))
 }
+
+// TestLogHistTableMatchesLog: the bin Add files an observation under is
+// the one the logarithm gives — int(log x / log LogHistBase), clamped to
+// the last bin, evaluated here as Add evaluated it before the table —
+// for every integer the table covers, for the floats either side of each
+// (which take the logarithm), and for values above the table.
+func TestLogHistTableMatchesLog(t *testing.T) {
+	want := func(x float64) int {
+		bin := int(math.Log(x) / math.Log(LogHistBase))
+		if bin >= LogHistBins {
+			bin = LogHistBins - 1
+		}
+		return bin
+	}
+	check := func(x float64) {
+		t.Helper()
+		var h LogHist
+		h.Add(x)
+		bin := want(x)
+		if h.counts[bin] != 1 || h.total != 1 || h.zero != 0 {
+			t.Fatalf("Add(%v) did not count in bin %d, the logarithm's", x, bin)
+		}
+	}
+	for i := 1; i < logTableLen; i++ {
+		x := float64(i)
+		check(x)
+		check(math.Nextafter(x, math.Inf(1)))
+		if i > 1 {
+			check(math.Nextafter(x, 0))
+		}
+	}
+	for _, x := range []float64{logTableLen, math.Nextafter(logTableLen, 0), logTableLen + 0.5, 4097, 86400, 1e5, 1e9, math.MaxFloat64} {
+		check(x)
+	}
+	rng := rand.New(rand.NewPCG(41, 41))
+	for i := 0; i < 100000; i++ {
+		check(1 + rng.Float64()*2*logTableLen)
+	}
+}
+
+// BenchmarkLogHistAdd is the duration stage's histogram per record:
+// whole seconds up to 600, what the engine adds and the table serves,
+// and fractional seconds, which take the logarithm.
+func BenchmarkLogHistAdd(b *testing.B) {
+	rng := rand.New(rand.NewPCG(42, 42))
+	whole, frac := make([]float64, 4096), make([]float64, 4096)
+	for i := range whole {
+		whole[i] = float64(rng.IntN(601))
+		frac[i] = rng.Float64() * 600
+	}
+	for _, bc := range []struct {
+		name string
+		xs   []float64
+	}{{"whole-seconds", whole}, {"fractional", frac}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var h LogHist
+			for i := 0; i < b.N; i++ {
+				h.Add(bc.xs[i&4095])
+			}
+		})
+	}
+}

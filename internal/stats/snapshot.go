@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -70,71 +69,69 @@ func (h *LogHist) Restore(d *snapshot.Decoder) {
 
 // Snapshot serializes the bottom-k sample. Items are emitted in
 // ascending (key, value) order so equal samples encode identically
-// regardless of internal form or heap layout: a run is that order
-// already, and a heap is put into the reverse of it where it lies
-// (sortHeapDescending) and written from the back.
+// regardless of how their pools lie: a run is that order already, and a
+// pool is trimmed and sorted where it lies (sortRun), which leaves the
+// sample a run — so Snapshot mutates it, and needs the same exclusion as
+// Add (the engine's barrier, the query store's mutex).
 func (s *Sample) Snapshot(e *snapshot.Encoder) {
+	if !s.run {
+		s.trim()
+		sortRun(s.items)
+		s.adoptRun(s.items)
+	}
 	e.Uvarint(uint64(s.k))
 	e.Varint(s.n)
 	e.Uvarint(uint64(len(s.items)))
-	if s.run {
-		for _, it := range s.items {
-			e.Uvarint(it.key)
-			e.F64(it.val)
-		}
-		return
-	}
-	sortHeapDescending(s.items)
-	for i := len(s.items) - 1; i >= 0; i-- {
-		e.Uvarint(s.items[i].key)
-		e.F64(s.items[i].val)
+	for _, it := range s.items {
+		e.Uvarint(it.key)
+		e.F64(it.val)
 	}
 }
 
-// insertionSortMax is the most items sortHeapDescending orders by
-// insertion: a whole sample that short, or one radix bucket of a longer
-// one — keys that are hashes leave eight items in a bucket.
+// insertionSortMax is the most items sortRun orders by insertion: a
+// whole sample that short, or one radix bucket of a longer one — keys
+// that are hashes leave eight items in a bucket.
 const insertionSortMax = 48
 
-// sortHeapDescending orders a max-heap's items by (key, value), largest
-// first, in place and without scratch. A descending array is a max-heap
-// — every parent precedes its children — so the sorted sample is still
-// the heap Add needs, and its snapshot order is the array read
-// backwards; an index sort beside the heap would leave it alone at the
-// price of two index arrays, 256 KiB for a full duration sample, live
-// at the moment every worker of an engine encodes its set. One MSD
-// radix pass (American flag: count, then cycle each item into its
-// bucket) over the bits just below the largest key — for a full sample
-// selectBits of them, the histogram mergeSelect cuts with — leaves
-// buckets of a few items each, which an insertion sort finishes; a bucket an adversary filled with equal keys
-// goes to a comparison sort, which costs time, not correctness. A heap
-// sorted at the last cut that has taken few Adds since is mostly in
-// place already, and both passes then run at their best.
-func sortHeapDescending(items []sampleItem) {
+// sortRun orders a pool's items by (key, value) ascending, in place and
+// without scratch; an index sort beside the pool would cost two index
+// arrays, 256 KiB for a full duration sample, live at the moment every
+// worker of an engine encodes its set. One MSD radix pass (American
+// flag: count, then cycle each item into its bucket) over the bits just
+// below the largest key — for a full sample selectBits of them, the
+// histogram mergeSelect cuts with — leaves buckets of a few items each,
+// which an insertion sort finishes; a bucket an adversary filled with
+// equal keys goes to a comparison sort, which costs time, not
+// correctness.
+func sortRun(items []sampleItem) {
 	if len(items) <= insertionSortMax {
-		insertionSortDescending(items)
+		insertionSort(items)
 		return
 	}
 	// As many radix bits as leave about eight items a bucket, selectBits
 	// at most: the hourly samples a query store encodes hold a few hundred
 	// items, and walking 4 096 buckets for them would cost more than the
-	// sort. The root holds the largest key.
+	// sort.
 	radix := min(bits.Len(uint(len(items)))-3, selectBits)
-	shift := max(bits.Len64(items[0].key)-radix, 0)
+	var maxKey uint64
+	for _, it := range items {
+		maxKey = max(maxKey, it.key)
+	}
+	shift := max(bits.Len64(maxKey)-radix, 0)
 	// next[b] is where bucket b's next item goes, end[b] where the
-	// bucket stops; the largest keys come first.
+	// bucket stops.
 	var nextAll, endAll [1 << selectBits]int32
 	next, end := nextAll[:1<<radix], endAll[:1<<radix]
 	for _, it := range items {
 		end[it.key>>shift]++
 	}
 	var sum int32
-	for b := len(end) - 1; b >= 0; b-- {
+	for b := range end {
 		next[b] = sum
 		sum += end[b]
 		end[b] = sum
 	}
-	for b := len(end) - 1; b >= 0; b-- {
+	for b := range end {
 		for i := next[b]; i < end[b]; i = next[b] {
 			it := items[i]
 			for d := it.key >> shift; d != uint64(b); d = it.key >> shift {
@@ -146,26 +143,21 @@ func sortHeapDescending(items []sampleItem) {
 		}
 	}
 	lo := 0
-	for b := len(end) - 1; b >= 0; b-- {
+	for b := range end {
 		bucket := items[lo:end[b]]
 		lo = int(end[b])
 		if len(bucket) > insertionSortMax {
-			slices.SortFunc(bucket, func(a, b sampleItem) int {
-				if c := cmp.Compare(b.key, a.key); c != 0 {
-					return c
-				}
-				return cmp.Compare(b.val, a.val)
-			})
+			slices.SortFunc(bucket, compareItems)
 			continue
 		}
-		insertionSortDescending(bucket)
+		insertionSort(bucket)
 	}
 }
 
-func insertionSortDescending(items []sampleItem) {
+func insertionSort(items []sampleItem) {
 	for i := 1; i < len(items); i++ {
 		it, j := items[i], i
-		for ; j > 0 && itemLess(items[j-1], it); j-- {
+		for ; j > 0 && itemLess(it, items[j-1]); j-- {
 			items[j] = items[j-1]
 		}
 		items[j] = it
@@ -173,7 +165,8 @@ func insertionSortDescending(items []sampleItem) {
 }
 
 // Restore replaces s with state written by Snapshot, kept as the
-// ascending run it was written as: a linear decode. The stored
+// ascending run it was written as — a pool as it lies, which the next
+// Add appends to: a linear decode. The stored
 // capacity must match s's, the kept count must be min(n, k) — what any
 // sequence of Adds and Merges leaves — and the items must be in
 // (key, value) order.
@@ -206,5 +199,6 @@ func (s *Sample) Restore(d *snapshot.Decoder) {
 			return
 		}
 	}
-	s.n, s.items, s.run = n, items, true
+	s.n = n
+	s.adoptRun(items)
 }

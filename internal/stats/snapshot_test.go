@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"cellcars/internal/snapshot"
@@ -102,7 +103,7 @@ func TestSampleSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSampleSnapshotDeterministic: two samples holding the same item
-// set in different heap layouts must encode to identical bytes.
+// set in different pool layouts must encode to identical bytes.
 func TestSampleSnapshotDeterministic(t *testing.T) {
 	a := NewSample(64)
 	b := NewSample(64)
@@ -125,25 +126,29 @@ func TestSampleSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// referenceSampleSnapshot is Sample.Snapshot with its canonical order
-// taken from a comparison sort on (key, value): what the radix order
-// must reproduce byte for byte.
-func referenceSampleSnapshot(s *Sample, e *snapshot.Encoder) {
-	e.Uvarint(uint64(s.k))
-	e.Varint(s.n)
-	items := slices.Clone(s.items)
+// referenceSnapshot is Sample.Snapshot of a sample of capacity k and
+// population n holding items — a pool, or a heap — with its kept set and
+// canonical order taken from a comparison sort on (key, value): what the
+// selection and the radix order must reproduce byte for byte.
+func referenceSnapshot(e *snapshot.Encoder, k int, n int64, items []sampleItem) {
+	e.Uvarint(uint64(k))
+	e.Varint(n)
+	items = slices.Clone(items)
 	slices.SortFunc(items, func(a, b sampleItem) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.val, b.val)
 	})
+	items = items[:min(len(items), k)]
 	e.Uvarint(uint64(len(items)))
 	for _, it := range items {
 		e.Uvarint(it.key)
 		e.F64(it.val)
 	}
 }
+
+func referenceSampleSnapshot(s *Sample, e *snapshot.Encoder) { referenceSnapshot(e, s.k, s.n, s.items) }
 
 // TestSampleSnapshotMatchesComparisonSort: on random samples — empty,
 // k = 1, fewer items than k, far more than k, keys confined to one
@@ -194,24 +199,14 @@ func TestSampleSnapshotMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// isMaxHeap reports whether every item is no smaller than its children.
-func isMaxHeap(items []sampleItem) bool {
-	for i := 1; i < len(items); i++ {
-		if itemLess(items[(i-1)/2], items[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSampleSnapshotSortsInPlace: a heap's Snapshot orders the items
-// where they lie. For keys that are hashes, keys that collide under
-// differing values, one key for every item, keys below the radix
+// TestSampleSnapshotSortsInPlace: a pool's Snapshot trims and orders
+// the items where they lie. For keys that are hashes, keys that collide
+// under differing values, one key for every item, keys below the radix
 // histogram's size and keys that share their leading bits (one radix
 // bucket, the comparison sort's case), at 0, 1, k − 1 and k items and
-// past k, the bytes are the comparison sort's — and the sample is still
-// a heap: it takes further Adds as a twin that was never snapshotted
-// does, to the same n, Values and later Snapshot bytes.
+// past k, the bytes are the comparison sort's — and the sample takes
+// further Adds as a twin that was never snapshotted does, to the same
+// n, Values and later Snapshot bytes.
 func TestSampleSnapshotSortsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewPCG(29, 29))
 	keys := []struct {
@@ -244,9 +239,6 @@ func TestSampleSnapshotSortsInPlace(t *testing.T) {
 					if !bytes.Equal(got.Bytes(), want.Bytes()) {
 						t.Fatalf("round %d: in-place order differs from the comparison sort's", round)
 					}
-					if s.run || !isMaxHeap(s.items) {
-						t.Fatalf("round %d: Snapshot left the sample something other than a heap", round)
-					}
 					add(1 + rng.IntN(2*k))
 					if s.n != twin.n || !reflect.DeepEqual(s.Values(), twin.Values()) {
 						t.Fatalf("round %d: adds after a Snapshot diverge from a sample never snapshotted", round)
@@ -258,10 +250,10 @@ func TestSampleSnapshotSortsInPlace(t *testing.T) {
 }
 
 // FuzzSampleOrder: for any items — 16 input bytes each, key then value —
-// offered to a sample of k in 1..64, the in-place order is the
-// comparison sort's and leaves a heap. Values that are NaN or a signed
-// zero are skipped: (key, value) does not order them, so no two sorts
-// need agree on their bytes.
+// offered to a sample of k in 1..64, the pool's trim and in-place order
+// are the comparison sort's. Values that are NaN or a signed zero are
+// skipped: (key, value) does not order them, so no two sorts need agree
+// on their bytes.
 func FuzzSampleOrder(f *testing.F) {
 	f.Add(uint8(3), []byte("0123456789abcdef0123456789abcdeg0123456789abcdef"))
 	f.Add(uint8(63), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 7, 0x40, 0x59, 0, 0, 0, 0, 0, 0}, 80))
@@ -280,17 +272,21 @@ func FuzzSampleOrder(f *testing.F) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("in-place order of %d items differs from the comparison sort's", len(s.items))
 		}
-		if !isMaxHeap(s.items) {
-			t.Fatal("sorted sample is not a heap")
-		}
 	})
 }
 
+// clonePool makes dst a copy of src in dst's own item array.
+func clonePool(dst, src *Sample) {
+	items := dst.items[:0]
+	*dst = *src
+	dst.items = append(items, src.items...)
+}
+
 // BenchmarkSampleSnapshot encodes one full duration-sized sample (k =
-// 32 768, three times that offered) in heap form, as every cut of a
-// long run does per worker set: fresh is a heap no Snapshot has sorted
-// yet, re-sorted one that was sorted at the last cut and has taken
-// 2 000 Adds since.
+// 32 768, three times that offered) in pool form, as every cut of a
+// long run does per worker set: fresh is a pool no Snapshot has trimmed
+// and sorted yet, re-sorted one that was sorted at the last cut and has
+// taken 2 000 Adds since.
 func BenchmarkSampleSnapshot(b *testing.B) {
 	const k = 1 << 15
 	rng := rand.New(rand.NewPCG(30, 30))
@@ -300,13 +296,13 @@ func BenchmarkSampleSnapshot(b *testing.B) {
 	}
 	var sink bytes.Buffer
 	sink.Grow(20 * k)
-	s := &Sample{k: k, items: make([]sampleItem, 0, k)}
+	s := &Sample{k: k, items: make([]sampleItem, 0, full.poolLimit())}
 	for _, bc := range []struct {
 		name  string
 		reset func()
 	}{
-		{"heap/fresh", func() { s.n, s.items = full.n, append(s.items[:0], full.items...) }},
-		{"heap/re-sorted", func() {
+		{"pool/fresh", func() { clonePool(s, full) }},
+		{"pool/re-sorted", func() {
 			for i := 0; i < 2000; i++ {
 				s.Add(rng.Uint64()>>2, float64(rng.IntN(600)))
 			}
@@ -333,6 +329,38 @@ func sampleBytes(s *Sample) []byte {
 	return buf.Bytes()
 }
 
+// sampleState is a copy of a sample's whole state, taken without the
+// trim and sort Snapshot and Values do: what Merge must leave its
+// argument as.
+type sampleState struct {
+	n     int64
+	run   bool
+	items []sampleItem
+	bound sampleItem
+	full  bool
+}
+
+func stateOf(s *Sample) sampleState {
+	return sampleState{s.n, s.run, slices.Clone(s.items), s.bound, s.full}
+}
+
+// mergeForm names a merge of o into s by the forms the two are in —
+// pool×pool, pool×run, run×pool or run×run — and, when either side is a
+// pool, by whether one holds more than k items no trim has cut yet.
+func mergeForm(s, o *Sample) string {
+	form := func(x *Sample) string {
+		if x.run {
+			return "run"
+		}
+		return "pool"
+	}
+	name := form(s) + "×" + form(o)
+	if (!s.run && len(s.items) > s.k) || (!o.run && len(o.items) > o.k) {
+		name += " untrimmed"
+	}
+	return name
+}
+
 // restoredSample is s through Snapshot and Restore: the same sample in
 // run form.
 func restoredSample(t *testing.T, s *Sample) *Sample {
@@ -351,9 +379,10 @@ func restoredSample(t *testing.T, s *Sample) *Sample {
 
 // buildSample absorbs items into one sample through a random mix of
 // everything a sample can be asked: Add, a Snapshot→Restore round trip
-// (heap form to run form), and Merge — either way round — with a
+// (pool form to run form), and Merge — either way round — with a
 // sub-sample built the same way from a random share of what is left.
-func buildSample(t *testing.T, rng *rand.Rand, k int, items []sampleItem) *Sample {
+// Each merge is counted in seen under its mergeForm.
+func buildSample(t *testing.T, rng *rand.Rand, k int, items []sampleItem, seen map[string]int) *Sample {
 	s := NewSample(k)
 	for len(items) > 0 {
 		switch rng.IntN(4) {
@@ -367,15 +396,17 @@ func buildSample(t *testing.T, rng *rand.Rand, k int, items []sampleItem) *Sampl
 			s = restoredSample(t, s)
 		case 3:
 			n := 1 + rng.IntN(len(items))
-			sub := buildSample(t, rng, k, items[:n])
+			sub := buildSample(t, rng, k, items[:n], seen)
 			items = items[n:]
-			before := sampleBytes(sub)
 			if rng.IntN(2) == 0 {
+				seen[mergeForm(s, sub)]++
+				before := stateOf(sub)
 				s.Merge(sub)
-				if !bytes.Equal(sampleBytes(sub), before) {
+				if !reflect.DeepEqual(stateOf(sub), before) {
 					t.Fatal("Merge changed its argument")
 				}
 			} else {
+				seen[mergeForm(sub, s)]++
 				sub.Merge(s)
 				s = sub
 			}
@@ -388,10 +419,12 @@ func buildSample(t *testing.T, rng *rand.Rand, k int, items []sampleItem) *Sampl
 // Snapshot→Restore and Merge, in whatever order and grouping, absorbed
 // a set of items — equal keys under different values and exact
 // duplicates among them — the result has the Values, Complete, n and
-// Snapshot bytes of one sample that was only ever added to, which never
-// leaves heap form.
+// Snapshot bytes of the heap arbiter (heapSample) that was only ever
+// added to. Every pairing of forms is merged, and with a pool in it,
+// with one holding more than k untrimmed items.
 func TestSampleFormsMatchHeapOnly(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 25))
+	seen := map[string]int{}
 	for round := 0; round < 300; round++ {
 		k := 1 + rng.IntN(40)
 		if round%10 == 0 {
@@ -407,21 +440,27 @@ func TestSampleFormsMatchHeapOnly(t *testing.T) {
 			}
 			items[i] = sampleItem{key: rng.Uint64N(keys) << 40, val: float64(rng.IntN(5))}
 		}
-		want := NewSample(k)
+		want := newHeapSample(k)
 		for _, it := range items {
 			want.Add(it.key, it.val)
 		}
 		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-		got := buildSample(t, rng, k, items)
+		got := buildSample(t, rng, k, items, seen)
 		if got.n != want.n || got.Complete() != want.Complete() {
 			t.Fatalf("round %d (k=%d, %d items): n=%d complete=%v, heap-only n=%d complete=%v",
 				round, k, n, got.n, got.Complete(), want.n, want.Complete())
 		}
-		if !reflect.DeepEqual(got.Values(), want.Values()) {
-			t.Fatalf("round %d (k=%d, %d items): values %v, heap-only %v", round, k, n, got.Values(), want.Values())
+		if !reflect.DeepEqual(got.Values(), heapValues(want)) {
+			t.Fatalf("round %d (k=%d, %d items): values %v, heap-only %v", round, k, n, got.Values(), heapValues(want))
 		}
-		if !bytes.Equal(sampleBytes(got), sampleBytes(want)) {
+		if !bytes.Equal(sampleBytes(got), heapBytes(want)) {
 			t.Fatalf("round %d (k=%d, %d items): snapshot differs from the heap-only sample's", round, k, n)
+		}
+	}
+	for _, form := range []string{"pool×pool", "pool×run", "run×pool", "run×run",
+		"pool×pool untrimmed", "pool×run untrimmed", "run×pool untrimmed"} {
+		if seen[form] == 0 {
+			t.Errorf("no %s merge was made", form)
 		}
 	}
 }
@@ -476,35 +515,39 @@ func TestSampleRestoreRefuses(t *testing.T) {
 	}
 }
 
-// offerLoopMerge is Sample.Merge as it was before mergeSelect — two
-// runs merged as runs, any other pairing offered to s's heap item by
-// item — kept verbatim as the arbiter of what set a merge must leave.
-func offerLoopMerge(s, o *Sample) {
-	s.n += o.n
-	if s.run && o.run {
-		s.mergeRun(o.items)
-		return
+// heapValues is what Values returned for a heap: its values ascending.
+func heapValues(s *heapSample) []float64 {
+	out := make([]float64, len(s.items))
+	for i, it := range s.items {
+		out[i] = it.val
 	}
-	s.heapify()
-	for _, it := range o.items {
-		s.offer(it)
-	}
+	sort.Float64s(out)
+	return out
+}
+
+// heapBytes is the Snapshot a heap wrote.
+func heapBytes(s *heapSample) []byte {
+	var buf bytes.Buffer
+	referenceSnapshot(snapshot.NewEncoder(&buf), s.k, s.n, s.items)
+	return buf.Bytes()
 }
 
 // TestSampleMergeHeapsMatchesOffer: for random k and operand sizes
 // whose sum falls under, exactly on and over k — with keys that are
 // hashes, keys that collide under differing values, keys below the
 // histogram's size and one key for every item, exact duplicates among
-// them — a merge of heap × heap, heap × run and run × heap leaves the n,
-// Complete, Values and Snapshot bytes the offer loop leaves, leaves its
-// argument alone, and leaves a heap: items added afterwards are kept or
-// dropped as the arbiter keeps or drops them.
+// them — a merge of pool × pool, pool × run and run × pool leaves the
+// n, Complete, Values and Snapshot bytes the heap arbiter's offer loop
+// leaves, leaves its argument alone, and leaves a pool that keeps or
+// drops items added afterwards as the arbiter keeps or drops them. Each
+// form is merged, too, with a pool holding more than k untrimmed items.
 func TestSampleMergeHeapsMatchesOffer(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 27))
 	forms := []struct {
 		name       string
 		sRun, oRun bool
-	}{{"heap×heap", false, false}, {"heap×run", false, true}, {"run×heap", true, false}}
+	}{{"pool×pool", false, false}, {"pool×run", false, true}, {"run×pool", true, false}}
+	untrimmed := map[string]int{}
 	for round := 0; round < 400; round++ {
 		k := 1 + rng.IntN(60)
 		if round%8 == 0 {
@@ -560,23 +603,36 @@ func TestSampleMergeHeapsMatchesOffer(t *testing.T) {
 				}
 				return s
 			}
-			got, want := build(itemsA, form.sRun), build(itemsA, form.sRun)
+			got, want := build(itemsA, form.sRun), newHeapSample(k)
+			for _, it := range itemsA {
+				want.Add(it.key, it.val)
+			}
 			o := build(itemsB, form.oRun)
-			before := sampleBytes(o)
+			if got.run != form.sRun || o.run != form.oRun {
+				t.Fatalf("round %d %s: operands are run=%v × run=%v", round, form.name, got.run, o.run)
+			}
+			if mergeForm(got, o) != form.name {
+				untrimmed[form.name]++
+			}
+			before := stateOf(o)
 			got.Merge(o)
-			if !bytes.Equal(sampleBytes(o), before) {
+			if !reflect.DeepEqual(stateOf(o), before) {
 				t.Fatalf("round %d %s (k=%d, %d+%d items): Merge changed its argument", round, form.name, k, na, nb)
 			}
 			offerLoopMerge(want, o)
 			for step := 0; step < 2; step++ {
-				if got.n != want.n || got.Complete() != want.Complete() {
+				// Check a copy: Values and Snapshot trim and sort, and the
+				// items added next must meet the pool the merge left.
+				c := new(Sample)
+				clonePool(c, got)
+				if c.n != want.n || c.Complete() != want.Complete() {
 					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: n=%d complete=%v, offer loop n=%d complete=%v",
-						round, form.name, k, na, nb, step, got.n, got.Complete(), want.n, want.Complete())
+						round, form.name, k, na, nb, step, c.n, c.Complete(), want.n, want.Complete())
 				}
-				if !reflect.DeepEqual(got.Values(), want.Values()) {
+				if !reflect.DeepEqual(c.Values(), heapValues(want)) {
 					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: values differ from the offer loop's", round, form.name, k, na, nb, step)
 				}
-				if !bytes.Equal(sampleBytes(got), sampleBytes(want)) {
+				if !bytes.Equal(sampleBytes(c), heapBytes(want)) {
 					t.Fatalf("round %d %s (k=%d, %d+%d items) step %d: snapshot differs from the offer loop's", round, form.name, k, na, nb, step)
 				}
 				for _, it := range later {
@@ -586,39 +642,81 @@ func TestSampleMergeHeapsMatchesOffer(t *testing.T) {
 			}
 		}
 	}
+	for _, form := range forms {
+		if untrimmed[form.name] == 0 {
+			t.Errorf("no %s merge had a pool of more than k untrimmed items", form.name)
+		}
+	}
 }
 
 // BenchmarkSampleMerge folds one full duration-sized sample (k = 32 768,
 // three times that offered) into another: what an engine's merge pays
 // per extra worker once the fleet's records outnumber the sample.
-// heap×heap is Sample.Merge; offer-loop is the item-by-item merge it
-// replaced, on the same operands.
+// pool×pool is Sample.Merge; offer-loop is the heap arbiter's
+// item-by-item merge, offered the same operand.
 func BenchmarkSampleMerge(b *testing.B) {
 	const k = 1 << 15
 	rng := rand.New(rand.NewPCG(28, 28))
-	full := func() *Sample {
-		s := NewSample(k)
-		for i := 0; i < 3*k; i++ {
-			s.Add(rng.Uint64(), float64(rng.IntN(600)))
-		}
-		return s
+	s, hs, o := NewSample(k), newHeapSample(k), NewSample(k)
+	for i := 0; i < 3*k; i++ {
+		key, v := rng.Uint64(), float64(rng.IntN(600))
+		s.Add(key, v)
+		hs.Add(key, v)
+		o.Add(rng.Uint64(), float64(rng.IntN(600)))
 	}
-	s, o := full(), full()
+	// The receiver starts each merge as the same full pool or heap; the
+	// copy is about 512 KiB, a few percent of either merge.
+	b.Run("pool×pool", func(b *testing.B) {
+		dst := &Sample{k: k, items: make([]sampleItem, 0, 2*k)}
+		for i := 0; i < b.N; i++ {
+			clonePool(dst, s)
+			dst.Merge(o)
+		}
+	})
+	b.Run("offer-loop", func(b *testing.B) {
+		dst := &heapSample{k: k, items: make([]sampleItem, 0, 2*k)}
+		for i := 0; i < b.N; i++ {
+			dst.n, dst.items = hs.n, append(dst.items[:0], hs.items...)
+			offerLoopMerge(dst, o)
+		}
+	})
+}
+
+// BenchmarkSampleAdd is the duration stage's sample per record: 1.6 M
+// hashed keys — a worker set's share of a fleet five times the
+// benchmark's — through one full duration-sized sample (k = 32 768),
+// the pool against the heap arbiter it replaced. B/op is the sample's
+// own array: the pool's k + k/8 items against the heap's k.
+func BenchmarkSampleAdd(b *testing.B) {
+	const k, n = 1 << 15, 1_600_000
+	rng := rand.New(rand.NewPCG(31, 31))
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
 	for _, bc := range []struct {
-		name  string
-		merge func(s, o *Sample)
+		name string
+		fill func()
 	}{
-		{"heap×heap", func(s, o *Sample) { s.Merge(o) }},
-		{"offer-loop", offerLoopMerge},
+		{"pool", func() {
+			s := NewSample(k)
+			for i, key := range keys {
+				s.Add(key, float64(i%601))
+			}
+		}},
+		{"heap", func() {
+			s := newHeapSample(k)
+			for i, key := range keys {
+				s.Add(key, float64(i%601))
+			}
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			// The receiver starts each merge as the same full heap; the
-			// copy is 512 KiB, a few percent of either merge.
-			dst := &Sample{k: k, items: make([]sampleItem, 0, 2*k)}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst.n, dst.run, dst.items = s.n, false, append(dst.items[:0], s.items...)
-				bc.merge(dst, o)
+				bc.fill()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/add")
 		})
 	}
 }

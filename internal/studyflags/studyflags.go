@@ -49,11 +49,17 @@ func Register(fs *flag.FlagSet, days int, sink bool) *Flags {
 }
 
 // Context returns the analysis context: the study period and the local
-// time offset. It fails on a malformed -start.
+// time offset. It fails on a malformed -start and on a study the engine
+// cannot clock (simtime.CheckPeriod): a non-positive -days, or a period
+// outside 1677-09-22 .. 2262-04-11, whose session clocks and snapshot
+// timestamps would silently wrap.
 func (f *Flags) Context() (analysis.Context, error) {
 	start, err := time.Parse("2006-01-02", f.Start)
 	if err != nil {
 		return analysis.Context{}, fmt.Errorf("bad -start date: %w", err)
+	}
+	if err := simtime.CheckPeriod(start, f.Days); err != nil {
+		return analysis.Context{}, fmt.Errorf("bad study period (-start %s -days %d): %w", f.Start, f.Days, err)
 	}
 	return analysis.Context{Period: simtime.NewPeriod(start, f.Days), TZOffsetSeconds: f.TZ * 3600}, nil
 }
