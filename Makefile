@@ -23,13 +23,8 @@ bench-check:
 # sessionizer alone, a full-state snapshot encode and its restore, a run
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
-# 1 600-car fleet; one full duration sample merged into another, which
-# each worker past the first costs the serial tail, one encoded from
-# pool form, which every set costs every cut, and 1.6 M hashed keys
-# added to one (pool against the heap it replaced, ns/add and bytes),
-# beside the log histogram's Add, table and logarithm;
-# the restore-and-fold of a full-window miss on the 400-car serve fleet,
-# and that fleet's cold drain through the query store as carqueryd runs
+# 1 600-car fleet; the restore-and-fold of a full-window miss on the
+# 400-car serve fleet, and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
 # and what one foreign row costs a shard worker, skipped below the parse
 # against the FilterFunc pipeline it replaced, per codec.
@@ -38,7 +33,6 @@ bench-check:
 # plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
-	$(GO) test -run='^$$' -bench='^(BenchmarkSampleMerge|BenchmarkSampleSnapshot|BenchmarkSampleAdd|BenchmarkLogHistAdd)$$' -benchmem -count=5 ./internal/stats
 	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
@@ -101,10 +95,9 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Short fuzz runs over eleven targets: the codec entry points, the shard
+# Short fuzz runs over ten targets: the codec entry points, the shard
 # readers' partition of what the unsharded reader returns, the snapshot
-# decoder against the one it replaced, the duration sample's in-place
-# order against a comparison sort, the Unix-nanosecond sessionizer
+# decoder against the one it replaced, the Unix-nanosecond sessionizer
 # against the time.Time one it replaced, the ordered fold's grouping
 # property and the coordinator's journal replay; go test accepts one
 # -fuzz pattern per invocation, hence one run per target.
@@ -115,7 +108,6 @@ fuzz-smoke:
 	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzShardReadersPartitionInput -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/stats -run='^$$' -fuzz=FuzzSampleOrder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/clean -run='^$$' -fuzz=FuzzSessionizerMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzMergeOrderedGrouping -fuzztime=$(FUZZTIME)

@@ -454,3 +454,37 @@ func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
 		t.Fatalf("checkpoint span: %d cuts, %.3f ms inside an analyze span of %.3f ms; want 6 cuts", cuts, stall, analyze)
 	}
 }
+
+// TestResumeRefusesVersion1Checkpoint: a checkpoint written before
+// snapshot version 2 holds a duration sample exact counts cannot be
+// rebuilt from, so -resume refuses it, naming the version and the
+// remedy, rather than converting it.
+func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(in, cdrBytes(t, 5_000), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "run.snap")
+	args := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-checkpoint", ckpt}
+	if out, err := caranalyze(append(args, "-checkpoint-every", "2000")...).CombinedOutput(); err != nil {
+		t.Fatalf("checkpointed run: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := caranalyze(append(args, "-resume")...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("-resume of a version-1 checkpoint succeeded:\n%s", out)
+	}
+	for _, want := range []string{"unsupported snapshot version 1 (want 2;", "re-run from the input"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("-resume of a version-1 checkpoint does not say %q:\n%s", want, out)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -512,5 +513,68 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 	}
 	if resumed := quality(run(cardrive(append(args, "-resume", in)...))); resumed != single {
 		t.Fatalf("-resume's Data Quality differs from the single run's\n--- cardrive -resume ---\n%s\n--- caranalyze -stream ---\n%s", resumed, single)
+	}
+}
+
+// TestResumeReplansVersion1Partial: a done shard whose partial was
+// written before snapshot version 2 is not merged on -resume: the
+// coordinator sorts it as bad-snapshot, naming the version, runs the
+// shard again and prints the report a fresh run prints.
+func TestResumeReplansVersion1Partial(t *testing.T) {
+	dir := t.TempDir()
+	worker := buildWorker(t, dir)
+	in := filepath.Join(dir, "cars.cdr")
+	writeWorkload(t, in, 20_000)
+	work := filepath.Join(dir, "work")
+	args := []string{"-shards", "3", "-worker", worker, "-workdir", work, "-days", "7", "-keep-partials"}
+	fresh, err := cardrive(append(args, in)...).Output()
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+
+	partial := filepath.Join(work, "shard0001.snap")
+	data, err := os.ReadFile(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
+	if err := os.WriteFile(partial, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := len(journalEvents(t, work))
+
+	cmd := cardrive(append(args, "-resume", in)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	resumed, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("-resume: %v\nstderr:\n%s", err, stderr.String())
+	}
+	var sorted bool
+	for _, ln := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatalf("stderr line is not a JSON record: %q: %v", ln, err)
+		}
+		msg, _ := rec["err"].(string)
+		if rec["level"] == "WARN" && rec["shard"] == 1.0 && rec["class"] == "bad-snapshot" &&
+			strings.Contains(msg, "unsupported snapshot version 1 (want 2;") {
+			sorted = true
+		}
+	}
+	if !sorted {
+		t.Errorf("-resume did not sort shard 1's version-1 partial as bad-snapshot:\n%s", stderr.String())
+	}
+	var reran []string
+	for _, ev := range journalEvents(t, work)[before:] {
+		if ev["event"] == "attempt" || ev["event"] == "done" {
+			reran = append(reran, fmt.Sprintf("%v shard %v", ev["event"], ev["shard"]))
+		}
+	}
+	if !slices.Equal(reran, []string{"attempt shard 1", "done shard 1"}) {
+		t.Errorf("-resume journaled %v; want shard 1, and only shard 1, run again", reran)
+	}
+	if got, want := reportBody(t, resumed), reportBody(t, fresh); got != want {
+		t.Errorf("-resume prints a different report than the fresh run\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
 	}
 }

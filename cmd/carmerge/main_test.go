@@ -147,6 +147,35 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 	}
 }
 
+// TestRefusesVersion1Partial: a partial written before snapshot
+// version 2 is refused, naming the version and the remedy, even beside
+// a current one.
+func TestRefusesVersion1Partial(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.snap")
+	writePartial(t, good, 1, 2, 3)
+	old := filepath.Join(dir, "old.snap")
+	writePartial(t, old, 4, 5)
+	data, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, stderr, code := carmerge(good, old)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr)
+	}
+	for _, want := range []string{"unsupported snapshot version 1 (want 2;", "re-run from the input"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr does not say %q:\n%s", want, stderr)
+		}
+	}
+}
+
 // TestMergesDegradedPartial: a partial whose days stage failed leaves
 // the merged report without a days histogram. carmerge used to
 // dereference it (SIGSEGV, exit 2); the degraded report must come out

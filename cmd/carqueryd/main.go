@@ -144,6 +144,9 @@ func main() {
 		if err != nil {
 			fatal("warm restart failed", "snapshots", dir.Path, "err", err.Error())
 		}
+		for _, skip := range store.SkippedCuts() {
+			logger.Warn("skipped snapshot cut", "err", skip.Error())
+		}
 		if ok {
 			watermark = wm
 			logger.Info("warm restart", "snapshots", dir.Path, "watermark", wm)

@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -950,4 +951,73 @@ func TestQuarantineFileSurvivesShutdown(t *testing.T) {
 	if n := strings.Count(string(got), "\n"); n != 2 {
 		t.Fatalf("quarantine file holds %d lines after a graceful shutdown, want 2:\n%s", n, got)
 	}
+}
+
+// TestVersion1CutsColdStart: cuts written before snapshot version 2
+// cannot be warmed from. The restarted daemon logs one warning per cut,
+// carrying that cut's error, replays its inputs from record 0 and serves
+// what a cold daemon serves.
+func TestVersion1CutsColdStart(t *testing.T) {
+	dir := t.TempDir()
+	recs := e2eRecords(4500)
+	in := filepath.Join(dir, "all.cdr")
+	writeCDR(t, in, recs)
+	snaps := filepath.Join(dir, "snaps")
+	args := []string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h", "-keep", "8",
+		"-snapshots", snaps, "-snapshot-every", "1500",
+		"-start", "2017-03-06", "-days", "1", "-tz", "-5", "-seed", "1", in}
+	const report = "/report/full?window=24h"
+
+	d := startDaemon(t, args...)
+	d.waitDrained(t, int64(len(recs)))
+	code, cold := d.get(t, report)
+	if code != http.StatusOK {
+		t.Fatalf("%s: %d", report, code)
+	}
+	d.terminate(t)
+
+	cuts, err := filepath.Glob(filepath.Join(snaps, "cut-*.snap"))
+	if err != nil || len(cuts) < 2 {
+		t.Fatalf("cuts %v (err %v); want several", cuts, err)
+	}
+	for _, cut := range cuts {
+		data, err := os.ReadFile(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
+		if err := os.WriteFile(cut, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d = startDaemon(t, args...)
+	d.waitDrained(t, int64(len(recs)))
+	if warm := d.record(t, "warm restart"); warm != nil {
+		t.Fatalf("warm restart from version-1 cuts: %v", warm)
+	}
+	var skipped []string
+	for _, rec := range d.records(t) {
+		if rec["msg"] != "skipped snapshot cut" {
+			continue
+		}
+		msg, _ := rec["err"].(string)
+		if rec["level"] != "WARN" || !strings.Contains(msg, "unsupported snapshot version 1 (want 2;") {
+			t.Errorf("skipped-cut record %v does not warn of version 1", rec)
+		}
+		skipped = append(skipped, msg)
+	}
+	if len(skipped) != len(cuts) {
+		t.Errorf("%d skipped-cut warnings for %d version-1 cuts:\n%s", len(skipped), len(cuts), strings.Join(skipped, "\n"))
+	}
+	for _, cut := range cuts {
+		if !slices.ContainsFunc(skipped, func(msg string) bool { return strings.Contains(msg, cut) }) {
+			t.Errorf("no skipped-cut warning names %s", cut)
+		}
+	}
+	if code, got := d.get(t, report); code != http.StatusOK || !bytes.Equal(got, cold) {
+		t.Fatalf("%s after a cold start over version-1 cuts: %d, %d bytes; a cold daemon's %d bytes\n%s",
+			report, code, len(got), len(cold), firstDiff(got, cold))
+	}
+	d.terminate(t)
 }

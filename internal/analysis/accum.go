@@ -25,11 +25,7 @@ import (
 // set, and partials combine with Merge. Because no car's state is
 // ever split across shards, merging is a union of disjoint per-car
 // state plus integer count addition — results are bit-identical
-// regardless of worker count. The only approximated quantities are
-// the Figure 9 duration quantiles, which fall back to a mergeable
-// log-histogram sketch (±one ~7% bin) once the record population
-// exceeds the exact-sample capacity; the sketch itself is still
-// deterministic across worker counts.
+// regardless of worker count.
 
 // Accumulator is one paper stage as a mergeable aggregation:
 // Add observes a record, Merge folds in a same-stage accumulator fed
@@ -531,24 +527,26 @@ func (a *segmentsAcc) Finalize(rep *Report) error {
 // ---------------------------------------------------------------------------
 // durations — Figure 9
 
-// durSampleCap bounds the exact duration sample: populations at or
-// below it yield exact quantiles and an exact CDF; above it the CDF is
-// a uniform 32k-record sample and the quantiles come from the
-// log-histogram sketch (±one ~7% bin).
-const durSampleCap = 1 << 15
+// durBins is how many whole seconds a truncated duration can take:
+// 0 through 600.
+const durBins = int(clean.TruncateLimit/time.Second) + 1
 
+// durationsAcc counts records by truncated duration in whole seconds,
+// which is every duration a codec can carry, so Figure 9's quantiles
+// and CDF are exact at any size and merge by addition.
 type durationsAcc struct {
-	hist   stats.LogHist // truncated durations, for sketched quantiles
-	sample *stats.Sample // truncated durations, for the CDF (exact when complete)
+	counts [durBins]int64 // records by truncated duration, floored to the second
+	// notWhole counts the records whose duration is negative or not a
+	// whole number of seconds, binned at its floor and a negative one
+	// at 0 s: only the record-slice API can pass one.
+	notWhole int64
 
 	n                   int64
 	fullSec, fullNano   int64 // exact sums of raw durations
 	truncSec, truncNano int64 // exact sums of 600 s-truncated durations
 }
 
-func newDurationsAcc() *durationsAcc {
-	return &durationsAcc{sample: stats.NewSample(durSampleCap)}
-}
+func newDurationsAcc() *durationsAcc { return &durationsAcc{} }
 
 func (a *durationsAcc) Stage() string { return "durations" }
 
@@ -563,14 +561,18 @@ func (a *durationsAcc) Add(r cdr.Record) {
 	a.fullNano += int64(d % time.Second)
 	a.truncSec += int64(td / time.Second)
 	a.truncNano += int64(td % time.Second)
-	a.hist.Add(td.Seconds())
-	a.sample.Add(cdr.RecordHash(r), td.Seconds())
+	if d < 0 || d%time.Second != 0 {
+		a.notWhole++
+	}
+	a.counts[max(td/time.Second, 0)]++
 }
 
 func (a *durationsAcc) Merge(other Accumulator) {
 	o := mergeAs[*durationsAcc](other)
-	a.hist.Merge(&o.hist)
-	a.sample.Merge(o.sample)
+	for s, c := range o.counts {
+		a.counts[s] += c
+	}
+	a.notWhole += o.notWhole
 	a.n += o.n
 	a.fullSec += o.fullSec
 	a.fullNano += o.fullNano
@@ -579,30 +581,20 @@ func (a *durationsAcc) Merge(other Accumulator) {
 }
 
 func (a *durationsAcc) Finalize(rep *Report) error {
-	values := a.sample.Values()
-	cd := CellDurations{Truncated: stats.NewCDF(values)}
+	secs := make([]float64, durBins)
+	for s := range secs {
+		secs[s] = float64(s)
+	}
+	cd := CellDurations{Truncated: stats.NewCDFCounts(secs, a.counts[:]), NotWhole: a.notWhole}
 	if a.n > 0 {
-		if a.sample.Complete() {
-			cd.Median = cd.Truncated.Quantile(0.5)
-			cd.P73 = cd.Truncated.Quantile(0.73)
-		} else {
-			limit := clean.TruncateLimit.Seconds()
-			cd.Median = minF(a.hist.Quantile(0.5), limit)
-			cd.P73 = minF(a.hist.Quantile(0.73), limit)
-		}
+		cd.Median = cd.Truncated.Quantile(0.5)
+		cd.P73 = cd.Truncated.Quantile(0.73)
 		nf := float64(a.n)
 		cd.FullMean = (float64(a.fullSec) + float64(a.fullNano)*1e-9) / nf
 		cd.TruncMean = (float64(a.truncSec) + float64(a.truncNano)*1e-9) / nf
 	}
 	rep.Durations = cd
 	return nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ import (
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
-	"cellcars/internal/stats"
 )
 
 // This file implements the Accumulator snapshot contract for every
 // stage: SnapshotTo serializes exactly the mutable partial state (maps,
-// bitmaps, sketches, open sessions), never the configuration (period,
+// bitmaps, counts, open sessions), never the configuration (period,
 // load source, rare-day thresholds, seeds) — configuration travels in
 // the checkpoint header and is re-validated there. Encodings are
 // deterministic: map keys are emitted in ascending order, so equal
@@ -312,10 +311,24 @@ func (a *segmentsAcc) RestoreFrom(r io.Reader) error {
 // ---------------------------------------------------------------------------
 // durations
 
+// The counts are one sparse frame: how many seconds are counted, then
+// each as an ascending (second, count) pair.
 func (a *durationsAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	a.hist.Snapshot(e)
-	a.sample.Snapshot(e)
+	nonzero := 0
+	for _, c := range a.counts {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	e.Uvarint(uint64(nonzero))
+	for s, c := range a.counts {
+		if c != 0 {
+			e.Uvarint(uint64(s))
+			e.Uvarint(uint64(c))
+		}
+	}
+	e.Varint(a.notWhole)
 	e.Varint(a.n)
 	e.Varint(a.fullSec)
 	e.Varint(a.fullNano)
@@ -326,22 +339,38 @@ func (a *durationsAcc) SnapshotTo(w io.Writer) error {
 
 func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	var hist stats.LogHist
-	hist.Restore(d)
-	sample := stats.NewSample(durSampleCap)
-	sample.Restore(d)
-	n := d.Varint()
+	var counts [durBins]int64
+	var sum int64
+	nonzero := d.Len(durBins)
+	for i, prev := 0, -1; i < nonzero; i++ {
+		s, c := d.Uvarint(), d.Uvarint()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		// Seconds ascend strictly within 0..600 and each counts at least
+		// one record, without the sum overflowing.
+		if s >= uint64(durBins) || int(s) <= prev || c == 0 || c > uint64(math.MaxInt64-sum) {
+			d.Failf("duration second %d (after %d) counted %d times", s, prev, c)
+			return d.Err()
+		}
+		counts[s], prev = int64(c), int(s)
+		sum += int64(c)
+	}
+	notWhole, n := d.Varint(), d.Varint()
 	fullSec, fullNano := d.Varint(), d.Varint()
 	truncSec, truncNano := d.Varint(), d.Varint()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if n < 0 || fullSec < 0 || truncSec < 0 || truncSec > fullSec {
-		d.Failf("duration sums n=%d full=%d trunc=%d inconsistent", n, fullSec, truncSec)
+	if sum != n {
+		d.Failf("duration counts sum to %d but %d records were counted", sum, n)
 		return d.Err()
 	}
-	a.hist, a.sample = hist, sample
-	a.n = n
+	if notWhole < 0 || notWhole > n || fullSec < 0 || truncSec < 0 || truncSec > fullSec {
+		d.Failf("duration sums n=%d not-whole=%d full=%d trunc=%d inconsistent", n, notWhole, fullSec, truncSec)
+		return d.Err()
+	}
+	a.counts, a.notWhole, a.n = counts, notWhole, n
 	a.fullSec, a.fullNano = fullSec, fullNano
 	a.truncSec, a.truncNano = truncSec, truncNano
 	return nil

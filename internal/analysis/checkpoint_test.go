@@ -477,17 +477,16 @@ func TestAnalysisSnapshotTruncation(t *testing.T) {
 }
 
 // TestCheckpointCutGolden pins the bytes of a cut: the SHA-256 below
-// was recorded from the commit before the duration sample's canonical
-// order came from a radix sort, so a cut written today is the file that
-// commit wrote. A deliberate format change bumps snapshot.Version and
-// this hash together; anything else that moves it is a bug.
+// was recorded when snapshot version 2 replaced Figure 9's duration
+// sample with exact per-second counts, whose numbers
+// TestEngineDurationsExact holds to a naive oracle. A deliberate format
+// change bumps snapshot.Version and this hash together; anything else
+// that moves it is a bug.
 func TestCheckpointCutGolden(t *testing.T) {
-	const want = "f1cfc7e3f804795d5a0a63087314f0b8d52599a6f57dbdfbc549f0c643758ebd"
+	const want = "9ef364a771402f93e1ae1df33d54ae0c0396c81bde0fc13f98dfc1a9d0a70cfa"
 	ctx := engineCtx()
 	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
 	path := filepath.Join(t.TempDir(), "golden.snap")
-	// 60 000 records overflow the 32 768-item sample, so the cut holds a
-	// full bottom-k set, not the whole population.
 	_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
 		cdr.NewSliceReader(engineWorkload(60000)), CheckpointConfig{Path: path, Every: 25000})
 	if err != nil {
@@ -505,10 +504,9 @@ func TestCheckpointCutGolden(t *testing.T) {
 // TestTrackHeadsCutGolden is TestCheckpointCutGolden for the form a
 // carqueryd bucket is sealed in: one TrackHeads set, whose stashed head
 // sessions are written beside the open ones. The SHA-256 was recorded
-// by running this test at the commit before sessions were recycled and
-// heads and open sessions encoded in place.
+// at snapshot version 2, as TestCheckpointCutGolden's was.
 func TestTrackHeadsCutGolden(t *testing.T) {
-	const want = "dd7e1cedac8608fb422726ed55fd041d62d7789b3ac2c3b501aaa7dbf2b5aeaa"
+	const want = "1f8040b03849c865f5187241d0b47e461595bc9fb71e93d04523a6e372d65c6d"
 	s := NewStreamingWithOptions(engineCtx(), RunOptions{BusyCells: engineBusyCells(), TrackHeads: true})
 	if err := s.AddAll(cdr.NewSliceReader(engineWorkload(60000))); err != nil {
 		t.Fatal(err)
@@ -583,9 +581,8 @@ func TestZeroOptionsWriteOneHeader(t *testing.T) {
 
 // BenchmarkSnapshotEncode times one full-state Streaming.SnapshotTo at
 // the state the benchmark's checkpoint workload cuts: a generated
-// 1 600-car, 14-day fleet (≈ 320 k records) fully ingested, the
-// duration sample at its 32 768-item cap. Profile it with
-// `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
+// 1 600-car, 14-day fleet (≈ 320 k records) fully ingested. Profile it
+// with `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	period, records := benchFleet(b)
 	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})

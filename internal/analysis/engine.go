@@ -36,9 +36,7 @@ import (
 // sharding the stream by car hash across workers, running one complete
 // accumulator set per shard, and merging the partials into a Report.
 // Because shards are car-disjoint and every accumulator merges by
-// union, the report is bit-identical for any worker count on the exact
-// stages; only the Figure 9 duration quantiles may switch to a
-// deterministic sketch at large scale (see CellDurations).
+// union, the report is bit-identical for any worker count.
 //
 // Record handling policy, shared by Run, Streaming and the engine:
 // exactly-one-hour ghosts are dropped (§3), and records starting

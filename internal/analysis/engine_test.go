@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"cellcars/internal/clean"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
+	"cellcars/internal/stats"
 )
 
 // engineWorkload generates a deterministic raw workload that exercises
@@ -78,9 +80,7 @@ func engineBusyCells() []radio.CellKey {
 }
 
 // TestEngineWorkerCountEquivalence is the core determinism guarantee:
-// the full report is bit-identical for any worker count. The workload
-// is large enough that the duration quantiles use the sketch path, so
-// the sketch's merge determinism is covered too.
+// the full report is bit-identical for any worker count.
 func TestEngineWorkerCountEquivalence(t *testing.T) {
 	records := engineWorkload(40000)
 	ctx := engineCtx()
@@ -302,38 +302,139 @@ func TestEngineEmptySource(t *testing.T) {
 	}
 }
 
-// TestEngineDurationQuantileTolerance documents the sketch contract:
-// beyond the exact-sample capacity the duration quantiles come from
-// the log histogram and must stay within one ~7% bin of the exact
-// value computed from the full data.
-func TestEngineDurationQuantileTolerance(t *testing.T) {
-	records := engineWorkload(40000)
-	ctx := engineCtx()
-	rep, err := NewEngine(ctx, EngineOptions{Workers: 4}).Run(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+// durationsOracle is Figure 9 computed the naive way: the accepted
+// (ghost-free, in-period) population's durations, truncated at 600 s to
+// whole seconds, sorted, with stats.Quantile over the slice and the
+// CDF's 72 plot points counted off it.
+type durationsOracle struct {
+	median, p73 float64
+	xs, ps      []float64
+}
 
-	// Exact reference over the accepted (ghost-free, in-period) stream.
-	var trunc []float64
-	for _, r := range records {
-		if r.Duration == clean.GhostDuration || ctx.Period.DayIndex(r.Start) < 0 {
-			continue
-		}
-		sec := r.Duration.Seconds()
-		if sec > 600 {
-			sec = 600
-		}
-		trunc = append(trunc, sec)
+func newDurationsOracle(ctx Context, records []cdr.Record) durationsOracle {
+	var sorted []float64
+	for _, r := range cleanAccepted(ctx, records) {
+		sorted = append(sorted, float64(min(r.Duration, clean.TruncateLimit)/time.Second))
 	}
-	if len(trunc) <= durSampleCap {
-		t.Fatalf("workload too small to exercise the sketch: %d", len(trunc))
+	sort.Float64s(sorted)
+	o := durationsOracle{median: stats.Quantile(sorted, 0.5), p73: stats.Quantile(sorted, 0.73)}
+	lo, hi := sorted[0], sorted[len(sorted)-1]
+	for i := 0; i < 72; i++ {
+		x := lo + (hi-lo)*float64(i)/71
+		atOrBelow := sort.Search(len(sorted), func(j int) bool { return sorted[j] > x })
+		o.xs = append(o.xs, x)
+		o.ps = append(o.ps, float64(atOrBelow)/float64(len(sorted)))
 	}
-	sort.Float64s(trunc)
-	med := trunc[(len(trunc)-1)/2]
-	ratio := rep.Durations.Median / med
-	if ratio < 0.90 || ratio > 1.12 {
-		t.Fatalf("sketched median %v vs exact %v (ratio %v)", rep.Durations.Median, med, ratio)
+	return o
+}
+
+func (o durationsOracle) check(t *testing.T, how string, d CellDurations) {
+	t.Helper()
+	xs, ps := d.Truncated.Points(72)
+	if d.Median != o.median || d.P73 != o.p73 || !slices.Equal(xs, o.xs) || !slices.Equal(ps, o.ps) {
+		t.Fatalf("%s: median %v, p73 %v; the sorted population gives %v, %v (or the CDF's points differ)",
+			how, d.Median, d.P73, o.median, o.p73)
+	}
+}
+
+// TestEngineDurationsExact: Figure 9's median, p73 and CDF equal the
+// naive oracle's, float for float, however the population was split and
+// put back together — engine workers, checkpoints and a resume,
+// partials merged in any order, an ordered fold of hourly buckets — on
+// a fleet under 32 768 accepted records and one over it.
+func TestEngineDurationsExact(t *testing.T) {
+	ctx := engineCtx()
+	for _, n := range []int{5000, 40000} {
+		records := engineWorkload(n)
+		accepted := len(cleanAccepted(ctx, records))
+		t.Run(fmt.Sprintf("accepted=%d", accepted), func(t *testing.T) {
+			oracle := newDurationsOracle(ctx, records)
+			for workers := 1; workers <= 4; workers++ {
+				rep, err := NewEngine(ctx, EngineOptions{Workers: workers}).Run(records)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle.check(t, fmt.Sprintf("Engine.Run workers=%d", workers), rep.Durations)
+			}
+
+			// Three runs killed after a cut, each resuming the last.
+			eopts := EngineOptions{Workers: 2}
+			cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "engine.snap"), Every: int64(n / 5)}
+			for i, kill := range []int{n / 4, n / 2, 3 * n / 4} {
+				cfg.Resume = i > 0
+				_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
+					&faultReader{r: cdr.NewSliceReader(records), n: kill, err: errKilled}, cfg)
+				if !errors.Is(err, errKilled) {
+					t.Fatalf("kill=%d: want simulated crash, got %v", kill, err)
+				}
+			}
+			cfg.Resume = true
+			rep, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle.check(t, "resumed RunReaderCheckpointed", rep.Durations)
+
+			var snaps [][]byte
+			for _, shard := range shardByFilter(t, records, 8) {
+				s := NewStreamingWithOptions(ctx, RunOptions{})
+				if err := s.AddAll(cdr.NewSliceReader(shard)); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := s.SnapshotTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				snaps = append(snaps, buf.Bytes())
+			}
+			rng := rand.New(rand.NewPCG(uint64(n), 8))
+			for order := 0; order < 10; order++ {
+				var root *Partial
+				for _, i := range rng.Perm(len(snaps)) {
+					p, err := ReadPartial(bytes.NewReader(snaps[i]))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if root == nil {
+						root = p
+					} else if err := root.Merge(p, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				oracle.check(t, fmt.Sprintf("Partial.Merge order %d", order), root.Finalize().Durations)
+			}
+
+			// Hourly TrackHeads buckets, each through its snapshot, folded
+			// in time order as a query window is.
+			tracked := RunOptions{TrackHeads: true}
+			var fold *Streaming
+			for lo := 0; lo < len(records); {
+				hour := records[lo].Start.Truncate(time.Hour)
+				hi := lo
+				for hi < len(records) && records[hi].Start.Truncate(time.Hour).Equal(hour) {
+					hi++
+				}
+				s := NewStreamingWithOptions(ctx, tracked)
+				if err := s.AddAll(cdr.NewSliceReader(records[lo:hi])); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := s.SnapshotTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				bucket, err := RestoreStreaming(ctx, tracked, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fold == nil {
+					fold = bucket
+				} else if err := fold.MergeOrdered(bucket); err != nil {
+					t.Fatal(err)
+				}
+				lo = hi
+			}
+			oracle.check(t, "MergeOrdered fold of hourly buckets", fold.set.finalize().Durations)
+		})
 	}
 }
 

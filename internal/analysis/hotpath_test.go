@@ -323,9 +323,7 @@ func BenchmarkEngineRun(b *testing.B) {
 // dispatch resuming (the run's own cellcars_checkpoint_stall_seconds,
 // so both runs are observed) — the fsync and rename behind it overlap
 // the next records. Per worker count, because a cut writes every
-// worker's set and each set carries its own 32 768-item duration sample
-// (bottom-k is kept per shard to stay exact), so a two-worker cut is the
-// larger file; past the first, each worker encodes its own.
+// worker's set and, past the first, each worker encodes its own.
 func BenchmarkCheckpointedRun(b *testing.B) {
 	period, records := benchFleet(b)
 	const cuts = 16

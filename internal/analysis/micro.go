@@ -126,7 +126,8 @@ func BusiestCellDay(records []cdr.Record, ctx Context) (radio.CellKey, int) {
 // durations, reported on the truncated-at-600 s data (the figure's
 // x-axis) alongside the full-duration mean the paper quotes.
 type CellDurations struct {
-	// Truncated is the CDF of durations capped at 600 s.
+	// Truncated is the CDF of durations capped at 600 s, in whole
+	// seconds.
 	Truncated *stats.CDF
 	// Median and P73 are quantiles of the truncated distribution
 	// (paper: 105 s and 600 s).
@@ -134,12 +135,14 @@ type CellDurations struct {
 	// FullMean and TruncMean are the means of the raw and truncated
 	// durations (paper: 625 s and 238 s).
 	FullMean, TruncMean float64
+	// NotWhole counts the records whose duration was negative or not a
+	// whole number of seconds: Truncated holds each at its floor, a
+	// negative one at 0 s, while the means keep them exact. No codec
+	// carries one; the record-slice API can.
+	NotWhole int64
 }
 
-// CellDurationsOf computes Figure 9 from ghost-free records. The means
-// are always exact; the CDF and quantiles are exact up to the duration
-// sample capacity (32768 records) and deterministically sketched
-// beyond it (see CellDurations.Truncated).
+// CellDurationsOf computes Figure 9 from ghost-free records, exactly.
 func CellDurationsOf(records []cdr.Record) CellDurations {
 	return runAccum(newDurationsAcc(), records).Durations
 }

@@ -22,9 +22,7 @@ import (
 // time, Figure 6 days histogram, Table 2 segmentation, Figure 7 busy
 // time, Figure 9 durations, §4.5 handovers, Table 3 carriers, fleet
 // usage matrix) is computed by exactly the code Run uses, in bounded
-// per-car/per-cell memory. Duration quantiles fall back to a
-// logarithmic sketch (~7% bin width) beyond the exact-sample capacity;
-// everything else is exact.
+// per-car/per-cell memory, and exactly.
 //
 // Feed records in time order with Add (the erroneous one-hour ghosts
 // are filtered inline, and records outside the study period are
@@ -70,7 +68,7 @@ func (s *Streaming) AddAll(r cdr.Reader) error {
 }
 
 // StreamReport is the Finalize output: the streaming-covered subset of
-// Report, with possibly sketched duration quantiles.
+// Report.
 type StreamReport struct {
 	// Records counts ghost-free records seen; GhostsDropped the ghosts;
 	// OutOfPeriod the ghost-free records excluded for starting outside
@@ -100,9 +98,8 @@ type StreamReport struct {
 	UsageSessions int64
 
 	// DurMedian and DurP73 are quantiles of the truncated per-cell
-	// durations — exact while the population fits the duration sample,
-	// log-histogram-approximate (~7%) beyond it. DurFullMean and
-	// DurTruncMean are always exact.
+	// durations, DurFullMean and DurTruncMean their means (see
+	// CellDurations).
 	DurMedian, DurP73         float64
 	DurFullMean, DurTruncMean float64
 

@@ -95,12 +95,8 @@ func TestStreamingMatchesBatchOnBasics(t *testing.T) {
 	if math.Abs(rep.DurTruncMean-batchDur.TruncMean) > 1e-9 {
 		t.Fatalf("trunc dur mean %v vs %v", rep.DurTruncMean, batchDur.TruncMean)
 	}
-	// Approximate quantiles within one log-bin (~7%) of exact.
-	if batchDur.Median > 0 {
-		ratio := rep.DurMedian / batchDur.Median
-		if ratio < 0.90 || ratio > 1.12 {
-			t.Fatalf("median approx %v vs exact %v", rep.DurMedian, batchDur.Median)
-		}
+	if rep.DurMedian != batchDur.Median || rep.DurP73 != batchDur.P73 {
+		t.Fatalf("median, p73 %v, %v vs %v, %v", rep.DurMedian, rep.DurP73, batchDur.Median, batchDur.P73)
 	}
 }
 
@@ -139,9 +135,6 @@ func TestDaysBits(t *testing.T) {
 		t.Fatalf("count = %d", d.count())
 	}
 }
-
-// The log-histogram quantile tests moved to internal/stats with the
-// sketch itself (see stats.LogHist).
 
 // TestStreamingLargeEquivalence runs streaming vs batch over a bigger
 // synthetic-ish random workload to catch accumulation drift.

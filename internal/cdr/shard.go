@@ -38,15 +38,3 @@ func carHash(id, key uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// RecordHash returns a well-distributed 64-bit hash of a record's
-// content, usable as a deterministic sampling key: the same record
-// hashes identically regardless of stream position, shard, or worker
-// count.
-func RecordHash(r Record) uint64 {
-	h := carHash(uint64(r.Car), 0x5EED0001)
-	h = carHash(h^uint64(r.Cell), 0x5EED0002)
-	h = carHash(h^uint64(r.Start.UnixNano()), 0x5EED0003)
-	h = carHash(h^uint64(r.Duration), 0x5EED0004)
-	return h
-}

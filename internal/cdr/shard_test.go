@@ -65,14 +65,3 @@ func TestShardFilterPartition(t *testing.T) {
 		t.Fatalf("shards cover %d of %d records", total, len(records))
 	}
 }
-
-func TestRecordHashDeterministic(t *testing.T) {
-	a := shardRec(5, 17)
-	b := shardRec(5, 17)
-	if RecordHash(a) != RecordHash(b) {
-		t.Fatal("identical records must hash identically")
-	}
-	if RecordHash(a) == RecordHash(shardRec(5, 18)) {
-		t.Fatal("distinct records should hash differently")
-	}
-}

@@ -462,7 +462,7 @@ func (c *Coordinator) replay() error {
 		}
 		// Trust but verify: the snapshot must still exist and parse.
 		if _, err := c.validateSnapshot(s.final); err != nil {
-			c.log.Warn("resume: shard snapshot invalid; re-planning", "shard", s.id, "err", err.Error())
+			c.log.Warn("resume: shard snapshot invalid; re-planning", "shard", s.id, "class", ClassBadSnapshot, "err", err.Error())
 			c.mu.Lock()
 			s.state = shardPending
 			c.mu.Unlock()

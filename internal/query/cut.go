@@ -284,10 +284,11 @@ func (s *Store) readCut(r io.Reader) (*restoredCut, error) {
 }
 
 // Restore warm-starts the store from the newest valid cut in the
-// snapshot directory, skipping torn or corrupt cuts. It returns the
-// restored watermark — the record count the caller must cdr.Skip on
-// the re-opened stream — and ok=false on a cold start (no valid cut).
-// The store must be empty (freshly built) when Restore is called.
+// snapshot directory, skipping torn, corrupt or other-version cuts
+// (SkippedCuts says why). It returns the restored watermark — the
+// record count the caller must cdr.Skip on the re-opened stream — and
+// ok=false on a cold start (no valid cut). The store must be empty
+// (freshly built) when Restore is called.
 func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	if s.snaps == nil {
 		return 0, false, ErrNoSnapshots
@@ -295,8 +296,13 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
 	s.joinCut()
-	_, res, ok, err := s.snaps.LatestValid(func(_ uint64, r io.Reader) (any, error) {
-		return s.readCut(r)
+	s.skipped = nil
+	_, res, ok, err := s.snaps.LatestValid(func(seq uint64, r io.Reader) (any, error) {
+		cut, err := s.readCut(r)
+		if err != nil {
+			s.skipped = append(s.skipped, fmt.Errorf("%s: %w", s.snaps.CutPath(seq), err))
+		}
+		return cut, err
 	})
 	if err != nil || !ok {
 		return 0, false, err
@@ -314,4 +320,12 @@ func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	s.mu.Unlock()
 	s.met.restores.Inc()
 	return cut.watermark, true, nil
+}
+
+// SkippedCuts returns the error of each cut the last Restore passed
+// over, newest first: every cut in the directory on a cold start.
+func (s *Store) SkippedCuts() []error {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	return s.skipped
 }

@@ -154,6 +154,9 @@ type Store struct {
 	// cut write running behind ingest; nil when none is.
 	cutMu   sync.Mutex
 	pending chan error
+	// skipped holds why the last Restore passed over each cut newer than
+	// the one it restored; guarded by cutMu.
+	skipped []error
 
 	met   storeMetrics
 	trace *obs.Trace

@@ -97,6 +97,9 @@ func mdDurations(b *strings.Builder, e *env) {
 	fmt.Fprintf(b, "| metric | measured |\n|---|---|\n")
 	fmt.Fprintf(b, "| median | %.0f s |\n| p73 | %.0f s |\n| mean full | %.0f s |\n| mean truncated | %.0f s |\n\n",
 		d.Median, d.P73, d.FullMean, d.TruncMean)
+	if d.NotWhole != 0 {
+		fmt.Fprintf(b, "%d records not whole seconds: counted at their floor, a negative one at 0 s.\n\n", d.NotWhole)
+	}
 }
 
 func mdClusters(b *strings.Builder, e *env) {

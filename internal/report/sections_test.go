@@ -1,10 +1,16 @@
 package report
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"cellcars/internal/analysis"
+	"cellcars/internal/cdr"
+	"cellcars/internal/simtime"
 )
 
 // text renders the report to a string through the terminal renderer.
@@ -172,5 +178,57 @@ func TestProfileCheckpointsLine(t *testing.T) {
 	}
 	if want := "Checkpoints: 16 cuts kept ingest waiting 0.0731 s in all and wrote 25.42 MB.\n"; !strings.Contains(Render(r, ctx, Options{}), want) {
 		t.Errorf("markdown report lacks %q", want)
+	}
+}
+
+// TestDurationsNotWholeSeconds is the contract for durations no codec
+// carries but the record-slice API can: each is counted in Figure 9's
+// CDF at its floor, a negative one at 0 s, the means keep it exact, and
+// the section says how many there were whenever there were any.
+func TestDurationsNotWholeSeconds(t *testing.T) {
+	ctx := analysis.Context{Period: simtime.NewPeriod(t0, 7)}
+	const line = "records not whole seconds: counted at their floor, a negative one at 0 s"
+	for _, tc := range []struct {
+		durations []time.Duration
+		bins      string // the CDF's [second, count] pairs
+		notWhole  int64
+	}{
+		{[]time.Duration{60 * time.Second}, "[[60,1]]", 0},
+		{[]time.Duration{1500 * time.Millisecond}, "[[1,1]]", 1},
+		{[]time.Duration{-3 * time.Second}, "[[0,1]]", 1},
+		{[]time.Duration{600200 * time.Millisecond}, "[[600,1]]", 1},
+		{[]time.Duration{1500 * time.Millisecond, -3 * time.Second, 600200 * time.Millisecond, 60 * time.Second},
+			"[[0,1],[1,1],[60,1],[600,1]]", 3},
+	} {
+		var records []cdr.Record
+		var sum time.Duration
+		for i, d := range tc.durations {
+			records = append(records, cdr.Record{Car: cdr.CarID(i), Cell: cell(1), Start: t0.Add(time.Hour), Duration: d})
+			sum += d
+		}
+		r, err := analysis.Run(records, ctx, analysis.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := r.Durations
+		bins, err := json.Marshal(d.Truncated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(bins) != tc.bins || d.NotWhole != tc.notWhole {
+			t.Errorf("%v: bins %s, %d not whole; want %s, %d", tc.durations, bins, d.NotWhole, tc.bins, tc.notWhole)
+		}
+		if want := sum.Seconds() / float64(len(records)); math.Abs(d.FullMean-want) > 1e-9 {
+			t.Errorf("%v: full mean %v, want %v", tc.durations, d.FullMean, want)
+		}
+		var b strings.Builder
+		if err := Text(&b, r, ctx, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		printed := fmt.Sprintf("\n%d %s\n", tc.notWhole, line)
+		if got := strings.Contains(b.String(), printed); got != (tc.notWhole != 0) || strings.Contains(b.String(), line) != got {
+			t.Errorf("%v: the Figure 9 section printed the not-whole line: %v; want it only when the count is not zero\n%s",
+				tc.durations, got, b.String())
+		}
 	}
 }

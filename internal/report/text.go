@@ -183,6 +183,9 @@ func textDurations(b *strings.Builder, e *env) {
 	fmt.Fprintln(b, "== Figure 9: per-cell connection durations ==")
 	fmt.Fprintf(b, "median %.0f s, p73 %.0f s, mean full %.0f s, mean truncated %.0f s\n",
 		d.Median, d.P73, d.FullMean, d.TruncMean)
+	if d.NotWhole != 0 {
+		fmt.Fprintf(b, "%d records not whole seconds: counted at their floor, a negative one at 0 s\n", d.NotWhole)
+	}
 	xs, ps := d.Truncated.Points(72)
 	fmt.Fprintln(b, textplot.Chart("CDF of durations (truncated)", xs, ps, 72, 8))
 }

@@ -68,7 +68,7 @@ func stagePayloads(tb testing.TB) map[string][]byte {
 // compared.
 func FuzzDecoderMatchesReference(f *testing.F) {
 	// Scripts that walk real payloads the way their stages do: mostly
-	// varints, the duration sample's (uvarint, f64) pairs, the usage
+	// varints, the durations stage's (uvarint, uvarint) pairs, the usage
 	// matrix's f64 run, a boolean and a length here and there.
 	scripts := [][]byte{
 		bytes.Repeat([]byte{0, 0, 1, 1}, 64),

@@ -44,7 +44,9 @@ var ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot")
 
 // Version is the current snapshot schema version. Readers refuse
 // other versions: partial-state layouts are not forward compatible.
-const Version = 1
+// Version 2 holds Figure 9's exact per-second duration counts; a
+// version-1 file holds a duration sample they cannot be rebuilt from.
+const Version = 2
 
 var magic = [8]byte{'C', 'C', 'A', 'R', 'S', 'N', 'A', 'P'}
 
@@ -543,7 +545,7 @@ func NewReader(src io.Reader) (*Reader, error) {
 		return nil, badf("version truncated")
 	}
 	if v != Version {
-		return nil, badf("unsupported snapshot version %d (want %d)", v, Version)
+		return nil, badf("unsupported snapshot version %d (want %d; re-run from the input to rebuild it)", v, Version)
 	}
 	r.version = int(v)
 	return r, nil

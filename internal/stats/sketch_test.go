@@ -88,66 +88,6 @@ func TestLogHistMergeEquivalence(t *testing.T) {
 	}
 }
 
-func TestSampleCompleteIsExact(t *testing.T) {
-	s := NewSample(100)
-	for i := 0; i < 50; i++ {
-		s.Add(uint64(i*2654435761), float64(i))
-	}
-	if !s.Complete() {
-		t.Fatal("50 of 100 must be complete")
-	}
-	vals := s.Values()
-	if len(vals) != 50 || vals[0] != 0 || vals[49] != 49 {
-		t.Fatalf("complete sample wrong: %v..%v n=%d", vals[0], vals[len(vals)-1], len(vals))
-	}
-}
-
-func TestSampleMergeOrderIndependent(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 9))
-	type item struct {
-		key uint64
-		val float64
-	}
-	items := make([]item, 10000)
-	for i := range items {
-		items[i] = item{key: rng.Uint64(), val: rng.Float64() * 1000}
-	}
-
-	// One shard vs eight shards merged in two different orders.
-	one := NewSample(256)
-	for _, it := range items {
-		one.Add(it.key, it.val)
-	}
-	shards := make([]*Sample, 8)
-	for i := range shards {
-		shards[i] = NewSample(256)
-	}
-	for i, it := range items {
-		shards[i%8].Add(it.key, it.val)
-	}
-	fwd := NewSample(256)
-	for i := 0; i < 8; i++ {
-		fwd.Merge(shards[i])
-	}
-	rev := NewSample(256)
-	for i := 7; i >= 0; i-- {
-		rev.Merge(shards[i])
-	}
-
-	a, b, c := one.Values(), fwd.Values(), rev.Values()
-	if len(a) != 256 || len(b) != 256 || len(c) != 256 {
-		t.Fatalf("sizes: %d %d %d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || a[i] != c[i] {
-			t.Fatalf("item %d differs: %v %v %v", i, a[i], b[i], c[i])
-		}
-	}
-	if one.n != fwd.n || fwd.n != rev.n {
-		t.Fatalf("counts differ: %d %d %d", one.n, fwd.n, rev.n)
-	}
-}
-
 func TestHistogramMerge(t *testing.T) {
 	a := NewHistogram(0, 1, 10)
 	b := NewHistogram(0, 1, 10)
@@ -166,66 +106,4 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}()
 	a.Merge(NewHistogram(0, 2, 10))
-}
-
-// TestLogHistTableMatchesLog: the bin Add files an observation under is
-// the one the logarithm gives — int(log x / log LogHistBase), clamped to
-// the last bin, evaluated here as Add evaluated it before the table —
-// for every integer the table covers, for the floats either side of each
-// (which take the logarithm), and for values above the table.
-func TestLogHistTableMatchesLog(t *testing.T) {
-	want := func(x float64) int {
-		bin := int(math.Log(x) / math.Log(LogHistBase))
-		if bin >= LogHistBins {
-			bin = LogHistBins - 1
-		}
-		return bin
-	}
-	check := func(x float64) {
-		t.Helper()
-		var h LogHist
-		h.Add(x)
-		bin := want(x)
-		if h.counts[bin] != 1 || h.total != 1 || h.zero != 0 {
-			t.Fatalf("Add(%v) did not count in bin %d, the logarithm's", x, bin)
-		}
-	}
-	for i := 1; i < logTableLen; i++ {
-		x := float64(i)
-		check(x)
-		check(math.Nextafter(x, math.Inf(1)))
-		if i > 1 {
-			check(math.Nextafter(x, 0))
-		}
-	}
-	for _, x := range []float64{logTableLen, math.Nextafter(logTableLen, 0), logTableLen + 0.5, 4097, 86400, 1e5, 1e9, math.MaxFloat64} {
-		check(x)
-	}
-	rng := rand.New(rand.NewPCG(41, 41))
-	for i := 0; i < 100000; i++ {
-		check(1 + rng.Float64()*2*logTableLen)
-	}
-}
-
-// BenchmarkLogHistAdd is the duration stage's histogram per record:
-// whole seconds up to 600, what the engine adds and the table serves,
-// and fractional seconds, which take the logarithm.
-func BenchmarkLogHistAdd(b *testing.B) {
-	rng := rand.New(rand.NewPCG(42, 42))
-	whole, frac := make([]float64, 4096), make([]float64, 4096)
-	for i := range whole {
-		whole[i] = float64(rng.IntN(601))
-		frac[i] = rng.Float64() * 600
-	}
-	for _, bc := range []struct {
-		name string
-		xs   []float64
-	}{{"whole-seconds", whole}, {"fractional", frac}} {
-		b.Run(bc.name, func(b *testing.B) {
-			var h LogHist
-			for i := 0; i < b.N; i++ {
-				h.Add(bc.xs[i&4095])
-			}
-		})
-	}
 }

@@ -68,26 +68,29 @@ func (m *Moments) Merge(o *Moments) {
 // quantile outside [0, 1]: both indicate a caller bug, not a data
 // condition.
 func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+	if !sort.Float64sAreSorted(sorted) {
+		sort.Float64s(sorted)
+	}
+	return interpolate(int64(len(sorted)), q, func(i int64) float64 { return sorted[i] })
+}
+
+// interpolate is the type-7 q-quantile of n ascending values, nth(i)
+// being the one of rank i.
+func interpolate(n int64, q float64, nth func(int64) float64) float64 {
+	if n == 0 {
 		panic("stats: quantile of empty slice")
 	}
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
 	}
-	if !sort.Float64sAreSorted(sorted) {
-		sort.Float64s(sorted)
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	pos := q * float64(n-1)
+	lo := int64(math.Floor(pos))
+	hi := int64(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return nth(lo)
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return nth(lo)*(1-frac) + nth(hi)*frac
 }
 
 // Deciles returns the 11 values at quantiles 0, 0.1, …, 1.0, the
@@ -116,9 +119,13 @@ func Mean(values []float64) float64 {
 	return s / float64(len(values))
 }
 
-// CDF is an empirical cumulative distribution over a fixed sample.
+// CDF is an empirical cumulative distribution: the distinct values of
+// a sample in ascending order, each with how often it occurs. A
+// distribution of many records over few values — Figure 9's whole
+// seconds — costs its distinct values, never one value per record.
 type CDF struct {
-	sorted []float64
+	values []float64
+	cum    []int64 // cum[i] counts the sample's values at or below values[i]
 }
 
 // NewCDF builds an empirical CDF from the sample. The input slice is
@@ -127,50 +134,133 @@ func NewCDF(values []float64) *CDF {
 	s := make([]float64, len(values))
 	copy(s, values)
 	sort.Float64s(s)
-	return &CDF{sorted: s}
+	c := &CDF{}
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			c.values = append(c.values, v)
+			c.cum = append(c.cum, 0)
+		}
+		c.cum[len(c.cum)-1] = int64(i + 1)
+	}
+	return c
+}
+
+// NewCDFCounts builds an empirical CDF from distinct values in
+// ascending order, values[i] occurring counts[i] times; a value counted
+// zero times is left out. It panics when the slices differ in length, a
+// value is not above the one before it or a count is negative: each is
+// a caller bug.
+func NewCDFCounts(values []float64, counts []int64) *CDF {
+	c, err := cdfOf(values, counts)
+	if err != nil {
+		panic("stats: " + err.Error())
+	}
+	return c
+}
+
+func cdfOf(values []float64, counts []int64) (*CDF, error) {
+	if len(values) != len(counts) {
+		return nil, fmt.Errorf("%d CDF values but %d counts", len(values), len(counts))
+	}
+	c := &CDF{values: make([]float64, 0, len(values)), cum: make([]int64, 0, len(values))}
+	var n int64
+	for i, v := range values {
+		switch {
+		case i > 0 && !(v > values[i-1]):
+			return nil, fmt.Errorf("CDF value %v does not ascend from %v", v, values[i-1])
+		case counts[i] < 0:
+			return nil, fmt.Errorf("CDF value %v counted %d times", v, counts[i])
+		case counts[i] == 0:
+			continue
+		}
+		n += counts[i]
+		c.values = append(c.values, v)
+		c.cum = append(c.cum, n)
+	}
+	return c, nil
 }
 
 // N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// MarshalJSON renders the CDF as its sorted sample array, so reports
-// carrying CDFs survive a JSON round trip instead of collapsing to an
-// empty object (the fields are unexported by design).
-func (c *CDF) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.sorted)
+func (c *CDF) N() int64 {
+	if len(c.cum) == 0 {
+		return 0
+	}
+	return c.cum[len(c.cum)-1]
 }
 
-// UnmarshalJSON restores a CDF marshaled by MarshalJSON. The values
-// are re-sorted, so hand-written input is accepted too.
+// MarshalJSON renders the CDF as its [value, count] pairs in ascending
+// value order, so reports carrying CDFs survive a JSON round trip
+// instead of collapsing to an empty object (the fields are unexported
+// by design).
+func (c *CDF) MarshalJSON() ([]byte, error) {
+	pairs := make([][2]float64, len(c.values))
+	prev := int64(0)
+	for i, v := range c.values {
+		pairs[i] = [2]float64{v, float64(c.cum[i] - prev)}
+		prev = c.cum[i]
+	}
+	return json.Marshal(pairs)
+}
+
+// UnmarshalJSON restores a CDF marshaled by MarshalJSON, refusing
+// pairs whose values do not ascend or whose counts are not positive
+// whole numbers.
 func (c *CDF) UnmarshalJSON(data []byte) error {
-	var values []float64
-	if err := json.Unmarshal(data, &values); err != nil {
+	var pairs [][2]float64
+	if err := json.Unmarshal(data, &pairs); err != nil {
 		return err
 	}
-	sort.Float64s(values)
-	c.sorted = values
+	values, counts := make([]float64, len(pairs)), make([]int64, len(pairs))
+	for i, p := range pairs {
+		if p[1] < 1 || p[1] != math.Trunc(p[1]) {
+			return fmt.Errorf("stats: CDF value %v counted %v times", p[0], p[1])
+		}
+		values[i], counts[i] = p[0], int64(p[1])
+	}
+	got, err := cdfOf(values, counts)
+	if err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
+	*c = *got
 	return nil
+}
+
+// nth returns the sample's value of rank i, 0 ≤ i < N.
+func (c *CDF) nth(i int64) float64 {
+	return c.values[sort.Search(len(c.cum), func(j int) bool { return c.cum[j] > i })]
 }
 
 // At returns P(X ≤ x), the fraction of the sample at or below x.
 func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; walk
-	// forward over equal values to make the CDF right-continuous.
-	for idx < len(c.sorted) && c.sorted[idx] == x {
+	idx := sort.SearchFloat64s(c.values, x)
+	if idx < len(c.values) && c.values[idx] == x {
 		idx++
 	}
-	return float64(idx) / float64(len(c.sorted))
+	if idx == 0 {
+		return 0
+	}
+	return float64(c.cum[idx-1]) / float64(c.N())
 }
 
-// Quantile returns the q-quantile of the sample.
-func (c *CDF) Quantile(q float64) float64 { return Quantile(c.sorted, q) }
+// Quantile returns the q-quantile of the sample, as Quantile does over
+// the sample sorted.
+func (c *CDF) Quantile(q float64) float64 { return interpolate(c.N(), q, c.nth) }
 
-// Mean returns the sample mean.
-func (c *CDF) Mean() float64 { return Mean(c.sorted) }
+// Mean returns the sample mean, summed in ascending order as Mean sums
+// the sample sorted.
+func (c *CDF) Mean() float64 {
+	if len(c.values) == 0 {
+		return 0
+	}
+	var s float64
+	prev := int64(0)
+	for i, v := range c.values {
+		for ; prev < c.cum[i]; prev++ {
+			s += v
+		}
+	}
+	return s / float64(c.N())
+}
 
 // Points samples the CDF at n evenly spaced x positions across the data
 // range, returning (x, P(X≤x)) pairs for plotting. n must be at least 2.
@@ -178,10 +268,10 @@ func (c *CDF) Points(n int) (xs, ps []float64) {
 	if n < 2 {
 		panic("stats: CDF.Points needs n >= 2")
 	}
-	if len(c.sorted) == 0 {
+	if len(c.values) == 0 {
 		return nil, nil
 	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
+	lo, hi := c.values[0], c.values[len(c.values)-1]
 	xs = make([]float64, n)
 	ps = make([]float64, n)
 	for i := 0; i < n; i++ {
