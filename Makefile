@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 # cover fails when total statement coverage drops below this.
 COVER_MIN ?= 70
 
-.PHONY: all build test race vet fmt fuzz-smoke bench-check bench-micro chaos cover loc ci
+.PHONY: all build test race vet fmt fuzz-smoke fuzz bench-check bench-micro chaos cover loc ci
 
 all: build
 
@@ -95,22 +95,36 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Short fuzz runs over ten targets: the codec entry points, the shard
-# readers' partition of what the unsharded reader returns, the snapshot
-# decoder against the one it replaced, the Unix-nanosecond sessionizer
-# against the time.Time one it replaced, the ordered fold's grouping
-# property and the coordinator's journal replay; go test accepts one
-# -fuzz pattern per invocation, hence one run per target.
+# Every fuzz target, as package:pattern: the codec entry points, the
+# shard readers' partition of what the unsharded reader returns, the
+# snapshot container and decoder (against the one it replaced), the
+# Unix-nanosecond sessionizer against the time.Time one it replaced, the
+# analysis restore path, the ordered fold's grouping property and the
+# coordinator's journal replay. go test accepts one -fuzz pattern per
+# invocation, hence one run per target, and a pattern is anchored where
+# one target's name prefixes another's.
+FUZZ_TARGETS = \
+	./internal/cdr:^FuzzCSVReader$$ \
+	./internal/cdr:FuzzCSVReaderMatchesEncodingCSV \
+	./internal/cdr:FuzzBinaryReader \
+	./internal/cdr:FuzzShardReadersPartitionInput \
+	./internal/snapshot:FuzzReader \
+	./internal/snapshot:FuzzDecoderMatchesReference \
+	./internal/clean:FuzzSessionizerMatchesReference \
+	./internal/analysis:FuzzReadPartial \
+	./internal/analysis:FuzzMergeOrderedGrouping \
+	./internal/drive:FuzzJournalReplay
+
+# Short runs of every fuzz target, part of ci.
 fuzz-smoke:
-	$(GO) test ./internal/cdr -run='^$$' -fuzz='^FuzzCSVReader$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzCSVReaderMatchesEncodingCSV -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/cdr -run='^$$' -fuzz=FuzzShardReadersPartitionInput -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzReader -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/snapshot -run='^$$' -fuzz=FuzzDecoderMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/clean -run='^$$' -fuzz=FuzzSessionizerMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzReadPartial -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/analysis -run='^$$' -fuzz=FuzzMergeOrderedGrouping -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/drive -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test $${t%%:*} -run='^$$' -fuzz='$${t#*:}' -fuzztime=$(FUZZTIME)"; \
+		$(GO) test $${t%%:*} -run='^$$' -fuzz="$${t#*:}" -fuzztime=$(FUZZTIME); \
+	done
+
+# The same targets for 5 minutes each, for a change to a decoder, a
+# codec or the sessionizer; not part of ci.
+fuzz:
+	@$(MAKE) --no-print-directory fuzz-smoke FUZZTIME=5m
 
 ci: fmt vet build race chaos bench-check fuzz-smoke

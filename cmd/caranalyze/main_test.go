@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"os/exec"
@@ -456,9 +457,9 @@ func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
 }
 
 // TestResumeRefusesVersion1Checkpoint: a checkpoint written before
-// snapshot version 2 holds a duration sample exact counts cannot be
-// rebuilt from, so -resume refuses it, naming the version and the
-// remedy, rather than converting it.
+// snapshot version 3 — version 1's duration sample, version 2's float
+// handover counts and usage matrix — is refused by -resume, naming the
+// version and the remedy, rather than converted.
 func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cars.cdr")
@@ -474,17 +475,19 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
-	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := caranalyze(append(args, "-resume")...).CombinedOutput()
-	if err == nil {
-		t.Fatalf("-resume of a version-1 checkpoint succeeded:\n%s", out)
-	}
-	for _, want := range []string{"unsupported snapshot version 1 (want 2;", "re-run from the input"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("-resume of a version-1 checkpoint does not say %q:\n%s", want, out)
+	for _, version := range []byte{1, 2} {
+		data[len("CCARSNAP")] = version // the version uvarint behind the magic
+		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := caranalyze(append(args, "-resume")...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("-resume of a version-%d checkpoint succeeded:\n%s", version, out)
+		}
+		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 3;", version), "re-run from the input"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("-resume of a version-%d checkpoint does not say %q:\n%s", version, want, out)
+			}
 		}
 	}
 }

@@ -517,9 +517,10 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 }
 
 // TestResumeReplansVersion1Partial: a done shard whose partial was
-// written before snapshot version 2 is not merged on -resume: the
-// coordinator sorts it as bad-snapshot, naming the version, runs the
-// shard again and prints the report a fresh run prints.
+// written before snapshot version 3 — version 1 in shard 1, then
+// version 2 in shard 2 — is not merged on -resume: the coordinator sorts
+// it as bad-snapshot, naming the version, runs the shard again and
+// prints the report a fresh run prints.
 func TestResumeReplansVersion1Partial(t *testing.T) {
 	dir := t.TempDir()
 	worker := buildWorker(t, dir)
@@ -532,49 +533,52 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 		t.Fatalf("fresh run: %v", err)
 	}
 
-	partial := filepath.Join(work, "shard0001.snap")
-	data, err := os.ReadFile(partial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
-	if err := os.WriteFile(partial, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := len(journalEvents(t, work))
+	for _, version := range []int{1, 2} {
+		shard := version
+		partial := filepath.Join(work, fmt.Sprintf("shard%04d.snap", shard))
+		data, err := os.ReadFile(partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len("CCARSNAP")] = byte(version) // the version uvarint behind the magic
+		if err := os.WriteFile(partial, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := len(journalEvents(t, work))
 
-	cmd := cardrive(append(args, "-resume", in)...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	resumed, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("-resume: %v\nstderr:\n%s", err, stderr.String())
-	}
-	var sorted bool
-	for _, ln := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("stderr line is not a JSON record: %q: %v", ln, err)
+		cmd := cardrive(append(args, "-resume", in)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		resumed, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-resume: %v\nstderr:\n%s", err, stderr.String())
 		}
-		msg, _ := rec["err"].(string)
-		if rec["level"] == "WARN" && rec["shard"] == 1.0 && rec["class"] == "bad-snapshot" &&
-			strings.Contains(msg, "unsupported snapshot version 1 (want 2;") {
-			sorted = true
+		var sorted bool
+		for _, ln := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+				t.Fatalf("stderr line is not a JSON record: %q: %v", ln, err)
+			}
+			msg, _ := rec["err"].(string)
+			if rec["level"] == "WARN" && rec["shard"] == float64(shard) && rec["class"] == "bad-snapshot" &&
+				strings.Contains(msg, fmt.Sprintf("unsupported snapshot version %d (want 3;", version)) {
+				sorted = true
+			}
 		}
-	}
-	if !sorted {
-		t.Errorf("-resume did not sort shard 1's version-1 partial as bad-snapshot:\n%s", stderr.String())
-	}
-	var reran []string
-	for _, ev := range journalEvents(t, work)[before:] {
-		if ev["event"] == "attempt" || ev["event"] == "done" {
-			reran = append(reran, fmt.Sprintf("%v shard %v", ev["event"], ev["shard"]))
+		if !sorted {
+			t.Errorf("-resume did not sort shard %d's version-%d partial as bad-snapshot:\n%s", shard, version, stderr.String())
 		}
-	}
-	if !slices.Equal(reran, []string{"attempt shard 1", "done shard 1"}) {
-		t.Errorf("-resume journaled %v; want shard 1, and only shard 1, run again", reran)
-	}
-	if got, want := reportBody(t, resumed), reportBody(t, fresh); got != want {
-		t.Errorf("-resume prints a different report than the fresh run\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+		var reran []string
+		for _, ev := range journalEvents(t, work)[before:] {
+			if ev["event"] == "attempt" || ev["event"] == "done" {
+				reran = append(reran, fmt.Sprintf("%v shard %v", ev["event"], ev["shard"]))
+			}
+		}
+		if want := []string{fmt.Sprintf("attempt shard %d", shard), fmt.Sprintf("done shard %d", shard)}; !slices.Equal(reran, want) {
+			t.Errorf("-resume journaled %v; want shard %d, and only shard %d, run again", reran, shard, shard)
+		}
+		if got, want := reportBody(t, resumed), reportBody(t, fresh); got != want {
+			t.Errorf("-resume prints a different report than the fresh run\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+		}
 	}
 }

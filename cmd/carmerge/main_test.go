@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -148,8 +149,8 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 }
 
 // TestRefusesVersion1Partial: a partial written before snapshot
-// version 2 is refused, naming the version and the remedy, even beside
-// a current one.
+// version 3 — version 1 or 2 — is refused, naming the version and the
+// remedy, even beside a current one.
 func TestRefusesVersion1Partial(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.snap")
@@ -160,18 +161,19 @@ func TestRefusesVersion1Partial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
-	if err := os.WriteFile(old, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	_, stderr, code := carmerge(good, old)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr)
-	}
-	for _, want := range []string{"unsupported snapshot version 1 (want 2;", "re-run from the input"} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("stderr does not say %q:\n%s", want, stderr)
+	for _, version := range []byte{1, 2} {
+		data[len("CCARSNAP")] = version // the version uvarint behind the magic
+		if err := os.WriteFile(old, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := carmerge(good, old)
+		if code != 1 {
+			t.Fatalf("version %d: exit code = %d, want 1; stderr: %s", version, code, stderr)
+		}
+		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 3;", version), "re-run from the input"} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("stderr does not say %q:\n%s", want, stderr)
+			}
 		}
 	}
 }

@@ -953,8 +953,8 @@ func TestQuarantineFileSurvivesShutdown(t *testing.T) {
 	}
 }
 
-// TestVersion1CutsColdStart: cuts written before snapshot version 2
-// cannot be warmed from. The restarted daemon logs one warning per cut,
+// TestVersion1CutsColdStart: cuts written before snapshot version 3,
+// version 1 or 2, cannot be warmed from. The restarted daemon logs one warning per cut,
 // carrying that cut's error, replays its inputs from record 0 and serves
 // what a cold daemon serves.
 func TestVersion1CutsColdStart(t *testing.T) {
@@ -980,12 +980,14 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	if err != nil || len(cuts) < 2 {
 		t.Fatalf("cuts %v (err %v); want several", cuts, err)
 	}
-	for _, cut := range cuts {
+	version := make(map[string]int) // each cut's, 1 and 2 in turn
+	for i, cut := range cuts {
 		data, err := os.ReadFile(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data[len("CCARSNAP")] = 1 // the version uvarint behind the magic
+		version[cut] = 1 + i%2
+		data[len("CCARSNAP")] = byte(version[cut]) // the version uvarint behind the magic
 		if err := os.WriteFile(cut, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -994,7 +996,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	d = startDaemon(t, args...)
 	d.waitDrained(t, int64(len(recs)))
 	if warm := d.record(t, "warm restart"); warm != nil {
-		t.Fatalf("warm restart from version-1 cuts: %v", warm)
+		t.Fatalf("warm restart from version-1 and -2 cuts: %v", warm)
 	}
 	var skipped []string
 	for _, rec := range d.records(t) {
@@ -1002,21 +1004,22 @@ func TestVersion1CutsColdStart(t *testing.T) {
 			continue
 		}
 		msg, _ := rec["err"].(string)
-		if rec["level"] != "WARN" || !strings.Contains(msg, "unsupported snapshot version 1 (want 2;") {
-			t.Errorf("skipped-cut record %v does not warn of version 1", rec)
+		if rec["level"] != "WARN" || !strings.Contains(msg, "re-run from the input") {
+			t.Errorf("skipped-cut record %v does not name the remedy", rec)
 		}
 		skipped = append(skipped, msg)
 	}
 	if len(skipped) != len(cuts) {
-		t.Errorf("%d skipped-cut warnings for %d version-1 cuts:\n%s", len(skipped), len(cuts), strings.Join(skipped, "\n"))
+		t.Errorf("%d skipped-cut warnings for %d old cuts:\n%s", len(skipped), len(cuts), strings.Join(skipped, "\n"))
 	}
 	for _, cut := range cuts {
-		if !slices.ContainsFunc(skipped, func(msg string) bool { return strings.Contains(msg, cut) }) {
-			t.Errorf("no skipped-cut warning names %s", cut)
+		want := fmt.Sprintf("unsupported snapshot version %d (want 3;", version[cut])
+		if !slices.ContainsFunc(skipped, func(msg string) bool { return strings.Contains(msg, cut) && strings.Contains(msg, want) }) {
+			t.Errorf("no skipped-cut warning names %s and says %q", cut, want)
 		}
 	}
 	if code, got := d.get(t, report); code != http.StatusOK || !bytes.Equal(got, cold) {
-		t.Fatalf("%s after a cold start over version-1 cuts: %d, %d bytes; a cold daemon's %d bytes\n%s",
+		t.Fatalf("%s after a cold start over version-1 and -2 cuts: %d, %d bytes; a cold daemon's %d bytes\n%s",
 			report, code, len(got), len(cold), firstDiff(got, cold))
 	}
 	d.terminate(t)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -124,6 +125,45 @@ func (d *daysBits) forEach(fn func(day int)) {
 			fn(w*64 + bits.TrailingZeros64(word))
 		}
 	}
+}
+
+// tally counts how often each small non-negative integer occurred:
+// t[v] is v's count. Every integer count a stage keeps is one — Figure
+// 9's seconds, §4.5's handovers per session and by kind, the usage
+// stage's hours of the week — so they all add, merge by addition, encode
+// as one sparse frame and become a CDF the same way.
+type tally []int64
+
+// add counts v another c times.
+func (t *tally) add(v int, c int64) {
+	if v >= len(*t) {
+		*t = append(*t, make([]int64, v+1-len(*t))...)
+	}
+	(*t)[v] += c
+}
+
+// merge adds o's counts to t's.
+func (t *tally) merge(o tally) {
+	for v, c := range o {
+		t.add(v, c)
+	}
+}
+
+// sum returns how many values were counted.
+func (t tally) sum() (n int64) {
+	for _, c := range t {
+		n += c
+	}
+	return n
+}
+
+// cdf returns the distribution of the counted values.
+func (t tally) cdf() *stats.CDF {
+	values := make([]float64, len(t))
+	for v := range values {
+		values[v] = float64(v)
+	}
+	return stats.NewCDFCounts(values, t)
 }
 
 // ---------------------------------------------------------------------------
@@ -527,15 +567,14 @@ func (a *segmentsAcc) Finalize(rep *Report) error {
 // ---------------------------------------------------------------------------
 // durations — Figure 9
 
-// durBins is how many whole seconds a truncated duration can take:
-// 0 through 600.
-const durBins = int(clean.TruncateLimit/time.Second) + 1
+// maxDurSec is the longest truncated duration in whole seconds.
+const maxDurSec = int(clean.TruncateLimit / time.Second)
 
 // durationsAcc counts records by truncated duration in whole seconds,
 // which is every duration a codec can carry, so Figure 9's quantiles
 // and CDF are exact at any size and merge by addition.
 type durationsAcc struct {
-	counts [durBins]int64 // records by truncated duration, floored to the second
+	counts tally // records by truncated duration, floored to the second
 	// notWhole counts the records whose duration is negative or not a
 	// whole number of seconds, binned at its floor and a negative one
 	// at 0 s: only the record-slice API can pass one.
@@ -564,14 +603,12 @@ func (a *durationsAcc) Add(r cdr.Record) {
 	if d < 0 || d%time.Second != 0 {
 		a.notWhole++
 	}
-	a.counts[max(td/time.Second, 0)]++
+	a.counts.add(int(max(td/time.Second, 0)), 1)
 }
 
 func (a *durationsAcc) Merge(other Accumulator) {
 	o := mergeAs[*durationsAcc](other)
-	for s, c := range o.counts {
-		a.counts[s] += c
-	}
+	a.counts.merge(o.counts)
 	a.notWhole += o.notWhole
 	a.n += o.n
 	a.fullSec += o.fullSec
@@ -581,11 +618,7 @@ func (a *durationsAcc) Merge(other Accumulator) {
 }
 
 func (a *durationsAcc) Finalize(rep *Report) error {
-	secs := make([]float64, durBins)
-	for s := range secs {
-		secs[s] = float64(s)
-	}
-	cd := CellDurations{Truncated: stats.NewCDFCounts(secs, a.counts[:]), NotWhole: a.notWhole}
+	cd := CellDurations{Truncated: a.counts.cdf(), NotWhole: a.notWhole}
 	if a.n > 0 {
 		cd.Median = cd.Truncated.Quantile(0.5)
 		cd.P73 = cd.Truncated.Quantile(0.73)
@@ -715,24 +748,21 @@ func (s *sessionStage) unaccounted(fn func(*clean.Session)) {
 
 type handoverAcc struct {
 	sessionStage
-	// truncate applies the paper's 600 s cap before sessionizing, as
-	// the full pipeline does; the standalone HandoversOf keeps the
-	// caller's durations.
-	truncate bool
-	byKind   map[radio.HandoverKind]int64
-	counts   []float64
+	perSession tally // accounted sessions by how many handovers each had
+	byKind     tally // their handovers by radio.HandoverKind
 }
 
-func newHandoverAcc(truncate bool) *handoverAcc {
-	a := &handoverAcc{truncate: truncate, byKind: make(map[radio.HandoverKind]int64)}
+func newHandoverAcc() *handoverAcc {
+	a := &handoverAcc{}
 	a.sessionStage = sessionStage{z: clean.NewSessionizer(clean.MobilityGap), count: a.countSession}
 	return a
 }
 
 func (a *handoverAcc) Stage() string { return "handovers" }
 
+// Add applies the paper's 600 s cap before sessionizing.
 func (a *handoverAcc) Add(r cdr.Record) {
-	if a.truncate && r.Duration > clean.TruncateLimit {
+	if r.Duration > clean.TruncateLimit {
 		r.Duration = clean.TruncateLimit
 	}
 	if s := a.z.Add(r); s != nil {
@@ -740,22 +770,19 @@ func (a *handoverAcc) Add(r cdr.Record) {
 	}
 }
 
-func (a *handoverAcc) countSession(s *clean.Session) {
-	a.counts = append(a.counts, float64(addHandovers(a.byKind, s)))
-}
+func (a *handoverAcc) countSession(s *clean.Session) { countHandovers(&a.perSession, &a.byKind, s) }
 
-// addHandovers adds a session's handovers to byKind and returns how
-// many there were. Only kinds that occurred get an entry: the snapshot
-// stores len(byKind) entries.
-func addHandovers(byKind map[radio.HandoverKind]int64, s *clean.Session) int {
+// countHandovers adds a session's handovers to byKind and the session to
+// perSession under how many there were. Nothing else adds to either
+// outside a merge, so Σ byKind = Σ v·perSession[v] in every state Add
+// builds, and a restore refuses one where it does not hold.
+func countHandovers(perSession, byKind *tally, s *clean.Session) {
 	n := 0
 	for kind, c := range s.HandoversByKind() {
-		if c != 0 {
-			byKind[radio.HandoverKind(kind)] += int64(c)
-			n += c
-		}
+		byKind.add(kind, int64(c))
+		n += c
 	}
-	return n
+	perSession.add(n, 1)
 }
 
 func (a *handoverAcc) Merge(other Accumulator) {
@@ -771,25 +798,21 @@ func (a *handoverAcc) MergeOrdered(other Accumulator) {
 }
 
 func (a *handoverAcc) mergeCounts(o *handoverAcc) {
-	for kind, c := range o.byKind {
-		a.byKind[kind] += c
-	}
-	a.counts = append(a.counts, o.counts...)
+	a.perSession.merge(o.perSession)
+	a.byKind.merge(o.byKind)
 }
 
 func (a *handoverAcc) Finalize(rep *Report) error {
-	byKind := make(map[radio.HandoverKind]int64, len(a.byKind))
-	for k, v := range a.byKind {
-		byKind[k] = v
-	}
-	counts := append([]float64(nil), a.counts...)
-	a.unaccounted(func(s *clean.Session) {
-		counts = append(counts, float64(addHandovers(byKind, s)))
-	})
+	perSession, byKind := slices.Clone(a.perSession), slices.Clone(a.byKind)
+	a.unaccounted(func(s *clean.Session) { countHandovers(&perSession, &byKind, s) })
 
-	hs := HandoverStats{ByKind: byKind, Sessions: len(counts)}
-	hs.PerSession = stats.NewCDF(counts)
-	if len(counts) > 0 {
+	hs := HandoverStats{Sessions: int(perSession.sum()), ByKind: make(map[radio.HandoverKind]int64), PerSession: perSession.cdf()}
+	for kind, c := range byKind {
+		if c != 0 {
+			hs.ByKind[radio.HandoverKind(kind)] = c
+		}
+	}
+	if hs.Sessions > 0 {
 		hs.Median = hs.PerSession.Quantile(0.5)
 		hs.P70 = hs.PerSession.Quantile(0.7)
 		hs.P90 = hs.PerSession.Quantile(0.9)
@@ -876,7 +899,7 @@ func (a *carriersAcc) Finalize(rep *Report) error {
 type usageAcc struct {
 	sessionStage
 	tzOffset int
-	matrix   simtime.WeekMatrix
+	hours    tally // accounted sessions touching each local hour of the week
 	sessions int64
 }
 
@@ -895,15 +918,15 @@ func (a *usageAcc) Add(r cdr.Record) {
 }
 
 func (a *usageAcc) countSession(s *clean.Session) {
-	markSessionHours(&a.matrix, s, a.tzOffset)
+	markSessionHours(&a.hours, s, a.tzOffset)
 	a.sessions++
 }
 
-// markSessionHours marks every local hour-of-week a session touches,
+// markSessionHours counts every local hour-of-week a session touches,
 // once per session — the Figure 5 encoding. It is where a session's
 // clock first needs wall-clock time: once per closed session, not per
 // record.
-func markSessionHours(m *simtime.WeekMatrix, s *clean.Session, tzOffsetSeconds int) {
+func markSessionHours(hours *tally, s *clean.Session, tzOffsetSeconds int) {
 	start := time.Unix(0, s.Start).UTC()
 	end := time.Unix(0, s.End).UTC()
 	if end.Sub(start) > 7*24*time.Hour {
@@ -917,9 +940,18 @@ func markSessionHours(m *simtime.WeekMatrix, s *clean.Session, tzOffsetSeconds i
 		how := simtime.HourOfWeek(t, tzOffsetSeconds)
 		if w, bit := how/64, uint64(1)<<(how%64); seen[w]&bit == 0 {
 			seen[w] |= bit
-			m.AddHourOfWeek(how, 1)
+			hours.add(how, 1)
 		}
 	}
+}
+
+// weekMatrix lays hour-of-week counts out as Figure 5's matrix, each
+// as the float adding 1 that many times makes.
+func weekMatrix(hours tally) (m simtime.WeekMatrix) {
+	for how, c := range hours {
+		m.AddHourOfWeek(how, float64(c))
+	}
+	return m
 }
 
 func (a *usageAcc) Merge(other Accumulator) {
@@ -935,17 +967,17 @@ func (a *usageAcc) MergeOrdered(other Accumulator) {
 }
 
 func (a *usageAcc) mergeCounts(o *usageAcc) {
-	a.matrix.Merge(&o.matrix)
+	a.hours.merge(o.hours)
 	a.sessions += o.sessions
 }
 
 func (a *usageAcc) Finalize(rep *Report) error {
-	m, sessions := a.matrix, a.sessions
+	hours, sessions := slices.Clone(a.hours), a.sessions
 	a.unaccounted(func(s *clean.Session) {
-		markSessionHours(&m, s, a.tzOffset)
+		markSessionHours(&hours, s, a.tzOffset)
 		sessions++
 	})
-	rep.FleetUsage = m
+	rep.FleetUsage = weekMatrix(hours)
 	rep.UsageSessions = sessions
 	return nil
 }

@@ -30,10 +30,11 @@ import (
 
 const (
 	// maxSnapEntries bounds any one decoded collection (cars, cells,
-	// sessions, per-session counts). Far above any real fleet, low
-	// enough that a forged count cannot drive an iteration bomb.
+	// sessions). Far above any real fleet, low enough that a forged
+	// count cannot drive an iteration bomb.
 	maxSnapEntries = 1 << 27
-	// maxSnapSpans bounds the spans of one open session.
+	// maxSnapSpans bounds the spans of one open session, and so the
+	// handovers of one session.
 	maxSnapSpans = 1 << 22
 	// snapPrealloc caps how much a decode loop preallocates ahead of
 	// the data it has actually read.
@@ -85,6 +86,48 @@ func decodeDaysBits(d *snapshot.Decoder, maxWords int) *daysBits {
 		return nil
 	}
 	return out
+}
+
+// A tally is one sparse frame: how many values are counted, then each
+// as an ascending (value, count) pair.
+func encodeTally(e *snapshot.Encoder, t tally) {
+	nonzero := 0
+	for _, c := range t {
+		if c != 0 {
+			nonzero++
+		}
+	}
+	e.Uvarint(uint64(nonzero))
+	for v, c := range t {
+		if c != 0 {
+			e.Uvarint(uint64(v))
+			e.Uvarint(uint64(c))
+		}
+	}
+}
+
+// decodeTally reads what encodeTally wrote of a tally whose values are
+// at most bound. A tally is dense, so the i-th pair (from 1) must name a
+// value below snapPrealloc·i: a restore allocates in proportion to what
+// it read (DESIGN §2.2 has the states that rule refuses).
+func decodeTally(d *snapshot.Decoder, bound int) tally {
+	var t tally
+	n := d.Len(bound + 1)
+	for i, prev, sum := 0, -1, int64(0); i < n; i++ {
+		v, c := d.Uvarint(), d.Uvarint()
+		if d.Err() != nil {
+			return nil
+		}
+		// Values ascend strictly within 0..bound and the allocation rule,
+		// and each is counted at least once, without the sum overflowing.
+		if v > uint64(bound) || v >= uint64(snapPrealloc*(i+1)) || int(v) <= prev || c == 0 || c > uint64(math.MaxInt64-sum) {
+			d.Failf("tally value %d (after %d) counted %d times", v, prev, c)
+			return nil
+		}
+		t.add(int(v), int64(c))
+		prev, sum = int(v), sum+int64(c)
+	}
+	return t
 }
 
 func encodeCarDays(e *snapshot.Encoder, m map[cdr.CarID]*daysBits) {
@@ -311,23 +354,9 @@ func (a *segmentsAcc) RestoreFrom(r io.Reader) error {
 // ---------------------------------------------------------------------------
 // durations
 
-// The counts are one sparse frame: how many seconds are counted, then
-// each as an ascending (second, count) pair.
 func (a *durationsAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	nonzero := 0
-	for _, c := range a.counts {
-		if c != 0 {
-			nonzero++
-		}
-	}
-	e.Uvarint(uint64(nonzero))
-	for s, c := range a.counts {
-		if c != 0 {
-			e.Uvarint(uint64(s))
-			e.Uvarint(uint64(c))
-		}
-	}
+	encodeTally(e, a.counts)
 	e.Varint(a.notWhole)
 	e.Varint(a.n)
 	e.Varint(a.fullSec)
@@ -339,30 +368,14 @@ func (a *durationsAcc) SnapshotTo(w io.Writer) error {
 
 func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	var counts [durBins]int64
-	var sum int64
-	nonzero := d.Len(durBins)
-	for i, prev := 0, -1; i < nonzero; i++ {
-		s, c := d.Uvarint(), d.Uvarint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		// Seconds ascend strictly within 0..600 and each counts at least
-		// one record, without the sum overflowing.
-		if s >= uint64(durBins) || int(s) <= prev || c == 0 || c > uint64(math.MaxInt64-sum) {
-			d.Failf("duration second %d (after %d) counted %d times", s, prev, c)
-			return d.Err()
-		}
-		counts[s], prev = int64(c), int(s)
-		sum += int64(c)
-	}
+	counts := decodeTally(d, maxDurSec)
 	notWhole, n := d.Varint(), d.Varint()
 	fullSec, fullNano := d.Varint(), d.Varint()
 	truncSec, truncNano := d.Varint(), d.Varint()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if sum != n {
+	if sum := counts.sum(); sum != n {
 		d.Failf("duration counts sum to %d but %d records were counted", sum, n)
 		return d.Err()
 	}
@@ -549,55 +562,36 @@ func (s *sessionStage) decode(d *snapshot.Decoder) (install func()) {
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
 	a.encode(e)
-	e.Uvarint(uint64(len(a.byKind)))
-	for _, kind := range sortedKeys(a.byKind) {
-		e.Uvarint(uint64(kind))
-		e.Varint(a.byKind[kind])
-	}
-	e.Uvarint(uint64(len(a.counts)))
-	for _, c := range a.counts {
-		e.F64(c)
-	}
+	encodeTally(e, a.byKind)
+	encodeTally(e, a.perSession)
 	return e.Err()
 }
 
 func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
 	install := a.decode(d)
-	nk := d.Len(radio.NumHandoverKinds)
+	// HandoverNone, the last kind, is never counted (HandoversByKind).
+	byKind := decodeTally(d, int(radio.HandoverNone)-1)
+	perSession := decodeTally(d, maxSnapSpans)
 	if d.Err() != nil {
 		return d.Err()
 	}
-	byKind := make(map[radio.HandoverKind]int64, nk)
-	for i := 0; i < nk; i++ {
-		kind := radio.HandoverKind(d.Uvarint())
-		c := d.Varint()
-		if d.Err() != nil {
+	// countHandovers adds to both tallies at once: the handovers by kind
+	// are the handovers of the sessions.
+	var handovers int64
+	for v, c := range perSession {
+		if v > 0 && c > (math.MaxInt64-handovers)/int64(v) {
+			d.Failf("sessions with %d handovers counted %d times overflow the total", v, c)
 			return d.Err()
 		}
-		if c < 0 {
-			d.Failf("handover kind %d count %d negative", kind, c)
-			return d.Err()
-		}
-		if _, dup := byKind[kind]; dup {
-			d.Failf("duplicate handover kind %d", kind)
-			return d.Err()
-		}
-		byKind[kind] = c
+		handovers += int64(v) * c
 	}
-	nc := d.Len(maxSnapEntries)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	counts := make([]float64, 0, preallocN(nc))
-	for i := 0; i < nc; i++ {
-		counts = append(counts, d.F64())
-	}
-	if d.Err() != nil {
+	if kinds := byKind.sum(); kinds != handovers {
+		d.Failf("%d handovers by kind but %d in the sessions", kinds, handovers)
 		return d.Err()
 	}
 	install()
-	a.byKind, a.counts = byKind, counts
+	a.byKind, a.perSession = byKind, perSession
 	return nil
 }
 
@@ -700,11 +694,7 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
 	a.encode(e)
-	for hour := 0; hour < simtime.HoursPerDay; hour++ {
-		for day := 0; day < 7; day++ {
-			e.F64(a.matrix.At(hour, day))
-		}
-	}
+	encodeTally(e, a.hours)
 	e.Varint(a.sessions)
 	return e.Err()
 }
@@ -712,12 +702,7 @@ func (a *usageAcc) SnapshotTo(w io.Writer) error {
 func (a *usageAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
 	install := a.decode(d)
-	var m simtime.WeekMatrix
-	for hour := 0; hour < simtime.HoursPerDay; hour++ {
-		for day := 0; day < 7; day++ {
-			m.Set(hour, day, d.F64())
-		}
-	}
+	hours := decodeTally(d, 7*simtime.HoursPerDay-1)
 	count := d.Varint()
 	if d.Err() != nil {
 		return d.Err()
@@ -727,7 +712,7 @@ func (a *usageAcc) RestoreFrom(r io.Reader) error {
 		return d.Err()
 	}
 	install()
-	a.matrix = m
+	a.hours = hours
 	a.sessions = count
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -477,13 +478,14 @@ func TestAnalysisSnapshotTruncation(t *testing.T) {
 }
 
 // TestCheckpointCutGolden pins the bytes of a cut: the SHA-256 below
-// was recorded when snapshot version 2 replaced Figure 9's duration
-// sample with exact per-second counts, whose numbers
-// TestEngineDurationsExact holds to a naive oracle. A deliberate format
-// change bumps snapshot.Version and this hash together; anything else
-// that moves it is a bug.
+// was recorded when snapshot version 3 moved §4.5's handovers per
+// session and by kind and the usage stage's hours of the week onto the
+// sparse integer frame Figure 9's counts use, whose numbers
+// TestEngineHandoversExact and TestEngineDurationsExact hold to naive
+// oracles. A deliberate format change bumps snapshot.Version and this
+// hash together; anything else that moves it is a bug.
 func TestCheckpointCutGolden(t *testing.T) {
-	const want = "9ef364a771402f93e1ae1df33d54ae0c0396c81bde0fc13f98dfc1a9d0a70cfa"
+	const want = "64c7bd571a34b484ec796f5b6d4222d4973cdd768cc9a7bd1a944fd289018c61"
 	ctx := engineCtx()
 	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
 	path := filepath.Join(t.TempDir(), "golden.snap")
@@ -504,9 +506,9 @@ func TestCheckpointCutGolden(t *testing.T) {
 // TestTrackHeadsCutGolden is TestCheckpointCutGolden for the form a
 // carqueryd bucket is sealed in: one TrackHeads set, whose stashed head
 // sessions are written beside the open ones. The SHA-256 was recorded
-// at snapshot version 2, as TestCheckpointCutGolden's was.
+// at snapshot version 3, as TestCheckpointCutGolden's was.
 func TestTrackHeadsCutGolden(t *testing.T) {
-	const want = "1f8040b03849c865f5187241d0b47e461595bc9fb71e93d04523a6e372d65c6d"
+	const want = "57cb110c04de18cc476cfdcaa7ef316e5162d0fdfaf4ab2d7fafc1daf1ada0fc"
 	s := NewStreamingWithOptions(engineCtx(), RunOptions{BusyCells: engineBusyCells(), TrackHeads: true})
 	if err := s.AddAll(cdr.NewSliceReader(engineWorkload(60000))); err != nil {
 		t.Fatal(err)
@@ -581,8 +583,10 @@ func TestZeroOptionsWriteOneHeader(t *testing.T) {
 
 // BenchmarkSnapshotEncode times one full-state Streaming.SnapshotTo at
 // the state the benchmark's checkpoint workload cuts: a generated
-// 1 600-car, 14-day fleet (≈ 320 k records) fully ingested. Profile it
-// with `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
+// 1 600-car, 14-day fleet (≈ 320 k records) fully ingested. Beside the
+// total it reports each stage frame's payload bytes (B/stage:<name>),
+// so the stage that holds the bytes is named. Profile it with
+// `go test -run '^$' -bench SnapshotEncode -cpuprofile cpu.out ./internal/analysis`.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	period, records := benchFleet(b)
 	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
@@ -602,6 +606,21 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/encode")
 	b.ReportMetric(float64(sized.Len()), "bytes/encode")
+	r, err := snapshot.NewReader(&sized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for {
+		name, payload, err := r.NextFrame()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			b.Fatal(err)
+		}
+		if strings.HasPrefix(name, "stage:") {
+			b.ReportMetric(float64(len(payload)), "B/"+name)
+		}
+	}
 }
 
 // fullStateSnapshot is the main fleet fully ingested and encoded: what

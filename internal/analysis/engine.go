@@ -340,7 +340,7 @@ var stageTable = []stageSpec{
 	{"busy", needsLoad, func(c Context, _ EngineOptions) Accumulator { return newBusyAcc(c) }},
 	{"durations", always, func(Context, EngineOptions) Accumulator { return newDurationsAcc() }},
 	{"handovers", always, func(_ Context, o EngineOptions) Accumulator {
-		h := newHandoverAcc(true)
+		h := newHandoverAcc()
 		h.setTrackHeads(o.TrackHeads)
 		return h
 	}},

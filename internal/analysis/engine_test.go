@@ -20,6 +20,7 @@ import (
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 	"cellcars/internal/stats"
+	"cellcars/internal/synth"
 )
 
 // engineWorkload generates a deterministic raw workload that exercises
@@ -302,6 +303,19 @@ func TestEngineEmptySource(t *testing.T) {
 	}
 }
 
+// cdfPoints is what CDF.Points(n) returns for a sorted sample, counted
+// off the slice.
+func cdfPoints(sorted []float64, n int) (xs, ps []float64) {
+	lo, hi := sorted[0], sorted[len(sorted)-1]
+	for i := 0; i < n; i++ {
+		x := lo + (hi-lo)*float64(i)/float64(n-1)
+		atOrBelow := sort.Search(len(sorted), func(j int) bool { return sorted[j] > x })
+		xs = append(xs, x)
+		ps = append(ps, float64(atOrBelow)/float64(len(sorted)))
+	}
+	return xs, ps
+}
+
 // durationsOracle is Figure 9 computed the naive way: the accepted
 // (ghost-free, in-period) population's durations, truncated at 600 s to
 // whole seconds, sorted, with stats.Quantile over the slice and the
@@ -318,13 +332,7 @@ func newDurationsOracle(ctx Context, records []cdr.Record) durationsOracle {
 	}
 	sort.Float64s(sorted)
 	o := durationsOracle{median: stats.Quantile(sorted, 0.5), p73: stats.Quantile(sorted, 0.73)}
-	lo, hi := sorted[0], sorted[len(sorted)-1]
-	for i := 0; i < 72; i++ {
-		x := lo + (hi-lo)*float64(i)/71
-		atOrBelow := sort.Search(len(sorted), func(j int) bool { return sorted[j] > x })
-		o.xs = append(o.xs, x)
-		o.ps = append(o.ps, float64(atOrBelow)/float64(len(sorted)))
-	}
+	o.xs, o.ps = cdfPoints(sorted, 72)
 	return o
 }
 
@@ -337,11 +345,130 @@ func (o durationsOracle) check(t *testing.T, how string, d CellDurations) {
 	}
 }
 
+// handoversOracle is §4.5 computed the naive way: each car's accepted
+// records sorted by start with durations capped at 600 s, split into
+// mobility sessions wherever a record starts more than 10 min after the
+// latest end so far, and every change of cell between consecutive
+// records of a session classified by its kind.
+type handoversOracle struct {
+	sessions         int
+	median, p70, p90 float64
+	byKind           map[radio.HandoverKind]int64
+	xs, ps           []float64
+}
+
+func newHandoversOracle(ctx Context, records []cdr.Record) handoversOracle {
+	byCar := make(map[cdr.CarID][]cdr.Record)
+	for _, r := range cleanAccepted(ctx, records) {
+		byCar[r.Car] = append(byCar[r.Car], r)
+	}
+	o := handoversOracle{byKind: make(map[radio.HandoverKind]int64)}
+	var perSession []float64
+	for _, recs := range byCar {
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
+		end := func(r cdr.Record) time.Time { return r.Start.Add(min(r.Duration, clean.TruncateLimit)) }
+		n, latest := 0, end(recs[0])
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Start.Sub(latest) > clean.MobilityGap {
+				perSession = append(perSession, float64(n))
+				n, latest = 0, end(recs[i])
+				continue
+			}
+			if kind := radio.ClassifyHandover(recs[i-1].Cell, recs[i].Cell); kind != radio.HandoverNone {
+				o.byKind[kind]++
+				n++
+			}
+			if e := end(recs[i]); e.After(latest) {
+				latest = e
+			}
+		}
+		perSession = append(perSession, float64(n))
+	}
+	sort.Float64s(perSession)
+	o.sessions = len(perSession)
+	o.median, o.p70, o.p90 = stats.Quantile(perSession, 0.5), stats.Quantile(perSession, 0.7), stats.Quantile(perSession, 0.9)
+	o.xs, o.ps = cdfPoints(perSession, 72)
+	return o
+}
+
+func (o handoversOracle) check(t *testing.T, how string, h HandoverStats) {
+	t.Helper()
+	xs, ps := h.PerSession.Points(72)
+	if h.Sessions != o.sessions || h.Median != o.median || h.P70 != o.p70 || h.P90 != o.p90 {
+		t.Fatalf("%s: %d sessions, median %v, p70 %v, p90 %v; the sorted records give %d, %v, %v, %v",
+			how, h.Sessions, h.Median, h.P70, h.P90, o.sessions, o.median, o.p70, o.p90)
+	}
+	if !reflect.DeepEqual(h.ByKind, o.byKind) || !slices.Equal(xs, o.xs) || !slices.Equal(ps, o.ps) {
+		t.Fatalf("%s: handovers by kind %v, the sorted records give %v (or the CDF's points differ)", how, h.ByKind, o.byKind)
+	}
+}
+
+// eachSplit hands check the report of every way the engine splits a
+// population and puts it back together: engine workers 1–4, three runs
+// killed after a cut and each resuming the last, and eight car-disjoint
+// partials merged in ten random orders.
+func eachSplit(t *testing.T, ctx Context, records []cdr.Record, check func(how string, rep *Report)) {
+	t.Helper()
+	for workers := 1; workers <= 4; workers++ {
+		rep, err := NewEngine(ctx, EngineOptions{Workers: workers}).Run(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Engine.Run workers=%d", workers), rep)
+	}
+
+	n := len(records)
+	eopts := EngineOptions{Workers: 2}
+	cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "engine.snap"), Every: int64(n / 5)}
+	for i, kill := range []int{n / 4, n / 2, 3 * n / 4} {
+		cfg.Resume = i > 0
+		_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
+			&faultReader{r: cdr.NewSliceReader(records), n: kill, err: errKilled}, cfg)
+		if !errors.Is(err, errKilled) {
+			t.Fatalf("kill=%d: want simulated crash, got %v", kill, err)
+		}
+	}
+	cfg.Resume = true
+	rep, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("resumed RunReaderCheckpointed", rep)
+
+	var snaps [][]byte
+	for _, shard := range shardByFilter(t, records, 8) {
+		s := NewStreamingWithOptions(ctx, RunOptions{})
+		if err := s.AddAll(cdr.NewSliceReader(shard)); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.SnapshotTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, buf.Bytes())
+	}
+	rng := rand.New(rand.NewPCG(uint64(n), 8))
+	for order := 0; order < 10; order++ {
+		var root *Partial
+		for _, i := range rng.Perm(len(snaps)) {
+			p, err := ReadPartial(bytes.NewReader(snaps[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root == nil {
+				root = p
+			} else if err := root.Merge(p, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("Partial.Merge order %d", order), root.Finalize())
+	}
+}
+
 // TestEngineDurationsExact: Figure 9's median, p73 and CDF equal the
 // naive oracle's, float for float, however the population was split and
-// put back together — engine workers, checkpoints and a resume,
-// partials merged in any order, an ordered fold of hourly buckets — on
-// a fleet under 32 768 accepted records and one over it.
+// put back together — every eachSplit way and an ordered fold of hourly
+// buckets — on a fleet under 32 768 accepted records and one over it.
 func TestEngineDurationsExact(t *testing.T) {
 	ctx := engineCtx()
 	for _, n := range []int{5000, 40000} {
@@ -349,60 +476,7 @@ func TestEngineDurationsExact(t *testing.T) {
 		accepted := len(cleanAccepted(ctx, records))
 		t.Run(fmt.Sprintf("accepted=%d", accepted), func(t *testing.T) {
 			oracle := newDurationsOracle(ctx, records)
-			for workers := 1; workers <= 4; workers++ {
-				rep, err := NewEngine(ctx, EngineOptions{Workers: workers}).Run(records)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracle.check(t, fmt.Sprintf("Engine.Run workers=%d", workers), rep.Durations)
-			}
-
-			// Three runs killed after a cut, each resuming the last.
-			eopts := EngineOptions{Workers: 2}
-			cfg := CheckpointConfig{Path: filepath.Join(t.TempDir(), "engine.snap"), Every: int64(n / 5)}
-			for i, kill := range []int{n / 4, n / 2, 3 * n / 4} {
-				cfg.Resume = i > 0
-				_, err := NewEngine(ctx, eopts).RunReaderCheckpointed(
-					&faultReader{r: cdr.NewSliceReader(records), n: kill, err: errKilled}, cfg)
-				if !errors.Is(err, errKilled) {
-					t.Fatalf("kill=%d: want simulated crash, got %v", kill, err)
-				}
-			}
-			cfg.Resume = true
-			rep, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle.check(t, "resumed RunReaderCheckpointed", rep.Durations)
-
-			var snaps [][]byte
-			for _, shard := range shardByFilter(t, records, 8) {
-				s := NewStreamingWithOptions(ctx, RunOptions{})
-				if err := s.AddAll(cdr.NewSliceReader(shard)); err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				if err := s.SnapshotTo(&buf); err != nil {
-					t.Fatal(err)
-				}
-				snaps = append(snaps, buf.Bytes())
-			}
-			rng := rand.New(rand.NewPCG(uint64(n), 8))
-			for order := 0; order < 10; order++ {
-				var root *Partial
-				for _, i := range rng.Perm(len(snaps)) {
-					p, err := ReadPartial(bytes.NewReader(snaps[i]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if root == nil {
-						root = p
-					} else if err := root.Merge(p, false); err != nil {
-						t.Fatal(err)
-					}
-				}
-				oracle.check(t, fmt.Sprintf("Partial.Merge order %d", order), root.Finalize().Durations)
-			}
+			eachSplit(t, ctx, records, func(how string, rep *Report) { oracle.check(t, how, rep.Durations) })
 
 			// Hourly TrackHeads buckets, each through its snapshot, folded
 			// in time order as a query window is.
@@ -436,6 +510,30 @@ func TestEngineDurationsExact(t *testing.T) {
 			oracle.check(t, "MergeOrdered fold of hourly buckets", fold.set.finalize().Durations)
 		})
 	}
+}
+
+// TestEngineHandoversExact: §4.5's session count, median, p70, p90,
+// handovers by kind and per-session CDF equal the naive oracle's, float
+// for float, every eachSplit way, on a generated fleet of over 32 768
+// accepted records whose cars drive through cells as the paper's do.
+func TestEngineHandoversExact(t *testing.T) {
+	cfg := synth.DefaultConfig(200)
+	cfg.Period = simtime.NewPeriod(t0, 14)
+	records, _, err := synth.NewWorld(cfg).GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := Context{Period: cfg.Period}
+	if accepted := len(cleanAccepted(ctx, records)); accepted <= 32768 {
+		t.Fatalf("the fleet has %d accepted records, want over 32 768", accepted)
+	}
+	oracle := newHandoversOracle(ctx, records)
+	if oracle.median == 0 || oracle.p90 <= oracle.median || len(oracle.byKind) < 2 {
+		t.Fatalf("the fleet shows too few handovers to check: %d sessions, median %v, p90 %v, kinds %v",
+			oracle.sessions, oracle.median, oracle.p90, oracle.byKind)
+	}
+	t.Logf("%d sessions: median %v, p70 %v, p90 %v; by kind %v", oracle.sessions, oracle.median, oracle.p70, oracle.p90, oracle.byKind)
+	eachSplit(t, ctx, records, func(how string, rep *Report) { oracle.check(t, how, rep.Handovers) })
 }
 
 // TestEngineFailStageAcrossWorkers: chaos injection must drop exactly

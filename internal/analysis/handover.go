@@ -24,10 +24,10 @@ type HandoverStats struct {
 // HandoversOf computes §4.5 from ghost-free, time-sorted records.
 // Sessions with a single connection (zero possible handovers) count
 // toward the distribution, as the paper's lower-bound methodology
-// implies. Durations are used as given; the full pipeline applies the
-// §3 truncation before sessionizing (see Engine).
+// implies. Durations are truncated at 600 s (§3) before sessionizing,
+// as in the full pipeline.
 func HandoversOf(records []cdr.Record) (HandoverStats, error) {
-	return runAccum(newHandoverAcc(false), records).Handovers, nil
+	return runAccum(newHandoverAcc(), records).Handovers, nil
 }
 
 // InterBSShare returns the fraction of all handovers that cross base

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -233,29 +234,31 @@ func at(car cdr.CarID, bs radio.BSID, min int) cdr.Record {
 }
 
 // TestHandoverKindsWithoutHandoversAreNotStored: the handovers payload
-// opens its by-kind table with len(byKind), so a kind no session has
-// shown must not get a zero entry — a fleet that never changes sector
-// would otherwise write different bytes than it used to.
+// writes its by-kind tally sparsely, so a kind no session has shown gets
+// no entry — a fleet that never changes sector writes no inter-sector
+// pair — and nor does the report.
 func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
-	a := newHandoverAcc(true)
+	a := newHandoverAcc()
 	for _, r := range []cdr.Record{
 		at(1, 1, 0), at(1, 1, 2), at(1, 1, 60), // no handover, then a close
 		at(2, 1, 0), at(2, 2, 2), at(2, 3, 4), at(2, 3, 90), // two inter-BS, then a close
 	} {
 		a.Add(r)
 	}
-	if want := map[radio.HandoverKind]int64{radio.HandoverInterBS: 2}; !reflect.DeepEqual(a.byKind, want) {
-		t.Fatalf("byKind = %v, want %v", a.byKind, want)
+	var kinds bytes.Buffer
+	encodeTally(snapshot.NewEncoder(&kinds), a.byKind)
+	if want := []byte{1, byte(radio.HandoverInterBS), 2}; !bytes.Equal(kinds.Bytes(), want) {
+		t.Fatalf("by-kind tally %v encodes to %v, want %v: the one inter-BS pair", a.byKind, kinds.Bytes(), want)
 	}
-	if !reflect.DeepEqual(a.counts, []float64{0, 2}) {
-		t.Fatalf("per-session counts = %v, want [0 2]", a.counts)
+	if want := (tally{1, 0, 1}); !slices.Equal(a.perSession, want) {
+		t.Fatalf("sessions by handovers = %v, want %v", a.perSession, want)
 	}
 	rep := &Report{}
 	a.Finalize(rep)
 	if rep.Handovers.Sessions != 4 || len(rep.Handovers.ByKind) != 1 {
 		t.Fatalf("finalized %d sessions, kinds %v; want 4 sessions (two still open), one kind", rep.Handovers.Sessions, rep.Handovers.ByKind)
 	}
-	if len(a.byKind) != 1 || len(a.counts) != 2 || len(a.z.OpenCars()) != 2 {
+	if a.byKind.sum() != 2 || a.perSession.sum() != 2 || len(a.z.OpenCars()) != 2 {
 		t.Fatal("Finalize changed the accumulator")
 	}
 }
@@ -265,7 +268,7 @@ func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
 // handed back to the sessionizer — the next session to open would
 // overwrite it.
 func TestStashedHeadSurvivesRecycling(t *testing.T) {
-	a := newHandoverAcc(true)
+	a := newHandoverAcc()
 	a.setTrackHeads(true)
 	a.Add(at(1, 1, 0))
 	a.Add(at(1, 2, 2))

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cellcars/internal/cdr"
+	"cellcars/internal/radio"
 	"cellcars/internal/snapshot"
 )
 
@@ -24,9 +27,8 @@ func fuzzSnapshotSeed() []byte {
 	return buf.Bytes()
 }
 
-// withDurations returns seed with its durations frame written afresh:
-// the (second, count) pairs given, then n, and sums that agree with n.
-func withDurations(seed []byte, pairs [][2]uint64, n int64) []byte {
+// withFrame returns seed with one stage frame written afresh by write.
+func withFrame(seed []byte, stage string, write func(e *snapshot.Encoder)) []byte {
 	r, err := snapshot.NewReader(bytes.NewReader(seed))
 	if err != nil {
 		panic(err)
@@ -40,28 +42,62 @@ func withDurations(seed []byte, pairs [][2]uint64, n int64) []byte {
 		} else if err != nil {
 			panic(err)
 		}
-		if name != "stage:durations" {
+		if name != "stage:"+stage {
 			w.RawFrame(name, payload)
 			continue
 		}
-		e := w.Begin(name)
-		e.Uvarint(uint64(len(pairs)))
-		for _, p := range pairs {
-			e.Uvarint(p[0])
-			e.Uvarint(p[1])
-		}
-		e.Varint(0) // not whole
-		e.Varint(n)
-		e.Varint(60 * n) // full seconds, then nanoseconds
-		e.Varint(0)
-		e.Varint(60 * n) // truncated seconds, then nanoseconds
-		e.Varint(0)
+		write(w.Begin(name))
 		w.End()
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
 	return out.Bytes()
+}
+
+// writeTally writes a tally frame holding the (value, count) pairs given.
+func writeTally(e *snapshot.Encoder, pairs [][2]uint64) {
+	e.Uvarint(uint64(len(pairs)))
+	for _, p := range pairs {
+		e.Uvarint(p[0])
+		e.Uvarint(p[1])
+	}
+}
+
+// withDurations returns seed with its durations frame written afresh:
+// the (second, count) pairs given, then n, and sums that agree with n.
+func withDurations(seed []byte, pairs [][2]uint64, n int64) []byte {
+	return withFrame(seed, "durations", func(e *snapshot.Encoder) {
+		writeTally(e, pairs)
+		e.Varint(0) // not whole
+		e.Varint(n)
+		e.Varint(60 * n) // full seconds, then nanoseconds
+		e.Varint(0)
+		e.Varint(60 * n) // truncated seconds, then nanoseconds
+		e.Varint(0)
+	})
+}
+
+// withHandovers returns seed with a handovers frame holding no unaccounted
+// session, then the by-kind and per-session tallies given.
+func withHandovers(seed []byte, byKind, perSession [][2]uint64) []byte {
+	return withFrame(seed, "handovers", func(e *snapshot.Encoder) {
+		e.Uvarint(0)  // open sessions
+		e.Bool(false) // heads not tracked
+		writeTally(e, byKind)
+		writeTally(e, perSession)
+	})
+}
+
+// withUsage returns seed with a usage frame holding no unaccounted
+// session, then the hour-of-week tally and session count given.
+func withUsage(seed []byte, hours [][2]uint64, sessions int64) []byte {
+	return withFrame(seed, "usage", func(e *snapshot.Encoder) {
+		e.Uvarint(0)  // open sessions
+		e.Bool(false) // heads not tracked
+		writeTally(e, hours)
+		e.Varint(sessions)
+	})
 }
 
 // durationsRefusals are durations frames a restore must refuse, each
@@ -99,6 +135,117 @@ func TestDurationsFrameRefusals(t *testing.T) {
 	}
 }
 
+// countRefusals are handovers and usage frames a restore must refuse,
+// one per rule decodeTally and the handovers restore enforce, each beside
+// a well-formed seed.
+func countRefusals(seed []byte) []struct {
+	name string
+	data []byte
+} {
+	type pairs = [][2]uint64
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"kind above the last kind", withHandovers(seed, pairs{{radio.NumHandoverKinds, 1}}, pairs{{1, 1}})},
+		{"HandoverNone kind", withHandovers(seed, pairs{{uint64(radio.HandoverNone), 1}}, pairs{{1, 1}})},
+		{"repeated kind", withHandovers(seed, pairs{{0, 1}, {0, 1}}, pairs{{2, 1}})},
+		{"descending kinds", withHandovers(seed, pairs{{1, 1}, {0, 1}}, pairs{{2, 1}})},
+		{"zero kind count", withHandovers(seed, pairs{{0, 0}}, pairs{{0, 1}})},
+		{"kind counts overflow the sum", withHandovers(seed, pairs{{0, 1 << 62}, {1, 1 << 62}}, pairs{{1, 1 << 62}})},
+		{"session above the span bound", withHandovers(seed, pairs{{0, maxSnapSpans + 1}}, pairs{{maxSnapSpans + 1, 1}})},
+		{"first session value past the allocation rule", withHandovers(seed, pairs{{0, snapPrealloc}}, pairs{{snapPrealloc, 1}})},
+		{"second session value past the allocation rule", withHandovers(seed, pairs{{0, 2 * snapPrealloc}}, pairs{{0, 1}, {2 * snapPrealloc, 1}})},
+		{"repeated session value", withHandovers(seed, pairs{{0, 2}}, pairs{{1, 1}, {1, 1}})},
+		{"descending session values", withHandovers(seed, pairs{{0, 3}}, pairs{{2, 1}, {1, 1}})},
+		{"zero session count", withHandovers(seed, nil, pairs{{3, 0}})},
+		{"session counts overflow the sum", withHandovers(seed, nil, pairs{{0, 1 << 62}, {1, 1 << 62}})},
+		{"kinds above the sessions' handovers", withHandovers(seed, pairs{{0, 3}}, pairs{{1, 2}})},
+		{"kinds below the sessions' handovers", withHandovers(seed, pairs{{0, 1}}, pairs{{1, 2}})},
+		{"sessions' handovers overflow", withHandovers(seed, pairs{{0, 1}}, pairs{{1 << 10, 1 << 54}})},
+		{"hour 168", withUsage(seed, pairs{{168, 1}}, 1)},
+		{"repeated hour", withUsage(seed, pairs{{5, 1}, {5, 1}}, 2)},
+		{"descending hours", withUsage(seed, pairs{{9, 1}, {5, 1}}, 2)},
+		{"zero hour count", withUsage(seed, pairs{{5, 0}}, 1)},
+		{"hour counts overflow the sum", withUsage(seed, pairs{{5, 1 << 62}, {6, 1 << 62}}, 1)},
+	}
+}
+
+// TestCountFrameRefusals: each malformed handovers or usage frame is
+// ErrBadSnapshot — none but the allocation rule's two is a state Add can
+// build, and each of those once restored into a state that re-encoded
+// to other bytes or printed NaN — and the same frames well formed
+// restore to the counts they hold.
+func TestCountFrameRefusals(t *testing.T) {
+	seed := fuzzSnapshotSeed()
+	data := withHandovers(seed, [][2]uint64{{0, 3}, {3, 1}}, [][2]uint64{{0, 2}, {1, 2}, {2, 1}})
+	data = withUsage(data, [][2]uint64{{0, 2}, {167, 1}}, 2)
+	p, err := ReadPartial(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("well-formed count frames refused: %v", err)
+	}
+	rep := p.Finalize()
+	h := rep.Handovers
+	wantKinds := map[radio.HandoverKind]int64{radio.HandoverInterBS: 3, radio.HandoverInterSector: 1}
+	if h.Sessions != 5 || h.Median != 1 || h.PerSession.At(0) != 0.4 || !reflect.DeepEqual(h.ByKind, wantKinds) {
+		t.Errorf("well-formed handovers frame restored to %d sessions, median %v, P(0) %v, kinds %v",
+			h.Sessions, h.Median, h.PerSession.At(0), h.ByKind)
+	}
+	if u := rep.FleetUsage; rep.UsageSessions != 2 || u.At(0, 0) != 2 || u.At(23, 6) != 1 || u.Sum() != 3 {
+		t.Errorf("well-formed usage frame restored to %d sessions and matrix %v", rep.UsageSessions, u)
+	}
+	for _, tc := range countRefusals(seed) {
+		if _, err := ReadPartial(bytes.NewReader(tc.data)); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s: got %v, want ErrBadSnapshot", tc.name, err)
+		}
+	}
+	// The highest session value each pair may name restores.
+	data = withHandovers(seed, [][2]uint64{{0, 3*snapPrealloc - 2}}, [][2]uint64{{snapPrealloc - 1, 1}, {2*snapPrealloc - 1, 1}})
+	if p, err := ReadPartial(bytes.NewReader(data)); err != nil {
+		t.Errorf("sessions of %d and %d handovers refused: %v", snapPrealloc-1, 2*snapPrealloc-1, err)
+	} else if h := p.Finalize().Handovers; h.Sessions != 2 || h.ByKind[radio.HandoverInterBS] != 3*snapPrealloc-2 {
+		t.Errorf("sessions of %d and %d handovers restored to %d sessions, kinds %v", snapPrealloc-1, 2*snapPrealloc-1, h.Sessions, h.ByKind)
+	}
+}
+
+// TestTallyRestoreAllocatesWhatItReads: a tally frame of a few bytes
+// cannot make a restore allocate a tally as long as its bound — a
+// decode's tally holds at most snapPrealloc values per pair it read.
+func TestTallyRestoreAllocatesWhatItReads(t *testing.T) {
+	for _, tc := range []struct {
+		pairs [][2]uint64
+		ok    bool
+	}{
+		{[][2]uint64{{maxSnapSpans, 1}}, false},
+		{[][2]uint64{{snapPrealloc, 1}}, false},
+		{[][2]uint64{{0, 1}, {1, 1}, {maxSnapSpans, 1}}, false},
+		{[][2]uint64{{snapPrealloc - 1, 1}}, true},
+		{[][2]uint64{{0, 1}, {1, 1}, {3*snapPrealloc - 1, 1}}, true},
+	} {
+		var frame bytes.Buffer
+		writeTally(snapshot.NewEncoder(&frame), tc.pairs)
+		const runs = 64
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		for range runs {
+			d := snapshot.NewDecoderBytes(frame.Bytes())
+			decodeTally(d, maxSnapSpans)
+			err = d.Err()
+		}
+		runtime.ReadMemStats(&after)
+		if (err == nil) != tc.ok {
+			t.Errorf("%v: got %v, want accepted %v", tc.pairs, err, tc.ok)
+		}
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		// Twice the tally: under -race, append builds the zeros it adds
+		// before copying them.
+		if limit := uint64(2*8*snapPrealloc*len(tc.pairs) + 1<<14); perRun > limit {
+			t.Errorf("%v: a %d-byte frame allocates %d bytes per restore, want ≤ %d", tc.pairs, frame.Len(), perRun, limit)
+		}
+	}
+}
+
 // FuzzReadPartial hammers the full snapshot restore path — container
 // parsing, header validation, every accumulator's RestoreFrom — with
 // arbitrary bytes. The invariant: ReadPartial either returns an error
@@ -115,6 +262,9 @@ func FuzzReadPartial(f *testing.F) {
 	f.Add(flipped)
 	for _, tc := range durationsRefusals {
 		f.Add(withDurations(seed, tc.pairs, tc.n))
+	}
+	for _, tc := range countRefusals(seed) {
+		f.Add(tc.data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

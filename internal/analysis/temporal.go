@@ -36,17 +36,17 @@ func ReferenceMatrices() (commute, networkPeak, weekend simtime.WeekMatrix) {
 // touching the hour. Records must belong to a single car and be
 // time-ordered; ghosts should be removed first.
 func UsageMatrix(records []cdr.Record, ctx Context) simtime.WeekMatrix {
-	var m simtime.WeekMatrix
+	var hours tally
 	sessions, err := clean.Sessions(cdr.NewSliceReader(records), clean.AggregateGap)
 	if err != nil {
 		// The slice reader cannot fail; keep the matrix empty on the
 		// impossible path rather than panicking inside an analysis.
-		return m
+		return simtime.WeekMatrix{}
 	}
 	for i := range sessions {
-		markSessionHours(&m, &sessions[i], ctx.TZOffsetSeconds)
+		markSessionHours(&hours, &sessions[i], ctx.TZOffsetSeconds)
 	}
-	return m
+	return weekMatrix(hours)
 }
 
 // RecordsOfCar extracts one car's records from a stream, preserving

@@ -9,10 +9,11 @@ import (
 )
 
 // refDecoder is the Decoder as it stood before the in-place decoder
-// replaced it, kept verbatim (type and constructor renamed, nothing
-// else) as the arbiter FuzzDecoderMatchesReference holds the new one
-// to: it pulls varints through an io.ByteReader one interface call per
-// byte and fixed-width values through io.ReadFull.
+// replaced it, kept verbatim (type and constructor renamed, and F64
+// gone with the format's floats) as the arbiter
+// FuzzDecoderMatchesReference holds the new one to: it pulls varints
+// through an io.ByteReader one interface call per byte and strings
+// through io.ReadFull.
 type refDecoder struct {
 	r   io.ByteReader
 	rd  io.Reader
@@ -76,19 +77,6 @@ func (d *refDecoder) Varint() int64 {
 		return 0
 	}
 	return x
-}
-
-// F64 reads a fixed 8-byte little-endian float64.
-func (d *refDecoder) F64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.rd, b[:]); err != nil {
-		d.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
 // Bool reads a one-byte boolean; any value other than 0 or 1 is a

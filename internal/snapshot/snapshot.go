@@ -44,9 +44,11 @@ var ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot")
 
 // Version is the current snapshot schema version. Readers refuse
 // other versions: partial-state layouts are not forward compatible.
-// Version 2 holds Figure 9's exact per-second duration counts; a
-// version-1 file holds a duration sample they cannot be rebuilt from.
-const Version = 2
+// Version 3 holds every count a stage keeps — Figure 9's seconds,
+// §4.5's handovers per session and by kind, the usage stage's hours of
+// the week — as sparse integer (value, count) pairs, and no floats. An
+// older file is refused, naming the remedy: re-run from the input.
+const Version = 3
 
 var magic = [8]byte{'C', 'C', 'A', 'R', 'S', 'N', 'A', 'P'}
 
@@ -99,12 +101,6 @@ func (e *Encoder) Uvarint(x uint64) {
 func (e *Encoder) Varint(x int64) {
 	n := binary.PutVarint(e.buf[:], x)
 	e.write(e.buf[:n])
-}
-
-// F64 appends a float64 as its fixed 8-byte little-endian bit pattern.
-func (e *Encoder) F64(x float64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(x))
-	e.write(e.buf[:8])
 }
 
 // Bool appends a boolean as one byte.
@@ -235,15 +231,6 @@ func (d *Decoder) Varint() int64 {
 		return 0
 	}
 	return x
-}
-
-// F64 reads a fixed 8-byte little-endian float64.
-func (d *Decoder) F64() float64 {
-	b := d.next(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // Bool reads a one-byte boolean; any value other than 0 or 1 is a
@@ -510,11 +497,10 @@ func (f *Frames) End() {
 // file vouches for its size less what was read, and a source nothing
 // vouches for (a pipe) has a long payload grown as its bytes arrive.
 type Reader struct {
-	mem     []byte        // what is left of an in-memory source
-	br      *bufio.Reader // a streamed source; nil for an in-memory one
-	left    int64         // bytes a streamed source still vouches for, -1 for none
-	version int
-	done    bool
+	mem  []byte        // what is left of an in-memory source
+	br   *bufio.Reader // a streamed source; nil for an in-memory one
+	left int64         // bytes a streamed source still vouches for, -1 for none
+	done bool
 }
 
 // unvouchedChunk is the most a streamed source of unknown size gets
@@ -547,7 +533,6 @@ func NewReader(src io.Reader) (*Reader, error) {
 	if v != Version {
 		return nil, badf("unsupported snapshot version %d (want %d; re-run from the input to rebuild it)", v, Version)
 	}
-	r.version = int(v)
 	return r, nil
 }
 
@@ -621,9 +606,6 @@ func (r *Reader) read(n int) (b []byte, ok bool) {
 	}
 	return b, true
 }
-
-// SchemaVersion returns the stream's schema version.
-func (r *Reader) SchemaVersion() int { return r.version }
 
 // Next reads the next frame, validates its CRC, and returns its name
 // and a decoder over the payload. It returns io.EOF at the end marker;
