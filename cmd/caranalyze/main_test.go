@@ -457,9 +457,10 @@ func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
 }
 
 // TestResumeRefusesVersion1Checkpoint: a checkpoint written before
-// snapshot version 3 — version 1's duration sample, version 2's float
-// handover counts and usage matrix — is refused by -resume, naming the
-// version and the remedy, rather than converted.
+// snapshot version 4 — version 1's duration sample, version 2's float
+// handover counts and usage matrix, version 3's usage span lists — is
+// refused by -resume, naming the version and the remedy, rather than
+// converted.
 func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cars.cdr")
@@ -475,7 +476,7 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		data[len("CCARSNAP")] = version // the version uvarint behind the magic
 		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -484,7 +485,7 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 		if err == nil {
 			t.Fatalf("-resume of a version-%d checkpoint succeeded:\n%s", version, out)
 		}
-		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 3;", version), "re-run from the input"} {
+		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 4;", version), "re-run from the input"} {
 			if !strings.Contains(string(out), want) {
 				t.Errorf("-resume of a version-%d checkpoint does not say %q:\n%s", version, want, out)
 			}

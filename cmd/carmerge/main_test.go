@@ -99,6 +99,23 @@ func TestRefusesCarOverlap(t *testing.T) {
 	}
 }
 
+// TestRefusesCarOverlapWithoutConnected: the overlap is read off each
+// partial's car table, not off one stage's state, so partials whose
+// connected stage failed are refused for sharing a car like any others.
+// carmerge used to find no car set to compare, and merged them.
+func TestRefusesCarOverlapWithoutConnected(t *testing.T) {
+	dir := t.TempDir()
+	a := filepath.Join(dir, "a.snap")
+	b := filepath.Join(dir, "b.snap")
+	writePartialFailing(t, a, "connected", 1, 2)
+	writePartialFailing(t, b, "connected", 2, 3)
+
+	_, stderr, code := carmerge(a, b)
+	if code != 1 || !strings.Contains(stderr, "partials share 1 cars") {
+		t.Fatalf("exit code = %d, want 1 naming the one shared car; stderr:\n%s", code, stderr)
+	}
+}
+
 // TestRefusesTruncatedPartial: a partial cut short mid-frame must be
 // rejected as a bad snapshot, not half-merged.
 func TestRefusesTruncatedPartial(t *testing.T) {
@@ -149,8 +166,8 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 }
 
 // TestRefusesVersion1Partial: a partial written before snapshot
-// version 3 — version 1 or 2 — is refused, naming the version and the
-// remedy, even beside a current one.
+// version 4 — version 1, 2 or 3 — is refused, naming the version and
+// the remedy, even beside a current one.
 func TestRefusesVersion1Partial(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.snap")
@@ -161,7 +178,7 @@ func TestRefusesVersion1Partial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		data[len("CCARSNAP")] = version // the version uvarint behind the magic
 		if err := os.WriteFile(old, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -170,7 +187,7 @@ func TestRefusesVersion1Partial(t *testing.T) {
 		if code != 1 {
 			t.Fatalf("version %d: exit code = %d, want 1; stderr: %s", version, code, stderr)
 		}
-		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 3;", version), "re-run from the input"} {
+		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 4;", version), "re-run from the input"} {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("stderr does not say %q:\n%s", want, stderr)
 			}

@@ -953,8 +953,8 @@ func TestQuarantineFileSurvivesShutdown(t *testing.T) {
 	}
 }
 
-// TestVersion1CutsColdStart: cuts written before snapshot version 3,
-// version 1 or 2, cannot be warmed from. The restarted daemon logs one warning per cut,
+// TestVersion1CutsColdStart: cuts written before snapshot version 4,
+// version 1, 2 or 3, cannot be warmed from. The restarted daemon logs one warning per cut,
 // carrying that cut's error, replays its inputs from record 0 and serves
 // what a cold daemon serves.
 func TestVersion1CutsColdStart(t *testing.T) {
@@ -977,16 +977,16 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	d.terminate(t)
 
 	cuts, err := filepath.Glob(filepath.Join(snaps, "cut-*.snap"))
-	if err != nil || len(cuts) < 2 {
+	if err != nil || len(cuts) < 3 {
 		t.Fatalf("cuts %v (err %v); want several", cuts, err)
 	}
-	version := make(map[string]int) // each cut's, 1 and 2 in turn
+	version := make(map[string]int) // each cut's, 1, 2 and 3 in turn
 	for i, cut := range cuts {
 		data, err := os.ReadFile(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		version[cut] = 1 + i%2
+		version[cut] = 1 + i%3
 		data[len("CCARSNAP")] = byte(version[cut]) // the version uvarint behind the magic
 		if err := os.WriteFile(cut, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -996,7 +996,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	d = startDaemon(t, args...)
 	d.waitDrained(t, int64(len(recs)))
 	if warm := d.record(t, "warm restart"); warm != nil {
-		t.Fatalf("warm restart from version-1 and -2 cuts: %v", warm)
+		t.Fatalf("warm restart from version-1, -2 and -3 cuts: %v", warm)
 	}
 	var skipped []string
 	for _, rec := range d.records(t) {
@@ -1013,13 +1013,13 @@ func TestVersion1CutsColdStart(t *testing.T) {
 		t.Errorf("%d skipped-cut warnings for %d old cuts:\n%s", len(skipped), len(cuts), strings.Join(skipped, "\n"))
 	}
 	for _, cut := range cuts {
-		want := fmt.Sprintf("unsupported snapshot version %d (want 3;", version[cut])
+		want := fmt.Sprintf("unsupported snapshot version %d (want 4;", version[cut])
 		if !slices.ContainsFunc(skipped, func(msg string) bool { return strings.Contains(msg, cut) && strings.Contains(msg, want) }) {
 			t.Errorf("no skipped-cut warning names %s and says %q", cut, want)
 		}
 	}
 	if code, got := d.get(t, report); code != http.StatusOK || !bytes.Equal(got, cold) {
-		t.Fatalf("%s after a cold start over version-1 and -2 cuts: %d, %d bytes; a cold daemon's %d bytes\n%s",
+		t.Fatalf("%s after a cold start over version-1, -2 and -3 cuts: %d, %d bytes; a cold daemon's %d bytes\n%s",
 			report, code, len(got), len(cold), firstDiff(got, cold))
 	}
 	d.terminate(t)

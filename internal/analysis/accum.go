@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
@@ -33,15 +34,20 @@ import (
 // from a car-disjoint shard, and Finalize writes the stage's results
 // into the report. Finalize must be non-destructive: accumulators can
 // keep absorbing records and finalize again.
+//
+// Cars reach a stage as numbers of its owner's carTable: the set looks
+// a record's car up once, and every per-car stage keeps its state in
+// columns indexed by that number.
 type Accumulator interface {
 	// Stage returns the stable stage name (see RunOptions.FailStage).
 	Stage() string
-	// Add observes one ghost-free record.
-	Add(r cdr.Record)
+	// Add observes one ghost-free record of car number car.
+	Add(r cdr.Record, car int32)
 	// Merge folds another accumulator of the same stage into the
 	// receiver. The other accumulator must have been fed a
-	// car-disjoint shard and is consumed by the merge.
-	Merge(o Accumulator)
+	// car-disjoint shard and is consumed by the merge; its car j is the
+	// receiver's car remap[j].
+	Merge(o Accumulator, remap []int32)
 	// Finalize computes the stage's results into rep.
 	Finalize(rep *Report) error
 	// SnapshotTo serializes the accumulator's partial state — enough
@@ -55,15 +61,23 @@ type Accumulator interface {
 	RestoreFrom(r io.Reader) error
 }
 
-// runAccum feeds a record slice to one accumulator and finalizes it
-// into a scratch report — the backing for the standalone per-stage
-// functions, which are thin wrappers over the accumulators. Unlike the
-// engine, wrappers apply no ghost or period filtering: they are
-// period-less primitives over exactly the records given.
-func runAccum(acc Accumulator, records []cdr.Record) *Report {
+// feed builds one accumulator over a car table of its own and feeds it a
+// record slice — the backing for the standalone per-stage functions,
+// which are thin wrappers over the accumulators. Unlike the engine,
+// wrappers apply no ghost or period filtering: they are period-less
+// primitives over exactly the records given.
+func feed[A Accumulator](records []cdr.Record, build func(cars *carTable) A) A {
+	cars := new(carTable)
+	acc := build(cars)
 	for _, r := range records {
-		acc.Add(r)
+		acc.Add(r, cars.intern(r.Car))
 	}
+	return acc
+}
+
+// runAccum is feed, finalized into a scratch report.
+func runAccum[A Accumulator](records []cdr.Record, build func(cars *carTable) A) *Report {
+	acc := feed(records, build)
 	rep := &Report{}
 	if err := acc.Finalize(rep); err != nil {
 		// No accumulator in this package returns a finalize error; a
@@ -166,35 +180,168 @@ func (t tally) cdf() *stats.CDF {
 	return stats.NewCDFCounts(values, t)
 }
 
+// carTable numbers the cars an accumulator set has seen. The set looks
+// each accepted record's car up here once and hands the stages its
+// number; every per-car stage keeps its state in a column indexed by it.
+// Numbers are dense, never reused, and given in the order cars arrive,
+// so nothing but an encoder cares for car order: a cut sorts the
+// numbers once per set (sorted), and every stage writes its cars in
+// that order.
+type carTable struct {
+	idx map[cdr.CarID]int32
+	ids []cdr.CarID // ids[i] is car number i
+	// order is sorted's result while it covers every car; encodeSet
+	// drops it once the cut is written.
+	order []int32
+}
+
+// intern returns car's number, giving it the next one if it has none.
+func (t *carTable) intern(car cdr.CarID) int32 {
+	if i, ok := t.idx[car]; ok {
+		return i
+	}
+	if t.idx == nil {
+		t.idx = make(map[cdr.CarID]int32)
+	}
+	i := int32(len(t.ids))
+	t.idx[car] = i
+	t.ids = append(t.ids, car)
+	return i
+}
+
+// remap interns o's cars and returns their numbers here, indexed by
+// their numbers in o: the one lookup per car a set merge makes, for
+// every stage to share.
+func (t *carTable) remap(o *carTable) []int32 {
+	m := make([]int32, len(o.ids))
+	for j, car := range o.ids {
+		m[j] = t.intern(car)
+	}
+	return m
+}
+
+// sorted returns every car's number, ascending by car id.
+func (t *carTable) sorted() []int32 {
+	if len(t.order) != len(t.ids) {
+		t.order = make([]int32, len(t.ids))
+		for i := range t.order {
+			t.order[i] = int32(i)
+		}
+		slices.SortFunc(t.order, func(a, b int32) int { return cmp.Compare(t.ids[a], t.ids[b]) })
+	}
+	return t.order
+}
+
+// column is one stage's per-car state, indexed by car number. It holds
+// exactly the cars the stage has state for — a stage need not hold
+// every car of the table (presence only cars seen on a study day, busy
+// only cars with binned time, usage only cars with an open session) —
+// and marks which.
+type column[T any] struct {
+	v    []T
+	held []uint64 // bit i: car i is held
+	n    int      // how many cars are held
+}
+
+func (c *column[T]) has(i int32) bool {
+	w := int(i >> 6)
+	return w < len(c.held) && c.held[w]&(1<<(i&63)) != 0
+}
+
+// at returns car i's state, holding the car from now on; had reports
+// whether it was held already. A car taken up starts at T's zero value.
+func (c *column[T]) at(i int32) (v *T, had bool) {
+	// One zero at a time: numbers arrive nearly in order, and appending
+	// a made slice allocates it first under -race.
+	for int(i) >= len(c.v) {
+		var zero T
+		c.v = append(c.v, zero)
+	}
+	w, bit := int(i>>6), uint64(1)<<(i&63)
+	for w >= len(c.held) {
+		c.held = append(c.held, 0)
+	}
+	had = c.held[w]&bit != 0
+	if !had {
+		c.held[w] |= bit
+		c.n++
+	}
+	return &c.v[i], had
+}
+
+func (c *column[T]) get(i int32) (T, bool) {
+	if !c.has(i) {
+		var zero T
+		return zero, false
+	}
+	return c.v[i], true
+}
+
+func (c *column[T]) put(i int32, v T) {
+	p, _ := c.at(i)
+	*p = v
+}
+
+// take returns car i's state and lets the car go.
+func (c *column[T]) take(i int32) (T, bool) {
+	v, ok := c.get(i)
+	if ok {
+		var zero T
+		c.v[i] = zero
+		c.held[i>>6] &^= 1 << (i & 63)
+		c.n--
+	}
+	return v, ok
+}
+
+// each calls fn for every car held, by number.
+func (c *column[T]) each(fn func(i int32, v T)) {
+	for w, word := range c.held {
+		for ; word != 0; word &= word - 1 {
+			i := int32(w*64 + bits.TrailingZeros64(word))
+			fn(i, c.v[i])
+		}
+	}
+}
+
+// orDays unions o's day bitmaps into c, o's car j being c's remap[j]. A
+// car new to c takes o's bitmap as it is.
+func orDays(c, o *column[daysBits], remap []int32) {
+	o.each(func(j int32, db daysBits) {
+		if own, had := c.at(remap[j]); had {
+			own.or(&db)
+		} else {
+			*own = db
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // presence — Figure 2 / Table 1
 
 type presenceAcc struct {
 	period   simtime.Period
-	carDays  map[cdr.CarID]*daysBits
+	cars     *carTable
+	carDays  column[daysBits]
 	cellDays map[radio.CellKey]*daysBits
 }
 
-func newPresenceAcc(period simtime.Period) *presenceAcc {
+func newPresenceAcc(period simtime.Period, cars *carTable) *presenceAcc {
 	return &presenceAcc{
 		period:   period,
-		carDays:  make(map[cdr.CarID]*daysBits),
+		cars:     cars,
 		cellDays: make(map[radio.CellKey]*daysBits),
 	}
 }
 
 func (a *presenceAcc) Stage() string { return "presence" }
 
-func (a *presenceAcc) Add(r cdr.Record) {
+func (a *presenceAcc) Add(r cdr.Record, car int32) {
 	day := a.period.DayIndex(r.Start)
 	if day < 0 {
 		return
 	}
-	db := a.carDays[r.Car]
-	if db == nil {
-		db = &daysBits{}
-		a.carDays[r.Car] = db
-	}
+	db, _ := a.carDays.at(car)
 	db.set(day)
 	cb := a.cellDays[r.Cell]
 	if cb == nil {
@@ -204,15 +351,9 @@ func (a *presenceAcc) Add(r cdr.Record) {
 	cb.set(day)
 }
 
-func (a *presenceAcc) Merge(other Accumulator) {
+func (a *presenceAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*presenceAcc](other)
-	for car, db := range o.carDays {
-		if own := a.carDays[car]; own != nil {
-			own.or(db)
-		} else {
-			a.carDays[car] = db
-		}
-	}
+	orDays(&a.carDays, &o.carDays, remap)
 	for cell, db := range o.cellDays {
 		if own := a.cellDays[cell]; own != nil {
 			own.or(db)
@@ -225,16 +366,16 @@ func (a *presenceAcc) Merge(other Accumulator) {
 func (a *presenceAcc) Finalize(rep *Report) error {
 	days := a.period.Days()
 	carsPerDay := make([]int, days)
-	for _, db := range a.carDays {
+	a.carDays.each(func(_ int32, db daysBits) {
 		db.forEach(func(day int) { carsPerDay[day]++ })
-	}
+	})
 	cellsPerDay := make([]int, days)
 	for _, db := range a.cellDays {
 		db.forEach(func(day int) { cellsPerDay[day]++ })
 	}
 
 	p := DailyPresence{
-		TotalCars:  len(a.carDays),
+		TotalCars:  a.carDays.n,
 		TotalCells: len(a.cellDays),
 		CarsFrac:   make([]float64, days),
 		CellsFrac:  make([]float64, days),
@@ -265,47 +406,40 @@ type connSec struct{ full, trunc int64 }
 
 type connectedAcc struct {
 	period simtime.Period
-	// cars holds pointers so that Add is one hash lookup per record.
-	cars map[cdr.CarID]*connSec
+	cars   *carTable
+	secs   column[connSec]
 }
 
-func newConnectedAcc(period simtime.Period) *connectedAcc {
-	return &connectedAcc{period: period, cars: make(map[cdr.CarID]*connSec)}
+func newConnectedAcc(period simtime.Period, cars *carTable) *connectedAcc {
+	return &connectedAcc{period: period, cars: cars}
 }
 
 func (a *connectedAcc) Stage() string { return "connected" }
 
-func (a *connectedAcc) Add(r cdr.Record) {
+func (a *connectedAcc) Add(r cdr.Record, car int32) {
 	sec := int64(r.Duration / time.Second)
-	c := a.cars[r.Car]
-	if c == nil {
-		c = &connSec{}
-		a.cars[r.Car] = c
-	}
+	c, _ := a.secs.at(car)
 	c.full += sec
 	c.trunc += truncDur(sec, 600)
 }
 
-func (a *connectedAcc) Merge(other Accumulator) {
+func (a *connectedAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*connectedAcc](other)
-	for car, oc := range o.cars {
-		if c := a.cars[car]; c != nil {
-			c.full += oc.full
-			c.trunc += oc.trunc
-		} else {
-			a.cars[car] = oc
-		}
-	}
+	o.secs.each(func(j int32, oc connSec) {
+		c, _ := a.secs.at(remap[j])
+		c.full += oc.full
+		c.trunc += oc.trunc
+	})
 }
 
 func (a *connectedAcc) Finalize(rep *Report) error {
 	total := float64(a.period.Seconds())
-	full := make([]float64, 0, len(a.cars))
-	trunc := make([]float64, 0, len(a.cars))
-	for _, c := range a.cars {
+	full := make([]float64, 0, a.secs.n)
+	trunc := make([]float64, 0, a.secs.n)
+	a.secs.each(func(_ int32, c connSec) {
 		full = append(full, float64(c.full)/total)
 		trunc = append(trunc, float64(c.trunc)/total)
-	}
+	})
 	ct := ConnectedTime{Full: stats.NewCDF(full), Truncated: stats.NewCDF(trunc)}
 	if len(full) > 0 {
 		ct.FullMean = ct.Full.Mean()
@@ -322,53 +456,39 @@ func (a *connectedAcc) Finalize(rep *Report) error {
 
 type daysAcc struct {
 	period  simtime.Period
-	carDays map[cdr.CarID]*daysBits
+	cars    *carTable
+	carDays column[daysBits]
 }
 
-func newDaysAcc(period simtime.Period) *daysAcc {
-	return &daysAcc{period: period, carDays: make(map[cdr.CarID]*daysBits)}
+func newDaysAcc(period simtime.Period, cars *carTable) *daysAcc {
+	return &daysAcc{period: period, cars: cars}
 }
 
 func (a *daysAcc) Stage() string { return "days" }
 
-func (a *daysAcc) Add(r cdr.Record) {
+func (a *daysAcc) Add(r cdr.Record, car int32) {
 	day := a.period.DayIndex(r.Start)
 	if day < 0 {
 		return
 	}
-	db := a.carDays[r.Car]
-	if db == nil {
-		db = &daysBits{}
-		a.carDays[r.Car] = db
-	}
+	db, _ := a.carDays.at(car)
 	db.set(day)
 }
 
-func (a *daysAcc) Merge(other Accumulator) {
-	o := mergeAs[*daysAcc](other)
-	for car, db := range o.carDays {
-		if own := a.carDays[car]; own != nil {
-			own.or(db)
-		} else {
-			a.carDays[car] = db
-		}
-	}
+func (a *daysAcc) Merge(other Accumulator, remap []int32) {
+	orDays(&a.carDays, &mergeAs[*daysAcc](other).carDays, remap)
 }
 
 // perCar returns the distinct-day count per car.
 func (a *daysAcc) perCar() map[cdr.CarID]int {
-	out := make(map[cdr.CarID]int, len(a.carDays))
-	for car, db := range a.carDays {
-		out[car] = db.count()
-	}
+	out := make(map[cdr.CarID]int, a.carDays.n)
+	a.carDays.each(func(i int32, db daysBits) { out[a.cars.ids[i]] = db.count() })
 	return out
 }
 
 func (a *daysAcc) Finalize(rep *Report) error {
 	h := stats.NewHistogram(0.5, 1, a.period.Days())
-	for _, db := range a.carDays {
-		h.Add(float64(db.count()))
-	}
+	a.carDays.each(func(_ int32, db daysBits) { h.Add(float64(db.count())) })
 	rep.DaysHist = h
 	return nil
 }
@@ -376,27 +496,30 @@ func (a *daysAcc) Finalize(rep *Report) error {
 // ---------------------------------------------------------------------------
 // busy — Figure 7
 
+// busyTime is one car's binned connected time and the part of it in busy
+// cells.
+type busyTime struct{ busy, total time.Duration }
+
 type busyAcc struct {
-	ctx   Context
-	busy  map[cdr.CarID]time.Duration
-	total map[cdr.CarID]time.Duration
+	ctx  Context
+	cars *carTable
+	// times holds the cars with binned time: Add takes a car up only
+	// once a record of it overlaps a bin.
+	times column[busyTime]
 }
 
-func newBusyAcc(ctx Context) *busyAcc {
-	return &busyAcc{
-		ctx:   ctx,
-		busy:  make(map[cdr.CarID]time.Duration),
-		total: make(map[cdr.CarID]time.Duration),
-	}
+func newBusyAcc(ctx Context, cars *carTable) *busyAcc {
+	return &busyAcc{ctx: ctx, cars: cars}
 }
 
 func (a *busyAcc) Stage() string { return "busy" }
 
-func (a *busyAcc) Add(r cdr.Record) {
+func (a *busyAcc) Add(r cdr.Record, car int32) {
 	busy, total := busyOverlap(a.ctx, r)
 	if total > 0 {
-		a.total[r.Car] += total
-		a.busy[r.Car] += busy
+		t, _ := a.times.at(car)
+		t.total += total
+		t.busy += busy
 	}
 }
 
@@ -420,26 +543,25 @@ func busyOverlap(ctx Context, r cdr.Record) (busy, total time.Duration) {
 	return busy, total
 }
 
-func (a *busyAcc) Merge(other Accumulator) {
+func (a *busyAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*busyAcc](other)
-	for car, d := range o.busy {
-		a.busy[car] += d
-	}
-	for car, d := range o.total {
-		a.total[car] += d
-	}
+	o.times.each(func(j int32, ot busyTime) {
+		t, _ := a.times.at(remap[j])
+		t.busy += ot.busy
+		t.total += ot.total
+	})
 }
 
 func (a *busyAcc) Finalize(rep *Report) error {
-	bt := BusyTime{FracByCar: make(map[cdr.CarID]float64, len(a.total))}
-	fracs := make([]float64, 0, len(a.total))
+	bt := BusyTime{FracByCar: make(map[cdr.CarID]float64, a.times.n)}
+	fracs := make([]float64, 0, a.times.n)
 	var overHalf, allBusy int
-	for car, tot := range a.total {
-		if tot <= 0 {
-			continue
+	a.times.each(func(i int32, t busyTime) {
+		if t.total <= 0 {
+			return
 		}
-		f := float64(a.busy[car]) / float64(tot)
-		bt.FracByCar[car] = f
+		f := float64(t.busy) / float64(t.total)
+		bt.FracByCar[a.cars.ids[i]] = f
 		fracs = append(fracs, f)
 		if f > 0.5 {
 			overHalf++
@@ -447,7 +569,7 @@ func (a *busyAcc) Finalize(rep *Report) error {
 		if f >= 0.99 {
 			allBusy++
 		}
-	}
+	})
 	if len(fracs) > 0 {
 		bt.Deciles = stats.Deciles(fracs)
 		bt.OverHalf = float64(overHalf) / float64(len(fracs))
@@ -471,21 +593,18 @@ type carSegState struct {
 type segmentsAcc struct {
 	ctx      Context
 	rareDays []int
-	cars     map[cdr.CarID]*carSegState
+	cars     *carTable
+	state    column[carSegState]
 }
 
-func newSegmentsAcc(ctx Context, rareDays []int) *segmentsAcc {
-	return &segmentsAcc{ctx: ctx, rareDays: rareDays, cars: make(map[cdr.CarID]*carSegState)}
+func newSegmentsAcc(ctx Context, rareDays []int, cars *carTable) *segmentsAcc {
+	return &segmentsAcc{ctx: ctx, rareDays: rareDays, cars: cars}
 }
 
 func (a *segmentsAcc) Stage() string { return "segments" }
 
-func (a *segmentsAcc) Add(r cdr.Record) {
-	st := a.cars[r.Car]
-	if st == nil {
-		st = &carSegState{}
-		a.cars[r.Car] = st
-	}
+func (a *segmentsAcc) Add(r cdr.Record, car int32) {
+	st, _ := a.state.at(car)
 	if day := a.ctx.Period.DayIndex(r.Start); day >= 0 {
 		st.days.set(day)
 	}
@@ -494,29 +613,29 @@ func (a *segmentsAcc) Add(r cdr.Record) {
 	st.total += total
 }
 
-func (a *segmentsAcc) Merge(other Accumulator) {
+func (a *segmentsAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*segmentsAcc](other)
-	for car, st := range o.cars {
-		own := a.cars[car]
-		if own == nil {
-			a.cars[car] = st
-			continue
+	o.state.each(func(j int32, st carSegState) {
+		own, had := a.state.at(remap[j])
+		if !had {
+			*own = st
+			return
 		}
 		own.days.or(&st.days)
 		own.busy += st.busy
 		own.total += st.total
-	}
+	})
 }
 
 func (a *segmentsAcc) Finalize(rep *Report) error {
 	// The population is cars seen on at least one study day, matching
 	// the Figure 6 universe.
 	n := 0.0
-	for _, st := range a.cars {
+	a.state.each(func(_ int32, st carSegState) {
 		if st.days.count() > 0 {
 			n++
 		}
-	}
+	})
 	out := make([]Segment, 0, len(a.rareDays))
 	for _, rd := range a.rareDays {
 		seg := Segment{RareDays: rd}
@@ -524,10 +643,10 @@ func (a *segmentsAcc) Finalize(rep *Report) error {
 			out = append(out, seg)
 			continue
 		}
-		for _, st := range a.cars {
+		a.state.each(func(_ int32, st carSegState) {
 			d := st.days.count()
 			if d == 0 {
-				continue
+				return
 			}
 			f := 0.0
 			classified := st.total > 0
@@ -557,7 +676,7 @@ func (a *segmentsAcc) Finalize(rep *Report) error {
 				}
 			}
 			*bucket += 1 / n
-		}
+		})
 		out = append(out, seg)
 	}
 	rep.Segments = out
@@ -589,7 +708,7 @@ func newDurationsAcc() *durationsAcc { return &durationsAcc{} }
 
 func (a *durationsAcc) Stage() string { return "durations" }
 
-func (a *durationsAcc) Add(r cdr.Record) {
+func (a *durationsAcc) Add(r cdr.Record, _ int32) {
 	d := r.Duration
 	td := d
 	if td > clean.TruncateLimit {
@@ -606,7 +725,7 @@ func (a *durationsAcc) Add(r cdr.Record) {
 	a.counts.add(int(max(td/time.Second, 0)), 1)
 }
 
-func (a *durationsAcc) Merge(other Accumulator) {
+func (a *durationsAcc) Merge(other Accumulator, _ []int32) {
 	o := mergeAs[*durationsAcc](other)
 	a.counts.merge(o.counts)
 	a.notWhole += o.notWhole
@@ -633,144 +752,185 @@ func (a *durationsAcc) Finalize(rep *Report) error {
 // ---------------------------------------------------------------------------
 // session stages — what handovers and usage share
 
+// session is what a session stage keeps of one session: enough to tell
+// whether a later fragment of the car's stream continues it, and to
+// join one that does.
+type session[S any] interface {
+	// bounds returns the session's first start and latest end, in Unix
+	// nanoseconds.
+	bounds() (start, end int64)
+	// extend returns the session with a fragment that continues it
+	// joined on.
+	extend(frag S) S
+}
+
+// openSessions is where a session stage keeps its open sessions, at
+// most one per car number.
+type openSessions[S any] interface {
+	get(car int32) (S, bool)
+	take(car int32) (S, bool)
+	put(car int32, s S)
+	// each calls fn for every open session, in no particular order.
+	each(fn func(car int32, s S))
+}
+
 // sessionStage is the part of a session stage that does not depend on
-// what the stage counts. A session stage (handovers, usage) feeds
-// every record to a sessionizer and accounts each session once, when it
-// is known to be closed; sessionStage owns the sessionizer, the
-// sessions that are not accounted yet — the open one per car inside
-// the sessionizer and, under TrackHeads, each car's stashed first
-// closed session — and every operation that moves a session between
-// those states: the close-or-stash routing, the car-disjoint and the
-// ordered merge, the walk Finalize counts unaccounted sessions with,
-// and their part of the snapshot payload.
+// what a session is or what the stage counts. A session stage
+// (handovers, usage) splits each car's records into sessions and
+// accounts each session once, when it is known to be closed;
+// sessionStage owns the sessions that are not accounted yet — the open
+// one per car and, under TrackHeads, each car's stashed first closed
+// session — and every operation that moves a session between those
+// states: the close-or-stash routing (settle), the car-disjoint and the
+// ordered merge, and the walk Finalize counts unaccounted sessions with.
 //
-// The embedding stage supplies count, keeps its aggregates, merges
-// them, and writes its report fields and the rest of its payload. Its
-// Add calls z.Add itself: a record costs the sessionizer call and a nil
-// check, and the one indirect call, count, is paid per closed session.
-type sessionStage struct {
-	z *clean.Sessionizer
+// The embedding stage keeps its open sessions (open), splits its own
+// records into sessions in Add, supplies count, keeps its aggregates,
+// merges them, and writes its report fields and its payload. count is
+// the one indirect call, paid per closed session.
+type sessionStage[S session[S]] struct {
+	cars *carTable
+	// gap is the longest silence inside one session.
+	gap  time.Duration
+	open openSessions[S]
 	// count adds one closed session to the embedding stage's
-	// aggregates. The session goes back to the sessionizer as soon as
-	// count returns, so count keeps no reference to it.
-	count func(*clean.Session)
+	// aggregates, keeping no reference to it.
+	count func(S)
 	// trackHeads defers accounting of each car's first closed session
 	// into heads, keeping it stitchable by mergeOrdered (ordered.go has
-	// why). Nil heads means tracking is off.
+	// why).
 	trackHeads bool
-	heads      map[cdr.CarID]*clean.Session
+	heads      column[S]
 	// overlaps is the transient (unsnapshotted) count of ordered-merge
 	// stitches that fell outside the exactness precondition.
 	overlaps int64
 }
 
-func (s *sessionStage) setTrackHeads(on bool) {
-	s.trackHeads = on
-	if on && s.heads == nil {
-		s.heads = make(map[cdr.CarID]*clean.Session)
-	}
+func (s *sessionStage[S]) setTrackHeads(on bool) { s.trackHeads = on }
+
+func (s *sessionStage[S]) tracksHeads() bool { return s.trackHeads }
+
+func (s *sessionStage[S]) orderedOverlaps() int64 { return s.overlaps }
+
+// splits reports whether a record or fragment starting at start lies
+// more than gap after a session ending at end: the rule that closes a
+// clean.Sessionizer session, on the same unsigned difference, exact
+// across the whole int64 range.
+func splits(gap time.Duration, end, start int64) bool {
+	return start > end && uint64(start)-uint64(end) > uint64(gap)
 }
 
-func (s *sessionStage) tracksHeads() bool { return s.trackHeads }
-
-func (s *sessionStage) orderedOverlaps() int64 { return s.overlaps }
-
-// settle routes a closed session: with head tracking on, each car's
-// first closed session is stashed unaccounted (it may still join the
-// open tail of an earlier time slice); everything else is counted, and
-// nothing references an accounted session again, which is what settle
-// reports.
-func (s *sessionStage) settle(sess *clean.Session) (accounted bool) {
-	if s.trackHeads {
-		if _, seen := s.heads[sess.Car]; !seen {
-			s.heads[sess.Car] = sess
-			return false
-		}
+// settle routes a closed session of car: with head tracking on, each
+// car's first closed session is stashed unaccounted (it may still join
+// the open tail of an earlier time slice); everything else is counted,
+// and nothing references an accounted session again, which is what
+// settle reports.
+func (s *sessionStage[S]) settle(car int32, sess S) (accounted bool) {
+	if s.trackHeads && !s.heads.has(car) {
+		s.heads.put(car, sess)
+		return false
 	}
 	s.count(sess)
 	return true
-}
-
-// closed settles a session the stage's own sessionizer just closed and,
-// once accounted, hands it back for the sessions that open next. The
-// merges settle without handing back: what they fold in came out of
-// another accumulator's restore, nothing they do takes from the free
-// lists, and a session parked there keeps the chunk it was decoded into
-// reachable.
-func (s *sessionStage) closed(sess *clean.Session) {
-	if s.settle(sess) {
-		s.z.Release(sess)
-	}
 }
 
 // merge folds in the unaccounted sessions of a car-disjoint shard. Its
 // heads stay heads where this side tracks them (they are still the
 // first session of cars this side has never seen), and its open
 // sessions are closed, as the Merge contract's "stream complete"
-// demands — both through closed, so a car whose only session was open
-// keeps a stitchable head.
-func (s *sessionStage) merge(o *sessionStage) {
-	for _, car := range sortedKeys(o.heads) {
-		s.settle(o.heads[car])
-	}
-	for _, sess := range o.z.Flush() {
-		sess := sess
-		s.settle(&sess)
-	}
-}
-
-// mergeOrdered folds in the unaccounted sessions of a later,
-// time-adjacent slice, which must have been built with TrackHeads:
-// only the boundary sessions need stitching, the later slice's
-// aggregates are interior to it and fold as they are.
-func (s *sessionStage) mergeOrdered(o *sessionStage) {
-	if !o.trackHeads {
-		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
-	}
-	s.overlaps += o.overlaps + stitchOrdered(s.z, func(sess *clean.Session) { s.settle(sess) }, o.heads, o.z)
+// demands — both through settle, so a car whose only session was open
+// keeps a stitchable head. Per car a head settles before the open
+// session, and cars are independent, so the order of the walks is free.
+func (s *sessionStage[S]) merge(o *sessionStage[S], remap []int32) {
+	o.heads.each(func(j int32, h S) { s.settle(remap[j], h) })
+	o.open.each(func(j int32, sess S) { s.settle(remap[j], sess) })
 }
 
 // unaccounted calls fn for every session not accounted yet — stashed
-// heads, then still-open tails, each in car order — leaving them where
-// they are: a Finalize that counts them on a copy of its aggregates
-// stays repeatable as records keep arriving.
-func (s *sessionStage) unaccounted(fn func(*clean.Session)) {
-	for _, car := range sortedKeys(s.heads) {
-		fn(s.heads[car])
-	}
-	for _, car := range s.z.OpenCars() {
-		fn(s.z.Open(car))
-	}
+// heads, then still-open tails — leaving them where they are: a
+// Finalize that counts them on a copy of its aggregates stays
+// repeatable as records keep arriving.
+func (s *sessionStage[S]) unaccounted(fn func(S)) {
+	s.heads.each(func(_ int32, h S) { fn(h) })
+	s.open.each(func(_ int32, sess S) { fn(sess) })
 }
 
 // ---------------------------------------------------------------------------
 // handovers — §4.5
 
+// mobility is one of the handovers stage's sessions: the sessionizer's,
+// spans and all.
+type mobility struct{ *clean.Session }
+
+func (m mobility) bounds() (int64, int64) { return m.Start, m.End }
+
+func (m mobility) extend(frag mobility) mobility {
+	m.Spans = append(m.Spans, frag.Spans...)
+	m.Connected += frag.Connected
+	m.End = max(m.End, frag.End)
+	return m
+}
+
+// sessionizerSessions is the handovers stage's open sessions: its
+// sessionizer's, which keys them by car id, reached by number through
+// the set's car table.
+type sessionizerSessions struct {
+	z    *clean.Sessionizer
+	cars *carTable
+}
+
+func (o sessionizerSessions) get(car int32) (mobility, bool) {
+	s := o.z.Open(o.cars.ids[car])
+	return mobility{s}, s != nil
+}
+
+func (o sessionizerSessions) take(car int32) (mobility, bool) {
+	s := o.z.Take(o.cars.ids[car])
+	return mobility{s}, s != nil
+}
+
+func (o sessionizerSessions) put(_ int32, s mobility) { o.z.Put(s.Session) }
+
+func (o sessionizerSessions) each(fn func(int32, mobility)) {
+	for _, car := range o.z.OpenCars() {
+		fn(o.cars.idx[car], mobility{o.z.Open(car)})
+	}
+}
+
 type handoverAcc struct {
-	sessionStage
+	sessionStage[mobility]
+	z          *clean.Sessionizer
 	perSession tally // accounted sessions by how many handovers each had
 	byKind     tally // their handovers by radio.HandoverKind
 }
 
-func newHandoverAcc() *handoverAcc {
-	a := &handoverAcc{}
-	a.sessionStage = sessionStage{z: clean.NewSessionizer(clean.MobilityGap), count: a.countSession}
+func newHandoverAcc(cars *carTable) *handoverAcc {
+	a := &handoverAcc{z: clean.NewSessionizer(clean.MobilityGap)}
+	a.sessionStage = sessionStage[mobility]{
+		cars: cars, gap: clean.MobilityGap,
+		open:  sessionizerSessions{z: a.z, cars: cars},
+		count: a.countSession,
+	}
 	return a
 }
 
 func (a *handoverAcc) Stage() string { return "handovers" }
 
-// Add applies the paper's 600 s cap before sessionizing.
-func (a *handoverAcc) Add(r cdr.Record) {
+// Add applies the paper's 600 s cap before sessionizing. A closed
+// session, once accounted, goes back to the sessionizer for the
+// sessions that open next; the merges settle without handing back: what
+// they fold in came out of another accumulator, and a session parked on
+// the free lists keeps the chunk it was decoded into reachable.
+func (a *handoverAcc) Add(r cdr.Record, car int32) {
 	if r.Duration > clean.TruncateLimit {
 		r.Duration = clean.TruncateLimit
 	}
-	if s := a.z.Add(r); s != nil {
-		a.closed(s)
+	if s := a.z.Add(r); s != nil && a.settle(car, mobility{s}) {
+		a.z.Release(s)
 	}
 }
 
-func (a *handoverAcc) countSession(s *clean.Session) { countHandovers(&a.perSession, &a.byKind, s) }
+func (a *handoverAcc) countSession(m mobility) { countHandovers(&a.perSession, &a.byKind, m.Session) }
 
 // countHandovers adds a session's handovers to byKind and the session to
 // perSession under how many there were. Nothing else adds to either
@@ -785,15 +945,15 @@ func countHandovers(perSession, byKind *tally, s *clean.Session) {
 	perSession.add(n, 1)
 }
 
-func (a *handoverAcc) Merge(other Accumulator) {
+func (a *handoverAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*handoverAcc](other)
-	a.merge(&o.sessionStage)
+	a.merge(&o.sessionStage, remap)
 	a.mergeCounts(o)
 }
 
-func (a *handoverAcc) MergeOrdered(other Accumulator) {
+func (a *handoverAcc) MergeOrdered(other Accumulator, remap []int32) {
 	o := mergeAs[*handoverAcc](other)
-	a.mergeOrdered(&o.sessionStage)
+	a.mergeOrdered(&o.sessionStage, remap)
 	a.mergeCounts(o)
 }
 
@@ -804,7 +964,7 @@ func (a *handoverAcc) mergeCounts(o *handoverAcc) {
 
 func (a *handoverAcc) Finalize(rep *Report) error {
 	perSession, byKind := slices.Clone(a.perSession), slices.Clone(a.byKind)
-	a.unaccounted(func(s *clean.Session) { countHandovers(&perSession, &byKind, s) })
+	a.unaccounted(func(m mobility) { countHandovers(&perSession, &byKind, m.Session) })
 
 	hs := HandoverStats{Sessions: int(perSession.sum()), ByKind: make(map[radio.HandoverKind]int64), PerSession: perSession.cdf()}
 	for kind, c := range byKind {
@@ -825,10 +985,10 @@ func (a *handoverAcc) Finalize(rep *Report) error {
 // carriers — Table 3
 
 type carriersAcc struct {
-	// cars maps every car seen to its carrier membership mask: bit c-1
-	// set once the car has connected on carrier c. One hash per record
-	// where five car sets and an all-cars set took three.
-	cars   map[cdr.CarID]uint8
+	cars *carTable
+	// masks holds every car seen with its carrier membership mask: bit
+	// c-1 set once the car has connected on carrier c.
+	masks  column[uint8]
 	timeOn [radio.NumCarriers]time.Duration
 	// total also counts time on an invalid carrier id, which no codec
 	// lets through (cdr.Record.Validate) and no snapshot can carry; such
@@ -836,27 +996,29 @@ type carriersAcc struct {
 	total time.Duration
 }
 
-func newCarriersAcc() *carriersAcc {
-	return &carriersAcc{cars: make(map[cdr.CarID]uint8)}
+func newCarriersAcc(cars *carTable) *carriersAcc {
+	return &carriersAcc{cars: cars}
 }
 
 func (a *carriersAcc) Stage() string { return "carriers" }
 
-func (a *carriersAcc) Add(r cdr.Record) {
+func (a *carriersAcc) Add(r cdr.Record, car int32) {
 	var bit uint8
 	if c := r.Cell.Carrier(); c.Valid() {
 		bit = 1 << (c - radio.C1)
 		a.timeOn[c-radio.C1] += r.Duration
 	}
-	a.cars[r.Car] |= bit
+	m, _ := a.masks.at(car)
+	*m |= bit
 	a.total += r.Duration
 }
 
-func (a *carriersAcc) Merge(other Accumulator) {
+func (a *carriersAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*carriersAcc](other)
-	for car, mask := range o.cars {
-		a.cars[car] |= mask
-	}
+	o.masks.each(func(j int32, mask uint8) {
+		m, _ := a.masks.at(remap[j])
+		*m |= mask
+	})
 	for i, d := range o.timeOn {
 		a.timeOn[i] += d
 	}
@@ -865,11 +1027,11 @@ func (a *carriersAcc) Merge(other Accumulator) {
 
 // carsOn counts the cars seen on each carrier.
 func (a *carriersAcc) carsOn() (n [radio.NumCarriers]int) {
-	for _, mask := range a.cars {
+	a.masks.each(func(_ int32, mask uint8) {
 		for ; mask != 0; mask &= mask - 1 {
 			n[bits.TrailingZeros8(mask)]++
 		}
-	}
+	})
 	return n
 }
 
@@ -877,12 +1039,12 @@ func (a *carriersAcc) Finalize(rep *Report) error {
 	u := CarrierUsage{
 		CarsFrac:  make(map[radio.CarrierID]float64, radio.NumCarriers),
 		TimeFrac:  make(map[radio.CarrierID]float64, radio.NumCarriers),
-		TotalCars: len(a.cars),
+		TotalCars: a.masks.n,
 	}
 	carsOn := a.carsOn()
 	for c := radio.C1; c <= radio.C5; c++ {
-		if len(a.cars) > 0 {
-			u.CarsFrac[c] = float64(carsOn[c-radio.C1]) / float64(len(a.cars))
+		if u.TotalCars > 0 {
+			u.CarsFrac[c] = float64(carsOn[c-radio.C1]) / float64(u.TotalCars)
 		}
 		if a.total > 0 {
 			u.TimeFrac[c] = float64(a.timeOn[c-radio.C1]) / float64(a.total)
@@ -896,53 +1058,104 @@ func (a *carriersAcc) Finalize(rep *Report) error {
 // usage — fleet-aggregate 24×7 matrix (the Figure 4/5 encoding over
 // the whole population)
 
-type usageAcc struct {
-	sessionStage
-	tzOffset int
-	hours    tally // accounted sessions touching each local hour of the week
-	sessions int64
+// interval is one aggregate session as Figure 5 needs it: its first
+// start and its latest end, in Unix nanoseconds.
+type interval struct{ start, end int64 }
+
+func (iv interval) bounds() (int64, int64) { return iv.start, iv.end }
+
+func (iv interval) extend(frag interval) interval {
+	iv.end = max(iv.end, frag.end)
+	return iv
 }
 
-func newUsageAcc(tzOffsetSeconds int) *usageAcc {
+type usageAcc struct {
+	sessionStage[interval]
+	// intervals holds each car's open session.
+	intervals column[interval]
+	tzOffset  int
+	hours     tally // accounted sessions touching each local hour of the week
+	sessions  int64
+}
+
+func newUsageAcc(tzOffsetSeconds int, cars *carTable) *usageAcc {
 	a := &usageAcc{tzOffset: tzOffsetSeconds}
-	a.sessionStage = sessionStage{z: clean.NewSessionizer(clean.AggregateGap), count: a.countSession}
+	a.sessionStage = sessionStage[interval]{cars: cars, gap: clean.AggregateGap, open: &a.intervals, count: a.countSession}
 	return a
 }
 
 func (a *usageAcc) Stage() string { return "usage" }
 
-func (a *usageAcc) Add(r cdr.Record) {
-	if s := a.z.Add(r); s != nil {
-		a.closed(s)
+// Add splits the car's records into aggregate sessions as a
+// clean.Sessionizer with gap AggregateGap does, keeping of the open one
+// only its bounds.
+func (a *usageAcc) Add(r cdr.Record, car int32) {
+	start := r.Start.UnixNano()
+	end := clean.CellSpan{Start: start, Duration: r.Duration}.End()
+	cur, open := a.intervals.at(car)
+	if open && !splits(a.gap, cur.end, start) {
+		cur.end = max(cur.end, end)
+		return
 	}
+	if open {
+		a.settle(car, *cur)
+	}
+	*cur = interval{start, end}
 }
 
-func (a *usageAcc) countSession(s *clean.Session) {
-	markSessionHours(&a.hours, s, a.tzOffset)
+func (a *usageAcc) countSession(iv interval) {
+	markSessionHours(&a.hours, iv.start, iv.end, a.tzOffset)
 	a.sessions++
 }
 
-// markSessionHours counts every local hour-of-week a session touches,
-// once per session — the Figure 5 encoding. It is where a session's
-// clock first needs wall-clock time: once per closed session, not per
-// record.
-func markSessionHours(hours *tally, s *clean.Session, tzOffsetSeconds int) {
-	start := time.Unix(0, s.Start).UTC()
-	end := time.Unix(0, s.End).UTC()
-	if end.Sub(start) > 7*24*time.Hour {
-		end = start.Add(7 * 24 * time.Hour) // cap runaway stuck sessions
+// markSessionHours counts every local hour of the week a session from
+// start to end (Unix nanoseconds) touches, once per session — the Figure
+// 5 encoding. A session is capped at 7 days, against runaway stuck
+// modems; the hour a session starts in is marked even when it ends
+// inside it, and an end exactly on an hour marks nothing of the hour it
+// opens. It builds no time.Time: hours are whole hours of Unix time, and
+// the offset and the weekday are integer arithmetic.
+func markSessionHours(hours *tally, start, end int64, tzOffsetSeconds int) {
+	const (
+		hour = int64(time.Hour)
+		week = 7 * simtime.HoursPerDay * hour
+		// 1970-01-01, where Unix time starts, was a Thursday: day 3 of a
+		// Monday-first week.
+		epochHourOfWeek = 3 * simtime.HoursPerDay
+	)
+	if end > start && uint64(end)-uint64(start) > uint64(week) {
+		end = start + week
 	}
-	// Walk hour boundaries so each touched hour is marked exactly
-	// once per session; the truncated first step guarantees the
-	// starting hour is included even for sub-hour sessions.
+	first := start - floorMod(start, hour)
+	if end <= first {
+		return
+	}
+	// The hours first, first+hour, … that start before end.
+	n := (uint64(end)-uint64(first)-1)/uint64(hour) + 1
+	localHour := floorDiv(first/int64(time.Second)+int64(tzOffsetSeconds), 3600)
+	how := int(floorMod(localHour+epochHourOfWeek, 7*simtime.HoursPerDay))
 	var seen [(7*simtime.HoursPerDay + 63) / 64]uint64
-	for t := start.Truncate(time.Hour); t.Before(end); t = t.Add(time.Hour) {
-		how := simtime.HourOfWeek(t, tzOffsetSeconds)
+	for k := uint64(0); k < n; k++ {
 		if w, bit := how/64, uint64(1)<<(how%64); seen[w]&bit == 0 {
 			seen[w] |= bit
 			hours.add(how, 1)
 		}
+		if how++; how == 7*simtime.HoursPerDay {
+			how = 0
+		}
 	}
+}
+
+// floorDiv and floorMod divide rounding toward −∞, so instants before
+// 1970 fall in the hour they lie in.
+func floorDiv(a, b int64) int64 { return (a - floorMod(a, b)) / b }
+
+func floorMod(a, b int64) int64 {
+	m := a % b
+	if m < 0 {
+		m += b
+	}
+	return m
 }
 
 // weekMatrix lays hour-of-week counts out as Figure 5's matrix, each
@@ -954,15 +1167,15 @@ func weekMatrix(hours tally) (m simtime.WeekMatrix) {
 	return m
 }
 
-func (a *usageAcc) Merge(other Accumulator) {
+func (a *usageAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*usageAcc](other)
-	a.merge(&o.sessionStage)
+	a.merge(&o.sessionStage, remap)
 	a.mergeCounts(o)
 }
 
-func (a *usageAcc) MergeOrdered(other Accumulator) {
+func (a *usageAcc) MergeOrdered(other Accumulator, remap []int32) {
 	o := mergeAs[*usageAcc](other)
-	a.mergeOrdered(&o.sessionStage)
+	a.mergeOrdered(&o.sessionStage, remap)
 	a.mergeCounts(o)
 }
 
@@ -973,8 +1186,8 @@ func (a *usageAcc) mergeCounts(o *usageAcc) {
 
 func (a *usageAcc) Finalize(rep *Report) error {
 	hours, sessions := slices.Clone(a.hours), a.sessions
-	a.unaccounted(func(s *clean.Session) {
-		markSessionHours(&hours, s, a.tzOffset)
+	a.unaccounted(func(iv interval) {
+		markSessionHours(&hours, iv.start, iv.end, a.tzOffset)
 		sessions++
 	})
 	rep.FleetUsage = weekMatrix(hours)
@@ -1010,7 +1223,9 @@ func newClustersAcc(ctx Context, busyCells []radio.CellKey, seed uint64) *cluste
 
 func (a *clustersAcc) Stage() string { return "clusters" }
 
-func (a *clustersAcc) Add(r cdr.Record) {
+// Add keeps car ids, not numbers: its sets are per busy cell and bin,
+// and a snapshot writes them as they are.
+func (a *clustersAcc) Add(r cdr.Record, _ int32) {
 	i, ok := a.idx[r.Cell]
 	if !ok {
 		return
@@ -1024,7 +1239,7 @@ func (a *clustersAcc) Add(r cdr.Record) {
 	}
 }
 
-func (a *clustersAcc) Merge(other Accumulator) {
+func (a *clustersAcc) Merge(other Accumulator, _ []int32) {
 	o := mergeAs[*clustersAcc](other)
 	for i := range a.perCell {
 		for b, set := range o.perCell[i] {

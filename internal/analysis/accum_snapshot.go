@@ -15,13 +15,15 @@ import (
 )
 
 // This file implements the Accumulator snapshot contract for every
-// stage: SnapshotTo serializes exactly the mutable partial state (maps,
-// bitmaps, counts, open sessions), never the configuration (period,
-// load source, rare-day thresholds, seeds) — configuration travels in
-// the checkpoint header and is re-validated there. Encodings are
-// deterministic: map keys are emitted in ascending order, so equal
-// state always produces equal bytes, which is what lets tests compare
-// snapshots directly and lets merge results be diffed byte-for-byte.
+// stage: SnapshotTo serializes exactly the mutable partial state (per-car
+// columns, cell maps, bitmaps, counts, open sessions), never the
+// configuration (period, load source, rare-day thresholds, seeds) —
+// configuration travels in the checkpoint header and is re-validated
+// there. Encodings are deterministic: cars, cells and bins are emitted
+// in ascending order, whatever their numbers in the set's car table, so
+// equal state always produces equal bytes, which is what lets tests
+// compare snapshots directly and lets merge results be diffed
+// byte-for-byte.
 //
 // Every RestoreFrom validates what it decodes — bounds, orderings,
 // arithmetic invariants like busy ≤ total — and reports corruption
@@ -49,7 +51,7 @@ func preallocN(n int) int {
 }
 
 // sortedKeys returns m's keys in ascending order, the iteration order
-// every map encoder uses.
+// every map encoder uses (cells, and the cars of a busy-cell bin).
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
@@ -70,20 +72,19 @@ func encodeDaysBits(e *snapshot.Encoder, d *daysBits) {
 	}
 }
 
-func decodeDaysBits(d *snapshot.Decoder, maxWords int) *daysBits {
+func decodeDaysBits(d *snapshot.Decoder, maxWords int) daysBits {
 	n := d.Len(maxWords)
-	if n < 0 {
-		return nil
+	if n <= 0 {
+		return daysBits{}
 	}
-	out := &daysBits{bits: make([]uint64, n)}
+	out := daysBits{bits: make([]uint64, n)}
 	for i := 0; i < n; i++ {
 		out.bits[i] = d.Uvarint()
 	}
-	if n > 0 && d.Err() == nil && out.bits[n-1] == 0 {
+	if d.Err() == nil && out.bits[n-1] == 0 {
 		// set()/or() never leave trailing zero words; a stored one
 		// would make equal states encode differently.
 		d.Failf("day bitmap has trailing zero word")
-		return nil
 	}
 	return out
 }
@@ -130,33 +131,46 @@ func decodeTally(d *snapshot.Decoder, bound int) tally {
 	return t
 }
 
-func encodeCarDays(e *snapshot.Encoder, m map[cdr.CarID]*daysBits) {
-	e.Uvarint(uint64(len(m)))
-	for _, car := range sortedKeys(m) {
-		e.Uvarint(uint64(car))
-		encodeDaysBits(e, m[car])
+// encodeCars writes the cars a column holds — how many, then each car's
+// id and what write writes of its state — ascending by car id, the
+// order the cut sorted the set's car table in once for every stage.
+func encodeCars[T any](e *snapshot.Encoder, cars *carTable, c *column[T], write func(*snapshot.Encoder, *T)) {
+	e.Uvarint(uint64(c.n))
+	for _, i := range cars.sorted() {
+		if c.has(i) {
+			e.Uvarint(uint64(cars.ids[i]))
+			write(e, &c.v[i])
+		}
 	}
 }
 
-func decodeCarDays(d *snapshot.Decoder, maxWords int) map[cdr.CarID]*daysBits {
+// decodeCars replaces c with what encodeCars wrote, interning each car
+// into cars; read decodes one car's state, refusing a bad one through d.
+// The cars must ascend strictly, as every encoder writes them.
+func decodeCars[T any](d *snapshot.Decoder, cars *carTable, c *column[T], read func(d *snapshot.Decoder, car cdr.CarID, v *T)) {
+	*c = column[T]{}
 	n := d.Len(maxSnapEntries)
-	if n < 0 {
-		return nil
-	}
-	m := make(map[cdr.CarID]*daysBits, preallocN(n))
-	for i := 0; i < n; i++ {
+	var last cdr.CarID
+	for k := 0; k < n; k++ {
 		car := cdr.CarID(d.Uvarint())
-		db := decodeDaysBits(d, maxWords)
 		if d.Err() != nil {
-			return nil
+			return
 		}
-		if _, dup := m[car]; dup {
-			d.Failf("duplicate car %d in day map", car)
-			return nil
+		if k > 0 && car <= last {
+			d.Failf("cars out of order (%d after %d)", car, last)
+			return
 		}
-		m[car] = db
+		last = car
+		v, _ := c.at(cars.intern(car))
+		if read(d, car, v); d.Err() != nil {
+			return
+		}
 	}
-	return m
+}
+
+// readDays reads one car's day bitmap under the period's bound.
+func readDays(maxWords int) func(*snapshot.Decoder, cdr.CarID, *daysBits) {
+	return func(d *snapshot.Decoder, _ cdr.CarID, db *daysBits) { *db = decodeDaysBits(d, maxWords) }
 }
 
 // ---------------------------------------------------------------------------
@@ -164,7 +178,7 @@ func decodeCarDays(d *snapshot.Decoder, maxWords int) map[cdr.CarID]*daysBits {
 
 func (a *presenceAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeCarDays(e, a.carDays)
+	encodeCars(e, a.cars, &a.carDays, encodeDaysBits)
 	e.Uvarint(uint64(len(a.cellDays)))
 	for _, cell := range sortedKeys(a.cellDays) {
 		e.Uvarint(uint64(cell))
@@ -176,7 +190,7 @@ func (a *presenceAcc) SnapshotTo(w io.Writer) error {
 func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
 	maxW := daysWords(a.period)
-	carDays := decodeCarDays(d, maxW)
+	decodeCars(d, a.cars, &a.carDays, readDays(maxW))
 	n := d.Len(maxSnapEntries)
 	if d.Err() != nil {
 		return d.Err()
@@ -192,12 +206,9 @@ func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 			d.Failf("duplicate cell %d in day map", cell)
 			return d.Err()
 		}
-		cellDays[cell] = db
+		cellDays[cell] = &db
 	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	a.carDays, a.cellDays = carDays, cellDays
+	a.cellDays = cellDays
 	return nil
 }
 
@@ -206,42 +217,23 @@ func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 
 func (a *connectedAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	e.Uvarint(uint64(len(a.cars)))
-	for _, car := range sortedKeys(a.cars) {
-		c := a.cars[car]
-		e.Uvarint(uint64(car))
+	encodeCars(e, a.cars, &a.secs, func(e *snapshot.Encoder, c *connSec) {
 		e.Varint(c.full)
 		e.Varint(c.trunc)
-	}
+	})
 	return e.Err()
 }
 
 func (a *connectedAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	n := d.Len(maxSnapEntries)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	cars := make(map[cdr.CarID]*connSec, preallocN(n))
-	for i := 0; i < n; i++ {
-		car := cdr.CarID(d.Uvarint())
-		f, t := d.Varint(), d.Varint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if t < 0 || f < t {
+	decodeCars(d, a.cars, &a.secs, func(d *snapshot.Decoder, car cdr.CarID, c *connSec) {
+		c.full, c.trunc = d.Varint(), d.Varint()
+		if d.Err() == nil && (c.trunc < 0 || c.full < c.trunc) {
 			// Per-record truncation can only shrink: 0 ≤ trunc ≤ full.
-			d.Failf("car %d connected seconds full=%d trunc=%d inconsistent", car, f, t)
-			return d.Err()
+			d.Failf("car %d connected seconds full=%d trunc=%d inconsistent", car, c.full, c.trunc)
 		}
-		if _, dup := cars[car]; dup {
-			d.Failf("duplicate car %d in connected map", car)
-			return d.Err()
-		}
-		cars[car] = &connSec{full: f, trunc: t}
-	}
-	a.cars = cars
-	return nil
+	})
+	return d.Err()
 }
 
 // ---------------------------------------------------------------------------
@@ -249,61 +241,38 @@ func (a *connectedAcc) RestoreFrom(r io.Reader) error {
 
 func (a *daysAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeCarDays(e, a.carDays)
+	encodeCars(e, a.cars, &a.carDays, encodeDaysBits)
 	return e.Err()
 }
 
 func (a *daysAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	carDays := decodeCarDays(d, daysWords(a.period))
-	if d.Err() != nil {
-		return d.Err()
-	}
-	a.carDays = carDays
-	return nil
+	decodeCars(d, a.cars, &a.carDays, readDays(daysWords(a.period)))
+	return d.Err()
 }
 
 // ---------------------------------------------------------------------------
 // busy
 
 func (a *busyAcc) SnapshotTo(w io.Writer) error {
-	// Add writes busy and total together, so the key sets coincide.
 	e := snapshot.NewEncoder(w)
-	e.Uvarint(uint64(len(a.total)))
-	for _, car := range sortedKeys(a.total) {
-		e.Uvarint(uint64(car))
-		e.Varint(int64(a.busy[car]))
-		e.Varint(int64(a.total[car]))
-	}
+	encodeCars(e, a.cars, &a.times, func(e *snapshot.Encoder, t *busyTime) {
+		e.Varint(int64(t.busy))
+		e.Varint(int64(t.total))
+	})
 	return e.Err()
 }
 
 func (a *busyAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	n := d.Len(maxSnapEntries)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	busy := make(map[cdr.CarID]time.Duration, preallocN(n))
-	total := make(map[cdr.CarID]time.Duration, preallocN(n))
-	for i := 0; i < n; i++ {
-		car := cdr.CarID(d.Uvarint())
-		b, t := d.Varint(), d.Varint()
-		if d.Err() != nil {
-			return d.Err()
+	decodeCars(d, a.cars, &a.times, func(d *snapshot.Decoder, car cdr.CarID, t *busyTime) {
+		b, tot := d.Varint(), d.Varint()
+		if d.Err() == nil && (b < 0 || tot < b) {
+			d.Failf("car %d busy=%d total=%d inconsistent", car, b, tot)
 		}
-		if b < 0 || t < b {
-			d.Failf("car %d busy=%d total=%d inconsistent", car, b, t)
-			return d.Err()
-		}
-		if _, dup := total[car]; dup {
-			d.Failf("duplicate car %d in busy map", car)
-			return d.Err()
-		}
-		busy[car], total[car] = time.Duration(b), time.Duration(t)
-	}
-	a.busy, a.total = busy, total
-	return nil
+		*t = busyTime{busy: time.Duration(b), total: time.Duration(tot)}
+	})
+	return d.Err()
 }
 
 // ---------------------------------------------------------------------------
@@ -311,44 +280,26 @@ func (a *busyAcc) RestoreFrom(r io.Reader) error {
 
 func (a *segmentsAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	e.Uvarint(uint64(len(a.cars)))
-	for _, car := range sortedKeys(a.cars) {
-		st := a.cars[car]
-		e.Uvarint(uint64(car))
+	encodeCars(e, a.cars, &a.state, func(e *snapshot.Encoder, st *carSegState) {
 		encodeDaysBits(e, &st.days)
 		e.Varint(int64(st.busy))
 		e.Varint(int64(st.total))
-	}
+	})
 	return e.Err()
 }
 
 func (a *segmentsAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
 	maxW := daysWords(a.ctx.Period)
-	n := d.Len(maxSnapEntries)
-	if d.Err() != nil {
-		return d.Err()
-	}
-	cars := make(map[cdr.CarID]*carSegState, preallocN(n))
-	for i := 0; i < n; i++ {
-		car := cdr.CarID(d.Uvarint())
+	decodeCars(d, a.cars, &a.state, func(d *snapshot.Decoder, car cdr.CarID, st *carSegState) {
 		db := decodeDaysBits(d, maxW)
 		b, t := d.Varint(), d.Varint()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if b < 0 || t < b {
+		if d.Err() == nil && (b < 0 || t < b) {
 			d.Failf("car %d segment busy=%d total=%d inconsistent", car, b, t)
-			return d.Err()
 		}
-		if _, dup := cars[car]; dup {
-			d.Failf("duplicate car %d in segment map", car)
-			return d.Err()
-		}
-		cars[car] = &carSegState{days: *db, busy: time.Duration(b), total: time.Duration(t)}
-	}
-	a.cars = cars
-	return nil
+		*st = carSegState{days: db, busy: time.Duration(b), total: time.Duration(t)}
+	})
+	return d.Err()
 }
 
 // ---------------------------------------------------------------------------
@@ -392,11 +343,29 @@ func (a *durationsAcc) RestoreFrom(r io.Reader) error {
 // ---------------------------------------------------------------------------
 // unaccounted sessions (the sessionStage part of handovers and usage)
 
-// encodeSession writes one unclosed session — open, or a stashed head —
-// as its car and span list; Start/End/Connected are derived on decode,
-// so the stored form cannot contradict the sessionizer's invariants.
-func encodeSession(e *snapshot.Encoder, s *clean.Session) {
-	e.Uvarint(uint64(s.Car))
+// encodeHeads writes the head-session stash: the tracking flag, then,
+// tracking, the heads as encodeCars writes a column, each car's head as
+// write writes it.
+func (s *sessionStage[S]) encodeHeads(e *snapshot.Encoder, write func(*snapshot.Encoder, *S)) {
+	e.Bool(s.trackHeads)
+	if s.trackHeads {
+		encodeCars(e, s.cars, &s.heads, write)
+	}
+}
+
+// decodeHeads reads what encodeHeads wrote; list reads the heads
+// themselves into the stash.
+func (s *sessionStage[S]) decodeHeads(d *snapshot.Decoder, list func(*snapshot.Decoder, *column[S])) {
+	s.trackHeads, s.heads = d.Bool(), column[S]{}
+	if s.trackHeads {
+		list(d, &s.heads)
+	}
+}
+
+// encodeSpans writes one unclosed mobility session's spans;
+// Start/End/Connected are derived on decode, so the stored form cannot
+// contradict the sessionizer's invariants.
+func encodeSpans(e *snapshot.Encoder, s *clean.Session) {
 	e.Uvarint(uint64(len(s.Spans)))
 	for i := range s.Spans {
 		sp := &s.Spans[i]
@@ -407,12 +376,14 @@ func encodeSession(e *snapshot.Encoder, s *clean.Session) {
 }
 
 // encodeOpenSessions writes a sessionizer's open sessions, one per car
-// in ascending car order, from where they live: no copy is taken.
+// in ascending car order, each as its car and its spans, from where they
+// live: no copy is taken.
 func encodeOpenSessions(e *snapshot.Encoder, z *clean.Sessionizer) {
 	cars := z.OpenCars()
 	e.Uvarint(uint64(len(cars)))
 	for _, car := range cars {
-		encodeSession(e, z.Open(car))
+		e.Uvarint(uint64(car))
+		encodeSpans(e, z.Open(car))
 	}
 }
 
@@ -420,21 +391,21 @@ func encodeOpenSessions(e *snapshot.Encoder, z *clean.Sessionizer) {
 // rather than allocated one by one. The chunks are small on purpose: a
 // session that stays open keeps its whole chunk reachable, and the
 // accumulator of a window fold adopts fragments from every operand it
-// is handed (stitchOrdered) — cut from one slab per payload, a 14 d
-// fold kept every operand's slab alive to its end (DESIGN §2.2 has the
+// is handed (mergeOrdered) — cut from one slab per payload, a 14 d fold
+// kept every operand's slab alive to its end (DESIGN §2.2 has the
 // measurement).
 const (
 	sessionChunk = 16
 	spanChunk    = 64
 )
 
-// decodeSessions reads sessions written by encodeSession, each
-// allocated once, in chunks: whoever takes the result (RestoreOpen, the
-// heads stash) adopts the pointers and copies nothing. A session with
-// more spans than a chunk gets an array of its own, grown by append as
-// its spans arrive, so a forged count cannot allocate ahead of the
-// data.
-func decodeSessions(d *snapshot.Decoder) []*clean.Session {
+// decodeSessions reads sessions written by encodeOpenSessions, each
+// allocated once, in chunks, and interns their cars into cars: whoever
+// takes the result (RestoreOpen, the heads stash) adopts the pointers
+// and copies nothing. A session with more spans than a chunk gets an
+// array of its own, grown by append as its spans arrive, so a forged
+// count cannot allocate ahead of the data.
+func decodeSessions(d *snapshot.Decoder, cars *carTable) []*clean.Session {
 	n := d.Len(maxSnapEntries)
 	if n < 0 {
 		return nil
@@ -501,59 +472,10 @@ func decodeSessions(d *snapshot.Decoder) []*clean.Session {
 			Connected: connected,
 			Spans:     spans,
 		}
+		cars.intern(car)
 		out = append(out, s)
 	}
 	return out
-}
-
-// encodeHeads writes the head-session stash of a TrackHeads
-// accumulator: the tracking flag, then the heads in ascending car
-// order using the open-session wire form. A non-tracking accumulator
-// writes just the flag.
-func encodeHeads(e *snapshot.Encoder, trackHeads bool, heads map[cdr.CarID]*clean.Session) {
-	e.Bool(trackHeads)
-	if !trackHeads {
-		return
-	}
-	e.Uvarint(uint64(len(heads)))
-	for _, car := range sortedKeys(heads) {
-		encodeSession(e, heads[car])
-	}
-}
-
-// decodeHeads reads what encodeHeads wrote, returning the tracking
-// flag and the rebuilt stash (nil when tracking is off).
-func decodeHeads(d *snapshot.Decoder) (bool, map[cdr.CarID]*clean.Session) {
-	if !d.Bool() {
-		return false, nil
-	}
-	sessions := decodeSessions(d)
-	if d.Err() != nil {
-		return false, nil
-	}
-	heads := make(map[cdr.CarID]*clean.Session, len(sessions))
-	for _, s := range sessions {
-		heads[s.Car] = s
-	}
-	return true, heads
-}
-
-// encode writes the stage's unaccounted sessions, the prefix of both
-// session stages' payloads: open sessions, then heads.
-func (s *sessionStage) encode(e *snapshot.Encoder) {
-	encodeOpenSessions(e, s.z)
-	encodeHeads(e, s.trackHeads, s.heads)
-}
-
-// decode reads what encode wrote and returns the step that installs it,
-// for the caller to run once the rest of its payload has validated.
-func (s *sessionStage) decode(d *snapshot.Decoder) (install func()) {
-	sessions := decodeSessions(d)
-	trackHeads, heads := decodeHeads(d)
-	return func() {
-		s.z.RestoreOpen(sessions)
-		s.trackHeads, s.heads = trackHeads, heads
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -561,7 +483,8 @@ func (s *sessionStage) decode(d *snapshot.Decoder) (install func()) {
 
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	a.encode(e)
+	encodeOpenSessions(e, a.z)
+	a.encodeHeads(e, func(e *snapshot.Encoder, m *mobility) { encodeSpans(e, m.Session) })
 	encodeTally(e, a.byKind)
 	encodeTally(e, a.perSession)
 	return e.Err()
@@ -569,7 +492,12 @@ func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 
 func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	install := a.decode(d)
+	a.z.RestoreOpen(decodeSessions(d, a.cars))
+	a.decodeHeads(d, func(d *snapshot.Decoder, heads *column[mobility]) {
+		for _, s := range decodeSessions(d, a.cars) {
+			heads.put(a.cars.idx[s.Car], mobility{s})
+		}
+	})
 	// HandoverNone, the last kind, is never counted (HandoversByKind).
 	byKind := decodeTally(d, int(radio.HandoverNone)-1)
 	perSession := decodeTally(d, maxSnapSpans)
@@ -590,7 +518,6 @@ func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 		d.Failf("%d handovers by kind but %d in the sessions", kinds, handovers)
 		return d.Err()
 	}
-	install()
 	a.byKind, a.perSession = byKind, perSession
 	return nil
 }
@@ -600,15 +527,10 @@ func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 
 func (a *carriersAcc) SnapshotTo(w io.Writer) error {
 	// The wire form is per carrier: its time, then the ascending list of
-	// cars seen on it, re-derived here from the masks in car order. The
-	// all-cars set is the lists' union and total the sum of the times, so
-	// neither is stored.
+	// cars seen on it, read off the masks in car order. The all-cars set
+	// is the lists' union and total the sum of the times, so neither is
+	// stored.
 	e := snapshot.NewEncoder(w)
-	cars := sortedKeys(a.cars)
-	masks := make([]uint8, len(cars))
-	for j, car := range cars {
-		masks[j] = a.cars[car]
-	}
 	carsOn := a.carsOn()
 	present := 0
 	for _, n := range carsOn {
@@ -624,9 +546,9 @@ func (a *carriersAcc) SnapshotTo(w io.Writer) error {
 		e.Uvarint(uint64(radio.C1) + uint64(i))
 		e.Varint(int64(a.timeOn[i]))
 		e.Uvarint(uint64(n))
-		for j, car := range cars {
-			if masks[j]&(1<<i) != 0 {
-				e.Uvarint(uint64(car))
+		for _, j := range a.cars.sorted() {
+			if mask, ok := a.masks.get(j); ok && mask&(1<<i) != 0 {
+				e.Uvarint(uint64(a.cars.ids[j]))
 			}
 		}
 	}
@@ -639,7 +561,7 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	cars := make(map[cdr.CarID]uint8)
+	a.masks = column[uint8]{}
 	var timeOn [radio.NumCarriers]time.Duration
 	var total time.Duration
 	var seen uint8
@@ -675,25 +597,43 @@ func (a *carriersAcc) RestoreFrom(r io.Reader) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			if cars[car]&bit != 0 {
+			mask, _ := a.masks.at(a.cars.intern(car))
+			if *mask&bit != 0 {
 				d.Failf("carrier %d car set has duplicates", carrier)
 				return d.Err()
 			}
-			cars[car] |= bit
+			*mask |= bit
 		}
 		timeOn[carrier-radio.C1] = time.Duration(dur)
 		total += time.Duration(dur)
 	}
-	a.cars, a.timeOn, a.total = cars, timeOn, total
+	a.timeOn, a.total = timeOn, total
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // usage
 
+// An open usage session or head is written as its car, its start and its
+// length, end − start: the length is never negative in a state a codec's
+// records build, and is unsigned on the wire.
+func encodeInterval(e *snapshot.Encoder, iv *interval) {
+	e.Varint(iv.start)
+	e.Uvarint(uint64(iv.end) - uint64(iv.start))
+}
+
+func decodeInterval(d *snapshot.Decoder, car cdr.CarID, iv *interval) {
+	start, length := d.Varint(), d.Uvarint()
+	*iv = interval{start: start, end: int64(uint64(start) + length)}
+	if d.Err() == nil && iv.end < iv.start {
+		d.Failf("usage session of car %d ends before it starts (start %d, length %d)", car, start, length)
+	}
+}
+
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	a.encode(e)
+	encodeCars(e, a.cars, &a.intervals, encodeInterval)
+	a.encodeHeads(e, encodeInterval)
 	encodeTally(e, a.hours)
 	e.Varint(a.sessions)
 	return e.Err()
@@ -701,7 +641,10 @@ func (a *usageAcc) SnapshotTo(w io.Writer) error {
 
 func (a *usageAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	install := a.decode(d)
+	decodeCars(d, a.cars, &a.intervals, decodeInterval)
+	a.decodeHeads(d, func(d *snapshot.Decoder, heads *column[interval]) {
+		decodeCars(d, a.cars, heads, decodeInterval)
+	})
 	hours := decodeTally(d, 7*simtime.HoursPerDay-1)
 	count := d.Varint()
 	if d.Err() != nil {
@@ -711,7 +654,6 @@ func (a *usageAcc) RestoreFrom(r io.Reader) error {
 		d.Failf("closed session count %d negative", count)
 		return d.Err()
 	}
-	install()
 	a.hours = hours
 	a.sessions = count
 	return nil

@@ -20,7 +20,7 @@ type CarrierUsage struct {
 
 // CarrierUsageOf computes Table 3 from ghost-free records.
 func CarrierUsageOf(records []cdr.Record) CarrierUsage {
-	return runAccum(newCarriersAcc(), records).Carriers
+	return runAccum(records, newCarriersAcc).Carriers
 }
 
 // FormatTable3 renders carrier usage in the paper's Table 3 layout.

@@ -239,9 +239,12 @@ func writeSnapshotCut(w io.Writer, hdr SnapshotHeader, sets []*accumSet, frames 
 // set at a barrier). Either way fb starts at the size the set filled it
 // to last time plus an eighth: a buffer grown from nothing doubles its
 // way there every cut (≈ 2 MB of garbage and 1 MB of copying per cut of
-// a 1 600-car fleet).
+// a 1 600-car fleet). The set's cars are sorted once, for every stage to
+// write in that order, and the order is dropped with the cut.
 func encodeSet(fb *snapshot.Frames, i int, set *accumSet, sw *snapshot.Writer) error {
 	set.flush()
+	set.cars.sorted()
+	defer func() { set.cars.order = nil }()
 	hint := &set.framesHint
 	if sw != nil {
 		hint = &set.frameHint
@@ -669,7 +672,7 @@ func readSnapshotSets(r io.Reader, config func(SnapshotHeader) (Context, EngineO
 			frame := len(name) + len(payload) + frameOverhead
 			cur.frameHint = max(cur.frameHint, frame)
 			cur.framesHint += frame
-			acc := stageTable[i].build(ctx, opts)
+			acc := stageTable[i].build(ctx, opts, &cur.cars)
 			if err := acc.RestoreFrom(bytes.NewBuffer(payload)); err != nil {
 				return hdr, nil, fmt.Errorf("analysis: restore stage %s: %w", stage, err)
 			}
@@ -774,33 +777,20 @@ func ReadPartialFile(path string) (*Partial, error) {
 // Records returns the raw record count the partial has absorbed.
 func (p *Partial) Records() int64 { return p.set.raw }
 
-// cars returns the partial's connected-time car map, the exact car set
-// every accepted record contributes to — nil when the connected stage
-// failed.
-func (p *Partial) cars() map[cdr.CarID]*connSec {
-	acc, _ := p.set.stages[stageIndex("connected")].(*connectedAcc)
-	if acc == nil {
-		return nil
-	}
-	return acc.cars
-}
-
-// SharedCars counts cars present in both partials. ok is false when
-// either side's connected stage failed, leaving the overlap unknown.
-func (p *Partial) SharedCars(o *Partial) (n int, ok bool) {
-	a, b := p.cars(), o.cars()
-	if a == nil || b == nil {
-		return 0, false
-	}
-	if len(b) < len(a) {
+// SharedCars counts cars present in both partials, read off their sets'
+// car tables: every stage that keeps cars numbers them there, so the
+// count holds whichever stage failed.
+func (p *Partial) SharedCars(o *Partial) (n int) {
+	a, b := &p.set.cars, &o.set.cars
+	if len(b.ids) < len(a.ids) {
 		a, b = b, a
 	}
-	for car := range a {
-		if _, hit := b[car]; hit {
+	for _, car := range a.ids {
+		if _, hit := b.idx[car]; hit {
 			n++
 		}
 	}
-	return n, true
+	return n
 }
 
 // Merge folds another partial into p. It refuses partials from a
@@ -812,7 +802,7 @@ func (p *Partial) Merge(o *Partial, allowOverlap bool) error {
 		return err
 	}
 	if !allowOverlap {
-		if n, ok := p.SharedCars(o); ok && n > 0 {
+		if n := p.SharedCars(o); n > 0 {
 			return fmt.Errorf("analysis: partials share %d cars; shard inputs by car, or force with allow-overlap", n)
 		}
 	}

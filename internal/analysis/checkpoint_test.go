@@ -50,7 +50,8 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 	for i, st := range stageTable {
 		i, name := i, st.name
 		t.Run(name, func(t *testing.T) {
-			a := newAccumSet(ctx, opts, 0).stages[i]
+			set := newAccumSet(ctx, opts, 0)
+			a, aCars := set.stages[i], &set.cars
 			if a == nil {
 				t.Fatalf("stage %s not enabled by test context", name)
 			}
@@ -58,13 +59,14 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("table row %q builds the %q accumulator", name, a.Stage())
 			}
 			for _, r := range records[:half] {
-				a.Add(r)
+				a.Add(r, aCars.intern(r.Car))
 			}
 			var buf bytes.Buffer
 			if err := a.SnapshotTo(&buf); err != nil {
 				t.Fatalf("snapshot: %v", err)
 			}
-			b := stageTable[i].build(ctx, opts)
+			var bCars carTable
+			b := stageTable[i].build(ctx, opts, &bCars)
 			if err := b.RestoreFrom(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -76,8 +78,8 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("restored state does not re-encode to identical bytes")
 			}
 			for _, r := range records[half:] {
-				a.Add(r)
-				b.Add(r)
+				a.Add(r, aCars.intern(r.Car))
+				b.Add(r, bCars.intern(r.Car))
 			}
 			repA, repB := &Report{}, &Report{}
 			if err := a.Finalize(repA); err != nil {
@@ -478,14 +480,14 @@ func TestAnalysisSnapshotTruncation(t *testing.T) {
 }
 
 // TestCheckpointCutGolden pins the bytes of a cut: the SHA-256 below
-// was recorded when snapshot version 3 moved §4.5's handovers per
-// session and by kind and the usage stage's hours of the week onto the
-// sparse integer frame Figure 9's counts use, whose numbers
-// TestEngineHandoversExact and TestEngineDurationsExact hold to naive
-// oracles. A deliberate format change bumps snapshot.Version and this
-// hash together; anything else that moves it is a bug.
+// was recorded when snapshot version 4 wrote the usage stage's open
+// sessions as (car, start, length) intervals, whose counts
+// TestEnginePerCarStagesExact holds to a naive oracle; every other frame
+// is byte for byte version 3's. A deliberate format change bumps
+// snapshot.Version and this hash together; anything else that moves it
+// is a bug.
 func TestCheckpointCutGolden(t *testing.T) {
-	const want = "64c7bd571a34b484ec796f5b6d4222d4973cdd768cc9a7bd1a944fd289018c61"
+	const want = "0edaddf0c58d51169f9e466e79c0d81f56301de77bad89448c23a4aab95788c0"
 	ctx := engineCtx()
 	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 1}
 	path := filepath.Join(t.TempDir(), "golden.snap")
@@ -506,9 +508,9 @@ func TestCheckpointCutGolden(t *testing.T) {
 // TestTrackHeadsCutGolden is TestCheckpointCutGolden for the form a
 // carqueryd bucket is sealed in: one TrackHeads set, whose stashed head
 // sessions are written beside the open ones. The SHA-256 was recorded
-// at snapshot version 3, as TestCheckpointCutGolden's was.
+// at snapshot version 4, as TestCheckpointCutGolden's was.
 func TestTrackHeadsCutGolden(t *testing.T) {
-	const want = "57cb110c04de18cc476cfdcaa7ef316e5162d0fdfaf4ab2d7fafc1daf1ada0fc"
+	const want = "3abe2f60c0c41901ce78ac65fef0d75360987b5172144852aa6d9abfc1fb2452"
 	s := NewStreamingWithOptions(engineCtx(), RunOptions{BusyCells: engineBusyCells(), TrackHeads: true})
 	if err := s.AddAll(cdr.NewSliceReader(engineWorkload(60000))); err != nil {
 		t.Fatal(err)
@@ -636,7 +638,7 @@ func fullStateSnapshot(tb testing.TB) (Context, []byte, int) {
 	if err := s.SnapshotTo(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	return ctx, buf.Bytes(), len(s.set.stages[stageIndex("connected")].(*connectedAcc).cars)
+	return ctx, buf.Bytes(), len(s.set.cars.ids)
 }
 
 // BenchmarkSnapshotRestore is the mirror of BenchmarkSnapshotEncode:

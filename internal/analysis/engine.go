@@ -321,7 +321,7 @@ type stageSpec struct {
 	// ctx.Load: restore followed by Merge/Finalize never calls Add,
 	// the only path that reads the load source — which is what lets
 	// carmerge finalize partials without re-opening load data.
-	build func(ctx Context, opts EngineOptions) Accumulator
+	build func(ctx Context, opts EngineOptions, cars *carTable) Accumulator
 }
 
 func always(bool, int) bool                   { return true }
@@ -331,26 +331,28 @@ func needsBusyCells(hasLoad bool, n int) bool { return hasLoad && n >= 2 }
 // stageTable is the canonical stage sequence. Accumulator sets are
 // built and restored from it, snapshots frame stages in its order,
 // merge, finalize and the metrics walk it, and FailStage names its
-// rows.
+// rows. Every stage of a set is built over the set's car table.
 var stageTable = []stageSpec{
-	{"presence", always, func(c Context, _ EngineOptions) Accumulator { return newPresenceAcc(c.Period) }},
-	{"connected", always, func(c Context, _ EngineOptions) Accumulator { return newConnectedAcc(c.Period) }},
-	{"days", always, func(c Context, _ EngineOptions) Accumulator { return newDaysAcc(c.Period) }},
-	{"segments", needsLoad, func(c Context, o EngineOptions) Accumulator { return newSegmentsAcc(c, o.RareDays) }},
-	{"busy", needsLoad, func(c Context, _ EngineOptions) Accumulator { return newBusyAcc(c) }},
-	{"durations", always, func(Context, EngineOptions) Accumulator { return newDurationsAcc() }},
-	{"handovers", always, func(_ Context, o EngineOptions) Accumulator {
-		h := newHandoverAcc()
+	{"presence", always, func(c Context, _ EngineOptions, cars *carTable) Accumulator { return newPresenceAcc(c.Period, cars) }},
+	{"connected", always, func(c Context, _ EngineOptions, cars *carTable) Accumulator { return newConnectedAcc(c.Period, cars) }},
+	{"days", always, func(c Context, _ EngineOptions, cars *carTable) Accumulator { return newDaysAcc(c.Period, cars) }},
+	{"segments", needsLoad, func(c Context, o EngineOptions, cars *carTable) Accumulator {
+		return newSegmentsAcc(c, o.RareDays, cars)
+	}},
+	{"busy", needsLoad, func(c Context, _ EngineOptions, cars *carTable) Accumulator { return newBusyAcc(c, cars) }},
+	{"durations", always, func(Context, EngineOptions, *carTable) Accumulator { return newDurationsAcc() }},
+	{"handovers", always, func(_ Context, o EngineOptions, cars *carTable) Accumulator {
+		h := newHandoverAcc(cars)
 		h.setTrackHeads(o.TrackHeads)
 		return h
 	}},
-	{"carriers", always, func(Context, EngineOptions) Accumulator { return newCarriersAcc() }},
-	{"usage", always, func(c Context, o EngineOptions) Accumulator {
-		u := newUsageAcc(c.TZOffsetSeconds)
+	{"carriers", always, func(_ Context, _ EngineOptions, cars *carTable) Accumulator { return newCarriersAcc(cars) }},
+	{"usage", always, func(c Context, o EngineOptions, cars *carTable) Accumulator {
+		u := newUsageAcc(c.TZOffsetSeconds, cars)
 		u.setTrackHeads(o.TrackHeads)
 		return u
 	}},
-	{"clusters", needsBusyCells, func(c Context, o EngineOptions) Accumulator {
+	{"clusters", needsBusyCells, func(c Context, o EngineOptions, _ *carTable) Accumulator {
 		return newClustersAcc(c, o.BusyCells, o.Seed)
 	}},
 }
@@ -378,14 +380,19 @@ type accumSet struct {
 	outOfPeriod int64
 	accepted    int64
 
+	// cars numbers every car whose records the set accepted: the one
+	// lookup a record costs the set, shared by every stage.
+	cars carTable
+
 	// stages holds the live accumulators in stageTable positions; a
 	// failed or disabled stage is nil.
 	stages []Accumulator
 	errs   []StageError
 
-	// batch is allocated by the first add: a set restored only to be
-	// merged or validated never takes a record.
-	batch []cdr.Record
+	// batch and its cars' numbers are allocated by the first add: a set
+	// restored only to be merged or validated never takes a record.
+	batch     []cdr.Record
+	batchCars []int32
 
 	// frameHint is the longest frame the set has written to a snapshot,
 	// framesHint the most all its frames came to together: what its next
@@ -425,14 +432,15 @@ func newAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
 		case st.name == opts.FailStage:
 			s.errs = append(s.errs, StageError{Stage: st.name, Err: "injected failure (FailStage)"})
 		default:
-			s.stages[i] = st.build(ctx, opts)
+			s.stages[i] = st.build(ctx, opts, &s.cars)
 		}
 	}
 	return s
 }
 
 // add buffers one raw record, applying the ghost and study-period
-// filters, and flushes full batches into the stages.
+// filters, numbers an accepted record's car, and flushes full batches
+// into the stages.
 func (s *accumSet) add(r cdr.Record) {
 	s.raw++
 	// Metrics sync happens at flush; this extra beat covers streams
@@ -452,8 +460,10 @@ func (s *accumSet) add(r cdr.Record) {
 	s.accepted++
 	if s.batch == nil {
 		s.batch = make([]cdr.Record, 0, accumBatchSize)
+		s.batchCars = make([]int32, 0, accumBatchSize)
 	}
 	s.batch = append(s.batch, r)
+	s.batchCars = append(s.batchCars, s.cars.intern(r.Car))
 	if len(s.batch) >= accumBatchSize {
 		s.flush()
 	}
@@ -479,7 +489,7 @@ func (s *accumSet) flush() {
 		if s.met != nil {
 			t0 = time.Now()
 		}
-		err := s.feedStage(acc, s.batch)
+		err := feedStage(acc, s.batch, s.batchCars)
 		if s.met != nil {
 			s.met.stageAdd[i].Observe(time.Since(t0))
 			s.met.stageRecs[i].Add(int64(len(s.batch)))
@@ -489,22 +499,22 @@ func (s *accumSet) flush() {
 			s.errs = append(s.errs, StageError{Stage: acc.Stage(), Err: err.Error()})
 		}
 	}
-	s.batch = s.batch[:0]
+	s.batch, s.batchCars = s.batch[:0], s.batchCars[:0]
 	if s.met != nil {
 		s.met.sync(s)
 	}
 }
 
-// feedStage adds one batch to one accumulator, converting a panic into
-// an error.
-func (s *accumSet) feedStage(acc Accumulator, batch []cdr.Record) (err error) {
+// feedStage adds one batch, cars[k] being batch[k]'s car number, to one
+// accumulator, converting a panic into an error.
+func feedStage(acc Accumulator, batch []cdr.Record, cars []int32) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	for _, r := range batch {
-		acc.Add(r)
+	for k, r := range batch {
+		acc.Add(r, cars[k])
 	}
 	return nil
 }
@@ -531,6 +541,8 @@ func (s *accumSet) merge(o *accumSet, ordered bool) {
 			s.errs = append(s.errs, e)
 		}
 	}
+	// o's cars are numbered into s once, for every stage.
+	remap := s.cars.remap(&o.cars)
 	for i := range s.stages {
 		switch {
 		case s.hasError(stageTable[i].name):
@@ -544,9 +556,9 @@ func (s *accumSet) merge(o *accumSet, ordered bool) {
 				t0 = time.Now()
 			}
 			if om, ok := s.stages[i].(orderedMerger); ok && ordered {
-				om.MergeOrdered(o.stages[i])
+				om.MergeOrdered(o.stages[i], remap)
 			} else {
-				s.stages[i].Merge(o.stages[i])
+				s.stages[i].Merge(o.stages[i], remap)
 			}
 			if s.met != nil {
 				s.met.stageMerge[i].Observe(time.Since(t0))

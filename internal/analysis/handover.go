@@ -27,7 +27,7 @@ type HandoverStats struct {
 // implies. Durations are truncated at 600 s (§3) before sessionizing,
 // as in the full pipeline.
 func HandoversOf(records []cdr.Record) (HandoverStats, error) {
-	return runAccum(newHandoverAcc(), records).Handovers, nil
+	return runAccum(records, newHandoverAcc).Handovers, nil
 }
 
 // InterBSShare returns the fraction of all handovers that cross base

@@ -140,10 +140,7 @@ func TestCarriersMaskKeepsTheWireForm(t *testing.T) {
 		"gaps":        {on(7, radio.C5, 10), on(7, radio.C1, 20), on(300, radio.C5, 5), on(1, radio.C3, 0)},
 		"fleet":       cleanAccepted(engineCtx(), engineWorkload(5000)),
 	} {
-		a := newCarriersAcc()
-		for _, r := range records {
-			a.Add(r)
-		}
+		a := feed(records, newCarriersAcc)
 		var got bytes.Buffer
 		if err := a.SnapshotTo(&got); err != nil {
 			t.Fatal(err)
@@ -152,15 +149,19 @@ func TestCarriersMaskKeepsTheWireForm(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%s: mask form encodes %d bytes, car-set form %d, or they differ", name, got.Len(), len(want))
 		}
-		b := newCarriersAcc()
+		b := newCarriersAcc(new(carTable))
 		if err := b.RestoreFrom(bytes.NewReader(want)); err != nil {
 			t.Fatalf("%s: restore: %v", name, err)
+		}
+		var again bytes.Buffer
+		if err := b.SnapshotTo(&again); err != nil {
+			t.Fatal(err)
 		}
 		repA, repB := &Report{}, &Report{}
 		a.Finalize(repA)
 		b.Finalize(repB)
-		if !reflect.DeepEqual(repA, repB) || !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: restored carriers state differs:\n%+v\nvs\n%+v", name, a, b)
+		if !reflect.DeepEqual(repA, repB) || !bytes.Equal(again.Bytes(), want) {
+			t.Fatalf("%s: restored carriers state differs:\n%+v\nvs\n%+v", name, repA, repB)
 		}
 	}
 
@@ -212,7 +213,7 @@ func TestCarriersMaskKeepsTheWireForm(t *testing.T) {
 			e.Uvarint(1)
 		}),
 	} {
-		if err := newCarriersAcc().RestoreFrom(bytes.NewReader(data)); !errors.Is(err, snapshot.ErrBadSnapshot) {
+		if err := newCarriersAcc(new(carTable)).RestoreFrom(bytes.NewReader(data)); !errors.Is(err, snapshot.ErrBadSnapshot) {
 			t.Errorf("%s: restore returned %v, want ErrBadSnapshot", name, err)
 		}
 	}
@@ -222,7 +223,7 @@ func TestCarriersMaskKeepsTheWireForm(t *testing.T) {
 		carrier(e, radio.C1, 5, 4)
 		carrier(e, radio.C4, 0, 4)
 	})
-	if err := newCarriersAcc().RestoreFrom(bytes.NewReader(ok)); err != nil {
+	if err := newCarriersAcc(new(carTable)).RestoreFrom(bytes.NewReader(ok)); err != nil {
 		t.Errorf("one car on two carriers refused: %v", err)
 	}
 }
@@ -238,13 +239,10 @@ func at(car cdr.CarID, bs radio.BSID, min int) cdr.Record {
 // no entry — a fleet that never changes sector writes no inter-sector
 // pair — and nor does the report.
 func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
-	a := newHandoverAcc()
-	for _, r := range []cdr.Record{
+	a := feed([]cdr.Record{
 		at(1, 1, 0), at(1, 1, 2), at(1, 1, 60), // no handover, then a close
 		at(2, 1, 0), at(2, 2, 2), at(2, 3, 4), at(2, 3, 90), // two inter-BS, then a close
-	} {
-		a.Add(r)
-	}
+	}, newHandoverAcc)
 	var kinds bytes.Buffer
 	encodeTally(snapshot.NewEncoder(&kinds), a.byKind)
 	if want := []byte{1, byte(radio.HandoverInterBS), 2}; !bytes.Equal(kinds.Bytes(), want) {
@@ -268,27 +266,29 @@ func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
 // handed back to the sessionizer — the next session to open would
 // overwrite it.
 func TestStashedHeadSurvivesRecycling(t *testing.T) {
-	a := newHandoverAcc()
+	var cars carTable
+	a := newHandoverAcc(&cars)
 	a.setTrackHeads(true)
-	a.Add(at(1, 1, 0))
-	a.Add(at(1, 2, 2))
-	a.Add(at(1, 3, 60)) // closes car 1's head: bs 1 → 2
-	head := a.heads[1]
-	if head == nil || len(head.Spans) != 2 {
+	add := func(r cdr.Record) { a.Add(r, cars.intern(r.Car)) }
+	add(at(1, 1, 0))
+	add(at(1, 2, 2))
+	add(at(1, 3, 60)) // closes car 1's head: bs 1 → 2
+	head, _ := a.heads.get(cars.idx[1])
+	if head.Session == nil || len(head.Spans) != 2 {
 		t.Fatalf("head of car 1: %+v", head)
 	}
 	want := clean.Session{Car: 1, Start: head.Start, End: head.End, Connected: head.Connected,
 		Spans: append([]clean.CellSpan(nil), head.Spans...)}
 	for car := cdr.CarID(2); car < 40; car++ { // sessions that open, grow and close after it
-		a.Add(at(car, 1, 0))
-		a.Add(at(car, 2, 1))
-		a.Add(at(car, 3, 2))
-		a.Add(at(car, 4, 60))
-		a.Add(at(car, 5, 120))
+		add(at(car, 1, 0))
+		add(at(car, 2, 1))
+		add(at(car, 3, 2))
+		add(at(car, 4, 60))
+		add(at(car, 5, 120))
 	}
-	a.Add(at(1, 9, 120)) // car 1's second session closes and is accounted
-	if !reflect.DeepEqual(*a.heads[1], want) {
-		t.Fatalf("stashed head changed under recycling:\n%+v\nwant\n%+v", *a.heads[1], want)
+	add(at(1, 9, 120)) // car 1's second session closes and is accounted
+	if head, _ := a.heads.get(cars.idx[1]); !reflect.DeepEqual(*head.Session, want) {
+		t.Fatalf("stashed head changed under recycling:\n%+v\nwant\n%+v", *head.Session, want)
 	}
 }
 

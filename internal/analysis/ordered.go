@@ -7,12 +7,11 @@
 //
 // MergeOrdered repairs the boundary. A slice built with
 // RunOptions.TrackHeads stashes each car's *first* closed session
-// unaccounted (its head) and keeps its last session open in the
-// sessionizer (its tail). Folding slice k+1 into the accumulation of
-// slices 0..k stitches, per car, the earlier open tail with the later
-// head (or open fragment) under the ordinary gap rule, so every
-// session is rebuilt exactly as a single pass over the concatenated
-// stream would have built it.
+// unaccounted (its head) and keeps its last session open (its tail).
+// Folding slice k+1 into the accumulation of slices 0..k stitches, per
+// car, the earlier open tail with the later head (or open fragment)
+// under the ordinary gap rule, so every session is rebuilt exactly as a
+// single pass over the concatenated stream would have built it.
 //
 // Exactness precondition: the concatenated stream must satisfy the
 // Sessionizer contract (per-car non-decreasing start order across the
@@ -30,20 +29,14 @@
 // tail, has by then split sessions a single pass would have kept
 // whole, so the fold differs from the single pass and different
 // groupings can disagree by a session. Nothing is refused or
-// reordered: stitchOrdered counts each such join as a witness, and
+// reordered: sessionStage.join counts each such join as a witness, and
 // Streaming.OrderedOverlaps reports the total so a server can say when
 // its fold was outside the exact regime. All non-session stages are
 // order-insensitive and merge exactly with their plain Merge under any
 // time split.
 package analysis
 
-import (
-	"fmt"
-	"slices"
-
-	"cellcars/internal/cdr"
-	"cellcars/internal/clean"
-)
+import "fmt"
 
 // orderedMerger is implemented by accumulators whose plain Merge is
 // inexact under time-sliced (car-overlapping) folds and that therefore
@@ -51,62 +44,63 @@ import (
 type orderedMerger interface {
 	Accumulator
 	// MergeOrdered folds a later, time-adjacent slice into the
-	// receiver. The later slice must have been built with TrackHeads.
-	MergeOrdered(other Accumulator)
+	// receiver, its car j being the receiver's car remap[j]. The later
+	// slice must have been built with TrackHeads.
+	MergeOrdered(other Accumulator, remap []int32)
 	// tracksHeads reports whether the accumulator stashes head sessions,
 	// which a later slice must for MergeOrdered to stitch it.
 	tracksHeads() bool
 	// orderedOverlaps counts the precondition witnesses this
-	// accumulator's ordered merges have seen; see stitchOrdered.
+	// accumulator's ordered merges have seen; see sessionStage.join.
 	orderedOverlaps() int64
 }
 
-// stitchOrdered folds a later slice's session fragments into the
-// receiver's sessionizer: per car (ascending, for determinism), the
-// later head joins or closes the earlier open tail and is then closed
-// itself; the later open tail joins or replaces it and stays open.
-// closeFn receives every session the stitch proves closed. The return
-// value counts the witnesses that the exactness precondition does not
-// hold: later fragments starting before the earlier open tail's end.
-func stitchOrdered(z *clean.Sessionizer, closeFn func(*clean.Session), heads map[cdr.CarID]*clean.Session, later *clean.Sessionizer) (overlaps int64) {
-	// join applies the sessionizer's gap rule at the boundary: a
-	// fragment starting within gap of the earlier open tail's end
-	// continues that session; otherwise the tail is closed and the
-	// fragment becomes the car's open session.
-	join := func(frag *clean.Session) {
-		cur := z.Open(frag.Car)
-		if cur != nil && frag.Start < cur.End {
-			overlaps++
-		}
-		if cur != nil && z.Splits(cur.End, frag.Start) {
-			z.Take(frag.Car)
-			closeFn(cur)
-			cur = nil
-		}
-		if cur == nil {
-			z.Put(frag)
-			return
-		}
-		cur.Spans = append(cur.Spans, frag.Spans...)
-		cur.Connected += frag.Connected
-		cur.End = max(cur.End, frag.End)
+// mergeOrdered folds the unaccounted sessions of a later, time-adjacent
+// slice, which must have been built with TrackHeads: only the boundary
+// sessions need stitching, the later slice's aggregates are interior to
+// it and fold as they are. Per car, the later head joins or closes the
+// earlier open tail and is then closed itself; the later open tail
+// joins or replaces it and stays open. Cars are independent and every
+// head is joined before any tail, so the walks' order is free.
+func (s *sessionStage[S]) mergeOrdered(o *sessionStage[S], remap []int32) {
+	if !o.trackHeads {
+		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
 	}
-	cars := sortedKeys(heads)
-	cars = append(cars, later.OpenCars()...)
-	slices.Sort(cars)
-	cars = slices.Compact(cars)
-	for _, car := range cars {
-		if h, ok := heads[car]; ok {
-			// The head was closed by real gap evidence inside the later
-			// slice, so whatever it stitched onto is complete.
-			join(h)
-			closeFn(z.Take(car))
+	s.overlaps += o.overlaps
+	o.heads.each(func(j int32, h S) {
+		// The head was closed by real gap evidence inside the later
+		// slice, so whatever it stitched onto is complete.
+		car := remap[j]
+		s.join(car, h)
+		joined, _ := s.open.take(car)
+		s.settle(car, joined)
+	})
+	o.open.each(func(j int32, tail S) { s.join(remap[j], tail) }) // stays open: the next slice may continue it
+}
+
+// join applies the gap rule at the boundary: a fragment starting within
+// gap of the earlier open tail's end continues that session; otherwise
+// the tail is closed and the fragment becomes the car's open session. A
+// fragment starting before the tail's end is a witness that the
+// exactness precondition does not hold, and is counted.
+func (s *sessionStage[S]) join(car int32, frag S) {
+	start, _ := frag.bounds()
+	cur, ok := s.open.get(car)
+	if ok {
+		_, end := cur.bounds()
+		if start < end {
+			s.overlaps++
 		}
-		if tail := later.Take(car); tail != nil {
-			join(tail) // stays open: the next slice may continue it
+		if splits(s.gap, end, start) {
+			s.open.take(car)
+			s.settle(car, cur)
+			ok = false
 		}
 	}
-	return overlaps
+	if ok {
+		frag = cur.extend(frag)
+	}
+	s.open.put(car, frag)
 }
 
 // MergeOrdered folds a later, time-adjacent slice into s, stitching

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/radio"
@@ -98,6 +100,82 @@ func withUsage(seed []byte, hours [][2]uint64, sessions int64) []byte {
 		writeTally(e, hours)
 		e.Varint(sessions)
 	})
+}
+
+// usageInterval is one open session or head of a forged usage frame:
+// its car, start and length as the frame writes them.
+type usageInterval struct {
+	car    uint64
+	start  int64
+	length uint64
+}
+
+// withUsageIntervals returns seed with a usage frame holding the open
+// sessions given, the heads given when tracked, no hour counted and the
+// closed-session count given.
+func withUsageIntervals(seed []byte, open []usageInterval, tracked bool, heads []usageInterval, sessions int64) []byte {
+	list := func(e *snapshot.Encoder, ivs []usageInterval) {
+		e.Uvarint(uint64(len(ivs)))
+		for _, iv := range ivs {
+			e.Uvarint(iv.car)
+			e.Varint(iv.start)
+			e.Uvarint(iv.length)
+		}
+	}
+	return withFrame(seed, "usage", func(e *snapshot.Encoder) {
+		list(e, open)
+		if e.Bool(tracked); tracked {
+			list(e, heads)
+		}
+		writeTally(e, nil)
+		e.Varint(sessions)
+	})
+}
+
+// usageRefusals are usage frames a restore must refuse, one per rule of
+// the open sessions, the heads and the session count.
+func usageRefusals(seed []byte) []struct {
+	name string
+	data []byte
+} {
+	at := t0.UnixNano()
+	ok := []usageInterval{{3, at, 60e9}, {5, at, 0}}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"open cars descending", withUsageIntervals(seed, []usageInterval{{5, at, 60e9}, {3, at, 60e9}}, false, nil, 0)},
+		{"open car repeated", withUsageIntervals(seed, []usageInterval{{5, at, 60e9}, {5, at, 60e9}}, false, nil, 0)},
+		{"head cars descending", withUsageIntervals(seed, ok, true, []usageInterval{{9, at, 1}, {4, at, 1}}, 0)},
+		{"head car repeated", withUsageIntervals(seed, ok, true, []usageInterval{{4, at, 1}, {4, at, 1}}, 0)},
+		{"open session ends before it starts", withUsageIntervals(seed, []usageInterval{{3, at, math.MaxUint64}}, false, nil, 0)},
+		{"head ends before it starts", withUsageIntervals(seed, ok, true, []usageInterval{{4, at, 1 << 63}}, 0)},
+		{"negative session count", withUsageIntervals(seed, ok, false, nil, -1)},
+	}
+}
+
+// TestUsageFrameRefusals: each malformed usage frame is ErrBadSnapshot,
+// and the same frame well formed restores to the sessions it holds —
+// each counted once, marking the hours from its start to its end.
+func TestUsageFrameRefusals(t *testing.T) {
+	seed := fuzzSnapshotSeed()
+	at := t0.Add(3 * time.Hour).UnixNano()
+	data := withUsageIntervals(seed,
+		[]usageInterval{{3, at, uint64(time.Hour)}, {5, at, 0}}, // an hour; nothing, ending where it starts on the hour
+		true, []usageInterval{{4, at + int64(time.Hour), 90e9}}, 2)
+	p, err := ReadPartial(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("well-formed usage frame refused: %v", err)
+	}
+	// t0 is a Monday at midnight UTC; the seed's study is five hours west.
+	if rep := p.Finalize(); rep.UsageSessions != 5 || rep.FleetUsage.Sum() != 2 || rep.FleetUsage.At(22, 6) != 1 || rep.FleetUsage.At(23, 6) != 1 {
+		t.Errorf("well-formed usage frame restored to %d sessions and matrix %v", rep.UsageSessions, rep.FleetUsage)
+	}
+	for _, tc := range usageRefusals(seed) {
+		if _, err := ReadPartial(bytes.NewReader(tc.data)); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s: got %v, want ErrBadSnapshot", tc.name, err)
+		}
+	}
 }
 
 // durationsRefusals are durations frames a restore must refuse, each
@@ -264,6 +342,9 @@ func FuzzReadPartial(f *testing.F) {
 		f.Add(withDurations(seed, tc.pairs, tc.n))
 	}
 	for _, tc := range countRefusals(seed) {
+		f.Add(tc.data)
+	}
+	for _, tc := range usageRefusals(seed) {
 		f.Add(tc.data)
 	}
 

@@ -44,7 +44,7 @@ func UsageMatrix(records []cdr.Record, ctx Context) simtime.WeekMatrix {
 		return simtime.WeekMatrix{}
 	}
 	for i := range sessions {
-		markSessionHours(&hours, &sessions[i], ctx.TZOffsetSeconds)
+		markSessionHours(&hours, sessions[i].Start, sessions[i].End, ctx.TZOffsetSeconds)
 	}
 	return weekMatrix(hours)
 }

@@ -166,7 +166,7 @@ func (z *Sessionizer) Add(rec cdr.Record) *Session {
 		z.open[rec.Car] = cur
 		return nil
 	}
-	if z.Splits(cur.End, sp.Start) {
+	if z.splits(cur.End, sp.Start) {
 		// The finished session moves out to a spare struct and the
 		// map's entry starts the next one in place: one map operation
 		// per record, closing or not.
@@ -184,12 +184,13 @@ func (z *Sessionizer) Add(rec cdr.Record) *Session {
 	return nil
 }
 
-// Splits reports whether a connection starting at start lies more than
+// splits reports whether a connection starting at start lies more than
 // the gap after a session ending at end — the rule that closes the
 // session. Both are Unix nanoseconds; the difference is taken unsigned,
 // so it is exact, as time.Time.Sub's saturation was, across the whole
-// int64 range.
-func (z *Sessionizer) Splits(end, start int64) bool {
+// int64 range. The analysis stages that keep sessions without a
+// sessionizer apply the same rule.
+func (z *Sessionizer) splits(end, start int64) bool {
 	return start > end && uint64(start)-uint64(end) > uint64(z.gap)
 }
 

@@ -46,9 +46,12 @@ var ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot")
 // other versions: partial-state layouts are not forward compatible.
 // Version 3 holds every count a stage keeps — Figure 9's seconds,
 // §4.5's handovers per session and by kind, the usage stage's hours of
-// the week — as sparse integer (value, count) pairs, and no floats. An
-// older file is refused, naming the remedy: re-run from the input.
-const Version = 3
+// the week — as sparse integer (value, count) pairs, and no floats.
+// Version 4 writes the usage stage's open sessions and heads as (car,
+// start, length) intervals, not span lists; every other frame is
+// version 3's. An older file is refused, naming the remedy: re-run from
+// the input.
+const Version = 4
 
 var magic = [8]byte{'C', 'C', 'A', 'R', 'S', 'N', 'A', 'P'}
 
