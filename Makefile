@@ -19,8 +19,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The engine's numbers without carbench: ns and allocations per record
-# of one Engine.Run (one worker, two, and the machine's count) and of the
-# sessionizer alone, a full-state snapshot encode and its restore, a run
+# of one Engine.Run (one worker, two, and the machine's count), a
+# full-state snapshot encode and its restore, a run
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
 # 1 600-car fleet; the restore-and-fold of a full-window miss on the
@@ -33,21 +33,21 @@ bench-check:
 # plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
-	$(GO) test -run='^$$' -bench='^BenchmarkSessionizerAdd$$' -benchmem -count=5 ./internal/clean
 	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
 
 test:
 	$(GO) test ./...
 
-# The second line runs the engine's dispatcher tests again at one proc,
-# where an engine left to size itself starts one worker (the path every
-# run took before -workers defaulted to the machine), and at four, more
-# than the CI box has. The third does the same for the query store's
-# cuts: one proc takes the inline encode, four runs more encoders than
-# the box has CPUs.
+# The first line is the suite's one whole run in ci, and writes the
+# coverage profile cover checks. The second runs the engine's dispatcher
+# tests again at one proc, where an engine left to size itself starts one
+# worker (the path every run took before -workers defaulted to the
+# machine), and at four, more than the CI box has. The third does the
+# same for the query store's cuts: one proc takes the inline encode, four
+# runs more encoders than the box has CPUs.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -coverprofile=cover.out ./...
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis
 	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed' ./internal/query
 
@@ -79,10 +79,11 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Statement coverage with a floor: prints the total and fails when it
-# drops below COVER_MIN.
+# Statement coverage with a floor: prints the total of the cover.out the
+# race pass wrote (running the suite for one only when there is none)
+# and fails when it drops below COVER_MIN.
 cover:
-	$(GO) test -coverprofile=cover.out ./...
+	@test -f cover.out || $(GO) test -coverprofile=cover.out ./...
 	@total="$$($(GO) tool cover -func=cover.out | awk '/^total:/ {gsub(/%/,"",$$3); print $$3}')"; \
 	echo "total statement coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= m+0) }' || \

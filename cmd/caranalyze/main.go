@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -44,6 +45,7 @@ import (
 	"cellcars/internal/obs"
 	"cellcars/internal/query"
 	"cellcars/internal/report"
+	"cellcars/internal/simtime"
 	"cellcars/internal/studyflags"
 	"cellcars/internal/synth"
 )
@@ -287,7 +289,7 @@ func main() {
 			// Sized up front when the input says how many records it
 			// holds: growing the slice while the engine allocates beside
 			// it would hold an old and a new copy at the peak.
-			keep = &keeper{r: rr, records: make([]cdr.Record, 0, totalRecordsHint(inputs))}
+			keep = &keeper{r: rr, period: ctx.Period, records: make([]cdr.Record, 0, totalRecordsHint(inputs))}
 			src = keep
 		}
 	}
@@ -318,12 +320,17 @@ func main() {
 		fatal("analyze %s: %v", source, err)
 	}
 	emitRunTrace(trace, rep, time.Since(runStart))
+	if *in == "" {
+		// The record-level figures see what the engine analyzed, as the
+		// keeper's are in file mode.
+		records = slices.DeleteFunc(records, func(r cdr.Record) bool { return !analysis.Admits(ctx.Period, r) })
+	}
 	if rr != nil {
 		istats = rr.Stats()
 		if keep != nil {
 			records = keep.records
 			fmt.Printf("loaded %d records from %s (%d quarantined)\n\n",
-				len(records), *in, istats.QuarantinedTotal())
+				rep.RawRecords, *in, istats.QuarantinedTotal())
 		} else {
 			fmt.Printf("streamed %d records from %s (%d quarantined, %d workers)\n\n",
 				rep.RawRecords, *in, istats.QuarantinedTotal(), rep.ProfileWorkers)
@@ -350,17 +357,19 @@ func main() {
 	}
 }
 
-// keeper is a cdr.Reader that retains every record it hands on, so the
-// default file mode reads its input once: the engine analyzes the
-// stream while the records accumulate for the record-level figures.
+// keeper is a cdr.Reader that retains every record it hands on that the
+// study admits (analysis.Admits), so the default file mode reads its
+// input once: the engine analyzes the stream while the records it
+// analyzes accumulate for the record-level figures.
 type keeper struct {
 	r       cdr.Reader
+	period  simtime.Period
 	records []cdr.Record
 }
 
 func (k *keeper) Read() (cdr.Record, error) {
 	rec, err := k.r.Read()
-	if err == nil {
+	if err == nil && analysis.Admits(k.period, rec) {
 		k.records = append(k.records, rec)
 	}
 	return rec, err

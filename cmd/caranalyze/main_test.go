@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -45,20 +46,36 @@ func caranalyze(args ...string) *exec.Cmd {
 // section has content.
 func cdrBytes(t *testing.T, n int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := cdr.NewBinaryWriter(&buf)
+	return encodeCDR(t, cdrRecords(n))
+}
+
+// cdrRecords is cdrBytes' stream as records, in file order.
+func cdrRecords(n int) []cdr.Record {
 	rng := rand.New(rand.NewPCG(42, 7))
-	start := time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		rec := cdr.Record{
+	out := make([]cdr.Record, n)
+	for i := range out {
+		out[i] = cdr.Record{
 			Car: cdr.CarID(rng.Uint64N(300)),
 			Cell: radio.MakeCellKey(
 				radio.BSID(rng.Uint64N(40)),
 				radio.SectorID(rng.Uint64N(3)),
 				radio.C1+radio.CarrierID(rng.Uint64N(uint64(radio.NumCarriers)))),
-			Start:    start.Add(time.Duration(rng.Uint64N(13*24*3600)) * time.Second),
+			Start:    studyStart.Add(time.Duration(rng.Uint64N(13*24*3600)) * time.Second),
 			Duration: time.Duration(10+rng.Uint64N(1200)) * time.Second,
 		}
+	}
+	return out
+}
+
+// studyStart is the first day of cdrRecords' 13-day stream, the default
+// -start.
+var studyStart = time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
+
+func encodeCDR(t *testing.T, records []cdr.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := cdr.NewBinaryWriter(&buf)
+	for _, rec := range records {
 		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +84,76 @@ func cdrBytes(t *testing.T, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// textBlock returns the report section of out that starts with header,
+// up to the next section header.
+func textBlock(t *testing.T, out []byte, header string) string {
+	t.Helper()
+	s := string(out)
+	i := strings.Index(s, header)
+	if i < 0 {
+		t.Fatalf("no %q section in output:\n%s", header, out)
+	}
+	s = s[i:]
+	if end := strings.Index(s[len(header):], "\n== "); end >= 0 {
+		s = s[:len(header)+end]
+	}
+	return s
+}
+
+// TestRecordFiguresIgnoreGhosts: Figures 5 and 8 are drawn from the
+// records the engine analyzes. A one-hour ghost of Figure 5's first
+// sample car, in an hour of the week its matrix leaves empty, and one of
+// a new car on Figure 8's cell and day leave both blocks as they are
+// without them.
+func TestRecordFiguresIgnoreGhosts(t *testing.T) {
+	records := cdrRecords(3000)
+	cdr.Sort(records)
+	dir := t.TempDir()
+	run := func(name string, records []cdr.Record) []byte {
+		t.Helper()
+		in := filepath.Join(dir, name)
+		if err := os.WriteFile(in, encodeCDR(t, records), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := caranalyze("-in", in, "-days", "13", "-tz", "0").Output()
+		if err != nil {
+			t.Fatalf("caranalyze %s: %v", name, err)
+		}
+		return out
+	}
+	clean := run("clean.cdr", records)
+
+	m := regexp.MustCompile(`car 1 \((\d+)\)`).FindSubmatch([]byte(textBlock(t, clean, "== Figure 5")))
+	if m == nil {
+		t.Fatalf("no first sample car in Figure 5:\n%s", clean)
+	}
+	var car cdr.CarID
+	fmt.Sscan(string(m[1]), &car)
+	ctx := analysis.Context{Period: simtime.NewPeriod(studyStart, 13)}
+	usage := analysis.UsageMatrix(analysis.RecordsOfCar(records, car), ctx)
+	if usage.Max() > 2 {
+		t.Fatalf("car %d's busiest hour holds %v sessions: a ghost's would not show", car, usage.Max())
+	}
+	empty := -1
+	for h := 0; h < 13*24 && empty < 0; h++ {
+		if usage.At(h%24, h/24%7) == 0 {
+			empty = h
+		}
+	}
+	cell, day := analysis.BusiestCellDay(records, ctx)
+	ghosts := append(slices.Clone(records),
+		cdr.Record{Car: car, Cell: cell, Start: studyStart.Add(time.Duration(empty) * time.Hour), Duration: time.Hour},
+		cdr.Record{Car: 1 << 20, Cell: cell, Start: ctx.Period.DayStart(day).Add(12 * time.Hour), Duration: time.Hour})
+	cdr.Sort(ghosts)
+	haunted := run("ghosts.cdr", ghosts)
+
+	for _, header := range []string{"== Figure 5", "== Figure 8"} {
+		if want, got := textBlock(t, clean, header), textBlock(t, haunted, header); got != want {
+			t.Errorf("two ghosts changed %s:\n%s\nwithout them:\n%s", header, got, want)
+		}
+	}
 }
 
 // reportSection cuts stdout down to the deterministic report body —

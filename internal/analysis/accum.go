@@ -764,16 +764,6 @@ type session[S any] interface {
 	extend(frag S) S
 }
 
-// openSessions is where a session stage keeps its open sessions, at
-// most one per car number.
-type openSessions[S any] interface {
-	get(car int32) (S, bool)
-	take(car int32) (S, bool)
-	put(car int32, s S)
-	// each calls fn for every open session, in no particular order.
-	each(fn func(car int32, s S))
-}
-
 // sessionStage is the part of a session stage that does not depend on
 // what a session is or what the stage counts. A session stage
 // (handovers, usage) splits each car's records into sessions and
@@ -784,15 +774,16 @@ type openSessions[S any] interface {
 // states: the close-or-stash routing (settle), the car-disjoint and the
 // ordered merge, and the walk Finalize counts unaccounted sessions with.
 //
-// The embedding stage keeps its open sessions (open), splits its own
-// records into sessions in Add, supplies count, keeps its aggregates,
-// merges them, and writes its report fields and its payload. count is
-// the one indirect call, paid per closed session.
+// The embedding stage splits its own records into sessions in Add,
+// supplies count, keeps its aggregates, merges them, and writes its
+// report fields and its payload. count is the one indirect call, paid per
+// closed session.
 type sessionStage[S session[S]] struct {
 	cars *carTable
 	// gap is the longest silence inside one session.
-	gap  time.Duration
-	open openSessions[S]
+	gap time.Duration
+	// open holds each car's open session.
+	open column[S]
 	// count adds one closed session to the embedding stage's
 	// aggregates, keeping no reference to it.
 	count func(S)
@@ -858,87 +849,77 @@ func (s *sessionStage[S]) unaccounted(fn func(S)) {
 // ---------------------------------------------------------------------------
 // handovers — §4.5
 
-// mobility is one of the handovers stage's sessions: the sessionizer's,
-// spans and all.
-type mobility struct{ *clean.Session }
+// mobility is one of the handovers stage's sessions: its first start and
+// latest end in Unix nanoseconds, and its cell connections in arrival
+// order, whose changes of cell are the handovers.
+type mobility struct {
+	start, end int64
+	spans      []clean.CellSpan
+}
 
-func (m mobility) bounds() (int64, int64) { return m.Start, m.End }
+func (m mobility) bounds() (int64, int64) { return m.start, m.end }
 
 func (m mobility) extend(frag mobility) mobility {
-	m.Spans = append(m.Spans, frag.Spans...)
-	m.Connected += frag.Connected
-	m.End = max(m.End, frag.End)
+	m.spans = append(m.spans, frag.spans...)
+	m.end = max(m.end, frag.end)
 	return m
 }
 
-// sessionizerSessions is the handovers stage's open sessions: its
-// sessionizer's, which keys them by car id, reached by number through
-// the set's car table.
-type sessionizerSessions struct {
-	z    *clean.Sessionizer
-	cars *carTable
-}
-
-func (o sessionizerSessions) get(car int32) (mobility, bool) {
-	s := o.z.Open(o.cars.ids[car])
-	return mobility{s}, s != nil
-}
-
-func (o sessionizerSessions) take(car int32) (mobility, bool) {
-	s := o.z.Take(o.cars.ids[car])
-	return mobility{s}, s != nil
-}
-
-func (o sessionizerSessions) put(_ int32, s mobility) { o.z.Put(s.Session) }
-
-func (o sessionizerSessions) each(fn func(int32, mobility)) {
-	for _, car := range o.z.OpenCars() {
-		fn(o.cars.idx[car], mobility{o.z.Open(car)})
-	}
-}
+// reuseSpans is the most spans a closed session's array may have room
+// for and still be handed to its car's next session. Without the bound
+// Add allocates less, but every car's array settles at the capacity of
+// its longest session so far, and engine state grows with it (DESIGN
+// §2.1).
+const reuseSpans = 16
 
 type handoverAcc struct {
 	sessionStage[mobility]
-	z          *clean.Sessionizer
 	perSession tally // accounted sessions by how many handovers each had
 	byKind     tally // their handovers by radio.HandoverKind
 }
 
 func newHandoverAcc(cars *carTable) *handoverAcc {
-	a := &handoverAcc{z: clean.NewSessionizer(clean.MobilityGap)}
-	a.sessionStage = sessionStage[mobility]{
-		cars: cars, gap: clean.MobilityGap,
-		open:  sessionizerSessions{z: a.z, cars: cars},
-		count: a.countSession,
-	}
+	a := &handoverAcc{}
+	a.sessionStage = sessionStage[mobility]{cars: cars, gap: clean.MobilityGap, count: a.countSession}
 	return a
 }
 
 func (a *handoverAcc) Stage() string { return "handovers" }
 
-// Add applies the paper's 600 s cap before sessionizing. A closed
-// session, once accounted, goes back to the sessionizer for the
-// sessions that open next; the merges settle without handing back: what
-// they fold in came out of another accumulator, and a session parked on
-// the free lists keeps the chunk it was decoded into reachable.
+// Add applies the paper's 600 s cap and splits the car's records into
+// mobility sessions as a clean.Sessionizer with gap MobilityGap does. A
+// closed session that settle counted is referenced by nothing, so its
+// span array, if it has room for at most reuseSpans spans, is where the
+// car's next session is built; a stashed head keeps its array, and the
+// merges, which settle what another accumulator built, hand on nothing.
 func (a *handoverAcc) Add(r cdr.Record, car int32) {
 	if r.Duration > clean.TruncateLimit {
 		r.Duration = clean.TruncateLimit
 	}
-	if s := a.z.Add(r); s != nil && a.settle(car, mobility{s}) {
-		a.z.Release(s)
+	sp := clean.CellSpan{Cell: r.Cell, Start: r.Start.UnixNano(), Duration: r.Duration}
+	end := sp.End()
+	cur, open := a.open.at(car)
+	if open && !splits(a.gap, cur.end, sp.Start) {
+		cur.spans = append(cur.spans, sp)
+		cur.end = max(cur.end, end)
+		return
 	}
+	var spans []clean.CellSpan
+	if open && a.settle(car, *cur) && cap(cur.spans) <= reuseSpans {
+		spans = cur.spans[:0]
+	}
+	*cur = mobility{start: sp.Start, end: end, spans: append(spans, sp)}
 }
 
-func (a *handoverAcc) countSession(m mobility) { countHandovers(&a.perSession, &a.byKind, m.Session) }
+func (a *handoverAcc) countSession(m mobility) { countHandovers(&a.perSession, &a.byKind, m.spans) }
 
 // countHandovers adds a session's handovers to byKind and the session to
 // perSession under how many there were. Nothing else adds to either
 // outside a merge, so Σ byKind = Σ v·perSession[v] in every state Add
 // builds, and a restore refuses one where it does not hold.
-func countHandovers(perSession, byKind *tally, s *clean.Session) {
+func countHandovers(perSession, byKind *tally, spans []clean.CellSpan) {
 	n := 0
-	for kind, c := range s.HandoversByKind() {
+	for kind, c := range clean.HandoversByKind(spans) {
 		byKind.add(kind, int64(c))
 		n += c
 	}
@@ -964,7 +945,7 @@ func (a *handoverAcc) mergeCounts(o *handoverAcc) {
 
 func (a *handoverAcc) Finalize(rep *Report) error {
 	perSession, byKind := slices.Clone(a.perSession), slices.Clone(a.byKind)
-	a.unaccounted(func(m mobility) { countHandovers(&perSession, &byKind, m.Session) })
+	a.unaccounted(func(m mobility) { countHandovers(&perSession, &byKind, m.spans) })
 
 	hs := HandoverStats{Sessions: int(perSession.sum()), ByKind: make(map[radio.HandoverKind]int64), PerSession: perSession.cdf()}
 	for kind, c := range byKind {
@@ -1071,16 +1052,14 @@ func (iv interval) extend(frag interval) interval {
 
 type usageAcc struct {
 	sessionStage[interval]
-	// intervals holds each car's open session.
-	intervals column[interval]
-	tzOffset  int
-	hours     tally // accounted sessions touching each local hour of the week
-	sessions  int64
+	tzOffset int
+	hours    tally // accounted sessions touching each local hour of the week
+	sessions int64
 }
 
 func newUsageAcc(tzOffsetSeconds int, cars *carTable) *usageAcc {
 	a := &usageAcc{tzOffset: tzOffsetSeconds}
-	a.sessionStage = sessionStage[interval]{cars: cars, gap: clean.AggregateGap, open: &a.intervals, count: a.countSession}
+	a.sessionStage = sessionStage[interval]{cars: cars, gap: clean.AggregateGap, count: a.countSession}
 	return a
 }
 
@@ -1092,7 +1071,7 @@ func (a *usageAcc) Stage() string { return "usage" }
 func (a *usageAcc) Add(r cdr.Record, car int32) {
 	start := r.Start.UnixNano()
 	end := clean.CellSpan{Start: start, Duration: r.Duration}.End()
-	cur, open := a.intervals.at(car)
+	cur, open := a.open.at(car)
 	if open && !splits(a.gap, cur.end, start) {
 		cur.end = max(cur.end, end)
 		return

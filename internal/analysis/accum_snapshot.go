@@ -362,120 +362,74 @@ func (s *sessionStage[S]) decodeHeads(d *snapshot.Decoder, list func(*snapshot.D
 	}
 }
 
-// encodeSpans writes one unclosed mobility session's spans;
-// Start/End/Connected are derived on decode, so the stored form cannot
-// contradict the sessionizer's invariants.
-func encodeSpans(e *snapshot.Encoder, s *clean.Session) {
-	e.Uvarint(uint64(len(s.Spans)))
-	for i := range s.Spans {
-		sp := &s.Spans[i]
+// A mobility session is written as its spans: its start and end are
+// derived on decode, so the stored form cannot contradict them.
+func encodeMobility(e *snapshot.Encoder, m *mobility) {
+	e.Uvarint(uint64(len(m.spans)))
+	for i := range m.spans {
+		sp := &m.spans[i]
 		e.Uvarint(uint64(sp.Cell))
 		e.Varint(sp.Start)
 		e.Varint(int64(sp.Duration))
 	}
 }
 
-// encodeOpenSessions writes a sessionizer's open sessions, one per car
-// in ascending car order, each as its car and its spans, from where they
-// live: no copy is taken.
-func encodeOpenSessions(e *snapshot.Encoder, z *clean.Sessionizer) {
-	cars := z.OpenCars()
-	e.Uvarint(uint64(len(cars)))
-	for _, car := range cars {
-		e.Uvarint(uint64(car))
-		encodeSpans(e, z.Open(car))
-	}
-}
+// Restored span arrays are cut from chunks this long rather than
+// allocated one by one. The chunks are small on purpose: a session that
+// stays open keeps its whole chunk reachable, and the accumulator of a
+// window fold adopts fragments from every operand it is handed
+// (mergeOrdered) — cut from one slab per payload, a 14 d fold kept every
+// operand's slab alive to its end (DESIGN §2.2 has the measurement).
+const spanChunk = 64
 
-// Restored sessions and their span arrays are cut from chunks this long
-// rather than allocated one by one. The chunks are small on purpose: a
-// session that stays open keeps its whole chunk reachable, and the
-// accumulator of a window fold adopts fragments from every operand it
-// is handed (mergeOrdered) — cut from one slab per payload, a 14 d fold
-// kept every operand's slab alive to its end (DESIGN §2.2 has the
-// measurement).
-const (
-	sessionChunk = 16
-	spanChunk    = 64
-)
+// spanReader decodes what encodeMobility wrote, one car's session at a
+// time (decodeCars' read), cutting span arrays from its current chunk. A
+// session with more spans than a chunk gets an array of its own, grown
+// by append as its spans arrive, so a forged count cannot allocate ahead
+// of the data.
+type spanReader struct{ chunk []clean.CellSpan }
 
-// decodeSessions reads sessions written by encodeOpenSessions, each
-// allocated once, in chunks, and interns their cars into cars: whoever
-// takes the result (RestoreOpen, the heads stash) adopts the pointers
-// and copies nothing. A session with more spans than a chunk gets an
-// array of its own, grown by append as its spans arrive, so a forged
-// count cannot allocate ahead of the data.
-func decodeSessions(d *snapshot.Decoder, cars *carTable) []*clean.Session {
-	n := d.Len(maxSnapEntries)
-	if n < 0 {
-		return nil
+func (sr *spanReader) read(d *snapshot.Decoder, car cdr.CarID, m *mobility) {
+	n := d.Len(maxSnapSpans)
+	if d.Err() != nil {
+		return
 	}
-	out := make([]*clean.Session, 0, preallocN(n))
-	var structs []clean.Session // the unused tails of the current chunks
-	var slab []clean.CellSpan
-	var lastCar cdr.CarID
-	for i := 0; i < n; i++ {
-		car := cdr.CarID(d.Uvarint())
-		nspans := d.Len(maxSnapSpans)
+	if n < 1 {
+		d.Failf("open session for car %d has no spans", car)
+		return
+	}
+	var spans []clean.CellSpan
+	if n > spanChunk {
+		spans = make([]clean.CellSpan, 0, preallocN(n))
+	} else {
+		if n > len(sr.chunk) {
+			sr.chunk = make([]clean.CellSpan, spanChunk)
+		}
+		// Capped at its own spans: Add appends to an open session's array
+		// and builds the next session in it, which must not reach the
+		// spans of the next car in the chunk.
+		spans, sr.chunk = sr.chunk[:0:n], sr.chunk[n:]
+	}
+	end := int64(math.MinInt64)
+	for j := 0; j < n; j++ {
+		cell := radio.CellKey(d.Uvarint())
+		start, dur := d.Varint(), d.Varint()
 		if d.Err() != nil {
-			return nil
+			return
 		}
-		if nspans < 1 {
-			d.Failf("open session for car %d has no spans", car)
-			return nil
+		if !cell.Carrier().Valid() {
+			d.Failf("open session span on invalid cell %d", cell)
+			return
 		}
-		if i > 0 && car <= lastCar {
-			d.Failf("open sessions out of car order (%d after %d)", car, lastCar)
-			return nil
+		if dur < 0 {
+			d.Failf("open session span duration %d negative", dur)
+			return
 		}
-		lastCar = car
-		var spans []clean.CellSpan
-		if nspans > spanChunk {
-			spans = make([]clean.CellSpan, 0, preallocN(nspans))
-		} else {
-			if nspans > len(slab) {
-				slab = make([]clean.CellSpan, spanChunk)
-			}
-			spans, slab = slab[:0:nspans], slab[nspans:]
-		}
-		var connected time.Duration
-		end := int64(math.MinInt64)
-		for j := 0; j < nspans; j++ {
-			cell := radio.CellKey(d.Uvarint())
-			startNano := d.Varint()
-			dur := d.Varint()
-			if d.Err() != nil {
-				return nil
-			}
-			if !cell.Carrier().Valid() {
-				d.Failf("open session span on invalid cell %d", cell)
-				return nil
-			}
-			if dur < 0 {
-				d.Failf("open session span duration %d negative", dur)
-				return nil
-			}
-			sp := clean.CellSpan{Cell: cell, Start: startNano, Duration: time.Duration(dur)}
-			spans = append(spans, sp)
-			connected += sp.Duration
-			end = max(end, sp.End())
-		}
-		if len(structs) == 0 {
-			structs = make([]clean.Session, min(sessionChunk, n-i))
-		}
-		s := &structs[0]
-		structs = structs[1:]
-		*s = clean.Session{
-			Car:       car,
-			Start:     spans[0].Start,
-			End:       end,
-			Connected: connected,
-			Spans:     spans,
-		}
-		cars.intern(car)
-		out = append(out, s)
+		sp := clean.CellSpan{Cell: cell, Start: start, Duration: time.Duration(dur)}
+		spans = append(spans, sp)
+		end = max(end, sp.End())
 	}
-	return out
+	*m = mobility{start: spans[0].Start, end: end, spans: spans}
 }
 
 // ---------------------------------------------------------------------------
@@ -483,8 +437,8 @@ func decodeSessions(d *snapshot.Decoder, cars *carTable) []*clean.Session {
 
 func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeOpenSessions(e, a.z)
-	a.encodeHeads(e, func(e *snapshot.Encoder, m *mobility) { encodeSpans(e, m.Session) })
+	encodeCars(e, a.cars, &a.open, encodeMobility)
+	a.encodeHeads(e, encodeMobility)
 	encodeTally(e, a.byKind)
 	encodeTally(e, a.perSession)
 	return e.Err()
@@ -492,11 +446,10 @@ func (a *handoverAcc) SnapshotTo(w io.Writer) error {
 
 func (a *handoverAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	a.z.RestoreOpen(decodeSessions(d, a.cars))
+	var spans spanReader
+	decodeCars(d, a.cars, &a.open, spans.read)
 	a.decodeHeads(d, func(d *snapshot.Decoder, heads *column[mobility]) {
-		for _, s := range decodeSessions(d, a.cars) {
-			heads.put(a.cars.idx[s.Car], mobility{s})
-		}
+		decodeCars(d, a.cars, heads, spans.read)
 	})
 	// HandoverNone, the last kind, is never counted (HandoversByKind).
 	byKind := decodeTally(d, int(radio.HandoverNone)-1)
@@ -632,7 +585,7 @@ func decodeInterval(d *snapshot.Decoder, car cdr.CarID, iv *interval) {
 
 func (a *usageAcc) SnapshotTo(w io.Writer) error {
 	e := snapshot.NewEncoder(w)
-	encodeCars(e, a.cars, &a.intervals, encodeInterval)
+	encodeCars(e, a.cars, &a.open, encodeInterval)
 	a.encodeHeads(e, encodeInterval)
 	encodeTally(e, a.hours)
 	e.Varint(a.sessions)
@@ -641,7 +594,7 @@ func (a *usageAcc) SnapshotTo(w io.Writer) error {
 
 func (a *usageAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	decodeCars(d, a.cars, &a.intervals, decodeInterval)
+	decodeCars(d, a.cars, &a.open, decodeInterval)
 	a.decodeHeads(d, func(d *snapshot.Decoder, heads *column[interval]) {
 		decodeCars(d, a.cars, heads, decodeInterval)
 	})

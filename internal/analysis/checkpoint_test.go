@@ -14,21 +14,18 @@ import (
 	"time"
 
 	"cellcars/internal/cdr"
-	"cellcars/internal/clean"
 	"cellcars/internal/simtime"
 	"cellcars/internal/snapshot"
 )
 
-// cleanAccepted filters a raw workload the way accumSet.add does:
-// ghosts out, out-of-period out — the records stage accumulators
-// actually observe.
+// cleanAccepted filters a raw workload the way accumSet.add does — the
+// records stage accumulators actually observe.
 func cleanAccepted(ctx Context, records []cdr.Record) []cdr.Record {
 	out := make([]cdr.Record, 0, len(records))
 	for _, r := range records {
-		if r.Duration == clean.GhostDuration || ctx.Period.DayIndex(r.Start) < 0 {
-			continue
+		if Admits(ctx.Period, r) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
 	return out
 }
@@ -659,10 +656,10 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 // TestRestoreAllocatesLittlePerCar bounds what restoring the full state
 // allocates per car in it: 6.8 objects, the per-car stages' pointers,
 // bitmaps and map buckets. Sessions add a fraction of one because their
-// structs and spans are cut from chunks and RestoreOpen adopts them; a
-// RestoreOpen that copies each session again reads 10.8 (two
-// sessionizers, a struct and a span array each), and the decoder that
-// read fixed-width values through io.ReadFull read 57.6.
+// spans are cut from chunks and the open-session column adopts them; a
+// restore that copied each session again read 10.8 (two sessionizers, a
+// struct and a span array each), and the decoder that read fixed-width
+// values through io.ReadFull read 57.6.
 func TestRestoreAllocatesLittlePerCar(t *testing.T) {
 	ctx, snap, cars := fullStateSnapshot(t)
 	allocs := testing.AllocsPerRun(2, func() {

@@ -438,6 +438,14 @@ func newAccumSet(ctx Context, opts EngineOptions, worker int) *accumSet {
 	return s
 }
 
+// Admits reports whether a study over period analyzes r: §3 drops the
+// one-hour ghosts, and a record starting outside the period is counted
+// but observed by no stage. It is the one admission rule, of the engine
+// and of whatever draws figures from the records themselves.
+func Admits(period simtime.Period, r cdr.Record) bool {
+	return r.Duration != clean.GhostDuration && period.DayIndex(r.Start) >= 0
+}
+
 // add buffers one raw record, applying the ghost and study-period
 // filters, numbers an accepted record's car, and flushes full batches
 // into the stages.
@@ -449,12 +457,12 @@ func (s *accumSet) add(r cdr.Record) {
 	if s.met != nil && s.raw&1023 == 0 {
 		s.met.sync(s)
 	}
-	if r.Duration == clean.GhostDuration {
-		s.ghosts++
-		return
-	}
-	if s.period.DayIndex(r.Start) < 0 {
-		s.outOfPeriod++
+	if !Admits(s.period, r) {
+		if r.Duration == clean.GhostDuration {
+			s.ghosts++
+		} else {
+			s.outOfPeriod++
+		}
 		return
 	}
 	s.accepted++

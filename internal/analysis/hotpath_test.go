@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cellcars/internal/cdr"
-	"cellcars/internal/clean"
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
@@ -256,15 +255,14 @@ func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
 	if rep.Handovers.Sessions != 4 || len(rep.Handovers.ByKind) != 1 {
 		t.Fatalf("finalized %d sessions, kinds %v; want 4 sessions (two still open), one kind", rep.Handovers.Sessions, rep.Handovers.ByKind)
 	}
-	if a.byKind.sum() != 2 || a.perSession.sum() != 2 || len(a.z.OpenCars()) != 2 {
+	if a.byKind.sum() != 2 || a.perSession.sum() != 2 || a.open.n != 2 {
 		t.Fatal("Finalize changed the accumulator")
 	}
 }
 
 // TestStashedHeadSurvivesRecycling: with head tracking a car's first
-// closed session is stashed, not accounted, and so must not have been
-// handed back to the sessionizer — the next session to open would
-// overwrite it.
+// closed session is stashed, not accounted, and so must keep its span
+// array — the car's next session, built in it, would overwrite it.
 func TestStashedHeadSurvivesRecycling(t *testing.T) {
 	var cars carTable
 	a := newHandoverAcc(&cars)
@@ -274,11 +272,10 @@ func TestStashedHeadSurvivesRecycling(t *testing.T) {
 	add(at(1, 2, 2))
 	add(at(1, 3, 60)) // closes car 1's head: bs 1 → 2
 	head, _ := a.heads.get(cars.idx[1])
-	if head.Session == nil || len(head.Spans) != 2 {
+	if len(head.spans) != 2 {
 		t.Fatalf("head of car 1: %+v", head)
 	}
-	want := clean.Session{Car: 1, Start: head.Start, End: head.End, Connected: head.Connected,
-		Spans: append([]clean.CellSpan(nil), head.Spans...)}
+	want := mobility{start: head.start, end: head.end, spans: slices.Clone(head.spans)}
 	for car := cdr.CarID(2); car < 40; car++ { // sessions that open, grow and close after it
 		add(at(car, 1, 0))
 		add(at(car, 2, 1))
@@ -287,8 +284,8 @@ func TestStashedHeadSurvivesRecycling(t *testing.T) {
 		add(at(car, 5, 120))
 	}
 	add(at(1, 9, 120)) // car 1's second session closes and is accounted
-	if head, _ := a.heads.get(cars.idx[1]); !reflect.DeepEqual(*head.Session, want) {
-		t.Fatalf("stashed head changed under recycling:\n%+v\nwant\n%+v", *head.Session, want)
+	if head, _ := a.heads.get(cars.idx[1]); !reflect.DeepEqual(head, want) {
+		t.Fatalf("stashed head changed under recycling:\n%+v\nwant\n%+v", head, want)
 	}
 }
 

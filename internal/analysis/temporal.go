@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"cellcars/internal/cdr"
-	"cellcars/internal/clean"
 	"cellcars/internal/simtime"
 )
 
@@ -33,20 +32,11 @@ func ReferenceMatrices() (commute, networkPeak, weekend simtime.WeekMatrix) {
 
 // UsageMatrix builds a car's Figure 5 matrix: for each hour of the
 // local week, the number of that car's aggregate sessions (gap ≤ 30 s)
-// touching the hour. Records must belong to a single car and be
-// time-ordered; ghosts should be removed first.
+// touching the hour — the usage stage's matrix over one car's records.
+// Records must belong to a single car and be time-ordered; ghosts should
+// be removed first.
 func UsageMatrix(records []cdr.Record, ctx Context) simtime.WeekMatrix {
-	var hours tally
-	sessions, err := clean.Sessions(cdr.NewSliceReader(records), clean.AggregateGap)
-	if err != nil {
-		// The slice reader cannot fail; keep the matrix empty on the
-		// impossible path rather than panicking inside an analysis.
-		return simtime.WeekMatrix{}
-	}
-	for i := range sessions {
-		markSessionHours(&hours, sessions[i].Start, sessions[i].End, ctx.TZOffsetSeconds)
-	}
-	return weekMatrix(hours)
+	return runAccum(records, func(cars *carTable) *usageAcc { return newUsageAcc(ctx.TZOffsetSeconds, cars) }).FleetUsage
 }
 
 // RecordsOfCar extracts one car's records from a stream, preserving

@@ -14,14 +14,12 @@ import (
 
 // refSessionizer is the Sessionizer as it was while sessions held
 // time.Time — every decision made by time.Time.Sub, After and Add — kept
-// verbatim, bar the names, as the arbiter of the Unix-nanosecond one in
-// FuzzSessionizerMatchesReference. It shares spanClass and spanClasses
-// with the package, which did not change.
+// verbatim, bar the names and the free lists both have since shed, as
+// the arbiter of the Unix-nanosecond one in
+// FuzzSessionizerMatchesReference.
 type refSessionizer struct {
-	gap          time.Duration
-	open         map[cdr.CarID]*refSession
-	freeSessions []*refSession
-	freeSpans    [spanClasses][][]refCellSpan
+	gap  time.Duration
+	open map[cdr.CarID]*refSession
 }
 
 type refCellSpan struct {
@@ -47,19 +45,16 @@ func newRefSessionizer(gap time.Duration) *refSessionizer {
 func (z *refSessionizer) Add(rec cdr.Record) *refSession {
 	cur := z.open[rec.Car]
 	if cur == nil {
-		cur = z.takeSession()
+		cur = new(refSession)
 		z.begin(cur, rec)
 		z.open[rec.Car] = cur
 		return nil
 	}
 	if rec.Start.Sub(cur.End) > z.gap {
-		closed := z.takeSession()
+		closed := new(refSession)
 		*closed = *cur
 		z.begin(cur, rec)
 		return closed
-	}
-	if len(cur.Spans) == cap(cur.Spans) {
-		cur.Spans = z.grow(cur.Spans)
 	}
 	cur.Spans = append(cur.Spans, refCellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration})
 	cur.Connected += rec.Duration
@@ -69,58 +64,20 @@ func (z *refSessionizer) Add(rec cdr.Record) *refSession {
 	return nil
 }
 
-func (z *refSessionizer) Release(s *refSession) {
-	z.push(s.Spans)
-	*s = refSession{}
-	z.freeSessions = append(z.freeSessions, s)
-}
-
-func (z *refSessionizer) takeSession() *refSession {
-	if n := len(z.freeSessions); n > 0 {
-		s := z.freeSessions[n-1]
-		z.freeSessions = z.freeSessions[:n-1]
-		return s
-	}
-	return new(refSession)
-}
-
-func (z *refSessionizer) takeSpans(class int) []refCellSpan {
-	free := z.freeSpans[class]
-	if n := len(free); n > 0 {
-		z.freeSpans[class] = free[:n-1]
-		return free[n-1]
-	}
-	return make([]refCellSpan, 0, 1<<class)
-}
-
-func (z *refSessionizer) push(spans []refCellSpan) {
-	if class := spanClass(cap(spans)); class >= 0 {
-		z.freeSpans[class] = append(z.freeSpans[class], spans[:0])
-	}
-}
-
-func (z *refSessionizer) grow(spans []refCellSpan) []refCellSpan {
-	class := spanClass(cap(spans))
-	if class < 0 || class+1 == spanClasses {
-		return spans
-	}
-	bigger := z.takeSpans(class + 1)[:len(spans)]
-	copy(bigger, spans)
-	z.push(spans)
-	return bigger
-}
-
 func (z *refSessionizer) begin(s *refSession, rec cdr.Record) {
 	*s = refSession{
 		Car:       rec.Car,
 		Start:     rec.Start,
 		End:       rec.End(),
 		Connected: rec.Duration,
-		Spans:     append(z.takeSpans(0), refCellSpan{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration}),
+		Spans:     []refCellSpan{{Cell: rec.Cell, Start: rec.Start, Duration: rec.Duration}},
 	}
 }
 
 func (z *refSessionizer) Open(car cdr.CarID) *refSession { return z.open[car] }
+
+// openOf is car's open session in z, or nil.
+func openOf(z *Sessionizer, car cdr.CarID) *Session { return z.open[car] }
 
 func (z *refSessionizer) Flush() []refSession {
 	out := make([]refSession, 0, len(z.open))
@@ -255,8 +212,7 @@ func fuzzRecords(data []byte) []cdr.Record {
 // nothing after the session's end — the Unix-nanosecond sessionizer
 // closes the sessions the time.Time one closes, holds the same open
 // session after every record and flushes the same remainder, under the
-// aggregation gap and the mobility gap alike, with every closed session
-// released.
+// aggregation gap and the mobility gap alike.
 func FuzzSessionizerMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 0x00, 0, 0, 9, 0x08, 0, 0, 9, 0x48, 0, 0, 1, 0x44, 0, 0, 2, 0x09, 1, 0, 0, 0x1D, 0, 3, 0})
 	f.Add([]byte{0, 0x10, 0, 0, 7, 0x14, 0, 0, 7, 0x18, 0, 1, 0, 0x1C, 0, 0, 0, 0x10, 0, 0, 3, 0x38, 0xFF, 0xFF, 0xFF})
@@ -272,12 +228,8 @@ func FuzzSessionizerMatchesReference(f *testing.F) {
 				if !matchesRef(got, want) {
 					t.Fatalf("gap %v record %d %+v: closed %+v, reference closed %+v", gap, i, r, got, want)
 				}
-				if !matchesRef(z.Open(r.Car), ref.Open(r.Car)) {
-					t.Fatalf("gap %v record %d %+v: open %+v, reference open %+v", gap, i, r, z.Open(r.Car), ref.Open(r.Car))
-				}
-				if got != nil {
-					z.Release(got)
-					ref.Release(want)
+				if !matchesRef(openOf(z, r.Car), ref.Open(r.Car)) {
+					t.Fatalf("gap %v record %d %+v: open %+v, reference open %+v", gap, i, r, openOf(z, r.Car), ref.Open(r.Car))
 				}
 			}
 			got, want := z.Flush(), ref.Flush()
@@ -361,8 +313,8 @@ func TestSessionizerPast2262(t *testing.T) {
 			if got != nil {
 				closed++
 			}
-			if !matchesRef(z.Open(1), ref.Open(1)) {
-				t.Fatalf("gap %v record %d: open %+v, reference open %+v", tc.gap, i, z.Open(1), ref.Open(1))
+			if !matchesRef(openOf(z, 1), ref.Open(1)) {
+				t.Fatalf("gap %v record %d: open %+v, reference open %+v", tc.gap, i, openOf(z, 1), ref.Open(1))
 			}
 		}
 		got, want := z.Flush(), ref.Flush()

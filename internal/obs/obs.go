@@ -471,32 +471,3 @@ func (r *Registry) Snapshot() Snapshot {
 	})
 	return s
 }
-
-// Names returns every registered metric name (deduplicated across
-// label sets), sorted — the input of the naming-convention check.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := map[string]bool{}
-	for _, e := range r.counters {
-		seen[e.name] = true
-	}
-	for _, e := range r.gauges {
-		seen[e.name] = true
-	}
-	for _, e := range r.gaugefns {
-		seen[e.name] = true
-	}
-	for _, e := range r.timings {
-		seen[e.name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

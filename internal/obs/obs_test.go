@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestNilSafety(t *testing.T) {
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Timings) != 0 {
 		t.Fatal("nil registry snapshot is non-empty")
 	}
-	if r.Names() != nil {
+	if names(r) != nil {
 		t.Fatal("nil registry has names")
 	}
 	var tr *Trace
@@ -214,15 +215,44 @@ func TestTimingStats(t *testing.T) {
 	}
 }
 
+// names returns every metric name registered in r (deduplicated across
+// label sets), sorted — the input of the naming-convention check.
+func names(r *Registry) []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := map[string]bool{}
+	for _, e := range r.counters {
+		seen[e.name] = true
+	}
+	for _, e := range r.gauges {
+		seen[e.name] = true
+	}
+	for _, e := range r.gaugefns {
+		seen[e.name] = true
+	}
+	for _, e := range r.timings {
+		seen[e.name] = true
+	}
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func TestNames(t *testing.T) {
 	r := New()
 	r.Counter("cellcars_b_total", Label{Key: "k", Value: "1"})
 	r.Counter("cellcars_b_total", Label{Key: "k", Value: "2"})
 	r.Gauge("cellcars_a_ratio")
 	r.Timing("cellcars_c_seconds")
-	got := r.Names()
+	got := names(r)
 	want := []string{"cellcars_a_ratio", "cellcars_b_total", "cellcars_c_seconds"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+		t.Fatalf("names() = %v, want %v", got, want)
 	}
 }

@@ -58,7 +58,7 @@ func TestWritePrometheusRegisteredNames(t *testing.T) {
 	r := New()
 	r.Counter("cellcars_engine_records_total", Label{Key: "outcome", Value: "accepted"})
 	r.Timing("cellcars_stage_add_seconds", Label{Key: "stage", Value: "presence"})
-	for _, name := range r.Names() {
+	for _, name := range names(r) {
 		if !ValidName(name) {
 			t.Errorf("registered name %q violates the convention", name)
 		}

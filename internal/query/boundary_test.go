@@ -41,11 +41,11 @@ func TestBucketEdgeRouting(t *testing.T) {
 	}
 
 	s.Add(cdr.Record{Car: 1, Cell: cell, Start: qt0.Add(time.Hour - time.Second), Duration: time.Second})
-	if got := s.Epoch(); got != 0 {
+	if got := epochOf(s); got != 0 {
 		t.Fatalf("epoch after last in-bucket record = %d, want 0", got)
 	}
 	s.Add(cdr.Record{Car: 1, Cell: cell, Start: qt0.Add(time.Hour), Duration: time.Second})
-	if got := s.Epoch(); got != 1 {
+	if got := epochOf(s); got != 1 {
 		t.Fatalf("epoch after exact-edge record = %d, want 1", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestRestoreAtBucketEdgeWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, s, records[:cut])
-	if got, want := s.Epoch(), 23; got != want {
+	if got, want := epochOf(s), 23; got != want {
 		t.Fatalf("epoch at the edge = %d, want %d (bucket 24 must not exist yet)", got, want)
 	}
 	if _, err := s.Checkpoint(); err != nil {
@@ -96,11 +96,11 @@ func TestRestoreAtBucketEdgeWatermark(t *testing.T) {
 	if wm != int64(cut) {
 		t.Fatalf("restored watermark %d, want %d", wm, cut)
 	}
-	if got := restored.Epoch(); got != 23 {
+	if got := epochOf(restored); got != 23 {
 		t.Fatalf("restored epoch %d, want 23", got)
 	}
 	feed(t, restored, records[cut:])
-	if got := restored.Epoch(); got <= 23 {
+	if got := epochOf(restored); got <= 23 {
 		t.Fatalf("epoch after tail replay = %d, want > 23", got)
 	}
 

@@ -378,13 +378,6 @@ func (s *Store) Watermark() int64 {
 	return s.watermark
 }
 
-// Epoch returns the live (highest fed) bucket index, -1 when cold.
-func (s *Store) Epoch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live
-}
-
 // window returns the named window, or false.
 func (s *Store) window(name string) (Window, bool) {
 	for _, w := range s.windows {
@@ -513,17 +506,6 @@ func (s *Store) Report(endpoint, windowName string) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	return body, nil
-}
-
-// WindowReport folds one window and returns the full report value —
-// the programmatic face of /report/full.
-func (s *Store) WindowReport(windowName string) (*analysis.StreamReport, error) {
-	w, ok := s.window(windowName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
-	}
-	rep, _, err := s.compose("full", w)
-	return rep, err
 }
 
 // WatermarkAge returns how long ago the newest record was ingested —

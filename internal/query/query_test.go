@@ -135,7 +135,7 @@ func TestWindowReportMatchesBatch(t *testing.T) {
 
 	// A shorter window must actually trim: it covers only the trailing
 	// buckets, so it sees fewer records than the whole stream.
-	short, err := s.WindowReport("6h")
+	short, err := windowReport(s, "6h")
 	if err != nil {
 		t.Fatal(err)
 	}

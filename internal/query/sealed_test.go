@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -63,10 +64,28 @@ func (r *refStore) report(t *testing.T, w Window) []byte {
 	return body
 }
 
+// windowReport folds one window and returns the full report value, the
+// uncached value /report/full renders.
+func windowReport(s *Store, windowName string) (*analysis.StreamReport, error) {
+	w, ok := s.window(windowName)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownWindow, windowName)
+	}
+	rep, _, err := s.compose("full", w)
+	return rep, err
+}
+
+// epochOf returns s's live (highest fed) bucket index, -1 when cold.
+func epochOf(s *Store) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
+}
+
 // served is the store's uncached answer, rendered as /report/full.
 func served(t *testing.T, s *Store, w Window) []byte {
 	t.Helper()
-	rep, err := s.WindowReport(w.Name)
+	rep, err := windowReport(s, w.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +246,7 @@ func TestSealedStoreConcurrentAddAndReport(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.WindowReport(w.Name); err != nil {
+				if _, err := windowReport(s, w.Name); err != nil {
 					t.Error(err)
 					return
 				}

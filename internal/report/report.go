@@ -38,7 +38,9 @@ type Options struct {
 	// quarantine counters, detected coverage-gap days, skipped stages
 	// and excluded shards.
 	Quality *analysis.DataQuality
-	// Records are the raw records behind the report. The record-level
+	// Records are the records behind the report that the study admits
+	// (analysis.Admits: no one-hour ghosts, no start outside the
+	// period), the records the engine analyzed. The record-level
 	// exhibits (Figures 5, 8 and 10) are computed from them at render
 	// time and are skipped when nil — a streaming run or a reducer over
 	// partial state has no records to show.

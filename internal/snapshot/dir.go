@@ -19,27 +19,38 @@ type File interface {
 	Close() error
 }
 
-// FS is the filesystem WriteFile goes through: the two calls that
+// FS is the filesystem WriteFile goes through: the three calls that
 // bring a name into existence. It is assigned only by tests, which
 // fail one step of a durable write — a Create that errors or returns a
-// File whose Write, Sync or Close does, a Rename that errors — and put
-// the field back when done.
+// File whose Write, Sync or Close does, a Rename or a SyncDir that
+// errors — and put the field back when done.
 var FS = struct {
-	Create func(name string) (File, error)
-	Rename func(oldpath, newpath string) error
+	Create  func(name string) (File, error)
+	Rename  func(oldpath, newpath string) error
+	SyncDir func(dir string) error
 }{
 	Create: func(name string) (File, error) { return os.Create(name) },
 	Rename: os.Rename,
+	SyncDir: func(dir string) error {
+		d, err := os.Open(dir)
+		if err != nil {
+			return err
+		}
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	},
 }
 
 // WriteFile makes path durably hold what write produces, or leaves it
 // as it was. It is one attempt at: create path+".tmp", write, fsync,
-// close, rename over path — WriteTemp, then Commit. A failure at any
-// step removes the temp file and comes back unwrapped, so a caller with
-// a retry policy can classify it; until the rename succeeds path is
-// untouched, and after it path is the complete new file. The parent
-// directory is not fsynced (DESIGN §2.2). Returns the number of bytes
-// written.
+// close, rename over path, fsync the directory — WriteTemp, then Commit.
+// A failure at any step removes the temp file and comes back unwrapped,
+// so a caller with a retry policy can classify it; until the rename
+// succeeds path is untouched, and after it path is the complete new
+// file. Returns the number of bytes written.
 func WriteFile(path string, write func(io.Writer) error) (int64, error) {
 	t, err := WriteTemp(path, write)
 	if err != nil {
@@ -76,8 +87,11 @@ func WriteTemp(path string, write func(io.Writer) error) (*Temp, error) {
 }
 
 // Commit makes the temp file the file: fsync, close, rename over the
-// path. A failure of any step removes the temp file and leaves the path
-// as it was. Returns the number of bytes written.
+// path, then fsync the path's directory, without which a power loss may
+// undo the rename. A failure of any step before the rename removes the
+// temp file and leaves the path as it was; a failed directory fsync is
+// reported as a failed rename is, though the path may already read the
+// new file. Returns the number of bytes written.
 func (t *Temp) Commit() (int64, error) {
 	tmp := t.path + ".tmp"
 	err := t.f.Sync()
@@ -86,6 +100,9 @@ func (t *Temp) Commit() (int64, error) {
 	}
 	if err == nil {
 		err = FS.Rename(tmp, t.path)
+	}
+	if err == nil {
+		err = FS.SyncDir(filepath.Dir(t.path))
 	}
 	if err != nil {
 		os.Remove(tmp)

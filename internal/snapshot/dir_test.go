@@ -168,6 +168,8 @@ func failStep(step string) (restore func()) {
 		FS.Create = func(string) (File, error) { return nil, errInjected }
 	case "rename":
 		FS.Rename = func(string, string) error { return errInjected }
+	case "dirsync":
+		FS.SyncDir = func(string) error { return errInjected }
 	default:
 		FS.Create = func(name string) (File, error) {
 			f, err := os.Create(name)
@@ -245,6 +247,41 @@ func TestWriteTempLeavesThePathAlone(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("temp file outlived Commit (stat err %v)", err)
+	}
+}
+
+// TestCommitSyncsTheDirectory: a commit fsyncs the directory it renamed
+// in, after the rename, and a failed directory fsync comes back as a
+// failed rename does — no size, the fault itself, no temp file — though
+// the rename has happened.
+func TestCommitSyncsTheDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	orig := FS
+	defer func() { FS = orig }()
+	var synced []string
+	FS.SyncDir = func(dir string) error {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		synced = append(synced, dir)
+		return orig.SyncDir(dir)
+	}
+	write := func(w io.Writer) error { _, err := w.Write([]byte("replacement")); return err }
+	if _, err := WriteFile(path, write); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != filepath.Dir(path) {
+		t.Fatalf("synced %v, want the one directory %s", synced, filepath.Dir(path))
+	}
+
+	FS = orig
+	defer failStep("dirsync")()
+	n, err := WriteFile(path, write)
+	if !errors.Is(err, errInjected) || n != 0 {
+		t.Fatalf("write = %d, %v; want 0 and the injected fault", n, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file left behind (stat err %v)", err)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // reachabilityAllow lists what may stay, and keep what it mentions,
 // although no binary, example or facade export reaches it, each entry
-// with its reason. A key is a directory, a file or "<directory>.<Name>".
+// with its reason. A key is a directory, a file, "<directory>.<Name>" or,
+// for a method, "<directory>.<Type>.<Method>".
 var reachabilityAllow = map[string]string{
 	"internal/cdr/chaos.go":    "fault-injection harness imported by the tests of analysis and drive",
 	"internal/cdr.OpenFile":    "pinned by bench/README.md: layertrace opens its inputs through it; the binaries open theirs through OpenFiles and OpenShard, which share its openFile",
@@ -25,6 +26,11 @@ var reachabilityAllow = map[string]string{
 	"internal/fota":            "parked by ROADMAP; decided with items 2-4",
 	"internal/predict":         "parked by ROADMAP; decided with items 2-4",
 	"internal/query.NewServer": "observation seam: cmd/carqueryd's tests read the store through it",
+
+	"internal/load.SaturationResult.PeakTestUtilization": "Figure 1's saturation level, read by the root bench_test.go and load's tests",
+	"internal/simtime.WeekMatrix.ActiveCells":            "read by the root bench_test.go and simtime's tests",
+	"internal/simtime.Period.BinIndex":                   "the inverse of BinStart, read by simtime's and fota's tests",
+	"internal/stats.Histogram.Total":                     "read by the tests of stats, analysis and the root integration test",
 
 	"internal/analysis.DailyPresenceOf": sliceHelper, "internal/analysis.DaysHistogram": sliceHelper,
 	"internal/analysis.ConnectedTimeOf": sliceHelper, "internal/analysis.Segmentation": sliceHelper,
@@ -39,13 +45,27 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
+// stdMethods are the method names standard-library interfaces call —
+// fmt.Stringer, error, io, sort and heap, json and text marshalling,
+// http.Handler, flag.Value, errors' chains — which a method may exist to
+// implement with no selector in the module naming it.
+var stdMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true, "Format": true,
+	"Read": true, "Write": true, "Close": true, "Sync": true, "Seek": true, "ReadByte": true, "Flush": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true, "Set": true,
+}
+
 // TestNothingUnreachable keeps ROADMAP aim 2 true: every package-level
 // func, type, var and const outside _test.go files is reached from main
 // or init of a binary under cmd/ or examples/, or from an exported name
 // of package cellcars, an edge being any identifier a declaration
-// mentions. Methods are not reported — whether one is needed to satisfy
-// an interface takes a pointer analysis the standard library does not
-// have — and what a method mentions, its receiver's type mentions.
+// mentions; what a method mentions, its receiver's type mentions. A
+// method counts as reached by name — some selector in the module's
+// non-test code names it, or it is a standard-interface method
+// (stdMethods) — because which one an interface call reaches takes a
+// pointer analysis the standard library does not have.
 func TestNothingUnreachable(t *testing.T) {
 	fset := token.NewFileSet()
 	dirs := map[string][]*ast.File{} // module-relative directory -> its non-test files
@@ -89,8 +109,14 @@ func TestNothingUnreachable(t *testing.T) {
 		}
 	}
 	mentions, declared, roots := map[types.Object][]types.Object{}, map[types.Object]bool{}, []types.Object{}
+	selected := map[string]bool{} // every name a selector in non-test code selects
+	var methods []*ast.FuncDecl   // every method not on the allowlist
 	for dir, files := range dirs {
 		binary := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
+		allowed := func(node ast.Node, name string) bool {
+			return reachabilityAllow[dir] != "" || reachabilityAllow[fset.Position(node.Pos()).Filename] != "" ||
+				reachabilityAllow[dir+"."+name] != ""
+		}
 		declare := func(o types.Object, node ast.Node) { // node is (part of) o's declaration
 			ast.Inspect(node, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
@@ -98,13 +124,18 @@ func TestNothingUnreachable(t *testing.T) {
 				}
 				return true
 			})
-			if binary && (o.Name() == "main" || o.Name() == "init") || dir == "." && o.Exported() || reachabilityAllow[dir] != "" ||
-				reachabilityAllow[fset.Position(node.Pos()).Filename] != "" || reachabilityAllow[dir+"."+o.Name()] != "" {
+			if binary && (o.Name() == "main" || o.Name() == "init") || dir == "." && o.Exported() || allowed(node, o.Name()) {
 				roots = append(roots, o)
 			}
 			declared[o] = true
 		}
 		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := n.(*ast.SelectorExpr); ok {
+					selected[s.Sel.Name] = true
+				}
+				return true
+			})
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -115,6 +146,9 @@ func TestNothingUnreachable(t *testing.T) {
 							rt = p.Elem()
 						}
 						o = rt.(*types.Named).Obj()
+						if !allowed(d, o.Name()+"."+d.Name.Name) {
+							methods = append(methods, d)
+						}
 					}
 					declare(o, d)
 				case *ast.GenDecl:
@@ -144,8 +178,13 @@ func TestNothingUnreachable(t *testing.T) {
 			dead = append(dead, fset.Position(o.Pos()).String()+": "+o.Name())
 		}
 	}
+	for _, d := range methods {
+		if name := d.Name.Name; !selected[name] && !stdMethods[name] {
+			dead = append(dead, fset.Position(d.Name.Pos()).String()+": method "+name)
+		}
+	}
 	if sort.Strings(dead); len(dead) > 0 {
-		t.Errorf("%d package-level declarations that no binary, example or facade export reaches "+
+		t.Errorf("%d declarations that no binary, example or facade export reaches "+
 			"(delete each, or allow it in reachabilityAllow with its reason):\n  %s", len(dead), strings.Join(dead, "\n  "))
 	}
 }
