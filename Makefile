@@ -23,8 +23,9 @@ bench-check:
 # full-state snapshot encode and its restore, a run
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
-# 1 600-car fleet; the restore-and-fold of a full-window miss on the
-# 400-car serve fleet, and that fleet's cold drain through the query store as carqueryd runs
+# 1 600-car fleet; the fold of a full-window miss on the 400-car serve
+# fleet (its memoised day roll-ups and restored hours, then Finalize),
+# and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
 # and what one foreign row costs a shard worker, skipped below the parse
 # against the FilterFunc pipeline it replaced, per codec.
@@ -45,11 +46,12 @@ test:
 # worker (the path every run took before -workers defaulted to the
 # machine), and at four, more than the CI box has. The third does the
 # same for the query store's cuts: one proc takes the inline encode, four
-# runs more encoders than the box has CPUs.
+# runs more encoders than the box has CPUs; and for its memoised day
+# roll-ups, which concurrent misses fold as they are.
 race:
 	$(GO) test -race -coverprofile=cover.out ./...
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis
-	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed' ./internal/query
+	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed|Rollup' ./internal/query
 
 # The coordinator fault-tolerance suite under the race detector:
 # workers killed mid-stream, hung until speculation or timeout,

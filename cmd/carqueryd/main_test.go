@@ -183,6 +183,19 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 		t.Fatal(err)
 	}
 	d := &daemon{cmd: cmd, eof: make(chan struct{})}
+	// A test that stops before terminate — a t.Fatal, a timeout —
+	// would leave the daemon waiting for a signal that never comes.
+	t.Cleanup(func() {
+		if cmd.ProcessState != nil {
+			return
+		}
+		cmd.Process.Kill()
+		<-d.eof
+		cmd.Wait()
+		if !t.Failed() {
+			t.Error("daemon left running")
+		}
+	})
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -45,8 +46,9 @@ type Accumulator interface {
 	Add(r cdr.Record, car int32)
 	// Merge folds another accumulator of the same stage into the
 	// receiver. The other accumulator must have been fed a
-	// car-disjoint shard and is consumed by the merge; its car j is the
-	// receiver's car remap[j].
+	// car-disjoint shard; its car j is the receiver's car remap[j]. It
+	// is left as it was: the receiver copies what it keeps of it and
+	// never aliases its memory.
 	Merge(o Accumulator, remap []int32)
 	// Finalize computes the stage's results into rep.
 	Finalize(rep *Report) error
@@ -305,14 +307,11 @@ func (c *column[T]) each(fn func(i int32, v T)) {
 }
 
 // orDays unions o's day bitmaps into c, o's car j being c's remap[j]. A
-// car new to c takes o's bitmap as it is.
+// car new to c gets a bitmap of its own.
 func orDays(c, o *column[daysBits], remap []int32) {
 	o.each(func(j int32, db daysBits) {
-		if own, had := c.at(remap[j]); had {
-			own.or(&db)
-		} else {
-			*own = db
-		}
+		own, _ := c.at(remap[j])
+		own.or(&db)
 	})
 }
 
@@ -355,11 +354,12 @@ func (a *presenceAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*presenceAcc](other)
 	orDays(&a.carDays, &o.carDays, remap)
 	for cell, db := range o.cellDays {
-		if own := a.cellDays[cell]; own != nil {
-			own.or(db)
-		} else {
-			a.cellDays[cell] = db
+		own := a.cellDays[cell]
+		if own == nil {
+			own = &daysBits{}
+			a.cellDays[cell] = own
 		}
+		own.or(db)
 	}
 }
 
@@ -616,11 +616,7 @@ func (a *segmentsAcc) Add(r cdr.Record, car int32) {
 func (a *segmentsAcc) Merge(other Accumulator, remap []int32) {
 	o := mergeAs[*segmentsAcc](other)
 	o.state.each(func(j int32, st carSegState) {
-		own, had := a.state.at(remap[j])
-		if !had {
-			*own = st
-			return
-		}
+		own, _ := a.state.at(remap[j])
 		own.days.or(&st.days)
 		own.busy += st.busy
 		own.total += st.total
@@ -760,8 +756,11 @@ type session[S any] interface {
 	// nanoseconds.
 	bounds() (start, end int64)
 	// extend returns the session with a fragment that continues it
-	// joined on.
+	// joined on, in the receiver's memory.
 	extend(frag S) S
+	// clone returns the session in memory of its own: what a merge
+	// keeps of a session its operand built.
+	clone() S
 }
 
 // sessionStage is the part of a session stage that does not depend on
@@ -830,11 +829,22 @@ func (s *sessionStage[S]) settle(car int32, sess S) (accounted bool) {
 // first session of cars this side has never seen), and its open
 // sessions are closed, as the Merge contract's "stream complete"
 // demands — both through settle, so a car whose only session was open
-// keeps a stitchable head. Per car a head settles before the open
-// session, and cars are independent, so the order of the walks is free.
+// keeps a stitchable head; settleFrom clones what it keeps, so o stays
+// as it was. Per car a head settles before the open session, and cars
+// are independent, so the order of the walks is free.
 func (s *sessionStage[S]) merge(o *sessionStage[S], remap []int32) {
-	o.heads.each(func(j int32, h S) { s.settle(remap[j], h) })
-	o.open.each(func(j int32, sess S) { s.settle(remap[j], sess) })
+	o.heads.each(func(j int32, h S) { s.settleFrom(remap[j], h) })
+	o.open.each(func(j int32, sess S) { s.settleFrom(remap[j], sess) })
+}
+
+// settleFrom is settle for a session another accumulator owns: one it
+// stashes is stashed as a clone, so a merge never aliases its operand
+// and Add never recycles an array the receiver did not build. A
+// counted session is referenced by nothing and needs no clone.
+func (s *sessionStage[S]) settleFrom(car int32, sess S) {
+	if !s.settle(car, sess) {
+		s.heads.put(car, sess.clone())
+	}
 }
 
 // unaccounted calls fn for every session not accounted yet — stashed
@@ -862,6 +872,11 @@ func (m mobility) bounds() (int64, int64) { return m.start, m.end }
 func (m mobility) extend(frag mobility) mobility {
 	m.spans = append(m.spans, frag.spans...)
 	m.end = max(m.end, frag.end)
+	return m
+}
+
+func (m mobility) clone() mobility {
+	m.spans = slices.Clone(m.spans)
 	return m
 }
 
@@ -1050,6 +1065,8 @@ func (iv interval) extend(frag interval) interval {
 	return iv
 }
 
+func (iv interval) clone() interval { return iv }
+
 type usageAcc struct {
 	sessionStage[interval]
 	tzOffset int
@@ -1227,7 +1244,7 @@ func (a *clustersAcc) Merge(other Accumulator, _ []int32) {
 			}
 			own := a.perCell[i][b]
 			if own == nil {
-				a.perCell[i][b] = set
+				a.perCell[i][b] = maps.Clone(set)
 				continue
 			}
 			for car := range set {

@@ -796,7 +796,7 @@ func (p *Partial) SharedCars(o *Partial) (n int) {
 // Merge folds another partial into p. It refuses partials from a
 // different study configuration, and — unless allowOverlap — partials
 // whose car sets intersect, since the mergeable-accumulator contract
-// requires car-disjoint shards for exact results.
+// requires car-disjoint shards for exact results. o is left as it was.
 func (p *Partial) Merge(o *Partial, allowOverlap bool) error {
 	if err := p.Header.SameStudy(o.Header); err != nil {
 		return err

@@ -61,7 +61,8 @@ type orderedMerger interface {
 // it and fold as they are. Per car, the later head joins or closes the
 // earlier open tail and is then closed itself; the later open tail
 // joins or replaces it and stays open. Cars are independent and every
-// head is joined before any tail, so the walks' order is free.
+// head is joined before any tail, so the walks' order is free. What s
+// keeps of o's sessions is cloned, so o stays as it was.
 func (s *sessionStage[S]) mergeOrdered(o *sessionStage[S], remap []int32) {
 	if !o.trackHeads {
 		panic("analysis: MergeOrdered needs the later slice built with TrackHeads")
@@ -71,43 +72,54 @@ func (s *sessionStage[S]) mergeOrdered(o *sessionStage[S], remap []int32) {
 		// The head was closed by real gap evidence inside the later
 		// slice, so whatever it stitched onto is complete.
 		car := remap[j]
-		s.join(car, h)
-		joined, _ := s.open.take(car)
-		s.settle(car, joined)
+		if sess, joined := s.join(car, h); joined {
+			s.settle(car, sess)
+		} else {
+			s.settleFrom(car, sess)
+		}
 	})
-	o.open.each(func(j int32, tail S) { s.join(remap[j], tail) }) // stays open: the next slice may continue it
+	o.open.each(func(j int32, tail S) {
+		car := remap[j]
+		sess, joined := s.join(car, tail)
+		if !joined {
+			sess = sess.clone() // Add may extend or recycle an open session in place
+		}
+		s.open.put(car, sess) // stays open: the next slice may continue it
+	})
 }
 
-// join applies the gap rule at the boundary: a fragment starting within
-// gap of the earlier open tail's end continues that session; otherwise
-// the tail is closed and the fragment becomes the car's open session. A
-// fragment starting before the tail's end is a witness that the
-// exactness precondition does not hold, and is counted.
-func (s *sessionStage[S]) join(car int32, frag S) {
+// join applies the gap rule at the boundary and takes the car's open
+// session out: a fragment starting within gap of the earlier open
+// tail's end continues that session, which join returns with the
+// fragment joined on; otherwise the tail is closed and join returns the
+// fragment itself, in its owner's memory. A fragment starting before
+// the tail's end is a witness that the exactness precondition does not
+// hold, and is counted.
+func (s *sessionStage[S]) join(car int32, frag S) (sess S, joined bool) {
+	cur, ok := s.open.take(car)
+	if !ok {
+		return frag, false
+	}
 	start, _ := frag.bounds()
-	cur, ok := s.open.get(car)
-	if ok {
-		_, end := cur.bounds()
-		if start < end {
-			s.overlaps++
-		}
-		if splits(s.gap, end, start) {
-			s.open.take(car)
-			s.settle(car, cur)
-			ok = false
-		}
+	_, end := cur.bounds()
+	if start < end {
+		s.overlaps++
 	}
-	if ok {
-		frag = cur.extend(frag)
+	if splits(s.gap, end, start) {
+		s.settle(car, cur)
+		return frag, false
 	}
-	s.open.put(car, frag)
+	return cur.extend(frag), true
 }
 
 // MergeOrdered folds a later, time-adjacent slice into s, stitching
 // sessions that span the slice boundary — the composition step behind
 // rolling-window queries. later must cover records at or after every
 // record s has seen (per car), must share s's study configuration, and
-// must have been built with RunOptions.TrackHeads. later is consumed.
+// must have been built with RunOptions.TrackHeads. later is left as it
+// was: the merge flushes later's buffered records into its own stages
+// and otherwise only reads it, so a flushed slice may be folded into
+// any number of accumulators, concurrently too.
 //
 // Unlike the car-disjoint Merge, a left-fold of MergeOrdered over
 // consecutive time slices finalizes bit-identically to one pass over

@@ -203,8 +203,11 @@ func TestMergeOrderedRequiresTrackHeads(t *testing.T) {
 // day roll-ups rest on: over a random fleet meeting the precondition,
 // cut at random points into 3–6 slices, every parenthesisation of the
 // ordered fold — each intermediate taken through SnapshotTo and
-// RestoreStreaming, as a memoised roll-up is — finalizes to the bytes
-// of the left fold and of the single pass, and sees no overlap witness.
+// RestoreStreaming — finalizes to the bytes of the left fold and of the
+// single pass, and sees no overlap witness. It also pins what the store
+// folds a memoised roll-up by: a merge leaves each later slice's bytes
+// as they were, and the in-memory slices, folded into two
+// accumulators in turn, render what their encodings fold to.
 func FuzzMergeOrderedGrouping(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -248,24 +251,54 @@ func FuzzMergeOrderedGrouping(f *testing.F) {
 		}
 		single := NewStreamingWithOptions(ctx, opts)
 		encs := make([][]byte, slices)
+		live := make([]*Streaming, slices)
 		for i := range encs {
-			s := NewStreamingWithOptions(ctx, opts)
+			live[i] = NewStreamingWithOptions(ctx, opts)
 			for _, r := range records[bounds[i]:bounds[i+1]] {
-				s.Add(r)
+				live[i].Add(r)
 				single.Add(r)
 			}
-			encs[i] = encode(s)
+			encs[i] = encode(live[i])
 		}
 		want := render(single)
 
 		left := restore(encs[0])
-		for _, enc := range encs[1:] {
-			if err := left.MergeOrdered(restore(enc)); err != nil {
+		for i, enc := range encs[1:] {
+			later := restore(enc)
+			if err := left.MergeOrdered(later); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(encode(later), enc) {
+				t.Fatalf("seed %d, bounds %v: folding slice %d changed it", seed, bounds, i+1)
 			}
 		}
 		if got := render(left); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d, bounds %v: left fold differs from the single pass", seed, bounds)
+		}
+		// The in-memory slices, folded as the store folds a memoised
+		// roll-up: every slice into one accumulator and, in turn, the
+		// even ones into a second, which must render what the same fold
+		// of their encodings does. Two folds extending one adopted span
+		// array in place would write different fragments into it.
+		every, even, evenRef := NewStreamingWithOptions(ctx, opts), NewStreamingWithOptions(ctx, opts), NewStreamingWithOptions(ctx, opts)
+		for i, s := range live {
+			if err := every.MergeOrdered(s); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := even.MergeOrdered(s); err != nil {
+					t.Fatal(err)
+				}
+				if err := evenRef.MergeOrdered(restore(encs[i])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(encode(s), encs[i]) {
+				t.Fatalf("seed %d, bounds %v: folding in-memory slice %d changed it", seed, bounds, i)
+			}
+		}
+		if !bytes.Equal(render(every), want) || !bytes.Equal(render(even), render(evenRef)) {
+			t.Fatalf("seed %d, bounds %v: in-memory slices fold to other bytes than their encodings", seed, bounds)
 		}
 
 		// groupings returns the encoded result of every parenthesisation
@@ -350,5 +383,97 @@ func TestMergeOrderedOverlapWitness(t *testing.T) {
 	}
 	if one, folded := single.Finalize().UsageSessions, fold.Finalize().UsageSessions; one != 1 || folded != 2 {
 		t.Fatalf("usage sessions: single pass %d, fold %d; want 1 and 2", one, folded)
+	}
+}
+
+// TestMergeLeavesOperandUnchanged pins that a merge only reads its
+// operand, which is what lets the query store fold one memoised roll-up
+// into every window miss, concurrently: for every stage, under Merge
+// and MergeOrdered, the operand's frame encodes to the same bytes
+// before the merge, after it, and after the receiver goes on taking
+// records — some starting new sessions of cars whose open session came
+// from the operand, which is when Add recycles a closed session's span
+// array, and some of new cars in the operand's cells and bins. The
+// other way round too, since a merge never aliases its operand: the
+// receiver's frames stay put while the operand takes more records.
+func TestMergeLeavesOperandUnchanged(t *testing.T) {
+	ctx := engineCtx()
+	records := orderedWorkload(12000)
+	third := len(records) / 3
+	frames := func(s *Streaming) [][]byte {
+		s.set.flush()
+		out := make([][]byte, len(s.set.stages))
+		for i, acc := range s.set.stages {
+			if acc == nil {
+				t.Fatalf("stage %s not built", stageTable[i].name)
+			}
+			var buf bytes.Buffer
+			if err := acc.SnapshotTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = buf.Bytes()
+		}
+		return out
+	}
+	for _, mode := range []struct {
+		name    string
+		ordered bool
+	}{{"Merge", false}, {"MergeOrdered", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			// One side tracks heads, as MergeOrdered needs of its
+			// operand, and the other does not, so its Add recycles the
+			// span arrays it settles.
+			opOpts := RunOptions{RareDays: []int{2, 5}, Seed: 1, BusyCells: engineBusyCells(), TrackHeads: mode.ordered}
+			recvOpts := opOpts
+			recvOpts.TrackHeads = !mode.ordered
+			recv, op := NewStreamingWithOptions(ctx, recvOpts), NewStreamingWithOptions(ctx, opOpts)
+			// Time-adjacent slices of the same cars, or car-disjoint
+			// shards of the same span.
+			ofOp := func(r cdr.Record) bool { return mode.ordered || r.Car%2 == 1 }
+			for k, r := range records[:2*third] {
+				if mode.ordered && k >= third || !mode.ordered && ofOp(r) {
+					op.Add(r)
+				} else {
+					recv.Add(r)
+				}
+			}
+			before := frames(op)
+			if mode.ordered {
+				if err := recv.MergeOrdered(op); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				recv.set.merge(op.set, false)
+			}
+			merged := frames(op)
+			for _, r := range records[2*third:] {
+				recv.Add(r)
+			}
+			for _, r := range records[third : 2*third] {
+				r.Car += 1 << 20
+				recv.Add(r)
+			}
+			added := frames(op)
+			recvBefore := frames(recv)
+			for _, r := range records[2*third:] {
+				if ofOp(r) {
+					op.Add(r)
+				}
+			}
+			recvAfter := frames(recv)
+			for i, st := range stageTable {
+				t.Run(st.name, func(t *testing.T) {
+					if !bytes.Equal(before[i], merged[i]) {
+						t.Error("the merge changed its operand")
+					}
+					if !bytes.Equal(before[i], added[i]) {
+						t.Error("Adds to the receiver changed the operand")
+					}
+					if !bytes.Equal(recvBefore[i], recvAfter[i]) {
+						t.Error("Adds to the operand changed the receiver")
+					}
+				})
+			}
+		})
 	}
 }

@@ -14,22 +14,23 @@
 // changes either, so a window is folded from operands: the hourly
 // encodings of its ragged first day and of the current day, and one
 // memoised day roll-up for every whole passed day between them
-// (window.go). Operands are restored and left-folded with
-// MergeOrdered, so a served report is bit-identical to a batch run
-// over the same records wherever the MergeOrdered precondition holds
-// (TestMergeOrderedEquivalence, FuzzMergeOrderedGrouping); where the
-// feed breaks it the store says so (Stats.FoldOverlaps). A late record
-// into a sealed bucket is still accepted: it thaws the bucket from its
-// bytes and drops its day's roll-up.
+// (window.go). Operands are left-folded with MergeOrdered, a bucket
+// restored from its bytes and a roll-up as it is, so a served report
+// is bit-identical to a batch run over the same records wherever the
+// MergeOrdered precondition holds (TestMergeOrderedEquivalence,
+// FuzzMergeOrderedGrouping); where the feed breaks it the store says
+// so (Stats.FoldOverlaps). A late record into a sealed bucket is still
+// accepted: it thaws the bucket from its bytes and drops its day's
+// roll-up.
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
 // snapshot-encoding the dirty buckets a cut or a miss needs (on every
 // core, refreshLocked), and the response cache; the expensive
 // restore+fold+finalize+marshal runs outside the lock on immutable
-// encoded bytes. Responses are cached per (endpoint, window) and
-// invalidated when the live bucket advances, so a response can be
-// stale by at most one bucket width — the deliberate trade the bucket
-// model makes.
+// encoded bytes and roll-ups no merge writes to. Responses are cached
+// per (endpoint, window) and invalidated when the live bucket
+// advances, so a response can be stale by at most one bucket width —
+// the deliberate trade the bucket model makes.
 //
 // Durability rides on snapshot.Dir: Checkpoint writes one consistent
 // cut holding every bucket's snapshot (CheckpointBehind leaves the
@@ -589,7 +590,8 @@ type Stats struct {
 	Windows     []string      `json:"windows"`
 	// LiveBuckets of the Buckets still hold an accumulator; the rest are
 	// sealed. SealedBytes is what is held in their place: the sealed
-	// buckets' encodings plus the Rollups memoised day roll-ups.
+	// buckets' encodings. Rollups counts the memoised day roll-ups,
+	// which are held as folded accumulators.
 	LiveBuckets int   `json:"live_buckets"`
 	SealedBytes int64 `json:"sealed_bytes"`
 	Rollups     int   `json:"rollups"`
@@ -630,7 +632,6 @@ func (s *Store) SnapshotStats() Stats {
 	for _, d := range s.days {
 		if d.rollup != nil {
 			rollups++
-			sealedBytes += int64(len(d.rollup))
 		}
 	}
 	return Stats{

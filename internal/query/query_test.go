@@ -444,10 +444,11 @@ func serveFleet(b *testing.B) (analysis.Context, []cdr.Record) {
 }
 
 // BenchmarkWindowFold is what a full-window miss spends after its
-// operands are listed: the 14 d operand list of the benchmark's serve
-// fleet (400 generated cars over 14 days, drained; 13 day roll-ups and
-// the last day's hours) restored and left-folded by foldEncoded, then
-// finalized. Profile it with
+// operands are listed and its roll-ups built: the 14 d operand list of
+// the benchmark's serve fleet (400 generated cars over 14 days,
+// drained; 13 memoised day roll-ups and the last day's hours), the
+// roll-ups folded as they are and the hours restored, left-folded by
+// fold into a fresh accumulator, then finalized. Profile it with
 // `go test -run '^$' -bench WindowFold -cpuprofile cpu.out ./internal/query`.
 func BenchmarkWindowFold(b *testing.B) {
 	ctx, records := serveFleet(b)
@@ -463,19 +464,17 @@ func BenchmarkWindowFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	encs := make([][]byte, len(ops))
 	for i, op := range ops {
-		if op.enc == nil {
-			if op.enc, _, err = s.buildRollup(op); err != nil {
+		if op.hours != nil {
+			if ops[i].rollup, err = s.buildRollup(op); err != nil {
 				b.Fatal(err)
 			}
 		}
-		encs[i] = op.enc
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		acc, err := s.foldEncoded(encs)
+		acc, err := s.fold(ops)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,5 +482,5 @@ func BenchmarkWindowFold(b *testing.B) {
 			b.Fatal("empty fold")
 		}
 	}
-	b.ReportMetric(float64(len(encs)), "operands")
+	b.ReportMetric(float64(len(ops)), "operands")
 }

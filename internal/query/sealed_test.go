@@ -278,10 +278,168 @@ func TestSealedStoreConcurrentAddAndReport(t *testing.T) {
 	}
 	close(done)
 	readers.Wait()
+	// The readers folded the memoised roll-ups concurrently, and a
+	// merge only reads its operand: each roll-up still encodes as a
+	// fold of its day's hours — unchanged since the build, or the
+	// roll-up would have been dropped — encodes, with its witnesses.
+	s.mu.Lock()
+	rollups := map[int]operand{}
+	for day, d := range s.days {
+		if d.rollup != nil {
+			op := s.dayOperandLocked(day)
+			for idx := day * s.perDay; idx < (day+1)*s.perDay; idx++ {
+				if b := s.buckets[idx]; b != nil {
+					if b.dirty {
+						t.Fatalf("bucket %d of memoised day %d is dirty after the last cut", idx, day)
+					}
+					op.hours = append(op.hours, operand{enc: b.encoded})
+				}
+			}
+			rollups[day] = op
+		}
+	}
+	s.mu.Unlock()
+	for day, op := range rollups {
+		rebuilt, err := s.fold(op.hours)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		if err := op.rollup.SnapshotTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := rebuilt.SnapshotTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || op.rollup.OrderedOverlaps() != rebuilt.OrderedOverlaps() {
+			t.Fatalf("day %d: the memoised roll-up no longer encodes as its build did", day)
+		}
+	}
+	if len(rollups) == 0 {
+		t.Fatal("no roll-up memoised after the concurrent feed")
+	}
 	compareWindows(t, s, ref, "after the concurrent feed")
 	// Cuts seal and late records thaw whatever the schedule; how many
 	// roll-ups a late record caught is the scheduler's.
 	if st := s.SnapshotStats(); st.Thaws == 0 || st.RollupBuilds == 0 {
 		t.Fatalf("the feed never thawed or rolled up: %d thaws, %d roll-up builds", st.Thaws, st.RollupBuilds)
 	}
+}
+
+// encodedFold is the window fold as it was when a roll-up was kept as
+// its SnapshotTo bytes: the operands the store lists for w — a memoised
+// roll-up encoded, a bucket as its bytes — each restored and
+// left-folded, the first restored operand being the accumulator, with
+// the witnesses each roll-up carries added to the fold's own.
+func encodedFold(t *testing.T, s *Store, w Window) ([]byte, int64) {
+	t.Helper()
+	ops, _, err := s.windowOperands(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acc *analysis.Streaming
+	var overlaps int64
+	for _, op := range ops {
+		enc := op.enc
+		switch {
+		case op.hours != nil:
+			t.Fatal("a day the window's fold covered has no memoised roll-up")
+		case op.rollup != nil:
+			var buf bytes.Buffer
+			if err := op.rollup.SnapshotTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			enc = buf.Bytes()
+			overlaps += op.rollup.OrderedOverlaps()
+		}
+		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc == nil {
+			acc = restored
+		} else if err := acc.MergeOrdered(restored); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acc == nil {
+		acc = analysis.NewStreamingWithOptions(s.ctx, s.opts)
+	}
+	overlaps += acc.OrderedOverlaps()
+	rep := acc.Finalize()
+	body, err := MarshalReport(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, overlaps
+}
+
+// TestRollupFoldsLikeItsEncoding pins the memoised roll-up against the
+// bytes it replaced: on a feed outside the MergeOrdered precondition —
+// every fifth record outlives its car's next ones, and late records
+// reach rolled-up days — every window at every epoch answers, and counts
+// fold_overlaps, as the fold that restored each roll-up from its
+// SnapshotTo bytes did.
+func TestRollupFoldsLikeItsEncoding(t *testing.T) {
+	windows := []Window{{"24h", 24 * time.Hour}, {"36h", 36 * time.Hour}, {"4d", 96 * time.Hour}}
+	s, err := New(Config{Ctx: queryCtx(4), Windows: windows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := queryWorkload(1500, 4)
+	for i := range records {
+		if i%5 == 0 {
+			records[i].Duration = 3 * time.Hour
+		}
+	}
+	var witnesses int64
+	for i, rec := range records {
+		s.Add(rec)
+		if live := epochOf(s); i%211 == 210 && live > 30 {
+			s.Add(lateRecord(time.Duration(i%(live-1)) * time.Hour))
+		}
+		if i+1 < len(records) && s.bucketIndex(records[i+1].Start) <= epochOf(s) {
+			continue
+		}
+		for _, w := range windows {
+			got := served(t, s, w)
+			want, overlaps := encodedFold(t, s, w)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("epoch %d, window %s: the memoised fold differs from the encoded one", epochOf(s), w.Name)
+			}
+			if n := s.SnapshotStats().FoldOverlaps[w.Name]; n != overlaps {
+				t.Fatalf("epoch %d, window %s: %d fold overlaps, the encoded fold counts %d", epochOf(s), w.Name, n, overlaps)
+			}
+			witnesses += overlaps
+		}
+	}
+	if st := s.SnapshotStats(); witnesses == 0 || st.Rollups == 0 || st.RollupInvalidations == 0 {
+		t.Fatalf("degenerate feed: %d witnesses, %d roll-ups, %d invalidations", witnesses, st.Rollups, st.RollupInvalidations)
+	}
+
+	// Concurrent misses fold the same roll-ups, with no store lock
+	// between them to order their accesses for the race detector.
+	w := windows[len(windows)-1]
+	want := served(t, s, w)
+	ops, _, err := s.windowOperands(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folds sync.WaitGroup
+	for range 4 {
+		folds.Add(1)
+		go func() {
+			defer folds.Done()
+			acc, err := s.fold(ops)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rep := acc.Finalize()
+			if got, err := MarshalReport(&rep); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("a concurrent fold of the memoised roll-ups differs from the served window (%v)", err)
+			}
+		}()
+	}
+	folds.Wait()
 }

@@ -12,7 +12,10 @@ import (
 // hourly bucket in its ragged first day and in the current day, and
 // one roll-up for every whole day the live index has passed in
 // between. The full 14 d window folds 13 roll-ups and at most 24 hours
-// where it used to fold 336 buckets.
+// where it used to fold 336 buckets. A roll-up is kept as the
+// accumulator its day folds to, so a miss restores only hourly
+// buckets; a merge only reads its operand, so concurrent misses fold
+// the same roll-up.
 //
 // The operand list is a function of (window, live index, bucket
 // width) alone: a day that qualifies is always taken as its roll-up —
@@ -33,24 +36,22 @@ type dayState struct {
 	// gen counts the late records into the day. A roll-up folded
 	// outside the lock is installed only if gen did not move meanwhile.
 	gen uint64
-	// rollup is the day's buckets restored, left-folded and encoded
-	// again; nil until a miss needs it and after a late record. It is
-	// derived state: never written to a cut.
-	rollup []byte
-	// overlaps is the precondition witness count of the fold that built
-	// rollup, which the encoding does not carry.
-	overlaps int64
+	// rollup is the day's buckets restored and left-folded, carrying
+	// the precondition witnesses of that fold; nil until a miss needs
+	// it and after a late record. Nothing writes to it once installed.
+	// It is derived state: never written to a cut.
+	rollup *analysis.Streaming
 }
 
-// operand is one term of a window fold.
+// operand is one term of a window fold: a bucket's encoding, a memoised
+// roll-up, or a roll-up still to be built from the day's hours,
+// captured at gen.
 type operand struct {
-	// enc is a bucket's encoding or a memoised roll-up; nil for a
-	// roll-up still to be built from hours, captured at gen.
-	enc      []byte
-	overlaps int64
-	day      int
-	gen      uint64
-	hours    [][]byte
+	enc    []byte
+	rollup *analysis.Streaming
+	day    int
+	gen    uint64
+	hours  []operand
 }
 
 // invalidateDayLocked records a late record into bucket idx: whatever
@@ -103,7 +104,7 @@ func (s *Store) windowOperands(w Window) (ops []operand, epoch int, err error) {
 	}
 	for idx := first; idx <= s.live; {
 		if s.perDay > 0 && idx%s.perDay == 0 && idx+s.perDay <= s.live {
-			if op := s.dayOperandLocked(idx / s.perDay); op.enc != nil || op.hours != nil {
+			if op := s.dayOperandLocked(idx / s.perDay); op.rollup != nil || op.hours != nil {
 				ops = append(ops, op)
 			}
 			idx += s.perDay
@@ -124,13 +125,13 @@ func (s *Store) dayOperandLocked(day int) operand {
 	op := operand{day: day}
 	if d := s.days[day]; d != nil {
 		if d.rollup != nil {
-			return operand{enc: d.rollup, overlaps: d.overlaps}
+			return operand{rollup: d.rollup}
 		}
 		op.gen = d.gen
 	}
 	for idx := day * s.perDay; idx < (day+1)*s.perDay; idx++ {
 		if b := s.buckets[idx]; b != nil {
-			op.hours = append(op.hours, b.encoded)
+			op.hours = append(op.hours, operand{enc: b.encoded})
 		}
 	}
 	return op
@@ -140,57 +141,52 @@ func (s *Store) dayOperandLocked(day int) operand {
 // store lock, and memoises it unless a late record reached the day
 // meanwhile. Either way the result describes the instant the operand
 // was listed, which is what the caller's fold needs.
-func (s *Store) buildRollup(op operand) (enc []byte, overlaps int64, err error) {
+func (s *Store) buildRollup(op operand) (*analysis.Streaming, error) {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
 	s.mu.Lock()
 	if d := s.days[op.day]; d != nil && d.gen == op.gen && d.rollup != nil {
 		// A miss ahead of us on buildMu built it.
-		enc, overlaps = d.rollup, d.overlaps
+		rollup := d.rollup
 		s.mu.Unlock()
-		return enc, overlaps, nil
+		return rollup, nil
 	}
 	s.mu.Unlock()
 
 	t0 := time.Now()
-	acc, err := s.foldEncoded(op.hours)
+	rollup, err := s.fold(op.hours)
 	if err != nil {
-		return nil, 0, fmt.Errorf("query: roll up day %d: %w", op.day, err)
+		return nil, fmt.Errorf("query: roll up day %d: %w", op.day, err)
 	}
-	overlaps = acc.OrderedOverlaps()
-	var buf bytes.Buffer
-	if err := acc.SnapshotTo(&buf); err != nil {
-		return nil, 0, fmt.Errorf("query: encode day %d roll-up: %w", op.day, err)
-	}
-	enc = bytes.Clone(buf.Bytes())
-	s.trace.Emit("rollup", time.Since(t0), acc.Watermark())
+	s.trace.Emit("rollup", time.Since(t0), rollup.Watermark())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rollupBuilds++
 	s.met.rollupBuilds.Inc()
 	if d := s.dayLocked(op.day); d.gen == op.gen {
-		d.rollup, d.overlaps = enc, overlaps
+		d.rollup = rollup
 	} else {
 		s.noteInvalidLocked()
 	}
-	return enc, overlaps, nil
+	return rollup, nil
 }
 
-// foldEncoded restores each encoding and left-folds them in time
-// order. No encodings fold to nil.
-func (s *Store) foldEncoded(encs [][]byte) (*analysis.Streaming, error) {
-	var acc *analysis.Streaming
-	for i, enc := range encs {
-		restored, err := analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(enc))
-		if err != nil {
-			return nil, fmt.Errorf("query: restore operand %d: %w", i, err)
+// fold left-folds operands, oldest first, into a fresh accumulator with
+// MergeOrdered: a roll-up as it is, a bucket restored from its bytes.
+// No operand changes, and the fold's OrderedOverlaps counts the
+// witnesses the roll-ups carry besides its own.
+func (s *Store) fold(ops []operand) (*analysis.Streaming, error) {
+	acc := analysis.NewStreamingWithOptions(s.ctx, s.opts)
+	for i, op := range ops {
+		later := op.rollup
+		if later == nil {
+			var err error
+			if later, err = analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(op.enc)); err != nil {
+				return nil, fmt.Errorf("query: restore operand %d: %w", i, err)
+			}
 		}
-		if acc == nil {
-			acc = restored
-			continue
-		}
-		if err := acc.MergeOrdered(restored); err != nil {
+		if err := acc.MergeOrdered(later); err != nil {
 			return nil, fmt.Errorf("query: fold operand %d: %w", i, err)
 		}
 	}
@@ -199,39 +195,31 @@ func (s *Store) foldEncoded(encs [][]byte) (*analysis.Streaming, error) {
 
 // compose answers one window as of one instant: list the operands,
 // build the roll-ups not yet memoised, fold, finalize. An empty window
-// finalizes a fresh accumulator: the zero report. It returns the live
-// index the operands were listed at; endpoint labels the compose span
-// in the run trace.
+// folds nothing: the zero report. It returns the live index the
+// operands were listed at; endpoint labels the compose span in the run
+// trace.
 func (s *Store) compose(endpoint string, w Window) (*analysis.StreamReport, int, error) {
 	ops, epoch, err := s.windowOperands(w)
 	if err != nil {
 		return nil, epoch, err
 	}
 	t0 := time.Now()
-	encs := make([][]byte, len(ops))
-	var overlaps int64
 	for i, op := range ops {
-		if op.enc == nil {
-			if op.enc, op.overlaps, err = s.buildRollup(op); err != nil {
+		if op.hours != nil {
+			if ops[i].rollup, err = s.buildRollup(op); err != nil {
 				return nil, epoch, err
 			}
 		}
-		encs[i] = op.enc
-		overlaps += op.overlaps
 	}
-	acc, err := s.foldEncoded(encs)
+	acc, err := s.fold(ops)
 	if err != nil {
 		return nil, epoch, err
 	}
-	if acc == nil {
-		acc = analysis.NewStreamingWithOptions(s.ctx, s.opts)
-	}
-	overlaps += acc.OrderedOverlaps()
 	rep := acc.Finalize()
 	s.met.foldSeconds.Observe(time.Since(t0))
 	s.trace.Emit("compose:"+endpoint+"/"+w.Name, time.Since(t0), rep.Records)
 	s.mu.Lock()
-	s.overlaps[w.Name] = overlaps
+	s.overlaps[w.Name] = acc.OrderedOverlaps()
 	s.mu.Unlock()
 	return &rep, epoch, nil
 }
