@@ -27,15 +27,18 @@ bench-check:
 # fleet (its memoised day roll-ups and restored hours, then Finalize),
 # and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
-# and what one foreign row costs a shard worker, skipped below the parse
-# against the FilterFunc pipeline it replaced, per codec.
+# what one foreign row costs a shard worker, skipped below the parse
+# against the FilterFunc pipeline it replaced, per codec; and what a
+# record costs the ingest layers a dispatcher reads through (a
+# ResilientReader over OpenFiles of a binary fleet), read one at a time
+# against 512-record batches, in ns and allocations per record.
 # For working on the hot path, not for claims: a gain is claimed from
 # paired `bash bench/run.sh` runs. The allocation guards themselves are
 # plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
 	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
-	$(GO) test -run='^$$' -bench='^BenchmarkShardScan$$' -benchmem -count=5 ./internal/cdr
+	$(GO) test -run='^$$' -bench='^(BenchmarkShardScan|BenchmarkIngest)$$' -benchmem -count=5 ./internal/cdr
 
 test:
 	$(GO) test ./...
@@ -98,8 +101,10 @@ loc:
 	@echo "_test.go lines outside bench/:    $$(git ls-files -- '*_test.go' | grep -v '^bench/' | xargs cat | wc -l)"
 	@echo "Go lines under bench/:            $$(git ls-files -- 'bench/*.go' | xargs cat | wc -l)"
 
-# Every fuzz target, as package:pattern: the codec entry points, the
-# shard readers' partition of what the unsharded reader returns, the
+# Every fuzz target, as package:pattern: the codec entry points (each
+# also holding ReadBatch to Read), the shard readers' partition of what
+# the unsharded reader returns, ReadBatch against Read through the
+# resilient reader's checks on chaos-made faults, the
 # snapshot container and decoder (against the one it replaced), the
 # Unix-nanosecond sessionizer against the time.Time one it replaced, the
 # analysis restore path, the ordered fold's grouping property and the
@@ -111,6 +116,7 @@ FUZZ_TARGETS = \
 	./internal/cdr:FuzzCSVReaderMatchesEncodingCSV \
 	./internal/cdr:FuzzBinaryReader \
 	./internal/cdr:FuzzShardReadersPartitionInput \
+	./internal/cdr:FuzzResilientReadBatchMatchesRead \
 	./internal/snapshot:FuzzReader \
 	./internal/snapshot:FuzzDecoderMatchesReference \
 	./internal/clean:FuzzSessionizerMatchesReference \

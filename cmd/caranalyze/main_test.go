@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -33,6 +34,45 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// child is a subprocess a test started with startChild.
+type child struct {
+	cmd  *exec.Cmd
+	once sync.Once
+	err  error
+}
+
+// wait reaps the child on the first call and returns its exit on every
+// call, from any goroutine.
+func (c *child) wait() error {
+	c.once.Do(func() { c.err = c.cmd.Wait() })
+	return c.err
+}
+
+// startChild starts cmd in a process group of its own. A test that ends
+// with anything of that group still running — the child, or a process
+// it started — because it stopped before the wait (a t.Fatal, a timeout)
+// has the group SIGKILLed and the child reaped when it ends, and fails
+// with "child left running" unless it had failed already.
+func startChild(t *testing.T, cmd *exec.Cmd) *child {
+	t.Helper()
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c := &child{cmd: cmd}
+	t.Cleanup(func() {
+		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
+			return // the group is empty: everything in it exited and was reaped
+		}
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+		c.wait()
+		if !t.Failed() {
+			t.Error("child left running")
+		}
+	})
+	return c
 }
 
 func caranalyze(args ...string) *exec.Cmd {
@@ -221,9 +261,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	cmd := caranalyze(append(append([]string{"-in", fifo, "-checkpoint", ckpt}, common...), cutArgs...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	proc := startChild(t, cmd)
 
 	w, err := os.OpenFile(fifo, os.O_WRONLY, 0) // blocks until the child opens the read end
 	if err != nil {
@@ -240,14 +278,14 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	// The stop trigger is polled every 1024 records, so the child
-	// needs more input to notice the signal — but fed all at once it
-	// can race past the handler goroutine and finish normally. Give
-	// the signal time to land, then trickle the rest a trigger-window
-	// at a time until the child exits (the final writes fail with
-	// EPIPE once it does, which is fine).
+	// The stop trigger is polled once per batch the dispatcher reads, so
+	// the child needs more input to notice the signal — but fed all at
+	// once it can race past the handler goroutine and finish normally.
+	// Give the signal time to land, then trickle the rest 1024 records
+	// at a time until the child exits (the final writes fail with EPIPE
+	// once it does, which is fine).
 	waitc := make(chan error, 1)
-	go func() { waitc <- cmd.Wait() }()
+	go func() { waitc <- proc.wait() }()
 	time.Sleep(100 * time.Millisecond)
 	go func() {
 		defer w.Close()

@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -30,6 +32,45 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// child is a subprocess a test started with startChild.
+type child struct {
+	cmd  *exec.Cmd
+	once sync.Once
+	err  error
+}
+
+// wait reaps the child on the first call and returns its exit on every
+// call, from any goroutine.
+func (c *child) wait() error {
+	c.once.Do(func() { c.err = c.cmd.Wait() })
+	return c.err
+}
+
+// startChild starts cmd in a process group of its own. A test that ends
+// with anything of that group still running — the child, or a process
+// it started — because it stopped before the wait (a t.Fatal, a timeout)
+// has the group SIGKILLed and the child reaped when it ends, and fails
+// with "child left running" unless it had failed already.
+func startChild(t *testing.T, cmd *exec.Cmd) *child {
+	t.Helper()
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c := &child{cmd: cmd}
+	t.Cleanup(func() {
+		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
+			return // the group is empty: everything in it exited and was reaped
+		}
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+		c.wait()
+		if !t.Failed() {
+			t.Error("child left running")
+		}
+	})
+	return c
 }
 
 func cardrive(args ...string) *exec.Cmd {
@@ -138,15 +179,13 @@ func TestDebugAddrServesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	proc := startChild(t, cmd)
 
 	// The listening record goes to stderr before shard planning starts,
 	// so the run is guaranteed to still be in flight when we probe it.
 	addr := scanAddr(t, stderr, "debug server listening")
 	if addr == "" {
-		cmd.Wait()
+		proc.wait()
 		t.Fatal("debug-server record has no addr field")
 	}
 
@@ -177,7 +216,7 @@ func TestDebugAddrServesMetrics(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	if err := cmd.Wait(); err != nil {
+	if err := proc.wait(); err != nil {
 		t.Fatalf("cardrive run failed: %v\nstdout:\n%s", err, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "== Preprocessing") {
@@ -211,17 +250,15 @@ func TestStatusEndpointShowsRetriedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	proc := startChild(t, cmd)
 	addr := scanAddr(t, stderr, "status server listening")
 	if addr == "" {
-		cmd.Wait()
+		proc.wait()
 		t.Fatal("status-server record has no addr field")
 	}
 
 	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
+	go func() { exited <- proc.wait() }()
 
 	// Poll /status until a retried shard's timeline shows the crash.
 	// Once a retry launches the pattern persists until process exit, so

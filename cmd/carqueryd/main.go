@@ -244,6 +244,10 @@ func main() {
 	ingesting.Store(true)
 	ingestSpan := trace.Start("ingest")
 
+	// A batch at a time, each read clipped to end where the next cut is
+	// due, so the cuts fall on the same records as a record at a time.
+	periodic := dir != nil && *snapEvery > 0
+	buf := make([]cdr.Record, 512)
 	var sinceCut int64
 	for {
 		select {
@@ -252,17 +256,17 @@ func main() {
 			shutdown("terminated mid-ingest")
 		default:
 		}
-		rec, err := rr.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			fatal("ingest failed", "err", err.Error())
+		want := buf
+		if periodic {
+			want = buf[:min(int64(len(buf)), *snapEvery-sinceCut)]
 		}
-		store.Add(rec)
-		ingestSpan.AddRecords(1)
-		sinceCut++
-		if dir != nil && *snapEvery > 0 && sinceCut >= *snapEvery {
+		n, err := rr.ReadBatch(want)
+		for _, rec := range want[:n] {
+			store.Add(rec)
+		}
+		ingestSpan.AddRecords(int64(n))
+		sinceCut += int64(n)
+		if periodic && sinceCut >= *snapEvery {
 			// Ingest waits for the encode only; the file is written
 			// behind it, and joined by the next cut, EOF or SIGTERM. A
 			// periodic cut failure is survivable — serving continues
@@ -273,6 +277,12 @@ func main() {
 				logger.Error("periodic cut failed", "err", err.Error())
 			}
 			sinceCut = 0
+		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			fatal("ingest failed", "err", err.Error())
 		}
 	}
 	ingesting.Store(false)

@@ -5,6 +5,7 @@ import (
 
 	"cellcars/internal/cdr"
 	"cellcars/internal/radio"
+	"cellcars/internal/simtime"
 )
 
 // CarrierUsage is Table 3: per carrier, the fraction of cars that ever
@@ -20,7 +21,7 @@ type CarrierUsage struct {
 
 // CarrierUsageOf computes Table 3 from ghost-free records.
 func CarrierUsageOf(records []cdr.Record) CarrierUsage {
-	return runAccum(records, newCarriersAcc).Carriers
+	return runAccum(records, simtime.Period{}, newCarriersAcc).Carriers
 }
 
 // FormatTable3 renders carrier usage in the paper's Table 3 layout.

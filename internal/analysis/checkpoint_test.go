@@ -55,9 +55,7 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 			if a.Stage() != name {
 				t.Fatalf("table row %q builds the %q accumulator", name, a.Stage())
 			}
-			for _, r := range records[:half] {
-				a.Add(r, aCars.intern(r.Car))
-			}
+			addRecords(a, aCars, ctx.Period, records[:half]...)
 			var buf bytes.Buffer
 			if err := a.SnapshotTo(&buf); err != nil {
 				t.Fatalf("snapshot: %v", err)
@@ -74,10 +72,8 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 				t.Fatal("restored state does not re-encode to identical bytes")
 			}
-			for _, r := range records[half:] {
-				a.Add(r, aCars.intern(r.Car))
-				b.Add(r, bCars.intern(r.Car))
-			}
+			addRecords(a, aCars, ctx.Period, records[half:]...)
+			addRecords(b, &bCars, ctx.Period, records[half:]...)
 			repA, repB := &Report{}, &Report{}
 			if err := a.Finalize(repA); err != nil {
 				t.Fatalf("finalize original: %v", err)
@@ -90,6 +86,15 @@ func TestAccumulatorSnapshotRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// addRecords feeds records to one stage in a batch, as its set would.
+func addRecords(acc Accumulator, cars *carTable, period simtime.Period, recs ...cdr.Record) {
+	var b batch
+	for _, r := range recs {
+		b.push(r, cars.intern(r.Car), period.DayIndex(r.Start))
+	}
+	acc.Add(&b)
 }
 
 // faultReader simulates a crash: it serves n records and then fails.

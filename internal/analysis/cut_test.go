@@ -212,9 +212,10 @@ func (c *commitFault) install() {
 	})
 }
 
-// triggerAfter closes a trigger once n records have been read, so that a
-// run stops at a known watermark: the next multiple of 1 024 the
-// dispatcher polls at.
+// triggerAfter closes a trigger as the batch holding the record after
+// the first n is read, so that a run stops at a known watermark: the end
+// of that batch, where the dispatcher polls next. Its batches are the
+// dispatcher's: 512 records, clipped at each periodic cut.
 type triggerAfter struct {
 	r    cdr.Reader
 	n    int
@@ -222,11 +223,20 @@ type triggerAfter struct {
 }
 
 func (r *triggerAfter) Read() (cdr.Record, error) {
-	if r.n == 0 {
+	var one [1]cdr.Record
+	if n, err := r.ReadBatch(one[:]); n == 0 {
+		return cdr.Record{}, err
+	}
+	return one[0], nil
+}
+
+func (r *triggerAfter) ReadBatch(dst []cdr.Record) (int, error) {
+	k, err := cdr.ReadBatch(r.r, dst)
+	if 0 <= r.n && r.n < k {
 		close(r.trig)
 	}
-	r.n--
-	return r.r.Read()
+	r.n -= k
+	return k, err
 }
 
 // TestEngineCheckpointCommitFaults fails the fsync, the close and the
@@ -278,13 +288,13 @@ func TestEngineCheckpointCommitFaults(t *testing.T) {
 		// Cut 10 fails and no cut follows: end of input writes once more.
 		{"last/transient", 10, 0, transient, outcome{nil, 1, 10500, append(ramp(10), 9000)}},
 		{"last/permanent", 10, 0, permanent, outcome{permanent, 0, 9000, ramp(10)}},
-		// Cut 4 fails and the trigger stops the run at 4 096: the trigger
-		// cut is the retry.
-		{"before-trigger/transient", 4, 4090, transient, outcome{ErrCheckpointStop, 1, 4096, append(ramp(4), 3000)}},
+		// Cut 4 fails and the trigger stops the run at 4 512, the end of
+		// the batch after cut 4: the trigger cut is the retry.
+		{"before-trigger/transient", 4, 4090, transient, outcome{ErrCheckpointStop, 1, 4512, append(ramp(4), 3000)}},
 		{"before-trigger/permanent", 4, 4090, permanent, outcome{permanent, 0, 3000, ramp(4)}},
 		// The trigger cut itself (the fifth file) is written and committed
 		// in one piece, under the write's own retry loop.
-		{"trigger/transient", 5, 4090, transient, outcome{ErrCheckpointStop, 1, 4096, append(ramp(5), 4000)}},
+		{"trigger/transient", 5, 4090, transient, outcome{ErrCheckpointStop, 1, 4512, append(ramp(5), 4000)}},
 		{"trigger/permanent", 5, 4090, permanent, outcome{permanent, 0, 4000, ramp(5)}},
 	} {
 		for _, step := range []string{"fsync", "close", "rename"} {
@@ -399,12 +409,13 @@ func TestEngineTriggerStopIsCommitted(t *testing.T) {
 	}
 	noGoroutineLeft(t, before)
 	noTempFile(t, path)
-	wantCommitted := []int64{700, 1400, 2100, 2800, 3500, 4200, 4900, 5120}
+	// Record 5 001 is read in the batch from 4 900 to 5 412.
+	wantCommitted := []int64{700, 1400, 2100, 2800, 3500, 4200, 4900, 5412}
 	if !reflect.DeepEqual(fault.committed, wantCommitted) {
 		t.Fatalf("cuts committed at %v, want %v", fault.committed, wantCommitted)
 	}
-	if got := watermarkOf(t, path); got != 5120 {
-		t.Fatalf("path restores to watermark %d, want the trigger cut's 5120", got)
+	if got := watermarkOf(t, path); got != 5412 {
+		t.Fatalf("path restores to watermark %d, want the trigger cut's 5412", got)
 	}
 	got, err := NewEngine(ctx, eopts).RunReaderCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Resume: true})
 	if err != nil {

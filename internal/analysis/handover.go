@@ -3,6 +3,7 @@ package analysis
 import (
 	"cellcars/internal/cdr"
 	"cellcars/internal/radio"
+	"cellcars/internal/simtime"
 	"cellcars/internal/stats"
 )
 
@@ -27,7 +28,7 @@ type HandoverStats struct {
 // implies. Durations are truncated at 600 s (§3) before sessionizing,
 // as in the full pipeline.
 func HandoversOf(records []cdr.Record) (HandoverStats, error) {
-	return runAccum(records, newHandoverAcc).Handovers, nil
+	return runAccum(records, simtime.Period{}, newHandoverAcc).Handovers, nil
 }
 
 // InterBSShare returns the fraction of all handovers that cross base

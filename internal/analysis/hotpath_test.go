@@ -139,7 +139,7 @@ func TestCarriersMaskKeepsTheWireForm(t *testing.T) {
 		"gaps":        {on(7, radio.C5, 10), on(7, radio.C1, 20), on(300, radio.C5, 5), on(1, radio.C3, 0)},
 		"fleet":       cleanAccepted(engineCtx(), engineWorkload(5000)),
 	} {
-		a := feed(records, newCarriersAcc)
+		a := feed(records, simtime.Period{}, newCarriersAcc)
 		var got bytes.Buffer
 		if err := a.SnapshotTo(&got); err != nil {
 			t.Fatal(err)
@@ -241,7 +241,7 @@ func TestHandoverKindsWithoutHandoversAreNotStored(t *testing.T) {
 	a := feed([]cdr.Record{
 		at(1, 1, 0), at(1, 1, 2), at(1, 1, 60), // no handover, then a close
 		at(2, 1, 0), at(2, 2, 2), at(2, 3, 4), at(2, 3, 90), // two inter-BS, then a close
-	}, newHandoverAcc)
+	}, simtime.Period{}, newHandoverAcc)
 	var kinds bytes.Buffer
 	encodeTally(snapshot.NewEncoder(&kinds), a.byKind)
 	if want := []byte{1, byte(radio.HandoverInterBS), 2}; !bytes.Equal(kinds.Bytes(), want) {
@@ -267,7 +267,7 @@ func TestStashedHeadSurvivesRecycling(t *testing.T) {
 	var cars carTable
 	a := newHandoverAcc(&cars)
 	a.setTrackHeads(true)
-	add := func(r cdr.Record) { a.Add(r, cars.intern(r.Car)) }
+	add := func(r cdr.Record) { addRecords(a, &cars, simtime.Period{}, r) }
 	add(at(1, 1, 0))
 	add(at(1, 2, 2))
 	add(at(1, 3, 60)) // closes car 1's head: bs 1 → 2

@@ -144,7 +144,7 @@ type CellDurations struct {
 
 // CellDurationsOf computes Figure 9 from ghost-free records, exactly.
 func CellDurationsOf(records []cdr.Record) CellDurations {
-	return runAccum(records, func(*carTable) *durationsAcc { return newDurationsAcc() }).Durations
+	return runAccum(records, simtime.Period{}, func(*carTable) *durationsAcc { return newDurationsAcc() }).Durations
 }
 
 // CellWeekResult is Figure 10: one cell over one week — concurrent
@@ -244,5 +244,5 @@ func ClusterBusyCells(records []cdr.Record, ctx Context, busyCells []radio.CellK
 	if len(busyCells) < 2 {
 		return BusyClusters{}
 	}
-	return feed(records, func(*carTable) *clustersAcc { return newClustersAcc(ctx, busyCells, 1) }).finish(rng)
+	return feed(records, ctx.Period, func(*carTable) *clustersAcc { return newClustersAcc(ctx, busyCells, 1) }).finish(rng)
 }

@@ -26,7 +26,7 @@ type DailyPresence struct {
 // DailyPresenceOf computes Figure 2 from a record stream. A car or
 // cell counts as present on the day a connection starts.
 func DailyPresenceOf(records []cdr.Record, period simtime.Period) DailyPresence {
-	return runAccum(records, func(cars *carTable) *presenceAcc { return newPresenceAcc(period, cars) }).Presence
+	return runAccum(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(period, cars) }).Presence
 }
 
 // WeekdayRow is one row of Table 1: mean and sample standard deviation
@@ -79,13 +79,13 @@ func FormatTable1(rows []WeekdayRow) string {
 // DaysOnNetwork returns, per car, the number of distinct study days
 // with at least one connection — the quantity of Figure 6.
 func DaysOnNetwork(records []cdr.Record, period simtime.Period) map[cdr.CarID]int {
-	return feed(records, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).perCar()
+	return feed(records, period, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).perCar()
 }
 
 // DaysHistogram bins DaysOnNetwork counts into a Figure 6 histogram
 // with one bin per possible day count (1..Days).
 func DaysHistogram(records []cdr.Record, period simtime.Period) *stats.Histogram {
-	return runAccum(records, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).DaysHist
+	return runAccum(records, period, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).DaysHist
 }
 
 // ConnectedTime is Figure 3: the distribution over cars of total time
@@ -103,5 +103,5 @@ type ConnectedTime struct {
 // ConnectedTimeOf computes Figure 3. Records should be ghost-free; the
 // function derives the truncated variant itself.
 func ConnectedTimeOf(records []cdr.Record, period simtime.Period) ConnectedTime {
-	return runAccum(records, func(cars *carTable) *connectedAcc { return newConnectedAcc(period, cars) }).Connected
+	return runAccum(records, period, func(cars *carTable) *connectedAcc { return newConnectedAcc(period, cars) }).Connected
 }

@@ -179,7 +179,7 @@ func TestRunStageIsolation(t *testing.T) {
 type panicAcc struct{}
 
 func (panicAcc) Stage() string               { return "presence" }
-func (panicAcc) Add(cdr.Record, int32)       { panic("stage exploded") }
+func (panicAcc) Add(*batch)                  { panic("stage exploded") }
 func (panicAcc) Merge(Accumulator, []int32)  {}
 func (panicAcc) Finalize(*Report) error      { return nil }
 func (panicAcc) SnapshotTo(io.Writer) error  { return nil }

@@ -52,10 +52,12 @@ func (s *Streaming) Add(r cdr.Record) {
 	s.set.add(r)
 }
 
-// AddAll drains a reader into the accumulator.
+// AddAll drains a reader into the accumulator, a batch at a time.
 func (s *Streaming) AddAll(r cdr.Reader) error {
+	buf := make([]cdr.Record, engineDispatchBatch)
 	for {
-		rec, err := r.Read()
+		n, err := cdr.ReadBatch(r, buf)
+		s.set.addBatch(buf[:n])
 		if err != nil {
 			s.set.flush()
 			if errors.Is(err, io.EOF) {
@@ -63,7 +65,6 @@ func (s *Streaming) AddAll(r cdr.Reader) error {
 			}
 			return err
 		}
-		s.set.add(rec)
 	}
 }
 

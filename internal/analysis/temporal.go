@@ -36,7 +36,7 @@ func ReferenceMatrices() (commute, networkPeak, weekend simtime.WeekMatrix) {
 // Records must belong to a single car and be time-ordered; ghosts should
 // be removed first.
 func UsageMatrix(records []cdr.Record, ctx Context) simtime.WeekMatrix {
-	return runAccum(records, func(cars *carTable) *usageAcc { return newUsageAcc(ctx.TZOffsetSeconds, cars) }).FleetUsage
+	return runAccum(records, ctx.Period, func(cars *carTable) *usageAcc { return newUsageAcc(ctx.TZOffsetSeconds, cars) }).FleetUsage
 }
 
 // RecordsOfCar extracts one car's records from a stream, preserving

@@ -35,15 +35,24 @@ func drainAll(t *testing.T, r Reader, limit int) []Record {
 }
 
 // FuzzCSVReader asserts the CSV codec never panics on arbitrary
-// bytes, and that whatever it accepts round-trips bit-exactly.
+// bytes, that whatever it accepts round-trips bit-exactly, and that
+// ReadBatch at any sizes returns what Read does, the source cut into
+// reads of any size.
 func FuzzCSVReader(f *testing.F) {
-	f.Add([]byte("car,cell,start_unix,duration_s\n5,196611,1483315200,60\n"))
-	f.Add([]byte("5,196611,1483315200,60\n6,196611,1483315300,0\n"))
-	f.Add([]byte("car,cell,start_unix,duration_s\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("car,cell\nstray\n\"unterminated"))
-	f.Add([]byte("-1,-2,-3,-4\n99999999999999999999,1,2,3\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for i, seed := range []string{
+		"car,cell,start_unix,duration_s\n5,196611,1483315200,60\n",
+		"5,196611,1483315200,60\n6,196611,1483315300,0\n",
+		"car,cell,start_unix,duration_s\n",
+		"",
+		"car,cell\nstray\n\"unterminated",
+		"-1,-2,-3,-4\n99999999999999999999,1,2,3\n",
+	} {
+		f.Add([]byte(seed), uint16(i*7), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, sizes uint64) {
+		checkBatchesMatchRead(t, func() fileCodec {
+			return NewCSVReader(chunkReader{bytes.NewReader(data), int(chunk)})
+		}, batchSizes(sizes), len(data)+16)
 		decoded := drainAll(t, NewCSVReader(bytes.NewReader(data)), len(data)+16)
 		for _, rec := range decoded {
 			if err := rec.Validate(); err != nil {
@@ -78,7 +87,9 @@ func FuzzCSVReader(f *testing.F) {
 }
 
 // FuzzBinaryReader asserts the binary codec never panics on arbitrary
-// bytes, and that whatever it accepts round-trips bit-exactly.
+// bytes, that whatever it accepts round-trips bit-exactly, and that
+// ReadBatch at any sizes returns what Read does, the source cut into
+// reads of any size.
 func FuzzBinaryReader(f *testing.F) {
 	valid := func(recs ...Record) []byte {
 		var buf bytes.Buffer
@@ -95,13 +106,26 @@ func FuzzBinaryReader(f *testing.F) {
 	}
 	r1 := Record{Car: 5, Cell: radio.MakeCellKey(3, 0, radio.C3), Start: time.Unix(1483315200, 0).UTC(), Duration: time.Minute}
 	full := valid(r1, Record{Car: 6, Cell: radio.MakeCellKey(4, 1, radio.C1), Start: time.Unix(1483315260, 0).UTC(), Duration: 0})
-	f.Add(full)
-	f.Add(full[:len(full)-5]) // torn tail
-	f.Add(valid())            // magic only
-	f.Add([]byte("CCARCDR1"))
-	f.Add([]byte("not a cdr file"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	many := make([]Record, 700)
+	for i := range many {
+		many[i] = r1
+		many[i].Car = CarID(i)
+	}
+	for i, seed := range [][]byte{
+		full,
+		full[:len(full)-5], // torn tail
+		valid(),            // magic only
+		[]byte("CCARCDR1"),
+		[]byte("not a cdr file"),
+		{},
+		valid(many...),
+	} {
+		f.Add(seed, uint16(i*11), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16, sizes uint64) {
+		checkBatchesMatchRead(t, func() fileCodec {
+			return NewBinaryReader(chunkReader{bytes.NewReader(data), int(chunk)})
+		}, batchSizes(sizes), len(data)/binRecordSize+16)
 		decoded := drainAll(t, NewBinaryReader(bytes.NewReader(data)), len(data)/binRecordSize+16)
 		for _, rec := range decoded {
 			if err := rec.Validate(); err != nil {

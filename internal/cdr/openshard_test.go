@@ -134,33 +134,40 @@ func shardFuzzSeeds() [][]byte {
 
 // FuzzShardReadersPartitionInput is the contract behind OpenShard: on
 // any bytes, cut into reads of any size, and for any shard count, the
-// shard readers partition what the unsharded reader returns. The first
-// byte of the input picks the codec.
+// shard readers partition what the unsharded reader returns, and each
+// returns through ReadBatch, at any sizes, what it does through Read.
+// The first byte of the input picks the codec.
 func FuzzShardReadersPartitionInput(f *testing.F) {
 	for i, seed := range shardFuzzSeeds() {
-		f.Add(seed, uint8(i), uint16(0))
-		f.Add(seed, uint8(7), uint16(1))
-		f.Add(seed, uint8(i+3), uint16(1+i*5))
+		f.Add(seed, uint8(i), uint16(0), uint64(i))
+		f.Add(seed, uint8(7), uint16(1), uint64(0))
+		f.Add(seed, uint8(i+3), uint16(1+i*5), uint64(i*3))
 	}
 	records := randomRecords(40, 5)
 	bin := encodeBinary(f, records)
 	bad := bytes.Clone(bin)
 	bad[8+3*binRecordSize+8] = 0 // carrier 0: one frame that fails Validate
 	for _, seed := range [][]byte{bin, bad, bin[:len(bin)-5], bin[:5], bin[:8], []byte("not a cdr file")} {
-		f.Add(seed, uint8(7), uint16(0))
-		f.Add(seed, uint8(2), uint16(1))
+		f.Add(seed, uint8(7), uint16(0), uint64(1))
+		f.Add(seed, uint8(2), uint16(1), uint64(2))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shards uint8, chunk uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, shards uint8, chunk uint16, sizes uint64) {
 		n := 1 + int(shards)%9
-		if bytes.HasPrefix(data, binMagic[:1]) {
-			checkPartition(t, func(shard, shards int) fileCodec {
-				return shardedBinary(chunkReader{bytes.NewReader(data), int(chunk)}, shard, shards)
-			}, n, len(data)/binRecordSize+16)
-			return
-		}
-		checkPartition(t, func(shard, shards int) fileCodec {
+		open := func(shard, shards int) fileCodec {
 			return shardedCSV(chunkReader{bytes.NewReader(data), int(chunk)}, shard, shards)
-		}, n, len(data)+16)
+		}
+		limit := len(data) + 16
+		if bytes.HasPrefix(data, binMagic[:1]) {
+			open = func(shard, shards int) fileCodec {
+				return shardedBinary(chunkReader{bytes.NewReader(data), int(chunk)}, shard, shards)
+			}
+			limit = len(data)/binRecordSize + 16
+		}
+		checkPartition(t, open, n, limit)
+		next := batchSizes(sizes)
+		for s := 0; s < n; s++ {
+			checkBatchesMatchRead(t, func() fileCodec { return open(s, n) }, next, limit)
+		}
 	})
 }
 
@@ -510,28 +517,47 @@ func TestOpenShardMatchesFilterPipeline(t *testing.T) {
 // ErrRefused, and neither is anything a reader's own failure wraps.
 func TestStrictRefusalNamesTheRow(t *testing.T) {
 	path := writeFaulty(t, 1000, 700) // its one fault: junk in the cell, on line 701
-	for _, shards := range []int{1, 4} {
-		refused := 0
-		for s := 0; s < shards; s++ {
-			fr, err := OpenShard(s, shards, path)
-			if err != nil {
-				t.Fatal(err)
+	// A row the codec accepts and the window refuses: 2036, on line 301.
+	lines := bytes.SplitAfter(encodeCSV(t, randomRecords(1000, 4)), []byte("\n"))
+	f := bytes.Split(lines[300], []byte(","))
+	f[2] = []byte("2114035200")
+	lines[300] = bytes.Join(f, []byte(","))
+	late := filepath.Join(t.TempDir(), "late.csv")
+	if err := os.WriteFile(late, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	window := ResilientConfig{Strict: true, MinStart: t0, MaxStart: t0.AddDate(1, 0, 0)}
+	for _, tc := range []struct {
+		path, line string
+		cfg        ResilientConfig
+		cause      error
+	}{
+		{path, "line 701", ResilientConfig{Strict: true}, ErrBadRecord},
+		{late, "line 301", window, nil},
+	} {
+		for _, shards := range []int{1, 4} {
+			refused := 0
+			for s := 0; s < shards; s++ {
+				fr, err := OpenShard(s, shards, tc.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = ReadAll(NewResilientReader(fr, tc.cfg))
+				fr.Close()
+				if err == nil {
+					continue
+				}
+				refused++
+				if !errors.Is(err, ErrRefused) || tc.cause != nil && !errors.Is(err, tc.cause) {
+					t.Fatalf("strict error %v: want an ErrRefused wrapping its cause", err)
+				}
+				if want := tc.path + ": " + tc.line + ": "; !strings.Contains(err.Error(), want) {
+					t.Fatalf("strict error %q does not place the row (%q)", err, want)
+				}
 			}
-			_, err = ReadAll(NewResilientReader(fr, ResilientConfig{Strict: true}))
-			fr.Close()
-			if err == nil {
-				continue
+			if refused != 1 {
+				t.Fatalf("%d of %d shards refused the input's first bad row, want its one owner", refused, shards)
 			}
-			refused++
-			if !errors.Is(err, ErrRefused) || !errors.Is(err, ErrBadRecord) {
-				t.Fatalf("strict error %v: want an ErrRefused wrapping its cause", err)
-			}
-			if want := path + ": line 701: "; !strings.Contains(err.Error(), want) {
-				t.Fatalf("strict error %q does not place the row (%q)", err, want)
-			}
-		}
-		if refused != 1 {
-			t.Fatalf("%d of %d shards refused the input's first bad row, want its one owner", refused, shards)
 		}
 	}
 	fr, err := OpenShard(0, 1, path)
