@@ -31,7 +31,10 @@ bench-check:
 # against the FilterFunc pipeline it replaced, per codec; and what a
 # record costs the ingest layers a dispatcher reads through (a
 # ResilientReader over OpenFiles of a binary fleet), read one at a time
-# against 512-record batches, in ns and allocations per record.
+# against 512-record batches, in ns and allocations per record; and what
+# generating that 1 600-car fleet costs (GenerateAll, ns and allocations
+# per record) with the nearest-station query behind every route step
+# (ns per query on the generator's default network, allocating nothing).
 # For working on the hot path, not for claims: a gain is claimed from
 # paired `bash bench/run.sh` runs. The allocation guards themselves are
 # plain tests, so `make ci` enforces them.
@@ -39,6 +42,8 @@ bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
 	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^(BenchmarkShardScan|BenchmarkIngest)$$' -benchmem -count=5 ./internal/cdr
+	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchmem -count=5 ./internal/synth
+	$(GO) test -run='^$$' -bench='^BenchmarkNearestStation$$' -benchmem -count=5 ./internal/radio
 
 test:
 	$(GO) test ./...

@@ -37,6 +37,23 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every flag is checked before the world is built: generation is
+	// the expensive part, minutes at a 100 k-car fleet.
+	if *cars <= 0 {
+		fatal("-cars must be positive, got %d", *cars)
+	}
+	if *format != "" && *format != "csv" && *format != "binary" {
+		fatal("unknown -format %q", *format)
+	}
+	useCSV := *format == "csv" || (*format == "" && strings.HasSuffix(*out, ".csv"))
+	startDay, err := time.Parse("2006-01-02", *start)
+	if err != nil {
+		fatal("bad -start date: %v", err)
+	}
+	if err := simtime.CheckPeriod(startDay, *days); err != nil {
+		fatal("bad study period: %v", err)
+	}
+
 	if *debugAddr != "" {
 		srv, err := obs.Serve(*debugAddr, obs.New())
 		if err != nil {
@@ -46,13 +63,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cargen: debug server on http://%s\n", srv.Addr())
 	}
 
-	startDay, err := time.Parse("2006-01-02", *start)
-	if err != nil {
-		fatal("bad -start date: %v", err)
-	}
-	if err := simtime.CheckPeriod(startDay, *days); err != nil {
-		fatal("bad study period: %v", err)
-	}
 	cfg := synth.DefaultConfig(*cars)
 	cfg.Seed = *seed
 	cfg.WorldSizeKm = *world
@@ -65,11 +75,6 @@ func main() {
 	records, stats, err := w.GenerateAll()
 	if err != nil {
 		fatal("generate: %v", err)
-	}
-
-	useCSV := *format == "csv" || (*format == "" && strings.HasSuffix(*out, ".csv"))
-	if *format != "" && *format != "csv" && *format != "binary" {
-		fatal("unknown -format %q", *format)
 	}
 
 	f, err := os.Create(*out)

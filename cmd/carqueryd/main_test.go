@@ -169,12 +169,29 @@ type daemon struct {
 	mu  sync.Mutex
 	out []string
 	eof chan struct{}
+
+	once    sync.Once
+	waitErr error
 }
 
+// wait reaps the daemon on the first call and returns its exit on
+// every call.
+func (d *daemon) wait() error {
+	d.once.Do(func() { d.waitErr = d.cmd.Wait() })
+	return d.waitErr
+}
+
+// startDaemon starts carqueryd in a process group of its own. A test
+// that stops before terminate — a t.Fatal, a timeout — would leave the
+// daemon waiting for a signal that never comes: when the test ends with
+// anything of that group still running, the group is SIGKILLed, the
+// daemon reaped, and the test fails with "daemon left running" unless
+// it had failed already.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
 	cmd := carqueryd(args...)
 	cmd.Stderr = os.Stderr
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -183,15 +200,13 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 		t.Fatal(err)
 	}
 	d := &daemon{cmd: cmd, eof: make(chan struct{})}
-	// A test that stops before terminate — a t.Fatal, a timeout —
-	// would leave the daemon waiting for a signal that never comes.
 	t.Cleanup(func() {
-		if cmd.ProcessState != nil {
-			return
+		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
+			return // the group is empty: everything in it exited and was reaped
 		}
-		cmd.Process.Kill()
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
 		<-d.eof
-		cmd.Wait()
+		d.wait()
 		if !t.Failed() {
 			t.Error("daemon left running")
 		}
@@ -218,12 +233,11 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 		}
 		select {
 		case <-d.eof:
-			cmd.Wait()
+			d.wait()
 			t.Fatalf("carqueryd exited before listening; output:\n%s", strings.Join(d.lines(), "\n"))
 		default:
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
 			t.Fatal("timeout waiting for carqueryd to listen")
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -272,7 +286,7 @@ func (d *daemon) terminate(t *testing.T) {
 	// All stdout read into d.out first: Wait closes the pipe, and a
 	// read still pending then loses the last lines.
 	<-d.eof
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Fatalf("carqueryd did not exit cleanly on SIGTERM: %v", err)
 	}
 }

@@ -10,10 +10,11 @@
 package cdr
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"cellcars/internal/radio"
@@ -50,14 +51,17 @@ func (r Record) Validate() error {
 
 // Before orders records by start time, breaking ties by car then cell,
 // giving a total deterministic order.
-func (r Record) Before(o Record) bool {
-	if !r.Start.Equal(o.Start) {
-		return r.Start.Before(o.Start)
+func (r Record) Before(o Record) bool { return compare(r, o) < 0 }
+
+// compare is Before as a three-way comparison, reading each start once.
+func compare(a, b Record) int {
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
 	}
-	if r.Car != o.Car {
-		return r.Car < o.Car
+	if c := cmp.Compare(a.Car, b.Car); c != 0 {
+		return c
 	}
-	return r.Cell < o.Cell
+	return cmp.Compare(a.Cell, b.Cell)
 }
 
 // Reader is the streaming source abstraction for CDR records. Read
@@ -200,9 +204,13 @@ func WriteAll(w Writer, records []Record) error {
 	return nil
 }
 
-// Sort orders records in place by (start, car, cell).
+// Sort orders records in place by (start, car, cell). It is not stable,
+// and generated fleets hold records equal under that order (same start,
+// car and cell, different durations), so where pdqsort puts them under
+// these comparisons is part of every file cargen writes; internal/synth's
+// golden test pins it.
 func Sort(records []Record) {
-	sort.Slice(records, func(i, j int) bool { return records[i].Before(records[j]) })
+	slices.SortFunc(records, compare)
 }
 
 // FilterFunc adapts a reader to drop records for which keep returns

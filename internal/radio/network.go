@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"cellcars/internal/geo"
 )
@@ -226,14 +225,15 @@ func Build(cfg Config, rng *rand.Rand) *Network {
 	return n
 }
 
-// spatialGrid is a uniform hash grid over station locations for
-// nearest-neighbour queries.
+// spatialGrid is a uniform grid over station locations for
+// nearest-neighbour queries: cells[y*cols+x] holds the ids of the
+// stations in grid cell (x, y), in id order.
 type spatialGrid struct {
 	cellKm float64
 	origin geo.Point
 	cols   int
 	rows   int
-	cells  map[int][]BSID
+	cells  [][]BSID
 }
 
 func (g *spatialGrid) build(stations []BaseStation, cellKm float64) {
@@ -250,57 +250,34 @@ func (g *spatialGrid) build(stations []BaseStation, cellKm float64) {
 	g.origin = geo.Point{X: minX, Y: minY}
 	g.cols = int((maxX-minX)/cellKm) + 1
 	g.rows = int((maxY-minY)/cellKm) + 1
-	g.cells = make(map[int][]BSID)
+	g.cells = make([][]BSID, g.cols*g.rows)
 	for i := range stations {
-		idx := g.index(stations[i].Loc)
-		g.cells[idx] = append(g.cells[idx], stations[i].ID)
+		x, y := g.cell(stations[i].Loc)
+		g.cells[y*g.cols+x] = append(g.cells[y*g.cols+x], stations[i].ID)
 	}
 }
 
-func (g *spatialGrid) index(p geo.Point) int {
-	cx := int((p.X - g.origin.X) / g.cellKm)
-	cy := int((p.Y - g.origin.Y) / g.cellKm)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cy*g.cols + cx
+// cell returns the grid cell holding p, clamped to the grid.
+func (g *spatialGrid) cell(p geo.Point) (x, y int) {
+	return clampInt(int((p.X-g.origin.X)/g.cellKm), 0, g.cols-1),
+		clampInt(int((p.Y-g.origin.Y)/g.cellKm), 0, g.rows-1)
 }
 
-// nearest returns the id of the station closest to p.
+// nearest returns the id of the station closest to p, the lower id on
+// an exact tie. Grid cells are visited in expanding Chebyshev rings
+// around p's (clamped) cell, keeping a running argmin under (distance,
+// id); the search stops once the best distance is provably closer than
+// anything a further ring could hold. The bound uses the fact that any
+// point of a ring-r cell lies at least (r-1)·cellKm from every point of
+// the centre cell, and clamping p to the (convex) grid only shrinks
+// distances to in-grid stations. The stop is strict so that no station
+// that could tie the best, and hold the lower id, goes unvisited.
 func (g *spatialGrid) nearest(stations []BaseStation, p geo.Point) BSID {
-	ids := g.nearestK(stations, p, 1)
-	return ids[0]
-}
-
-// nearestK returns up to k station ids closest to p, nearest first.
-// Grid cells are visited in expanding Chebyshev rings around p's
-// (clamped) cell; the search stops once the current k-th best distance
-// is provably closer than anything a further ring could hold. The
-// bound uses the fact that any point of a ring-r cell lies at least
-// (r-1)·cellKm from every point of the centre cell, and clamping p to
-// the (convex) grid only shrinks distances to in-grid stations.
-func (g *spatialGrid) nearestK(stations []BaseStation, p geo.Point, k int) []BSID {
-	cx := clampInt(int((p.X-g.origin.X)/g.cellKm), 0, g.cols-1)
-	cy := clampInt(int((p.Y-g.origin.Y)/g.cellKm), 0, g.rows-1)
-
-	type cand struct {
-		id BSID
-		d  float64
-	}
-	var cands []cand
-	kth := math.Inf(1)
+	cx, cy := g.cell(p)
+	best, bestD := BSID(0), math.Inf(1)
 	maxRing := g.cols + g.rows
 	for ring := 0; ring <= maxRing; ring++ {
-		if len(cands) >= k && float64(ring-1)*g.cellKm > kth {
+		if float64(ring-1)*g.cellKm > bestD {
 			break
 		}
 		for dy := -ring; dy <= ring; dy++ {
@@ -313,34 +290,14 @@ func (g *spatialGrid) nearestK(stations []BaseStation, p geo.Point, k int) []BSI
 					continue
 				}
 				for _, id := range g.cells[y*g.cols+x] {
-					cands = append(cands, cand{id, stations[id].Loc.Dist(p)})
+					if d := stations[id].Loc.Dist(p); d < bestD || d == bestD && id < best {
+						best, bestD = id, d
+					}
 				}
 			}
 		}
-		if len(cands) >= k {
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].d != cands[j].d {
-					return cands[i].d < cands[j].d
-				}
-				return cands[i].id < cands[j].id
-			})
-			kth = cands[k-1].d
-		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].id < cands[j].id
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]BSID, len(cands))
-	for i, c := range cands {
-		out[i] = c.id
-	}
-	return out
+	return best
 }
 
 func clampInt(x, lo, hi int) int {

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -276,48 +275,115 @@ func TestAllCellsMatchesNumCells(t *testing.T) {
 	}
 }
 
-// TestNearestKMatchesBruteForce verifies the spatial-grid k-nearest
-// query against a brute-force scan over many random probe points.
-func TestNearestKMatchesBruteForce(t *testing.T) {
-	n := testNetwork(t)
-	rng := rand.New(rand.NewPCG(21, 22))
-	for trial := 0; trial < 150; trial++ {
-		p := geo.Point{
-			X: rng.Float64()*44 - 2, // includes points slightly outside the world
-			Y: rng.Float64()*44 - 2,
-		}
-		k := 1 + rng.IntN(6)
-		got := n.grid.nearestK(n.Stations, p, k)
-
-		type cand struct {
-			id BSID
-			d  float64
-		}
-		all := make([]cand, len(n.Stations))
-		for i := range n.Stations {
-			all[i] = cand{n.Stations[i].ID, n.Stations[i].Loc.Dist(p)}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].d != all[j].d {
-				return all[i].d < all[j].d
-			}
-			return all[i].id < all[j].id
-		})
-		want := k
-		if want > len(all) {
-			want = len(all)
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: got %d ids, want %d", trial, len(got), want)
-		}
-		for i := range got {
-			// Distances must match the brute-force ladder (ids may differ
-			// only on exact ties).
-			gd := n.Stations[got[i]].Loc.Dist(p)
-			if diff := gd - all[i].d; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("trial %d rank %d: grid %.6f vs brute %.6f (p=%v k=%d)",
-					trial, i, gd, all[i].d, p, k)
-			}
+// bruteNearest is the reference nearest-station query: a scan of every
+// station keeping the argmin under (distance, id).
+func bruteNearest(stations []BaseStation, p geo.Point) BSID {
+	best, bestD := stations[0].ID, stations[0].Loc.Dist(p)
+	for i := range stations[1:] {
+		s := &stations[i+1]
+		if d := s.Loc.Dist(p); d < bestD || d == bestD && s.ID < best {
+			best, bestD = s.ID, d
 		}
 	}
+	return best
+}
+
+// TestNearestMatchesBruteForce holds the spatial grid's ring search to
+// a scan of every station, id for id: on random probes (some outside
+// the world), on every grid-cell corner and edge midpoint, and on a
+// hand-built network of exactly equidistant stations where only the
+// lower id is right. The generator's bytes depend on the id chosen on a
+// tie, so a distance that matches is not enough.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	n := testNetwork(t)
+	check := func(n *Network, p geo.Point) {
+		t.Helper()
+		if got, want := n.NearestStation(p), bruteNearest(n.Stations, p); got != want {
+			t.Fatalf("p=%v: grid %d (%.17g km), brute force %d (%.17g km)",
+				p, got, n.Stations[got].Loc.Dist(p), want, n.Stations[want].Loc.Dist(p))
+		}
+	}
+	rng := rand.New(rand.NewPCG(21, 22))
+	for trial := 0; trial < 2000; trial++ {
+		check(n, geo.Point{
+			X: rng.Float64()*44 - 2, // includes points slightly outside the world
+			Y: rng.Float64()*44 - 2,
+		})
+	}
+	g := &n.grid
+	for y := 0; y <= g.rows; y++ {
+		for x := 0; x <= g.cols; x++ {
+			at := func(fx, fy float64) geo.Point {
+				return geo.Point{X: g.origin.X + fx*g.cellKm, Y: g.origin.Y + fy*g.cellKm}
+			}
+			check(n, at(float64(x), float64(y)))
+			check(n, at(float64(x)+0.5, float64(y)))
+			check(n, at(float64(x), float64(y)+0.5))
+		}
+	}
+
+	// One-km cells from the origin (0, 0). Probe (1.75, 0.5) lies in
+	// cell (1, 0) with station 2 there and station 1 in ring 1, both
+	// 0.5 km away; probe (2.75, 0.5) lies in cell (2, 0) with station 1
+	// there and station 3 in ring 1, both 0.5 km away; probe (3.5, 2.75)
+	// is 0.25·√5 km from stations 4 and 5, which share its cell.
+	tie := &Network{Stations: []BaseStation{
+		{ID: 0, Loc: geo.Point{X: 0, Y: 0}},
+		{ID: 1, Loc: geo.Point{X: 2.25, Y: 0.5}},
+		{ID: 2, Loc: geo.Point{X: 1.25, Y: 0.5}},
+		{ID: 3, Loc: geo.Point{X: 3.25, Y: 0.5}},
+		{ID: 4, Loc: geo.Point{X: 3.25, Y: 2.25}},
+		{ID: 5, Loc: geo.Point{X: 3.75, Y: 2.25}},
+	}}
+	tie.grid.build(tie.Stations, 1)
+	for _, c := range []struct {
+		p    geo.Point
+		want BSID
+	}{
+		{geo.Point{X: 1.75, Y: 0.5}, 1}, // the lower id is in ring 1
+		{geo.Point{X: 2.75, Y: 0.5}, 1}, // the lower id is in ring 0
+		{geo.Point{X: 3.5, Y: 2.75}, 4}, // both in ring 0
+		{geo.Point{X: -1, Y: -1}, 0},    // outside the grid
+		{geo.Point{X: 3.75, Y: 0.5}, 3}, // no tie
+	} {
+		if got := tie.NearestStation(c.p); got != c.want {
+			t.Errorf("p=%v: nearest %d, want %d", c.p, got, c.want)
+		}
+		check(tie, c.p)
+	}
+}
+
+// TestNearestStationAllocatesNothing guards the query the generator
+// makes at every route step: no candidate slice, no sort.
+func TestNearestStationAllocatesNothing(t *testing.T) {
+	n := testNetwork(t)
+	p := geo.Point{X: 17.3, Y: 22.9}
+	if a := testing.AllocsPerRun(100, func() { n.NearestStation(p) }); a != 0 {
+		t.Fatalf("NearestStation allocates %.0f per query, want 0", a)
+	}
+}
+
+// nearestSink keeps BenchmarkNearestStation's query from being
+// optimised away.
+var nearestSink BSID
+
+// BenchmarkNearestStation is the cost of one nearest-station query on
+// the generator's default network (a 60 km world, seed 1's sites) at
+// uniformly random points of the world, in ns per query.
+func BenchmarkNearestStation(b *testing.B) {
+	n := Build(Config{World: geo.DefaultWorld(60)}, rand.New(rand.NewPCG(1, 0xAD10)))
+	rng := rand.New(rand.NewPCG(3, 4))
+	probes := make([]geo.Point, 4096)
+	for i := range probes {
+		probes[i] = geo.Point{
+			X: n.World.Bounds.Min.X + rng.Float64()*n.World.Bounds.Width(),
+			Y: n.World.Bounds.Min.Y + rng.Float64()*n.World.Bounds.Height(),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nearestSink = n.NearestStation(probes[i%len(probes)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
 }

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"math/rand/v2"
-	"sort"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -128,7 +127,7 @@ func (w *World) legRecords(car *fleet.Car, trip *mobility.Trip, rng *rand.Rand, 
 		r.Start, r.Duration = start, d.Truncate(time.Second)
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	cdr.Sort(out)
 	return out
 }
 
