@@ -34,12 +34,15 @@ bench-check:
 # against 512-record batches, in ns and allocations per record; and what
 # generating that 1 600-car fleet costs (GenerateAll, ns and allocations
 # per record) with the nearest-station query behind every route step
-# (ns per query on the generator's default network, allocating nothing).
+# (ns per query on the generator's default network, allocating nothing);
+# and what default mode's record-level figures cost on that fleet beyond
+# the engine (the exhibit pick beside the engine's read plus the collect
+# pass after it, ns and allocations per record).
 # For working on the hot path, not for claims: a gain is claimed from
 # paired `bash bench/run.sh` runs. The allocation guards themselves are
 # plain tests, so `make ci` enforces them.
 bench-micro:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore)$$' -benchmem -count=5 ./internal/analysis
+	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkExhibits)$$' -benchmem -count=5 ./internal/analysis
 	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^(BenchmarkShardScan|BenchmarkIngest)$$' -benchmem -count=5 ./internal/cdr
 	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchmem -count=5 ./internal/synth
@@ -112,8 +115,9 @@ loc:
 # resilient reader's checks on chaos-made faults, the
 # snapshot container and decoder (against the one it replaced), the
 # Unix-nanosecond sessionizer against the time.Time one it replaced, the
-# analysis restore path, the ordered fold's grouping property and the
-# coordinator's journal replay. go test accepts one -fuzz pattern per
+# analysis restore path, the ordered fold's grouping property, the
+# record-level figures' exhibit picker against the whole-slice rules it
+# replaced and the coordinator's journal replay. go test accepts one -fuzz pattern per
 # invocation, hence one run per target, and a pattern is anchored where
 # one target's name prefixes another's.
 FUZZ_TARGETS = \
@@ -127,6 +131,7 @@ FUZZ_TARGETS = \
 	./internal/clean:FuzzSessionizerMatchesReference \
 	./internal/analysis:FuzzReadPartial \
 	./internal/analysis:FuzzMergeOrderedGrouping \
+	./internal/analysis:FuzzExhibitsMatchOracle \
 	./internal/drive:FuzzJournalReplay
 
 # Short runs of every fuzz target, part of ci.

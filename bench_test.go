@@ -246,7 +246,13 @@ func BenchmarkFigure7BusyTime(b *testing.B) {
 // Paper example: 377 cars over 24 h with a 16-car peak 15-minute bin.
 func BenchmarkFigure8CellDay(b *testing.B) {
 	_, _, cleaned, ctx := benchScene(b)
-	cell, day := analysis.BusiestCellDay(cleaned, ctx)
+	pick := analysis.NewExhibitPicker(ctx.Period)
+	pick.Add(cleaned)
+	x, err := pick.Exhibits(func() (cdr.Reader, error) { return cdr.NewSliceReader(cleaned), nil }, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cell, day := x.Cell, x.Day
 	var cd analysis.CellDayResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

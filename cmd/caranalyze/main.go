@@ -31,9 +31,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -45,7 +45,6 @@ import (
 	"cellcars/internal/obs"
 	"cellcars/internal/query"
 	"cellcars/internal/report"
-	"cellcars/internal/simtime"
 	"cellcars/internal/studyflags"
 	"cellcars/internal/synth"
 )
@@ -246,16 +245,18 @@ func main() {
 	}
 
 	// One source: a generated scene, or the input file — bare for
-	// -stream (bounded memory), behind a keeper in the default mode so
-	// the record-level figures can be drawn from what was read.
+	// -stream (bounded memory), behind an exhibit picker in generate and
+	// the default file mode, which read their input again after the run
+	// to draw the record-level figures.
 	var (
-		src     cdr.Reader
-		rr      *cdr.ResilientReader // file modes
-		keep    *keeper              // default file mode
-		records []cdr.Record         // generate and default file mode
-		model   *load.Model          // generate mode
-		istats  cdr.IngestStats
-		source  = *in
+		src       cdr.Reader
+		rr        *cdr.ResilientReader // file modes
+		picked    *picking             // src, when readAgain is set
+		readAgain func() (cdr.Reader, error)
+		exhibits  *analysis.Exhibits
+		model     *load.Model // generate mode
+		istats    cdr.IngestStats
+		source    = *in
 	)
 	opts.Workers, opts.Obs = *workers, reg
 	if *in == "" {
@@ -265,8 +266,7 @@ func main() {
 		cfg.WorldSizeKm = *world
 		cfg.Period = ctx.Period
 		w := synth.NewWorld(cfg)
-		var stats synth.Stats
-		records, stats, err = w.GenerateAll()
+		records, stats, err := w.GenerateAll()
 		if err != nil {
 			fatal("generate: %v", err)
 		}
@@ -275,6 +275,7 @@ func main() {
 		opts.BusyCells = model.VeryBusyCells()
 		istats.Read = int64(stats.Records)
 		src = cdr.NewSliceReader(records)
+		readAgain = func() (cdr.Reader, error) { return cdr.NewSliceReader(records), nil }
 		fmt.Printf("generated %d records (%d cars, %d stations, %d cells)\n\n",
 			stats.Records, *cars, w.Net.NumStations(), w.Net.NumCells())
 	} else {
@@ -286,12 +287,18 @@ func main() {
 		rr = cdr.NewResilientReader(file, ingest)
 		src = rr
 		if !*stream {
-			// Sized up front when the input says how many records it
-			// holds: growing the slice while the engine allocates beside
-			// it would hold an old and a new copy at the peak.
-			keep = &keeper{r: rr, period: ctx.Period, records: make([]cdr.Record, 0, totalRecordsHint(inputs))}
-			src = keep
+			if fi, err := os.Stat(*in); err == nil && fi.Mode().IsRegular() {
+				readAgain = func() (cdr.Reader, error) {
+					return rereadInput(*in, ingest, firstRead{stats: rr.Stats(), sum: picked.sum})
+				}
+			} else {
+				exhibits = &analysis.Exhibits{Missing: fmt.Sprintf("needs a regular input file: %s is not one, and is read once", *in)}
+			}
 		}
+	}
+	if readAgain != nil {
+		picked = &picking{r: src, pick: analysis.NewExhibitPicker(ctx.Period)}
+		src = picked
 	}
 
 	// One engine call. With -checkpoint the pass is durable: state is
@@ -320,26 +327,27 @@ func main() {
 		fatal("analyze %s: %v", source, err)
 	}
 	emitRunTrace(trace, rep, time.Since(runStart))
-	if *in == "" {
-		// The record-level figures see what the engine analyzed, as the
-		// keeper's are in file mode.
-		records = slices.DeleteFunc(records, func(r cdr.Record) bool { return !analysis.Admits(ctx.Period, r) })
+	if picked != nil {
+		// Figure 10's two radios, when the clusters stage ran.
+		cells := rep.Clusters.Cells[:min(2, len(rep.Clusters.Cells))]
+		if exhibits, err = picked.pick.Exhibits(readAgain, cells); err != nil {
+			fatal("draw the record-level figures from %s: %v", source, err)
+		}
 	}
 	if rr != nil {
 		istats = rr.Stats()
-		if keep != nil {
-			records = keep.records
-			fmt.Printf("loaded %d records from %s (%d quarantined)\n\n",
-				rep.RawRecords, *in, istats.QuarantinedTotal())
-		} else {
+		if *stream {
 			fmt.Printf("streamed %d records from %s (%d quarantined, %d workers)\n\n",
 				rep.RawRecords, *in, istats.QuarantinedTotal(), rep.ProfileWorkers)
+		} else {
+			fmt.Printf("loaded %d records from %s (%d quarantined)\n\n",
+				rep.RawRecords, *in, istats.QuarantinedTotal())
 		}
 	}
 
 	quality := analysis.NewDataQuality(istats, int64(rep.RawRecords-rep.CleanRecords), rep.Presence, ctx.Period)
 	quality.StageErrors = rep.StageErrors
-	ropts := report.Options{Quality: quality, Records: records, Model: model}
+	ropts := report.Options{Quality: quality, Exhibits: exhibits, Model: model}
 	if err := report.Text(os.Stdout, rep, ctx, ropts); err != nil {
 		fatal("print report: %v", err)
 	}
@@ -357,29 +365,107 @@ func main() {
 	}
 }
 
-// keeper is a cdr.Reader that retains every record it hands on that the
-// study admits (analysis.Admits), so the default file mode reads its
-// input once: the engine analyzes the stream while the records it
-// analyzes accumulate for the record-level figures.
-type keeper struct {
-	r       cdr.Reader
-	period  simtime.Period
-	records []cdr.Record
-	one     [1]cdr.Record // Read's batch
+// picking is a cdr.Reader that shows an exhibit picker every record it
+// hands on, so the engine's read is also the pick's, and sums the
+// records for a second read to compare with.
+type picking struct {
+	r    cdr.Reader
+	pick *analysis.ExhibitPicker
+	sum  digest
+	one  [1]cdr.Record // Read's batch
 }
 
-func (k *keeper) Read() (cdr.Record, error) { return cdr.ReadOne(k, &k.one) }
+func (p *picking) Read() (cdr.Record, error) { return cdr.ReadOne(p, &p.one) }
 
-// ReadBatch hands on a batch of the source's and keeps what of it the
-// study admits.
-func (k *keeper) ReadBatch(dst []cdr.Record) (int, error) {
-	n, err := cdr.ReadBatch(k.r, dst)
-	for _, rec := range dst[:n] {
-		if analysis.Admits(k.period, rec) {
-			k.records = append(k.records, rec)
+// ReadBatch hands on a batch of the source's, picked from.
+func (p *picking) ReadBatch(dst []cdr.Record) (int, error) {
+	n, err := cdr.ReadBatch(p.r, dst)
+	p.pick.Add(dst[:n])
+	p.sum.add(dst[:n])
+	return n, err
+}
+
+// digest folds records, in order, into 64 bits (FNV-1a over the
+// fields' words).
+type digest uint64
+
+func (d *digest) add(recs []cdr.Record) {
+	h := uint64(*d)
+	for i := range recs {
+		r := &recs[i]
+		for _, w := range [4]uint64{uint64(r.Car), uint64(r.Cell), uint64(r.Start.UnixNano()), uint64(r.Duration)} {
+			h = (h ^ w) * 1099511628211
+		}
+	}
+	*d = digest(h)
+}
+
+// firstRead is what a second read of the input must find again: the
+// first read's ingest counts and the sum of the records it delivered.
+type firstRead struct {
+	stats cdr.IngestStats
+	sum   digest
+}
+
+// rereadInput opens the input for a second read that must see what the
+// engine read: the first read's checks, with no quarantine sink and no
+// metrics, so the audit trail and the counters keep the first read's
+// account alone.
+func rereadInput(path string, cfg cdr.ResilientConfig, first firstRead) (cdr.Reader, error) {
+	file, closer, err := cdr.OpenFiles(path)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Sink, cfg.Obs = nil, nil
+	return &reread{rr: cdr.NewResilientReader(file, cfg), closer: closer, path: path, first: first}, nil
+}
+
+// reread is a second read of the input. It closes the file where the
+// read ends, and at the end of the input it fails instead when its
+// ingest counts or its records are not the first read's: a figure is
+// never drawn from a file that changed under the run.
+type reread struct {
+	rr     *cdr.ResilientReader
+	closer io.Closer
+	path   string
+	first  firstRead
+	sum    digest
+	one    [1]cdr.Record // Read's batch
+}
+
+func (r *reread) Read() (cdr.Record, error) { return cdr.ReadOne(r, &r.one) }
+
+func (r *reread) ReadBatch(dst []cdr.Record) (int, error) {
+	n, err := r.rr.ReadBatch(dst)
+	r.sum.add(dst[:n])
+	if err == nil {
+		return n, nil
+	}
+	r.closer.Close()
+	if errors.Is(err, io.EOF) {
+		again := r.rr.Stats()
+		if again.Read != r.first.stats.Read || again.Quarantined != r.first.stats.Quarantined {
+			return n, fmt.Errorf("%s changed after the engine read it: the engine read %s, the second read %s",
+				r.path, ingestCounts(&r.first.stats), ingestCounts(&again))
+		}
+		if r.sum != r.first.sum {
+			return n, fmt.Errorf("%s changed after the engine read it: both reads counted %s, but not the same records",
+				r.path, ingestCounts(&again))
 		}
 	}
 	return n, err
+}
+
+// ingestCounts says what an ingest counted: rows, records delivered and
+// rows quarantined by class.
+func ingestCounts(s *cdr.IngestStats) string {
+	out := fmt.Sprintf("%d rows (%d delivered", s.Attempted(), s.Read)
+	for c, n := range s.Quarantined {
+		if n > 0 {
+			out += fmt.Sprintf(", %d %s", n, cdr.FailureClass(c))
+		}
+	}
+	return out + ")"
 }
 
 // atExit is the registered cleanup hook (quarantine flush); nil when

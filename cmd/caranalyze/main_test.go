@@ -182,7 +182,11 @@ func TestRecordFiguresIgnoreGhosts(t *testing.T) {
 			empty = h
 		}
 	}
-	cell, day := analysis.BusiestCellDay(records, ctx)
+	var bs, sector, carrier, day int
+	if _, err := fmt.Sscanf(textBlock(t, clean, "== Figure 8"), "== Figure 8: one cell, 24 hours ==\ncell bs%d/s%d/C%d day %d:", &bs, &sector, &carrier, &day); err != nil {
+		t.Fatalf("no cell-day in Figure 8: %v\n%s", err, clean)
+	}
+	cell := radio.MakeCellKey(radio.BSID(bs), radio.SectorID(sector), radio.CarrierID(carrier))
 	ghosts := append(slices.Clone(records),
 		cdr.Record{Car: car, Cell: cell, Start: studyStart.Add(time.Duration(empty) * time.Hour), Duration: time.Hour},
 		cdr.Record{Car: 1 << 20, Cell: cell, Start: ctx.Period.DayStart(day).Add(12 * time.Hour), Duration: time.Hour})

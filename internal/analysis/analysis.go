@@ -16,7 +16,7 @@
 //	Figure 5            → UsageMatrix
 //	Figure 6 / Table 2  → DaysOnNetwork, DaysHistogram, Segmentation
 //	Figure 7            → BusyTimeOf
-//	Figure 8            → CellDay, BusiestCellDay
+//	Figure 8            → CellDay
 //	Figure 9            → CellDurationsOf
 //	Figure 10           → CellWeek
 //	Figure 11           → ClusterBusyCells

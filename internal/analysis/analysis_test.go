@@ -335,7 +335,7 @@ func TestBusiestCellDay(t *testing.T) {
 		rec(3, target, 3*time.Hour, time.Minute),
 		rec(1, cell(6), time.Hour, time.Minute),
 	}
-	c, day := BusiestCellDay(records, ctx)
+	c, day := busiestCellDay(records, ctx)
 	if c != target || day != 0 {
 		t.Fatalf("busiest = %v day %d", c, day)
 	}

@@ -90,38 +90,6 @@ func CellDay(records []cdr.Record, ctx Context, cell radio.CellKey, day int) Cel
 	return res
 }
 
-// BusiestCellDay scans the stream for the (cell, day) pair with the
-// most distinct cars — a good Figure 8 exhibit. Returns the zero cell
-// on an empty stream.
-func BusiestCellDay(records []cdr.Record, ctx Context) (radio.CellKey, int) {
-	type key struct {
-		cell radio.CellKey
-		day  int
-	}
-	counts := make(map[key]map[cdr.CarID]struct{})
-	forEachRecord(records, func(r cdr.Record) {
-		day := ctx.Period.DayIndex(r.Start)
-		if day < 0 {
-			return
-		}
-		k := key{r.Cell, day}
-		set, ok := counts[k]
-		if !ok {
-			set = make(map[cdr.CarID]struct{})
-			counts[k] = set
-		}
-		set[r.Car] = struct{}{}
-	})
-	var bestK key
-	best := 0
-	for k, set := range counts {
-		if len(set) > best || (len(set) == best && (k.cell < bestK.cell || (k.cell == bestK.cell && k.day < bestK.day))) {
-			best, bestK = len(set), k
-		}
-	}
-	return bestK.cell, bestK.day
-}
-
 // CellDurations is Figure 9: the distribution of per-cell connection
 // durations, reported on the truncated-at-600 s data (the figure's
 // x-axis) alongside the full-duration mean the paper quotes.

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"cellcars/internal/analysis"
-	"cellcars/internal/cdr"
 	"cellcars/internal/load"
 )
 
@@ -38,13 +37,11 @@ type Options struct {
 	// quarantine counters, detected coverage-gap days, skipped stages
 	// and excluded shards.
 	Quality *analysis.DataQuality
-	// Records are the records behind the report that the study admits
-	// (analysis.Admits: no one-hour ghosts, no start outside the
-	// period), the records the engine analyzed. The record-level
-	// exhibits (Figures 5, 8 and 10) are computed from them at render
-	// time and are skipped when nil — a streaming run or a reducer over
+	// Exhibits are the record-level figures' exhibits (Figure 1's
+	// fallback cells, 5, 8 and 10) and their records; the figures that
+	// need them are skipped when nil — a streaming run or a reducer over
 	// partial state has no records to show.
-	Records []cdr.Record
+	Exhibits *analysis.Exhibits
 	// Model is the synthetic load model; Figure 1's saturation
 	// demonstration needs it and is skipped when nil.
 	Model *load.Model
@@ -66,7 +63,7 @@ type section struct {
 	stage string
 	// has reports whether the section's own input exists, for sections
 	// that do not appear in every run: the result of a stage that only
-	// runs with a load source, the raw records, the load model. A
+	// runs with a load source, the exhibits, the load model. A
 	// failed stage is reported whatever has says; nil means always.
 	has func(*env) bool
 	// text and md render the section in the two formats; nil leaves it
@@ -74,7 +71,7 @@ type section struct {
 	text, md func(*strings.Builder, *env)
 }
 
-func hasRecords(e *env) bool { return e.opts.Records != nil }
+func hasExhibits(e *env) bool { return e.opts.Exhibits != nil }
 
 // sections is the report, top to bottom. Every engine stage has exactly
 // one row (TestEveryStageHasOneSection), and each load-dependent row is
@@ -85,14 +82,14 @@ var sections = []section{
 	{name: "Figure 2 / Table 1", stage: "presence", text: textPresence, md: mdPresence},
 	{name: "Figure 3", stage: "connected", text: textConnected, md: mdConnected},
 	{name: "Figure 4", text: textFigure4},
-	{name: "Figure 5", has: hasRecords, text: textFigure5},
+	{name: "Figure 5", has: hasExhibits, text: textFigure5},
 	{name: "Fleet usage", stage: "usage", text: textUsage, md: mdUsage},
 	{name: "Figure 6", stage: "days", text: textDays, md: mdDays},
 	{name: "Table 2", stage: "segments", has: func(e *env) bool { return len(e.r.Segments) > 0 },
 		text: textSegments, md: mdSegments},
 	{name: "Figure 7", stage: "busy", has: func(e *env) bool { return e.r.Busy.FracByCar != nil },
 		text: textBusy, md: mdBusy},
-	{name: "Figure 8", has: hasRecords, text: textFigure8},
+	{name: "Figure 8", has: hasExhibits, text: textFigure8},
 	{name: "Figure 9", stage: "durations", text: textDurations, md: mdDurations},
 	{name: "Figures 10/11", stage: "clusters", has: func(e *env) bool { return len(e.r.Clusters.Cells) > 0 },
 		text: textClusters, md: mdClusters},

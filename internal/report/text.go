@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -27,9 +26,9 @@ func textFigure1(b *strings.Builder, e *env) {
 	model := e.opts.Model
 	fmt.Fprintln(b, "== Figure 1: single greedy download saturates a cell ==")
 	cells := model.VeryBusyCells()
-	if len(cells) < 2 {
+	if len(cells) < 2 && e.opts.Exhibits != nil {
 		// Any two cells will do for the demonstration.
-		cells = firstCells(e.opts.Records, 2)
+		cells = e.opts.Exhibits.FirstCells
 	}
 	if len(cells) >= 2 {
 		sat := load.Saturate(model, cells[:2], e.ctx.Period.Days()/2,
@@ -41,21 +40,6 @@ func textFigure1(b *strings.Builder, e *env) {
 		}
 	}
 	fmt.Fprintln(b)
-}
-
-// firstCells returns the first n distinct cells of the stream.
-func firstCells(records []cdr.Record, n int) []radio.CellKey {
-	seen := map[radio.CellKey]struct{}{}
-	var out []radio.CellKey
-	for _, r := range records {
-		if _, ok := seen[r.Cell]; !ok {
-			seen[r.Cell] = struct{}{}
-			if out = append(out, r.Cell); len(out) == n {
-				break
-			}
-		}
-	}
-	return out
 }
 
 func textPresence(b *strings.Builder, e *env) {
@@ -93,32 +77,24 @@ func textFigure4(b *strings.Builder, _ *env) {
 
 func textFigure5(b *strings.Builder, e *env) {
 	fmt.Fprintln(b, "== Figure 5: usage matrices of 3 sample cars ==")
-	for i, car := range sampleCars(e.opts.Records, 3) {
-		m := analysis.UsageMatrix(analysis.RecordsOfCar(e.opts.Records, car), e.ctx)
+	x := e.opts.Exhibits
+	if missing(b, x) {
+		return
+	}
+	for i, car := range x.Cars {
+		m := analysis.UsageMatrix(analysis.RecordsOfCar(x.Records, car), e.ctx)
 		fmt.Fprintln(b, textplot.Matrix(fmt.Sprintf("car %d (%d)", i+1, car), &m))
 	}
 }
 
-// sampleCars picks n distinct car ids, deterministically: lowest ids
-// first, preferring cars with more than 50 records so the matrices
-// show texture.
-func sampleCars(records []cdr.Record, n int) []cdr.CarID {
-	seen := map[cdr.CarID]int{}
-	for _, r := range records {
-		seen[r.Car]++
+// missing prints, under a record-level figure's title, why its
+// exhibits could not be drawn, and reports whether it did.
+func missing(b *strings.Builder, x *analysis.Exhibits) bool {
+	if x.Missing == "" {
+		return false
 	}
-	ids := make([]cdr.CarID, 0, len(seen))
-	for car := range seen {
-		ids = append(ids, car)
-	}
-	// Stable on the predicate: busy cars in id order, then the rest.
-	sort.Slice(ids, func(i, j int) bool {
-		if bi, bj := seen[ids[i]] > 50, seen[ids[j]] > 50; bi != bj {
-			return bi
-		}
-		return ids[i] < ids[j]
-	})
-	return ids[:min(n, len(ids))]
+	fmt.Fprintf(b, "(%s)\n\n", x.Missing)
+	return true
 }
 
 func textUsage(b *strings.Builder, e *env) {
@@ -152,11 +128,12 @@ func textBusy(b *strings.Builder, e *env) {
 
 func textFigure8(b *strings.Builder, e *env) {
 	fmt.Fprintln(b, "== Figure 8: one cell, 24 hours ==")
-	cell, day := analysis.BusiestCellDay(e.opts.Records, e.ctx)
-	if cell.IsZero() {
+	x := e.opts.Exhibits
+	if missing(b, x) || x.Cell.IsZero() {
 		return
 	}
-	cd := analysis.CellDay(e.opts.Records, e.ctx, cell, day)
+	cell, day := x.Cell, x.Day
+	cd := analysis.CellDay(x.Records, e.ctx, cell, day)
 	fmt.Fprintf(b, "cell %v day %d: %d cars, peak 15-min concurrency %d\n",
 		cell, day, cd.UniqueCars, cd.PeakCars)
 	// One timeline row per car, in first-seen order.
@@ -191,14 +168,14 @@ func textDurations(b *strings.Builder, e *env) {
 }
 
 // textClusters renders Figure 11 from the clusters stage and, when the
-// raw records and the load source are at hand, Figure 10's two sample
+// exhibits and the load source are at hand, Figure 10's two sample
 // radios above it.
 func textClusters(b *strings.Builder, e *env) {
 	cl := e.r.Clusters
-	if e.opts.Records != nil && e.ctx.Load != nil {
+	if e.opts.Exhibits != nil && e.ctx.Load != nil {
 		fmt.Fprintln(b, "== Figure 10: two sample busy radios over a week ==")
 		for i := 0; i < 2 && i < len(cl.Cells); i++ {
-			cw := analysis.CellWeek(e.opts.Records, e.ctx, cl.Cells[i], 0)
+			cw := analysis.CellWeek(e.opts.Exhibits.Records, e.ctx, cl.Cells[i], 0)
 			fmt.Fprintln(b, textplot.WeekSeries(fmt.Sprintf("cell %v", cw.Cell),
 				cw.Concurrency[:], cw.Utilization[:], 96, 6))
 		}
