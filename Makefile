@@ -24,7 +24,10 @@ bench-check:
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
 # 1 600-car fleet; the fold of a full-window miss on the 400-car serve
-# fleet (its memoised day roll-ups and restored hours, then Finalize),
+# fleet (its operands listed and built as a miss does: 13 memoised day
+# roll-ups, the day so far's and the live hour restored, then Finalize;
+# with the day so far as one memo 31 → 15 operands, 18 → 1 hours
+# restored and 6.1–6.7 → 4.2–5.1 ms per fold, 2-vCPU box),
 # and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
 # what one foreign row costs a shard worker, skipped below the parse
@@ -58,7 +61,8 @@ test:
 # machine), and at four, more than the CI box has. The third does the
 # same for the query store's cuts: one proc takes the inline encode, four
 # runs more encoders than the box has CPUs; and for its memoised day
-# roll-ups, which concurrent misses fold as they are.
+# roll-ups, which concurrent misses fold as they are and extend hour by
+# hour.
 race:
 	$(GO) test -race -coverprofile=cover.out ./...
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis

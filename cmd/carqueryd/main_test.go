@@ -626,8 +626,10 @@ func TestObservabilityContract(t *testing.T) {
 		`cellcars_query_tail_replay_records`,
 		`cellcars_query_live_buckets`,
 		`cellcars_query_sealed_bytes`,
-		`cellcars_query_rollups 0`,
-		`cellcars_query_rollup_builds_total 0`,
+		// The 24h miss folded the day so far into its one roll-up.
+		`cellcars_query_rollups 1`,
+		`cellcars_query_rollup_builds_total 1`,
+		`cellcars_query_rollup_extends_total 0`,
 		`cellcars_query_rollup_invalidations_total 0`,
 		`cellcars_query_thaws_total 0`,
 		`cellcars_query_fold_overlaps{window="24h"} 0`,

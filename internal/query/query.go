@@ -10,18 +10,19 @@
 // short. A bucket the live index has passed no longer changes, so once
 // it has a snapshot encoding — from the cut or the miss that needed
 // one anyway — it is sealed: the accumulator is dropped and the bytes
-// are the bucket. A day whose buckets have all passed no longer
-// changes either, so a window is folded from operands: the hourly
-// encodings of its ragged first day and of the current day, and one
-// memoised day roll-up for every whole passed day between them
-// (window.go). Operands are left-folded with MergeOrdered, a bucket
-// restored from its bytes and a roll-up as it is, so a served report
-// is bit-identical to a batch run over the same records wherever the
-// MergeOrdered precondition holds (TestMergeOrderedEquivalence,
-// FuzzMergeOrderedGrouping); where the feed breaks it the store says
-// so (Stats.FoldOverlaps). A late record into a sealed bucket is still
-// accepted: it thaws the bucket from its bytes and drops its day's
-// roll-up.
+// are the bucket. A day's passed buckets no longer change either, so a
+// window is folded from operands (window.go): the hourly encodings of
+// its ragged first day, one memoised roll-up for every whole passed
+// day, one for the day so far — extended by the buckets sealed since
+// the last miss — and the live bucket. The 14 d window is 13 roll-ups,
+// the day so far, the live hour. Operands are left-folded with
+// MergeOrdered, a bucket restored from its bytes and a roll-up as it
+// is, so a served report is bit-identical to a batch run over the same
+// records wherever the MergeOrdered precondition holds
+// (TestMergeOrderedEquivalence, FuzzMergeOrderedGrouping); where the
+// feed breaks it the store says so (Stats.FoldOverlaps). A late record
+// into a sealed bucket is still accepted: it thaws the bucket from its
+// bytes and drops its day's roll-up.
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
 // snapshot-encoding the dirty buckets a cut or a miss needs (on every
@@ -131,6 +132,7 @@ type Store struct {
 
 	// Roll-up and thaw traffic, for Stats; the metrics mirror them.
 	rollupBuilds  int64
+	rollupExtends int64
 	rollupInvalid int64
 	thaws         int64
 
@@ -192,6 +194,7 @@ type storeMetrics struct {
 	restores    *obs.Counter
 
 	rollupBuilds  *obs.Counter
+	rollupExtends *obs.Counter
 	rollupInvalid *obs.Counter
 	thaws         *obs.Counter
 }
@@ -214,6 +217,7 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 		restores:    reg.Counter("cellcars_query_restores_total"),
 
 		rollupBuilds:  reg.Counter("cellcars_query_rollup_builds_total"),
+		rollupExtends: reg.Counter("cellcars_query_rollup_extends_total"),
 		rollupInvalid: reg.Counter("cellcars_query_rollup_invalidations_total"),
 		thaws:         reg.Counter("cellcars_query_thaws_total"),
 	}
@@ -590,15 +594,19 @@ type Stats struct {
 	Windows     []string      `json:"windows"`
 	// LiveBuckets of the Buckets still hold an accumulator; the rest are
 	// sealed. SealedBytes is what is held in their place: the sealed
-	// buckets' encodings. Rollups counts the memoised day roll-ups,
-	// which are held as folded accumulators.
+	// buckets' encodings. Rollups counts the memoised day roll-ups —
+	// whole passed days and the day so far — which are held as folded
+	// accumulators.
 	LiveBuckets int   `json:"live_buckets"`
 	SealedBytes int64 `json:"sealed_bytes"`
 	Rollups     int   `json:"rollups"`
-	// RollupBuilds, RollupInvalidations and Thaws count roll-ups folded,
-	// roll-ups dropped (or refused) for a late record into their day,
-	// and sealed buckets restored for one.
+	// RollupBuilds, RollupExtends, RollupInvalidations and Thaws count
+	// roll-ups folded from their day's buckets, roll-ups extended from
+	// the day's shorter memo by the buckets sealed since, roll-ups
+	// dropped (or refused) for a late record into their day, and sealed
+	// buckets restored for one.
 	RollupBuilds        int64 `json:"rollup_builds"`
+	RollupExtends       int64 `json:"rollup_extends"`
 	RollupInvalidations int64 `json:"rollup_invalidations"`
 	Thaws               int64 `json:"thaws"`
 	// FoldOverlaps is, per window folded so far, how many boundary
@@ -644,6 +652,7 @@ func (s *Store) SnapshotStats() Stats {
 		SealedBytes:         sealedBytes,
 		Rollups:             rollups,
 		RollupBuilds:        s.rollupBuilds,
+		RollupExtends:       s.rollupExtends,
 		RollupInvalidations: s.rollupInvalid,
 		Thaws:               s.thaws,
 		FoldOverlaps:        maps.Clone(s.overlaps),

@@ -444,11 +444,13 @@ func serveFleet(b *testing.B) (analysis.Context, []cdr.Record) {
 }
 
 // BenchmarkWindowFold is what a full-window miss spends after its
-// operands are listed and its roll-ups built: the 14 d operand list of
-// the benchmark's serve fleet (400 generated cars over 14 days,
-// drained; 13 memoised day roll-ups and the last day's hours), the
-// roll-ups folded as they are and the hours restored, left-folded by
-// fold into a fresh accumulator, then finalized. Profile it with
+// operands are listed and its roll-ups built, both by compose's own
+// windowOperands and buildRollups: the 14 d operand list of the
+// benchmark's serve fleet (400 generated cars over 14 days, drained;
+// 13 memoised day roll-ups, the roll-up of the last day so far and the
+// live hour), the roll-ups folded as they are and the hours restored,
+// left-folded by fold into a fresh accumulator, then finalized. It
+// reports the operands and the hours restored per fold. Profile it with
 // `go test -run '^$' -bench WindowFold -cpuprofile cpu.out ./internal/query`.
 func BenchmarkWindowFold(b *testing.B) {
 	ctx, records := serveFleet(b)
@@ -464,11 +466,13 @@ func BenchmarkWindowFold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i, op := range ops {
-		if op.hours != nil {
-			if ops[i].rollup, err = s.buildRollup(op); err != nil {
-				b.Fatal(err)
-			}
+	if err := s.buildRollups(ops); err != nil {
+		b.Fatal(err)
+	}
+	hours := 0
+	for _, op := range ops {
+		if op.enc != nil {
+			hours++
 		}
 	}
 	b.ReportAllocs()
@@ -483,4 +487,5 @@ func BenchmarkWindowFold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(ops)), "operands")
+	b.ReportMetric(float64(hours), "hours/fold")
 }
