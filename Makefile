@@ -27,7 +27,9 @@ bench-check:
 # fleet (its operands listed and built as a miss does: 13 memoised day
 # roll-ups, the day so far's and the live hour restored, then Finalize;
 # with the day so far as one memo 31 → 15 operands, 18 → 1 hours
-# restored and 6.1–6.7 → 4.2–5.1 ms per fold, 2-vCPU box),
+# restored and 6.1–6.7 → 4.2–5.1 ms per fold, 2-vCPU box; at one proc
+# and at two, since the fold merges its stages on every core and one
+# proc is the inline path),
 # and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
 # what one foreign row costs a shard worker, skipped below the parse
@@ -46,7 +48,8 @@ bench-check:
 # plain tests, so `make ci` enforces them.
 bench-micro:
 	$(GO) test -run='^$$' -bench='^(BenchmarkEngineRun|BenchmarkCheckpointedRun|BenchmarkSnapshotEncode|BenchmarkSnapshotRestore|BenchmarkExhibits)$$' -benchmem -count=5 ./internal/analysis
-	$(GO) test -run='^$$' -bench='^(BenchmarkWindowFold|BenchmarkStoreColdIngest)$$' -benchmem -count=5 ./internal/query
+	$(GO) test -run='^$$' -bench='^BenchmarkWindowFold$$' -cpu 1,2 -benchmem -count=5 ./internal/query
+	$(GO) test -run='^$$' -bench='^BenchmarkStoreColdIngest$$' -benchmem -count=5 ./internal/query
 	$(GO) test -run='^$$' -bench='^(BenchmarkShardScan|BenchmarkIngest)$$' -benchmem -count=5 ./internal/cdr
 	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$' -benchmem -count=5 ./internal/synth
 	$(GO) test -run='^$$' -bench='^BenchmarkNearestStation$$' -benchmem -count=5 ./internal/radio
@@ -62,11 +65,12 @@ test:
 # same for the query store's cuts: one proc takes the inline encode, four
 # runs more encoders than the box has CPUs; and for its memoised day
 # roll-ups, which concurrent misses fold as they are and extend hour by
-# hour.
+# hour. Both lines also run the set merges and window folds, whose
+# stages merge inline at one proc and on four goroutines at four.
 race:
 	$(GO) test -race -coverprofile=cover.out ./...
-	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming' ./internal/analysis
-	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed|Rollup' ./internal/query
+	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming|Merge|Ordered' ./internal/analysis
+	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed|Rollup|Fold|Window' ./internal/query
 
 # The coordinator fault-tolerance suite under the race detector:
 # workers killed mid-stream, hung until speculation or timeout,

@@ -753,9 +753,7 @@ func ReadPartial(r io.Reader) (*Partial, error) {
 		return nil, err
 	}
 	root := sets[0]
-	for _, o := range sets[1:] {
-		root.merge(o, false)
-	}
+	root.mergeAll(sets[1:], false)
 	hdr.Workers = 1
 	return &Partial{Header: hdr, ctx: pctx, opts: popts, set: root}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -28,9 +29,10 @@ import (
 //     same loop over a slice reader and with a zero CheckpointConfig;
 //     there is no separate in-memory or single-worker path.
 //
-// Both end in the same merge (car-disjoint union, in shard order) and
-// the same finalize, and every per-stage walk — build, restore,
-// snapshot, merge, finalize, metrics — goes over stageTable.
+// Both end in the same merge (car-disjoint union, in shard order, the
+// stages side by side) and the same finalize, and every per-stage walk
+// — build, restore, snapshot, merge, finalize, metrics — goes over
+// stageTable.
 
 // Engine executes the full §4 analysis pipeline over a CDR source by
 // sharding the stream by car hash across workers, running one complete
@@ -264,9 +266,7 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 	}
 	// Fold worker partials in shard order, for determinism.
 	root := sets[0]
-	for _, s := range sets[1:] {
-		root.merge(s, false)
-	}
+	root.mergeAll(sets[1:], false)
 	rep := root.finalize()
 	if root.met != nil {
 		rep.ProfileWorkers = n
@@ -546,54 +546,113 @@ func feedStage(acc Accumulator, b *batch) (err error) {
 	return nil
 }
 
-// merge folds another set's partials into s. A stage failed in either
-// set is failed in the result (first error wins). Plain folds assume
-// car-disjoint sets; an ordered fold takes o as the time-adjacent later
-// slice of the same cars and lets the session stages stitch the
-// boundary (see ordered.go) — every other stage is order-insensitive
-// and merges the same way in both.
+// merge folds another set's partials into s: the one-operand case of
+// mergeAll.
 func (s *accumSet) merge(o *accumSet, ordered bool) {
-	// Both sides flush: o so its partial state is complete, s so its
-	// unsynced tail reaches the metrics before rebase below swallows
-	// the delta (the dispatcher does not flush worker sets at end of
-	// stream).
+	s.mergeAll([]*accumSet{o}, ordered)
+}
+
+// mergeAll folds other sets' partials into s, in list order. A stage
+// failed in s or in any operand is failed in the result (first error
+// wins). Plain folds assume car-disjoint sets; an ordered fold takes
+// each operand as the time-adjacent later slice of the same cars and
+// lets the session stages stitch the boundary (see ordered.go) — every
+// other stage is order-insensitive and merges the same way in both.
+//
+// The fold is stage-major. Every operand is flushed, counted and has
+// its cars numbered into s first, in list order: the only writes to s's
+// car table. Each live stage then folds every operand in order, the
+// stages pulled off a counter by min(GOMAXPROCS, stages) goroutines
+// (inline at one). Stages share nothing but the car table, which they
+// only read, and no merge writes its operand, so each stage ends as an
+// operand-by-operand fold would leave it. A stage merge that panics
+// does so on the caller, after the join.
+func (s *accumSet) mergeAll(ops []*accumSet, ordered bool) {
+	// Both sides flush: operands so their partial state is complete, s
+	// so its unsynced tail reaches the metrics before rebase below
+	// swallows the delta (the dispatcher does not flush worker sets at
+	// end of stream).
 	s.flush()
-	o.flush()
-	s.raw += o.raw
-	s.ghosts += o.ghosts
-	s.outOfPeriod += o.outOfPeriod
-	s.accepted += o.accepted
-	for _, e := range o.errs {
-		if !s.hasError(e.Stage) {
-			s.errs = append(s.errs, e)
+	remaps := make([][]int32, len(ops))
+	for j, o := range ops {
+		o.flush()
+		s.raw += o.raw
+		s.ghosts += o.ghosts
+		s.outOfPeriod += o.outOfPeriod
+		s.accepted += o.accepted
+		for _, e := range o.errs {
+			if !s.hasError(e.Stage) {
+				s.errs = append(s.errs, e)
+			}
 		}
+		// o's cars are numbered into s once, for every stage.
+		remaps[j] = s.cars.remap(&o.cars)
 	}
-	// o's cars are numbered into s once, for every stage.
-	remap := s.cars.remap(&o.cars)
-	for i := range s.stages {
-		switch {
+	// The session stages go first: stitching and cloning sessions makes
+	// theirs the longest folds, and the join waits for the longest.
+	var live, rest []int
+	for i, acc := range s.stages {
+		switch _, session := acc.(orderedMerger); {
 		case s.hasError(stageTable[i].name):
 			s.stages[i] = nil
-		case s.stages[i] == nil || o.stages[i] == nil:
-			// Stage disabled by context on both sides (or failed,
-			// handled above).
-		default:
-			var t0 time.Time
-			if s.met != nil {
-				t0 = time.Now()
+		case session:
+			live = append(live, i)
+		case acc != nil:
+			rest = append(rest, i)
+		}
+	}
+	live = append(live, rest...)
+	fold := func(i int) {
+		var t0 time.Time
+		if s.met != nil {
+			t0 = time.Now()
+		}
+		acc := s.stages[i]
+		om, _ := acc.(orderedMerger)
+		for j, o := range ops {
+			switch {
+			case o.stages[i] == nil:
+				// Stage disabled by context on this side.
+			case ordered && om != nil:
+				om.MergeOrdered(o.stages[i], remaps[j])
+			default:
+				acc.Merge(o.stages[i], remaps[j])
 			}
-			if om, ok := s.stages[i].(orderedMerger); ok && ordered {
-				om.MergeOrdered(o.stages[i], remap)
-			} else {
-				s.stages[i].Merge(o.stages[i], remap)
-			}
-			if s.met != nil {
-				s.met.stageMerge[i].Observe(time.Since(t0))
+		}
+		if s.met != nil {
+			s.met.stageMerge[i].Observe(time.Since(t0))
+		}
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(live)))
+	if workers == 1 {
+		for _, i := range live {
+			fold(i)
+		}
+	} else {
+		panics := make([]any, len(live))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := next.Add(1) - 1; k < int64(len(live)); k = next.Add(1) - 1 {
+					func() {
+						defer func() { panics[k] = recover() }()
+						fold(live[k])
+					}()
+				}
+			}()
+		}
+		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
 			}
 		}
 	}
-	// o's records were already counted by its own metrics; realign the
-	// watermarks so the folded-in values are not re-emitted.
+	// The operands' records were already counted by their own metrics;
+	// realign the watermarks so the folded-in values are not re-emitted.
 	if s.met != nil {
 		s.met.rebase(s)
 	}

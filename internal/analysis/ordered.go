@@ -114,24 +114,38 @@ func (s *sessionStage[S]) join(car int32, frag S) (sess S, joined bool) {
 
 // MergeOrdered folds a later, time-adjacent slice into s, stitching
 // sessions that span the slice boundary — the composition step behind
-// rolling-window queries. later must cover records at or after every
-// record s has seen (per car), must share s's study configuration, and
-// must have been built with RunOptions.TrackHeads. later is left as it
-// was: the merge flushes later's buffered records into its own stages
-// and otherwise only reads it, so a flushed slice may be folded into
-// any number of accumulators, concurrently too.
+// rolling-window queries. It is the one-operand case of
+// MergeOrderedAll, which holds the contract.
+func (s *Streaming) MergeOrdered(later *Streaming) error {
+	return s.MergeOrderedAll([]*Streaming{later})
+}
+
+// MergeOrderedAll folds later, time-adjacent slices into s, oldest
+// first. Each must cover records at or after every record s and the
+// slices before it have seen (per car), must share s's study
+// configuration, and must have been built with RunOptions.TrackHeads;
+// a slice that does not is refused before anything is folded. The
+// slices are left as they were: the merge flushes each one's buffered
+// records into its own stages and otherwise only reads it, so a flushed
+// slice may be folded into any number of accumulators, concurrently
+// too. The stages fold on every core (accumSet.mergeAll), each
+// exactly as successive MergeOrdered calls would.
 //
 // Unlike the car-disjoint Merge, a left-fold of MergeOrdered over
 // consecutive time slices finalizes bit-identically to one pass over
 // the concatenated stream (see package comment for the precondition).
-func (s *Streaming) MergeOrdered(later *Streaming) error {
-	if err := s.header().SameStudy(later.header()); err != nil {
-		return err
+func (s *Streaming) MergeOrderedAll(laters []*Streaming) error {
+	sets := make([]*accumSet, len(laters))
+	for i, later := range laters {
+		if err := s.header().SameStudy(later.header()); err != nil {
+			return err
+		}
+		if !later.tracksHeads() {
+			return fmt.Errorf("analysis: MergeOrdered needs the later slice built with TrackHeads")
+		}
+		sets[i] = later.set
 	}
-	if !later.tracksHeads() {
-		return fmt.Errorf("analysis: MergeOrdered needs the later slice built with TrackHeads")
-	}
-	s.set.merge(later.set, true)
+	s.set.mergeAll(sets, true)
 	return nil
 }
 

@@ -91,7 +91,8 @@ type StageProfile struct {
 	// workers — worker-seconds, which under W concurrent workers sum to
 	// up to W times the run's elapsed wall time. MergeSeconds and
 	// FinalizeSeconds are wall time: both run after the workers stop,
-	// on one goroutine.
+	// the finalize on one goroutine and the merge with the stages side
+	// by side, so the stages' merge seconds may overlap.
 	AddSeconds, MergeSeconds, FinalizeSeconds float64
 }
 

@@ -15,14 +15,16 @@
 // its ragged first day, one memoised roll-up for every whole passed
 // day, one for the day so far — extended by the buckets sealed since
 // the last miss — and the live bucket. The 14 d window is 13 roll-ups,
-// the day so far, the live hour. Operands are left-folded with
-// MergeOrdered, a bucket restored from its bytes and a roll-up as it
-// is, so a served report is bit-identical to a batch run over the same
-// records wherever the MergeOrdered precondition holds
-// (TestMergeOrderedEquivalence, FuzzMergeOrderedGrouping); where the
-// feed breaks it the store says so (Stats.FoldOverlaps). A late record
-// into a sealed bucket is still accepted: it thaws the bucket from its
-// bytes and drops its day's roll-up.
+// the day so far, the live hour. Operands are folded oldest first by
+// one MergeOrderedAll, a bucket restored from its bytes and a roll-up
+// as it is; the fold merges its stages on every core, so a miss waits
+// for its slowest stage, not for all of them in a row. A served report
+// is bit-identical to a batch run over the same records wherever the
+// MergeOrdered precondition holds (TestMergeOrderedEquivalence,
+// FuzzMergeOrderedGrouping); where the feed breaks it the store says so
+// (Stats.FoldOverlaps). A late record into a sealed bucket is still
+// accepted: it thaws the bucket from its bytes and drops its day's
+// roll-up.
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
 // snapshot-encoding the dirty buckets a cut or a miss needs (on every

@@ -231,23 +231,24 @@ func (s *Store) buildRollup(op operand) (*analysis.Streaming, error) {
 	return rollup, nil
 }
 
-// fold left-folds operands, oldest first, into a fresh accumulator with
-// MergeOrdered: a roll-up as it is, a bucket restored from its bytes.
-// No operand changes, and the fold's OrderedOverlaps counts the
-// witnesses the roll-ups carry besides its own.
+// fold left-folds operands, oldest first, into a fresh accumulator
+// with one MergeOrderedAll: a roll-up as it is, a bucket restored from
+// its bytes. No operand changes, and the fold's OrderedOverlaps counts
+// the witnesses the roll-ups carry besides its own.
 func (s *Store) fold(ops []operand) (*analysis.Streaming, error) {
-	acc := analysis.NewStreamingWithOptions(s.ctx, s.opts)
+	laters := make([]*analysis.Streaming, len(ops))
 	for i, op := range ops {
-		later := op.rollup
-		if later == nil {
+		laters[i] = op.rollup
+		if laters[i] == nil {
 			var err error
-			if later, err = analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(op.enc)); err != nil {
+			if laters[i], err = analysis.RestoreStreaming(s.ctx, s.opts, bytes.NewBuffer(op.enc)); err != nil {
 				return nil, fmt.Errorf("query: restore operand %d: %w", i, err)
 			}
 		}
-		if err := acc.MergeOrdered(later); err != nil {
-			return nil, fmt.Errorf("query: fold operand %d: %w", i, err)
-		}
+	}
+	acc := analysis.NewStreamingWithOptions(s.ctx, s.opts)
+	if err := acc.MergeOrderedAll(laters); err != nil {
+		return nil, fmt.Errorf("query: fold: %w", err)
 	}
 	return acc, nil
 }
@@ -256,8 +257,14 @@ func (s *Store) fold(ops []operand) (*analysis.Streaming, error) {
 // build or extend the roll-ups not yet memoised, fold, finalize. An
 // empty window folds nothing: the zero report. It returns the live
 // index the operands were listed at; endpoint labels the compose span
-// in the run trace.
-func (s *Store) compose(endpoint string, w Window) (*analysis.StreamReport, int, error) {
+// in the run trace. A panic in a stage's merge, which the fold raises
+// here once its stages have joined, fails this query only.
+func (s *Store) compose(endpoint string, w Window) (_ *analysis.StreamReport, epoch int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("query: %s over %s: panic: %v", endpoint, w.Name, p)
+		}
+	}()
 	ops, epoch, err := s.windowOperands(w)
 	if err != nil {
 		return nil, epoch, err
