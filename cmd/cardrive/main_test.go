@@ -554,8 +554,9 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 }
 
 // TestResumeReplansVersion1Partial: a done shard whose partial was
-// written before snapshot version 4 — version 1 in shard 0, version 2 in
-// shard 1, then version 3 in shard 2 — is not merged on -resume: the
+// written before snapshot version 5 — version 1 in shard 0, version 2 in
+// shard 1, version 3 in shard 2, then version 4 in shard 0 again — is
+// not merged on -resume: the
 // coordinator sorts it as bad-snapshot, naming the version, runs the
 // shard again and prints the report a fresh run prints.
 func TestResumeReplansVersion1Partial(t *testing.T) {
@@ -570,8 +571,8 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 		t.Fatalf("fresh run: %v", err)
 	}
 
-	for _, version := range []int{1, 2, 3} {
-		shard := version - 1
+	for _, version := range []int{1, 2, 3, 4} {
+		shard := (version - 1) % 3
 		partial := filepath.Join(work, fmt.Sprintf("shard%04d.snap", shard))
 		data, err := os.ReadFile(partial)
 		if err != nil {
@@ -598,7 +599,7 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 			}
 			msg, _ := rec["err"].(string)
 			if rec["level"] == "WARN" && rec["shard"] == float64(shard) && rec["class"] == "bad-snapshot" &&
-				strings.Contains(msg, fmt.Sprintf("unsupported snapshot version %d (want 4;", version)) {
+				strings.Contains(msg, fmt.Sprintf("unsupported snapshot version %d (want 5;", version)) {
 				sorted = true
 			}
 		}

@@ -166,7 +166,7 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 }
 
 // TestRefusesVersion1Partial: a partial written before snapshot
-// version 4 — version 1, 2 or 3 — is refused, naming the version and
+// version 5 — version 1, 2, 3 or 4 — is refused, naming the version and
 // the remedy, even beside a current one.
 func TestRefusesVersion1Partial(t *testing.T) {
 	dir := t.TempDir()
@@ -178,7 +178,7 @@ func TestRefusesVersion1Partial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{1, 2, 3} {
+	for _, version := range []byte{1, 2, 3, 4} {
 		data[len("CCARSNAP")] = version // the version uvarint behind the magic
 		if err := os.WriteFile(old, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestRefusesVersion1Partial(t *testing.T) {
 		if code != 1 {
 			t.Fatalf("version %d: exit code = %d, want 1; stderr: %s", version, code, stderr)
 		}
-		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 4;", version), "re-run from the input"} {
+		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 5;", version), "re-run from the input"} {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("stderr does not say %q:\n%s", want, stderr)
 			}

@@ -982,8 +982,8 @@ func TestQuarantineFileSurvivesShutdown(t *testing.T) {
 	}
 }
 
-// TestVersion1CutsColdStart: cuts written before snapshot version 4,
-// version 1, 2 or 3, cannot be warmed from. The restarted daemon logs one warning per cut,
+// TestVersion1CutsColdStart: cuts written before snapshot version 5,
+// version 1, 2, 3 or 4, cannot be warmed from. The restarted daemon logs one warning per cut,
 // carrying that cut's error, replays its inputs from record 0 and serves
 // what a cold daemon serves.
 func TestVersion1CutsColdStart(t *testing.T) {
@@ -993,7 +993,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	writeCDR(t, in, recs)
 	snaps := filepath.Join(dir, "snaps")
 	args := []string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h", "-keep", "8",
-		"-snapshots", snaps, "-snapshot-every", "1500",
+		"-snapshots", snaps, "-snapshot-every", "1000",
 		"-start", "2017-03-06", "-days", "1", "-tz", "-5", "-seed", "1", in}
 	const report = "/report/full?window=24h"
 
@@ -1006,16 +1006,16 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	d.terminate(t)
 
 	cuts, err := filepath.Glob(filepath.Join(snaps, "cut-*.snap"))
-	if err != nil || len(cuts) < 3 {
-		t.Fatalf("cuts %v (err %v); want several", cuts, err)
+	if err != nil || len(cuts) < 4 {
+		t.Fatalf("cuts %v (err %v); want one per old version", cuts, err)
 	}
-	version := make(map[string]int) // each cut's, 1, 2 and 3 in turn
+	version := make(map[string]int) // each cut's, 1, 2, 3 and 4 in turn
 	for i, cut := range cuts {
 		data, err := os.ReadFile(cut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		version[cut] = 1 + i%3
+		version[cut] = 1 + i%4
 		data[len("CCARSNAP")] = byte(version[cut]) // the version uvarint behind the magic
 		if err := os.WriteFile(cut, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -1025,7 +1025,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	d = startDaemon(t, args...)
 	d.waitDrained(t, int64(len(recs)))
 	if warm := d.record(t, "warm restart"); warm != nil {
-		t.Fatalf("warm restart from version-1, -2 and -3 cuts: %v", warm)
+		t.Fatalf("warm restart from version-1 to -4 cuts: %v", warm)
 	}
 	var skipped []string
 	for _, rec := range d.records(t) {
@@ -1042,7 +1042,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 		t.Errorf("%d skipped-cut warnings for %d old cuts:\n%s", len(skipped), len(cuts), strings.Join(skipped, "\n"))
 	}
 	for _, cut := range cuts {
-		want := fmt.Sprintf("unsupported snapshot version %d (want 4;", version[cut])
+		want := fmt.Sprintf("unsupported snapshot version %d (want 5;", version[cut])
 		if !slices.ContainsFunc(skipped, func(msg string) bool { return strings.Contains(msg, cut) && strings.Contains(msg, want) }) {
 			t.Errorf("no skipped-cut warning names %s and says %q", cut, want)
 		}

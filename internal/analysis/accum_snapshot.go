@@ -168,11 +168,6 @@ func decodeCars[T any](d *snapshot.Decoder, cars *carTable, c *column[T], read f
 	}
 }
 
-// readDays reads one car's day bitmap under the period's bound.
-func readDays(maxWords int) func(*snapshot.Decoder, cdr.CarID, *daysBits) {
-	return func(d *snapshot.Decoder, _ cdr.CarID, db *daysBits) { *db = decodeDaysBits(d, maxWords) }
-}
-
 // ---------------------------------------------------------------------------
 // presence
 
@@ -184,13 +179,22 @@ func (a *presenceAcc) SnapshotTo(w io.Writer) error {
 		e.Uvarint(uint64(cell))
 		encodeDaysBits(e, a.cellDays[cell])
 	}
+	encodeCars(e, a.cars, &a.split, func(e *snapshot.Encoder, t *busyTime) {
+		e.Varint(int64(t.busy))
+		e.Varint(int64(t.total))
+	})
 	return e.Err()
 }
 
 func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 	d := snapshot.NewDecoder(r)
-	maxW := daysWords(a.period)
-	decodeCars(d, a.cars, &a.carDays, readDays(maxW))
+	maxW := daysWords(a.ctx.Period)
+	decodeCars(d, a.cars, &a.carDays, func(d *snapshot.Decoder, car cdr.CarID, db *daysBits) {
+		if *db = decodeDaysBits(d, maxW); d.Err() == nil && len(db.bits) == 0 {
+			// Add holds a car only once it was seen on a study day.
+			d.Failf("car %d seen on no day", car)
+		}
+	})
 	n := d.Len(maxSnapEntries)
 	if d.Err() != nil {
 		return d.Err()
@@ -209,7 +213,15 @@ func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 		cellDays[cell] = &db
 	}
 	a.cellDays = cellDays
-	return nil
+	decodeCars(d, a.cars, &a.split, func(d *snapshot.Decoder, car cdr.CarID, t *busyTime) {
+		b, tot := d.Varint(), d.Varint()
+		if d.Err() == nil && (b < 0 || tot <= 0 || tot < b) {
+			// Add holds a car only once it has binned time.
+			d.Failf("car %d busy=%d total=%d inconsistent", car, b, tot)
+		}
+		*t = busyTime{busy: time.Duration(b), total: time.Duration(tot)}
+	})
+	return d.Err()
 }
 
 // ---------------------------------------------------------------------------
@@ -232,72 +244,6 @@ func (a *connectedAcc) RestoreFrom(r io.Reader) error {
 			// Per-record truncation can only shrink: 0 ≤ trunc ≤ full.
 			d.Failf("car %d connected seconds full=%d trunc=%d inconsistent", car, c.full, c.trunc)
 		}
-	})
-	return d.Err()
-}
-
-// ---------------------------------------------------------------------------
-// days
-
-func (a *daysAcc) SnapshotTo(w io.Writer) error {
-	e := snapshot.NewEncoder(w)
-	encodeCars(e, a.cars, &a.carDays, encodeDaysBits)
-	return e.Err()
-}
-
-func (a *daysAcc) RestoreFrom(r io.Reader) error {
-	d := snapshot.NewDecoder(r)
-	decodeCars(d, a.cars, &a.carDays, readDays(daysWords(a.period)))
-	return d.Err()
-}
-
-// ---------------------------------------------------------------------------
-// busy
-
-func (a *busyAcc) SnapshotTo(w io.Writer) error {
-	e := snapshot.NewEncoder(w)
-	encodeCars(e, a.cars, &a.times, func(e *snapshot.Encoder, t *busyTime) {
-		e.Varint(int64(t.busy))
-		e.Varint(int64(t.total))
-	})
-	return e.Err()
-}
-
-func (a *busyAcc) RestoreFrom(r io.Reader) error {
-	d := snapshot.NewDecoder(r)
-	decodeCars(d, a.cars, &a.times, func(d *snapshot.Decoder, car cdr.CarID, t *busyTime) {
-		b, tot := d.Varint(), d.Varint()
-		if d.Err() == nil && (b < 0 || tot < b) {
-			d.Failf("car %d busy=%d total=%d inconsistent", car, b, tot)
-		}
-		*t = busyTime{busy: time.Duration(b), total: time.Duration(tot)}
-	})
-	return d.Err()
-}
-
-// ---------------------------------------------------------------------------
-// segments
-
-func (a *segmentsAcc) SnapshotTo(w io.Writer) error {
-	e := snapshot.NewEncoder(w)
-	encodeCars(e, a.cars, &a.state, func(e *snapshot.Encoder, st *carSegState) {
-		encodeDaysBits(e, &st.days)
-		e.Varint(int64(st.busy))
-		e.Varint(int64(st.total))
-	})
-	return e.Err()
-}
-
-func (a *segmentsAcc) RestoreFrom(r io.Reader) error {
-	d := snapshot.NewDecoder(r)
-	maxW := daysWords(a.ctx.Period)
-	decodeCars(d, a.cars, &a.state, func(d *snapshot.Decoder, car cdr.CarID, st *carSegState) {
-		db := decodeDaysBits(d, maxW)
-		b, t := d.Varint(), d.Varint()
-		if d.Err() == nil && (b < 0 || t < b) {
-			d.Failf("car %d segment busy=%d total=%d inconsistent", car, b, t)
-		}
-		*st = carSegState{days: db, busy: time.Duration(b), total: time.Duration(t)}
 	})
 	return d.Err()
 }

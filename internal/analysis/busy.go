@@ -30,7 +30,7 @@ func BusyTimeOf(records []cdr.Record, ctx Context) BusyTime {
 	if ctx.Load == nil {
 		panic("analysis: BusyTimeOf requires a load source")
 	}
-	return runAccum(records, ctx.Period, func(cars *carTable) *busyAcc { return newBusyAcc(ctx, cars) }).Busy
+	return finalized(busyStage{over(records, ctx)}).Busy
 }
 
 // Histogram7a buckets the busy-time fractions into the Figure 7a bars:
@@ -84,7 +84,7 @@ func Segmentation(records []cdr.Record, ctx Context, rareDays ...int) []Segment 
 	if ctx.Load == nil {
 		panic("analysis: segmentation requires a load source")
 	}
-	return runAccum(records, ctx.Period, func(cars *carTable) *segmentsAcc { return newSegmentsAcc(ctx, rareDays, cars) }).Segments
+	return finalized(segmentsStage{over(records, ctx), rareDays}).Segments
 }
 
 // FormatTable2 renders segmentation rows in the paper's Table 2 layout.

@@ -26,7 +26,7 @@ type DailyPresence struct {
 // DailyPresenceOf computes Figure 2 from a record stream. A car or
 // cell counts as present on the day a connection starts.
 func DailyPresenceOf(records []cdr.Record, period simtime.Period) DailyPresence {
-	return runAccum(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(period, cars) }).Presence
+	return finalized(over(records, Context{Period: period}).p).Presence
 }
 
 // WeekdayRow is one row of Table 1: mean and sample standard deviation
@@ -79,13 +79,13 @@ func FormatTable1(rows []WeekdayRow) string {
 // DaysOnNetwork returns, per car, the number of distinct study days
 // with at least one connection — the quantity of Figure 6.
 func DaysOnNetwork(records []cdr.Record, period simtime.Period) map[cdr.CarID]int {
-	return feed(records, period, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).perCar()
+	return daysStage{over(records, Context{Period: period})}.perCar()
 }
 
 // DaysHistogram bins DaysOnNetwork counts into a Figure 6 histogram
 // with one bin per possible day count (1..Days).
 func DaysHistogram(records []cdr.Record, period simtime.Period) *stats.Histogram {
-	return runAccum(records, period, func(cars *carTable) *daysAcc { return newDaysAcc(period, cars) }).DaysHist
+	return finalized(daysStage{over(records, Context{Period: period})}).DaysHist
 }
 
 // ConnectedTime is Figure 3: the distribution over cars of total time

@@ -48,10 +48,13 @@ var ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot")
 // §4.5's handovers per session and by kind, the usage stage's hours of
 // the week — as sparse integer (value, count) pairs, and no floats.
 // Version 4 writes the usage stage's open sessions and heads as (car,
-// start, length) intervals, not span lists; every other frame is
-// version 3's. An older file is refused, naming the remedy: re-run from
-// the input.
-const Version = 4
+// start, length) intervals, not span lists. Version 5 keeps each per-car
+// fact once: the presence frame carries every car's day bitmap and,
+// after its cells, the busy/total split of the cars with binned time,
+// and the days, segments and busy stages, derived from it, have no
+// frame; every other frame is version 4's. An older file is refused,
+// naming the remedy: re-run from the input.
+const Version = 5
 
 var magic = [8]byte{'C', 'C', 'A', 'R', 'S', 'N', 'A', 'P'}
 
