@@ -19,8 +19,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The engine's numbers without carbench: ns and allocations per record
-# of one Engine.Run (one worker, two, and the machine's count), a
-# full-state snapshot encode and its restore, a run
+# of one Engine.Run (one worker, two, and the machine's count, and one
+# worker with a load source, so the load-dependent stages run), a
+# full-state snapshot encode (file mode and with a load source, bytes
+# per stage frame) and its restore, a run
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
 # 1 600-car fleet; the fold of a full-window miss on the 400-car serve

@@ -32,6 +32,19 @@ func benchFleet(tb testing.TB) (simtime.Period, []cdr.Record) {
 	return cfg.Period, records
 }
 
+// benchLoad is a load context for the benchmark fleet: every fifth cell
+// it uses is busy (fixedLoad), so the load-dependent stages have cars of
+// every kind.
+func benchLoad(period simtime.Period, records []cdr.Record) Context {
+	busy := make(map[radio.CellKey]bool)
+	for _, r := range records {
+		if r.Cell%5 == 0 {
+			busy[r.Cell] = true
+		}
+	}
+	return Context{Period: period, Load: &fixedLoad{busy: busy}}
+}
+
 // TestWarmAddPathAllocatesLittle: a Streaming that has seen twelve days
 // of the generated fleet takes another at under 0.2 allocations per
 // record (1.75 before sessions and their spans were recycled). What is
@@ -292,17 +305,20 @@ func TestStashedHeadSurvivesRecycling(t *testing.T) {
 // BenchmarkEngineRun is one Engine.Run over the benchmark's main fleet —
 // the loop that is over 95 % of the batch workload — with one worker,
 // with two, and with the count left to the machine (run it under
-// `-cpu 1,2`: on one proc auto is the one-worker run). Profile it with
-// `go test -run '^$' -bench EngineRun/workers=1 -cpuprofile cpu.out
+// `-cpu 1,2`: on one proc auto is the one-worker run); and at one worker
+// under benchLoad, where the load-dependent stages run too. Profile it
+// with `go test -run '^$' -bench EngineRun/workers=1 -cpuprofile cpu.out
 // ./internal/analysis`.
 func BenchmarkEngineRun(b *testing.B) {
 	period, records := benchFleet(b)
+	file := Context{Period: period}
 	for _, bc := range []struct {
 		name    string
+		ctx     Context
 		workers int
-	}{{"workers=1", 1}, {"workers=2", 2}, {"workers=auto", 0}} {
+	}{{"workers=1", file, 1}, {"workers=2", file, 2}, {"workers=auto", file, 0}, {"workers=1,load", benchLoad(period, records), 1}} {
 		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(Context{Period: period}, EngineOptions{Workers: bc.workers})
+			e := NewEngine(bc.ctx, EngineOptions{Workers: bc.workers})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -137,7 +137,8 @@ type RunOptions struct {
 	// artificially — a chaos hook proving that one broken analysis
 	// degrades to a diagnostic instead of killing the run. Stage
 	// names: presence, connected, days, segments, busy, durations,
-	// handovers, carriers, usage, clusters.
+	// handovers, carriers, usage, clusters. Days, segments and busy are
+	// drawn from presence's per-car facts and fail with it.
 	FailStage string
 	// Workers is the parallel shard count; zero (or less) is auto, one
 	// per CPU up to a cap (see EngineOptions). The report is identical

@@ -57,6 +57,97 @@ func withFrame(seed []byte, stage string, write func(e *snapshot.Encoder)) []byt
 	return out.Bytes()
 }
 
+// withDerivedFrame returns seed with a frame of a stage derived from
+// presence forged in after the connected frame: one that holds no car,
+// as the stage wrote before snapshot version 5.
+func withDerivedFrame(seed []byte, stage string) []byte {
+	r, err := snapshot.NewReader(bytes.NewReader(seed))
+	if err != nil {
+		panic(err)
+	}
+	var out bytes.Buffer
+	w := snapshot.NewWriter(&out)
+	for {
+		name, payload, err := r.NextFrame()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			panic(err)
+		}
+		w.RawFrame(name, payload)
+		if name == "stage:connected" {
+			w.Begin("stage:" + stage).Uvarint(0)
+			w.End()
+		}
+	}
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
+}
+
+// withPresence returns seed with a presence frame holding car 1 seen on
+// the days of the bitmap words given, no cell, and the split entries
+// given as (car, busy, total).
+func withPresence(seed []byte, days []uint64, split [][3]int64) []byte {
+	return withFrame(seed, "presence", func(e *snapshot.Encoder) {
+		e.Uvarint(1) // cars
+		e.Uvarint(1)
+		e.Uvarint(uint64(len(days)))
+		for _, w := range days {
+			e.Uvarint(w)
+		}
+		e.Uvarint(0) // cells
+		e.Uvarint(uint64(len(split)))
+		for _, c := range split {
+			e.Uvarint(uint64(c[0]))
+			e.Varint(c[1])
+			e.Varint(c[2])
+		}
+	})
+}
+
+// presenceRefusals are presence frames a restore must refuse, one per
+// rule of its day bitmaps and its busy split.
+func presenceRefusals(seed []byte) []struct {
+	name string
+	data []byte
+} {
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"car seen on no day", withPresence(seed, nil, nil)},
+		{"car with no binned time", withPresence(seed, []uint64{1}, [][3]int64{{1, 0, 0}})},
+		{"negative busy time", withPresence(seed, []uint64{1}, [][3]int64{{1, -1, 5}})},
+		{"busy time above the total", withPresence(seed, []uint64{1}, [][3]int64{{1, 6, 5}})},
+		{"split cars descending", withPresence(seed, []uint64{1}, [][3]int64{{2, 1, 2}, {1, 1, 2}})},
+	}
+}
+
+// TestPresenceFrameRefusals: each malformed presence frame is
+// ErrBadSnapshot, and the same frame well formed restores to the facts it
+// holds, which the derived stages finalize: a car in the split need not
+// have a study day, and one with a day needs no binned time.
+func TestPresenceFrameRefusals(t *testing.T) {
+	seed := fuzzSnapshotSeed()
+	p, err := ReadPartial(bytes.NewReader(withPresence(seed, []uint64{1 << 3}, [][3]int64{{2, 1, 4}})))
+	if err != nil {
+		t.Fatalf("well-formed presence frame refused: %v", err)
+	}
+	rep := p.Finalize()
+	if rep.Presence.TotalCars != 1 || rep.DaysHist.Counts[0] != 1 || rep.Segments[0].RareNonBusy != 1 ||
+		len(rep.Busy.FracByCar) != 1 || rep.Busy.FracByCar[2] != 0.25 {
+		t.Errorf("well-formed presence frame restored to %d cars, days %v, Table 2 %+v, Figure 7 %v",
+			rep.Presence.TotalCars, rep.DaysHist.Counts, rep.Segments, rep.Busy.FracByCar)
+	}
+	for _, tc := range presenceRefusals(seed) {
+		if _, err := ReadPartial(bytes.NewReader(tc.data)); !errors.Is(err, snapshot.ErrBadSnapshot) {
+			t.Errorf("%s: got %v, want ErrBadSnapshot", tc.name, err)
+		}
+	}
+}
+
 // writeTally writes a tally frame holding the (value, count) pairs given.
 func writeTally(e *snapshot.Encoder, pairs [][2]uint64) {
 	e.Uvarint(uint64(len(pairs)))
@@ -215,7 +306,8 @@ func TestDurationsFrameRefusals(t *testing.T) {
 
 // countRefusals are handovers and usage frames a restore must refuse,
 // one per rule decodeTally and the handovers restore enforce, each beside
-// a well-formed seed.
+// a well-formed seed, and the frames a stage derived from presence wrote
+// before snapshot version 5.
 func countRefusals(seed []byte) []struct {
 	name string
 	data []byte
@@ -246,6 +338,9 @@ func countRefusals(seed []byte) []struct {
 		{"descending hours", withUsage(seed, pairs{{9, 1}, {5, 1}}, 2)},
 		{"zero hour count", withUsage(seed, pairs{{5, 0}}, 1)},
 		{"hour counts overflow the sum", withUsage(seed, pairs{{5, 1 << 62}, {6, 1 << 62}}, 1)},
+		{"days frame", withDerivedFrame(seed, "days")},
+		{"segments frame", withDerivedFrame(seed, "segments")},
+		{"busy frame", withDerivedFrame(seed, "busy")},
 	}
 }
 
@@ -345,6 +440,9 @@ func FuzzReadPartial(f *testing.F) {
 		f.Add(tc.data)
 	}
 	for _, tc := range usageRefusals(seed) {
+		f.Add(tc.data)
+	}
+	for _, tc := range presenceRefusals(seed) {
 		f.Add(tc.data)
 	}
 
