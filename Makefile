@@ -74,15 +74,17 @@ race:
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming|Merge|Ordered' ./internal/analysis
 	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed|Rollup|Fold|Window' ./internal/query
 
-# The coordinator fault-tolerance suite under the race detector:
-# workers killed mid-stream, hung until speculation or timeout,
-# bit-flipped snapshots quarantined, plus every binary with a kill
-# path: the SIGTERM-checkpoint, corrupt- and degraded-partial CLI paths,
-# the coordinator under injected crashes, and the daemon's SIGTERM cut
-# and quarantine flush. -count=1 defeats the test cache — chaos runs
-# must actually run.
+# Every package whose tests start a child process, under the race
+# detector: the coordinator fault-tolerance suite (workers killed
+# mid-stream, hung until speculation or timeout, bit-flipped snapshots
+# quarantined), each binary's CLI tests (the SIGTERM-checkpoint,
+# corrupt- and degraded-partial paths, the coordinator under injected
+# crashes, the daemon's SIGTERM cut and quarantine flush, cargen's flag
+# refusals) and internal/clitest, the harness they all start children
+# through, whose own tests hold its leak check to failing. -count=1
+# defeats the test cache — chaos runs must actually run.
 chaos:
-	$(GO) test -race -count=1 ./internal/drive/ ./cmd/caranalyze/ ./cmd/carmerge/ ./cmd/cardrive/ ./cmd/carqueryd/
+	$(GO) test -race -count=1 ./internal/drive/ ./internal/clitest/ ./cmd/caranalyze/ ./cmd/carmerge/ ./cmd/cardrive/ ./cmd/carqueryd/ ./cmd/cargen/
 
 # STATICCHECK pins the honnef.co/go/tools version CI installs; vet
 # runs it when the binary is on PATH and degrades to a warning when it

@@ -11,6 +11,7 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/simtime"
 )
 
@@ -37,10 +38,7 @@ func TestDefaultModeOverAFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []string{"-days", "13", "-tz", "0"}
-	ref, err := caranalyze(append([]string{"-in", file}, args...)...).Output()
-	if err != nil {
-		t.Fatalf("regular file: %v", err)
-	}
+	ref := analyze(t, append([]string{"-in", file}, args...)...)
 
 	fifo := filepath.Join(dir, "pipe.cdr")
 	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
@@ -49,7 +47,7 @@ func TestDefaultModeOverAFIFO(t *testing.T) {
 	cmd := caranalyze(append([]string{"-in", fifo}, args...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	proc := startChild(t, cmd)
+	proc := clitest.Start(t, cmd)
 	w, err := os.OpenFile(fifo, os.O_WRONLY, 0) // blocks until the child opens the read end
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +56,7 @@ func TestDefaultModeOverAFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if err := proc.wait(); err != nil {
+	if err := proc.Wait(); err != nil {
 		t.Fatalf("FIFO run: %v\nstderr: %s", err, stderr.String())
 	}
 
@@ -172,10 +170,7 @@ func TestOneQuarantineTrail(t *testing.T) {
 	run := func(name string, mode ...string) (quality, tsv string) {
 		t.Helper()
 		q := filepath.Join(dir, name+".tsv")
-		out, err := caranalyze(append([]string{"-in", in, "-days", "13", "-tz", "0", "-quarantine", q}, mode...)...).Output()
-		if err != nil {
-			t.Fatalf("%s run: %v", name, err)
-		}
+		out := analyze(t, append([]string{"-in", in, "-days", "13", "-tz", "0", "-quarantine", q}, mode...)...)
 		trail, err := os.ReadFile(q)
 		if err != nil {
 			t.Fatal(err)

@@ -11,74 +11,37 @@ import (
 	"regexp"
 	"slices"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/obs"
 	"cellcars/internal/query"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 )
 
-// TestMain re-execs the test binary as the real caranalyze when
-// CARANALYZE_MAIN=1, so the CLI tests drive main() end to end — flag
-// parsing, signal handling, exit codes — without building a separate
-// binary.
-func TestMain(m *testing.M) {
-	if os.Getenv("CARANALYZE_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, mainEnv, main) }
 
-// child is a subprocess a test started with startChild.
-type child struct {
-	cmd  *exec.Cmd
-	once sync.Once
-	err  error
-}
+// mainEnv set makes the test binary the real caranalyze, so the CLI
+// tests drive main() end to end — flag parsing, signal handling, exit
+// codes — without building a separate binary.
+const mainEnv = "CARANALYZE_MAIN"
 
-// wait reaps the child on the first call and returns its exit on every
-// call, from any goroutine.
-func (c *child) wait() error {
-	c.once.Do(func() { c.err = c.cmd.Wait() })
-	return c.err
-}
+func caranalyze(args ...string) *exec.Cmd { return clitest.Command(mainEnv, args...) }
 
-// startChild starts cmd in a process group of its own. A test that ends
-// with anything of that group still running — the child, or a process
-// it started — because it stopped before the wait (a t.Fatal, a timeout)
-// has the group SIGKILLed and the child reaped when it ends, and fails
-// with "child left running" unless it had failed already.
-func startChild(t *testing.T, cmd *exec.Cmd) *child {
+// analyze runs caranalyze with args and returns its stdout, failing the
+// test unless it exits 0.
+func analyze(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	stdout, stderr, code := clitest.Run(t, caranalyze(args...))
+	if code != 0 {
+		t.Fatalf("caranalyze %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 	}
-	c := &child{cmd: cmd}
-	t.Cleanup(func() {
-		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
-			return // the group is empty: everything in it exited and was reaped
-		}
-		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		c.wait()
-		if !t.Failed() {
-			t.Error("child left running")
-		}
-	})
-	return c
-}
-
-func caranalyze(args ...string) *exec.Cmd {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CARANALYZE_MAIN=1")
-	return cmd
+	return stdout
 }
 
 // cdrBytes builds a deterministic binary CDR stream: 300 cars over 13
@@ -86,7 +49,7 @@ func caranalyze(args ...string) *exec.Cmd {
 // section has content.
 func cdrBytes(t *testing.T, n int) []byte {
 	t.Helper()
-	return encodeCDR(t, cdrRecords(n))
+	return clitest.EncodeCDR(t, cdrRecords(n), true)
 }
 
 // cdrRecords is cdrBytes' stream as records, in file order.
@@ -110,21 +73,6 @@ func cdrRecords(n int) []cdr.Record {
 // studyStart is the first day of cdrRecords' 13-day stream, the default
 // -start.
 var studyStart = time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
-
-func encodeCDR(t *testing.T, records []cdr.Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := cdr.NewBinaryWriter(&buf)
-	for _, rec := range records {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // textBlock returns the report section of out that starts with header,
 // up to the next section header.
@@ -154,14 +102,8 @@ func TestRecordFiguresIgnoreGhosts(t *testing.T) {
 	run := func(name string, records []cdr.Record) []byte {
 		t.Helper()
 		in := filepath.Join(dir, name)
-		if err := os.WriteFile(in, encodeCDR(t, records), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		out, err := caranalyze("-in", in, "-days", "13", "-tz", "0").Output()
-		if err != nil {
-			t.Fatalf("caranalyze %s: %v", name, err)
-		}
-		return out
+		clitest.WriteCDR(t, in, records)
+		return analyze(t, "-in", in, "-days", "13", "-tz", "0")
 	}
 	clean := run("clean.cdr", records)
 
@@ -249,10 +191,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	}
 	common := []string{"-stream", "-days", "14", "-start", "2017-01-02", "-seed", "1", "-tz", "-5"}
 
-	ref, err := caranalyze(append([]string{"-in", full}, common...)...).Output()
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
+	ref := analyze(t, append([]string{"-in", full}, common...)...)
 
 	// The FIFO (named with a .cdr extension so the binary codec is
 	// selected) lets the test control how much input the child has
@@ -265,7 +204,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	cmd := caranalyze(append(append([]string{"-in", fifo, "-checkpoint", ckpt}, common...), cutArgs...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	proc := startChild(t, cmd)
+	proc := clitest.Start(t, cmd)
 
 	w, err := os.OpenFile(fifo, os.O_WRONLY, 0) // blocks until the child opens the read end
 	if err != nil {
@@ -289,7 +228,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	// at a time until the child exits (the final writes fail with EPIPE
 	// once it does, which is fine).
 	waitc := make(chan error, 1)
-	go func() { waitc <- proc.wait() }()
+	go func() { waitc <- proc.Wait() }()
 	time.Sleep(100 * time.Millisecond)
 	go func() {
 		defer w.Close()
@@ -312,10 +251,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 
-	res, err := caranalyze(append([]string{"-in", full, "-checkpoint", ckpt, "-resume"}, common...)...).Output()
-	if err != nil {
-		t.Fatalf("resume run: %v", err)
-	}
+	res := analyze(t, append([]string{"-in", full, "-checkpoint", ckpt, "-resume"}, common...)...)
 	if got, want := reportSection(t, res), reportSection(t, ref); got != want {
 		t.Errorf("resumed report differs from uninterrupted run\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 	}
@@ -360,11 +296,7 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := caranalyze("-json", "-in", in, "-days", "13", "-start", "2017-01-02",
-		"-seed", "1", "-tz", "-5").Output()
-	if err != nil {
-		t.Fatalf("caranalyze -json: %v", err)
-	}
+	got := analyze(t, "-json", "-in", in, "-days", "13", "-start", "2017-01-02", "-seed", "1", "-tz", "-5")
 
 	startDay := time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
 	period := simtime.NewPeriod(startDay, 13)
@@ -434,17 +366,15 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 		{"negative checkpoint-every", []string{"-stream", "-checkpoint", ckpt, "-checkpoint-every", "-5"}, "-checkpoint-every -5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err == nil {
-				t.Fatalf("accepted; stdout:\n%s", stdout.String())
+			stdout, stderr, code := clitest.Run(t, caranalyze(append([]string{"-in", in, "-days", "14", "-start", "2017-01-02"}, tc.args...)...))
+			if code == 0 {
+				t.Fatalf("accepted; stdout:\n%s", stdout)
 			}
-			if !strings.Contains(stderr.String(), tc.want) {
-				t.Fatalf("stderr %q does not mention %q", stderr.String(), tc.want)
+			if !strings.Contains(string(stderr), tc.want) {
+				t.Fatalf("stderr %q does not mention %q", stderr, tc.want)
 			}
-			if stdout.Len() != 0 {
-				t.Fatalf("refused run still printed a report:\n%s", stdout.String())
+			if len(stdout) != 0 {
+				t.Fatalf("refused run still printed a report:\n%s", stdout)
 			}
 			for _, path := range []string{md, ckpt, snap} {
 				if _, err := os.Stat(path); err == nil {
@@ -465,9 +395,7 @@ func TestPartialHonoursFailStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(dir, "part.snap")
-	if out, err := caranalyze("-partial", snap, "-failstage", "days", "-days", "14", in).CombinedOutput(); err != nil {
-		t.Fatalf("caranalyze -partial: %v\n%s", err, out)
-	}
+	analyze(t, "-partial", snap, "-failstage", "days", "-days", "14", in)
 	p, err := analysis.ReadPartialFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -485,10 +413,7 @@ func TestPartialHonoursFailStage(t *testing.T) {
 // drawn from presence's per-car facts, so a failed presence skips them
 // too, and the report says why — at each figure and in Data Quality.
 func TestFailedPresenceNamedByItsReaders(t *testing.T) {
-	out, err := caranalyze("-cars", "100", "-days", "14", "-failstage", "presence").Output()
-	if err != nil {
-		t.Fatalf("caranalyze: %v\n%s", err, out)
-	}
+	out := analyze(t, "-cars", "100", "-days", "14", "-failstage", "presence")
 	for _, want := range []string{
 		"failed stages 4",
 		"  skipped stage presence: injected failure (FailStage)",
@@ -517,10 +442,7 @@ func TestTraceStageSpansFitInsideAnalyze(t *testing.T) {
 	}
 	for _, workers := range []string{"1", "4"} {
 		trace := filepath.Join(dir, "trace-"+workers+".jsonl")
-		if out, err := caranalyze("-in", in, "-stream", "-days", "14", "-start", "2017-01-02",
-			"-workers", workers, "-trace", trace).CombinedOutput(); err != nil {
-			t.Fatalf("workers=%s: %v\n%s", workers, err, out)
-		}
+		analyze(t, "-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", workers, "-trace", trace)
 		data, err := os.ReadFile(trace)
 		if err != nil {
 			t.Fatal(err)
@@ -560,16 +482,10 @@ func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", "2"}
-	plain, err := caranalyze(base...).Output()
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := analyze(t, base...)
 	trace := filepath.Join(dir, "trace.jsonl")
-	cut, err := caranalyze(append(base, "-trace", trace,
-		"-checkpoint", filepath.Join(dir, "run.snap"), "-checkpoint-every", "5000")...).Output()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cut := analyze(t, append(base, "-trace", trace,
+		"-checkpoint", filepath.Join(dir, "run.snap"), "-checkpoint-every", "5000")...)
 
 	if !regexp.MustCompile(`(?m)^checkpoints 6, stalled \d+\.\d+ s, written \d+\.\d+ MB$`).Match(cut) {
 		t.Fatalf("no checkpoints line for the six cuts in:\n%s", cut)
@@ -622,9 +538,7 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	}
 	ckpt := filepath.Join(dir, "run.snap")
 	args := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-checkpoint", ckpt}
-	if out, err := caranalyze(append(args, "-checkpoint-every", "2000")...).CombinedOutput(); err != nil {
-		t.Fatalf("checkpointed run: %v\n%s", err, out)
-	}
+	analyze(t, append(args, "-checkpoint-every", "2000")...)
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -634,12 +548,13 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 		if err := os.WriteFile(ckpt, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := caranalyze(append(args, "-resume")...).CombinedOutput()
-		if err == nil {
+		stdout, stderr, code := clitest.Run(t, caranalyze(append(args, "-resume")...))
+		out := string(stdout) + string(stderr)
+		if code == 0 {
 			t.Fatalf("-resume of a version-%d checkpoint succeeded:\n%s", version, out)
 		}
 		for _, want := range []string{fmt.Sprintf("unsupported snapshot version %d (want 5;", version), "re-run from the input"} {
-			if !strings.Contains(string(out), want) {
+			if !strings.Contains(out, want) {
 				t.Errorf("-resume of a version-%d checkpoint does not say %q:\n%s", version, want, out)
 			}
 		}

@@ -13,102 +13,40 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/drive"
 	"cellcars/internal/radio"
 )
 
-// TestMain re-execs the test binary as the real cardrive when
-// CARDRIVE_MAIN=1, mirroring the caranalyze and carqueryd CLI
-// harnesses.
-func TestMain(m *testing.M) {
-	if os.Getenv("CARDRIVE_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, mainEnv, main) }
 
-// child is a subprocess a test started with startChild.
-type child struct {
-	cmd  *exec.Cmd
-	once sync.Once
-	err  error
-}
+// mainEnv set makes the test binary the real cardrive.
+const mainEnv = "CARDRIVE_MAIN"
 
-// wait reaps the child on the first call and returns its exit on every
-// call, from any goroutine.
-func (c *child) wait() error {
-	c.once.Do(func() { c.err = c.cmd.Wait() })
-	return c.err
-}
+func cardrive(args ...string) *exec.Cmd { return clitest.Command(mainEnv, args...) }
 
-// startChild starts cmd in a process group of its own. A test that ends
-// with anything of that group still running — the child, or a process
-// it started — because it stopped before the wait (a t.Fatal, a timeout)
-// has the group SIGKILLed and the child reaped when it ends, and fails
-// with "child left running" unless it had failed already.
-func startChild(t *testing.T, cmd *exec.Cmd) *child {
+// run runs cmd and returns its stdout, failing the test unless it exits 0.
+func run(t *testing.T, cmd *exec.Cmd) []byte {
 	t.Helper()
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	stdout, stderr, code := clitest.Run(t, cmd)
+	if code != 0 {
+		t.Fatalf("%v: exit %d\nstderr:\n%s", cmd.Args, code, stderr)
 	}
-	c := &child{cmd: cmd}
-	t.Cleanup(func() {
-		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
-			return // the group is empty: everything in it exited and was reaped
-		}
-		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		c.wait()
-		if !t.Failed() {
-			t.Error("child left running")
-		}
-	})
-	return c
+	return stdout
 }
 
-func cardrive(args ...string) *exec.Cmd {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CARDRIVE_MAIN=1")
-	return cmd
-}
-
-func buildWorker(t *testing.T, dir string) string {
-	t.Helper()
-	return buildBinary(t, dir, "caranalyze")
-}
-
-// buildBinary compiles one of the sibling commands into dir.
-func buildBinary(t *testing.T, dir, name string) string {
-	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go toolchain not available to build %s", name)
-	}
-	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "cellcars/cmd/"+name)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, out)
-	}
-	return bin
-}
-
-func writeWorkload(t *testing.T, path string, n int) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := cdr.NewBinaryWriter(f)
+// workload is n deterministic records: 400 cars over the 7 days from
+// 2017-01-02 on a small radio grid.
+func workload(n int) []cdr.Record {
 	rng := rand.New(rand.NewPCG(3, 9))
 	start := time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < n; i++ {
-		rec := cdr.Record{
+	out := make([]cdr.Record, n)
+	for i := range out {
+		out[i] = cdr.Record{
 			Car: cdr.CarID(rng.Uint64N(400)),
 			Cell: radio.MakeCellKey(
 				radio.BSID(rng.Uint64N(40)),
@@ -117,16 +55,8 @@ func writeWorkload(t *testing.T, path string, n int) {
 			Start:    start.Add(time.Duration(rng.Uint64N(7*24*3600)) * time.Second),
 			Duration: time.Duration(10+rng.Uint64N(900)) * time.Second,
 		}
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 // scanAddr reads stderr JSON records until one with the given msg
@@ -166,9 +96,9 @@ func scanAddr(t *testing.T, stderr io.Reader, msg string) string {
 // cleanly with a report on stdout.
 func TestDebugAddrServesMetrics(t *testing.T) {
 	dir := t.TempDir()
-	worker := buildWorker(t, dir)
+	worker := clitest.Build(t, dir, "caranalyze")
 	in := filepath.Join(dir, "cars.cdr")
-	writeWorkload(t, in, 120_000)
+	clitest.WriteCDR(t, in, workload(120_000))
 
 	cmd := cardrive("-shards", "4", "-parallel", "2", "-worker", worker,
 		"-workdir", filepath.Join(dir, "work"), "-days", "7", "-q",
@@ -179,13 +109,13 @@ func TestDebugAddrServesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := startChild(t, cmd)
+	proc := clitest.Start(t, cmd)
 
 	// The listening record goes to stderr before shard planning starts,
 	// so the run is guaranteed to still be in flight when we probe it.
 	addr := scanAddr(t, stderr, "debug server listening")
 	if addr == "" {
-		proc.wait()
+		proc.Wait()
 		t.Fatal("debug-server record has no addr field")
 	}
 
@@ -216,7 +146,7 @@ func TestDebugAddrServesMetrics(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	if err := proc.wait(); err != nil {
+	if err := proc.Wait(); err != nil {
 		t.Fatalf("cardrive run failed: %v\nstdout:\n%s", err, stdout.String())
 	}
 	if !strings.Contains(stdout.String(), "== Preprocessing") {
@@ -231,9 +161,9 @@ func TestDebugAddrServesMetrics(t *testing.T) {
 // complete with a report despite the injected kills.
 func TestStatusEndpointShowsRetriedShard(t *testing.T) {
 	dir := t.TempDir()
-	worker := buildWorker(t, dir)
+	worker := clitest.Build(t, dir, "caranalyze")
 	in := filepath.Join(dir, "cars.cdr")
-	writeWorkload(t, in, 120_000)
+	clitest.WriteCDR(t, in, workload(120_000))
 
 	// Chaos is deterministic per (seed, shard, attempt): with seed 5
 	// every shard's first attempt draws a kill, and n=2000 keeps the
@@ -250,15 +180,15 @@ func TestStatusEndpointShowsRetriedShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := startChild(t, cmd)
+	proc := clitest.Start(t, cmd)
 	addr := scanAddr(t, stderr, "status server listening")
 	if addr == "" {
-		proc.wait()
+		proc.Wait()
 		t.Fatal("status-server record has no addr field")
 	}
 
 	exited := make(chan error, 1)
-	go func() { exited <- proc.wait() }()
+	go func() { exited <- proc.Wait() }()
 
 	// Poll /status until a retried shard's timeline shows the crash.
 	// Once a retry launches the pattern persists until process exit, so
@@ -344,32 +274,22 @@ func reportBody(t *testing.T, stdout []byte) string {
 // reducers used to print a hand-copied subset of the sections.
 func TestOneReportOneText(t *testing.T) {
 	dir := t.TempDir()
-	caranalyze := buildWorker(t, dir)
-	carmerge := buildBinary(t, dir, "carmerge")
+	caranalyze := clitest.Build(t, dir, "caranalyze")
+	carmerge := clitest.Build(t, dir, "carmerge")
 	in := filepath.Join(dir, "cars.cdr")
-	writeWorkload(t, in, 60_000)
-	run := func(cmd *exec.Cmd) []byte {
-		t.Helper()
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
-		}
-		return out
-	}
+	clitest.WriteCDR(t, in, workload(60_000))
 
-	single := reportBody(t, run(exec.Command(caranalyze, "-stream", "-days", "7", in)))
+	single := reportBody(t, run(t, exec.Command(caranalyze, "-stream", "-days", "7", in)))
 
 	var snaps []string
 	for i := 0; i < 3; i++ {
 		snap := filepath.Join(dir, fmt.Sprintf("s%d.snap", i))
-		run(exec.Command(caranalyze, "-partial", snap, "-shard", fmt.Sprintf("%d/3", i), "-days", "7", in))
+		run(t, exec.Command(caranalyze, "-partial", snap, "-shard", fmt.Sprintf("%d/3", i), "-days", "7", in))
 		snaps = append(snaps, snap)
 	}
-	merged := reportBody(t, run(exec.Command(carmerge, append([]string{"-q"}, snaps...)...)))
+	merged := reportBody(t, run(t, exec.Command(carmerge, append([]string{"-q"}, snaps...)...)))
 
-	driven := reportBody(t, run(cardrive("-shards", "3", "-worker", caranalyze,
+	driven := reportBody(t, run(t, cardrive("-shards", "3", "-worker", caranalyze,
 		"-workdir", filepath.Join(dir, "work"), "-days", "7", "-q", in)))
 
 	for _, want := range []string{"== Figure 2 / Table 1", "== Figure 3", "== Figure 4", "== Fleet usage",
@@ -386,24 +306,13 @@ func TestOneReportOneText(t *testing.T) {
 	}
 }
 
-// writeCSVWorkload writes writeWorkload's records as CSV and returns
-// the file's lines, header first, for a test to plant faults in.
-func writeCSVWorkload(t *testing.T, dir string, n int) [][]byte {
+// workloadCSV renders workload's records as CSV and returns the lines,
+// header first, for a test to plant faults in.
+func workloadCSV(t *testing.T, n int) [][]byte {
 	t.Helper()
-	bin := filepath.Join(dir, "cars.cdr")
-	writeWorkload(t, bin, n)
-	r, closer, err := cdr.OpenFiles(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	records, err := cdr.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	w := cdr.NewCSVWriter(&buf)
-	if err := cdr.WriteAll(w, records); err != nil {
+	if err := cdr.WriteAll(w, workload(n)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -436,8 +345,8 @@ func journalEvents(t *testing.T, workdir string) []map[string]any {
 // run fails naming the shard, the class and the line in the file.
 func TestStrictRefusalAbortsTheRun(t *testing.T) {
 	dir := t.TempDir()
-	worker := buildWorker(t, dir)
-	lines := writeCSVWorkload(t, dir, 4000)
+	worker := clitest.Build(t, dir, "caranalyze")
+	lines := workloadCSV(t, 4000)
 	const badLine = 2501 // 1-based, the header being line 1
 	car := lines[badLine-1][:bytes.IndexByte(lines[badLine-1], ',')]
 	lines[badLine-1] = bytes.Replace(lines[badLine-1], []byte(","), []byte(",x"), 1)
@@ -450,25 +359,21 @@ func TestStrictRefusalAbortsTheRun(t *testing.T) {
 	owner := cdr.ShardOfCar(cdr.CarID(id), 4)
 
 	work := filepath.Join(dir, "work")
-	cmd := cardrive("-shards", "4", "-parallel", "1", "-worker", worker, "-workdir", work,
-		"-days", "7", "-q", "-strict", "-backoff", "10s", in)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	start := time.Now()
-	err := cmd.Run()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 1 {
-		t.Fatalf("cardrive -strict over a bad row: %v, want exit 1\nstderr:\n%s", err, stderr.String())
+	stdout, stderr, code := clitest.Run(t, cardrive("-shards", "4", "-parallel", "1", "-worker", worker,
+		"-workdir", work, "-days", "7", "-q", "-strict", "-backoff", "10s", in))
+	if code != 1 {
+		t.Fatalf("cardrive -strict over a bad row: exit %d, want exit 1\nstderr:\n%s", code, stderr)
 	}
 	if time.Since(start) > 8*time.Second {
 		t.Fatalf("the run took %s: it waited out a retry backoff", time.Since(start))
 	}
-	if strings.Contains(stdout.String(), "== Preprocessing") {
-		t.Fatalf("a refused input still printed a report:\n%s", stdout.String())
+	if bytes.Contains(stdout, []byte("== Preprocessing")) {
+		t.Fatalf("a refused input still printed a report:\n%s", stdout)
 	}
 	for _, want := range []string{fmt.Sprintf("shard %d ", owner), "input", fmt.Sprintf("cars.csv: line %d:", badLine)} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Fatalf("stderr does not name %q:\n%s", want, stderr.String())
+		if !strings.Contains(string(stderr), want) {
+			t.Fatalf("stderr does not name %q:\n%s", want, stderr)
 		}
 	}
 	attempts, fails := 0, 0
@@ -500,8 +405,8 @@ func TestStrictRefusalAbortsTheRun(t *testing.T) {
 // journal.
 func TestBudgetJudgedByOwningShards(t *testing.T) {
 	dir := t.TempDir()
-	worker := buildWorker(t, dir)
-	lines := writeCSVWorkload(t, dir, 4000)
+	worker := clitest.Build(t, dir, "caranalyze")
+	lines := workloadCSV(t, 4000)
 	for i := 100; i < len(lines)-1; i += 100 {
 		switch (i / 100) % 3 {
 		case 0:
@@ -518,25 +423,15 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 	if err := os.WriteFile(in, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	run := func(cmd *exec.Cmd) string {
+	quality := func(stdout []byte) string {
 		t.Helper()
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
-		}
-		return string(out)
-	}
-	quality := func(stdout string) string {
-		t.Helper()
-		i := strings.Index(stdout, "== Data Quality ==")
+		i := bytes.Index(stdout, []byte("== Data Quality =="))
 		if i < 0 {
 			t.Fatalf("no Data Quality block:\n%s", stdout)
 		}
-		return stdout[i:]
+		return string(stdout[i:])
 	}
-	single := quality(run(exec.Command(worker, "-stream", "-days", "7", "-budget", "5", in)))
+	single := quality(run(t, exec.Command(worker, "-stream", "-days", "7", "-budget", "5", in)))
 	for _, want := range []string{"quarantined 40,", "quarantined bad-field", "quarantined time-range"} {
 		if !strings.Contains(single, want) {
 			t.Fatalf("the single run's Data Quality lacks %q:\n%s", want, single)
@@ -544,11 +439,11 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 	}
 	work := filepath.Join(dir, "work")
 	args := []string{"-shards", "4", "-worker", worker, "-workdir", work, "-days", "7", "-q", "-budget", "5", "-keep-partials"}
-	driven := quality(run(cardrive(append(args, in)...)))
+	driven := quality(run(t, cardrive(append(args, in)...)))
 	if driven != single {
 		t.Fatalf("cardrive's Data Quality differs from the single run's\n--- cardrive ---\n%s\n--- caranalyze -stream ---\n%s", driven, single)
 	}
-	if resumed := quality(run(cardrive(append(args, "-resume", in)...))); resumed != single {
+	if resumed := quality(run(t, cardrive(append(args, "-resume", in)...))); resumed != single {
 		t.Fatalf("-resume's Data Quality differs from the single run's\n--- cardrive -resume ---\n%s\n--- caranalyze -stream ---\n%s", resumed, single)
 	}
 }
@@ -561,15 +456,12 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 // shard again and prints the report a fresh run prints.
 func TestResumeReplansVersion1Partial(t *testing.T) {
 	dir := t.TempDir()
-	worker := buildWorker(t, dir)
+	worker := clitest.Build(t, dir, "caranalyze")
 	in := filepath.Join(dir, "cars.cdr")
-	writeWorkload(t, in, 20_000)
+	clitest.WriteCDR(t, in, workload(20_000))
 	work := filepath.Join(dir, "work")
 	args := []string{"-shards", "3", "-worker", worker, "-workdir", work, "-days", "7", "-keep-partials"}
-	fresh, err := cardrive(append(args, in)...).Output()
-	if err != nil {
-		t.Fatalf("fresh run: %v", err)
-	}
+	fresh := run(t, cardrive(append(args, in)...))
 
 	for _, version := range []int{1, 2, 3, 4} {
 		shard := (version - 1) % 3
@@ -584,15 +476,12 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 		}
 		before := len(journalEvents(t, work))
 
-		cmd := cardrive(append(args, "-resume", in)...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		resumed, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("-resume: %v\nstderr:\n%s", err, stderr.String())
+		resumed, stderr, code := clitest.Run(t, cardrive(append(args, "-resume", in)...))
+		if code != 0 {
+			t.Fatalf("-resume: exit %d\nstderr:\n%s", code, stderr)
 		}
 		var sorted bool
-		for _, ln := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		for _, ln := range strings.Split(strings.TrimSpace(string(stderr)), "\n") {
 			var rec map[string]any
 			if err := json.Unmarshal([]byte(ln), &rec); err != nil {
 				t.Fatalf("stderr line is not a JSON record: %q: %v", ln, err)
@@ -604,7 +493,7 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 			}
 		}
 		if !sorted {
-			t.Errorf("-resume did not sort shard %d's version-%d partial as bad-snapshot:\n%s", shard, version, stderr.String())
+			t.Errorf("-resume did not sort shard %d's version-%d partial as bad-snapshot:\n%s", shard, version, stderr)
 		}
 		var reran []string
 		for _, ev := range journalEvents(t, work)[before:] {

@@ -3,35 +3,21 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cellcars/internal/clitest"
 )
 
-// TestMain re-execs the test binary as the real cargen when
-// CARGEN_MAIN=1, so the tests see the exit codes and stderr a user
-// would.
-func TestMain(m *testing.M) {
-	if os.Getenv("CARGEN_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary the real cargen when CARGEN_MAIN is
+// set, so the tests see the exit codes and stderr a user would.
+func TestMain(m *testing.M) { clitest.Main(m, "CARGEN_MAIN", main) }
 
-func cargen(args ...string) (stderr string, code int) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CARGEN_MAIN=1")
-	var errb bytes.Buffer
-	cmd.Stderr = &errb
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		code = -1
-	}
-	return errb.String(), code
+func cargen(t *testing.T, args ...string) (stderr string, code int) {
+	t.Helper()
+	_, errb, code := clitest.Run(t, clitest.Command("CARGEN_MAIN", args...))
+	return string(errb), code
 }
 
 // TestRefusesBadFlagsBeforeGenerating: a bad -format or a fleet of no
@@ -49,7 +35,7 @@ func TestRefusesBadFlagsBeforeGenerating(t *testing.T) {
 		{[]string{"-cars", "-3", "-days", "14"}, "-cars must be positive, got -3"},
 	} {
 		out := filepath.Join(t.TempDir(), "cars.cdr")
-		stderr, code := cargen(append(c.args, "-out", out)...)
+		stderr, code := cargen(t, append(c.args, "-out", out)...)
 		if code != 1 || !strings.Contains(stderr, c.want) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming %q", c.args, code, stderr, c.want)
 		}
@@ -65,7 +51,7 @@ func TestRefusesBadFlagsBeforeGenerating(t *testing.T) {
 // TestWritesFleet: good flags write the file and say how many records.
 func TestWritesFleet(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "cars.csv")
-	stderr, code := cargen("-cars", "5", "-days", "7", "-world", "20", "-out", out)
+	stderr, code := cargen(t, "-cars", "5", "-days", "7", "-world", "20", "-out", out)
 	if code != 0 || !strings.Contains(stderr, "wrote ") {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}

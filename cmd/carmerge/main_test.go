@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,34 +10,20 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 )
 
-// TestMain re-execs the test binary as the real carmerge when
-// CARMERGE_MAIN=1, so the refusal tests see the actual exit codes and
-// stderr a user would.
-func TestMain(m *testing.M) {
-	if os.Getenv("CARMERGE_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+// TestMain makes the test binary the real carmerge when CARMERGE_MAIN
+// is set, so the refusal tests see the actual exit codes and stderr a
+// user would.
+func TestMain(m *testing.M) { clitest.Main(m, "CARMERGE_MAIN", main) }
 
-func carmerge(args ...string) (stdout, stderr string, code int) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CARMERGE_MAIN=1")
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err := cmd.Run()
-	code = 0
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		code = -1
-	}
-	return out.String(), errb.String(), code
+func carmerge(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	out, errb, code := clitest.Run(t, clitest.Command("CARMERGE_MAIN", args...))
+	return string(out), string(errb), code
 }
 
 // writePartial accumulates one record per given car into a partial
@@ -82,7 +66,7 @@ func TestRefusesCarOverlap(t *testing.T) {
 	writePartial(t, a, 1, 2)
 	writePartial(t, b, 2, 3)
 
-	_, stderr, code := carmerge(a, b)
+	_, stderr, code := carmerge(t, a, b)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr)
 	}
@@ -90,7 +74,7 @@ func TestRefusesCarOverlap(t *testing.T) {
 		t.Fatalf("stderr does not name the shared-car refusal:\n%s", stderr)
 	}
 
-	stdout, stderr, code := carmerge("-allow-overlap", a, b)
+	stdout, stderr, code := carmerge(t, "-allow-overlap", a, b)
 	if code != 0 {
 		t.Fatalf("-allow-overlap exit code = %d; stderr: %s", code, stderr)
 	}
@@ -110,7 +94,7 @@ func TestRefusesCarOverlapWithoutConnected(t *testing.T) {
 	writePartialFailing(t, a, "connected", 1, 2)
 	writePartialFailing(t, b, "connected", 2, 3)
 
-	_, stderr, code := carmerge(a, b)
+	_, stderr, code := carmerge(t, a, b)
 	if code != 1 || !strings.Contains(stderr, "partials share 1 cars") {
 		t.Fatalf("exit code = %d, want 1 naming the one shared car; stderr:\n%s", code, stderr)
 	}
@@ -131,7 +115,7 @@ func TestRefusesTruncatedPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, stderr, code := carmerge(cut)
+	_, stderr, code := carmerge(t, cut)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr)
 	}
@@ -156,7 +140,7 @@ func TestRefusesBitFlippedPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, stderr, code := carmerge(bad)
+	_, stderr, code := carmerge(t, bad)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1; stderr: %s", code, stderr)
 	}
@@ -183,7 +167,7 @@ func TestRefusesVersion1Partial(t *testing.T) {
 		if err := os.WriteFile(old, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, stderr, code := carmerge(good, old)
+		_, stderr, code := carmerge(t, good, old)
 		if code != 1 {
 			t.Fatalf("version %d: exit code = %d, want 1; stderr: %s", version, code, stderr)
 		}
@@ -206,7 +190,7 @@ func TestMergesDegradedPartial(t *testing.T) {
 	writePartial(t, a, 1, 2)
 	writePartialFailing(t, b, "days", 3, 4)
 
-	stdout, stderr, code := carmerge(a, b)
+	stdout, stderr, code := carmerge(t, a, b)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
 	}

@@ -22,27 +22,19 @@ import (
 	"time"
 
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 )
 
-// TestMain re-execs the test binary as the real carqueryd when
-// CARQUERYD_MAIN=1, so the e2e tests drive main() end to end — flag
-// parsing, HTTP serving, signal handling, exit codes — without
-// building a separate binary.
-func TestMain(m *testing.M) {
-	if os.Getenv("CARQUERYD_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, mainEnv, main) }
 
-func carqueryd(args ...string) *exec.Cmd {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CARQUERYD_MAIN=1")
-	return cmd
-}
+// mainEnv set makes the test binary the real carqueryd, so the e2e
+// tests drive main() end to end — flag parsing, HTTP serving, signal
+// handling, exit codes — without building a separate binary.
+const mainEnv = "CARQUERYD_MAIN"
+
+func carqueryd(args ...string) *exec.Cmd { return clitest.Command(mainEnv, args...) }
 
 // e2eRecords builds a deterministic workload satisfying the ordered
 // fold's exactness precondition: every car's records form a
@@ -96,121 +88,31 @@ func e2eRecordsOver(n, days int) []cdr.Record {
 	return recs
 }
 
-func writeCDR(t *testing.T, path string, recs []cdr.Record) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := cdr.NewBinaryWriter(f)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// encodeRecords renders records in the binary CDR format in memory.
-// withMagic=false strips the stream magic so batches can be appended
-// to an already-started stream (the FIFO streaming tests).
-func encodeRecords(t *testing.T, recs []cdr.Record, withMagic bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := cdr.NewBinaryWriter(&buf)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if !withMagic {
-		var hdr bytes.Buffer
-		hw := cdr.NewBinaryWriter(&hdr)
-		if err := hw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		b = b[hdr.Len():]
-	}
-	return b
-}
-
-// buildCaranalyze compiles the real batch CLI so the e2e comparison is
-// genuinely cross-binary: carqueryd's served bytes against caranalyze
-// -json's stdout, not two calls into the same process.
-func buildCaranalyze(t *testing.T, dir string) string {
-	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not available to build caranalyze")
-	}
-	bin := filepath.Join(dir, "caranalyze")
-	cmd := exec.Command("go", "build", "-o", bin, "cellcars/cmd/caranalyze")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build caranalyze: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // daemon wraps one carqueryd child process. Its stdout is a stream of
 // JSON log records; the harness collects every line and locates the
 // bound address from the "listening" record.
 type daemon struct {
-	cmd  *exec.Cmd
+	*clitest.Child
 	addr string
 
 	mu  sync.Mutex
 	out []string
 	eof chan struct{}
-
-	once    sync.Once
-	waitErr error
 }
 
-// wait reaps the daemon on the first call and returns its exit on
-// every call.
-func (d *daemon) wait() error {
-	d.once.Do(func() { d.waitErr = d.cmd.Wait() })
-	return d.waitErr
-}
-
-// startDaemon starts carqueryd in a process group of its own. A test
-// that stops before terminate — a t.Fatal, a timeout — would leave the
-// daemon waiting for a signal that never comes: when the test ends with
-// anything of that group still running, the group is SIGKILLed, the
-// daemon reaped, and the test fails with "daemon left running" unless
-// it had failed already.
+// startDaemon starts carqueryd through clitest.Start: a test that stops
+// before terminate — a t.Fatal, a timeout — fails with "child left
+// running" instead of leaving the daemon waiting for a signal that never
+// comes.
 func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
 	cmd := carqueryd(args...)
 	cmd.Stderr = os.Stderr
-	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	d := &daemon{cmd: cmd, eof: make(chan struct{})}
-	t.Cleanup(func() {
-		if syscall.Kill(-cmd.Process.Pid, 0) != nil {
-			return // the group is empty: everything in it exited and was reaped
-		}
-		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		<-d.eof
-		d.wait()
-		if !t.Failed() {
-			t.Error("daemon left running")
-		}
-	})
+	d := &daemon{Child: clitest.Start(t, cmd), eof: make(chan struct{})}
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
@@ -233,7 +135,7 @@ func startDaemon(t *testing.T, args ...string) *daemon {
 		}
 		select {
 		case <-d.eof:
-			d.wait()
+			d.Wait()
 			t.Fatalf("carqueryd exited before listening; output:\n%s", strings.Join(d.lines(), "\n"))
 		default:
 		}
@@ -280,13 +182,13 @@ func (d *daemon) record(t *testing.T, msg string) map[string]any {
 // terminate sends SIGTERM and expects a graceful zero exit.
 func (d *daemon) terminate(t *testing.T) {
 	t.Helper()
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	// All stdout read into d.out first: Wait closes the pipe, and a
 	// read still pending then loses the last lines.
 	<-d.eof
-	if err := d.wait(); err != nil {
+	if err := d.Wait(); err != nil {
 		t.Fatalf("carqueryd did not exit cleanly on SIGTERM: %v", err)
 	}
 }
@@ -385,18 +287,18 @@ func servedVsBatch(t *testing.T, window string, days int) {
 	all := filepath.Join(dir, "all.cdr")
 	part1 := filepath.Join(dir, "part1.cdr")
 	part2 := filepath.Join(dir, "part2.cdr")
-	writeCDR(t, all, recs)
-	writeCDR(t, part1, recs[:cut])
-	writeCDR(t, part2, recs[cut:])
+	clitest.WriteCDR(t, all, recs)
+	clitest.WriteCDR(t, part1, recs[:cut])
+	clitest.WriteCDR(t, part2, recs[cut:])
 
 	study := []string{"-start", "2017-03-06", "-days", strconv.Itoa(days), "-tz", "-5", "-seed", "1"}
-	bin := buildCaranalyze(t, dir)
+	// A built caranalyze, so the comparison is cross-binary: served bytes
+	// against its -json stdout, not two calls into the same process.
+	bin := clitest.Build(t, dir, "caranalyze")
 	batch := func(in string) []byte {
-		cmd := exec.Command(bin, append([]string{"-json", "-in", in}, study...)...)
-		cmd.Stderr = os.Stderr
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("caranalyze -json %s: %v", in, err)
+		out, stderr, code := clitest.Run(t, exec.Command(bin, append([]string{"-json", "-in", in}, study...)...))
+		if code != 0 {
+			t.Fatalf("caranalyze -json %s: exit %d\n%s", in, code, stderr)
 		}
 		return out
 	}
@@ -494,7 +396,7 @@ func TestDrainedDaemonCutsItsLastStateOnce(t *testing.T) {
 		t.Fatalf("workload generator produced only %d records", len(recs))
 	}
 	in := filepath.Join(dir, "all.cdr")
-	writeCDR(t, in, recs)
+	clitest.WriteCDR(t, in, recs)
 	snaps := filepath.Join(dir, "snaps")
 	args := []string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h", "-keep", "8",
 		"-snapshots", snaps, "-snapshot-every", strconv.Itoa(every),
@@ -601,9 +503,9 @@ func TestObservabilityContract(t *testing.T) {
 			Duration: time.Minute,
 		}
 	}
-	feed(encodeRecords(t, partA[:300], true))
-	feed(encodeRecords(t, chaos, false))
-	feed(encodeRecords(t, partA[300:550], false))
+	feed(clitest.EncodeCDR(t, partA[:300], true))
+	feed(clitest.EncodeCDR(t, chaos, false))
+	feed(clitest.EncodeCDR(t, partA[300:550], false))
 	d.waitDrained(t, 550)
 
 	// Request telemetry: two identical report queries — the second is a
@@ -665,7 +567,7 @@ func TestObservabilityContract(t *testing.T) {
 	}
 
 	// Recovery: more records arrive, the rule passes again.
-	feed(encodeRecords(t, partA[550:cut], false))
+	feed(clitest.EncodeCDR(t, partA[550:cut], false))
 	d.waitDrained(t, int64(cut))
 	recovered := false
 	deadline = time.Now().Add(15 * time.Second)
@@ -750,8 +652,8 @@ func TestObservabilityContract(t *testing.T) {
 	// age collapses from the stalled value to fresh.
 	goodA := filepath.Join(dir, "goodA.cdr")
 	tailF := filepath.Join(dir, "tail.cdr")
-	writeCDR(t, goodA, partA)
-	writeCDR(t, tailF, tail)
+	clitest.WriteCDR(t, goodA, partA)
+	clitest.WriteCDR(t, tailF, tail)
 	d = startDaemon(t, append(append([]string(nil), base...), goodA, tailF)...)
 	warm := d.record(t, "warm restart")
 	if warm == nil {
@@ -807,7 +709,7 @@ func TestMetricsExpositionUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "in.cdr")
 	recs := e2eRecords(3000)
-	writeCDR(t, in, recs)
+	clitest.WriteCDR(t, in, recs)
 	d := startDaemon(t, "-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h,6h",
 		"-start", "2017-03-06", "-days", "1", "-tz", "-5", in)
 	d.waitDrained(t, int64(len(recs)))
@@ -905,17 +807,15 @@ func validatePromText(t *testing.T, body string) {
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "in.cdr")
-	writeCDR(t, in, e2eRecords(10))
+	clitest.WriteCDR(t, in, e2eRecords(10))
 	for _, tc := range [][]string{
 		{},                          // no inputs
 		{"-bucket", "nope", in},     // bad bucket
 		{"-windows", "90m", in},     // window not a multiple of the bucket
 		{"-start", "back-then", in}, // bad date
 	} {
-		cmd := carqueryd(tc...)
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("carqueryd %v exited zero; output:\n%s", tc, out)
+		if stdout, stderr, code := clitest.Run(t, carqueryd(tc...)); code == 0 {
+			t.Fatalf("carqueryd %v exited zero; output:\n%s%s", tc, stdout, stderr)
 		}
 	}
 }
@@ -943,10 +843,8 @@ func TestQuarantineFileSurvivesShutdown(t *testing.T) {
 	var csv bytes.Buffer
 	w := cdr.NewCSVWriter(&csv)
 	recs := e2eRecords(400)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
+	if err := cdr.WriteAll(w, recs); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -990,7 +888,7 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	dir := t.TempDir()
 	recs := e2eRecords(4500)
 	in := filepath.Join(dir, "all.cdr")
-	writeCDR(t, in, recs)
+	clitest.WriteCDR(t, in, recs)
 	snaps := filepath.Join(dir, "snaps")
 	args := []string{"-listen", "127.0.0.1:0", "-bucket", "1h", "-windows", "24h", "-keep", "8",
 		"-snapshots", snaps, "-snapshot-every", "1000",

@@ -210,6 +210,11 @@ func (a *presenceAcc) RestoreFrom(r io.Reader) error {
 			d.Failf("duplicate cell %d in day map", cell)
 			return d.Err()
 		}
+		if len(db.bits) == 0 {
+			// Add holds a cell only once it was seen on a study day.
+			d.Failf("cell %d seen on no day", cell)
+			return d.Err()
+		}
 		cellDays[cell] = &db
 	}
 	a.cellDays = cellDays

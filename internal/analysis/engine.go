@@ -530,8 +530,8 @@ func (s *accumSet) addBatch(recs []cdr.Record) {
 	}
 }
 
-// flush feeds the buffered batch to every live stage, isolating each:
-// a stage that panics is dropped and recorded, the rest continue.
+// flush feeds the buffered batch to each live stage that keeps state,
+// isolating each: one that panics is dropped and recorded, the rest go on.
 // With metrics on, each stage's batch cost lands in its add timing —
 // two clock reads per (stage, batch), amortized over accumBatchSize
 // records.
@@ -543,8 +543,8 @@ func (s *accumSet) flush() {
 		return
 	}
 	for i, acc := range s.stages {
-		if acc == nil {
-			continue
+		if acc == nil || stageTable[i].over != nil {
+			continue // a derived stage reads its input's facts, not records
 		}
 		var t0 time.Time
 		if s.met != nil {

@@ -538,7 +538,8 @@ func TestEngineHandoversExact(t *testing.T) {
 
 // TestEngineFailStageAcrossWorkers: chaos injection must drop exactly
 // the named stage in every worker and leave independent stages —
-// notably segments, which derives busy fractions itself — intact.
+// notably segments, which reads presence's busy split as busy does —
+// intact.
 func TestEngineFailStageAcrossWorkers(t *testing.T) {
 	records := engineWorkload(4000)
 	ctx := engineCtx()

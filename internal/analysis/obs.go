@@ -88,8 +88,8 @@ func (m *setMetrics) rebase(s *accumSet) {
 // shared series, so a resumed run's outcome counters, progress
 // percentage and final profile cover the whole logical run rather than
 // just the resumed process's share. Stage record counters are credited
-// only for stages whose state frame was actually restored (a failed
-// stage keeps no state and does no further work). Timings are not
+// only for stages whose state frame was restored (a failed stage keeps
+// no state, a derived one reads no records). Timings are not
 // reconstructed — wall time in the profile is always time spent in
 // this process. sync leaves the watermarks at the restored values, so
 // later flushes emit only new work.
@@ -98,7 +98,7 @@ func (m *setMetrics) creditRestored(s *accumSet) {
 		return
 	}
 	for i, acc := range s.stages {
-		if acc != nil {
+		if acc != nil && stageTable[i].over == nil {
 			m.stageRecs[i].Add(s.accepted)
 		}
 	}

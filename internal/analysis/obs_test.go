@@ -37,21 +37,34 @@ func TestEngineProfileConsistency(t *testing.T) {
 			t.Fatalf("workers=%d: workload did not exercise all outcomes: %+v", workers, rep)
 		}
 
-		// Profile rows: every stage saw exactly the accepted records.
+		// Profile rows: every stage that keeps state saw exactly the
+		// accepted records, in batches; a derived stage saw none.
 		if len(rep.Profile) == 0 {
 			t.Fatalf("workers=%d: no pipeline profile", workers)
 		}
+		derived := 0
 		for _, p := range rep.Profile {
-			if p.Records != accepted {
+			want := profiledRecords(p.Stage, accepted)
+			if p.Records != want {
 				t.Errorf("workers=%d: stage %s saw %d records, want %d",
-					workers, p.Stage, p.Records, accepted)
+					workers, p.Stage, p.Records, want)
 			}
-			if p.Batches <= 0 {
+			if want > 0 && p.Batches <= 0 {
 				t.Errorf("workers=%d: stage %s has no batches", workers, p.Stage)
+			}
+			if want == 0 {
+				derived++
+				if p.Batches != 0 || p.AddSeconds != 0 {
+					t.Errorf("workers=%d: derived stage %s was fed %d batches in %g s", workers, p.Stage, p.Batches, p.AddSeconds)
+				}
 			}
 			if p.AddSeconds < 0 || p.MergeSeconds < 0 || p.FinalizeSeconds < 0 {
 				t.Errorf("workers=%d: stage %s has negative timing: %+v", workers, p.Stage, p)
 			}
+		}
+
+		if derived != 3 {
+			t.Errorf("workers=%d: %d derived stages in the profile, want days, segments and busy", workers, derived)
 		}
 
 		// Registry outcome counters reconcile with the report totals.
@@ -139,6 +152,18 @@ func TestProfileStaysTrueAcrossWorkers(t *testing.T) {
 	}
 }
 
+// profiledRecords is what a stage's profile row counts of a run that
+// accepted the records given: all of them for a stage that keeps state,
+// none for one derived from another stage's facts.
+func profiledRecords(stage string, accepted int64) int64 {
+	for _, st := range stageTable {
+		if st.name == stage && st.over != nil {
+			return 0
+		}
+	}
+	return accepted
+}
+
 func withObs(o RunOptions, reg *obs.Registry) RunOptions {
 	o.Obs = reg
 	return o
@@ -148,7 +173,8 @@ func withObs(o RunOptions, reg *obs.Registry) RunOptions {
 // run resumed from a checkpoint in a fresh process (fresh registry)
 // still reports whole-logical-run record counts in its profile and
 // outcome counters, so the "Pipeline profile" reconciliation with the
-// Data Quality totals survives a crash/resume cycle.
+// Data Quality totals survives a crash/resume cycle. A derived stage
+// counts no records, restored or read.
 func TestResumedRunProfileReconciles(t *testing.T) {
 	records := engineWorkload(20000)
 	ctx := engineCtx()
@@ -172,8 +198,8 @@ func TestResumedRunProfileReconciles(t *testing.T) {
 
 	accepted := int64(rep.CleanRecords) - rep.OutOfPeriod
 	for _, p := range rep.Profile {
-		if p.Records != accepted {
-			t.Errorf("stage %s saw %d records after resume, want %d", p.Stage, p.Records, accepted)
+		if want := profiledRecords(p.Stage, accepted); p.Records != want {
+			t.Errorf("stage %s saw %d records after resume, want %d", p.Stage, p.Records, want)
 		}
 	}
 	if got := reg.Counter("cellcars_engine_records_total",

@@ -87,17 +87,24 @@ func withDerivedFrame(seed []byte, stage string) []byte {
 }
 
 // withPresence returns seed with a presence frame holding car 1 seen on
-// the days of the bitmap words given, no cell, and the split entries
-// given as (car, busy, total).
-func withPresence(seed []byte, days []uint64, split [][3]int64) []byte {
-	return withFrame(seed, "presence", func(e *snapshot.Encoder) {
-		e.Uvarint(1) // cars
-		e.Uvarint(1)
+// the days of the bitmap words given, cell i+1 on those of cells[i], and
+// the split entries given as (car, busy, total).
+func withPresence(seed []byte, days []uint64, cells [][]uint64, split [][3]int64) []byte {
+	words := func(e *snapshot.Encoder, days []uint64) {
 		e.Uvarint(uint64(len(days)))
 		for _, w := range days {
 			e.Uvarint(w)
 		}
-		e.Uvarint(0) // cells
+	}
+	return withFrame(seed, "presence", func(e *snapshot.Encoder) {
+		e.Uvarint(1) // cars
+		e.Uvarint(1)
+		words(e, days)
+		e.Uvarint(uint64(len(cells)))
+		for i, days := range cells {
+			e.Uvarint(uint64(i + 1))
+			words(e, days)
+		}
 		e.Uvarint(uint64(len(split)))
 		for _, c := range split {
 			e.Uvarint(uint64(c[0]))
@@ -117,11 +124,12 @@ func presenceRefusals(seed []byte) []struct {
 		name string
 		data []byte
 	}{
-		{"car seen on no day", withPresence(seed, nil, nil)},
-		{"car with no binned time", withPresence(seed, []uint64{1}, [][3]int64{{1, 0, 0}})},
-		{"negative busy time", withPresence(seed, []uint64{1}, [][3]int64{{1, -1, 5}})},
-		{"busy time above the total", withPresence(seed, []uint64{1}, [][3]int64{{1, 6, 5}})},
-		{"split cars descending", withPresence(seed, []uint64{1}, [][3]int64{{2, 1, 2}, {1, 1, 2}})},
+		{"car seen on no day", withPresence(seed, nil, nil, nil)},
+		{"cell seen on no day", withPresence(seed, []uint64{1}, [][]uint64{{1}, nil}, nil)},
+		{"car with no binned time", withPresence(seed, []uint64{1}, nil, [][3]int64{{1, 0, 0}})},
+		{"negative busy time", withPresence(seed, []uint64{1}, nil, [][3]int64{{1, -1, 5}})},
+		{"busy time above the total", withPresence(seed, []uint64{1}, nil, [][3]int64{{1, 6, 5}})},
+		{"split cars descending", withPresence(seed, []uint64{1}, nil, [][3]int64{{2, 1, 2}, {1, 1, 2}})},
 	}
 }
 
@@ -131,15 +139,15 @@ func presenceRefusals(seed []byte) []struct {
 // have a study day, and one with a day needs no binned time.
 func TestPresenceFrameRefusals(t *testing.T) {
 	seed := fuzzSnapshotSeed()
-	p, err := ReadPartial(bytes.NewReader(withPresence(seed, []uint64{1 << 3}, [][3]int64{{2, 1, 4}})))
+	p, err := ReadPartial(bytes.NewReader(withPresence(seed, []uint64{1 << 3}, [][]uint64{{1 << 3}}, [][3]int64{{2, 1, 4}})))
 	if err != nil {
 		t.Fatalf("well-formed presence frame refused: %v", err)
 	}
 	rep := p.Finalize()
-	if rep.Presence.TotalCars != 1 || rep.DaysHist.Counts[0] != 1 || rep.Segments[0].RareNonBusy != 1 ||
+	if rep.Presence.TotalCars != 1 || rep.Presence.TotalCells != 1 || rep.DaysHist.Counts[0] != 1 || rep.Segments[0].RareNonBusy != 1 ||
 		len(rep.Busy.FracByCar) != 1 || rep.Busy.FracByCar[2] != 0.25 {
-		t.Errorf("well-formed presence frame restored to %d cars, days %v, Table 2 %+v, Figure 7 %v",
-			rep.Presence.TotalCars, rep.DaysHist.Counts, rep.Segments, rep.Busy.FracByCar)
+		t.Errorf("well-formed presence frame restored to %d cars, %d cells, days %v, Table 2 %+v, Figure 7 %v",
+			rep.Presence.TotalCars, rep.Presence.TotalCells, rep.DaysHist.Counts, rep.Segments, rep.Busy.FracByCar)
 	}
 	for _, tc := range presenceRefusals(seed) {
 		if _, err := ReadPartial(bytes.NewReader(tc.data)); !errors.Is(err, snapshot.ErrBadSnapshot) {

@@ -16,24 +16,19 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 )
 
 // The chaos suite re-executes the test binary as the worker process
-// (the helper-binary pattern): TestMain detects the DRIVE_HELPER mode
-// and runs RunWorker from environment config instead of the tests.
-// This gives the coordinator real subprocesses to kill, time out and
-// validate, without depending on a separately built caranalyze.
+// (the helper-binary pattern): with DRIVE_HELPER set, TestMain runs
+// RunWorker from environment config instead of the tests. This gives
+// the coordinator real subprocesses to kill, time out and validate,
+// without depending on a separately built caranalyze.
 
-func TestMain(m *testing.M) {
-	if os.Getenv("DRIVE_HELPER") == "1" {
-		helperMain()
-		return
-	}
-	os.Exit(m.Run())
-}
+func TestMain(m *testing.M) { clitest.Main(m, "DRIVE_HELPER", helperMain) }
 
 func helperMain() {
 	if os.Getenv("DRIVE_HANG") == "1" {
@@ -101,16 +96,7 @@ func writeChaosInputs(t *testing.T, dir string, n int) []string {
 	rng := rand.New(rand.NewPCG(42, 7))
 	period := chaosTestPeriod()
 	paths := []string{filepath.Join(dir, "in0.cdr"), filepath.Join(dir, "in1.cdr")}
-	files := make([]*os.File, len(paths))
-	writers := make([]*cdr.BinaryWriter, len(paths))
-	for i, p := range paths {
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[i] = f
-		writers[i] = cdr.NewBinaryWriter(f)
-	}
+	perFile := make([][]cdr.Record, len(paths))
 	for i := 0; i < n; i++ {
 		rec := cdr.Record{
 			Car: cdr.CarID(1 + rng.Uint64N(300)),
@@ -124,17 +110,10 @@ func writeChaosInputs(t *testing.T, dir string, n int) []string {
 		if i%97 == 13 {
 			rec.Duration = time.Hour // a ghost, so cleaning has work to do
 		}
-		if err := writers[i%2].Write(rec); err != nil {
-			t.Fatal(err)
-		}
+		perFile[i%2] = append(perFile[i%2], rec)
 	}
-	for i := range writers {
-		if err := writers[i].Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := files[i].Close(); err != nil {
-			t.Fatal(err)
-		}
+	for i, p := range paths {
+		clitest.WriteCDR(t, p, perFile[i])
 	}
 	return paths
 }
@@ -143,9 +122,8 @@ func writeChaosInputs(t *testing.T, dir string, n int) []string {
 // extraEnv entries are appended per (shard, attempt) via the hook.
 func helperCommand(hook func(spec WorkerSpec) []string) func(spec WorkerSpec) *exec.Cmd {
 	return func(spec WorkerSpec) *exec.Cmd {
-		cmd := exec.Command(os.Args[0])
-		cmd.Env = append(os.Environ(),
-			"DRIVE_HELPER=1",
+		cmd := clitest.Command("DRIVE_HELPER")
+		cmd.Env = append(cmd.Env,
 			"DRIVE_INPUTS="+strings.Join(spec.Inputs, string(os.PathListSeparator)),
 			fmt.Sprintf("DRIVE_SHARD=%d", spec.Shard),
 			fmt.Sprintf("DRIVE_SHARDS=%d", spec.Shards),

@@ -21,10 +21,11 @@ import (
 // for a method, "<directory>.<Type>.<Method>".
 var reachabilityAllow = map[string]string{
 	"internal/cdr/chaos.go":    "fault-injection harness imported by the tests of analysis and drive",
+	"internal/clitest":         "process harness imported by the tests of cmd/* and drive: how a test starts a binary",
 	"internal/cdr.OpenFile":    "pinned by bench/README.md: layertrace opens its inputs through it; the binaries open theirs through OpenFiles and OpenShard, which share its openFile",
 	"internal/drive/chaos.go":  "fault-injection harness imported by cmd/cardrive's tests",
-	"internal/fota":            "parked by ROADMAP; decided with items 2-4",
-	"internal/predict":         "parked by ROADMAP; decided with items 2-4",
+	"internal/fota":            "an extension no pipeline binary reaches; ROADMAP item 9 (b) moves it out of the core",
+	"internal/predict":         "an extension no pipeline binary reaches; ROADMAP item 9 (b) moves it out of the core",
 	"internal/query.NewServer": "observation seam: cmd/carqueryd's tests read the store through it",
 
 	"internal/load.SaturationResult.PeakTestUtilization": "Figure 1's saturation level, read by the root bench_test.go and load's tests",
@@ -39,7 +40,7 @@ var reachabilityAllow = map[string]string{
 }
 
 const sliceHelper = "three-line wrapper over an accumulator that analysis_test.go, stream_test.go and the root " +
-	"bench_test.go drive; ROADMAP item 2 (1) decides with the oracle whether it moves to the test side or goes"
+	"bench_test.go drive; ROADMAP item 11 (b) deletes it or moves it to the test side"
 
 type importerFunc func(path string) (*types.Package, error)
 
