@@ -80,8 +80,9 @@ race:
 # quarantined), each binary's CLI tests (the SIGTERM-checkpoint,
 # corrupt- and degraded-partial paths, the coordinator under injected
 # crashes, the daemon's SIGTERM cut and quarantine flush, cargen's flag
-# refusals) and internal/clitest, the harness they all start children
-# through, whose own tests hold its leak check to failing. -count=1
+# refusals) and internal/clitest, the harness that starts their
+# children, or adopts the workers the in-process coordinator starts, and
+# whose own tests hold its leak checks to failing. -count=1
 # defeats the test cache — chaos runs must actually run.
 chaos:
 	$(GO) test -race -count=1 ./internal/drive/ ./internal/clitest/ ./cmd/caranalyze/ ./cmd/carmerge/ ./cmd/cardrive/ ./cmd/carqueryd/ ./cmd/cargen/

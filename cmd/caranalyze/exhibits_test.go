@@ -38,7 +38,7 @@ func TestDefaultModeOverAFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []string{"-days", "13", "-tz", "0"}
-	ref := analyze(t, append([]string{"-in", file}, args...)...)
+	ref := clitest.Output(t, caranalyze(append([]string{"-in", file}, args...)...))
 
 	fifo := filepath.Join(dir, "pipe.cdr")
 	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
@@ -170,7 +170,7 @@ func TestOneQuarantineTrail(t *testing.T) {
 	run := func(name string, mode ...string) (quality, tsv string) {
 		t.Helper()
 		q := filepath.Join(dir, name+".tsv")
-		out := analyze(t, append([]string{"-in", in, "-days", "13", "-tz", "0", "-quarantine", q}, mode...)...)
+		out := clitest.Output(t, caranalyze(append([]string{"-in", in, "-days", "13", "-tz", "0", "-quarantine", q}, mode...)...))
 		trail, err := os.ReadFile(q)
 		if err != nil {
 			t.Fatal(err)

@@ -33,17 +33,6 @@ const mainEnv = "CARANALYZE_MAIN"
 
 func caranalyze(args ...string) *exec.Cmd { return clitest.Command(mainEnv, args...) }
 
-// analyze runs caranalyze with args and returns its stdout, failing the
-// test unless it exits 0.
-func analyze(t *testing.T, args ...string) []byte {
-	t.Helper()
-	stdout, stderr, code := clitest.Run(t, caranalyze(args...))
-	if code != 0 {
-		t.Fatalf("caranalyze %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
-	}
-	return stdout
-}
-
 // cdrBytes builds a deterministic binary CDR stream: 300 cars over 13
 // days on a small radio grid, enough structure that every report
 // section has content.
@@ -103,7 +92,7 @@ func TestRecordFiguresIgnoreGhosts(t *testing.T) {
 		t.Helper()
 		in := filepath.Join(dir, name)
 		clitest.WriteCDR(t, in, records)
-		return analyze(t, "-in", in, "-days", "13", "-tz", "0")
+		return clitest.Output(t, caranalyze("-in", in, "-days", "13", "-tz", "0"))
 	}
 	clean := run("clean.cdr", records)
 
@@ -191,7 +180,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 	}
 	common := []string{"-stream", "-days", "14", "-start", "2017-01-02", "-seed", "1", "-tz", "-5"}
 
-	ref := analyze(t, append([]string{"-in", full}, common...)...)
+	ref := clitest.Output(t, caranalyze(append([]string{"-in", full}, common...)...))
 
 	// The FIFO (named with a .cdr extension so the binary codec is
 	// selected) lets the test control how much input the child has
@@ -251,7 +240,7 @@ func sigtermCheckpointResume(t *testing.T, cutArgs []string, resumedSays string)
 		t.Fatalf("no checkpoint written: %v", err)
 	}
 
-	res := analyze(t, append([]string{"-in", full, "-checkpoint", ckpt, "-resume"}, common...)...)
+	res := clitest.Output(t, caranalyze(append([]string{"-in", full, "-checkpoint", ckpt, "-resume"}, common...)...))
 	if got, want := reportSection(t, res), reportSection(t, ref); got != want {
 		t.Errorf("resumed report differs from uninterrupted run\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 	}
@@ -296,7 +285,7 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := analyze(t, "-json", "-in", in, "-days", "13", "-start", "2017-01-02", "-seed", "1", "-tz", "-5")
+	got := clitest.Output(t, caranalyze("-json", "-in", in, "-days", "13", "-start", "2017-01-02", "-seed", "1", "-tz", "-5"))
 
 	startDay := time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
 	period := simtime.NewPeriod(startDay, 13)
@@ -395,7 +384,7 @@ func TestPartialHonoursFailStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := filepath.Join(dir, "part.snap")
-	analyze(t, "-partial", snap, "-failstage", "days", "-days", "14", in)
+	clitest.Output(t, caranalyze("-partial", snap, "-failstage", "days", "-days", "14", in))
 	p, err := analysis.ReadPartialFile(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +402,7 @@ func TestPartialHonoursFailStage(t *testing.T) {
 // drawn from presence's per-car facts, so a failed presence skips them
 // too, and the report says why — at each figure and in Data Quality.
 func TestFailedPresenceNamedByItsReaders(t *testing.T) {
-	out := analyze(t, "-cars", "100", "-days", "14", "-failstage", "presence")
+	out := clitest.Output(t, caranalyze("-cars", "100", "-days", "14", "-failstage", "presence"))
 	for _, want := range []string{
 		"failed stages 4",
 		"  skipped stage presence: injected failure (FailStage)",
@@ -442,7 +431,7 @@ func TestTraceStageSpansFitInsideAnalyze(t *testing.T) {
 	}
 	for _, workers := range []string{"1", "4"} {
 		trace := filepath.Join(dir, "trace-"+workers+".jsonl")
-		analyze(t, "-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", workers, "-trace", trace)
+		clitest.Output(t, caranalyze("-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", workers, "-trace", trace))
 		data, err := os.ReadFile(trace)
 		if err != nil {
 			t.Fatal(err)
@@ -482,10 +471,10 @@ func TestCheckpointedRunSaysWhatItsCutsCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-workers", "2"}
-	plain := analyze(t, base...)
+	plain := clitest.Output(t, caranalyze(base...))
 	trace := filepath.Join(dir, "trace.jsonl")
-	cut := analyze(t, append(base, "-trace", trace,
-		"-checkpoint", filepath.Join(dir, "run.snap"), "-checkpoint-every", "5000")...)
+	cut := clitest.Output(t, caranalyze(append(base, "-trace", trace,
+		"-checkpoint", filepath.Join(dir, "run.snap"), "-checkpoint-every", "5000")...))
 
 	if !regexp.MustCompile(`(?m)^checkpoints 6, stalled \d+\.\d+ s, written \d+\.\d+ MB$`).Match(cut) {
 		t.Fatalf("no checkpoints line for the six cuts in:\n%s", cut)
@@ -538,7 +527,7 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 	}
 	ckpt := filepath.Join(dir, "run.snap")
 	args := []string{"-in", in, "-stream", "-days", "14", "-start", "2017-01-02", "-checkpoint", ckpt}
-	analyze(t, append(args, "-checkpoint-every", "2000")...)
+	clitest.Output(t, caranalyze(append(args, "-checkpoint-every", "2000")...))
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)

@@ -29,16 +29,6 @@ const mainEnv = "CARDRIVE_MAIN"
 
 func cardrive(args ...string) *exec.Cmd { return clitest.Command(mainEnv, args...) }
 
-// run runs cmd and returns its stdout, failing the test unless it exits 0.
-func run(t *testing.T, cmd *exec.Cmd) []byte {
-	t.Helper()
-	stdout, stderr, code := clitest.Run(t, cmd)
-	if code != 0 {
-		t.Fatalf("%v: exit %d\nstderr:\n%s", cmd.Args, code, stderr)
-	}
-	return stdout
-}
-
 // workload is n deterministic records: 400 cars over the 7 days from
 // 2017-01-02 on a small radio grid.
 func workload(n int) []cdr.Record {
@@ -279,17 +269,17 @@ func TestOneReportOneText(t *testing.T) {
 	in := filepath.Join(dir, "cars.cdr")
 	clitest.WriteCDR(t, in, workload(60_000))
 
-	single := reportBody(t, run(t, exec.Command(caranalyze, "-stream", "-days", "7", in)))
+	single := reportBody(t, clitest.Output(t, exec.Command(caranalyze, "-stream", "-days", "7", in)))
 
 	var snaps []string
 	for i := 0; i < 3; i++ {
 		snap := filepath.Join(dir, fmt.Sprintf("s%d.snap", i))
-		run(t, exec.Command(caranalyze, "-partial", snap, "-shard", fmt.Sprintf("%d/3", i), "-days", "7", in))
+		clitest.Output(t, exec.Command(caranalyze, "-partial", snap, "-shard", fmt.Sprintf("%d/3", i), "-days", "7", in))
 		snaps = append(snaps, snap)
 	}
-	merged := reportBody(t, run(t, exec.Command(carmerge, append([]string{"-q"}, snaps...)...)))
+	merged := reportBody(t, clitest.Output(t, exec.Command(carmerge, append([]string{"-q"}, snaps...)...)))
 
-	driven := reportBody(t, run(t, cardrive("-shards", "3", "-worker", caranalyze,
+	driven := reportBody(t, clitest.Output(t, cardrive("-shards", "3", "-worker", caranalyze,
 		"-workdir", filepath.Join(dir, "work"), "-days", "7", "-q", in)))
 
 	for _, want := range []string{"== Figure 2 / Table 1", "== Figure 3", "== Figure 4", "== Fleet usage",
@@ -431,7 +421,7 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 		}
 		return string(stdout[i:])
 	}
-	single := quality(run(t, exec.Command(worker, "-stream", "-days", "7", "-budget", "5", in)))
+	single := quality(clitest.Output(t, exec.Command(worker, "-stream", "-days", "7", "-budget", "5", in)))
 	for _, want := range []string{"quarantined 40,", "quarantined bad-field", "quarantined time-range"} {
 		if !strings.Contains(single, want) {
 			t.Fatalf("the single run's Data Quality lacks %q:\n%s", want, single)
@@ -439,11 +429,11 @@ func TestBudgetJudgedByOwningShards(t *testing.T) {
 	}
 	work := filepath.Join(dir, "work")
 	args := []string{"-shards", "4", "-worker", worker, "-workdir", work, "-days", "7", "-q", "-budget", "5", "-keep-partials"}
-	driven := quality(run(t, cardrive(append(args, in)...)))
+	driven := quality(clitest.Output(t, cardrive(append(args, in)...)))
 	if driven != single {
 		t.Fatalf("cardrive's Data Quality differs from the single run's\n--- cardrive ---\n%s\n--- caranalyze -stream ---\n%s", driven, single)
 	}
-	if resumed := quality(run(t, cardrive(append(args, "-resume", in)...))); resumed != single {
+	if resumed := quality(clitest.Output(t, cardrive(append(args, "-resume", in)...))); resumed != single {
 		t.Fatalf("-resume's Data Quality differs from the single run's\n--- cardrive -resume ---\n%s\n--- caranalyze -stream ---\n%s", resumed, single)
 	}
 }
@@ -461,7 +451,7 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 	clitest.WriteCDR(t, in, workload(20_000))
 	work := filepath.Join(dir, "work")
 	args := []string{"-shards", "3", "-worker", worker, "-workdir", work, "-days", "7", "-keep-partials"}
-	fresh := run(t, cardrive(append(args, in)...))
+	fresh := clitest.Output(t, cardrive(append(args, in)...))
 
 	for _, version := range []int{1, 2, 3, 4} {
 		shard := (version - 1) % 3

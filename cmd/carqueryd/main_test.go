@@ -295,15 +295,8 @@ func servedVsBatch(t *testing.T, window string, days int) {
 	// A built caranalyze, so the comparison is cross-binary: served bytes
 	// against its -json stdout, not two calls into the same process.
 	bin := clitest.Build(t, dir, "caranalyze")
-	batch := func(in string) []byte {
-		out, stderr, code := clitest.Run(t, exec.Command(bin, append([]string{"-json", "-in", in}, study...)...))
-		if code != 0 {
-			t.Fatalf("caranalyze -json %s: exit %d\n%s", in, code, stderr)
-		}
-		return out
-	}
-	wantFull := batch(all)
-	wantPart := batch(part1)
+	wantFull := clitest.Output(t, exec.Command(bin, append([]string{"-json", "-in", all}, study...)...))
+	wantPart := clitest.Output(t, exec.Command(bin, append([]string{"-json", "-in", part1}, study...)...))
 
 	snaps := filepath.Join(dir, "snaps")
 	daemonArgs := func(inputs ...string) []string {

@@ -1,20 +1,24 @@
 // Package clitest is how a test starts a binary: the test binary
 // re-executed as the command under test (Main, Command) or a sibling
 // command built from source (Build), each child in a process group of
-// its own that the test reaps and checks for leaks (Start, Run), fed the
-// binary CDR bytes EncodeCDR and WriteCDR make. Only _test.go files
-// import it.
+// its own that the test reaps and checks for leaks (Start, Run, Output;
+// Adopt for children the test process starts otherwise), fed the binary
+// CDR bytes EncodeCDR and WriteCDR make. Only _test.go files import it.
 package clitest
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"cellcars/internal/cdr"
 )
@@ -59,6 +63,7 @@ func (c *Child) Wait() error {
 func Start(t testing.TB, cmd *exec.Cmd) *Child {
 	t.Helper()
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.WaitDelay = 2 * time.Second // Wait's bound on a process left holding the child's stdio
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,8 @@ func (c *Child) reap(t testing.TB) {
 
 // Run starts cmd as Start does, waits for it and returns what it wrote
 // to stdout and stderr and its exit code. The test fails at once if
-// anything of the child's group outlives the child.
+// anything of the child's group outlives the child, whether or not it
+// holds the child's stdio.
 func Run(t testing.TB, cmd *exec.Cmd) (stdout, stderr []byte, code int) {
 	t.Helper()
 	var out, errb bytes.Buffer
@@ -95,10 +101,56 @@ func Run(t testing.TB, cmd *exec.Cmd) (stdout, stderr []byte, code int) {
 	switch {
 	case errors.As(err, &exit):
 		code = exit.ExitCode()
+	case errors.Is(err, exec.ErrWaitDelay):
+		// The child exited 0 and left its stdio open: reap failed the test.
 	case err != nil:
 		t.Fatalf("%v: %v", cmd.Args, err)
 	}
 	return out.Bytes(), errb.Bytes(), code
+}
+
+// Output runs cmd as Run does and returns its stdout, failing the test
+// unless it exits 0.
+func Output(t testing.TB, cmd *exec.Cmd) []byte {
+	t.Helper()
+	stdout, stderr, code := Run(t, cmd)
+	if code != 0 {
+		t.Fatalf("%v: exit %d\n%s", cmd.Args, code, stderr)
+	}
+	return stdout
+}
+
+// Adopt is for the children a test does not start itself, such as the
+// workers a coordinator running in the test process starts: a child of
+// the test process alive when the test ends is SIGKILLed and reaped, and
+// the test fails with "child left running" unless it had failed already.
+// Tests that call it must not run in parallel with ones that start
+// children.
+func Adopt(t testing.TB) {
+	t.Cleanup(func() {
+		tasks, _ := filepath.Glob("/proc/self/task/*/children")
+		left := false
+		for _, task := range tasks {
+			b, _ := os.ReadFile(task)
+			for _, f := range strings.Fields(string(b)) {
+				if pid, _ := strconv.Atoi(f); alive(pid) {
+					syscall.Kill(pid, syscall.SIGKILL)
+					syscall.Wait4(pid, nil, 0, nil) // ECHILD if its own Wait reaped it first
+					left = true
+				}
+			}
+		}
+		if left && !t.Failed() {
+			t.Error("child left running")
+		}
+	})
+}
+
+// alive reports whether process pid exists and is not a zombie, one that
+// exited and waits to be reaped.
+func alive(pid int) bool {
+	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+	return err == nil && !strings.Contains(string(b[bytes.LastIndexByte(b, ')'):]), ") Z ")
 }
 
 // Build compiles the module's command cmd/<name> into dir and returns
@@ -109,9 +161,7 @@ func Build(t testing.TB, dir, name string) string {
 		t.Skipf("go toolchain not available to build %s", name)
 	}
 	bin := filepath.Join(dir, name)
-	if _, stderr, code := Run(t, exec.Command("go", "build", "-o", bin, "cellcars/cmd/"+name)); code != 0 {
-		t.Fatalf("build %s: exit %d\n%s", name, code, stderr)
-	}
+	Output(t, exec.Command("go", "build", "-o", bin, "cellcars/cmd/"+name))
 	return bin
 }
 

@@ -1,7 +1,6 @@
 package clitest
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -18,7 +17,8 @@ func TestMain(m *testing.M) { Main(m, mainEnv, helper) }
 // helper is the command the tests start: "clean" exits 0 saying
 // nothing, "exit" writes to both streams and exits 3, "hang" sleeps an
 // hour, and "orphan" starts a hang in its own group, prints its pid and
-// exits without waiting for it.
+// exits without waiting for it; "orphan-stdout" does so with the hang
+// holding its stdout.
 func helper() {
 	switch os.Args[1] {
 	case "exit":
@@ -27,8 +27,11 @@ func helper() {
 		os.Exit(3)
 	case "hang":
 		time.Sleep(time.Hour)
-	case "orphan":
+	case "orphan", "orphan-stdout":
 		cmd := Command(mainEnv, "hang")
+		if os.Args[1] == "orphan-stdout" {
+			cmd.Stdout = os.Stdout
+		}
 		if err := cmd.Start(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -56,17 +59,11 @@ func (w *watched) end() {
 	}
 }
 
-// running reports whether process pid exists and is not a zombie: a
-// killed orphan stays one until whatever adopted it reaps it.
-func running(pid int) bool {
-	b, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
-	return err == nil && !strings.Contains(string(b[bytes.LastIndexByte(b, ')'):]), ") Z ")
-}
-
 // TestCleanChildPasses: a child that exits, waited for by Run or by
-// hand, leaves its test passing.
+// hand, leaves its test passing, under Adopt too.
 func TestCleanChildPasses(t *testing.T) {
 	w := &watched{TB: t}
+	Adopt(w)
 	if _, _, code := Run(w, Command(mainEnv, "clean")); code != 0 {
 		t.Errorf("clean child exited %d", code)
 	}
@@ -80,30 +77,33 @@ func TestCleanChildPasses(t *testing.T) {
 }
 
 // TestLeftChildFails: a child that leaves a process of its group
-// running fails its test with "child left running" as soon as Run has
-// waited for it, and nothing of its group runs afterwards; so does a
-// child still running when its test ends.
+// running, with or without the child's stdout, fails its test with
+// "child left running" as soon as Run has waited for it, and nothing of
+// its group runs afterwards; so does a child still running when its test
+// ends, started by Start or by hand under Adopt, and it is killed.
 func TestLeftChildFails(t *testing.T) {
-	w := &watched{TB: t}
-	stdout, _, code := Run(w, Command(mainEnv, "orphan"))
-	if code != 0 {
-		t.Fatalf("orphan exited %d", code)
-	}
-	if strings.Join(w.errs, "\n") != "child left running" {
-		t.Errorf("a child that left %s running failed its test with %q", stdout, w.errs)
-	}
-	pid, err := strconv.Atoi(string(stdout))
-	if err != nil {
-		t.Fatalf("orphan printed %q, not its grandchild's pid", stdout)
-	}
-	for deadline := time.Now().Add(5 * time.Second); running(pid); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			syscall.Kill(pid, syscall.SIGKILL)
-			t.Fatalf("process %d of the child's group still runs", pid)
+	for _, orphan := range []string{"orphan", "orphan-stdout"} {
+		w := &watched{TB: t}
+		stdout, _, code := Run(w, Command(mainEnv, orphan))
+		if code != 0 {
+			t.Fatalf("%s exited %d", orphan, code)
+		}
+		if strings.Join(w.errs, "\n") != "child left running" {
+			t.Errorf("%s: a child that left %s running failed its test with %q", orphan, stdout, w.errs)
+		}
+		pid, err := strconv.Atoi(string(stdout))
+		if err != nil {
+			t.Fatalf("%s printed %q, not its grandchild's pid", orphan, stdout)
+		}
+		for deadline := time.Now().Add(5 * time.Second); alive(pid); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				syscall.Kill(pid, syscall.SIGKILL)
+				t.Fatalf("%s: process %d of the child's group still runs", orphan, pid)
+			}
 		}
 	}
 
-	w = &watched{TB: t}
+	w := &watched{TB: t}
 	c := Start(w, Command(mainEnv, "hang"))
 	w.end()
 	if strings.Join(w.errs, "\n") != "child left running" {
@@ -111,6 +111,22 @@ func TestLeftChildFails(t *testing.T) {
 	}
 	if err := c.Wait(); err == nil || c.Cmd.ProcessState.Exited() {
 		t.Errorf("the hung child was not killed: %v", err)
+	}
+
+	w = &watched{TB: t}
+	Adopt(w)
+	cmd := Command(mainEnv, "hang")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Release()
+	w.end()
+	if strings.Join(w.errs, "\n") != "child left running" {
+		t.Errorf("a test that ended with an adopted child running failed with %q", w.errs)
+	}
+	if pid := cmd.Process.Pid; alive(pid) {
+		syscall.Kill(pid, syscall.SIGKILL)
+		t.Errorf("the adopted child %d still runs", pid)
 	}
 }
 

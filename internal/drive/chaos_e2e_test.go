@@ -88,15 +88,13 @@ func chaosTestOpts() analysis.RunOptions {
 	return analysis.RunOptions{Seed: 1, RareDays: []int{2, 5}}
 }
 
-// writeChaosInputs writes n deterministic records across two binary
-// CDR files with cars interleaved between them — the layout that
-// forces car-disjoint sharding to span files.
-func writeChaosInputs(t *testing.T, dir string, n int) []string {
-	t.Helper()
+// chaosRecords is n deterministic records split across two files with
+// cars interleaved between them — the layout that forces car-disjoint
+// sharding to span files.
+func chaosRecords(n int) [2][]cdr.Record {
 	rng := rand.New(rand.NewPCG(42, 7))
 	period := chaosTestPeriod()
-	paths := []string{filepath.Join(dir, "in0.cdr"), filepath.Join(dir, "in1.cdr")}
-	perFile := make([][]cdr.Record, len(paths))
+	var perFile [2][]cdr.Record
 	for i := 0; i < n; i++ {
 		rec := cdr.Record{
 			Car: cdr.CarID(1 + rng.Uint64N(300)),
@@ -112,8 +110,15 @@ func writeChaosInputs(t *testing.T, dir string, n int) []string {
 		}
 		perFile[i%2] = append(perFile[i%2], rec)
 	}
-	for i, p := range paths {
-		clitest.WriteCDR(t, p, perFile[i])
+	return perFile
+}
+
+// writeChaosInputs writes chaosRecords(n) as two binary CDR files.
+func writeChaosInputs(t *testing.T, dir string, n int) []string {
+	t.Helper()
+	paths := []string{filepath.Join(dir, "in0.cdr"), filepath.Join(dir, "in1.cdr")}
+	for i, recs := range chaosRecords(n) {
+		clitest.WriteCDR(t, paths[i], recs)
 	}
 	return paths
 }
@@ -156,8 +161,13 @@ func baselineReport(t *testing.T, inputs []string) *analysis.Report {
 	return p.Finalize()
 }
 
+// chaosTestConfig is the suite's coordinator config. The coordinator
+// runs in the test process and starts the workers itself, so the test
+// adopts them: a worker alive when the test ends fails it.
 func chaosTestConfig(t *testing.T, inputs []string, shards int) Config {
 	t.Helper()
+	work := filepath.Join(t.TempDir(), "work")
+	clitest.Adopt(t)
 	return Config{
 		Inputs:       inputs,
 		Shards:       shards,
@@ -166,7 +176,7 @@ func chaosTestConfig(t *testing.T, inputs []string, shards int) Config {
 		RetryBackoff: 5 * time.Millisecond,
 		MaxBackoff:   50 * time.Millisecond,
 		JitterSeed:   1,
-		WorkDir:      filepath.Join(t.TempDir(), "work"),
+		WorkDir:      work,
 	}
 }
 

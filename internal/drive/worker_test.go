@@ -9,28 +9,20 @@ import (
 
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
+	"cellcars/internal/clitest"
 	"cellcars/internal/obs"
 )
 
-// writeFaultyInputs turns writeChaosInputs' two binary files into a CSV
-// with the benchmark's three faults planted every step rows — junk in
-// the cell, a missing column, a start twenty years out — followed by a
-// binary file whose last frame is torn.
+// writeFaultyInputs turns chaosRecords' two files into a CSV with the
+// benchmark's three faults planted every step rows — junk in the cell, a
+// missing column, a start twenty years out — followed by a binary file
+// whose last frame is torn.
 func writeFaultyInputs(t *testing.T, dir string, n, step int) []string {
 	t.Helper()
-	bins := writeChaosInputs(t, dir, n)
-	r, closer, err := cdr.OpenFiles(bins[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	records, err := cdr.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perFile := chaosRecords(n)
 	var buf bytes.Buffer
 	w := cdr.NewCSVWriter(&buf)
-	if err := cdr.WriteAll(w, records); err != nil {
+	if err := cdr.WriteAll(w, perFile[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -53,14 +45,12 @@ func writeFaultyInputs(t *testing.T, dir string, n, step int) []string {
 	if err := os.WriteFile(faulty, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(bins[1])
-	if err != nil {
+	torn := filepath.Join(dir, "in1.cdr")
+	bin := clitest.EncodeCDR(t, perFile[1], true)
+	if err := os.WriteFile(torn, bin[:len(bin)-11], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(bins[1], fi.Size()-11); err != nil {
-		t.Fatal(err)
-	}
-	return []string{faulty, bins[1]}
+	return []string{faulty, torn}
 }
 
 // TestShardWorkersMatchFilter: a worker that reads only the rows its
