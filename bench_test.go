@@ -19,9 +19,7 @@ import (
 	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
 	"cellcars/internal/clean"
-	"cellcars/internal/fota"
 	"cellcars/internal/load"
-	"cellcars/internal/predict"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
 	"cellcars/internal/stats"
@@ -486,38 +484,6 @@ func (w *writerBuffer) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkFOTAPolicies is the design-choice ablation: the same
-// campaign under naive, randomized and segment-aware policies,
-// reporting busy-cell impact and completion time.
-func BenchmarkFOTAPolicies(b *testing.B) {
-	_, _, cleaned, ctx := benchScene(b)
-	segments := fota.SegmentsFromReport(cleaned, ctx, 10)
-	windows := fota.PlanWindows(cleaned, ctx, 8, 4)
-	base := fota.DefaultConfig(nil)
-	var results []fota.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results = fota.Compare(cleaned, ctx, segments, base,
-			fota.NaivePolicy{},
-			fota.RandomizedPolicy{P: 0.25, Seed: 1},
-			fota.SegmentAwarePolicy{BusyThreshold: ctx.Load.BusyThreshold()},
-			fota.ScheduledPolicy{
-				Period:          ctx.Period,
-				TZOffsetSeconds: ctx.TZOffsetSeconds,
-				Windows:         windows,
-				BusyThreshold:   ctx.Load.BusyThreshold(),
-			},
-		)
-	}
-	b.StopTimer()
-	reportOnce("FOTA ablation",
-		fmt.Sprintf("busy-byte share naive/randomized/segment-aware/scheduled: %.1f%%/%.1f%%/%.1f%%/%.1f%% | mean days %.1f/%.1f/%.1f/%.1f",
-			results[0].BusyShare()*100, results[1].BusyShare()*100,
-			results[2].BusyShare()*100, results[3].BusyShare()*100,
-			results[0].MeanDaysToComplete, results[1].MeanDaysToComplete,
-			results[2].MeanDaysToComplete, results[3].MeanDaysToComplete))
-}
-
 // BenchmarkAblationAggregateGap sweeps the §3 session concatenation
 // gap (paper: 30 s) and reports the session count at each setting.
 func BenchmarkAblationAggregateGap(b *testing.B) {
@@ -601,48 +567,6 @@ type thresholdSource struct {
 }
 
 func (t thresholdSource) BusyThreshold() float64 { return t.threshold }
-
-// BenchmarkPredictability is the §4.7 extension: backtest per-car
-// hourly appearance prediction, train 8 weeks → evaluate 4, and report
-// the predictability→accuracy gradient.
-func BenchmarkPredictability(b *testing.B) {
-	_, _, cleaned, ctx := benchScene(b)
-	var res predict.FleetResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res = predict.BacktestFleet(cleaned, ctx.Period, ctx.TZOffsetSeconds, 8, 4, 0.5)
-	}
-	b.StopTimer()
-	reportOnce("Predictability (extension)",
-		fmt.Sprintf("fleet F1 %.2f; quartile F1 low→high %.2f/%.2f/%.2f/%.2f (top quartile mixes in sparse rare cars)",
-			res.Overall.F1(),
-			res.ByPredictability[0].F1(), res.ByPredictability[1].F1(),
-			res.ByPredictability[2].F1(), res.ByPredictability[3].F1()))
-	b.ReportMetric(res.Overall.F1(), "F1")
-}
-
-// BenchmarkCarClustering is the §1 extension: behavioural clustering
-// of cars by weekly appearance profile.
-func BenchmarkCarClustering(b *testing.B) {
-	_, _, cleaned, ctx := benchScene(b)
-	var clusters []predict.CarCluster
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewPCG(9, 0xC1A5))
-		clusters = predict.ClusterCars(cleaned, ctx.Period, ctx.TZOffsetSeconds, 8, 4, rng)
-	}
-	b.StopTimer()
-	sizes := make([]int, len(clusters))
-	maxWeekend := 0.0
-	for i, c := range clusters {
-		sizes[i] = len(c.Cars)
-		if s := c.WeekendShare(); s > maxWeekend {
-			maxWeekend = s
-		}
-	}
-	reportOnce("Car clustering (extension)",
-		fmt.Sprintf("k=4 behavioural clusters %v; one cluster is weekend-dominated (share %.0f%%)", sizes, maxWeekend*100))
-}
 
 // BenchmarkGenerateParallel compares parallel generation throughput
 // against the sequential path on a small scene.

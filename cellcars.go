@@ -154,14 +154,17 @@ func CellWeek(records []Record, ctx Context, cell CellKey, week int) CellWeekRes
 	return analysis.CellWeek(records, ctx, cell, week)
 }
 
-// RecordsOfCar extracts one car's records from a stream — the input of
-// the per-car prediction functions.
-func RecordsOfCar(records []Record, car CarID) []Record {
-	return analysis.RecordsOfCar(records, car)
-}
-
 // RemoveGhosts filters out the erroneous exactly-one-hour records.
 func RemoveGhosts(r Reader) Reader { return clean.RemoveGhosts(r) }
 
 // ReadAll drains a reader into memory.
 func ReadAll(r Reader) ([]Record, error) { return cdr.ReadAll(r) }
+
+// FormatTable1 renders a report's Table 1 (per-weekday presence).
+func FormatTable1(r *Report) string { return analysis.FormatTable1(r.WeekdayRows) }
+
+// FormatTable2 renders a report's Table 2 (car segmentation).
+func FormatTable2(r *Report) string { return analysis.FormatTable2(r.Segments) }
+
+// FormatTable3 renders a report's Table 3 (carrier usage).
+func FormatTable3(r *Report) string { return analysis.FormatTable3(r.Carriers) }

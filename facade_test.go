@@ -82,70 +82,6 @@ func TestFacadeMicroAnalyses(t *testing.T) {
 	}
 }
 
-func TestFacadeFOTA(t *testing.T) {
-	scene, records, ctx := facadeScene(t)
-	cleaned, err := cellcars.ReadAll(cellcars.RemoveGhosts(cellcars.NewSliceReader(records)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segments := cellcars.FOTASegments(cleaned, ctx, 2)
-	if len(segments) == 0 {
-		t.Fatal("no segments")
-	}
-	base := cellcars.DefaultFOTAConfig(nil)
-	base.UpdateMB = 50
-	res := cellcars.SimulateFOTA(cleaned, ctx, segments, base)
-	if res.Cars == 0 || res.DeliveredMB == 0 {
-		t.Fatalf("campaign: %+v", res)
-	}
-	results := cellcars.CompareFOTA(cleaned, ctx, segments, base,
-		cellcars.NaivePolicy{},
-		cellcars.SegmentAwarePolicy{BusyThreshold: scene.Load.BusyThreshold()},
-	)
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if results[1].BusyShare() > results[0].BusyShare() {
-		t.Fatal("segment-aware should not push more busy bytes than naive")
-	}
-	out := cellcars.FormatFOTAResults(results)
-	if !strings.Contains(out, "naive") || !strings.Contains(out, "segment-aware") {
-		t.Fatalf("fota format:\n%s", out)
-	}
-}
-
-func TestFacadePrediction(t *testing.T) {
-	_, records, ctx := facadeScene(t)
-	cleaned, err := cellcars.ReadAll(cellcars.RemoveGhosts(cellcars.NewSliceReader(records)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	car := cleaned[0].Car
-	profile := cellcars.LearnProfile(cellcars.RecordsOfCar(cleaned, car), ctx, 1)
-	if profile.Predictability < 0 || profile.Predictability > 1 {
-		t.Fatalf("predictability = %v", profile.Predictability)
-	}
-	outcome := cellcars.BacktestCar(cellcars.RecordsOfCar(cleaned, car), ctx, 1, 1, 0.5)
-	if outcome.TruePositive+outcome.FalsePositive+outcome.FalseNegative+outcome.TrueNegative == 0 {
-		t.Fatal("empty confusion matrix")
-	}
-	fleet := cellcars.BacktestFleet(cleaned, ctx, 1, 1, 0.5)
-	if fleet.Cars == 0 {
-		t.Fatal("no cars in fleet backtest")
-	}
-	clusters := cellcars.ClusterCars(cleaned, ctx, 1, 3, 7)
-	if len(clusters) == 0 {
-		t.Fatal("no behavioural clusters")
-	}
-	total := 0
-	for _, c := range clusters {
-		total += len(c.Cars)
-	}
-	if total == 0 {
-		t.Fatal("clusters empty")
-	}
-}
-
 func TestFacadeCodecsViaPublicTypes(t *testing.T) {
 	_, records, _ := facadeScene(t)
 	sample := records[:100]

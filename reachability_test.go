@@ -22,25 +22,26 @@ import (
 var reachabilityAllow = map[string]string{
 	"internal/cdr/chaos.go":    "fault-injection harness imported by the tests of analysis and drive",
 	"internal/clitest":         "process harness imported by the tests of cmd/* and drive: how a test starts a binary",
+	"internal/clean/clean.go":  "pinned by bench/README.md: layertrace times clean.NewSessionizer, Add and Flush; ROADMAP item 21 (c) deletes them after 2 (d)",
 	"internal/cdr.OpenFile":    "pinned by bench/README.md: layertrace opens its inputs through it; the binaries open theirs through OpenFiles and OpenShard, which share its openFile",
 	"internal/drive/chaos.go":  "fault-injection harness imported by cmd/cardrive's tests",
-	"internal/fota":            "an extension no pipeline binary reaches; ROADMAP item 9 (b) moves it out of the core",
-	"internal/predict":         "an extension no pipeline binary reaches; ROADMAP item 9 (b) moves it out of the core",
 	"internal/query.NewServer": "observation seam: cmd/carqueryd's tests read the store through it",
 
 	"internal/load.SaturationResult.PeakTestUtilization": "Figure 1's saturation level, read by the root bench_test.go and load's tests",
 	"internal/simtime.WeekMatrix.ActiveCells":            "read by the root bench_test.go and simtime's tests",
-	"internal/simtime.Period.BinIndex":                   "the inverse of BinStart, read by simtime's and fota's tests",
+	"internal/simtime.Period.BinIndex":                   "the inverse of BinStart, read by simtime's round-trip test",
+	"internal/simtime.HourOfWeek":                        "the time.Time arbiter internal/analysis/hours_arbiter_test.go holds the engine's hour-of-week to",
 	"internal/stats.Histogram.Total":                     "read by the tests of stats, analysis and the root integration test",
 
 	"internal/analysis.DailyPresenceOf": sliceHelper, "internal/analysis.DaysHistogram": sliceHelper,
 	"internal/analysis.ConnectedTimeOf": sliceHelper, "internal/analysis.Segmentation": sliceHelper,
 	"internal/analysis.HandoversOf": sliceHelper, "internal/analysis.CarrierUsageOf": sliceHelper,
 	"internal/analysis.CellDurationsOf": sliceHelper, "internal/analysis.ClusterBusyCells": sliceHelper,
+	"internal/analysis.DaysOnNetwork": sliceHelper, "internal/analysis.BusyTimeOf": sliceHelper,
 }
 
 const sliceHelper = "three-line wrapper over an accumulator that analysis_test.go, stream_test.go and the root " +
-	"bench_test.go drive; ROADMAP item 11 (b) deletes it or moves it to the test side"
+	"bench_test.go drive; ROADMAP item 21 (b) deletes it or moves it to the test side"
 
 type importerFunc func(path string) (*types.Package, error)
 
