@@ -26,12 +26,13 @@ bench-check:
 # that cuts 16 checkpoints (ms, ingest stall and bytes allocated per cut,
 # at one worker, two and four), all on the benchmark's generated
 # 1 600-car fleet; the fold of a full-window miss on the 400-car serve
-# fleet (its operands listed and built as a miss does: 13 memoised day
-# roll-ups, the day so far's and the live hour restored, then Finalize;
-# with the day so far as one memo 31 → 15 operands, 18 → 1 hours
-# restored and 6.1–6.7 → 4.2–5.1 ms per fold, 2-vCPU box; at one proc
-# and at two, since the fold merges its stages on every core and one
-# proc is the inline path),
+# fleet (its operands listed and built as a miss does, then Finalize:
+# warm, the study memo of the 13 passed days, the day so far's memo
+# and the live hour restored — 15 → 3 operands with the study memo;
+# cold, every memo dropped first as after a restart, so every hour is
+# restored and every memo built; at one proc and at two, since the
+# fold merges its stages on every core and one proc is the inline
+# path),
 # and that fleet's cold drain through the query store as carqueryd runs
 # it (ns per record, the store mutex each cut holds, bytes allocated);
 # what one foreign row costs a shard worker, skipped below the parse

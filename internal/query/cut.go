@@ -288,13 +288,20 @@ func (s *Store) readCut(r io.Reader) (*restoredCut, error) {
 // (SkippedCuts says why). It returns the restored watermark — the
 // record count the caller must cdr.Skip on the re-opened stream — and
 // ok=false on a cold start (no valid cut). The store must be empty
-// (freshly built) when Restore is called.
+// (freshly built): one that has taken a record is refused, since the
+// cut would replace its buckets but not the memos folded from them.
 func (s *Store) Restore() (watermark int64, ok bool, err error) {
 	if s.snaps == nil {
 		return 0, false, ErrNoSnapshots
 	}
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
+	s.mu.Lock()
+	taken, buckets := s.watermark, len(s.buckets)
+	s.mu.Unlock()
+	if taken != 0 || buckets != 0 {
+		return 0, false, fmt.Errorf("query: restore into a store that has taken %d records in %d buckets: a store must be empty to restore", taken, buckets)
+	}
 	s.joinCut()
 	s.skipped = nil
 	_, res, ok, err := s.snaps.LatestValid(func(seq uint64, r io.Reader) (any, error) {

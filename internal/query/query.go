@@ -14,17 +14,22 @@
 // window is folded from operands (window.go): the hourly encodings of
 // its ragged first day, one memoised roll-up for every whole passed
 // day, one for the day so far — extended by the buckets sealed since
-// the last miss — and the live bucket. The 14 d window is 13 roll-ups,
-// the day so far, the live hour. Operands are folded oldest first by
-// one MergeOrderedAll, a bucket restored from its bytes and a roll-up
-// as it is; the fold merges its stages on every core, so a miss waits
-// for its slowest stage, not for all of them in a row. A served report
-// is bit-identical to a batch run over the same records wherever the
-// MergeOrdered precondition holds (TestMergeOrderedEquivalence,
-// FuzzMergeOrderedGrouping); where the feed breaks it the store says so
-// (Stats.FoldOverlaps). A late record into a sealed bucket is still
-// accepted: it thaws the bucket from its bytes and drops its day's
-// roll-up.
+// the last miss — and the live bucket. A window from the study's first
+// bucket takes its whole passed days as one memo instead, the study
+// memo, extended by each day's roll-up as the day passes. It is only
+// ever a fold's first operand, which the fold copies exactly, so the
+// grouping and the reply bytes stay those of the day roll-ups. The 14 d
+// window is the study memo, the day so far and the live hour. Operands
+// are folded oldest first by one MergeOrderedAll, a bucket restored
+// from its bytes and a roll-up as it is; the fold merges its stages on
+// every core, so a miss waits for its slowest stage, not for all of
+// them in a row. A served report is bit-identical to a batch run over
+// the same records wherever the MergeOrdered precondition holds
+// (TestMergeOrderedEquivalence, FuzzMergeOrderedGrouping); where the
+// feed breaks it the store says so (Stats.FoldOverlaps). A late record
+// into a sealed bucket is still accepted: it thaws the bucket from its
+// bytes and drops its day's roll-up, and the study memo if that covers
+// the day.
 //
 // Readers are lock-light: the store mutex covers only bucket routing,
 // snapshot-encoding the dirty buckets a cut or a miss needs (on every
@@ -125,6 +130,9 @@ type Store struct {
 	live      int // highest bucket index fed so far; -1 cold
 	watermark int64
 	reports   map[string]cachedReport
+	// study is the study memo: the fold of the day roll-ups of the
+	// study's first study.n whole days (window.go).
+	study dayState
 	// overlaps is the MergeOrdered precondition witness count of the
 	// last fold of each window, by window name.
 	overlaps map[string]int64
@@ -596,17 +604,22 @@ type Stats struct {
 	Windows     []string      `json:"windows"`
 	// LiveBuckets of the Buckets still hold an accumulator; the rest are
 	// sealed. SealedBytes is what is held in their place: the sealed
-	// buckets' encodings. Rollups counts the memoised day roll-ups —
-	// whole passed days and the day so far — which are held as folded
-	// accumulators.
+	// buckets' encodings. Rollups counts the memoised roll-ups, which
+	// are held as folded accumulators: the day roll-ups — whole passed
+	// days and the day so far — and the study memo of the whole passed
+	// days unless it is one of them, as the memo of a single non-empty
+	// day is.
 	LiveBuckets int   `json:"live_buckets"`
 	SealedBytes int64 `json:"sealed_bytes"`
 	Rollups     int   `json:"rollups"`
-	// RollupBuilds, RollupExtends, RollupInvalidations and Thaws count
-	// roll-ups folded from their day's buckets, roll-ups extended from
-	// the day's shorter memo by the buckets sealed since, roll-ups
-	// dropped (or refused) for a late record into their day, and sealed
-	// buckets restored for one.
+	// RollupBuilds counts day roll-ups folded from their buckets.
+	// RollupExtends counts memos extended: a day's from its shorter memo
+	// by the buckets sealed since, the study memo from its shorter self
+	// — or, built anew, from its first day's roll-up — by the day
+	// roll-ups passed since. RollupInvalidations counts the late records
+	// that dropped memos (their day's, and the study memo if it covers
+	// the day) and the folds refused for a late record meanwhile. Thaws
+	// counts sealed buckets restored for a late record.
 	RollupBuilds        int64 `json:"rollup_builds"`
 	RollupExtends       int64 `json:"rollup_extends"`
 	RollupInvalidations int64 `json:"rollup_invalidations"`
@@ -639,10 +652,17 @@ func (s *Store) SnapshotStats() Stats {
 			sealedBytes += int64(len(b.encoded))
 		}
 	}
+	study := s.study.rollup
 	for _, d := range s.days {
 		if d.rollup != nil {
 			rollups++
 		}
+		if d.rollup == study {
+			study = nil
+		}
+	}
+	if study != nil {
+		rollups++
 	}
 	return Stats{
 		Records:             s.watermark,

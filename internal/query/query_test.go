@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,6 +247,60 @@ func TestCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesAStoreThatHasTakenRecords: a cut restored into a
+// store that has taken records would replace its buckets and keep the
+// memos folded from them, so the store would answer neither as itself
+// nor as the cut. Restore refuses it, naming the rule, and the store
+// answers as before; a fresh store restores the same cut.
+func TestRestoreRefusesAStoreThatHasTakenRecords(t *testing.T) {
+	records := queryWorkload(3000, 4)
+	dir := &snapshot.Dir{Path: filepath.Join(t.TempDir(), "cuts"), Keep: 2}
+	cfg := Config{Ctx: queryCtx(4), Snapshots: dir, Windows: []Window{{Name: "4d", Span: 96 * time.Hour}}}
+	cutter, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, cutter, records)
+	if _, err := cutter.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := cutter.Report("full", "4d")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted := append([]cdr.Record(nil), records[:len(records)/2]...)
+	for i := range shifted {
+		shifted[i].Car += 1000
+	}
+	feed(t, used, shifted)
+	before, err := used.Report("summary", "4d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := used.Restore(); err == nil || ok || !strings.Contains(err.Error(), "must be empty") {
+		t.Fatalf("restore into a store holding %d records: ok=%v err=%v; want it refused as not empty", len(shifted), ok, err)
+	}
+	if after, err := used.Report("summary", "4d"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused restore changed the store's answer (%v)", err)
+	}
+
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wm, ok, err := fresh.Restore(); err != nil || !ok || wm != int64(len(records)) {
+		t.Fatalf("restore into a fresh store: watermark %d ok=%v err=%v", wm, ok, err)
+	}
+	if got, err := fresh.Report("full", "4d"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the restored fresh store answers otherwise than the store that cut (%v)", err)
+	}
+}
+
 // TestCheckpointWritesAStateOnce: a cut asked for at the watermark of
 // the last cut this store wrote is that cut — nothing is written and
 // the freshness SLIs keep describing the file that exists. Any Add, a
@@ -443,14 +498,17 @@ func serveFleet(b *testing.B) (analysis.Context, []cdr.Record) {
 	return analysis.Context{Period: cfg.Period}, records
 }
 
-// BenchmarkWindowFold is what a full-window miss spends after its
-// operands are listed and its roll-ups built, both by compose's own
-// windowOperands and buildRollups: the 14 d operand list of the
-// benchmark's serve fleet (400 generated cars over 14 days, drained;
-// 13 memoised day roll-ups, the roll-up of the last day so far and the
-// live hour), the roll-ups folded as they are and the hours restored,
-// left-folded by fold into a fresh accumulator, then finalized. It
-// reports the operands and the hours restored per fold. Profile it with
+// BenchmarkWindowFold is what a full-window miss spends on the 14 d
+// window of the benchmark's serve fleet (400 generated cars over 14
+// days, drained), its operands listed and built by compose's own
+// windowOperands and buildRollups, left-folded by fold into a fresh
+// accumulator, then finalized. warm is a miss at the next tick: its
+// roll-ups are memoised, so it folds the study memo of the 13 passed
+// days, the roll-up of the last day so far and the live hour restored.
+// cold drops every memo first, as a restart's first miss finds them:
+// it restores every hour, builds the 14 day roll-ups and extends the
+// study memo from the first. Each reports the operands of the fold and
+// the hours restored per miss. Profile it with
 // `go test -run '^$' -bench WindowFold -cpuprofile cpu.out ./internal/query`.
 func BenchmarkWindowFold(b *testing.B) {
 	ctx, records := serveFleet(b)
@@ -462,22 +520,30 @@ func BenchmarkWindowFold(b *testing.B) {
 	for _, r := range records {
 		s.Add(r)
 	}
-	ops, _, err := s.windowOperands(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.buildRollups(ops); err != nil {
-		b.Fatal(err)
-	}
-	hours := 0
-	for _, op := range ops {
-		if op.enc != nil {
-			hours++
+	// miss lists and builds the window's operands, returning them and
+	// the hours it restored.
+	miss := func(b *testing.B) ([]operand, int) {
+		ops, _, err := s.windowOperands(w)
+		if err != nil {
+			b.Fatal(err)
 		}
+		var hours func([]operand) int
+		hours = func(ops []operand) (n int) {
+			for _, op := range ops {
+				if op.enc != nil {
+					n++
+				}
+				n += hours(op.parts)
+			}
+			return n
+		}
+		restored := hours(ops)
+		if err := s.buildRollups(ops); err != nil {
+			b.Fatal(err)
+		}
+		return ops, restored
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	finalize := func(b *testing.B, ops []operand) {
 		acc, err := s.fold(ops)
 		if err != nil {
 			b.Fatal(err)
@@ -486,6 +552,28 @@ func BenchmarkWindowFold(b *testing.B) {
 			b.Fatal("empty fold")
 		}
 	}
-	b.ReportMetric(float64(len(ops)), "operands")
-	b.ReportMetric(float64(hours), "hours/fold")
+	b.Run("warm", func(b *testing.B) {
+		ops, hours := miss(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			finalize(b, ops)
+		}
+		b.ReportMetric(float64(len(ops)), "operands")
+		b.ReportMetric(float64(hours), "hours/fold")
+	})
+	b.Run("cold", func(b *testing.B) {
+		var ops []operand
+		var hours int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.mu.Lock()
+			s.days, s.study = make(map[int]*dayState), dayState{}
+			s.mu.Unlock()
+			ops, hours = miss(b)
+			finalize(b, ops)
+		}
+		b.ReportMetric(float64(len(ops)), "operands")
+		b.ReportMetric(float64(hours), "hours/fold")
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cellcars/internal/analysis"
 	"cellcars/internal/cdr"
 	"cellcars/internal/obs"
 	"cellcars/internal/snapshot"
@@ -38,9 +39,10 @@ func replyOf(t *testing.T, s *Store, w Window) reply {
 }
 
 // checkMemosFoldFromScratch holds every memo of s to the left fold of
-// the buckets it covers built from nothing — clean buckets, the same
-// SnapshotTo bytes and the same overlap witnesses — and returns how
-// many memos it checked.
+// what it covers built from nothing — a day memo to its clean buckets'
+// encodings, the study memo to the memos of its days — with the same
+// SnapshotTo bytes and the same overlap witnesses, and returns how many
+// memos it checked.
 func checkMemosFoldFromScratch(t *testing.T, s *Store, when string) int {
 	t.Helper()
 	s.mu.Lock()
@@ -61,6 +63,18 @@ func checkMemosFoldFromScratch(t *testing.T, s *Store, when string) int {
 		}
 		memos[day] = op
 	}
+	if s.study.rollup != nil {
+		op := operand{rollup: s.study.rollup, n: s.study.n}
+		for day := range s.study.n {
+			if d := s.days[day]; d != nil && d.rollup != nil && d.n == s.perDay {
+				op.parts = append(op.parts, operand{rollup: d.rollup})
+			} else if hasBucketsLocked(s, day, s.perDay) {
+				s.mu.Unlock()
+				t.Fatalf("%s: day %d of the study memo's %d has no whole-day memo", when, day, s.study.n)
+			}
+		}
+		memos[studyMemo] = op
+	}
 	s.mu.Unlock()
 	for day, op := range memos {
 		scratch, err := s.fold(op.parts)
@@ -75,11 +89,66 @@ func checkMemosFoldFromScratch(t *testing.T, s *Store, when string) int {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) || op.rollup.OrderedOverlaps() != scratch.OrderedOverlaps() {
-			t.Fatalf("%s: the memo of day %d's first %d buckets differs from their fold from scratch (%d vs %d witnesses)",
-				when, day, op.n, op.rollup.OrderedOverlaps(), scratch.OrderedOverlaps())
+			what := fmt.Sprintf("the memo of day %d's first %d buckets differs from their fold", day, op.n)
+			if day == studyMemo {
+				what = fmt.Sprintf("the study memo of %d days differs from the fold of their day memos", op.n)
+			}
+			t.Fatalf("%s: %s from scratch (%d vs %d witnesses)", when, what, op.rollup.OrderedOverlaps(), scratch.OrderedOverlaps())
 		}
 	}
 	return len(memos)
+}
+
+// hasBucketsLocked reports whether any of day's first n buckets holds
+// records; the caller holds s.mu.
+func hasBucketsLocked(s *Store, day, n int) bool {
+	for idx := day * s.perDay; idx < day*s.perDay+n; idx++ {
+		if s.buckets[idx] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// dayFold is a window's reply as the store folded it before the study
+// memo: its ragged first day's hours, the store's own memo of every
+// day it covers from the day's start — every whole passed day and the
+// day so far — and the live hour, left-folded into a fresh accumulator
+// and finalized, with the fold's overlap witnesses. It is asked right
+// after a miss of the window, which leaves every such day memoised and
+// every bucket clean.
+func dayFold(t *testing.T, s *Store, w Window) reply {
+	t.Helper()
+	s.mu.Lock()
+	var ops []operand
+	for idx := max(0, s.live-int(w.Span/s.width)+1); idx <= s.live; {
+		if idx%s.perDay == 0 && idx < s.live {
+			n := min(s.perDay, s.live-idx)
+			if d := s.days[idx/s.perDay]; d != nil && d.rollup != nil && d.n == n {
+				ops = append(ops, operand{rollup: d.rollup})
+			} else if hasBucketsLocked(s, idx/s.perDay, n) {
+				s.mu.Unlock()
+				t.Fatalf("window %s: day %d has no memo of its first %d buckets", w.Name, idx/s.perDay, n)
+			}
+			idx += n
+			continue
+		}
+		if b := s.buckets[idx]; b != nil {
+			ops = append(ops, operand{enc: b.encoded})
+		}
+		idx++
+	}
+	s.mu.Unlock()
+	acc, err := s.fold(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := acc.Finalize()
+	body, err := MarshalReport(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reply{body, acc.OrderedOverlaps()}
 }
 
 // TestRollupRepliesDoNotDependOnHistory feeds a store hour by hour, on
@@ -87,9 +156,12 @@ func checkMemosFoldFromScratch(t *testing.T, s *Store, when string) int {
 // and at every tick holds every window's /report/full bytes and
 // fold_overlaps to those of a store asked only at that tick and of a
 // store restored from the previous tick's cut: a memo extended hour
-// by hour is the memo a build from scratch makes. Each memo is also
-// held, encoding and witnesses, to its fold from scratch, and a
-// day-aligned window restores no bucket but the live one.
+// by hour is the memo a build from scratch makes. They are also held
+// to the fold of the store's own day memos with no study memo
+// (dayFold), which the full-study window 3d takes as its first
+// operand. Each memo is held, encoding and witnesses, to its fold
+// from scratch, and a day-aligned window restores no bucket but the
+// live one.
 func TestRollupRepliesDoNotDependOnHistory(t *testing.T) {
 	const days = 3
 	windows := []Window{{"5h", 5 * time.Hour}, {"24h", 24 * time.Hour}, {"36h", 36 * time.Hour}, {"3d", days * 24 * time.Hour}}
@@ -125,6 +197,10 @@ func TestRollupRepliesDoNotDependOnHistory(t *testing.T) {
 				for i := range windows {
 					w := windows[(i+tick)%len(windows)]
 					got[w.Name] = replyOf(t, every, w)
+					if r := dayFold(t, every, w); !bytes.Equal(r.body, got[w.Name].body) || r.overlaps != got[w.Name].overlaps {
+						t.Fatalf("tick %d, window %s: the reply differs from the fold of the store's day memos (%d vs %d witnesses)",
+							tick, w.Name, got[w.Name].overlaps, r.overlaps)
+					}
 				}
 
 				once, err := New(Config{Ctx: cfg.Ctx, Windows: windows})
@@ -260,5 +336,111 @@ func TestRollupDroppedByLateRecordIntoToday(t *testing.T) {
 	if st := s.SnapshotStats(); st.RollupExtends != extends+1 || st.RollupBuilds != builds+1 {
 		t.Fatalf("a tick after the late record: %d→%d extensions, %d builds; want the rebuilt memo extended",
 			extends, st.RollupExtends, st.RollupBuilds)
+	}
+}
+
+// TestStudyRollupDroppedByLateRecord: a late record into a passed day
+// drops the study memo with the day's, counted once in
+// cellcars_query_rollup_invalidations_total, and the next miss rebuilds
+// both — the day's roll-up from its buckets, the study memo as its
+// first day's roll-up extended by the other — answering as the fold of
+// the day memos and as a fresh store fed the same records do. A late
+// record into the day so far leaves the study memo in place, and the
+// next day extends it. The feed breaks the MergeOrdered precondition,
+// so a memo folded in another grouping would show.
+func TestStudyRollupDroppedByLateRecord(t *testing.T) {
+	const days = 4
+	windows := []Window{{"24h", 24 * time.Hour}, {"4d", days * 24 * time.Hour}}
+	reg := obs.New()
+	cfg := Config{Ctx: queryCtx(days), Windows: windows}
+	s, err := New(Config{Ctx: cfg.Ctx, Windows: windows, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := queryWorkload(2000, days)
+	for i := range records {
+		if i%5 == 0 {
+			records[i].Duration = 3 * time.Hour
+		}
+	}
+	ends := ticks(s, records)
+	var fed []cdr.Record
+	var witnesses int64
+	matches := func(when string) {
+		t.Helper()
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, fresh, fed)
+		for _, w := range windows {
+			got := replyOf(t, s, w)
+			if r := dayFold(t, s, w); !bytes.Equal(r.body, got.body) || r.overlaps != got.overlaps {
+				t.Fatalf("%s, window %s: the reply differs from the fold of the store's day memos (%d vs %d witnesses)",
+					when, w.Name, got.overlaps, r.overlaps)
+			}
+			if r := replyOf(t, fresh, w); !bytes.Equal(r.body, got.body) || r.overlaps != got.overlaps {
+				t.Fatalf("%s, window %s: the store answers otherwise than a fresh one fed the same records", when, w.Name)
+			}
+			witnesses += got.overlaps
+		}
+		checkMemosFoldFromScratch(t, s, when)
+	}
+	study := func() (*analysis.Streaming, int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.study.rollup, s.study.n
+	}
+	prev, tick := 0, 0
+	feedTo := func(live int) {
+		for ; epochOf(s) < live; tick++ {
+			feed(t, s, records[prev:ends[tick]])
+			fed = append(fed, records[prev:ends[tick]]...)
+			prev = ends[tick]
+			for _, w := range windows {
+				served(t, s, w)
+			}
+		}
+	}
+	late := func(at time.Duration) {
+		r := lateRecord(at)
+		s.Add(r)
+		fed = append(fed, r)
+	}
+
+	feedTo(60)
+	if rollup, n := study(); rollup == nil || n != 2 {
+		t.Fatalf("at live hour %d the study memo covers %d days, want 2", epochOf(s), n)
+	}
+	invalid := reg.Counter("cellcars_query_rollup_invalidations_total")
+	before, st := invalid.Value(), s.SnapshotStats()
+	late(7 * time.Hour)
+	if rollup, _ := study(); rollup != nil {
+		t.Fatal("a late record into the first day left the study memo in place")
+	}
+	if got := invalid.Value(); got != before+1 {
+		t.Fatalf("a late record into a passed day: %d invalidations, want %d", got, before+1)
+	}
+	matches("after a late record into the first day")
+	if after := s.SnapshotStats(); after.RollupBuilds != st.RollupBuilds+1 || after.RollupExtends != st.RollupExtends+1 {
+		t.Fatalf("after a late record into the first day: %d→%d builds, %d→%d extensions; want the day rebuilt and the study memo extended from it",
+			st.RollupBuilds, after.RollupBuilds, st.RollupExtends, after.RollupExtends)
+	}
+
+	kept, _ := study()
+	late(50*time.Hour + 10*time.Minute)
+	if rollup, _ := study(); rollup != kept {
+		t.Fatal("a late record into the day so far dropped the study memo")
+	}
+	matches("after a late record into the day so far")
+
+	st = s.SnapshotStats()
+	feedTo(74)
+	matches("in the fourth day")
+	if rollup, n := study(); rollup == nil || n != 3 || s.SnapshotStats().RollupExtends <= st.RollupExtends {
+		t.Fatalf("in the fourth day the study memo covers %d days, want 3, extended", n)
+	}
+	if witnesses == 0 {
+		t.Fatal("degenerate feed: no overlap witnesses")
 	}
 }

@@ -12,11 +12,14 @@ import (
 // A window is folded from operands, oldest first: the encoding of each
 // hourly bucket in its ragged first day, one roll-up for every whole
 // day the live index has passed, one roll-up of the day so far, and
-// the live bucket. The full 14 d window folds 13 roll-ups, the day so
-// far and the live hour where it used to fold 336 buckets. A roll-up
-// is kept as the accumulator its buckets fold to, so a miss restores
-// only the ragged hours and the live one; a merge only reads its
-// operand, so concurrent misses fold the same roll-up.
+// the live bucket. A window that starts at the study's first bucket
+// takes its whole passed days as one operand instead, the study memo
+// below, so the full 14 d window folds three operands — that memo, the
+// day so far and the live hour — however many days have passed, where
+// hour by hour it would fold 336 buckets. A roll-up is kept as the
+// accumulator its buckets fold to, so a miss restores only the ragged
+// hours and the live one; a merge only reads its operand, so
+// concurrent misses fold the same roll-up.
 //
 // Each day has one memo: the left fold of its first n buckets, with n
 // recorded. A whole passed day is the memo at n = perDay; the current
@@ -30,38 +33,60 @@ import (
 // prefix, the memo a from-scratch build would make, bytes and overlap
 // witnesses alike (TestRollupRepliesDoNotDependOnHistory).
 //
-// The operand list is a function of (window, live index, bucket
-// width) alone: a day prefix that qualifies is always taken as its
-// memo — built or extended on the spot when it is not memoised, never
-// bypassed — so a reply does not depend on which windows were asked
-// before, on whether the daemon restarted, or on what the cache held.
-// That matters only for feeds outside the MergeOrdered precondition,
-// where groupings can differ by a session (see analysis/ordered.go);
-// inside it every grouping is the single pass.
+// The study memo is the same thing one level up: the left fold of the
+// day roll-ups of the study's first n whole days, extended by the days
+// passed since as fresh ⊕ memo ⊕ day roll-ups. A study memo of one
+// non-empty day is that day's roll-up; built from nothing it is the
+// extension of its first day's roll-up. It is only ever a window's
+// first operand, and a fold's first operand lands in a fresh
+// accumulator, so the window's fold is still fresh ⊕ R(day 0) ⊕ … ⊕
+// the day so far ⊕ the live hour, grouped as before: replies are
+// bit-identical even where the feed breaks the MergeOrdered
+// precondition (TestRollupRepliesDoNotDependOnHistory folds every
+// window from the day memos as well). A sliding window's first day
+// moves every day, so it keeps the day roll-ups.
 //
-// There is one level, fixed at a day, and no setting: a bucket width
-// that does not divide 24 h, or is not below it, has no roll-ups and
-// folds bucket by bucket.
+// The operand list is a function of (window, live index, bucket
+// width) alone: a day prefix, or the study's passed days, that
+// qualifies is always taken as its memo — built or extended on the
+// spot when it is not memoised, never bypassed — so a reply does not
+// depend on which windows were asked before, on whether the daemon
+// restarted, or on what the cache held. That matters only for feeds
+// outside the MergeOrdered precondition, where groupings can differ by
+// a session (see analysis/ordered.go); inside it every grouping is the
+// single pass.
+//
+// A day is the one span a bucket memo covers, with no setting: a
+// bucket width that does not divide 24 h, or is not below it, has no
+// roll-ups, day or study, and folds bucket by bucket.
 const rollupSpan = 24 * time.Hour
 
-// dayState is what the store knows about one roll-up day.
+// dayState is what the store knows about one roll-up day, or, as
+// Store.study, about the study's whole passed days.
 type dayState struct {
-	// gen counts the late records into the day. A roll-up folded
-	// outside the lock is installed only if gen did not move meanwhile.
+	// gen counts the late records into the day — for the study memo,
+	// into any day the live index has passed. A roll-up folded outside
+	// the lock is installed only if gen did not move meanwhile.
 	gen uint64
-	// rollup is the day's first n buckets restored and left-folded,
-	// carrying the precondition witnesses of that fold; nil until a
-	// miss needs it and after a late record. Nothing writes to it once
-	// installed: an extension folds it into a new accumulator that
-	// takes its place. It is derived state: never written to a cut.
+	// rollup is the day's first n buckets restored and left-folded —
+	// for the study memo, the roll-ups of its first n days — carrying
+	// the precondition witnesses of that fold; nil until a miss needs
+	// it and after a late record. Nothing writes to it once installed:
+	// an extension folds it into a new accumulator that takes its
+	// place. It is derived state: never written to a cut.
 	rollup *analysis.Streaming
 	n      int
 }
 
+// studyMemo is the day of an operand that builds the study memo.
+const studyMemo = -1
+
 // operand is one term of a window fold: a bucket's encoding, a memoised
-// roll-up, or the roll-up of a day's first n buckets still to be folded
-// from parts — the day's shorter memo, if it has one, then the
-// encodings of the buckets it lacks — captured at gen.
+// roll-up, or a roll-up still to be folded from parts, captured at gen:
+// a day's first n buckets — the day's shorter memo, if it has one, then
+// the encodings of the buckets it lacks — or, with day = studyMemo, the
+// study's first n days — the shorter study memo, if there is one, then
+// the days it lacks, each a day operand.
 type operand struct {
 	enc    []byte
 	rollup *analysis.Streaming
@@ -71,15 +96,26 @@ type operand struct {
 }
 
 // invalidateDayLocked records a late record into bucket idx: whatever
-// roll-up its day has, or is having built, no longer describes it.
+// roll-up its day has, or is having built, no longer describes it, nor
+// does the study memo if the day has passed. It counts one invalidation
+// if it dropped a memo.
 func (s *Store) invalidateDayLocked(idx int) {
 	if s.perDay == 0 {
 		return
 	}
-	d := s.dayLocked(idx / s.perDay)
+	day := idx / s.perDay
+	d := s.dayLocked(day)
 	d.gen++
-	if d.rollup != nil {
-		d.rollup = nil
+	dropped := d.rollup != nil
+	d.rollup = nil
+	if day < s.live/s.perDay {
+		s.study.gen++
+		if s.study.rollup != nil && day < s.study.n {
+			s.study.rollup = nil
+			dropped = true
+		}
+	}
+	if dropped {
 		s.noteInvalidLocked()
 	}
 }
@@ -92,6 +128,14 @@ func (s *Store) dayLocked(day int) *dayState {
 		s.days[day] = d
 	}
 	return d
+}
+
+// memoLocked returns the state of the memo an operand builds.
+func (s *Store) memoLocked(day int) *dayState {
+	if day == studyMemo {
+		return &s.study
+	}
+	return s.dayLocked(day)
 }
 
 func (s *Store) noteInvalidLocked() {
@@ -118,7 +162,16 @@ func (s *Store) windowOperands(w Window) (ops []operand, epoch int, err error) {
 	if err := s.refreshLocked(idxs); err != nil {
 		return nil, epoch, err
 	}
-	for idx := first; idx <= s.live; {
+	idx := first
+	if first == 0 && s.perDay > 0 && s.live >= s.perDay {
+		// The study's whole passed days, as the first operand.
+		k := s.live / s.perDay
+		if op := s.studyOperandLocked(k); op.rollup != nil || op.parts != nil {
+			ops = append(ops, op)
+		}
+		idx = k * s.perDay
+	}
+	for idx <= s.live {
 		if s.perDay > 0 && idx%s.perDay == 0 && idx < s.live {
 			// A day from its start: all of it once the live index has
 			// passed it, else the day so far.
@@ -167,6 +220,36 @@ func (s *Store) dayOperandLocked(day, n int) operand {
 	return op
 }
 
+// studyOperandLocked returns the study's first k whole days as one
+// operand: the study memo if it covers them, or what to fold one from —
+// the shorter study memo, if there is one, then the day operands of
+// the days it lacks, memoised or not. A lone part is returned as it
+// is, its fold into a fresh accumulator being a copy of it: a memoised
+// one — the shorter memo followed by empty days, or the one non-empty
+// day's roll-up — is installed as the memo at k, and a day still to
+// build becomes it at the next listing. Days without buckets are
+// skipped.
+func (s *Store) studyOperandLocked(k int) operand {
+	op := operand{day: studyMemo, n: k, gen: s.study.gen}
+	from := 0
+	if s.study.rollup != nil && s.study.n <= k {
+		op.parts = []operand{{rollup: s.study.rollup}}
+		from = s.study.n
+	}
+	for day := from; day < k; day++ {
+		if d := s.dayOperandLocked(day, s.perDay); d.rollup != nil || d.parts != nil {
+			op.parts = append(op.parts, d)
+		}
+	}
+	if len(op.parts) == 1 {
+		if op.parts[0].rollup != nil {
+			s.study.rollup, s.study.n = op.parts[0].rollup, k
+		}
+		return op.parts[0]
+	}
+	return op
+}
+
 // buildRollups builds or extends, in place, every roll-up of ops not yet
 // memoised: the step between listing a window's operands and folding
 // them.
@@ -183,17 +266,24 @@ func (s *Store) buildRollups(ops []operand) error {
 	return nil
 }
 
-// buildRollup folds one day prefix into its roll-up, outside the store
-// lock — from scratch, or as an extension of the day's shorter memo by
-// the buckets sealed since — and memoises it unless a late record
-// reached the day meanwhile or a later miss memoised a longer prefix.
-// Either way the result describes the instant the operand was listed,
-// which is what the caller's fold needs.
+// buildRollup folds one memo's operand into its roll-up, outside the
+// store lock — a day prefix from scratch, or either memo as an
+// extension of its shorter self by what was sealed since — and
+// memoises it unless a late record reached its days meanwhile or a
+// later miss memoised a longer one. Either way the result describes
+// the instant the operand was listed, which is what the caller's fold
+// needs. A study operand's days are built first, each as a day memo of
+// its own, and a study memo built from nothing counts as its first
+// day's roll-up extended by the rest.
 func (s *Store) buildRollup(op operand) (*analysis.Streaming, error) {
+	extend := op.day == studyMemo || op.parts[0].rollup != nil
+	if err := s.buildRollups(op.parts); err != nil {
+		return nil, err
+	}
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
 	s.mu.Lock()
-	if d := s.days[op.day]; d != nil && d.gen == op.gen && d.rollup != nil && d.n == op.n {
+	if d := s.memoLocked(op.day); d.gen == op.gen && d.rollup != nil && d.n == op.n {
 		// A miss ahead of us on buildMu built or extended it.
 		rollup := d.rollup
 		s.mu.Unlock()
@@ -201,17 +291,19 @@ func (s *Store) buildRollup(op operand) (*analysis.Streaming, error) {
 	}
 	s.mu.Unlock()
 
-	extend := op.parts[0].rollup != nil
-	buckets := len(op.parts)
+	folded := len(op.parts)
 	if extend {
-		buckets--
+		folded--
 	}
 	t0 := time.Now()
 	rollup, err := s.fold(op.parts)
 	if err != nil {
+		if op.day == studyMemo {
+			return nil, fmt.Errorf("query: roll up the study's first %d days: %w", op.n, err)
+		}
 		return nil, fmt.Errorf("query: roll up day %d: %w", op.day, err)
 	}
-	s.trace.Emit("rollup:"+strconv.Itoa(buckets), time.Since(t0), rollup.Watermark())
+	s.trace.Emit("rollup:"+strconv.Itoa(folded), time.Since(t0), rollup.Watermark())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,7 +314,7 @@ func (s *Store) buildRollup(op operand) (*analysis.Streaming, error) {
 		s.rollupBuilds++
 		s.met.rollupBuilds.Inc()
 	}
-	switch d := s.dayLocked(op.day); {
+	switch d := s.memoLocked(op.day); {
 	case d.gen != op.gen:
 		s.noteInvalidLocked()
 	case d.rollup == nil || d.n < op.n:
