@@ -109,7 +109,7 @@ func AnalysisContext(s *Scene) Context {
 // other count is taken as given (the report is bit-identical for any
 // worker count).
 func Analyze(records []Record, ctx Context, opts AnalyzeOptions) (*Report, error) {
-	return analysis.Run(records, ctx, opts)
+	return analysis.NewEngine(ctx, analysis.EngineOptions{RunOptions: opts, Workers: opts.Workers}).Run(records)
 }
 
 // The sharded analysis engine: every §4 analysis expressed as a

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -496,6 +497,97 @@ func TestResumeReplansVersion1Partial(t *testing.T) {
 		}
 		if got, want := reportBody(t, resumed), reportBody(t, fresh); got != want {
 			t.Errorf("-resume prints a different report than the fresh run\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
+		}
+	}
+}
+
+// settled lists a work directory's journaled attempt outcomes in order,
+// as "fail S.A class" and "done S.A".
+func settled(t *testing.T, workdir string) []string {
+	t.Helper()
+	var out []string
+	for _, ev := range journalEvents(t, workdir) {
+		shard, attempt := ev["shard"], ev["attempt"]
+		if attempt == nil {
+			attempt = 0.0 // omitted when zero
+		}
+		switch ev["event"] {
+		case "fail":
+			out = append(out, fmt.Sprintf("fail %v.%v %v", shard, attempt, ev["class"]))
+		case "done":
+			out = append(out, fmt.Sprintf("done %v.%v", shard, attempt))
+		}
+	}
+	return out
+}
+
+// TestAttemptTimeoutKillsAHungAttempt: with chaos seed 6 the one
+// shard's first attempt hangs after at most 50 records and its second
+// draws no fault. -attempt-timeout kills the hung attempt, the journal
+// records it as a timeout, and the retry completes the run.
+func TestAttemptTimeoutKillsAHungAttempt(t *testing.T) {
+	dir := t.TempDir()
+	worker := clitest.Build(t, dir, "caranalyze")
+	in := filepath.Join(dir, "cars.cdr")
+	clitest.WriteCDR(t, in, workload(5_000))
+	work := filepath.Join(dir, "work")
+	stdout := clitest.Output(t, cardrive("-shards", "1", "-worker", worker, "-workdir", work, "-days", "7", "-q",
+		"-chaos", "hang=0.5,n=50,seed=6", "-attempt-timeout", "1s", "-backoff", "10ms", in))
+	if got, want := settled(t, work), []string{"fail 0.0 timeout", "done 0.1"}; !slices.Equal(got, want) {
+		t.Fatalf("journaled outcomes %q, want %q", got, want)
+	}
+	if !strings.Contains(string(stdout), "2 attempts (1 retries") {
+		t.Fatalf("summary does not count the retry:\n%s", stdout)
+	}
+}
+
+// TestMaxBackoffCapsTheRetryWait: chaos seed 6 kills the one shard's
+// first attempt and spares its second. The retry waits -backoff 30s
+// capped by -max-backoff 20ms — at most 30 ms with the jitter — so the
+// run ends long before 30 s.
+func TestMaxBackoffCapsTheRetryWait(t *testing.T) {
+	dir := t.TempDir()
+	worker := clitest.Build(t, dir, "caranalyze")
+	in := filepath.Join(dir, "cars.cdr")
+	clitest.WriteCDR(t, in, workload(5_000))
+	work := filepath.Join(dir, "work")
+	start := time.Now()
+	clitest.Output(t, cardrive("-shards", "1", "-worker", worker, "-workdir", work, "-days", "7", "-q",
+		"-chaos", "kill=0.5,n=50,seed=6", "-backoff", "30s", "-max-backoff", "20ms", in))
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("the run took %s: the retry waited -backoff, not -max-backoff", took)
+	}
+	if got, want := settled(t, work), []string{"fail 0.0 crash", "done 0.1"}; !slices.Equal(got, want) {
+		t.Fatalf("journaled outcomes %q, want %q", got, want)
+	}
+}
+
+// TestSpeculateMinHoldsSpeculationBack: chaos seed 2 hangs the first
+// attempt of exactly one of four shards, and the other three complete.
+// At the default -speculate-min 3 those completions are enough for the
+// straggler to get a speculative duplicate, which wins; at
+// -speculate-min 4 they are not, so nothing speculates and the hung
+// attempt ends only at -attempt-timeout, to be retried.
+func TestSpeculateMinHoldsSpeculationBack(t *testing.T) {
+	dir := t.TempDir()
+	worker := clitest.Build(t, dir, "caranalyze")
+	in := filepath.Join(dir, "cars.cdr")
+	clitest.WriteCDR(t, in, workload(20_000))
+	speculative := regexp.MustCompile(`(\d+) speculative, (\d+) spec wins`)
+	for _, tc := range []struct {
+		extra []string
+		want  string // speculative launches and wins
+	}{
+		{nil, "1 1"},
+		{[]string{"-speculate-min", "4"}, "0 0"},
+	} {
+		args := append([]string{"-shards", "4", "-parallel", "4", "-worker", worker,
+			"-workdir", filepath.Join(t.TempDir(), "work"), "-days", "7", "-q",
+			"-chaos", "hang=0.25,n=50,seed=2", "-attempt-timeout", "3s", "-backoff", "10ms"}, tc.extra...)
+		stdout := clitest.Output(t, cardrive(append(args, in)...))
+		m := speculative.FindSubmatch(stdout)
+		if m == nil || string(m[1])+" "+string(m[2]) != tc.want {
+			t.Fatalf("cardrive %v: speculative launches and wins %q, want %q:\n%s", tc.extra, m, tc.want, stdout)
 		}
 	}
 }

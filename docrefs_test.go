@@ -21,22 +21,81 @@ var (
 	makeTarget = regexp.MustCompile(`(?:^|[^\w-])make ([a-z][\w-]*)`)
 	metricName = regexp.MustCompile(`\bcellcars_[a-z0-9_]*`)
 	ruleLine   = regexp.MustCompile(`(?m)^([\w-]+):`)
+	// flagRef is a command-line flag of two or more letters; a one-letter
+	// one (-o, -s, -c) is as often curl's, head's or the shell's.
+	flagRef = regexp.MustCompile("(?:^|[\\s(\\[`])-([a-z][a-z0-9-]+)")
 )
+
+// goFlags are the go toolchain flags the documents name, which no main
+// package of the module registers.
+var goFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "count": true, "cover": true, "coverprofile": true,
+	"cpu": true, "cpuprofile": true, "fuzz": true, "fuzztime": true, "memprofile": true, "pgo": true,
+	"race": true, "run": true, "short": true, "timeout": true,
+}
+
+// flagFuncs are the flag package's registering functions, by whether
+// the flag's name is their second argument (the *Var forms) or first.
+var flagFuncs = map[string]int{
+	"Bool": 0, "Duration": 0, "Float64": 0, "Func": 0, "Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "Int64Var": 1, "IntVar": 1, "StringVar": 1,
+	"TextVar": 1, "Uint64Var": 1, "UintVar": 1, "Var": 1,
+}
 
 // docIndex is what the documents' references are held to: the
 // Test/Benchmark/Fuzz functions the _test.go files declare, the
-// Makefile's targets, the metric names non-test code registers, and
-// the root .gitignore's patterns.
+// Makefile's targets, the metric names non-test code spells and the
+// ones it registers with an obs.Registry, the flags the binaries
+// register, and the root .gitignore's patterns.
 type docIndex struct {
-	funcs, targets, metrics map[string]bool
-	gitignore               []string
+	funcs, targets, metrics, registered, flags map[string]bool
+	gitignore                                  []string
 }
 
-// indexTree walks the tree once for the functions and the metric
-// names, and reads the Makefile's rules and .gitignore.
+// stringArg returns call's i-th argument when it is a string literal.
+func stringArg(call *ast.CallExpr, i int) (string, bool) {
+	if i >= len(call.Args) {
+		return "", false
+	}
+	lit, ok := call.Args[i].(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// calls calls fn with the method or package-function name and the call
+// of every selector call in f.
+func calls(f *ast.File, fn func(name string, call *ast.CallExpr)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				fn(sel.Sel.Name, call)
+			}
+		}
+		return true
+	})
+}
+
+// flagPackage reports whether the non-test file at p belongs to a main
+// package whose flags the documents may name: a binary under cmd/, the
+// shared study flags, or the benchmark's driver.
+func flagPackage(p string) bool {
+	for _, dir := range []string{"cmd/", "internal/studyflags/", "bench/carbench/"} {
+		if strings.HasPrefix(p, dir) {
+			return true
+		}
+	}
+	return false
+}
+
+// indexTree walks the tree once for the functions, the metric names and
+// the flags, and reads the Makefile's rules and .gitignore.
 func indexTree(t *testing.T) *docIndex {
 	t.Helper()
-	ix := &docIndex{funcs: map[string]bool{}, targets: map[string]bool{}, metrics: map[string]bool{}}
+	ix := &docIndex{funcs: map[string]bool{}, targets: map[string]bool{}, metrics: map[string]bool{},
+		registered: map[string]bool{}, flags: map[string]bool{}}
 	if err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -51,6 +110,15 @@ func indexTree(t *testing.T) *docIndex {
 			return err
 		}
 		if !strings.HasSuffix(p, "_test.go") {
+			if flagPackage(p) {
+				calls(f, func(name string, call *ast.CallExpr) {
+					if i, ok := flagFuncs[name]; ok {
+						if flag, ok := stringArg(call, i); ok {
+							ix.flags[flag] = true
+						}
+					}
+				})
+			}
 			if strings.HasPrefix(p, "bench/") { // names metrics, registers none
 				return nil
 			}
@@ -61,6 +129,14 @@ func indexTree(t *testing.T) *docIndex {
 					}
 				}
 				return true
+			})
+			calls(f, func(name string, call *ast.CallExpr) {
+				switch name {
+				case "Counter", "Gauge", "GaugeFunc", "Timing":
+					if metric, ok := stringArg(call, 0); ok && strings.HasPrefix(metric, "cellcars_") {
+						ix.registered[metric] = true
+					}
+				}
 			})
 			return nil
 		}
@@ -137,8 +213,10 @@ func (ix *docIndex) metricExists(name string, next byte) bool {
 // staleRefs returns, as "doc:line: ref", every reference in text's
 // backticked spans to what ix lacks: a Test/Benchmark/Fuzz name (one
 // ending in "*" or in a capital N, as BenchmarkFigureN, is a prefix), an
-// internal/, cmd/, examples/ or bench/ path, a `make <target>` or a
-// cellcars_ metric name. A span the text calls "since-removed" passes.
+// internal/, cmd/, examples/ or bench/ path, a `make <target>`, a
+// cellcars_ metric name or a -flag that no binary registers and the go
+// toolchain does not take (goFlags). A span the text calls
+// "since-removed" passes.
 func staleRefs(doc, text string, ix *docIndex) []string {
 	var stale []string
 	for _, loc := range codeSpan.FindAllStringIndex(text, -1) {
@@ -171,6 +249,11 @@ func staleRefs(doc, text string, ix *docIndex) []string {
 				stale = append(stale, at(m[0])+name)
 			}
 		}
+		for _, m := range flagRef.FindAllStringSubmatchIndex(span, -1) {
+			if name := span[m[2]:m[3]]; !ix.flags[name] && !goFlags[name] {
+				stale = append(stale, at(m[2])+"-"+name)
+			}
+		}
 	}
 	return stale
 }
@@ -178,8 +261,9 @@ func staleRefs(doc, text string, ix *docIndex) []string {
 // TestDocReferencesExist fails when README, DESIGN, EXPERIMENTS or the
 // verify notes name, in backticks, a Test/Benchmark/Fuzz function that no
 // _test.go file declares, an internal/, cmd/, examples/ or bench/ path
-// that is not in the tree, a make target the Makefile lacks or a
-// cellcars_ metric that no non-test code registers (staleRefs).
+// that is not in the tree, a make target the Makefile lacks, a
+// cellcars_ metric that no non-test code registers or a flag that no
+// binary registers (staleRefs).
 func TestDocReferencesExist(t *testing.T) {
 	ix := indexTree(t)
 	var stale []string
@@ -206,17 +290,81 @@ func TestDocReferencesCatchPlantedNames(t *testing.T) {
 		"Read `cellcars_query_rollups`, the `cellcars_stage_*` family\n" +
 		"and `cellcars_query_no_such_metric_total`; see `TestDocReferencesExist`, `TestNoSuchThing`,\n" +
 		"`internal/query/window.go` and `internal/query/no_such_file.go`.\n" +
-		"The since-removed `make gone-target` passes.\n"
+		"The since-removed `make gone-target` passes.\n" +
+		"Run `caranalyze -in f.cdr -no-such-flag -days=14`, `go test -run x -benchtime 1x`,\n" +
+		"```sh\ncardrive -workdir w -attempt-timeout 5s -stale-flag f.cdr\ncurl -s x\n```\n"
 	want := []string{
 		"planted:1: make no-such-target",
 		"planted:6: cellcars_query_no_such_metric_total",
 		"planted:6: TestNoSuchThing",
 		"planted:7: internal/query/no_such_file.go",
+		"planted:9: -no-such-flag",
+		"planted:11: -stale-flag",
 	}
 	got := staleRefs("planted", text, ix)
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("staleRefs on planted text named\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// metricRows returns the metric names DESIGN §7's tables give a row:
+// each backticked cellcars_ name in a row's first cell, and a shorthand
+// after one, as `_misses_total` after `cellcars_query_cache_hits_total`,
+// standing for that name with as many trailing parts replaced.
+func metricRows(design string) []string {
+	sec, _, _ := strings.Cut(design[strings.Index(design, "\n## 7. "):], "\n## 8. ")
+	var names []string
+	for _, line := range strings.Split(sec, "\n") {
+		cell, _, ok := strings.Cut(strings.TrimPrefix(line, "| "), " |")
+		if !ok || !strings.HasPrefix(cell, "`cellcars_") {
+			continue
+		}
+		var prev string
+		for _, tok := range strings.Split(cell, "`") {
+			switch {
+			case strings.HasPrefix(tok, "cellcars_"):
+				prev = tok
+			case strings.HasPrefix(tok, "_") && prev != "":
+				parts := strings.Split(prev, "_")
+				tok = strings.Join(parts[:len(parts)-strings.Count(tok, "_")], "_") + tok
+			default:
+				continue
+			}
+			names = append(names, tok)
+		}
+	}
+	return names
+}
+
+// TestMetricTablesMatchRegistry holds DESIGN §7's metric tables to the
+// code both ways: every metric non-test code registers with an
+// obs.Registry has a row, and every row names a registered metric.
+func TestMetricTablesMatchRegistry(t *testing.T) {
+	ix := indexTree(t)
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	var unregistered, missing []string
+	for _, name := range metricRows(string(design)) {
+		rows[name] = true
+		if !ix.registered[name] {
+			unregistered = append(unregistered, name)
+		}
+	}
+	for name := range ix.registered {
+		if !rows[name] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("%d registered metrics without a DESIGN §7 table row:\n  %s", len(missing), strings.Join(missing, "\n  "))
+	}
+	if len(unregistered) > 0 {
+		t.Errorf("%d DESIGN §7 rows name no registered metric:\n  %s", len(unregistered), strings.Join(unregistered, "\n  "))
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // This file is the single implementation of every per-record analysis
-// stage, expressed as mergeable accumulators. Batch (Run), streaming
-// (Streaming) and parallel (Engine) execution are all thin drivers
+// stage, expressed as mergeable accumulators. The pull path (Engine,
+// one worker or many) and the push path (Streaming) are thin drivers
 // over the same accumulators, so the stage arithmetic exists exactly
 // once.
 //
@@ -91,11 +91,10 @@ func (b *batch) reset() {
 }
 
 // feed builds one accumulator over a car table of its own and feeds it a
-// record slice — the backing for the standalone per-stage functions,
-// which are thin wrappers over the accumulators. Unlike the engine,
-// wrappers apply no ghost or period filtering: they are period-less
-// primitives over exactly the records given. Study days are counted in
-// period, which only the stages that read days need to be given.
+// record slice: the backing of UsageMatrix, which draws one car's Figure
+// 5 from its records. Unlike the engine it applies no ghost or period
+// filtering; it feeds exactly the records given. Study days are counted
+// in period, which only the stages that read days need to be given.
 func feed[A Accumulator](records []cdr.Record, period simtime.Period, build func(cars *carTable) A) A {
 	cars := new(carTable)
 	acc := build(cars)
@@ -114,12 +113,6 @@ func feed[A Accumulator](records []cdr.Record, period simtime.Period, build func
 // runAccum is feed, finalized into a scratch report.
 func runAccum[A Accumulator](records []cdr.Record, period simtime.Period, build func(cars *carTable) A) *Report {
 	return finalized(feed(records, period, build))
-}
-
-// over feeds records to a presence accumulator of their own: the input of
-// the standalone functions of the stages derived from it.
-func over(records []cdr.Record, ctx Context) derived {
-	return derived{feed(records, ctx.Period, func(cars *carTable) *presenceAcc { return newPresenceAcc(ctx, cars) })}
 }
 
 // finalized returns acc's results in a scratch report.
@@ -558,13 +551,6 @@ type daysStage struct{ derived }
 
 func (daysStage) Stage() string { return "days" }
 
-// perCar returns the distinct-day count per car.
-func (a daysStage) perCar() map[cdr.CarID]int {
-	out := make(map[cdr.CarID]int, a.p.carDays.n)
-	a.p.carDays.each(func(i int32, db daysBits) { out[a.p.cars.ids[i]] = db.count() })
-	return out
-}
-
 func (a daysStage) Finalize(rep *Report) error {
 	h := stats.NewHistogram(0.5, 1, a.p.ctx.Period.Days())
 	a.p.carDays.each(func(_ int32, db daysBits) { h.Add(float64(db.count())) })
@@ -667,7 +653,7 @@ type durationsAcc struct {
 	counts tally // records by truncated duration, floored to the second
 	// notWhole counts the records whose duration is negative or not a
 	// whole number of seconds, binned at its floor and a negative one
-	// at 0 s: only the record-slice API can pass one.
+	// at 0 s: no codec carries one, only a caller's own record slice.
 	notWhole int64
 
 	n                   int64

@@ -4,32 +4,34 @@
 // period, per-cell PRB load source, local-time offset), and every stage
 // runs in each of:
 //
-//	Run, NewEngine                 a whole source, with workers and checkpoints
+//	NewEngine                      a whole source, with workers and checkpoints
 //	NewStreamingWithOptions        one accumulator set the caller feeds itself
 //	RestoreStreaming, ReadPartial  state restored from a snapshot, to resume or merge
 //
-// Each analysis is also a function over a record slice:
+// Each of these admits records by one rule (Admits): the erroneous
+// exactly-one-hour ghosts are dropped and records starting outside the
+// study period counted and skipped. A table or figure is then a stage's
+// Report field; the figures that draw single cars or cells are
+// functions over their records:
 //
-//	Figure 2 / Table 1  → DailyPresenceOf, Table1
-//	Figure 3            → ConnectedTimeOf
+//	Figure 2 / Table 1  → stage presence     Report.Presence, WeekdayRows
+//	Figure 3            → stage connected    Report.Connected
 //	Figure 4            → ReferenceMatrices
-//	Figure 5            → UsageMatrix
-//	Figure 6 / Table 2  → DaysOnNetwork, DaysHistogram, Segmentation
-//	Figure 7            → BusyTimeOf
+//	Figure 5            → UsageMatrix over one car's records (RecordsOfCar)
+//	Figure 6            → stage days         Report.DaysHist
+//	Table 2             → stage segments     Report.Segments
+//	Figure 7            → stage busy         Report.Busy
 //	Figure 8            → CellDay
-//	Figure 9            → CellDurationsOf
+//	Figure 9            → stage durations    Report.Durations
 //	Figure 10           → CellWeek
-//	Figure 11           → ClusterBusyCells
-//	§4.5                → HandoversOf
-//	Table 3             → CarrierUsageOf
+//	Figure 11           → stage clusters     Report.Clusters
+//	§4.5                → stage handovers    Report.Handovers
+//	Table 3             → stage carriers     Report.Carriers
 //
 // (Figure 1 is the load-model saturation experiment; see
-// internal/load.Saturate.)
-//
-// Unless noted otherwise, analyses expect records with the erroneous
-// exactly-one-hour ghosts already removed (clean.RemoveGhosts); each
-// function documents whether it applies the 600-second truncation
-// itself, since the paper reports several distributions both ways.
+// internal/load.Saturate.) The record functions expect records the
+// rule admits; ExhibitPicker picks their cars and cells as the engine
+// reads.
 package analysis
 
 import (
@@ -44,8 +46,8 @@ type Context struct {
 	// Period is the study window.
 	Period simtime.Period
 	// Load is the per-cell PRB utilization source used for busy-cell
-	// classification. Required by BusyTimeOf, Segmentation, CellWeek and
-	// ClusterBusyCells; other analyses ignore it.
+	// classification. The segments, busy and clusters stages run only
+	// with one, and CellWeek requires it; other analyses ignore it.
 	Load load.Source
 	// TZOffsetSeconds converts record timestamps to local time for the
 	// 24×7 matrices. The paper renders usage matrices "in respective

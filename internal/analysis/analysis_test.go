@@ -50,7 +50,7 @@ func TestDailyPresence(t *testing.T) {
 		rec(1, cell(2), 26*time.Hour, time.Minute),   // day 1 dup
 		rec(3, cell(3), 6*24*time.Hour, time.Minute), // day 6
 	}
-	p := DailyPresenceOf(records, period)
+	p := runAccum(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(Context{Period: period}, cars) }).Presence
 	if p.TotalCars != 3 || p.TotalCells != 3 {
 		t.Fatalf("totals: %d cars, %d cells", p.TotalCars, p.TotalCells)
 	}
@@ -71,9 +71,12 @@ func TestDailyPresence(t *testing.T) {
 func TestDailyPresenceIgnoresOutOfPeriod(t *testing.T) {
 	period := simtime.NewPeriod(t0, 7)
 	records := []cdr.Record{rec(1, cell(1), -48*time.Hour, time.Minute)}
-	p := DailyPresenceOf(records, period)
-	if p.TotalCars != 0 {
-		t.Fatal("out-of-period record counted")
+	rep, err := NewEngine(Context{Period: period}, EngineOptions{}).Run(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Presence.TotalCars != 0 || rep.OutOfPeriod != 1 {
+		t.Fatalf("out-of-period record: %d cars, %d out of period", rep.Presence.TotalCars, rep.OutOfPeriod)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestTable1Grouping(t *testing.T) {
 			records = append(records, rec(2, cell(1), time.Duration(d)*24*time.Hour+time.Hour, time.Minute))
 		}
 	}
-	rows := Table1(DailyPresenceOf(records, period), period)
+	rows := runAccum(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(Context{Period: period}, cars) }).WeekdayRows
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -114,7 +117,7 @@ func TestConnectedTime(t *testing.T) {
 		rec(1, cell(1), 0, 864*time.Second),          // 1% of day
 		rec(2, cell(1), time.Hour, 8640*time.Second), // 10%, truncated to 600 s
 	}
-	ct := ConnectedTimeOf(records, period)
+	ct := runAccum(records, period, func(cars *carTable) *connectedAcc { return newConnectedAcc(period, cars) }).Connected
 	if ct.Full.N() != 2 {
 		t.Fatalf("cars = %d", ct.Full.N())
 	}
@@ -184,11 +187,8 @@ func TestDaysOnNetworkAndHistogram(t *testing.T) {
 		records = append(records, rec(1, cell(1), time.Duration(d)*24*time.Hour, time.Minute))
 	}
 	records = append(records, rec(2, cell(1), 0, time.Minute))
-	days := DaysOnNetwork(records, period)
-	if days[1] != 10 || days[2] != 1 {
-		t.Fatalf("days: %v", days)
-	}
-	h := DaysHistogram(records, period)
+	p := feed(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(Context{Period: period}, cars) })
+	h := finalized(daysStage{derived{p}}).DaysHist
 	if h.Counts[0] != 1 || h.Counts[9] != 1 {
 		t.Fatalf("histogram: %v", h.Counts)
 	}
@@ -208,7 +208,8 @@ func TestBusyTime(t *testing.T) {
 		rec(3, busy, time.Hour, 10*time.Minute),
 		rec(3, idle, 2*time.Hour, 10*time.Minute),
 	}
-	bt := BusyTimeOf(records, ctx)
+	p := feed(records, ctx.Period, func(cars *carTable) *presenceAcc { return newPresenceAcc(ctx, cars) })
+	bt := finalized(busyStage{derived{p}}).Busy
 	if f := bt.FracByCar[1]; f != 1 {
 		t.Fatalf("car 1 busy frac = %v", f)
 	}
@@ -228,15 +229,6 @@ func TestBusyTime(t *testing.T) {
 	if h[0] == 0 || h[9] == 0 {
 		t.Fatalf("7a histogram: %v", h)
 	}
-}
-
-func TestBusyTimePanicsWithoutLoad(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BusyTimeOf(nil, Context{Period: simtime.NewPeriod(t0, 7)})
 }
 
 func TestSegmentation(t *testing.T) {
@@ -262,7 +254,8 @@ func TestSegmentation(t *testing.T) {
 		records = append(records,
 			rec(3, c, time.Duration(d)*24*time.Hour+2*time.Hour, 10*time.Minute))
 	}
-	segs := Segmentation(records, ctx, 6)
+	p := feed(records, ctx.Period, func(cars *carTable) *presenceAcc { return newPresenceAcc(ctx, cars) })
+	segs := finalized(segmentsStage{derived{p}, []int{6}}).Segments
 	if len(segs) != 1 {
 		t.Fatalf("segments = %d", len(segs))
 	}
@@ -349,7 +342,7 @@ func TestCellDurations(t *testing.T) {
 	for i := 0; i < 27; i++ {
 		records = append(records, rec(1, cell(1), time.Duration(100+i)*time.Hour, 2000*time.Second))
 	}
-	cd := CellDurationsOf(records)
+	cd := runAccum(records, simtime.Period{}, func(*carTable) *durationsAcc { return newDurationsAcc() }).Durations
 	if cd.Median != 100 {
 		t.Fatalf("median = %v", cd.Median)
 	}
@@ -418,7 +411,7 @@ func TestClusterBusyCells(t *testing.T) {
 			records = append(records, rec(100+car, c, 12*time.Hour+time.Duration(car)*time.Minute, 10*time.Minute))
 		}
 	}
-	res := ClusterBusyCells(records, ctx, cells, rand.New(rand.NewPCG(1, 2)))
+	res := feed(records, ctx.Period, func(*carTable) *clustersAcc { return newClustersAcc(ctx, cells, 1) }).finish(rand.New(rand.NewPCG(1, 2)))
 	if len(res.Sizes) != 2 {
 		t.Fatalf("sizes = %v", res.Sizes)
 	}
@@ -431,8 +424,12 @@ func TestClusterBusyCells(t *testing.T) {
 }
 
 func TestClusterBusyCellsDegenerate(t *testing.T) {
-	ctx := testCtx()
-	res := ClusterBusyCells(nil, ctx, []radio.CellKey{cell(1)}, rand.New(rand.NewPCG(1, 1)))
+	opts := EngineOptions{RunOptions: RunOptions{BusyCells: []radio.CellKey{cell(1)}}}
+	rep, err := NewEngine(testCtx(), opts).Run([]cdr.Record{rec(1, cell(1), time.Hour, time.Minute)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Clusters
 	if res.Cells != nil {
 		t.Fatal("single-cell input should return empty result")
 	}
@@ -450,10 +447,7 @@ func TestHandovers(t *testing.T) {
 		rec(1, cell(3), 6*time.Minute, 2*time.Minute),
 		rec(1, cell(7), time.Hour, 2*time.Minute),
 	}
-	hs, err := HandoversOf(records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs := runAccum(records, simtime.Period{}, newHandoverAcc).Handovers
 	if hs.Sessions != 2 {
 		t.Fatalf("sessions = %d", hs.Sessions)
 	}
@@ -469,10 +463,7 @@ func TestHandovers(t *testing.T) {
 }
 
 func TestHandoversEmpty(t *testing.T) {
-	hs, err := HandoversOf(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hs := runAccum(nil, simtime.Period{}, newHandoverAcc).Handovers
 	if hs.Sessions != 0 || hs.InterBSShare() != 0 {
 		t.Fatal("empty stream handling")
 	}
@@ -486,7 +477,7 @@ func TestCarrierUsage(t *testing.T) {
 		rec(1, c4, time.Hour, 100*time.Second),
 		rec(2, c3, 2*time.Hour, 100*time.Second),
 	}
-	u := CarrierUsageOf(records)
+	u := runAccum(records, simtime.Period{}, newCarriersAcc).Carriers
 	if u.TotalCars != 2 {
 		t.Fatalf("cars = %d", u.TotalCars)
 	}

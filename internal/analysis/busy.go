@@ -22,17 +22,6 @@ type BusyTime struct {
 	AllBusy float64
 }
 
-// BusyTimeOf computes Figure 7. For every record it apportions the
-// connected time across the 15-minute bins it overlaps and classifies
-// each slice busy or not using the context's load source. It panics
-// without a load source.
-func BusyTimeOf(records []cdr.Record, ctx Context) BusyTime {
-	if ctx.Load == nil {
-		panic("analysis: BusyTimeOf requires a load source")
-	}
-	return finalized(busyStage{over(records, ctx)}).Busy
-}
-
 // Histogram7a buckets the busy-time fractions into the Figure 7a bars:
 // proportion of cars per 10-percentage-point bucket of busy time.
 func (bt BusyTime) Histogram7a() [10]float64 {
@@ -77,15 +66,6 @@ const (
 	BusyCarMinFrac    = 0.65
 	NonBusyCarMaxFrac = 0.35
 )
-
-// Segmentation produces Table 2 for the given rare-day thresholds
-// (the paper uses 10 and 30). It panics without a load source.
-func Segmentation(records []cdr.Record, ctx Context, rareDays ...int) []Segment {
-	if ctx.Load == nil {
-		panic("analysis: segmentation requires a load source")
-	}
-	return finalized(segmentsStage{over(records, ctx), rareDays}).Segments
-}
 
 // FormatTable2 renders segmentation rows in the paper's Table 2 layout.
 func FormatTable2(segments []Segment) string {

@@ -3,9 +3,7 @@ package analysis
 import (
 	"fmt"
 
-	"cellcars/internal/cdr"
 	"cellcars/internal/radio"
-	"cellcars/internal/simtime"
 )
 
 // CarrierUsage is Table 3: per carrier, the fraction of cars that ever
@@ -17,11 +15,6 @@ type CarrierUsage struct {
 	TimeFrac map[radio.CarrierID]float64
 	// TotalCars is the distinct car count (the CarsFrac denominator).
 	TotalCars int
-}
-
-// CarrierUsageOf computes Table 3 from ghost-free records.
-func CarrierUsageOf(records []cdr.Record) CarrierUsage {
-	return runAccum(records, simtime.Period{}, newCarriersAcc).Carriers
 }
 
 // FormatTable3 renders carrier usage in the paper's Table 3 layout.

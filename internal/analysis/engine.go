@@ -40,13 +40,12 @@ import (
 // Because shards are car-disjoint and every accumulator merges by
 // union, the report is bit-identical for any worker count.
 //
-// Record handling policy, shared by Run, Streaming and the engine:
-// exactly-one-hour ghosts are dropped (§3), and records starting
-// outside the study period are excluded from every analysis and
-// counted in Report.OutOfPeriod. (Historically the batch path fed
-// out-of-period records to period-less stages like Table 3 while the
-// streaming path partially excluded them; the engine makes exclusion
-// the single documented behavior.)
+// Record handling policy, shared by Streaming and every Engine run
+// (Run, RunReader, RunReaderCheckpointed): exactly-one-hour ghosts are
+// dropped (§3), and records starting outside the study period are
+// excluded from every analysis and counted in Report.OutOfPeriod —
+// admitDay is the one rule. Every number the report publishes comes
+// from an accumSet behind it; no stage is reached another way.
 type Engine struct {
 	ctx  Context
 	opts EngineOptions

@@ -174,8 +174,6 @@ func TestEngineMatchesPushReference(t *testing.T) {
 			check("Run", want, got, err)
 			got, err = e.RunReader(cdr.NewSliceReader(records))
 			check("RunReader", want, got, err)
-			got, err = Run(records, ctx, RunOptions{BusyCells: opts.BusyCells, Workers: workers})
-			check("analysis.Run", want, got, err)
 			for _, every := range []int64{0, 1, 4096} {
 				in, ref := records, want
 				if every == 1 {
@@ -623,7 +621,7 @@ func TestStreamingWithContextCoversLoadStages(t *testing.T) {
 	}
 	srep := s.Finalize()
 
-	rep, err := Run(records, ctx, RunOptions{})
+	rep, err := NewEngine(ctx, EngineOptions{}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"cellcars/internal/cdr"
 	"cellcars/internal/radio"
-	"cellcars/internal/simtime"
 	"cellcars/internal/stats"
 )
 
@@ -20,15 +18,6 @@ type HandoverStats struct {
 	ByKind map[radio.HandoverKind]int64
 	// PerSession is the CDF of per-session handover counts.
 	PerSession *stats.CDF
-}
-
-// HandoversOf computes §4.5 from ghost-free, time-sorted records.
-// Sessions with a single connection (zero possible handovers) count
-// toward the distribution, as the paper's lower-bound methodology
-// implies. Durations are truncated at 600 s (§3) before sessionizing,
-// as in the full pipeline.
-func HandoversOf(records []cdr.Record) (HandoverStats, error) {
-	return runAccum(records, simtime.Period{}, newHandoverAcc).Handovers, nil
 }
 
 // InterBSShare returns the fraction of all handovers that cross base

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -106,13 +105,9 @@ type CellDurations struct {
 	// NotWhole counts the records whose duration was negative or not a
 	// whole number of seconds: Truncated holds each at its floor, a
 	// negative one at 0 s, while the means keep them exact. No codec
-	// carries one; the record-slice API can.
+	// carries one; a caller's own record slice, through Engine.Run or
+	// the facade's Analyze, can.
 	NotWhole int64
-}
-
-// CellDurationsOf computes Figure 9 from ghost-free records, exactly.
-func CellDurationsOf(records []cdr.Record) CellDurations {
-	return runAccum(records, simtime.Period{}, func(*carTable) *durationsAcc { return newDurationsAcc() }).Durations
 }
 
 // CellWeekResult is Figure 10: one cell over one week — concurrent
@@ -200,17 +195,4 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ClusterBusyCells computes Figure 11: for every cell in busyCells it
-// builds the 96-bin vector of mean concurrent cars per time-of-day bin
-// (averaged over study days), then runs k-means with k=2. The rng
-// seeds k-means++. Cells with no traffic still participate (as zero
-// vectors), as they would in the paper's pipeline. Returns an empty
-// result when fewer than two cells are given.
-func ClusterBusyCells(records []cdr.Record, ctx Context, busyCells []radio.CellKey, rng *rand.Rand) BusyClusters {
-	if len(busyCells) < 2 {
-		return BusyClusters{}
-	}
-	return feed(records, ctx.Period, func(*carTable) *clustersAcc { return newClustersAcc(ctx, busyCells, 1) }).finish(rng)
 }

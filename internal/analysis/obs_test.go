@@ -22,8 +22,8 @@ func TestEngineProfileConsistency(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		reg := obs.New()
-		opts := RunOptions{BusyCells: engineBusyCells(), Obs: reg, Workers: workers}
-		rep, err := Run(records, ctx, opts)
+		opts := RunOptions{BusyCells: engineBusyCells(), Obs: reg}
+		rep, err := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: workers}).Run(records)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -123,9 +123,9 @@ func TestProfileStaysTrueAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var best float64
 		for run := 0; run < 5; run++ {
-			opts := RunOptions{BusyCells: engineBusyCells(), Obs: obs.New(), Workers: workers}
+			opts := RunOptions{BusyCells: engineBusyCells(), Obs: obs.New()}
 			start := time.Now()
-			rep, err := Run(records, ctx, opts)
+			rep, err := NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: workers}).Run(records)
 			wall := time.Since(start).Seconds()
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
@@ -219,11 +219,11 @@ func TestEngineObsDoesNotChangeResults(t *testing.T) {
 	records := engineWorkload(8000)
 	ctx := engineCtx()
 
-	base, err := Run(records, ctx, RunOptions{BusyCells: engineBusyCells(), Workers: 4})
+	base, err := NewEngine(ctx, EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 4}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := Run(records, ctx, RunOptions{BusyCells: engineBusyCells(), Workers: 4, Obs: obs.New()})
+	inst, err := NewEngine(ctx, EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells(), Obs: obs.New()}, Workers: 4}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"cellcars/internal/cdr"
 	"cellcars/internal/simtime"
 	"cellcars/internal/stats"
 )
@@ -21,12 +20,6 @@ type DailyPresence struct {
 	// CarsTrend and CellsTrend are the Figure 2 trend lines over day
 	// index.
 	CarsTrend, CellsTrend stats.LinReg
-}
-
-// DailyPresenceOf computes Figure 2 from a record stream. A car or
-// cell counts as present on the day a connection starts.
-func DailyPresenceOf(records []cdr.Record, period simtime.Period) DailyPresence {
-	return finalized(over(records, Context{Period: period}).p).Presence
 }
 
 // WeekdayRow is one row of Table 1: mean and sample standard deviation
@@ -76,18 +69,6 @@ func FormatTable1(rows []WeekdayRow) string {
 	return s
 }
 
-// DaysOnNetwork returns, per car, the number of distinct study days
-// with at least one connection — the quantity of Figure 6.
-func DaysOnNetwork(records []cdr.Record, period simtime.Period) map[cdr.CarID]int {
-	return daysStage{over(records, Context{Period: period})}.perCar()
-}
-
-// DaysHistogram bins DaysOnNetwork counts into a Figure 6 histogram
-// with one bin per possible day count (1..Days).
-func DaysHistogram(records []cdr.Record, period simtime.Period) *stats.Histogram {
-	return finalized(daysStage{over(records, Context{Period: period})}).DaysHist
-}
-
 // ConnectedTime is Figure 3: the distribution over cars of total time
 // on the network as a fraction of the study period, with and without
 // the 600-second per-connection truncation.
@@ -98,10 +79,4 @@ type ConnectedTime struct {
 	FullMean, TruncMean float64
 	// FullP995/TruncP995 are the 99.5th percentiles (paper: 27% / 15%).
 	FullP995, TruncP995 float64
-}
-
-// ConnectedTimeOf computes Figure 3. Records should be ghost-free; the
-// function derives the truncated variant itself.
-func ConnectedTimeOf(records []cdr.Record, period simtime.Period) ConnectedTime {
-	return runAccum(records, period, func(cars *carTable) *connectedAcc { return newConnectedAcc(period, cars) }).Connected
 }

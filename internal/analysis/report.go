@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"cellcars/internal/cdr"
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
@@ -106,7 +105,7 @@ func (p StageProfile) WallSeconds(workers int) float64 {
 
 // StageError records one skipped analysis stage.
 type StageError struct {
-	// Stage is the stable stage name (see Run).
+	// Stage is the stable stage name (see RunOptions.FailStage).
 	Stage string
 	// Err is the rendered failure.
 	Err string
@@ -171,19 +170,4 @@ func (o RunOptions) withDefaults() RunOptions {
 		o.Seed = 1
 	}
 	return o
-}
-
-// Run executes the complete measurement pipeline over a raw record
-// stream: ghost removal (§3), then every analysis in §4. The input
-// slice is not modified. Run is a thin adapter over Engine — one
-// accumulator set per worker shard, merged into the report — so batch,
-// streaming and parallel execution share a single implementation of
-// every stage.
-//
-// Each analysis stage runs isolated: a stage that returns an error or
-// panics is recorded in Report.StageErrors and skipped, and every
-// other table and figure is still produced. Run itself only returns
-// an error when the input stream cannot be read at all.
-func Run(records []cdr.Record, ctx Context, opts RunOptions) (*Report, error) {
-	return NewEngine(ctx, EngineOptions{RunOptions: opts, Workers: opts.Workers}).Run(records)
 }

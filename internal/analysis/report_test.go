@@ -29,10 +29,10 @@ func TestRunFullPipeline(t *testing.T) {
 	)
 	cdr.Sort(records)
 
-	report, err := Run(records, ctx, RunOptions{
+	report, err := NewEngine(ctx, EngineOptions{RunOptions: RunOptions{
 		RareDays:  []int{1, 3},
 		BusyCells: []radio.CellKey{busyCell, idleCell},
-	})
+	}}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunFullPipeline(t *testing.T) {
 func TestRunDefaults(t *testing.T) {
 	ctx := testCtx()
 	records := []cdr.Record{rec(1, cell(1), time.Hour, time.Minute)}
-	report, err := Run(records, ctx, RunOptions{})
+	report, err := NewEngine(ctx, EngineOptions{}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestRunDefaults(t *testing.T) {
 func TestRunWithoutLoadSource(t *testing.T) {
 	ctx := Context{Period: simtime.NewPeriod(t0, 7)}
 	records := []cdr.Record{rec(1, cell(1), time.Hour, time.Minute)}
-	report, err := Run(records, ctx, RunOptions{})
+	report, err := NewEngine(ctx, EngineOptions{}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Segments != nil {
-		t.Fatal("segmentation should be skipped without a load source")
+	if report.Segments != nil || report.Busy.FracByCar != nil {
+		t.Fatal("segmentation and busy time should be skipped without a load source")
 	}
 	if report.Presence.TotalCars != 1 {
 		t.Fatal("record-level analyses must still run")
@@ -119,7 +119,8 @@ func TestPresenceLongPeriod(t *testing.T) {
 		// Duplicate on the same day must not double count.
 		records = append(records, rec(1, cell(1), time.Duration(d)*24*time.Hour+time.Hour, time.Minute))
 	}
-	p := DailyPresenceOf(records, period)
+	acc := feed(records, period, func(cars *carTable) *presenceAcc { return newPresenceAcc(Context{Period: period}, cars) })
+	p := finalized(acc).Presence
 	if p.TotalCars != 1 || p.TotalCells != 1 {
 		t.Fatalf("totals: %d/%d", p.TotalCars, p.TotalCells)
 	}
@@ -131,8 +132,7 @@ func TestPresenceLongPeriod(t *testing.T) {
 	if p.CarsFrac[1] != 0 {
 		t.Fatal("phantom presence on day 1")
 	}
-	days := DaysOnNetwork(records, period)
-	if days[1] != 4 {
-		t.Fatalf("days on network = %d, want 4", days[1])
+	if h := finalized(daysStage{derived{acc}}).DaysHist; h.Counts[3] != 1 || h.Total() != 1 {
+		t.Fatalf("days histogram %v, want car 1 on 4 days", h.Counts)
 	}
 }

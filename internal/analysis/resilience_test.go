@@ -145,7 +145,7 @@ func TestRunStageIsolation(t *testing.T) {
 	}
 	ctx := Context{Period: simtime.NewPeriod(t0, 14)}
 
-	r, err := Run(records, ctx, RunOptions{FailStage: "durations"})
+	r, err := NewEngine(ctx, EngineOptions{RunOptions: RunOptions{FailStage: "durations"}}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 // Every covered stage (Figure 2/Table 1 presence, Figure 3 connected
 // time, Figure 6 days histogram, Table 2 segmentation, Figure 7 busy
 // time, Figure 9 durations, §4.5 handovers, Table 3 carriers, fleet
-// usage matrix) is computed by exactly the code Run uses, in bounded
-// per-car/per-cell memory, and exactly.
+// usage matrix) is computed by exactly the code Engine.Run uses, in
+// bounded per-car/per-cell memory, and exactly.
 //
 // Feed records in time order with Add (the erroneous one-hour ghosts
 // are filtered inline, and records outside the study period are

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,68 +35,47 @@ func TestStreamingMatchesBatchOnBasics(t *testing.T) {
 
 	// The pipeline's out-of-period policy: ghost-free records starting
 	// outside the study period are excluded from every analysis and
-	// counted. The batch reference below therefore runs on the
-	// in-period subset — the standalone stage functions are period-less
-	// primitives that analyze exactly what they are given.
-	all := records[:len(records)-1]
-	var ghostFree []cdr.Record
-	for _, r := range all {
-		if period.DayIndex(r.Start) >= 0 {
-			ghostFree = append(ghostFree, r)
+	// counted, on the push path and the engine's alike.
+	var outside int64
+	for _, r := range records[:len(records)-1] {
+		if period.DayIndex(r.Start) < 0 {
+			outside++
 		}
 	}
-	if want := int64(len(all) - len(ghostFree)); rep.OutOfPeriod != want || want == 0 {
-		t.Fatalf("out-of-period = %d, want %d (and the workload must exercise the policy)", rep.OutOfPeriod, want)
+	if rep.OutOfPeriod != outside || outside == 0 {
+		t.Fatalf("out-of-period = %d, want %d (and the workload must exercise the policy)", rep.OutOfPeriod, outside)
 	}
-	batchPresence := DailyPresenceOf(ghostFree, period)
-	if rep.Presence.TotalCars != batchPresence.TotalCars {
-		t.Fatalf("total cars %d vs %d", rep.Presence.TotalCars, batchPresence.TotalCars)
+	batch, err := NewEngine(Context{Period: period}, EngineOptions{Workers: 2}).Run(records)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for d := range batchPresence.CarsFrac {
-		if math.Abs(rep.Presence.CarsFrac[d]-batchPresence.CarsFrac[d]) > 1e-12 {
-			t.Fatalf("day %d cars frac %v vs %v", d, rep.Presence.CarsFrac[d], batchPresence.CarsFrac[d])
-		}
+	if batch.OutOfPeriod != rep.OutOfPeriod || int64(batch.RawRecords-batch.CleanRecords) != rep.GhostsDropped {
+		t.Fatalf("engine dropped %d ghosts and %d out of period", batch.RawRecords-batch.CleanRecords, batch.OutOfPeriod)
 	}
-
-	batchCT := ConnectedTimeOf(ghostFree, period)
-	if math.Abs(rep.Connected.FullMean-batchCT.FullMean) > 1e-12 {
-		t.Fatalf("full mean %v vs %v", rep.Connected.FullMean, batchCT.FullMean)
+	if !reflect.DeepEqual(rep.Presence, batch.Presence) {
+		t.Fatalf("presence %+v vs %+v", rep.Presence, batch.Presence)
 	}
-	if math.Abs(rep.Connected.TruncMean-batchCT.TruncMean) > 1e-12 {
-		t.Fatalf("trunc mean %v vs %v", rep.Connected.TruncMean, batchCT.TruncMean)
+	if !reflect.DeepEqual(rep.Connected, batch.Connected) {
+		t.Fatalf("connected time %+v vs %+v", rep.Connected, batch.Connected)
 	}
-
-	batchDays := DaysOnNetwork(ghostFree, period)
-	for car, n := range batchDays {
-		_ = car
-		if n < 1 || n > 14 {
-			t.Fatalf("days %d out of range", n)
-		}
+	if !reflect.DeepEqual(rep.DaysCount, batch.DaysHist.Counts) {
+		t.Fatalf("days histogram %v vs %v", rep.DaysCount, batch.DaysHist.Counts)
 	}
 	var totalCars int64
 	for _, c := range rep.DaysCount {
 		totalCars += c
 	}
-	if int(totalCars) != len(batchDays) {
-		t.Fatalf("days histogram covers %d cars, want %d", totalCars, len(batchDays))
+	if len(rep.DaysCount) != period.Days() || int(totalCars) != batch.Presence.TotalCars {
+		t.Fatalf("days histogram covers %d cars over %d days, want %d over %d",
+			totalCars, len(rep.DaysCount), batch.Presence.TotalCars, period.Days())
 	}
-
-	batchCarr := CarrierUsageOf(ghostFree)
-	for c, f := range batchCarr.TimeFrac {
-		if math.Abs(rep.Carriers.TimeFrac[c]-f) > 1e-12 {
-			t.Fatalf("carrier %v time frac %v vs %v", c, rep.Carriers.TimeFrac[c], f)
-		}
+	if !reflect.DeepEqual(rep.Carriers, batch.Carriers) {
+		t.Fatalf("carriers %+v vs %+v", rep.Carriers, batch.Carriers)
 	}
-
-	batchDur := CellDurationsOf(ghostFree)
-	if math.Abs(rep.DurFullMean-batchDur.FullMean) > 1e-9 {
-		t.Fatalf("full dur mean %v vs %v", rep.DurFullMean, batchDur.FullMean)
-	}
-	if math.Abs(rep.DurTruncMean-batchDur.TruncMean) > 1e-9 {
-		t.Fatalf("trunc dur mean %v vs %v", rep.DurTruncMean, batchDur.TruncMean)
-	}
-	if rep.DurMedian != batchDur.Median || rep.DurP73 != batchDur.P73 {
-		t.Fatalf("median, p73 %v, %v vs %v, %v", rep.DurMedian, rep.DurP73, batchDur.Median, batchDur.P73)
+	d := batch.Durations
+	if rep.DurMedian != d.Median || rep.DurP73 != d.P73 || rep.DurFullMean != d.FullMean || rep.DurTruncMean != d.TruncMean {
+		t.Fatalf("durations median, p73, means %v, %v, %v, %v vs %v, %v, %v, %v",
+			rep.DurMedian, rep.DurP73, rep.DurFullMean, rep.DurTruncMean, d.Median, d.P73, d.FullMean, d.TruncMean)
 	}
 }
 
@@ -136,7 +115,7 @@ func TestDaysBits(t *testing.T) {
 	}
 }
 
-// TestStreamingLargeEquivalence runs streaming vs batch over a bigger
+// TestStreamingLargeEquivalence runs streaming vs the engine over a bigger
 // synthetic-ish random workload to catch accumulation drift.
 func TestStreamingLargeEquivalence(t *testing.T) {
 	period := simtime.NewPeriod(t0, 28)
@@ -153,9 +132,12 @@ func TestStreamingLargeEquivalence(t *testing.T) {
 		s.Add(r)
 	}
 	rep := s.Finalize()
-	batch := ConnectedTimeOf(records, period)
-	if math.Abs(rep.Connected.FullMean-batch.FullMean) > 1e-12 {
-		t.Fatalf("drift: %v vs %v", rep.Connected.FullMean, batch.FullMean)
+	batch, err := NewEngine(Context{Period: period}, EngineOptions{Workers: 2}).Run(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Connected, batch.Connected) {
+		t.Fatalf("drift: %v vs %v", rep.Connected.FullMean, batch.Connected.FullMean)
 	}
 	if rep.Records != int64(len(records)) {
 		t.Fatalf("records = %d", rep.Records)

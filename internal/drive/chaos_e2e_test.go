@@ -500,6 +500,47 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
+// TestResumedDoneGaugeCountsReplayedShards: resuming a finished work
+// directory launches nothing, and cellcars_drive_shards_done, read from
+// a fresh registry, counts the shards the journal says are done — as
+// /status does — not only those completed in this process.
+func TestResumedDoneGaugeCountsReplayedShards(t *testing.T) {
+	inputs := writeChaosInputs(t, t.TempDir(), 5_000)
+	cfg := chaosTestConfig(t, inputs, 4)
+	cfg.KeepPartials = true
+	cfg.Command = helperCommand(nil)
+	coord, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Run(context.Background()); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+
+	reg := obs.New()
+	cfg.Obs, cfg.Resume = reg, true
+	cfg.Command = func(spec WorkerSpec) *exec.Cmd {
+		t.Errorf("resumed run launched shard %d attempt %d", spec.Shard, spec.Attempt)
+		return helperCommand(nil)(spec)
+	}
+	coord2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord2.Run(context.Background()); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	done := 0
+	for _, s := range coord2.Status().Shards {
+		if s.State == "done" {
+			done++
+		}
+	}
+	if got := reg.Gauge("cellcars_drive_shards_done").Value(); done != 4 || got != float64(done) {
+		t.Fatalf("after resume: cellcars_drive_shards_done = %v, /status has %d of 4 shards done", got, done)
+	}
+}
+
 // TestCoordinatorRefusesStaleJournal: a work directory holding a
 // previous run's journal is refused without Resume.
 func TestCoordinatorRefusesStaleJournal(t *testing.T) {

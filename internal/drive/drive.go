@@ -469,6 +469,7 @@ func (c *Coordinator) replay() error {
 			replanned++
 		}
 	}
+	c.met.shardsDone.Set(float64(c.count(shardDone)))
 	c.log.Info("resume", "done", c.count(shardDone), "replanned", replanned, "quarantined", c.count(shardQuarantined))
 	return nil
 }

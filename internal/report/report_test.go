@@ -50,12 +50,12 @@ func buildReportFailing(t *testing.T, failStage string) (*analysis.Report, analy
 			cdr.Record{Car: 2, Cell: busy, Start: t0.Add(base + 18*time.Hour), Duration: 5 * time.Minute},
 		)
 	}
-	r, err := analysis.Run(records, ctx, analysis.RunOptions{
+	r, err := analysis.NewEngine(ctx, analysis.EngineOptions{RunOptions: analysis.RunOptions{
 		RareDays:  []int{2, 5},
 		BusyCells: []radio.CellKey{busy, cell(1)},
 		FailStage: failStage,
 		Obs:       obs.New(),
-	})
+	}}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRenderWithoutLoadSections(t *testing.T) {
 	records := []cdr.Record{
 		{Car: 1, Cell: cell(1), Start: t0.Add(time.Hour), Duration: time.Minute},
 	}
-	r, err := analysis.Run(records, ctx, analysis.RunOptions{})
+	r, err := analysis.NewEngine(ctx, analysis.EngineOptions{}).Run(records)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func TestDurationsNotWholeSeconds(t *testing.T) {
 			records = append(records, cdr.Record{Car: cdr.CarID(i), Cell: cell(1), Start: t0.Add(time.Hour), Duration: d})
 			sum += d
 		}
-		r, err := analysis.Run(records, ctx, analysis.RunOptions{})
+		r, err := analysis.NewEngine(ctx, analysis.EngineOptions{}).Run(records)
 		if err != nil {
 			t.Fatal(err)
 		}

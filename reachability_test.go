@@ -32,16 +32,7 @@ var reachabilityAllow = map[string]string{
 	"internal/simtime.Period.BinIndex":                   "the inverse of BinStart, read by simtime's round-trip test",
 	"internal/simtime.HourOfWeek":                        "the time.Time arbiter internal/analysis/hours_arbiter_test.go holds the engine's hour-of-week to",
 	"internal/stats.Histogram.Total":                     "read by the tests of stats, analysis and the root integration test",
-
-	"internal/analysis.DailyPresenceOf": sliceHelper, "internal/analysis.DaysHistogram": sliceHelper,
-	"internal/analysis.ConnectedTimeOf": sliceHelper, "internal/analysis.Segmentation": sliceHelper,
-	"internal/analysis.HandoversOf": sliceHelper, "internal/analysis.CarrierUsageOf": sliceHelper,
-	"internal/analysis.CellDurationsOf": sliceHelper, "internal/analysis.ClusterBusyCells": sliceHelper,
-	"internal/analysis.DaysOnNetwork": sliceHelper, "internal/analysis.BusyTimeOf": sliceHelper,
 }
-
-const sliceHelper = "three-line wrapper over an accumulator that analysis_test.go, stream_test.go and the root " +
-	"bench_test.go drive; ROADMAP item 21 (b) deletes it or moves it to the test side"
 
 type importerFunc func(path string) (*types.Package, error)
 
