@@ -69,11 +69,14 @@ test:
 # runs more encoders than the box has CPUs; and for its memoised day
 # roll-ups, which concurrent misses fold as they are and extend hour by
 # hour. Both lines also run the set merges and window folds, whose
-# stages merge inline at one proc and on four goroutines at four.
+# stages merge inline at one proc and on four goroutines at four. The
+# fourth runs the generator's byte pins at one proc, one goroutine, and
+# at four, more goroutines than the box has CPUs.
 race:
 	$(GO) test -race -coverprofile=cover.out ./...
 	$(GO) test -race -cpu 1,4 -run 'Engine|Checkpoint|Resume|Streaming|Merge|Ordered' ./internal/analysis
 	$(GO) test -race -cpu 1,4 -run 'Cut|Checkpoint|Restore|Sealed|Rollup|Fold|Window' ./internal/query
+	$(GO) test -race -cpu 1,4 -run 'Golden|Deterministic' ./internal/synth
 
 # Every package whose tests start a child process, under the race
 # detector: the coordinator fault-tolerance suite (workers killed

@@ -42,10 +42,7 @@ func benchScene(b *testing.B) (*cellcars.Scene, []cdr.Record, []cdr.Record, anal
 		cfg := cellcars.DefaultSceneConfig(benchCars)
 		cfg.Seed = 1
 		scene := cellcars.NewScene(cfg)
-		records, _, err := scene.GenerateAll()
-		if err != nil {
-			b.Fatalf("generate: %v", err)
-		}
+		records, _ := scene.GenerateAll()
 		cleaned, err := cdr.ReadAll(clean.RemoveGhosts(cdr.NewSliceReader(records)))
 		if err != nil {
 			b.Fatalf("clean: %v", err)
@@ -321,10 +318,7 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	var n int64
 	for i := 0; i < b.N; i++ {
 		scene := cellcars.NewScene(cfg)
-		records, _, err := scene.GenerateAll()
-		if err != nil {
-			b.Fatal(err)
-		}
+		records, _ := scene.GenerateAll()
 		n = int64(len(records))
 	}
 	b.ReportMetric(float64(n), "records/op")
@@ -460,18 +454,3 @@ type thresholdSource struct {
 }
 
 func (t thresholdSource) BusyThreshold() float64 { return t.threshold }
-
-// BenchmarkGenerateParallel compares parallel generation throughput
-// against the sequential path on a small scene.
-func BenchmarkGenerateParallel(b *testing.B) {
-	cfg := cellcars.DefaultSceneConfig(200)
-	cfg.Period = simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 7)
-	scene := cellcars.NewScene(cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out cdr.SliceWriter
-		if _, err := scene.GenerateParallel(&out, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

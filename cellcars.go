@@ -23,8 +23,7 @@
 // # Quick start
 //
 //	scene := cellcars.NewScene(cellcars.DefaultSceneConfig(2000))
-//	records, _, err := scene.GenerateAll()
-//	if err != nil { ... }
+//	records, _ := scene.GenerateAll()
 //	report, err := cellcars.Analyze(records, cellcars.AnalysisContext(scene), cellcars.AnalyzeOptions{
 //		BusyCells: scene.Load.VeryBusyCells(),
 //	})

@@ -217,37 +217,10 @@ func main() {
 		return
 	}
 
-	if *asJSON {
-		// The byte-comparable batch twin of carqueryd: one untracked
-		// streaming pass with the daemon's options — no Obs, so the
-		// report carries no Profile timings — rendered through the
-		// same query.MarshalReport the daemon's /report/full uses.
-		// This path stays on Streaming rather than joining the engine
-		// call below: Streaming.Finalize's StreamReport and
-		// MarshalReport are functions the benchmark pins, and the JSON
-		// is defined as their output.
-		file, closer, err := cdr.OpenFiles(*in)
-		if err != nil {
-			fatal("open %s: %v", *in, err)
-		}
-		defer closer.Close()
-		s := analysis.NewStreamingWithOptions(ctx, opts)
-		if err := s.AddAll(cdr.NewResilientReader(file, ingest)); err != nil {
-			fatal("stream %s: %v", *in, err)
-		}
-		srep := s.Finalize()
-		body, err := query.MarshalReport(&srep)
-		if err != nil {
-			fatal("marshal report: %v", err)
-		}
-		os.Stdout.Write(body)
-		return
-	}
-
 	// One source: a generated scene, or the input file — bare for
-	// -stream (bounded memory), behind an exhibit picker in generate and
-	// the default file mode, which read their input again after the run
-	// to draw the record-level figures.
+	// -stream (bounded memory) and -json, behind an exhibit picker in
+	// generate and the default file mode, which read their input again
+	// after the run to draw the record-level figures.
 	var (
 		src       cdr.Reader
 		rr        *cdr.ResilientReader // file modes
@@ -258,7 +231,11 @@ func main() {
 		istats    cdr.IngestStats
 		source    = *in
 	)
-	opts.Workers, opts.Obs = *workers, reg
+	opts.Workers = *workers
+	if !*asJSON {
+		// -json renders carqueryd's bytes, which carry no Profile timings.
+		opts.Obs = reg
+	}
 	if *in == "" {
 		source = "generated scene"
 		cfg := synth.DefaultConfig(*cars)
@@ -266,10 +243,7 @@ func main() {
 		cfg.WorldSizeKm = *world
 		cfg.Period = ctx.Period
 		w := synth.NewWorld(cfg)
-		records, stats, err := w.GenerateAll()
-		if err != nil {
-			fatal("generate: %v", err)
-		}
+		records, stats := w.GenerateAll()
 		model = w.Load
 		ctx.Load = model
 		opts.BusyCells = model.VeryBusyCells()
@@ -286,7 +260,7 @@ func main() {
 		defer closer.Close()
 		rr = cdr.NewResilientReader(file, ingest)
 		src = rr
-		if !*stream {
+		if !*stream && !*asJSON {
 			if fi, err := os.Stat(*in); err == nil && fi.Mode().IsRegular() {
 				readAgain = func() (cdr.Reader, error) {
 					return rereadInput(*in, ingest, firstRead{stats: rr.Stats(), sum: picked.sum})
@@ -325,6 +299,18 @@ func main() {
 		return
 	case err != nil:
 		fatal("analyze %s: %v", source, err)
+	}
+	if *asJSON {
+		// The byte-comparable batch twin of carqueryd: the report's
+		// streaming-covered subset through the query.MarshalReport the
+		// daemon's /report/full uses.
+		srep := analysis.StreamReportOf(rep, ctx.Period)
+		body, err := query.MarshalReport(&srep)
+		if err != nil {
+			fatal("marshal report: %v", err)
+		}
+		os.Stdout.Write(body)
+		return
 	}
 	emitRunTrace(trace, rep, time.Since(runStart))
 	if picked != nil {

@@ -277,15 +277,19 @@ func TestProgressCurrentCountsQuarantined(t *testing.T) {
 // stdout must be byte-for-byte what query.MarshalReport renders for a
 // plain streaming pass with the CLI's study options — that shared
 // renderer is what makes carqueryd's served reports comparable to a
-// batch run.
+// batch run — at one engine worker and at four. Every 500th record is a
+// one-hour ghost, so the report's ghost count is not zero.
 func TestJSONMatchesSharedRenderer(t *testing.T) {
 	dir := t.TempDir()
-	data := cdrBytes(t, 20_000)
+	records := cdrRecords(20_000)
+	for i := 0; i < len(records); i += 500 {
+		records[i].Duration = time.Hour
+	}
+	data := clitest.EncodeCDR(t, records, true)
 	in := filepath.Join(dir, "cars.cdr")
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := clitest.Output(t, caranalyze("-json", "-in", in, "-days", "13", "-start", "2017-01-02", "-seed", "1", "-tz", "-5"))
 
 	startDay := time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC)
 	period := simtime.NewPeriod(startDay, 13)
@@ -301,16 +305,22 @@ func TestJSONMatchesSharedRenderer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := s.Finalize()
+	if rep.GhostsDropped != 40 {
+		t.Fatalf("the reference dropped %d ghosts, want 40", rep.GhostsDropped)
+	}
 	want, err := query.MarshalReport(&rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("-json output differs from query.MarshalReport\ncli %d bytes, renderer %d bytes", len(got), len(want))
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(got, &decoded); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v", err)
+	for _, workers := range []string{"1", "4"} {
+		got := clitest.Output(t, caranalyze("-json", "-in", in, "-days", "13", "-start", "2017-01-02", "-seed", "1", "-tz", "-5", "-workers", workers))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("-workers %s: -json output differs from query.MarshalReport\ncli %d bytes, renderer %d bytes", workers, len(got), len(want))
+		}
+		var decoded map[string]any
+		if err := json.Unmarshal(got, &decoded); err != nil {
+			t.Fatalf("-workers %s: -json output is not valid JSON: %v", workers, err)
+		}
 	}
 }
 
@@ -547,5 +557,74 @@ func TestResumeRefusesVersion1Checkpoint(t *testing.T) {
 				t.Errorf("-resume of a version-%d checkpoint does not say %q:\n%s", version, want, out)
 			}
 		}
+	}
+}
+
+// TestProgressFlags drives -progress and -progress-every. On a binary
+// file with quarantined rows the last progress line counts every row of
+// the file, bad ones included, against the total its size gives: the
+// run ends at 100.0%. Over a FIFO whose writer pauses half a second
+// mid-stream, lines 100 ms apart print during the pause, where the
+// 5 s default prints none before the final line.
+func TestProgressFlags(t *testing.T) {
+	dir := t.TempDir()
+	records := cdrRecords(20_000)
+	for i := 0; i < len(records); i += 500 { // 40 rows starting in 2030, quarantined as out of range
+		records[i].Start = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	}
+	data := clitest.EncodeCDR(t, records, true)
+	file := filepath.Join(dir, "cars.cdr")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	progress := func(stderr []byte) []string {
+		var lines []string
+		for _, ln := range strings.Split(string(stderr), "\n") {
+			if strings.HasPrefix(ln, "progress: ") {
+				lines = append(lines, ln)
+			}
+		}
+		return lines
+	}
+	args := []string{"-days", "13", "-progress", "-progress-every", "100ms"}
+
+	stdout, stderr, code := clitest.Run(t, caranalyze(append([]string{"-in", file}, args...)...))
+	if code != 0 || !bytes.Contains(stdout, []byte("(40 quarantined)")) {
+		t.Fatalf("exit %d, want 0 with 40 rows quarantined:\n%s\nstderr: %s", code, stdout, stderr)
+	}
+	lines := progress(stderr)
+	if len(lines) == 0 {
+		t.Fatalf("no progress lines on stderr:\n%s", stderr)
+	}
+	if want := fmt.Sprintf("progress: %d/%d records (100.0%%) |", len(records), len(records)); !strings.HasPrefix(lines[len(lines)-1], want) {
+		t.Errorf("last progress line %q, want it to start %q", lines[len(lines)-1], want)
+	}
+
+	fifo := filepath.Join(dir, "pipe.cdr")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	cmd := caranalyze(append([]string{"-in", fifo, "-stream"}, args...)...)
+	var errBuf bytes.Buffer
+	cmd.Stderr = &errBuf
+	proc := clitest.Start(t, cmd)
+	w, err := os.OpenFile(fifo, os.O_WRONLY, 0) // blocks until the child opens the read end
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := 8 + len(records)/2*28 // the magic header and half the 28-byte records
+	if _, err := w.Write(data[:half]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	if _, err := w.Write(data[half:]); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := proc.Wait(); err != nil {
+		t.Fatalf("FIFO run: %v\nstderr: %s", err, errBuf.String())
+	}
+	if lines := progress(errBuf.Bytes()); len(lines) < 3 {
+		t.Errorf("%d progress lines over a run that paused 500 ms at -progress-every 100ms, want at least 3:\n%s", len(lines), errBuf.String())
 	}
 }

@@ -72,10 +72,7 @@ func main() {
 	w := synth.NewWorld(cfg)
 	fmt.Fprintf(os.Stderr, "network: %d base stations, %d cells\n", w.Net.NumStations(), w.Net.NumCells())
 
-	records, stats, err := w.GenerateAll()
-	if err != nil {
-		fatal("generate: %v", err)
-	}
+	records, stats := w.GenerateAll()
 
 	f, err := os.Create(*out)
 	if err != nil {

@@ -944,3 +944,48 @@ func TestVersion1CutsColdStart(t *testing.T) {
 	}
 	d.terminate(t)
 }
+
+// TestBudgetDegradedFlag drives -budget-degraded, the share of the
+// ingest error budget at which /readyz degrades. Six rows dated 2030
+// among 600 spend about a fifth of a 5% budget: at 0.1 /readyz answers
+// 503 naming the ingest_error_budget rule, whose failing gauge reads 1;
+// at 0 the rule is not registered, so /readyz is ready and the rule has
+// no series.
+func TestBudgetDegradedFlag(t *testing.T) {
+	dir := t.TempDir()
+	recs := e2eRecords(600)
+	bad := make([]cdr.Record, 6)
+	for i := range bad {
+		bad[i] = cdr.Record{
+			Car:      cdr.CarID(i + 1),
+			Cell:     radio.MakeCellKey(1, 0, radio.C1),
+			Start:    time.Date(2030, 1, 1, i, 0, 0, 0, time.UTC),
+			Duration: time.Minute,
+		}
+	}
+	in := filepath.Join(dir, "in.cdr")
+	clitest.WriteCDR(t, in, slices.Concat(recs[:300], bad, recs[300:]))
+	base := []string{"-listen", "127.0.0.1:0", "-windows", "24h", "-budget", "5",
+		"-start", "2017-03-06", "-days", "1", "-seed", "1"}
+	const series = `cellcars_health_rule_failing{rule="ingest_error_budget"}`
+	for _, tc := range []struct {
+		threshold string
+		degraded  bool
+	}{{"0.1", true}, {"0", false}} {
+		d := startDaemon(t, append(slices.Clone(base), "-budget-degraded", tc.threshold, in)...)
+		d.waitDrained(t, int64(len(recs)))
+		code, body := d.get(t, "/readyz")
+		_, metrics := d.get(t, "/metrics")
+		switch {
+		case tc.degraded && (code != http.StatusServiceUnavailable || !strings.Contains(string(body), "rule ingest_error_budget:")):
+			t.Errorf("-budget-degraded %s: /readyz %d %q, want 503 naming ingest_error_budget", tc.threshold, code, body)
+		case tc.degraded && promGauge(t, d, "cellcars_health_rule_failing", `rule="ingest_error_budget"`) != 1:
+			t.Errorf("-budget-degraded %s: the rule's failing gauge is not 1", tc.threshold)
+		case !tc.degraded && code != http.StatusOK:
+			t.Errorf("-budget-degraded %s: /readyz %d %q, want 200", tc.threshold, code, body)
+		case !tc.degraded && bytes.Contains(metrics, []byte(series)):
+			t.Errorf("-budget-degraded %s: the rule was registered; /metrics has %s", tc.threshold, series)
+		}
+		d.terminate(t)
+	}
+}

@@ -24,6 +24,10 @@ var (
 	// flagRef is a command-line flag of two or more letters; a one-letter
 	// one (-o, -s, -c) is as often curl's, head's or the shell's.
 	flagRef = regexp.MustCompile("(?:^|[\\s(\\[`])-([a-z][a-z0-9-]+)")
+	// goRef is pkg.Name with an exported Name, and the .Member after it
+	// if one follows: a reference to Go code when pkg is one of the
+	// module's packages.
+	goRef = regexp.MustCompile(`(?:^|[^\w./-])([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?`)
 )
 
 // goFlags are the go toolchain flags the documents name, which no main
@@ -46,10 +50,128 @@ var flagFuncs = map[string]int{
 // Test/Benchmark/Fuzz functions the _test.go files declare, the
 // Makefile's targets, the metric names non-test code spells and the
 // ones it registers with an obs.Registry, the flags the binaries
-// register, and the root .gitignore's patterns.
+// register, the root .gitignore's patterns, and what the module's
+// packages declare outside _test.go files.
 type docIndex struct {
 	funcs, targets, metrics, registered, flags map[string]bool
 	gitignore                                  []string
+	// decls holds "pkg.Name" for every package-level type, func, const
+	// and var of package pkg (cellcars at the root, else the name of its
+	// internal/ directory); pkgs holds every such pkg.
+	decls, pkgs map[string]bool
+	// members maps "pkg.Type" to its methods and fields (an interface's
+	// methods too), and embeds to the "pkg.Type"s whose members it has
+	// as well: those it embeds, or the one it is an alias of.
+	members map[string]map[string]bool
+	embeds  map[string][]string
+}
+
+// typeKey returns "pkg.Type" for a type expression in package pkg that
+// names one of the module's types, through pointers and type arguments.
+func typeKey(pkg string, e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.Ident:
+			return pkg + "." + t.Name
+		case *ast.SelectorExpr:
+			if x, ok := t.X.(*ast.Ident); ok {
+				return x.Name + "." + t.Sel.Name
+			}
+			return ""
+		default:
+			return ""
+		}
+	}
+}
+
+// declare indexes what package pkg's non-test file f declares.
+func (ix *docIndex) declare(pkg string, f *ast.File) {
+	ix.pkgs[pkg] = true
+	member := func(typ, name string) {
+		if ix.members[typ] == nil {
+			ix.members[typ] = map[string]bool{}
+		}
+		ix.members[typ][name] = true
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				ix.decls[pkg+"."+d.Name.Name] = true
+			} else {
+				member(typeKey(pkg, d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for i, name := range s.Names {
+						ix.decls[pkg+"."+name.Name] = true
+						typ := s.Type
+						if typ == nil && i < len(s.Values) {
+							if lit, ok := s.Values[i].(*ast.CompositeLit); ok {
+								typ = lit.Type
+							}
+						}
+						if t, ok := typ.(*ast.StructType); ok { // a var of a struct type of its own
+							for _, field := range t.Fields.List {
+								for _, fn := range field.Names {
+									member(pkg+"."+name.Name, fn.Name)
+								}
+							}
+						}
+					}
+				case *ast.TypeSpec:
+					key := pkg + "." + s.Name.Name
+					ix.decls[key] = true
+					var fields []*ast.Field
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields.List
+					case *ast.InterfaceType:
+						fields = t.Methods.List
+					default:
+						if s.Assign != 0 {
+							ix.embeds[key] = append(ix.embeds[key], typeKey(pkg, t))
+						}
+					}
+					for _, field := range fields {
+						for _, name := range field.Names {
+							member(key, name.Name)
+						}
+						if len(field.Names) == 0 {
+							ix.embeds[key] = append(ix.embeds[key], typeKey(pkg, field.Type))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// hasMember reports whether typ, or a type it embeds or aliases, has
+// the method or field name.
+func (ix *docIndex) hasMember(typ, name string) bool {
+	seen := map[string]bool{}
+	for todo := []string{typ}; len(todo) > 0; {
+		t := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		if seen[t] {
+			continue
+		}
+		seen[t] = true
+		if ix.members[t][name] {
+			return true
+		}
+		todo = append(todo, ix.embeds[t]...)
+	}
+	return false
 }
 
 // stringArg returns call's i-th argument when it is a string literal.
@@ -95,7 +217,8 @@ func flagPackage(p string) bool {
 func indexTree(t *testing.T) *docIndex {
 	t.Helper()
 	ix := &docIndex{funcs: map[string]bool{}, targets: map[string]bool{}, metrics: map[string]bool{},
-		registered: map[string]bool{}, flags: map[string]bool{}}
+		registered: map[string]bool{}, flags: map[string]bool{}, decls: map[string]bool{}, pkgs: map[string]bool{},
+		members: map[string]map[string]bool{}, embeds: map[string][]string{}}
 	if err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -121,6 +244,12 @@ func indexTree(t *testing.T) *docIndex {
 			}
 			if strings.HasPrefix(p, "bench/") { // names metrics, registers none
 				return nil
+			}
+			switch dir := filepath.Dir(p); {
+			case dir == ".":
+				ix.declare("cellcars", f)
+			case filepath.Dir(dir) == "internal":
+				ix.declare(filepath.Base(dir), f)
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -214,9 +343,10 @@ func (ix *docIndex) metricExists(name string, next byte) bool {
 // backticked spans to what ix lacks: a Test/Benchmark/Fuzz name (one
 // ending in "*" or in a capital N, as BenchmarkFigureN, is a prefix), an
 // internal/, cmd/, examples/ or bench/ path, a `make <target>`, a
-// cellcars_ metric name or a -flag that no binary registers and the go
-// toolchain does not take (goFlags). A span the text calls
-// "since-removed" passes.
+// cellcars_ metric name, a -flag that no binary registers and the go
+// toolchain does not take (goFlags), or a pkg.Name or pkg.Type.Member of
+// one of the module's packages that its non-test code does not declare.
+// A span the text calls "since-removed" passes.
 func staleRefs(doc, text string, ix *docIndex) []string {
 	var stale []string
 	for _, loc := range codeSpan.FindAllStringIndex(text, -1) {
@@ -254,6 +384,16 @@ func staleRefs(doc, text string, ix *docIndex) []string {
 				stale = append(stale, at(m[2])+"-"+name)
 			}
 		}
+		for _, m := range goRef.FindAllStringSubmatchIndex(span, -1) {
+			pkg, name := span[m[2]:m[3]], span[m[2]:m[5]]
+			switch {
+			case !ix.pkgs[pkg]:
+			case !ix.decls[name]:
+				stale = append(stale, at(m[2])+name)
+			case m[6] >= 0 && !ix.hasMember(name, span[m[6]:m[7]]):
+				stale = append(stale, at(m[2])+span[m[2]:m[7]])
+			}
+		}
 	}
 	return stale
 }
@@ -262,8 +402,9 @@ func staleRefs(doc, text string, ix *docIndex) []string {
 // verify notes name, in backticks, a Test/Benchmark/Fuzz function that no
 // _test.go file declares, an internal/, cmd/, examples/ or bench/ path
 // that is not in the tree, a make target the Makefile lacks, a
-// cellcars_ metric that no non-test code registers or a flag that no
-// binary registers (staleRefs).
+// cellcars_ metric that no non-test code registers, a flag that no
+// binary registers or Go code of the module that is not there
+// (staleRefs).
 func TestDocReferencesExist(t *testing.T) {
 	ix := indexTree(t)
 	var stale []string
@@ -292,7 +433,9 @@ func TestDocReferencesCatchPlantedNames(t *testing.T) {
 		"`internal/query/window.go` and `internal/query/no_such_file.go`.\n" +
 		"The since-removed `make gone-target` passes.\n" +
 		"Run `caranalyze -in f.cdr -no-such-flag -days=14`, `go test -run x -benchtime 1x`,\n" +
-		"```sh\ncardrive -workdir w -attempt-timeout 5s -stale-flag f.cdr\ncurl -s x\n```\n"
+		"```sh\ncardrive -workdir w -attempt-timeout 5s -stale-flag f.cdr\ncurl -s x\n```\n" +
+		"Call `analysis.StreamReportOf`, `snapshot.FS.SyncDir`, `cellcars.Scene.GenerateAll` and `time.Time.Compare`,\n" +
+		"not `synth.GenerateParallel` or `cdr.Record.Hash`.\n"
 	want := []string{
 		"planted:1: make no-such-target",
 		"planted:6: cellcars_query_no_such_metric_total",
@@ -300,6 +443,8 @@ func TestDocReferencesCatchPlantedNames(t *testing.T) {
 		"planted:7: internal/query/no_such_file.go",
 		"planted:9: -no-such-flag",
 		"planted:11: -stale-flag",
+		"planted:15: synth.GenerateParallel",
+		"planted:15: cdr.Record.Hash",
 	}
 	got := staleRefs("planted", text, ix)
 	sort.Strings(got)

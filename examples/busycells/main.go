@@ -19,10 +19,7 @@ func main() {
 	cfg.Period = cellcars.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 21)
 	scene := cellcars.NewScene(cfg)
 
-	records, _, err := scene.GenerateAll()
-	if err != nil {
-		log.Fatalf("generate: %v", err)
-	}
+	records, _ := scene.GenerateAll()
 	ctx := cellcars.AnalysisContext(scene)
 
 	// The Figure 11 population: cells averaging >= 70% utilization over

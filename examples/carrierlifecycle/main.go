@@ -19,10 +19,7 @@ func main() {
 	cfg.Period = cellcars.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14)
 	scene := cellcars.NewScene(cfg)
 
-	records, _, err := scene.GenerateAll()
-	if err != nil {
-		log.Fatalf("generate: %v", err)
-	}
+	records, _ := scene.GenerateAll()
 	report, err := cellcars.Analyze(records, cellcars.AnalysisContext(scene), cellcars.AnalyzeOptions{})
 	if err != nil {
 		log.Fatalf("analyze: %v", err)

@@ -17,10 +17,7 @@ func facadeScene(t *testing.T) (*cellcars.Scene, []cellcars.Record, cellcars.Con
 	cfg.WorldSizeKm = 40
 	cfg.Period = cellcars.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 14)
 	scene := cellcars.NewScene(cfg)
-	records, _, err := scene.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := scene.GenerateAll()
 	return scene, records, cellcars.AnalysisContext(scene)
 }
 

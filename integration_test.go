@@ -26,10 +26,7 @@ func fullReport(t *testing.T) (*cellcars.Scene, *cellcars.Report) {
 	cfg.WorldSizeKm = 50
 	cfg.Period = simtime.NewPeriod(time.Date(2017, 1, 2, 0, 0, 0, 0, time.UTC), 21)
 	scene := cellcars.NewScene(cfg)
-	records, stats, err := scene.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, stats := scene.GenerateAll()
 	if stats.Records == 0 {
 		t.Fatal("no records generated")
 	}

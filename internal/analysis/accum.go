@@ -71,8 +71,10 @@ type batch struct {
 	recs []cdr.Record
 	// cars holds car numbers of the stages' carTable.
 	cars []int32
-	// days holds study days (simtime.Period.DayIndex), -1 for a start
-	// outside the study period, which only a feed batch holds.
+	// days holds study days (simtime.Period.DayIndex). The sets admit no
+	// record starting outside the study period, so -1, such a start's
+	// day, occurs only in the batches the tests' stage harness (feed)
+	// builds.
 	days []int32
 	// starts holds Start.UnixNano().
 	starts []int64
@@ -88,42 +90,6 @@ func (b *batch) push(r cdr.Record, car int32, day int) {
 
 func (b *batch) reset() {
 	b.recs, b.cars, b.days, b.starts = b.recs[:0], b.cars[:0], b.days[:0], b.starts[:0]
-}
-
-// feed builds one accumulator over a car table of its own and feeds it a
-// record slice: the backing of UsageMatrix, which draws one car's Figure
-// 5 from its records. Unlike the engine it applies no ghost or period
-// filtering; it feeds exactly the records given. Study days are counted
-// in period, which only the stages that read days need to be given.
-func feed[A Accumulator](records []cdr.Record, period simtime.Period, build func(cars *carTable) A) A {
-	cars := new(carTable)
-	acc := build(cars)
-	var b batch
-	for len(records) > 0 {
-		b.reset()
-		for _, r := range records[:min(len(records), accumBatchSize)] {
-			b.push(r, cars.intern(r.Car), period.DayIndex(r.Start))
-		}
-		acc.Add(&b)
-		records = records[len(b.recs):]
-	}
-	return acc
-}
-
-// runAccum is feed, finalized into a scratch report.
-func runAccum[A Accumulator](records []cdr.Record, period simtime.Period, build func(cars *carTable) A) *Report {
-	return finalized(feed(records, period, build))
-}
-
-// finalized returns acc's results in a scratch report.
-func finalized(acc Accumulator) *Report {
-	rep := &Report{}
-	if err := acc.Finalize(rep); err != nil {
-		// No accumulator in this package returns a finalize error; a
-		// non-nil error here is a programming bug.
-		panic(err)
-	}
-	return rep
 }
 
 // mergeAs asserts o to the receiver's concrete type; a mismatch is an

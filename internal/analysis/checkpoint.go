@@ -296,8 +296,9 @@ func encodeSet(fb *snapshot.Frames, i int, set *accumSet, sw *snapshot.Writer) e
 // (cdr.IsTransient) is repeated up to checkpointRetryAttempts more
 // times, sleeping checkpointRetryBackoff, doubled each time, in
 // between; any other error, and the last transient one, fails the
-// write. A checkpoint landing on flaky storage (NFS hiccup, throttled
-// volume) should cost a retry, not the run.
+// write. Only the tests' injected faults are transient: neither the os
+// calls nor the default snapshot.FS functions mark an error so, so a
+// real storage error fails the write at its first attempt.
 const (
 	checkpointRetryAttempts = 3
 	checkpointRetryBackoff  = 5 * time.Millisecond

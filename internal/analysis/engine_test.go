@@ -517,10 +517,7 @@ func TestEngineDurationsExact(t *testing.T) {
 func TestEngineHandoversExact(t *testing.T) {
 	cfg := synth.DefaultConfig(200)
 	cfg.Period = simtime.NewPeriod(t0, 14)
-	records, _, err := synth.NewWorld(cfg).GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := synth.NewWorld(cfg).GenerateAll()
 	ctx := Context{Period: cfg.Period}
 	if accepted := len(cleanAccepted(ctx, records)); accepted <= 32768 {
 		t.Fatalf("the fleet has %d accepted records, want over 32 768", accepted)

@@ -68,10 +68,7 @@ func TestSynthLossWindowDetected(t *testing.T) {
 		Period:   period,
 		LossFrac: 1.0, // total loss so presence unambiguously craters
 	})
-	records, _, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := w.GenerateAll()
 	s := NewStreamingWithOptions(Context{Period: period}, RunOptions{})
 	if err := s.AddAll(cdr.NewSliceReader(records)); err != nil {
 		t.Fatal(err)

@@ -115,10 +115,16 @@ type StreamReport struct {
 // Finalize computes the report. The accumulator remains usable (more
 // Adds re-finalize cleanly).
 func (s *Streaming) Finalize() StreamReport {
-	rep := s.set.finalize()
+	return StreamReportOf(s.set.finalize(), s.set.period)
+}
+
+// StreamReportOf projects a report over period onto its
+// streaming-covered subset: what Streaming.Finalize returns, and what
+// caranalyze -json renders of an engine run's report.
+func StreamReportOf(rep *Report, period simtime.Period) StreamReport {
 	out := StreamReport{
-		Records:       s.set.raw - s.set.ghosts,
-		GhostsDropped: s.set.ghosts,
+		Records:       int64(rep.CleanRecords),
+		GhostsDropped: int64(rep.RawRecords - rep.CleanRecords),
 		OutOfPeriod:   rep.OutOfPeriod,
 		Presence:      rep.Presence,
 		WeekdayRows:   rep.WeekdayRows,
@@ -139,7 +145,7 @@ func (s *Streaming) Finalize() StreamReport {
 	if rep.DaysHist != nil {
 		out.DaysCount = append([]int64(nil), rep.DaysHist.Counts...)
 	} else {
-		out.DaysCount = make([]int64, s.set.period.Days())
+		out.DaysCount = make([]int64, period.Days())
 	}
 	return out
 }

@@ -33,10 +33,14 @@ func ReferenceMatrices() (commute, networkPeak, weekend simtime.WeekMatrix) {
 // UsageMatrix builds a car's Figure 5 matrix: for each hour of the
 // local week, the number of that car's aggregate sessions (gap ≤ 30 s)
 // touching the hour — the usage stage's matrix over one car's records.
-// Records must belong to a single car and be time-ordered; ghosts should
-// be removed first.
+// Records must belong to a single car and be time-ordered. They pass
+// the engine's admission rule (Admits): a Streaming set over ctx's
+// period and time zone, with no load source, drops ghosts and records
+// starting outside the period.
 func UsageMatrix(records []cdr.Record, ctx Context) simtime.WeekMatrix {
-	return runAccum(records, ctx.Period, func(cars *carTable) *usageAcc { return newUsageAcc(ctx.TZOffsetSeconds, cars) }).FleetUsage
+	s := NewStreamingWithOptions(Context{Period: ctx.Period, TZOffsetSeconds: ctx.TZOffsetSeconds}, RunOptions{})
+	s.set.addBatch(records)
+	return s.set.finalize().FleetUsage
 }
 
 // RecordsOfCar extracts one car's records from a stream, preserving

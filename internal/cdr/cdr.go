@@ -147,17 +147,6 @@ func (s *SliceReader) ReadBatch(dst []Record) (int, error) {
 	return n, nil
 }
 
-// SliceWriter collects records into memory.
-type SliceWriter struct {
-	Records []Record
-}
-
-// Write appends the record.
-func (s *SliceWriter) Write(r Record) error {
-	s.Records = append(s.Records, r)
-	return nil
-}
-
 // ReadAll drains a reader into a slice.
 func ReadAll(r Reader) ([]Record, error) {
 	var out []Record

@@ -91,11 +91,7 @@ func TestRecordBeforeTotalOrder(t *testing.T) {
 
 func TestSliceReaderWriter(t *testing.T) {
 	in := []Record{rec(1, 1, 0, time.Minute), rec(2, 2, time.Hour, time.Second)}
-	var w SliceWriter
-	if err := WriteAll(&w, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadAll(NewSliceReader(w.Records))
+	out, err := ReadAll(NewSliceReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

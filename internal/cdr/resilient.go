@@ -287,7 +287,8 @@ func (cfg *ResilientConfig) fill() {
 // into quarantine events instead of stream death. It classifies every
 // failure (bad field, truncated frame, out-of-range time, duplicate,
 // timestamp regression, I/O), forwards rejects to an optional sink,
-// retries transient I/O errors with backoff, and enforces an error
+// retries an error marked Transient with backoff (only the chaos
+// harness marks one; no codec or os call does), and enforces an error
 // budget so a systematically corrupt input still fails fast with a
 // diagnosis instead of quietly dropping most of its records.
 //

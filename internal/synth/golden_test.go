@@ -22,11 +22,13 @@ func goldenConfig(cars int, seed uint64) Config {
 
 // TestGenerateGolden pins the generator's output byte for byte: the
 // SHA-256 of GenerateAll's binary encoding for a 200-car, 14-day fleet
-// at three seeds. TestGenerateDeterministic only compares one run with
-// another, so a change to the mobility model, the radio network's
-// nearest-station search or the start-order sort (whose placement of
-// equal-key records is part of the output) would pass it while
-// changing every file cargen writes. A deliberate change to the
+// at three seeds, generated at GOMAXPROCS 1 and 4. TestGenerateDeterministic
+// only compares one run with another, so a change to the mobility
+// model, the radio network's nearest-station search or the start-order
+// sort (whose placement of equal-key records is part of the output)
+// would pass it while changing every file cargen writes; and a join of
+// the cars' records in any order but the cars' own would change the
+// sort's input with the goroutine count. A deliberate change to the
 // generator updates these digests and says so.
 func TestGenerateGolden(t *testing.T) {
 	golden := []struct {
@@ -38,29 +40,30 @@ func TestGenerateGolden(t *testing.T) {
 		{2, 43301, "febac08d5dacdf578cbc6390fb95fcf1e0bcd64c4fd95db2a6fa5471c8e5e9ef"},
 		{3, 40074, "e3a0770151851af44a7f0ee1d666bebee5544b9597d893919b75e06dd6a031c4"},
 	}
-	for _, g := range golden {
-		records, _, err := NewWorld(goldenConfig(200, g.seed)).GenerateAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		bw := cdr.NewBinaryWriter(h)
-		if err := cdr.WriteAll(bw, records); err != nil {
-			t.Fatal(err)
-		}
-		if err := bw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); len(records) != g.records || got != g.sha256 {
-			t.Errorf("seed %d: %d records, sha256 %s; want %d records, sha256 %s",
-				g.seed, len(records), got, g.records, g.sha256)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, g := range golden {
+			records, _ := NewWorld(goldenConfig(200, g.seed)).GenerateAll()
+			h := sha256.New()
+			bw := cdr.NewBinaryWriter(h)
+			if err := cdr.WriteAll(bw, records); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); len(records) != g.records || got != g.sha256 {
+				t.Errorf("GOMAXPROCS %d, seed %d: %d records, sha256 %s; want %d records, sha256 %s",
+					procs, g.seed, len(records), got, g.records, g.sha256)
+			}
 		}
 	}
 }
 
 // BenchmarkGenerate is the generator's cost line: the benchmark's
 // 1 600-car, 14-day fleet through GenerateAll (parallel generation
-// over every CPU, then the start-order sort), in ns and allocations
+// on GOMAXPROCS goroutines, then the start-order sort), in ns and allocations
 // per generated record. The world is built once; generation reads it
 // and touches no shared state.
 func BenchmarkGenerate(b *testing.B) {
@@ -71,10 +74,7 @@ func BenchmarkGenerate(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, _, err := w.GenerateAll()
-		if err != nil {
-			b.Fatal(err)
-		}
+		records, _ := w.GenerateAll()
 		recs += float64(len(records))
 	}
 	b.StopTimer()

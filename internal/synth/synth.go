@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cellcars/internal/cdr"
@@ -215,44 +217,41 @@ type Stats struct {
 	CarsWithData int64
 }
 
-// Generate produces the full CDR stream into w, iterating cars in id
-// order and each car's records in time order (the stream is per-car
-// sorted, not globally sorted; see cdr.Sort and cdr.Merge). Every car
-// uses an independent deterministic random stream, so output is
-// reproducible and car-order independent.
-func (w *World) Generate(out cdr.Writer) (Stats, error) {
-	var stats Stats
-	for i := range w.Cars {
-		n, err := w.GenerateCar(&w.Cars[i], out, &stats)
-		if err != nil {
-			return stats, err
-		}
-		if n > 0 {
-			stats.CarsWithData++
-		}
+// GenerateAll generates the full stream into memory and returns it
+// globally sorted by (start, car, cell) with the run's counters. Cars
+// are generated on runtime.GOMAXPROCS(0) goroutines, each into its own
+// slot; the slots are joined in car order, so the sort's input is cars
+// in id order, each in time order, whatever the goroutine count, and so
+// is its placement of equal-key records: the output does not depend on
+// the count.
+func (w *World) GenerateAll() ([]cdr.Record, Stats) {
+	slots := make([][]cdr.Record, len(w.Cars))
+	stats := make([]Stats, len(w.Cars))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(w.Cars)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(w.Cars)); i = next.Add(1) - 1 {
+				slots[i], stats[i] = w.carRecords(&w.Cars[i])
+			}
+		}()
 	}
-	return stats, nil
+	wg.Wait()
+	var total Stats
+	for _, s := range stats {
+		total.add(s)
+	}
+	records := slices.Concat(slots...)
+	cdr.Sort(records)
+	return records, total
 }
 
-// GenerateCar produces one car's records into out and returns how many
-// were written. Stats (optional) is updated with generation counters.
-func (w *World) GenerateCar(car *fleet.Car, out cdr.Writer, stats *Stats) (int64, error) {
-	records, carStats := w.carRecords(car)
-	if stats != nil {
-		stats.add(carStats)
-	}
-	for _, rec := range records {
-		if err := out.Write(rec); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(records)), nil
-}
-
-// carRecords generates one car's full record stream. It touches no
-// shared mutable state: every car has an independent random stream
-// derived from (seed, car id), so cars can be generated concurrently
-// and in any order with identical results.
+// carRecords generates one car's full record stream, in time order. It
+// touches no shared mutable state: every car has an independent random
+// stream derived from (seed, car id), so cars can be generated
+// concurrently and in any order with identical results.
 func (w *World) carRecords(car *fleet.Car) ([]cdr.Record, Stats) {
 	var stats Stats
 	rng := rand.New(rand.NewPCG(w.Config.Seed^0xCA4, car.ID))
@@ -271,6 +270,9 @@ func (w *World) carRecords(car *fleet.Car) ([]cdr.Record, Stats) {
 			}
 		}
 	}
+	if len(out) > 0 {
+		stats.CarsWithData = 1
+	}
 	return out, stats
 }
 
@@ -282,87 +284,6 @@ func (s *Stats) add(o Stats) {
 	s.Dropped += o.Dropped
 	s.Trips += o.Trips
 	s.CarsWithData += o.CarsWithData
-}
-
-// GenerateParallel is Generate distributed over the given number of
-// worker goroutines. Output record order and stats are identical to
-// the sequential Generate (cars in id order, per-car time order);
-// memory holds at most ~workers cars' records at a time beyond the
-// reorder window. workers < 2 falls back to the sequential path.
-func (w *World) GenerateParallel(out cdr.Writer, workers int) (Stats, error) {
-	if workers < 2 {
-		return w.Generate(out)
-	}
-	type result struct {
-		idx     int
-		records []cdr.Record
-		stats   Stats
-	}
-	jobs := make(chan int)
-	results := make(chan result, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				records, stats := w.carRecords(&w.Cars[idx])
-				results <- result{idx: idx, records: records, stats: stats}
-			}
-		}()
-	}
-	go func() {
-		for i := range w.Cars {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	var total Stats
-	pending := make(map[int]result)
-	next := 0
-	var err error
-	for res := range results {
-		pending[res.idx] = res
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			total.add(r.stats)
-			if len(r.records) > 0 {
-				total.CarsWithData++
-			}
-			if err != nil {
-				continue // drain remaining results after a write error
-			}
-			for _, rec := range r.records {
-				if werr := out.Write(rec); werr != nil {
-					err = werr
-					break
-				}
-			}
-		}
-	}
-	return total, err
-}
-
-// GenerateAll generates the full stream into memory, using all CPUs,
-// and returns the records globally sorted by (start, car, cell).
-// Output is identical to the sequential path. Convenient for tests,
-// examples and in-memory analysis at small and medium scales.
-func (w *World) GenerateAll() ([]cdr.Record, Stats, error) {
-	var sw cdr.SliceWriter
-	stats, err := w.GenerateParallel(&sw, runtime.NumCPU())
-	if err != nil {
-		return nil, stats, err
-	}
-	cdr.Sort(sw.Records)
-	return sw.Records, stats, nil
 }
 
 // dropRecord applies the data-loss-day filter.

@@ -48,14 +48,8 @@ func TestNewWorldPanicsOnBadSize(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, sa, err := smallWorld(t).GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, sb, err := smallWorld(t).GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, sa := smallWorld(t).GenerateAll()
+	b, sb := smallWorld(t).GenerateAll()
 	if len(a) != len(b) || sa != sb {
 		t.Fatalf("nondeterministic: %d vs %d records, %+v vs %+v", len(a), len(b), sa, sb)
 	}
@@ -68,10 +62,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateBasicShape(t *testing.T) {
 	w := smallWorld(t)
-	records, stats, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, stats := w.GenerateAll()
 	if stats.Records == 0 || int64(len(records)) != stats.Records {
 		t.Fatalf("records %d vs stats %d", len(records), stats.Records)
 	}
@@ -107,10 +98,7 @@ func TestGenerateBasicShape(t *testing.T) {
 
 func TestGhostRecordsAreExactlyOneHour(t *testing.T) {
 	w := smallWorld(t)
-	records, stats, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, stats := w.GenerateAll()
 	hourCount := int64(0)
 	for _, r := range records {
 		if r.Duration == time.Hour {
@@ -130,10 +118,7 @@ func TestGhostRecordsAreExactlyOneHour(t *testing.T) {
 
 func TestDataLossDaysThinner(t *testing.T) {
 	w := smallWorld(t)
-	records, _, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := w.GenerateAll()
 	perDay := make([]int, w.Config.Period.Days())
 	for _, r := range records {
 		perDay[w.Config.Period.DayIndex(r.Start)]++
@@ -211,10 +196,7 @@ func TestChooseCarrierEmptyIntersection(t *testing.T) {
 
 func TestCarrierTimeShares(t *testing.T) {
 	w := smallWorld(t)
-	records, _, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := w.GenerateAll()
 	var total float64
 	share := map[radio.CarrierID]float64{}
 	for _, r := range records {
@@ -240,10 +222,7 @@ func TestCarrierTimeShares(t *testing.T) {
 
 func TestStickyCarsProduceLongRecords(t *testing.T) {
 	w := smallWorld(t)
-	records, _, err := w.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, _ := w.GenerateAll()
 	sticky := map[cdr.CarID]bool{}
 	for i := range w.Cars {
 		if w.Cars[i].Sticky {
