@@ -119,6 +119,11 @@ func main() {
 		fatal("-checkpoint and -resume need -stream mode")
 	case *resume && *checkpoint == "":
 		fatal("-resume needs -checkpoint (the file to resume from)")
+	case *cars <= 0:
+		fatal("-cars must be positive, got %d", *cars)
+	}
+	if err := synth.CheckWorldSize(*world); err != nil {
+		fatal("-world %v: %v", *world, err)
 	}
 
 	ctx, err := study.Context()

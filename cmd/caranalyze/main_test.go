@@ -384,6 +384,29 @@ func TestSilentFlagCombinationsRefused(t *testing.T) {
 	}
 }
 
+// TestGenerateModeRefusesBadScene: a fleet of no cars, or a world too
+// small for one cell site (or not a number, or 0, which the generator
+// would read as its default), is refused with exit 1 and a message
+// naming the flag before the world is built — not a panic out of it.
+func TestGenerateModeRefusesBadScene(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cars", "0"}, "-cars must be positive, got 0"},
+		{[]string{"-cars", "-5"}, "-cars must be positive, got -5"},
+		{[]string{"-world", "-10"}, "-world -10: want a finite side"},
+		{[]string{"-world", "0.01"}, "-world 0.01: want a finite side"},
+		{[]string{"-world", "NaN"}, "-world NaN: want a finite side"},
+		{[]string{"-world", "0"}, "-world 0: want a finite side"},
+	} {
+		stdout, stderr, code := clitest.Run(t, caranalyze(append([]string{"-days", "7"}, tc.args...)...))
+		if code != 1 || !strings.Contains(string(stderr), tc.want) || len(stdout) != 0 {
+			t.Errorf("%v: exit %d, stderr %q, %d bytes out; want exit 1 naming %q and no report", tc.args, code, stderr, len(stdout), tc.want)
+		}
+	}
+}
+
 // TestPartialHonoursFailStage: -partial used to build its options
 // without -failstage, so a degraded partial could not be made from the
 // CLI; the snapshot must carry the failed stage into the reducer.

@@ -80,6 +80,27 @@ func main() {
 		os.Exit(1)
 	}
 
+	// drive.New reads a value out of range as "use the default"; only
+	// the zeros documented in the usage keep a meaning here.
+	for _, f := range []struct {
+		name    string
+		refused bool
+		want    string
+	}{
+		{"shards", *shards < 0, "a positive count, or 0 for 2x GOMAXPROCS"},
+		{"parallel", *parallel < 0, "a positive count, or 0 for GOMAXPROCS"},
+		{"max-attempts", *maxAttempts < 1, "at least 1"},
+		{"speculate-min", *specMin < 1, "at least 1"},
+		{"backoff", *backoff <= 0, "a positive duration"},
+		{"max-backoff", *maxBackoff <= 0, "a positive duration"},
+		{"attempt-timeout", *timeout < 0, "a positive duration, or 0 for no deadline"},
+		{"speculate", !(*speculate >= 0), "a positive multiple, or 0 for off"},
+	} {
+		if f.refused {
+			fatal("bad -"+f.name, "value", flag.Lookup(f.name).Value.String(), "want", f.want)
+		}
+	}
+
 	inputs := flag.Args()
 	if len(inputs) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: cardrive [flags] input.cdr...")

@@ -541,6 +541,40 @@ func TestAttemptTimeoutKillsAHungAttempt(t *testing.T) {
 	}
 }
 
+// TestRefusesOutOfRangeFlags: a value drive.New would swap for its
+// default is refused with exit 1, naming the flag, before the work
+// directory is made; the zeros the usage documents run.
+func TestRefusesOutOfRangeFlags(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "cars.cdr")
+	clitest.WriteCDR(t, in, workload(2_000))
+	for _, args := range [][]string{
+		{"-shards", "-1"},
+		{"-parallel", "-2"},
+		{"-max-attempts", "0"},
+		{"-speculate-min", "-2"},
+		{"-speculate-min", "0"},
+		{"-backoff", "-1s"},
+		{"-backoff", "0s"},
+		{"-max-backoff", "0s"},
+		{"-attempt-timeout", "-1s"},
+		{"-speculate", "-1"},
+		{"-speculate", "NaN"},
+	} {
+		work := filepath.Join(dir, "work")
+		_, stderr, code := clitest.Run(t, cardrive(append(args, "-workdir", work, "-days", "7", in)...))
+		if code != 1 || !strings.Contains(string(stderr), `"bad `+args[0]+`"`) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming %s", args, code, stderr, args[0])
+		}
+		if _, err := os.Stat(work); !os.IsNotExist(err) {
+			t.Errorf("%v: refused only after making the work directory (stat: %v)", args, err)
+		}
+	}
+	worker := clitest.Build(t, dir, "caranalyze")
+	clitest.Output(t, cardrive("-shards", "0", "-parallel", "0", "-attempt-timeout", "0", "-speculate", "0",
+		"-worker", worker, "-workdir", filepath.Join(dir, "zeros"), "-days", "7", "-q", in))
+}
+
 // TestMaxBackoffCapsTheRetryWait: chaos seed 6 kills the one shard's
 // first attempt and spares its second. The retry waits -backoff 30s
 // capped by -max-backoff 20ms — at most 30 ms with the jitter — so the

@@ -42,6 +42,9 @@ func main() {
 	if *cars <= 0 {
 		fatal("-cars must be positive, got %d", *cars)
 	}
+	if err := synth.CheckWorldSize(*world); err != nil {
+		fatal("-world %v: %v", *world, err)
+	}
 	if *format != "" && *format != "csv" && *format != "binary" {
 		fatal("unknown -format %q", *format)
 	}

@@ -20,11 +20,13 @@ func cargen(t *testing.T, args ...string) (stderr string, code int) {
 	return string(errb), code
 }
 
-// TestRefusesBadFlagsBeforeGenerating: a bad -format or a fleet of no
-// cars is refused with exit 1 and a message before the world is built,
-// and no output file is created. A fleet this size takes seconds to
-// generate, so a refusal that came after generation would also show in
-// the stderr's "building world" line.
+// TestRefusesBadFlagsBeforeGenerating: a bad -format, a fleet of no
+// cars or a world too small for one cell site (or not a number, or 0,
+// which the generator would read as its default) is refused with exit 1
+// and a message before the world is built, and no output file is
+// created. A fleet this size takes seconds to generate, so a refusal
+// that came after generation would also show in the stderr's "building
+// world" line.
 func TestRefusesBadFlagsBeforeGenerating(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -33,6 +35,10 @@ func TestRefusesBadFlagsBeforeGenerating(t *testing.T) {
 		{[]string{"-cars", "1600", "-days", "14", "-format", "bogus"}, `unknown -format "bogus"`},
 		{[]string{"-cars", "0", "-days", "14"}, "-cars must be positive, got 0"},
 		{[]string{"-cars", "-3", "-days", "14"}, "-cars must be positive, got -3"},
+		{[]string{"-cars", "1600", "-days", "14", "-world", "0"}, "-world 0: want a finite side"},
+		{[]string{"-cars", "1600", "-days", "14", "-world", "-10"}, "-world -10: want a finite side"},
+		{[]string{"-cars", "1600", "-days", "14", "-world", "0.01"}, "-world 0.01: want a finite side"},
+		{[]string{"-cars", "1600", "-days", "14", "-world", "NaN"}, "-world NaN: want a finite side"},
 	} {
 		out := filepath.Join(t.TempDir(), "cars.cdr")
 		stderr, code := cargen(t, append(c.args, "-out", out)...)

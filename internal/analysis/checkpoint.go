@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"cellcars/internal/cdr"
 	"cellcars/internal/obs"
 	"cellcars/internal/radio"
 	"cellcars/internal/simtime"
@@ -292,40 +291,6 @@ func encodeSet(fb *snapshot.Frames, i int, set *accumSet, sw *snapshot.Writer) e
 	return fb.Err()
 }
 
-// A checkpoint write that fails with a transient error
-// (cdr.IsTransient) is repeated up to checkpointRetryAttempts more
-// times, sleeping checkpointRetryBackoff, doubled each time, in
-// between; any other error, and the last transient one, fails the
-// write. Only the tests' injected faults are transient: neither the os
-// calls nor the default snapshot.FS functions mark an error so, so a
-// real storage error fails the write at its first attempt.
-const (
-	checkpointRetryAttempts = 3
-	checkpointRetryBackoff  = 5 * time.Millisecond
-)
-
-// checkpointSleep is stubbed by tests to skip the wall-clock backoff.
-var checkpointSleep = time.Sleep
-
-// retryTransient runs attempt under the policy above, counting each
-// retry in cellcars_checkpoint_retries_total of a non-nil registry.
-func retryTransient(reg *obs.Registry, attempt func() error) error {
-	for n := 0; ; n++ {
-		err := attempt()
-		if err == nil || !cdr.IsTransient(err) || n >= checkpointRetryAttempts {
-			return err
-		}
-		countCheckpointRetry(reg)
-		checkpointSleep(checkpointRetryBackoff << n)
-	}
-}
-
-func countCheckpointRetry(reg *obs.Registry) {
-	if reg != nil {
-		reg.Counter("cellcars_checkpoint_retries_total").Inc()
-	}
-}
-
 // observeCheckpointWrite records one durable write that landed: its
 // count, byte size and the wall time it took from creating the temp
 // file to the rename, under the checkpoint metrics
@@ -340,17 +305,13 @@ func observeCheckpointWrite(reg *obs.Registry, n int64, took time.Duration) {
 
 // writeSnapshotFile writes a snapshot atomically through
 // snapshot.WriteFile — both halves of the durable write, back to back —
-// so a crash mid-checkpoint leaves the previous checkpoint intact,
-// under the retry policy above; each failed attempt removes its own
-// temp file, so retries never leak. Returns the file's size.
+// so a crash mid-checkpoint leaves the previous checkpoint intact; a
+// failed write removes its own temp file and fails at its first
+// attempt. Returns the file's size.
 func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *obs.Registry) (int64, error) {
 	t0 := time.Now()
-	var n int64
-	err := retryTransient(reg, func() (err error) {
-		n, err = snapshot.WriteFile(path, func(w io.Writer) error {
-			return writeSnapshotStream(w, hdr, sets)
-		})
-		return err
+	n, err := snapshot.WriteFile(path, func(w io.Writer) error {
+		return writeSnapshotStream(w, hdr, sets)
 	})
 	if err != nil {
 		return 0, err
@@ -380,14 +341,9 @@ func writeSnapshotFile(path string, hdr SnapshotHeader, sets []*accumSet, reg *o
 //     recovery point is the last committed cut, at most one interval
 //     older than the last one taken.
 //
-// A transient failure of the write half repeats the attempt under
-// retryTransient (the workers' buffers are still held: they are sent
-// again, not encoded again). A commit that failed is seen at its join,
-// where the sets are quiescent again: transient, it is counted as a
-// retry and the cut now due is the retry — at a trigger or at end of
-// input, one synchronous writeSnapshotFile — and more than
-// checkpointRetryAttempts in a row fail the run; any other error fails
-// it at the join, with path still the last committed cut.
+// No write is retried: a failed write half fails the run at once, and a
+// failed commit fails it at its join, with path still the last
+// committed cut.
 type cutter struct {
 	path string
 	sets []*accumSet
@@ -404,9 +360,8 @@ type cutter struct {
 	frames []setFrames
 
 	// commit delivers the result of the commit in flight; nil when there
-	// is none. failed counts commits that failed transiently in a row.
+	// is none.
 	commit chan commitResult
-	failed int
 
 	profile CheckpointProfile
 }
@@ -462,17 +417,13 @@ func (c *cutter) encoded(i int) (*snapshot.Frames, error) {
 func (c *cutter) periodic(hdr SnapshotHeader) error {
 	t0 := time.Now()
 	c.barrier(true)
-	if _, err := c.join(); err != nil {
+	if err := c.join(); err != nil {
 		return err
 	}
 	<-c.acks[0]
 	created := time.Now()
-	var tmp *snapshot.Temp
-	err := retryTransient(c.reg, func() (err error) {
-		tmp, err = snapshot.WriteTemp(c.path, func(w io.Writer) error {
-			return writeSnapshotCut(w, hdr, c.sets, c.encoded)
-		})
-		return err
+	tmp, err := snapshot.WriteTemp(c.path, func(w io.Writer) error {
+		return writeSnapshotCut(w, hdr, c.sets, c.encoded)
 	})
 	if err != nil {
 		return err
@@ -497,55 +448,32 @@ func (c *cutter) final(hdr SnapshotHeader) error {
 	for _, ack := range c.acks {
 		<-ack
 	}
-	if _, err := c.join(); err != nil {
+	if err := c.join(); err != nil {
 		return err
 	}
-	if err := c.writeNow(hdr); err != nil {
+	n, err := writeSnapshotFile(c.path, hdr, c.sets, c.reg)
+	if err != nil {
 		return err
 	}
+	c.profile.Bytes += n
 	c.stalled(t0)
 	return nil
 }
 
-// finish joins the last commit once the workers have stopped. If it
-// failed transiently and the run itself is sound, the state at end of
-// input is written in its place.
-func (c *cutter) finish(hdr SnapshotHeader, sound bool) error {
-	retry, err := c.join()
-	if err != nil || !retry || !sound {
-		return err
-	}
-	return c.writeNow(hdr)
-}
-
-// writeNow is one synchronous durable write of the quiescent sets.
-func (c *cutter) writeNow(hdr SnapshotHeader) error {
-	n, err := writeSnapshotFile(c.path, hdr, c.sets, c.reg)
-	c.profile.Bytes += n
-	return err
-}
-
 // join waits for the commit in flight, if there is one, and accounts
-// for it. retry reports a transient failure within the budget: the
-// caller's next durable write makes up for it.
-func (c *cutter) join() (retry bool, err error) {
+// for it: a commit that failed fails the caller.
+func (c *cutter) join() error {
 	if c.commit == nil {
-		return false, nil
+		return nil
 	}
 	res := <-c.commit
 	c.commit = nil
-	switch {
-	case res.err == nil:
-		c.failed = 0
-		c.profile.Bytes += res.n
-		observeCheckpointWrite(c.reg, res.n, res.took)
-		return false, nil
-	case cdr.IsTransient(res.err) && c.failed < checkpointRetryAttempts:
-		c.failed++
-		countCheckpointRetry(c.reg)
-		return true, nil
+	if res.err != nil {
+		return res.err
 	}
-	return false, res.err
+	c.profile.Bytes += res.n
+	observeCheckpointWrite(c.reg, res.n, res.took)
+	return nil
 }
 
 // stalled records what one cut cost ingest: from the barrier going out

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -15,19 +14,18 @@ import (
 )
 
 // stubCheckpointIO replaces the filesystem the checkpoint write goes
-// through, and the backoff sleep, for one test and restores them on
-// cleanup. Tests using it must not run in parallel.
+// through for one test and restores it on cleanup. Tests using it must
+// not run in parallel.
 func stubCheckpointIO(t *testing.T, create func(string) (snapshot.File, error), rename func(string, string) error) {
 	t.Helper()
-	origFS, origSleep := snapshot.FS, checkpointSleep
+	orig := snapshot.FS
 	if create != nil {
 		snapshot.FS.Create = create
 	}
 	if rename != nil {
 		snapshot.FS.Rename = rename
 	}
-	checkpointSleep = func(time.Duration) {}
-	t.Cleanup(func() { snapshot.FS, checkpointSleep = origFS, origSleep })
+	t.Cleanup(func() { snapshot.FS = orig })
 }
 
 func faultTestStreaming(t *testing.T) *Streaming {
@@ -45,103 +43,43 @@ func faultTestStreaming(t *testing.T) *Streaming {
 	return s
 }
 
-// TestCheckpointWriteRetriesTransientCreate injects transient create
-// failures and expects the atomic write to succeed after retries, with
-// the retries counted in the registry.
-func TestCheckpointWriteRetriesTransientCreate(t *testing.T) {
-	fails := 2
-	stubCheckpointIO(t, func(name string) (snapshot.File, error) {
-		if fails > 0 {
-			fails--
-			return nil, fmt.Errorf("injected create fault: %w", cdr.ErrTransient)
-		}
-		return os.Create(name)
-	}, nil)
-
-	reg := obs.New()
-	s := faultTestStreaming(t)
-	s.opts.Obs = reg
-	path := t.TempDir() + "/ckpt.snap"
-	if err := s.WriteSnapshot(path); err != nil {
-		t.Fatalf("WriteSnapshot after transient faults: %v", err)
-	}
-	if fails != 0 {
-		t.Fatalf("create stub called too few times; %d injected faults unused", fails)
-	}
-	if got := reg.Counter("cellcars_checkpoint_retries_total").Value(); got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
-	}
-	if got := reg.Counter("cellcars_checkpoint_writes_total").Value(); got != 1 {
-		t.Fatalf("writes counter = %d, want 1", got)
-	}
-	if p, err := ReadPartialFile(path); err != nil {
-		t.Fatalf("snapshot written under faults does not restore: %v", err)
-	} else if p.Records() != 100 {
-		t.Fatalf("restored %d records, want 100", p.Records())
-	}
-}
-
-// TestCheckpointWriteRetriesTransientRename injects transient rename
-// failures: the retried attempt rewrites a fresh temp file and the
-// final file must restore cleanly, with no temp file left behind.
-func TestCheckpointWriteRetriesTransientRename(t *testing.T) {
-	fails := 1
-	stubCheckpointIO(t, nil, func(oldpath, newpath string) error {
-		if fails > 0 {
-			fails--
-			return fmt.Errorf("injected rename fault: %w", cdr.ErrTransient)
-		}
-		return os.Rename(oldpath, newpath)
-	})
-
-	s := faultTestStreaming(t)
-	path := t.TempDir() + "/ckpt.snap"
-	if err := s.WriteSnapshot(path); err != nil {
-		t.Fatalf("WriteSnapshot after transient rename fault: %v", err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temp file left behind after retried rename (stat err %v)", err)
-	}
-	if _, err := ReadPartialFile(path); err != nil {
-		t.Fatalf("snapshot does not restore: %v", err)
-	}
-}
-
-// TestCheckpointWriteGivesUpAfterBudget exhausts the retry budget and
-// expects the transient error to surface, not an infinite loop.
-func TestCheckpointWriteGivesUpAfterBudget(t *testing.T) {
-	calls := 0
-	stubCheckpointIO(t, func(string) (snapshot.File, error) {
-		calls++
-		return nil, fmt.Errorf("injected persistent fault: %w", cdr.ErrTransient)
-	}, nil)
-
-	s := faultTestStreaming(t)
-	err := s.WriteSnapshot(t.TempDir() + "/ckpt.snap")
-	if err == nil || !cdr.IsTransient(err) {
-		t.Fatalf("want surfaced transient error, got %v", err)
-	}
-	if want := checkpointRetryAttempts + 1; calls != want {
-		t.Fatalf("create attempted %d times, want %d", calls, want)
-	}
-}
-
-// TestCheckpointWriteNonTransientFailsFast: a permanent failure is not
-// retried at all.
-func TestCheckpointWriteNonTransientFailsFast(t *testing.T) {
-	calls := 0
+// TestCheckpointWriteFailsAtFirstAttempt: a failed create or rename is
+// tried once, its error returned, and the write leaves neither the file
+// nor its temp file behind, nor a write counted.
+func TestCheckpointWriteFailsAtFirstAttempt(t *testing.T) {
 	permanent := errors.New("disk on fire")
-	stubCheckpointIO(t, func(string) (snapshot.File, error) {
-		calls++
-		return nil, permanent
-	}, nil)
-
-	s := faultTestStreaming(t)
-	err := s.WriteSnapshot(t.TempDir() + "/ckpt.snap")
-	if !errors.Is(err, permanent) {
-		t.Fatalf("want the permanent error surfaced, got %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("create attempted %d times, want 1 (no retries on permanent errors)", calls)
+	for _, step := range []string{"create", "rename"} {
+		t.Run(step, func(t *testing.T) {
+			calls := 0
+			if step == "create" {
+				stubCheckpointIO(t, func(string) (snapshot.File, error) {
+					calls++
+					return nil, permanent
+				}, nil)
+			} else {
+				stubCheckpointIO(t, nil, func(string, string) error {
+					calls++
+					return permanent
+				})
+			}
+			reg := obs.New()
+			s := faultTestStreaming(t)
+			s.opts.Obs = reg
+			path := t.TempDir() + "/ckpt.snap"
+			if err := s.WriteSnapshot(path); !errors.Is(err, permanent) {
+				t.Fatalf("want the %s error surfaced, got %v", step, err)
+			}
+			if calls != 1 {
+				t.Fatalf("%s attempted %d times, want 1", step, calls)
+			}
+			for _, p := range []string{path, path + ".tmp"} {
+				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("failed write left %s behind (stat err %v)", p, err)
+				}
+			}
+			if got := reg.Counter("cellcars_checkpoint_writes_total").Value(); got != 0 {
+				t.Fatalf("writes counter = %d, want 0", got)
+			}
+		})
 	}
 }

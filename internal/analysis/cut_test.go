@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -242,25 +243,22 @@ func (r *triggerAfter) ReadBatch(dst []cdr.Record) (int, error) {
 // TestEngineCheckpointCommitFaults fails the fsync, the close and the
 // rename of one cut's commit — a periodic cut in mid-run, the last one
 // before end of input, the one before a trigger stop and the trigger
-// cut itself — transiently and for good. A transient failure costs a
-// counted retry and the next durable write makes up for it: the cut
-// after it, or at a trigger or end of input one synchronous write. A
-// permanent one fails the run where the commit is joined. Either way
-// the path holds a complete earlier cut the whole time, no temp file
-// and no goroutine is left, and a run that went on reports what an
-// undisturbed one does.
+// cut itself — with a permanent error, and with EAGAIN, the errno a
+// classifier would call transient. Either fails the run where the
+// commit is joined, at its first attempt: the path holds the complete
+// cut before it the whole time, and no temp file and no goroutine is
+// left.
 func TestEngineCheckpointCommitFaults(t *testing.T) {
 	ctx := engineCtx()
 	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 3}
 	records := engineWorkload(10500)
 	const every = 1000 // cuts 1..10 at 1 000..10 000, then 500 records to end of input
-	want := pushReference(ctx, eopts.RunOptions, records)
-	permanent := errors.New("disk on fire")
-	transient := fmt.Errorf("injected hiccup: %w", cdr.ErrTransient)
+	faults := []struct {
+		name string
+		err  error
+	}{{"transient", syscall.EAGAIN}, {"permanent", errors.New("disk on fire")}}
 
 	type outcome struct {
-		err       error // nil: the run completes (or stops on its trigger)
-		retries   int64
 		watermark int64   // what path restores to afterwards
 		recovery  []int64 // path's watermark as each temp file was created
 	}
@@ -277,114 +275,54 @@ func TestEngineCheckpointCommitFaults(t *testing.T) {
 		name    string
 		nth     int // the cut whose commit fails
 		trigger int // records before the trigger fires; 0 for none
-		err     error
 		want    outcome
 	}{
-		// Cut 3 fails: cut 4 is the retry, and until it lands the
-		// recovery point stays cut 2.
-		{"periodic/transient", 3, 0, transient, outcome{nil, 1, 10000,
-			append(ramp(3), 2000, 4000, 5000, 6000, 7000, 8000, 9000)}},
-		{"periodic/permanent", 3, 0, permanent, outcome{permanent, 0, 2000, ramp(3)}},
-		// Cut 10 fails and no cut follows: end of input writes once more.
-		{"last/transient", 10, 0, transient, outcome{nil, 1, 10500, append(ramp(10), 9000)}},
-		{"last/permanent", 10, 0, permanent, outcome{permanent, 0, 9000, ramp(10)}},
+		// Cut 3 fails: the run fails joining it as cut 4 begins.
+		{"periodic", 3, 0, outcome{2000, ramp(3)}},
+		// Cut 10 fails and no cut follows: the run fails at end of input.
+		{"last", 10, 0, outcome{9000, ramp(10)}},
 		// Cut 4 fails and the trigger stops the run at 4 512, the end of
-		// the batch after cut 4: the trigger cut is the retry.
-		{"before-trigger/transient", 4, 4090, transient, outcome{ErrCheckpointStop, 1, 4512, append(ramp(4), 3000)}},
-		{"before-trigger/permanent", 4, 4090, permanent, outcome{permanent, 0, 3000, ramp(4)}},
+		// the batch after cut 4: the run fails before the trigger cut.
+		{"before-trigger", 4, 4090, outcome{3000, ramp(4)}},
 		// The trigger cut itself (the fifth file) is written and committed
-		// in one piece, under the write's own retry loop.
-		{"trigger/transient", 5, 4090, transient, outcome{ErrCheckpointStop, 1, 4512, append(ramp(5), 4000)}},
-		{"trigger/permanent", 5, 4090, permanent, outcome{permanent, 0, 4000, ramp(5)}},
+		// in one piece.
+		{"trigger", 5, 4090, outcome{4000, ramp(5)}},
 	} {
-		for _, step := range []string{"fsync", "close", "rename"} {
-			t.Run(tc.name+"/"+step, func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "run.snap")
-				fault := &commitFault{t: t, path: path, step: step, nth: tc.nth, err: tc.err}
-				fault.install()
-				reg := obs.New()
-				opts := eopts
-				opts.Obs = reg
-				cfg := CheckpointConfig{Path: path, Every: every}
-				var src cdr.Reader = cdr.NewSliceReader(records)
-				if tc.trigger > 0 {
-					trig := make(chan struct{})
-					cfg.Trigger = trig
-					src = &triggerAfter{r: src, n: tc.trigger, trig: trig}
-				}
-				before := runtime.NumGoroutine()
-				rep, err := NewEngine(ctx, opts).RunReaderCheckpointed(src, cfg)
-				noGoroutineLeft(t, before)
-				noTempFile(t, path)
-				if !errors.Is(err, tc.want.err) {
-					t.Fatalf("run returned %v, want %v", err, tc.want.err)
-				}
-				if err == nil {
-					rep.Profile, rep.ProfileWorkers, rep.ProfileCheckpoints = nil, 0, CheckpointProfile{}
-					if !reflect.DeepEqual(want, rep) {
-						t.Fatal("a run that rode out a failed commit reports differently from an undisturbed one")
+		for _, f := range faults {
+			for _, step := range []string{"fsync", "close", "rename"} {
+				t.Run(tc.name+"/"+f.name+"/"+step, func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "run.snap")
+					fault := &commitFault{t: t, path: path, step: step, nth: tc.nth, err: f.err}
+					fault.install()
+					reg := obs.New()
+					opts := eopts
+					opts.Obs = reg
+					cfg := CheckpointConfig{Path: path, Every: every}
+					var src cdr.Reader = cdr.NewSliceReader(records)
+					if tc.trigger > 0 {
+						trig := make(chan struct{})
+						cfg.Trigger = trig
+						src = &triggerAfter{r: src, n: tc.trigger, trig: trig}
 					}
-				}
-				if got := reg.Counter("cellcars_checkpoint_retries_total").Value(); got != tc.want.retries {
-					t.Fatalf("%d retries counted, want %d", got, tc.want.retries)
-				}
-				if got := watermarkOf(t, path); got != tc.want.watermark {
-					t.Fatalf("path restores to watermark %d, want %d", got, tc.want.watermark)
-				}
-				if !reflect.DeepEqual(fault.recovery, tc.want.recovery) {
-					t.Fatalf("recovery point as each cut was written: %v, want %v", fault.recovery, tc.want.recovery)
-				}
-				if writes := reg.Counter("cellcars_checkpoint_writes_total").Value(); writes != int64(len(fault.committed)) {
-					t.Fatalf("%d writes counted, %d files renamed into place", writes, len(fault.committed))
-				}
-			})
+					before := runtime.NumGoroutine()
+					_, err := NewEngine(ctx, opts).RunReaderCheckpointed(src, cfg)
+					noGoroutineLeft(t, before)
+					noTempFile(t, path)
+					if !errors.Is(err, f.err) {
+						t.Fatalf("run returned %v, want %v", err, f.err)
+					}
+					if got := watermarkOf(t, path); got != tc.want.watermark {
+						t.Fatalf("path restores to watermark %d, want %d", got, tc.want.watermark)
+					}
+					if !reflect.DeepEqual(fault.recovery, tc.want.recovery) {
+						t.Fatalf("recovery point as each cut was written: %v, want %v", fault.recovery, tc.want.recovery)
+					}
+					if writes := reg.Counter("cellcars_checkpoint_writes_total").Value(); writes != int64(len(fault.committed)) {
+						t.Fatalf("%d writes counted, %d files renamed into place", writes, len(fault.committed))
+					}
+				})
+			}
 		}
-	}
-}
-
-// TestEngineCheckpointCommitFaultBudget: transient commit failures in a
-// row are ridden out up to the retry budget and fail the run past it.
-func TestEngineCheckpointCommitFaultBudget(t *testing.T) {
-	ctx := engineCtx()
-	eopts := EngineOptions{RunOptions: RunOptions{BusyCells: engineBusyCells()}, Workers: 2}
-	records := engineWorkload(9000)
-	for _, fails := range []int{checkpointRetryAttempts, checkpointRetryAttempts + 1} {
-		t.Run(fmt.Sprintf("%d in a row", fails), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "run.snap")
-			var renames atomic.Int64
-			stubCheckpointIO(t, nil, func(oldpath, newpath string) error {
-				// Cuts 2, 3, 4 (and 5) fail.
-				if n := int(renames.Add(1)); n >= 2 && n < 2+fails {
-					return fmt.Errorf("injected hiccup: %w", cdr.ErrTransient)
-				}
-				return os.Rename(oldpath, newpath)
-			})
-			reg := obs.New()
-			opts := eopts
-			opts.Obs = reg
-			before := runtime.NumGoroutine()
-			_, err := NewEngine(ctx, opts).RunReaderCheckpointed(cdr.NewSliceReader(records), CheckpointConfig{Path: path, Every: 1000})
-			noGoroutineLeft(t, before)
-			noTempFile(t, path)
-			if fails <= checkpointRetryAttempts {
-				if err != nil {
-					t.Fatalf("run failed inside the budget: %v", err)
-				}
-				if got := watermarkOf(t, path); got != 9000 {
-					t.Fatalf("path restores to watermark %d, want 9000", got)
-				}
-			} else {
-				if !cdr.IsTransient(err) {
-					t.Fatalf("run past the budget returned %v, want the transient error", err)
-				}
-				if got := watermarkOf(t, path); got != 1000 {
-					t.Fatalf("path restores to watermark %d, want the last committed cut's 1000", got)
-				}
-			}
-			if got, want := reg.Counter("cellcars_checkpoint_retries_total").Value(), int64(min(fails, checkpointRetryAttempts)); got != want {
-				t.Fatalf("%d retries counted, want %d", got, want)
-			}
-		})
 	}
 }
 

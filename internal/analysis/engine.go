@@ -255,9 +255,9 @@ func (e *Engine) RunReaderCheckpointed(r cdr.Reader, cfg CheckpointConfig) (*Rep
 		close(chans[i])
 	}
 	wg.Wait()
-	// The last periodic cut may still be committing; the sets are
-	// quiescent for good now, so a commit that failed can be made up for.
-	if jerr := cut.finish(headerFor(e.ctx, opts, read), err == nil); err == nil {
+	// The last periodic cut may still be committing: no goroutine
+	// outlives the run, and a commit that failed fails it.
+	if jerr := cut.join(); err == nil {
 		err = jerr
 	}
 	if err != nil {

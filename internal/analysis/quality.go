@@ -82,8 +82,6 @@ type DataQuality struct {
 	// ingest layer; Quarantined breaks them down by failure class.
 	QuarantinedTotal int64
 	Quarantined      map[string]int64
-	// Retries counts transient-failure retries during ingest.
-	Retries int64
 	// Gaps are the detected coverage-loss days.
 	Gaps []CoverageGap
 	// StageErrors lists analysis stages that failed and were skipped.
@@ -125,7 +123,6 @@ func NewDataQuality(stats cdr.IngestStats, ghosts int64, p DailyPresence, period
 		GhostsDropped:    ghosts,
 		QuarantinedTotal: stats.QuarantinedTotal(),
 		Quarantined:      stats.ByClass(),
-		Retries:          stats.Retries,
 	}
 	if len(p.CarsFrac) > 0 {
 		q.Gaps = DetectCoverageGaps(p, period, 0)
@@ -135,8 +132,8 @@ func NewDataQuality(stats cdr.IngestStats, ghosts int64, p DailyPresence, period
 
 // Summary returns a one-line human rendering, for CLI output.
 func (q *DataQuality) Summary() string {
-	s := fmt.Sprintf("read %d, ghosts %d, quarantined %d, retries %d, gap days %d, failed stages %d",
-		q.RecordsRead, q.GhostsDropped, q.QuarantinedTotal, q.Retries, len(q.Gaps), len(q.StageErrors))
+	s := fmt.Sprintf("read %d, ghosts %d, quarantined %d, gap days %d, failed stages %d",
+		q.RecordsRead, q.GhostsDropped, q.QuarantinedTotal, len(q.Gaps), len(q.StageErrors))
 	if len(q.ExcludedShards) > 0 {
 		s += fmt.Sprintf(", excluded shards %d", len(q.ExcludedShards))
 	}

@@ -93,7 +93,6 @@ func TestNewDataQuality(t *testing.T) {
 	stats.Read = 1000
 	stats.Quarantined[cdr.ClassBadField] = 7
 	stats.Quarantined[cdr.ClassTruncated] = 1
-	stats.Retries = 3
 
 	fracs := make([]float64, 14)
 	for d := range fracs {
@@ -102,7 +101,7 @@ func TestNewDataQuality(t *testing.T) {
 	fracs[6] = 0.1
 	q := NewDataQuality(stats, 42, presenceWith(fracs), simtime.NewPeriod(t0, 14))
 
-	if q.RecordsRead != 1000 || q.GhostsDropped != 42 || q.QuarantinedTotal != 8 || q.Retries != 3 {
+	if q.RecordsRead != 1000 || q.GhostsDropped != 42 || q.QuarantinedTotal != 8 {
 		t.Fatalf("quality = %+v", q)
 	}
 	if q.Quarantined["bad-field"] != 7 || q.Quarantined["truncated"] != 1 {

@@ -174,8 +174,8 @@ func (f resilientFaults) records() []Record {
 }
 
 // open builds the fault stack afresh: the bytes, a field broken where the
-// flags say, a torn tail or a fault after f.at bytes — transient or
-// not — and on top, optionally, ChaosReader's record-level faults, which
+// flags say, a torn tail or a fault after f.at bytes — a source cut
+// short with io.ErrUnexpectedEOF or a failed disk — and on top, optionally, ChaosReader's record-level faults, which
 // leave the ResilientReader a source with no ReadBatch of its own.
 func (f resilientFaults) open(t *testing.T, sink QuarantineSink) *ResilientReader {
 	recs := f.records()
@@ -195,7 +195,7 @@ func (f resilientFaults) open(t *testing.T, sink QuarantineSink) *ResilientReade
 	case 1:
 		src = NewTruncateReader(src, int64(f.at)%int64(len(raw)+1))
 	case 2:
-		src = NewFaultReader(src, int64(f.at)%int64(len(raw)+1), Transient(errors.New("flaky disk")))
+		src = NewFaultReader(src, int64(f.at)%int64(len(raw)+1), io.ErrUnexpectedEOF)
 	case 3:
 		src = NewFaultReader(src, int64(f.at)%int64(len(raw)+1), errors.New("disk gone"))
 	}
@@ -209,7 +209,7 @@ func (f resilientFaults) open(t *testing.T, sink QuarantineSink) *ResilientReade
 		r = NewBinaryReader(src)
 	}
 	if f.flags&16 != 0 {
-		r = NewChaosReader(r, ChaosConfig{Seed: uint64(f.at), CorruptProb: 0.05, DuplicateProb: 0.05, ReorderProb: 0.05, TransientProb: 0.05})
+		r = NewChaosReader(r, ChaosConfig{Seed: uint64(f.at), CorruptProb: 0.05, DuplicateProb: 0.05, ReorderProb: 0.05})
 	}
 	cfg := ResilientConfig{
 		Sink:            sink,
@@ -246,9 +246,6 @@ func FuzzResilientReadBatchMatchesRead(f *testing.F) {
 	for _, flags := range []uint8{0, 1, 3, 4, 5, 9, 13, 17, 19, 33, 35, 64 | 3, 64 | 2} {
 		f.Add(seed, flags, uint16(777), uint64(flags))
 	}
-	stub := sleepFn
-	sleepFn = func(time.Duration) {}
-	f.Cleanup(func() { sleepFn = stub })
 	f.Fuzz(func(t *testing.T, data []byte, flags uint8, at uint16, sizes uint64) {
 		faults := resilientFaults{data: data, flags: flags, at: at}
 		drain := func(read func(r *ResilientReader) ([]Record, error)) ingested {

@@ -1,7 +1,6 @@
 package cdr
 
 import (
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"time"
@@ -27,14 +26,11 @@ type ChaosConfig struct {
 	DuplicateProb float64
 	// ReorderProb swaps the record with its successor.
 	ReorderProb float64
-	// TransientProb returns a transient (retryable) error before
-	// delivering the record; a retry succeeds.
-	TransientProb float64
 }
 
 // ChaosStats counts the faults actually injected.
 type ChaosStats struct {
-	Corrupted, Duplicated, Reordered, Transients int64
+	Corrupted, Duplicated, Reordered int64
 }
 
 // ChaosReader wraps a Reader and injects record-level faults per
@@ -91,11 +87,6 @@ func (c *ChaosReader) Read() (Record, error) {
 	if c.roll(c.cfg.DuplicateProb) {
 		c.queue = append(c.queue, rec)
 		c.stats.Duplicated++
-	}
-	if c.roll(c.cfg.TransientProb) {
-		c.queue = append([]Record{rec}, c.queue...)
-		c.stats.Transients++
-		return Record{}, Transient(fmt.Errorf("cdr: chaos: injected fault before record"))
 	}
 	return rec, nil
 }
@@ -164,8 +155,7 @@ func (t *TruncateReader) Read(p []byte) (int, error) {
 }
 
 // FaultReader delivers n bytes of r and then fails every subsequent
-// Read with err, simulating a mid-stream I/O failure (pass a
-// Transient-wrapped error to simulate a retryable one).
+// Read with err, simulating a mid-stream I/O failure.
 type FaultReader struct {
 	r    io.Reader
 	left int64
@@ -188,29 +178,4 @@ func (f *FaultReader) Read(p []byte) (int, error) {
 	n, err := f.r.Read(p)
 	f.left -= int64(n)
 	return n, err
-}
-
-// FlakyReader wraps a Reader and fails every period-th Read with a
-// transient error before succeeding on retry — the record-level
-// analogue of a lossy RPC transport. Used to exercise
-// ResilientReader's retry path.
-type FlakyReader struct {
-	r      Reader
-	period int
-	calls  int
-}
-
-// NewFlakyReader returns a reader that injects one transient failure
-// every period calls (period <= 0 disables injection).
-func NewFlakyReader(r Reader, period int) *FlakyReader {
-	return &FlakyReader{r: r, period: period}
-}
-
-// Read fails transiently on schedule, otherwise delegates.
-func (f *FlakyReader) Read() (Record, error) {
-	f.calls++
-	if f.period > 0 && f.calls%f.period == 0 {
-		return Record{}, Transient(fmt.Errorf("cdr: chaos: flaky read %d", f.calls))
-	}
-	return f.r.Read()
 }

@@ -4,47 +4,35 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
 func TestChaosReaderDeterministicAndCounted(t *testing.T) {
 	in := randomRecords(2000, 5)
-	cfg := ChaosConfig{Seed: 42, CorruptProb: 0.01, DuplicateProb: 0.01, ReorderProb: 0.01, TransientProb: 0.01}
+	cfg := ChaosConfig{Seed: 42, CorruptProb: 0.01, DuplicateProb: 0.01, ReorderProb: 0.01}
 
-	drain := func() (records []Record, transients int, stats ChaosStats) {
+	drain := func() ([]Record, ChaosStats) {
 		c := NewChaosReader(NewSliceReader(in), cfg)
-		for {
-			rec, err := c.Read()
-			if errors.Is(err, io.EOF) {
-				return records, transients, c.Stats()
-			}
-			if err != nil {
-				if !IsTransient(err) {
-					t.Fatalf("unexpected non-transient error: %v", err)
-				}
-				transients++
-				continue
-			}
-			records = append(records, rec)
+		records, err := ReadAll(c)
+		if err != nil {
+			t.Fatalf("chaos over a clean source failed: %v", err)
 		}
+		return records, c.Stats()
 	}
 
-	r1, t1, s1 := drain()
-	r2, t2, s2 := drain()
-	if len(r1) != len(r2) || t1 != t2 || s1 != s2 {
-		t.Fatalf("chaos not deterministic: %d/%d records, %d/%d transients, %+v vs %+v",
-			len(r1), len(r2), t1, t2, s1, s2)
+	r1, s1 := drain()
+	r2, s2 := drain()
+	if !reflect.DeepEqual(r1, r2) || s1 != s2 {
+		t.Fatalf("chaos not deterministic: %d/%d records, %+v vs %+v", len(r1), len(r2), s1, s2)
 	}
-	if s1.Corrupted == 0 || s1.Duplicated == 0 || s1.Reordered == 0 || s1.Transients == 0 {
+	if s1.Corrupted == 0 || s1.Duplicated == 0 || s1.Reordered == 0 {
 		t.Fatalf("expected every fault kind at 1%% over 2000 records: %+v", s1)
 	}
 	// No record lost: delivered = input + duplicates (corruption and
-	// reordering never drop records; transients retry into delivery).
+	// reordering never drop records).
 	if want := int64(len(in)) + s1.Duplicated; int64(len(r1)) != want {
 		t.Fatalf("delivered %d records, want %d", len(r1), want)
-	}
-	if t1 != int(s1.Transients) {
-		t.Fatalf("observed %d transients, stats say %d", t1, s1.Transients)
 	}
 	// Corrupted records fail validation (a duplicate of a corrupted
 	// record is invalid too, hence the upper bound).
@@ -106,27 +94,5 @@ func TestFaultReaderSurfacesIOError(t *testing.T) {
 	_, err := ReadAll(r)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected fault", err)
-	}
-}
-
-func TestFlakyReaderRecoversWithRetry(t *testing.T) {
-	in := randomRecords(50, 9)
-	f := NewFlakyReader(NewSliceReader(in), 5)
-	var out []Record
-	for {
-		rec, err := f.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			if !IsTransient(err) {
-				t.Fatalf("non-transient fault: %v", err)
-			}
-			continue // retry
-		}
-		out = append(out, rec)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("records = %d, want %d (no loss through transient faults)", len(out), len(in))
 	}
 }

@@ -41,24 +41,3 @@ func TestIngestMetrics(t *testing.T) {
 		t.Errorf("budget gauge = %v, want %v", got, want)
 	}
 }
-
-// TestIngestRetryMetric asserts transient retries land in the counter
-// and agree with the reader's stats.
-func TestIngestRetryMetric(t *testing.T) {
-	defer stubSleep(t)()
-	in := randomRecords(40, 9)
-	reg := obs.New()
-	cfg := noBudget()
-	cfg.Obs = reg
-	r := NewResilientReader(NewFlakyReader(NewSliceReader(in), 7), cfg)
-	if _, err := ReadAll(r); err != nil {
-		t.Fatal(err)
-	}
-	got := reg.Counter("cellcars_ingest_retries_total").Value()
-	if got == 0 {
-		t.Fatal("no retries in the counter")
-	}
-	if want := r.Stats().Retries; got != want {
-		t.Fatalf("retry counter = %d, stats say %d", got, want)
-	}
-}

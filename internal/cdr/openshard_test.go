@@ -570,7 +570,7 @@ func TestStrictRefusalNamesTheRow(t *testing.T) {
 	if !errors.As(err, &be) || !errors.Is(err, ErrRefused) {
 		t.Fatalf("spent budget: %v, want a *BudgetError that is an ErrRefused", err)
 	}
-	if errors.Is(Transient(io.ErrUnexpectedEOF), ErrRefused) || errors.Is(ErrTruncated, ErrRefused) {
+	if errors.Is(io.ErrUnexpectedEOF, ErrRefused) || errors.Is(ErrTruncated, ErrRefused) {
 		t.Fatal("a read failure passes for a refusal")
 	}
 }

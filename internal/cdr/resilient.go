@@ -40,8 +40,7 @@ const (
 	// ClassRegression: a record whose start precedes the previous
 	// record's start in a stream declared sorted.
 	ClassRegression
-	// ClassIO: an underlying I/O failure. Terminal unless transient
-	// and retried.
+	// ClassIO: an underlying I/O failure. Terminal.
 	ClassIO
 	// NumFailureClasses bounds the class enum for per-class arrays.
 	NumFailureClasses
@@ -67,29 +66,12 @@ func (c FailureClass) String() string {
 	}
 }
 
-// ErrTransient marks a retryable failure: wrapping an error with it
-// (see Transient) tells a retry loop that the operation may succeed if
-// repeated. ResilientReader repeats such a read up to
-// ResilientConfig.TransientRetries times, and a checkpoint write
-// repeats a failed attempt under its own bounded policy.
-var ErrTransient = errors.New("transient")
-
-// Transient wraps err as retryable.
-func Transient(err error) error {
-	return fmt.Errorf("%w: %w", ErrTransient, err)
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // IngestStats accumulates the outcome of a resilient ingest pass.
 type IngestStats struct {
 	// Read counts records delivered downstream.
 	Read int64
 	// Quarantined counts rejected records by class.
 	Quarantined [NumFailureClasses]int64
-	// Retries counts transient-failure retries that were attempted.
-	Retries int64
 }
 
 // Attempted returns the number of records seen: delivered plus
@@ -253,18 +235,10 @@ type ResilientConfig struct {
 	// previous delivered record's start. Only meaningful on streams
 	// contractually sorted by start time.
 	FlagRegressions bool
-	// TransientRetries is how many times a transient I/O failure
-	// (IsTransient) is retried before being returned. Default 3;
-	// negative disables retries.
-	TransientRetries int
-	// RetryBackoff is the initial delay between transient retries,
-	// doubling per attempt. Default 5ms; it exists so tests can run
-	// retries without wall-clock cost.
-	RetryBackoff time.Duration
 	// Obs, when non-nil, receives live ingest metrics: delivered and
 	// per-class quarantined record counts, rows a sharded source skipped,
-	// transient retries, and the error-budget consumption gauge. Nil (the
-	// default) costs nothing.
+	// and the error-budget consumption gauge. Nil (the default) costs
+	// nothing.
 	Obs *obs.Registry
 }
 
@@ -275,22 +249,16 @@ func (cfg *ResilientConfig) fill() {
 	if cfg.MinRecords == 0 {
 		cfg.MinRecords = 1000
 	}
-	if cfg.TransientRetries == 0 {
-		cfg.TransientRetries = 3
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 5 * time.Millisecond
-	}
 }
 
 // ResilientReader wraps a Reader and converts record-level failures
 // into quarantine events instead of stream death. It classifies every
 // failure (bad field, truncated frame, out-of-range time, duplicate,
 // timestamp regression, I/O), forwards rejects to an optional sink,
-// retries an error marked Transient with backoff (only the chaos
-// harness marks one; no codec or os call does), and enforces an error
-// budget so a systematically corrupt input still fails fast with a
-// diagnosis instead of quietly dropping most of its records.
+// and enforces an error budget so a systematically corrupt input still
+// fails fast with a diagnosis instead of quietly dropping most of its
+// records. An I/O error ends the stream at its first occurrence: no
+// retry could make a buffered decoder safe to read past one.
 //
 // Decoded records are re-validated on the way through, so chaos or
 // transport layers between the codec and this wrapper cannot smuggle
@@ -301,12 +269,11 @@ type ResilientReader struct {
 	cfg   ResilientConfig
 	stat  IngestStats
 
-	index   int64 // records attempted so far (delivered + quarantined)
-	prev    Record
-	have    bool
-	retries int   // transient failures retried since the last record
-	done    error // sticky terminal state: io.EOF or a fatal error
-	one     [1]Record
+	index int64 // records attempted so far (delivered + quarantined)
+	prev  Record
+	have  bool
+	done  error // sticky terminal state: io.EOF or a fatal error
+	one   [1]Record
 
 	met *ingestMetrics
 }
@@ -319,7 +286,6 @@ type ingestMetrics struct {
 	skips       *FilesReader // the sharded source whose skips skipped follows; nil without one
 	skippedSeen int64        // skips already added to skipped
 	quarantined [NumFailureClasses]*obs.Counter
-	retries     *obs.Counter
 	budgetUsed  *obs.Gauge
 }
 
@@ -330,7 +296,6 @@ func newIngestMetrics(reg *obs.Registry) *ingestMetrics {
 	m := &ingestMetrics{
 		read:       reg.Counter("cellcars_ingest_records_total"),
 		skipped:    reg.Counter("cellcars_ingest_rows_skipped_total"),
-		retries:    reg.Counter("cellcars_ingest_retries_total"),
 		budgetUsed: reg.Gauge("cellcars_ingest_budget_used_ratio"),
 	}
 	for c := FailureClass(0); c < NumFailureClasses; c++ {
@@ -375,9 +340,6 @@ func (r *ResilientReader) ReadBatch(dst []Record) (int, error) {
 	for n == 0 && len(dst) > 0 && r.done == nil {
 		k, err := ReadBatch(r.r, dst)
 		r.met.Skipped()
-		if k > 0 {
-			r.retries = 0
-		}
 		for _, rec := range dst[:k] {
 			r.index++
 			class, cause := r.check(rec)
@@ -413,11 +375,6 @@ func (r *ResilientReader) ReadBatch(dst []Record) (int, error) {
 			if qerr := r.quarantine(ClassBadField, err, Record{}); qerr != nil {
 				r.done = qerr
 			}
-		case IsTransient(err) && r.retries < r.cfg.TransientRetries:
-			r.stat.Retries++
-			r.met.Retries()
-			sleepFn(r.cfg.RetryBackoff << r.retries)
-			r.retries++
 		default:
 			r.stat.Quarantined[ClassIO]++
 			r.met.Quarantined(r, ClassIO)
@@ -503,14 +460,6 @@ func (m *ingestMetrics) Skipped() {
 	}
 }
 
-// Retries records one transient-retry attempt.
-func (m *ingestMetrics) Retries() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
 // Quarantined records one reject and refreshes the budget-used gauge
 // (quarantined fraction of attempted records, relative to the budget).
 func (m *ingestMetrics) Quarantined(r *ResilientReader, class FailureClass) {
@@ -532,6 +481,3 @@ func (m *ingestMetrics) Quarantined(r *ResilientReader, class FailureClass) {
 func sameRecord(a, b Record) bool {
 	return a.Car == b.Car && a.Cell == b.Cell && a.Duration == b.Duration && a.Start.Equal(b.Start)
 }
-
-// sleepFn is stubbed by tests to avoid wall-clock backoff delays.
-var sleepFn = time.Sleep

@@ -174,39 +174,33 @@ func TestResilientStrictAbortsOnFirstBadRecord(t *testing.T) {
 	}
 }
 
-func TestResilientTransientRetry(t *testing.T) {
-	defer stubSleep(t)()
-	in := randomRecords(40, 9)
-	flaky := NewFlakyReader(NewSliceReader(in), 7)
-	r := NewResilientReader(flaky, noBudget())
-	out, err := ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("records = %d, want %d", len(out), len(in))
-	}
-	if r.Stats().Retries == 0 {
-		t.Fatal("no retries recorded")
-	}
-}
-
-func TestResilientTransientExhaustion(t *testing.T) {
-	defer stubSleep(t)()
-	// A permanently transient source must eventually surface its error
-	// instead of retrying forever.
-	perma := readerFunc(func() (Record, error) {
-		return Record{}, Transient(errors.New("flappy disk"))
+// TestResilientIOErrorEndsTheStream: a source's I/O error ends the
+// stream at its first occurrence — counted once as ClassIO, returned,
+// and returned again without asking the source a second time.
+func TestResilientIOErrorEndsTheStream(t *testing.T) {
+	in := randomRecords(2, 9)
+	gone := errors.New("disk gone")
+	calls := 0
+	src := readerFunc(func() (Record, error) {
+		calls++
+		if calls <= len(in) {
+			return in[calls-1], nil
+		}
+		return Record{}, gone
 	})
-	cfg := noBudget()
-	cfg.TransientRetries = 2
-	r := NewResilientReader(perma, cfg)
-	_, err := r.Read()
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("err = %v, want the transient error surfaced", err)
+	r := NewResilientReader(src, noBudget())
+	out, err := ReadAll(r)
+	if !errors.Is(err, gone) || len(out) != len(in) {
+		t.Fatalf("read %d records, err %v; want %d, then the source's error", len(out), err, len(in))
 	}
-	if got := r.Stats().Retries; got != 2 {
-		t.Fatalf("retries = %d, want 2", got)
+	if _, err := r.Read(); !errors.Is(err, gone) {
+		t.Fatalf("second read: %v, want the same error", err)
+	}
+	if calls != len(in)+1 {
+		t.Fatalf("source read %d times, want %d: the failed read was repeated", calls, len(in)+1)
+	}
+	if got := r.Stats().Quarantined[ClassIO]; got != 1 {
+		t.Fatalf("%d io-error quarantines, want 1", got)
 	}
 }
 
@@ -257,11 +251,3 @@ func TestQuarantineWriterFormat(t *testing.T) {
 type readerFunc func() (Record, error)
 
 func (f readerFunc) Read() (Record, error) { return f() }
-
-// stubSleep replaces the retry backoff sleep for the test's duration.
-func stubSleep(t *testing.T) func() {
-	t.Helper()
-	old := sleepFn
-	sleepFn = func(time.Duration) {}
-	return func() { sleepFn = old }
-}

@@ -43,7 +43,6 @@ func TestRenderDataQualitySection(t *testing.T) {
 	stats.Read = 500
 	stats.Quarantined[cdr.ClassBadField] = 9
 	stats.Quarantined[cdr.ClassDuplicate] = 2
-	stats.Retries = 1
 	q := analysis.NewDataQuality(stats, 3, analysis.DailyPresence{}, simtime.Period{})
 	q.Gaps = []analysis.CoverageGap{{Day: 7, Date: t0.AddDate(0, 0, 7), CarsFrac: 0.21, Baseline: 0.77}}
 	q.StageErrors = []analysis.StageError{{Stage: "busy", Err: "boom"}}

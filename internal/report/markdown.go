@@ -194,7 +194,6 @@ func mdQuality(b *strings.Builder, q *analysis.DataQuality) {
 	fmt.Fprintf(b, "| records read | %d |\n", q.RecordsRead)
 	fmt.Fprintf(b, "| one-hour ghosts dropped | %d |\n", q.GhostsDropped)
 	fmt.Fprintf(b, "| quarantined | %d |\n", q.QuarantinedTotal)
-	fmt.Fprintf(b, "| transient retries | %d |\n", q.Retries)
 	fmt.Fprintf(b, "| coverage-gap days | %d |\n\n", len(q.Gaps))
 	if len(q.Quarantined) > 0 {
 		fmt.Fprintf(b, "Quarantine breakdown:\n\n| class | records |\n|---|---|\n")

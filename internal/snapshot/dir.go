@@ -47,10 +47,9 @@ var FS = struct {
 // WriteFile makes path durably hold what write produces, or leaves it
 // as it was. It is one attempt at: create path+".tmp", write, fsync,
 // close, rename over path, fsync the directory — WriteTemp, then Commit.
-// A failure at any step removes the temp file and comes back unwrapped,
-// so a caller with a retry policy can classify it; until the rename
-// succeeds path is untouched, and after it path is the complete new
-// file. Returns the number of bytes written.
+// A failure at any step removes the temp file and comes back unwrapped;
+// until the rename succeeds path is untouched, and after it path is the
+// complete new file. Returns the number of bytes written.
 func WriteFile(path string, write func(io.Writer) error) (int64, error) {
 	t, err := WriteTemp(path, write)
 	if err != nil {

@@ -11,6 +11,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -117,6 +118,17 @@ type World struct {
 	Load    *load.Model
 	Cars    []fleet.Car
 	Planner *mobility.Planner
+}
+
+// CheckWorldSize returns an error unless NewWorld can lay a radio
+// network over a world of side sizeKm: radio.Build places its sites on a
+// grid at the urban site spacing, so a shorter side, or one that is not
+// a finite number, holds no site.
+func CheckWorldSize(sizeKm float64) error {
+	if pitch := geo.Urban.SiteSpacingKm(); !(sizeKm >= pitch) || math.IsInf(sizeKm, 1) {
+		return fmt.Errorf("want a finite side of at least %g km, the spacing of the radio grid", pitch)
+	}
+	return nil
 }
 
 // NewWorld assembles a scene from the config. Construction is

@@ -15,9 +15,10 @@ import (
 	"testing"
 )
 
-// reachabilityAllow lists what may stay, and keep what it mentions,
-// although no binary, example or facade export reaches it, each entry
-// with its reason. A key is a directory, a file, "<directory>.<Name>" or,
+// reachabilityAllow lists what may stay although no binary, example or
+// facade export reaches it, each entry with its reason. An entry keeps
+// its own declarations only: what it mentions must be reached some
+// other way, so a harness cannot keep alive what only it calls. A key is a directory, a file, "<directory>.<Name>" or,
 // for a method, "<directory>.<Type>.<Method>".
 var reachabilityAllow = map[string]string{
 	"internal/cdr/chaos.go":    "fault-injection harness imported by the tests of analysis and drive",
@@ -54,7 +55,9 @@ var stdMethods = map[string]bool{
 // func, type, var and const outside _test.go files is reached from main
 // or init of a binary under cmd/ or examples/, or from an exported name
 // of package cellcars, an edge being any identifier a declaration
-// mentions; what a method mentions, its receiver's type mentions. A
+// mentions; what a method mentions, its receiver's type mentions. An
+// allowlisted declaration is kept but is no root: what it mentions is
+// reached only if it is. A
 // method counts as reached by name — some selector in the module's
 // non-test code names it, or it is a standard-interface method
 // (stdMethods) — because which one an interface call reaches takes a
@@ -102,8 +105,9 @@ func TestNothingUnreachable(t *testing.T) {
 		}
 	}
 	mentions, declared, roots := map[types.Object][]types.Object{}, map[types.Object]bool{}, []types.Object{}
-	selected := map[string]bool{} // every name a selector in non-test code selects
-	var methods []*ast.FuncDecl   // every method not on the allowlist
+	kept := map[types.Object]bool{} // allowlisted: not dead, but no root either
+	selected := map[string]bool{}   // every name a selector in non-test code selects
+	var methods []*ast.FuncDecl     // every method not on the allowlist
 	for dir, files := range dirs {
 		binary := strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")
 		allowed := func(node ast.Node, name string) bool {
@@ -117,9 +121,10 @@ func TestNothingUnreachable(t *testing.T) {
 				}
 				return true
 			})
-			if binary && (o.Name() == "main" || o.Name() == "init") || dir == "." && o.Exported() || allowed(node, o.Name()) {
+			if binary && (o.Name() == "main" || o.Name() == "init") || dir == "." && o.Exported() {
 				roots = append(roots, o)
 			}
+			kept[o] = kept[o] || allowed(node, o.Name())
 			declared[o] = true
 		}
 		for _, f := range files {
@@ -167,7 +172,7 @@ func TestNothingUnreachable(t *testing.T) {
 	}
 	var dead []string
 	for o := range declared {
-		if !reached[o] && o.Name() != "_" {
+		if !reached[o] && !kept[o] && o.Name() != "_" {
 			dead = append(dead, fset.Position(o.Pos()).String()+": "+o.Name())
 		}
 	}
